@@ -93,6 +93,7 @@ from .walks import (
     max_walk_kernel_implicit,
     walk_features_explicit,
     walk_kernel_implicit,
+    walk_kernel_row,
 )
 from .weighted import (
     WeightFeatureMap,
@@ -171,6 +172,7 @@ __all__ = [
     "tensor_product",
     "walk_features_explicit",
     "walk_kernel_implicit",
+    "walk_kernel_row",
     "wl_refine_dataset",
     "write_tu_dataset",
     "wv_features_explicit",

@@ -32,7 +32,7 @@ from .gram import GramMatrix, gram_explicit, gram_implicit
 from .graphs import generate_synthetic_alphabet, generate_synthetic_labeled
 from .kernels import EdgeKernelSpec, VertexKernelSpec
 from .subgraphs import graphlet_features, subgraph_matching_kernel
-from .walks import walk_features_explicit, walk_kernel_implicit
+from .walks import walk_features_explicit, walk_kernel_row
 
 DESK_GRIDS = {
     "pv": {
@@ -151,10 +151,11 @@ def walk_pv_sweep(
             implicit_seconds, gram_i = _median_time(
                 lambda: gram_implicit(
                     ds,
-                    lambda a, b: walk_kernel_implicit(
-                        a, b, vertex_kernel, edge_kernel, length
+                    lambda a, hs: walk_kernel_row(
+                        a, hs, vertex_kernel, edge_kernel, length
                     ),
                     f"walk(l={length})/implicit",
+                    rows=True,
                 ),
                 reps,
             )
@@ -214,10 +215,11 @@ def walk_length_sweep(
             implicit_seconds, gram_i = _median_time(
                 lambda: gram_implicit(
                     ds,
-                    lambda a, b: walk_kernel_implicit(
-                        a, b, vertex_kernel, edge_kernel, length
+                    lambda a, hs: walk_kernel_row(
+                        a, hs, vertex_kernel, edge_kernel, length
                     ),
                     f"walk(l={length})/implicit",
+                    rows=True,
                 ),
                 reps,
             )

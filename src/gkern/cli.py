@@ -34,6 +34,7 @@ from .errors import (
     ParameterError,
     ResourceBudgetError,
 )
+from .features import direct_sum, dot
 from .gram import GramMatrix, export_gram, gram_explicit, gram_implicit, normalize
 from .graphs import (
     Dataset,
@@ -44,13 +45,9 @@ from .graphs import (
     write_tu_dataset,
 )
 from .kernels import EdgeKernelSpec, VertexKernelSpec, sample_binning_grid
-from .shortest_paths import sp_features_explicit, sp_kernel_implicit, sp_transform
+from .shortest_paths import sp_features_explicit, sp_transform
 from .subgraphs import graphlet_features, subgraph_matching_kernel
-from .walks import (
-    max_walk_kernel_implicit,
-    walk_features_explicit,
-    walk_kernel_implicit,
-)
+from .walks import walk_features_explicit, walk_kernel_row
 from .weighted import (
     attribute_class_features,
     binned_attribute_features,
@@ -158,20 +155,20 @@ def _build_grams(args, ds: Dataset) -> List[GramMatrix]:
         for regime in regimes:
             if regime == "implicit":
                 if kernel == "walk":
-                    pair = lambda a, b: walk_kernel_implicit(a, b, vk, ek, args.length)
+                    row = lambda g, hs: walk_kernel_row(g, hs, vk, ek, args.length)
                 else:
-                    pair = lambda a, b: max_walk_kernel_implicit(
-                        a, b, vk, ek, args.length
-                    )
+                    row = lambda g, hs: walk_kernel_row(
+                        g, hs, vk, ek, args.length, all_rounds=True
+                    ).sum(axis=1)
                 grams.append(
-                    gram_implicit(ds, pair, f"{kernel}(l={args.length})/implicit")
+                    gram_implicit(
+                        ds, row, f"{kernel}(l={args.length})/implicit", rows=True
+                    )
                 )
             else:
                 if kernel == "walk":
                     feature = lambda g: walk_features_explicit(g, args.length)
                 else:
-                    from .features import direct_sum
-
                     feature = lambda g: direct_sum(
                         [
                             walk_features_explicit(g, l)
@@ -191,11 +188,14 @@ def _build_grams(args, ds: Dataset) -> List[GramMatrix]:
         )
         for regime in regimes:
             if regime == "implicit":
+                # the shortest-path kernel is the length-1 walk kernel on
+                # the transforms (see sp_kernel_implicit)
                 grams.append(
                     gram_implicit(
                         transformed,
-                        lambda a, b: sp_kernel_implicit(a, b, vk, lk, transformed=True),
+                        lambda g, hs: walk_kernel_row(g, hs, vk, lk, 1),
                         f"sp({lk.describe()})/implicit",
+                        rows=True,
                     )
                 )
             else:
@@ -210,12 +210,10 @@ def _build_grams(args, ds: Dataset) -> List[GramMatrix]:
     if kernel == "graphlet":
         for regime in regimes:
             if regime == "implicit":
-                from .features import dot as _dot
-
                 grams.append(
                     gram_implicit(
                         ds,
-                        lambda a, b: _dot(graphlet_features(a), graphlet_features(b)),
+                        lambda a, b: dot(graphlet_features(a), graphlet_features(b)),
                         "graphlet(3)/implicit",
                     )
                 )

@@ -39,8 +39,10 @@ class InvalidKernelError(GKError):
 
 
 class MultiplicityOverflowError(GKError):
-    """Shortest-path multiplicities left the range in which exact integer
-    arithmetic is guaranteed; results would be silently wrong, so we stop."""
+    """A count left the range in which exact integer arithmetic is
+    guaranteed (shortest-path multiplicities past int64, walk-kernel
+    totals past 2**53 in float64); results would be silently wrong, so we
+    stop."""
 
 
 class ResourceBudgetError(GKError):

@@ -1,8 +1,8 @@
 """Gram matrices over datasets: assembly, normalization, diagnostics, export.
 
 Two assembly routes mirror the two computation schemes.
-:func:`gram_implicit` evaluates a pairwise kernel function on the upper
-triangle and mirrors it; its cost is all in the per-pair evaluations.
+:func:`gram_implicit` evaluates a kernel on the upper triangle, one row
+at a time, and mirrors it; its cost is all in the kernel evaluations.
 :func:`gram_explicit` first materializes one sparse feature vector per
 graph, then fills the triangle with sparse dot products; the timing
 breakdown keeps the two phases separate because their balance is exactly
@@ -15,16 +15,14 @@ changes a result, only the wall-clock numbers in ``timings``.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from .errors import GKError, GramError, ParameterError
-from .features import FeatureVector
+from .features import FeatureVector, dot
 from .graphs import Dataset, Graph
-from .rng import SplitMix64
 
 
 @dataclass
@@ -61,28 +59,41 @@ def _ids(ds: Dataset) -> List[str]:
 
 def gram_implicit(
     ds: Dataset,
-    pair_kernel: Callable[[Graph, Graph], float],
+    kernel: Callable,
     kernel_name: str = "implicit",
+    rows: bool = False,
 ) -> GramMatrix:
-    """Fill the Gram matrix by evaluating ``pair_kernel`` per graph pair.
+    """Fill the Gram matrix row by row of its upper triangle.
 
-    Any exception during a pair evaluation aborts the computation with the
-    failing pair's indices attached.
+    By default ``kernel(g, h)`` evaluates one pair, and each pair is a row
+    of its own.  With ``rows`` it is a row kernel: ``kernel(g, hs)``
+    returns one value per partner in ``hs``, and graph ``i`` is evaluated
+    against all of ``ds[i:]`` in one call (see
+    :func:`gkern.walks.walk_kernel_row`, which batches a row into a few
+    product graphs).
+
+    Any exception during an evaluation aborts the computation with the
+    failing pair's indices attached; a failed batched row is re-evaluated
+    pair by pair to find that pair.
     """
     n = len(ds)
+    graphs = ds.graphs
+    row_kernel = kernel if rows else lambda g, hs: [kernel(g, hs[0])]
+    width = n if rows else 1
     values = np.zeros((n, n), dtype=np.float64)
     start = time.perf_counter()
     for i in range(n):
-        gi = ds[i]
-        for j in range(i, n):
+        for lo in range(i, n, width):
+            hi = min(lo + width, n)
             try:
-                value = pair_kernel(gi, ds[j])
+                row = row_kernel(graphs[i], graphs[lo:hi])
             except GKError as exc:
+                j, cause = _failing_pair(row_kernel, graphs, i, lo, hi, exc)
                 raise GramError(
-                    f"{kernel_name}: pair ({i}, {j}) failed: {exc}"
-                ) from exc
-            values[i, j] = value
-            values[j, i] = value
+                    f"{kernel_name}: pair ({i}, {j}) failed: {cause}"
+                ) from cause
+            values[i, lo:hi] = row
+            values[lo:hi, i] = row
     elapsed = time.perf_counter() - start
     return GramMatrix(
         values,
@@ -91,6 +102,17 @@ def gram_implicit(
         ds.class_labels.copy(),
         {"scheme": "implicit", "seconds_pairs": elapsed, "seconds_total": elapsed},
     )
+
+
+def _failing_pair(row_kernel, graphs, i, lo, hi, exc):
+    """The first partner ``j`` in ``lo..hi-1`` whose pair with ``i`` fails."""
+    if hi - lo > 1:
+        for j in range(lo, hi):
+            try:
+                row_kernel(graphs[i], graphs[j : j + 1])
+            except GKError as single:
+                return j, single
+    return lo, exc
 
 
 def gram_explicit(
@@ -105,10 +127,10 @@ def gram_explicit(
     """
     n = len(ds)
     start = time.perf_counter()
-    vectors: List[Dict[bytes, float]] = []
+    vectors: List[FeatureVector] = []
     for i, g in enumerate(ds.graphs):
         try:
-            vectors.append(feature_fn(g).entries)
+            vectors.append(feature_fn(g))
         except GKError as exc:
             raise GramError(f"{kernel_name}: graph {i} failed: {exc}") from exc
     map_seconds = time.perf_counter() - start
@@ -118,14 +140,7 @@ def gram_explicit(
     for i in range(n):
         a = vectors[i]
         for j in range(i, n):
-            b = vectors[j]
-            small, large = (a, b) if len(a) <= len(b) else (b, a)
-            lookup = large.get
-            total = 0
-            for key, weight in small.items():
-                other = lookup(key)
-                if other is not None:
-                    total += weight * other
+            total = dot(a, vectors[j])
             values[i, j] = total
             values[j, i] = total
     dot_seconds = time.perf_counter() - start
@@ -168,17 +183,11 @@ def normalize(gram: GramMatrix) -> GramMatrix:
     )
 
 
-def min_eigenvalue_estimate(
-    matrix: np.ndarray, tol: float = 1e-8, max_iterations: int = 20_000
-) -> float:
-    """Smallest eigenvalue of a symmetric matrix via shifted power iteration.
+def min_eigenvalue_estimate(matrix: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric matrix, by dense ``eigvalsh``.
 
-    The spectrum is flipped around a Gershgorin upper bound c (every
-    eigenvalue of c*I - K is non-negative), the dominant eigenvalue of the
-    flipped matrix is found by power iteration with a fixed pseudo-random
-    start vector, and mapped back.  Convergence is declared when the
-    eigenvalue residual drops below ``tol``; hitting the iteration cap
-    first emits a warning and returns the best estimate.
+    The matrix must be square, non-empty and symmetric up to a relative
+    1e-12; a 1x1 matrix returns its entry exactly.
     """
     k = np.asarray(matrix, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -187,43 +196,9 @@ def min_eigenvalue_estimate(
         raise ParameterError("need a non-empty matrix")
     if not np.allclose(k, k.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(k).max()))):
         raise ParameterError("matrix is not symmetric")
-    n = k.shape[0]
-    if n == 1:
+    if k.shape[0] == 1:
         return float(k[0, 0])
-
-    bound = float((np.diag(k) + (np.abs(k).sum(axis=1) - np.abs(np.diag(k)))).max())
-    flipped = bound * np.eye(n) - k
-    if float(np.abs(flipped).max()) == 0.0:
-        return bound  # the matrix is bound * identity
-
-    stream = SplitMix64(0x9E3779B9)
-
-    def _draw() -> np.ndarray:
-        v = np.array([stream.uniform() - 0.5 for _ in range(n)], dtype=np.float64)
-        return v / np.linalg.norm(v)
-
-    vec = _draw()
-    estimate = float(vec @ flipped @ vec)
-    for _ in range(max_iterations):
-        nxt = flipped @ vec
-        norm = float(np.linalg.norm(nxt))
-        if norm == 0.0:
-            # the start vector landed in the null space; redraw
-            vec = _draw()
-            continue
-        vec = nxt / norm
-        estimate = float(vec @ flipped @ vec)
-        residual = float(np.linalg.norm(flipped @ vec - estimate * vec))
-        if residual <= tol:
-            break
-    else:
-        warnings.warn(
-            f"power iteration did not reach residual {tol} after "
-            f"{max_iterations} iterations; returning the best estimate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return bound - estimate
+    return float(np.linalg.eigvalsh(k)[0])
 
 
 def export_gram(gram: GramMatrix, fmt: str, path: str) -> str:

@@ -14,6 +14,20 @@ whose total after ``length`` rounds is exactly the kernel value.  The
 recursion touches each product edge once per round, so a pair evaluation
 costs O(product size * length) and never materializes features.
 
+*Row scheme* — :func:`walk_kernel_row`: the product of ``g`` with a
+disjoint union ``h_1 + ... + h_k`` is the disjoint union of the products
+``g x h_j``, since no product vertex or edge pairs ``g`` with two partners
+at once.  So a Gram row is evaluated a block of partners at a time: one
+product build and one recursion over the union, then one bincount over
+each product vertex's partner reads off the per-partner totals.  The
+values are the pairwise ones: every product vertex keeps its pair's
+neighbours, so the per-vertex sums add the same terms in the same
+relative order as a one-partner call, and each partner's total sums the
+same vertices in the same order.  This removes the fixed per-pair cost
+(a build and a recursion setup per pair), which dominates on small
+product graphs.  :data:`BLOCK_CELLS` bounds the dense arrays one build
+allocates, so memory stays flat however long the row is.
+
 *Explicit scheme* — :func:`walk_features_explicit`: for Dirac base kernels
 on discrete annotations, a walk contributes through its label sequence
 (vertex and edge labels, alternating) only, so each graph maps to a sparse
@@ -24,16 +38,22 @@ values are then plain sparse dot products.
 Both schemes stay in exact integer arithmetic for Dirac kernels (the
 recursion sums float64 integers, exact below 2**53; the feature counts are
 Python ints), which is what makes their equality testable bit for bit.
+With weight-1 kernels every recursion value and every partial sum counts
+walks.  From the first round on, no such count exceeds the pair's final
+total (a walk of length i >= 1 extends back along its last edge), and
+round 0 counts product vertices; so checking each final total against
+2**53 guards every float64 sum of the recursion, and it is checked rather
+than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError, MultiplicityOverflowError, ParameterError
 from .features import TAG_WALK, FeatureVector, feature_key
 from .graphs import Graph
 from .kernels import EdgeKernelSpec, VertexKernelSpec
@@ -192,42 +212,152 @@ def build_wdpg(
     )
 
 
-def _walk_sums(
-    pg: WeightedProductGraph, length: int, all_sums: bool = True
-) -> List[float]:
-    """Recursion mass after 0..length rounds (or only the last one).
+#: Budget on the dense cells one batched product build allocates,
+#: max(g.n * H.n, g.m * H.m) for ``g`` against the union ``H`` of a block
+#: of partners.  It keeps a row's peak memory flat however long the row
+#: is; a partner that alone exceeds it forms a block of its own.
+BLOCK_CELLS = 8192
 
-    With ``all_sums`` false the returned list holds a single element, the
-    round-``length`` total, skipping the per-round reductions.  Unit
-    vertex or edge weights (the Dirac hot path) skip their multiplies;
-    the two bincount passes per round are fused over a symmetric edge
-    list built once.
+#: float64 holds every integer below this bound exactly.
+_EXACT_LIMIT = 2.0**53
+
+
+@dataclass
+class _DisjointUnion:
+    """Partner graphs side by side, vertex ids offset in partner order.
+
+    Carries the fields :func:`build_wdpg` reads from a graph, so a block's
+    product is built by the same code as a single pair's.  ``owner[v]`` is
+    the index of the partner that union vertex ``v`` came from.
     """
-    if pg.num_vertices == 0:
-        return [0.0] * (length + 1) if all_sums else [0.0]
+
+    n: int
+    edges: np.ndarray
+    vertex_labels: np.ndarray
+    edge_labels: np.ndarray
+    vertex_attributes: Optional[np.ndarray]
+    owner: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return int(self.edges.shape[0])
+
+
+def _disjoint_union(hs: Sequence[Graph]) -> _DisjointUnion:
+    sizes = np.array([h.n for h in hs], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    edge_counts = np.array([h.m for h in hs], dtype=np.int64)
+    edges = np.concatenate([h.edges for h in hs]) + np.repeat(offsets, edge_counts)[:, None]
+    attributes = [h.vertex_attributes for h in hs]
+    # without every partner's attributes, a kernel that needs them fails on
+    # the union, and the Gram finds the failing pair by evaluating it alone
+    attributes = None if any(a is None for a in attributes) else np.concatenate(attributes)
+    return _DisjointUnion(
+        int(sizes.sum()),
+        edges,
+        np.concatenate([_labels_or_zero(h.vertex_labels, h.n) for h in hs]),
+        np.concatenate([_edge_annotations(h) for h in hs]),
+        attributes,
+        np.repeat(np.arange(len(hs), dtype=np.int64), sizes),
+    )
+
+
+def _blocks(g: Graph, hs: Sequence[Graph]) -> Iterator[Tuple[int, int]]:
+    """Consecutive ``(start, stop)`` partner ranges within :data:`BLOCK_CELLS`."""
+    start = vertices = edges = 0
+    for j, h in enumerate(hs):
+        vertices += h.n
+        edges += h.m
+        if j > start and max(g.n * vertices, g.m * edges) > BLOCK_CELLS:
+            yield start, j
+            start, vertices, edges = j, h.n, h.m
+    if hs:
+        yield start, len(hs)
+
+
+def _walk_totals(
+    pg: WeightedProductGraph,
+    partner: np.ndarray,
+    count: int,
+    length: int,
+    all_rounds: bool,
+) -> Tuple[np.ndarray, bool]:
+    """Recursion mass per partner after 0..length rounds (or only the last).
+
+    ``partner[x]`` names the partner of product vertex ``x``; one bincount
+    per kept round sums the mass by partner.  Returns the ``(count,
+    rounds)`` totals and whether every weight was 1, i.e. whether the
+    values are walk counts.  Unit vertex or edge weights (the Dirac hot
+    path) skip their multiplies; the two bincount passes per round are
+    fused over a symmetric edge list built once.
+    """
     weights = pg.vertex_weights
     unit_vertices = bool((weights == 1.0).all())
-    r = weights
-    sums = [float(r.sum())] if all_sums else None
-
-    if pg.num_edges == 0:
-        if all_sums:
-            return sums + [0.0] * length
-        return [float(r.sum())] if length == 0 else [0.0]
-
-    n = pg.num_vertices
-    src = np.concatenate((pg.edge_u, pg.edge_v))
-    dst = np.concatenate((pg.edge_v, pg.edge_u))
     sym_weights = None
     if not bool((pg.edge_weights == 1.0).all()):
         sym_weights = np.concatenate((pg.edge_weights, pg.edge_weights))
-    for _ in range(length):
+    src = np.concatenate((pg.edge_u, pg.edge_v))
+    dst = np.concatenate((pg.edge_v, pg.edge_u))
+    n = pg.num_vertices
+
+    def by_partner(r: np.ndarray) -> np.ndarray:
+        return np.bincount(partner, weights=r, minlength=count)
+
+    r = weights
+    rounds = [by_partner(r)] if all_rounds or length == 0 else []
+    for step in range(1, length + 1):
         message = r[dst] if sym_weights is None else sym_weights * r[dst]
         flow = np.bincount(src, weights=message, minlength=n)
         r = flow if unit_vertices else weights * flow
-        if all_sums:
-            sums.append(float(r.sum()))
-    return sums if all_sums else [float(r.sum())]
+        if all_rounds or step == length:
+            rounds.append(by_partner(r))
+    return np.stack(rounds, axis=1), unit_vertices and sym_weights is None
+
+
+def walk_kernel_row(
+    g: Graph,
+    hs: Sequence[Graph],
+    vertex_kernel: VertexKernelSpec,
+    edge_kernel: EdgeKernelSpec,
+    length: int,
+    all_rounds: bool = False,
+) -> np.ndarray:
+    """Walk kernels of ``g`` against every partner in ``hs``, batched.
+
+    Returns one value per partner, or with ``all_rounds`` one row of the
+    per-length values ``0..length`` per partner (the terms of the max-walk
+    kernel).  Partners are grouped into blocks within :data:`BLOCK_CELLS`;
+    each block costs one product build and one recursion.
+
+    With weight-1 kernels the values are walk counts.  Should a partner's
+    total (summed over the returned lengths) reach 2**53, float64 would no
+    longer have counted it exactly, and :class:`MultiplicityOverflowError`
+    names that partner.
+    """
+    if length < 0:
+        raise ParameterError(f"walk length must be >= 0, got {length}")
+    out = np.empty((len(hs), length + 1 if all_rounds else 1), dtype=np.float64)
+    for start, stop in _blocks(g, hs):
+        if stop - start == 1:
+            union, owner = hs[start], np.zeros(hs[start].n, dtype=np.int64)
+        else:
+            union = _disjoint_union(hs[start:stop])
+            owner = union.owner
+        pg = build_wdpg(g, union, vertex_kernel, edge_kernel)
+        totals, counting = _walk_totals(
+            pg, owner[pg.pairs[:, 1]], stop - start, length, all_rounds
+        )
+        if counting:
+            mass = totals.sum(axis=1)
+            worst = int(np.argmax(mass))
+            if mass[worst] >= _EXACT_LIMIT:
+                raise MultiplicityOverflowError(
+                    f"walk kernel against partner {start + worst} counts "
+                    f"{mass[worst]:.4g} walks, past 2**53, where float64 "
+                    f"stops being exact"
+                )
+        out[start:stop] = totals
+    return out if all_rounds else out[:, 0]
 
 
 def walk_kernel_implicit(
@@ -240,12 +370,10 @@ def walk_kernel_implicit(
     """Walk kernel for one fixed length, via the product-graph recursion.
 
     ``length = 0`` compares single vertices: the value is the sum of all
-    positive vertex-kernel values.
+    positive vertex-kernel values.  This is the one-partner case of
+    :func:`walk_kernel_row`.
     """
-    if length < 0:
-        raise ParameterError(f"walk length must be >= 0, got {length}")
-    pg = build_wdpg(g, h, vertex_kernel, edge_kernel)
-    return _walk_sums(pg, length, all_sums=False)[-1]
+    return float(walk_kernel_row(g, [h], vertex_kernel, edge_kernel, length)[0])
 
 
 def max_walk_kernel_implicit(
@@ -269,8 +397,9 @@ def max_walk_kernel_implicit(
             f"need {length + 1} coefficients for length {length}, "
             f"got {len(coefficients)}"
         )
-    pg = build_wdpg(g, h, vertex_kernel, edge_kernel)
-    sums = _walk_sums(pg, length)
+    sums = walk_kernel_row(
+        g, [h], vertex_kernel, edge_kernel, length, all_rounds=True
+    )[0].tolist()
     return float(sum(c * s for c, s in zip(coefficients, sums)))
 
 

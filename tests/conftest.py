@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -64,6 +65,24 @@ def make_random_graph(
         edge_labels=edge_labels,
         vertex_attributes=attributes,
     )
+
+
+@st.composite
+def graphs(draw, max_n: int = 5) -> Graph:
+    """Hypothesis strategy for small labelled graphs, degenerate ones
+    included: no vertices, no edges, one label, several components, and
+    edge labels present or absent."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    alphabet = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n))
+    edge_labels = None
+    if edges and draw(st.booleans()):
+        edge_labels = draw(
+            st.lists(st.integers(0, 1), min_size=len(edges), max_size=len(edges))
+        )
+    return Graph(n, edges, vertex_labels=labels, edge_labels=edge_labels)
 
 
 @pytest.fixture

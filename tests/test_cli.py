@@ -56,7 +56,24 @@ class TestCompute:
         assert implicit.shape == (6, 6)
         timing = json.loads(open(f"{out}.implicit.timing.json").read())
         assert timing["scheme"] == "implicit"
+        assert timing["seconds_total"] == timing["seconds_pairs"] >= 0
         assert float(open(f"{out}.discrepancy.txt").read()) == 0.0
+
+    def test_maxwalk_regimes_agree(self, tmp_path, capsys):
+        out = str(tmp_path / "maxwalk")
+        code = main(
+            [
+                "compute",
+                "--data", DATA,
+                "--kernel", "maxwalk",
+                "--length", "4",
+                "--out", out,
+            ]
+        )
+        assert code == 0
+        assert "max relative discrepancy between schemes: 0.000e+00" in capsys.readouterr().out
+        implicit = load_gram_csv(f"{out}.implicit.csv")
+        assert (implicit == load_gram_csv(f"{out}.explicit.csv")).all()
 
     def test_single_regime_single_file(self, tmp_path):
         out = str(tmp_path / "one")

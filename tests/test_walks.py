@@ -2,12 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkern import (
     ContractError,
     EdgeKernelSpec,
     Graph,
+    MultiplicityOverflowError,
     ParameterError,
     VertexKernelSpec,
     build_wdpg,
@@ -15,9 +19,10 @@ from gkern import (
     max_walk_kernel_implicit,
     walk_features_explicit,
     walk_kernel_implicit,
+    walk_kernel_row,
 )
 from gkern.features import TAG_WALK, decode_key
-from conftest import make_random_graph
+from conftest import graphs, make_random_graph
 from oracles import (
     dirac_fn,
     oracle_total_walks,
@@ -309,3 +314,62 @@ class TestDisconnectedAndEmpty:
         assert walk_kernel_implicit(g, g, DIRAC, UNIFORM_EDGE, 0) == 9.0
         assert walk_kernel_implicit(g, g, DIRAC, UNIFORM_EDGE, 1) == 0.0
         assert walk_kernel_implicit(g, g, DIRAC, UNIFORM_EDGE, 5) == 0.0
+
+
+class TestWalkKernelRow:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g=graphs(),
+        hs=st.lists(graphs(), max_size=4),
+        length=st.integers(0, 3),
+        uniform_edges=st.booleans(),
+    )
+    def test_row_equals_pairs_and_oracle(self, g, hs, length, uniform_edges):
+        edge_kernel = UNIFORM_EDGE if uniform_edges else DIRAC_EDGE
+        row = walk_kernel_row(g, hs, DIRAC, edge_kernel, length)
+        pairs = [walk_kernel_implicit(g, h, DIRAC, edge_kernel, length) for h in hs]
+        assert row.tolist() == pairs  # bit for bit
+        edge_fn = uniform_fn if uniform_edges else dirac_fn
+        assert pairs == [oracle_walk_kernel(g, h, length, edge_kernel=edge_fn) for h in hs]
+        if not uniform_edges:
+            features = walk_features_explicit(g, length)
+            assert pairs == [dot(features, walk_features_explicit(h, length)) for h in hs]
+
+    @settings(max_examples=30, deadline=None)
+    @given(g=graphs(), hs=st.lists(graphs(), max_size=4), length=st.integers(0, 3))
+    def test_all_rounds_are_the_max_walk_terms(self, g, hs, length):
+        rounds = walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, length, all_rounds=True)
+        assert rounds.shape == (len(hs), length + 1)
+        for h, terms in zip(hs, rounds.tolist()):
+            assert terms == [
+                walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, i) for i in range(length + 1)
+            ]
+            assert sum(terms) == max_walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, length)
+
+    def test_weighted_kernels_batch_bit_for_bit(self):
+        # non-integer edge weights: the row keeps each pair's summation order
+        half = EdgeKernelSpec("table", table=((0, 1, 0.5),))
+        rng = random.Random(83)
+        g = make_random_graph(rng, max_n=7, labels=2, edge_label_count=2)
+        hs = [make_random_graph(rng, max_n=7, labels=2, edge_label_count=2) for _ in range(8)]
+        row = walk_kernel_row(g, hs, DIRAC, half, 4)
+        assert row.tolist() == [walk_kernel_implicit(g, h, DIRAC, half, 4) for h in hs]
+
+    def test_empty_row_and_negative_length(self):
+        g = Graph(2, [(0, 1)])
+        assert walk_kernel_row(g, [], DIRAC, UNIFORM_EDGE, 3).shape == (0,)
+        with pytest.raises(ParameterError):
+            walk_kernel_row(g, [g], DIRAC, UNIFORM_EDGE, -1)
+
+    def test_totals_past_2_53_raise(self):
+        # K20 has 20 * 19**6 ~ 9.4e8 walks of length 6, so its self-kernel
+        # is ~8.8e17, beyond the exact float64 integers
+        k20 = Graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20)])
+        with pytest.raises(MultiplicityOverflowError, match="partner 1"):
+            walk_kernel_row(k20, [Graph(1, []), k20], DIRAC, UNIFORM_EDGE, 6)
+        with pytest.raises(MultiplicityOverflowError):
+            walk_kernel_implicit(k20, k20, DIRAC, UNIFORM_EDGE, 6)
+        with pytest.raises(MultiplicityOverflowError):
+            max_walk_kernel_implicit(k20, k20, DIRAC, UNIFORM_EDGE, 6)
+        # one step shorter the count (~2.5e15) is still exact
+        assert walk_kernel_implicit(k20, k20, DIRAC, UNIFORM_EDGE, 5) == (20 * 19**5) ** 2
