@@ -1,12 +1,16 @@
-"""Timing sweeps comparing the two computation schemes.
+"""Kernel plans, and timing sweeps comparing the two computation schemes.
 
-Each sweep builds synthetic datasets along one axis (vertex-label
-diversity, walk length, or label-alphabet size) and dataset-size axis,
-computes the same Gram matrix with the implicit and the explicit scheme,
-and records the median wall time of each over repeated runs (medians are
-robust against scheduler noise).  Rows also carry the largest entrywise
-relative discrepancy between the two matrices, so a sweep doubles as an
-end-to-end consistency check.
+:func:`kernel_plan` is the one place that says how each kernel is
+computed: its :class:`KernelPlan` holds an implicit and an explicit Gram
+builder, or, for a scheme the kernel lacks, the reason why.
+
+:func:`sweep`, the one sweep driver, builds synthetic datasets along one
+axis (vertex-label diversity, walk length, or label-alphabet size; each
+sweep function binds a generator and a plan) and the dataset-size axis,
+computes a plan's two Grams, and records the median wall time of each
+over repeated runs (medians are robust against scheduler noise).  Rows
+also carry the largest entrywise relative discrepancy between the two
+matrices, so a sweep doubles as an end-to-end consistency check.
 
 Datasets are nested along the size axis: one generator call produces the
 largest dataset per axis point and smaller sizes are prefixes, matching
@@ -23,16 +27,33 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ContractError, ParameterError
+from .features import direct_sum, dot
 from .gram import GramMatrix, gram_explicit, gram_implicit
-from .graphs import generate_synthetic_alphabet, generate_synthetic_labeled
-from .kernels import EdgeKernelSpec, VertexKernelSpec
+from .graphs import (
+    Dataset,
+    generate_synthetic_alphabet,
+    generate_synthetic_labeled,
+    scale_attributes,
+)
+from .kernels import EdgeKernelSpec, VertexKernelSpec, sample_binning_grid
+from .shortest_paths import sp_features_explicit, sp_transform
 from .subgraphs import graphlet_features, subgraph_matching_kernel
 from .walks import walk_features_explicit, walk_kernel_row
+from .weighted import (
+    attribute_class_features,
+    binned_attribute_features,
+    graph_invariant_weight_maps,
+    graphhopper_weight_maps,
+    label_features,
+    wv_features_explicit,
+    wv_kernel_implicit,
+)
 
 DESK_GRIDS = {
     "pv": {
@@ -81,18 +102,180 @@ FULL_GRIDS = {
 }
 
 
-def _median_time(
-    build: Callable[[], GramMatrix], reps: int
-) -> "tuple[float, GramMatrix]":
-    if reps < 1:
-        raise ParameterError(f"reps must be >= 1, got {reps}")
-    times = []
-    gram: Optional[GramMatrix] = None
-    for _ in range(reps):
-        start = time.perf_counter()
-        gram = build()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), gram
+KERNELS = (
+    "walk",
+    "maxwalk",
+    "sp",
+    "graphlet",
+    "subgraph-matching",
+    "graph-invariant",
+    "graphhopper",
+)
+
+REGIMES = ("implicit", "explicit")
+
+
+@dataclass
+class KernelPlan:
+    """How to compute one kernel on one dataset, scheme by scheme.
+
+    ``implicit`` and ``explicit`` each hold a no-argument Gram builder,
+    or, for a scheme the kernel lacks, the reason as a string.
+    """
+
+    implicit: Union[Callable[[], GramMatrix], str]
+    explicit: Union[Callable[[], GramMatrix], str]
+
+    def builder(self, regime: str) -> Callable[[], GramMatrix]:
+        """The Gram builder of ``regime``; ParameterError if there is none."""
+        if regime not in REGIMES:
+            raise ParameterError(f"unknown regime {regime!r} (implicit, explicit)")
+        build = getattr(self, regime)
+        if isinstance(build, str):
+            raise ParameterError(build)
+        return build
+
+    def grams(self, regimes: Sequence[str]) -> List[GramMatrix]:
+        """One Gram per regime; every regime is checked before any is built."""
+        builds = [self.builder(regime) for regime in regimes]
+        return [build() for build in builds]
+
+
+def kernel_plan(
+    kernel: str,
+    ds: Dataset,
+    *,
+    length: int = 4,
+    wl_iters: int = 3,
+    delta: float = 1.0,
+    sigma: float = 1.0,
+    binning: int = 16,
+    max_size: int = 3,
+    connected_only: bool = False,
+    size_weights: Optional[Callable[[int], float]] = None,
+    vertex_kernel: str = "dirac",
+    length_kernel: str = "dirac",
+    bridge_c: float = 3.0,
+    seed: int = 0,
+) -> KernelPlan:
+    """The plan of one of :data:`KERNELS` on ``ds``.
+
+    The keyword parameters are those of ``gkern compute`` (``seed`` draws
+    the binning grid), plus ``size_weights`` for subgraph matching.
+    Per-dataset preparation that both schemes share (attribute scaling,
+    weight maps) runs here; the rest runs when a builder is called.
+    """
+    # Kernel functions are looked up by name when a builder runs, never
+    # stored at import, so replacing a module attribute (as a tracer does)
+    # reaches every call.
+    dirac = VertexKernelSpec("dirac")
+    edges = EdgeKernelSpec("dirac" if ds.has_edge_labels else "uniform")
+    if kernel in ("walk", "maxwalk"):
+        name = f"{kernel}(l={length})"
+        if kernel == "walk":
+            row = lambda g, hs: walk_kernel_row(g, hs, dirac, edges, length)
+            features = lambda g: walk_features_explicit(g, length)
+        else:
+            row = lambda g, hs: walk_kernel_row(
+                g, hs, dirac, edges, length, all_rounds=True
+            ).sum(axis=1)
+            features = lambda g: direct_sum(
+                [walk_features_explicit(g, l) for l in range(length + 1)]
+            )
+        return KernelPlan(
+            lambda: gram_implicit(ds, row, f"{name}/implicit", rows=True),
+            lambda: gram_explicit(ds, features, f"{name}/explicit"),
+        )
+
+    if kernel == "sp":
+        lk = EdgeKernelSpec(length_kernel, c=bridge_c)
+
+        def implicit() -> GramMatrix:
+            transformed = Dataset(
+                ds.name, [sp_transform(g) for g in ds.graphs], ds.class_labels
+            )
+            # the shortest-path kernel is the length-1 walk kernel on the
+            # transforms (see sp_kernel_implicit)
+            return gram_implicit(
+                transformed,
+                lambda g, hs: walk_kernel_row(g, hs, dirac, lk, 1),
+                f"sp({lk.describe()})/implicit",
+                rows=True,
+            )
+
+        explicit = lambda: gram_explicit(ds, sp_features_explicit, "sp/explicit")
+        if length_kernel != "dirac":
+            explicit = (
+                "explicit shortest-path features require the dirac length "
+                "kernel; brownian-bridge is implicit-only"
+            )
+        return KernelPlan(implicit, explicit)
+
+    if kernel == "graphlet":
+        return KernelPlan(
+            lambda: gram_implicit(
+                ds,
+                lambda a, b: dot(graphlet_features(a), graphlet_features(b)),
+                "graphlet(3)/implicit",
+            ),
+            lambda: gram_explicit(ds, graphlet_features, "graphlet(3)/explicit"),
+        )
+
+    if kernel == "subgraph-matching":
+        return KernelPlan(
+            lambda: gram_implicit(
+                ds,
+                lambda a, b: subgraph_matching_kernel(
+                    a, b, dirac, edges, max_size, size_weights, connected_only
+                ),
+                f"subgraph-matching(max={max_size})/implicit",
+            ),
+            "subgraph-matching has no explicit feature map here; its "
+            "explicit counterpart is the graphlet kernel (--kernel graphlet)",
+        )
+
+    if kernel not in ("graph-invariant", "graphhopper"):
+        raise ParameterError(f"unknown kernel {kernel!r} (expected one of {KERNELS})")
+    # weighted vertex kernels
+    grid = None
+    if vertex_kernel == "binned":
+        if ds.attribute_dim is None:
+            raise ContractError("binned vertex kernel needs vertex attributes")
+        grid = sample_binning_grid(ds.attribute_dim, delta, binning, seed)
+    vk = VertexKernelSpec(vertex_kernel, delta=delta, sigma=sigma, grid=grid)
+    if ds.attribute_dim is not None:
+        ds = scale_attributes(ds)
+    weight_map = (
+        graph_invariant_weight_maps(ds, wl_iters)
+        if kernel == "graph-invariant"
+        else graphhopper_weight_maps(ds)
+    )
+    name = f"{kernel}[{vk.describe()}]"
+    implicit = lambda: gram_implicit(
+        ds,
+        lambda a, b: wv_kernel_implicit(a, b, weight_map, vk),
+        f"{name}/implicit",
+    )
+
+    def explicit() -> GramMatrix:
+        if vk.kind == "dirac":
+            vertex_features = label_features
+        elif vk.kind == "binned":
+            vertex_features = binned_attribute_features(grid)
+        else:
+            vertex_features = attribute_class_features(ds)
+        return gram_explicit(
+            ds,
+            lambda g: wv_features_explicit(g, weight_map, vertex_features),
+            f"{name}/explicit",
+        )
+
+    if vk.kind in ("hat", "rbf"):
+        explicit = (
+            f"the {vk.kind} vertex kernel has no exact finite feature map; "
+            f"use --vertex-kernel binned for the explicit scheme"
+        )
+    return KernelPlan(implicit, explicit)
 
 
 def max_relative_discrepancy(a: np.ndarray, b: np.ndarray) -> float:
@@ -100,23 +283,69 @@ def max_relative_discrepancy(a: np.ndarray, b: np.ndarray) -> float:
     return float((np.abs(a - b) / np.maximum(1.0, np.abs(a))).max())
 
 
-def _row(
+def _median_time(
+    build: Callable[[], GramMatrix], reps: int
+) -> Tuple[float, GramMatrix]:
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        gram = build()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times), gram
+
+
+def sweep(
     axis: str,
-    value,
-    size: int,
-    implicit_seconds: float,
-    explicit_seconds: float,
-    discrepancy: float,
-) -> Dict[str, object]:
-    return {
-        "axis": axis,
-        "value": value,
-        "size": size,
-        "implicit_seconds": implicit_seconds,
-        "explicit_seconds": explicit_seconds,
-        "winner": "implicit" if implicit_seconds < explicit_seconds else "explicit",
-        "max_rel_discrepancy": discrepancy,
-    }
+    grid: Sequence,
+    sizes: Sequence[int],
+    dataset_at: Callable[[int, object], Dataset],
+    plan_at: Callable[[object, Dataset], KernelPlan],
+    reps: int,
+    compare: bool = True,
+    progress: Optional[Callable[[str], None]] = None,
+) -> List[Dict[str, object]]:
+    """Time both schemes at every (grid value, dataset size) cell of an axis.
+
+    ``dataset_at(step, value)`` draws the largest dataset of the ``step``-th
+    grid value; smaller sizes are its prefixes.  ``plan_at(value, ds)``
+    gives the plan whose two builders are timed on ``ds``, each as the
+    median of ``reps`` runs.  With ``compare`` a row carries the largest
+    relative discrepancy between the two Grams, otherwise 0.0 (for plans
+    whose two sides are different kernels).
+    """
+    if reps < 1:
+        raise ParameterError(f"reps must be >= 1, got {reps}")
+    rows = []
+    for step, value in enumerate(grid):
+        full = dataset_at(step, value)
+        for size in sorted(sizes):
+            plan = plan_at(value, full.subset(size))
+            builds = [plan.builder(regime) for regime in REGIMES]
+            (implicit_seconds, gram_i), (explicit_seconds, gram_e) = [
+                _median_time(build, reps) for build in builds
+            ]
+            winner = "implicit" if implicit_seconds < explicit_seconds else "explicit"
+            discrepancy = 0.0
+            if compare:
+                discrepancy = max_relative_discrepancy(gram_i.values, gram_e.values)
+            rows.append(
+                {
+                    "axis": axis,
+                    "value": value,
+                    "size": size,
+                    "implicit_seconds": implicit_seconds,
+                    "explicit_seconds": explicit_seconds,
+                    "winner": winner,
+                    "max_rel_discrepancy": discrepancy,
+                }
+            )
+            if progress:
+                progress(
+                    f"{axis}={value:g} size={size}: implicit "
+                    f"{implicit_seconds:.3f}s explicit {explicit_seconds:.3f}s "
+                    f"-> {winner}"
+                )
+    return rows
 
 
 def walk_pv_sweep(
@@ -135,56 +364,17 @@ def walk_pv_sweep(
     diversity floods the feature space (explicit pays); the sweep exposes
     where the winner flips.
     """
-    vertex_kernel = VertexKernelSpec("dirac")
-    edge_kernel = EdgeKernelSpec("dirac")
-    rows = []
-    for step, p_vertex in enumerate(grid):
-        full = generate_synthetic_labeled(
-            max(sizes),
-            mean_vertices=mean_vertices,
-            edge_prob=edge_prob,
-            p_vertex=p_vertex,
-            seed=seed + step,
-        )
-        for size in sorted(sizes):
-            ds = full.subset(size)
-            implicit_seconds, gram_i = _median_time(
-                lambda: gram_implicit(
-                    ds,
-                    lambda a, hs: walk_kernel_row(
-                        a, hs, vertex_kernel, edge_kernel, length
-                    ),
-                    f"walk(l={length})/implicit",
-                    rows=True,
-                ),
-                reps,
-            )
-            explicit_seconds, gram_e = _median_time(
-                lambda: gram_explicit(
-                    ds,
-                    lambda a: walk_features_explicit(a, length),
-                    f"walk(l={length})/explicit",
-                ),
-                reps,
-            )
-            rows.append(
-                _row(
-                    "pv",
-                    p_vertex,
-                    size,
-                    implicit_seconds,
-                    explicit_seconds,
-                    max_relative_discrepancy(gram_i.values, gram_e.values),
-                )
-            )
-            if progress:
-                r = rows[-1]
-                progress(
-                    f"pv={p_vertex:g} size={size}: implicit "
-                    f"{implicit_seconds:.3f}s explicit {explicit_seconds:.3f}s "
-                    f"-> {r['winner']}"
-                )
-    return rows
+    return sweep(
+        "pv",
+        grid,
+        sizes,
+        lambda step, p_vertex: generate_synthetic_labeled(
+            max(sizes), mean_vertices, edge_prob, p_vertex, seed + step
+        ),
+        lambda p_vertex, ds: kernel_plan("walk", ds, length=length),
+        reps,
+        progress=progress,
+    )
 
 
 def walk_length_sweep(
@@ -199,56 +389,18 @@ def walk_length_sweep(
 ) -> List[Dict[str, object]]:
     """Fixed-length walk kernel across walk length, molecular-style labels
     (a skewed three-letter alphabet)."""
-    vertex_kernel = VertexKernelSpec("dirac")
-    edge_kernel = EdgeKernelSpec("dirac")
-    rows = []
     full = generate_synthetic_labeled(
-        max(sizes),
-        mean_vertices=mean_vertices,
-        edge_prob=edge_prob,
-        p_vertex=p_vertex,
-        seed=seed,
+        max(sizes), mean_vertices, edge_prob, p_vertex, seed
     )
-    for length in grid:
-        for size in sorted(sizes):
-            ds = full.subset(size)
-            implicit_seconds, gram_i = _median_time(
-                lambda: gram_implicit(
-                    ds,
-                    lambda a, hs: walk_kernel_row(
-                        a, hs, vertex_kernel, edge_kernel, length
-                    ),
-                    f"walk(l={length})/implicit",
-                    rows=True,
-                ),
-                reps,
-            )
-            explicit_seconds, gram_e = _median_time(
-                lambda: gram_explicit(
-                    ds,
-                    lambda a: walk_features_explicit(a, length),
-                    f"walk(l={length})/explicit",
-                ),
-                reps,
-            )
-            rows.append(
-                _row(
-                    "length",
-                    length,
-                    size,
-                    implicit_seconds,
-                    explicit_seconds,
-                    max_relative_discrepancy(gram_i.values, gram_e.values),
-                )
-            )
-            if progress:
-                r = rows[-1]
-                progress(
-                    f"length={length} size={size}: implicit "
-                    f"{implicit_seconds:.3f}s explicit {explicit_seconds:.3f}s "
-                    f"-> {r['winner']}"
-                )
-    return rows
+    return sweep(
+        "length",
+        grid,
+        sizes,
+        lambda step, length: full,
+        lambda length, ds: kernel_plan("walk", ds, length=length),
+        reps,
+        progress=progress,
+    )
 
 
 def alphabet_sweep(
@@ -269,53 +421,29 @@ def alphabet_sweep(
     the two kernels weight mappings differently (automorphisms), so no
     discrepancy is reported here.
     """
-    vertex_kernel = VertexKernelSpec("dirac")
-    edge_kernel = EdgeKernelSpec("dirac")
-    exact3 = {1: 0.0, 2: 0.0, 3: 1.0}
-    rows = []
-    for step, alphabet in enumerate(grid):
-        full = generate_synthetic_alphabet(
-            max(sizes),
-            mean_vertices=mean_vertices,
-            edge_prob=edge_prob,
-            alphabet_size=alphabet,
-            seed=seed + step,
+
+    def plan_at(alphabet: int, ds: Dataset) -> KernelPlan:
+        matching = kernel_plan(
+            "subgraph-matching",
+            ds,
+            max_size=3,
+            connected_only=True,
+            size_weights=lambda k: 1.0 if k == 3 else 0.0,
         )
-        for size in sorted(sizes):
-            ds = full.subset(size)
-            implicit_seconds, _ = _median_time(
-                lambda: gram_implicit(
-                    ds,
-                    lambda a, b: subgraph_matching_kernel(
-                        a,
-                        b,
-                        vertex_kernel,
-                        edge_kernel,
-                        max_size=3,
-                        size_weights=lambda k: exact3.get(k, 0.0),
-                        connected_only=True,
-                    ),
-                    "subgraph-matching(3)/implicit",
-                ),
-                reps,
-            )
-            explicit_seconds, _ = _median_time(
-                lambda: gram_explicit(
-                    ds, graphlet_features, "graphlet(3)/explicit"
-                ),
-                reps,
-            )
-            rows.append(
-                _row("alphabet", alphabet, size, implicit_seconds, explicit_seconds, 0.0)
-            )
-            if progress:
-                r = rows[-1]
-                progress(
-                    f"alphabet={alphabet} size={size}: implicit "
-                    f"{implicit_seconds:.3f}s explicit {explicit_seconds:.3f}s "
-                    f"-> {r['winner']}"
-                )
-    return rows
+        return KernelPlan(matching.implicit, kernel_plan("graphlet", ds).explicit)
+
+    return sweep(
+        "alphabet",
+        grid,
+        sizes,
+        lambda step, alphabet: generate_synthetic_alphabet(
+            max(sizes), mean_vertices, edge_prob, alphabet, seed + step
+        ),
+        plan_at,
+        reps,
+        compare=False,
+        progress=progress,
+    )
 
 
 def write_sweep_csv(rows: List[Dict[str, object]], path: str) -> str:

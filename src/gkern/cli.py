@@ -13,13 +13,15 @@ benchmark-collection layout from disk, ``labeled:count=...`` and
 Every option can also come from a JSON config file (``--config``); flags
 given on the command line win.
 
-Exit codes: 0 success, 2 usage problems, 3 data problems, 4 resource
-limits.
+Exit codes: 0 success, 1 any other library error, 2 usage problems,
+3 data problems, 4 resource limits.  A failed Gram matrix exits with the
+code of the error that failed it, under a message naming the pair.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Dict, List, Optional
@@ -29,48 +31,34 @@ from .errors import (
     ContractError,
     DatasetLoadError,
     GKError,
+    GramError,
     InvalidKernelError,
     MultiplicityOverflowError,
     ParameterError,
     ResourceBudgetError,
 )
-from .features import direct_sum, dot
-from .gram import GramMatrix, export_gram, gram_explicit, gram_implicit, normalize
+from .gram import export_gram, normalize
 from .graphs import (
     Dataset,
     generate_synthetic_alphabet,
     generate_synthetic_labeled,
     load_tu_dataset,
-    scale_attributes,
     write_tu_dataset,
 )
-from .kernels import EdgeKernelSpec, VertexKernelSpec, sample_binning_grid
-from .shortest_paths import sp_features_explicit, sp_transform
-from .subgraphs import graphlet_features, subgraph_matching_kernel
-from .walks import walk_features_explicit, walk_kernel_row
-from .weighted import (
-    attribute_class_features,
-    binned_attribute_features,
-    graph_invariant_weight_maps,
-    graphhopper_weight_maps,
-    label_features,
-    wv_features_explicit,
-    wv_kernel_implicit,
-)
 
-KERNELS = (
-    "walk",
-    "maxwalk",
-    "sp",
-    "graphlet",
-    "subgraph-matching",
-    "graph-invariant",
-    "graphhopper",
-)
-
-_USAGE_EXIT = 2
-_DATA_EXIT = 3
 _RESOURCE_EXIT = 4
+# exit code per error kind: usage, data, resource limits
+_EXIT_CODES = (
+    (ParameterError, 2),
+    ((DatasetLoadError, ContractError, InvalidKernelError), 3),
+    ((ResourceBudgetError, MultiplicityOverflowError), _RESOURCE_EXIT),
+)
+
+_SWEEPS = {
+    "pv": bench.walk_pv_sweep,
+    "length": bench.walk_length_sweep,
+    "alphabet": bench.alphabet_sweep,
+}
 
 
 def _parse_spec_params(body: str) -> Dict[str, str]:
@@ -129,166 +117,12 @@ def load_data_spec(spec: str, seed: int) -> Dataset:
     return ds
 
 
-def _vertex_kernel_from_args(args, dim: Optional[int]) -> VertexKernelSpec:
-    kind = args.vertex_kernel
-    if kind == "hat":
-        return VertexKernelSpec("hat", delta=args.delta)
-    if kind == "rbf":
-        return VertexKernelSpec("rbf", sigma=args.sigma)
-    if kind == "binned":
-        if dim is None:
-            raise ContractError("binned vertex kernel needs vertex attributes")
-        grid = sample_binning_grid(dim, args.delta, args.binning, args.seed)
-        return VertexKernelSpec("binned", grid=grid)
-    return VertexKernelSpec(kind)
-
-
-def _build_grams(args, ds: Dataset) -> List[GramMatrix]:
-    """Gram matrices for the requested kernel, one per requested scheme."""
-    regimes = ("implicit", "explicit") if args.regime == "both" else (args.regime,)
-    kernel = args.kernel
-    grams: List[GramMatrix] = []
-
-    if kernel in ("walk", "maxwalk"):
-        vk = VertexKernelSpec("dirac")
-        ek = EdgeKernelSpec("dirac" if ds.has_edge_labels else "uniform")
-        for regime in regimes:
-            if regime == "implicit":
-                if kernel == "walk":
-                    row = lambda g, hs: walk_kernel_row(g, hs, vk, ek, args.length)
-                else:
-                    row = lambda g, hs: walk_kernel_row(
-                        g, hs, vk, ek, args.length, all_rounds=True
-                    ).sum(axis=1)
-                grams.append(
-                    gram_implicit(
-                        ds, row, f"{kernel}(l={args.length})/implicit", rows=True
-                    )
-                )
-            else:
-                if kernel == "walk":
-                    feature = lambda g: walk_features_explicit(g, args.length)
-                else:
-                    feature = lambda g: direct_sum(
-                        [
-                            walk_features_explicit(g, l)
-                            for l in range(args.length + 1)
-                        ]
-                    )
-                grams.append(
-                    gram_explicit(ds, feature, f"{kernel}(l={args.length})/explicit")
-                )
-        return grams
-
-    if kernel == "sp":
-        vk = VertexKernelSpec("dirac")
-        lk = EdgeKernelSpec(args.length_kernel, c=args.bridge_c)
-        transformed = Dataset(
-            ds.name, [sp_transform(g) for g in ds.graphs], ds.class_labels
-        )
-        for regime in regimes:
-            if regime == "implicit":
-                # the shortest-path kernel is the length-1 walk kernel on
-                # the transforms (see sp_kernel_implicit)
-                grams.append(
-                    gram_implicit(
-                        transformed,
-                        lambda g, hs: walk_kernel_row(g, hs, vk, lk, 1),
-                        f"sp({lk.describe()})/implicit",
-                        rows=True,
-                    )
-                )
-            else:
-                if args.length_kernel != "dirac":
-                    raise ParameterError(
-                        "explicit shortest-path features require the dirac "
-                        "length kernel; brownian-bridge is implicit-only"
-                    )
-                grams.append(gram_explicit(ds, sp_features_explicit, "sp/explicit"))
-        return grams
-
-    if kernel == "graphlet":
-        for regime in regimes:
-            if regime == "implicit":
-                grams.append(
-                    gram_implicit(
-                        ds,
-                        lambda a, b: dot(graphlet_features(a), graphlet_features(b)),
-                        "graphlet(3)/implicit",
-                    )
-                )
-            else:
-                grams.append(gram_explicit(ds, graphlet_features, "graphlet(3)/explicit"))
-        return grams
-
-    if kernel == "subgraph-matching":
-        vk = VertexKernelSpec("dirac")
-        ek = EdgeKernelSpec("dirac" if ds.has_edge_labels else "uniform")
-        if "explicit" in regimes:
-            raise ParameterError(
-                "subgraph-matching has no explicit feature map here; its "
-                "explicit counterpart is the graphlet kernel (--kernel graphlet)"
-            )
-        grams.append(
-            gram_implicit(
-                ds,
-                lambda a, b: subgraph_matching_kernel(
-                    a,
-                    b,
-                    vk,
-                    ek,
-                    max_size=args.max_size,
-                    connected_only=args.connected_only,
-                ),
-                f"subgraph-matching(max={args.max_size})/implicit",
-            )
-        )
-        return grams
-
-    # weighted vertex kernels
-    if ds.attribute_dim is not None:
-        ds = scale_attributes(ds)
-    weight_map = (
-        graph_invariant_weight_maps(ds, args.wl_iters)
-        if kernel == "graph-invariant"
-        else graphhopper_weight_maps(ds)
-    )
-    dim = ds.attribute_dim
-    vk = _vertex_kernel_from_args(args, dim)
-    for regime in regimes:
-        if regime == "implicit":
-            grams.append(
-                gram_implicit(
-                    ds,
-                    lambda a, b: wv_kernel_implicit(a, b, weight_map, vk),
-                    f"{kernel}[{vk.describe()}]/implicit",
-                )
-            )
-        else:
-            if vk.kind == "dirac":
-                vertex_features = label_features
-            elif vk.kind == "dirac-attributes":
-                vertex_features = attribute_class_features(ds)
-            elif vk.kind == "binned":
-                vertex_features = binned_attribute_features(vk.grid)
-            else:
-                raise ParameterError(
-                    f"the {vk.kind} vertex kernel has no exact finite feature "
-                    f"map; use --vertex-kernel binned for the explicit scheme"
-                )
-            grams.append(
-                gram_explicit(
-                    ds,
-                    lambda g: wv_features_explicit(g, weight_map, vertex_features),
-                    f"{kernel}[{vk.describe()}]/explicit",
-                )
-            )
-    return grams
-
-
 def cmd_compute(args) -> int:
     ds = load_data_spec(args.data, args.seed)
-    grams = _build_grams(args, ds)
+    # every kernel_plan parameter is a compute flag of the same name
+    params = inspect.signature(bench.kernel_plan).parameters
+    plan = bench.kernel_plan(ds=ds, **{k: v for k, v in vars(args).items() if k in params})
+    grams = plan.grams(bench.REGIMES if args.regime == "both" else (args.regime,))
     if args.normalize:
         grams = [normalize(g) for g in grams]
     for gram in grams:
@@ -314,47 +148,23 @@ def cmd_compute(args) -> int:
 def cmd_sweep(args) -> int:
     grids = bench.FULL_GRIDS if args.full_scale else bench.DESK_GRIDS
     config = dict(grids[args.axis])
-    sizes = (
-        tuple(int(s) for s in args.sizes.split(",")) if args.sizes else config["sizes"]
-    )
-    grid = (
-        tuple(float(v) if args.axis == "pv" else int(v) for v in args.grid.split(","))
-        if args.grid
-        else config["grid"]
-    )
+    if args.sizes:
+        config["sizes"] = tuple(int(s) for s in args.sizes.split(","))
+    if args.grid:
+        config["grid"] = tuple(
+            float(v) if args.axis == "pv" else int(v) for v in args.grid.split(",")
+        )
+    if args.length is not None:
+        if "length" not in config:
+            raise ParameterError(
+                f"--length sets the walk length of the pv axis; "
+                f"the {args.axis} axis does not take it"
+            )
+        config["length"] = args.length
     progress = (lambda line: print(line, flush=True)) if not args.quiet else None
-    if args.axis == "pv":
-        rows = bench.walk_pv_sweep(
-            sizes=sizes,
-            grid=grid,
-            length=args.length if args.length is not None else config["length"],
-            mean_vertices=config["mean_vertices"],
-            edge_prob=config["edge_prob"],
-            reps=args.reps,
-            seed=args.seed,
-            progress=progress,
-        )
-    elif args.axis == "length":
-        rows = bench.walk_length_sweep(
-            sizes=sizes,
-            grid=tuple(int(v) for v in grid),
-            p_vertex=config["p_vertex"],
-            mean_vertices=config["mean_vertices"],
-            edge_prob=config["edge_prob"],
-            reps=args.reps,
-            seed=args.seed,
-            progress=progress,
-        )
-    else:
-        rows = bench.alphabet_sweep(
-            sizes=sizes,
-            grid=tuple(int(v) for v in grid),
-            mean_vertices=config["mean_vertices"],
-            edge_prob=config["edge_prob"],
-            reps=args.reps,
-            seed=args.seed,
-            progress=progress,
-        )
+    rows = _SWEEPS[args.axis](
+        **config, reps=args.reps, seed=args.seed, progress=progress
+    )
     if args.out:
         bench.write_sweep_csv(rows, args.out)
         print(f"wrote {args.out}")
@@ -414,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="compute one Gram matrix")
     common(compute)
     compute.add_argument("--data", required=True, help="tu:<path>:<name> | labeled:count=N,... | alphabet:count=N,...")
-    compute.add_argument("--kernel", required=True, choices=KERNELS)
+    compute.add_argument("--kernel", required=True, choices=bench.KERNELS)
     compute.add_argument(
         "--regime", choices=("implicit", "explicit", "both"), default="both"
     )
@@ -514,21 +324,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except ParameterError as exc:
+    except GKError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    except (DatasetLoadError, ContractError, InvalidKernelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _DATA_EXIT
-    except (ResourceBudgetError, MultiplicityOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _RESOURCE_EXIT
+        # a failed Gram exits with the code of the error that failed it
+        cause = exc.__cause__ if isinstance(exc, GramError) else exc
+        return next((code for kinds, code in _EXIT_CODES if isinstance(cause, kinds)), 1)
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return _RESOURCE_EXIT
-    except GKError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -41,8 +41,8 @@ class InvalidKernelError(GKError):
 class MultiplicityOverflowError(GKError):
     """A count left the range in which exact integer arithmetic is
     guaranteed (shortest-path multiplicities past int64, walk-kernel
-    totals past 2**53 in float64); results would be silently wrong, so we
-    stop."""
+    totals or explicit integer dots past 2**53 in float64); results would
+    be silently wrong, so we stop."""
 
 
 class ResourceBudgetError(GKError):

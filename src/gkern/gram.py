@@ -20,9 +20,12 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .errors import GKError, GramError, ParameterError
+from .errors import GKError, GramError, MultiplicityOverflowError, ParameterError
 from .features import FeatureVector, dot
 from .graphs import Dataset, Graph
+
+#: float64 holds every integer below this bound exactly.
+_EXACT_LIMIT = 2**53
 
 
 @dataclass
@@ -123,7 +126,9 @@ def gram_explicit(
     """Materialize per-graph feature vectors, then dot them pairwise.
 
     The timing breakdown reports the feature-map phase and the dot phase
-    separately, plus the accumulated number of stored features.
+    separately, plus the accumulated number of stored features.  An
+    integer dot at or above 2**53, where float64 stops holding every
+    integer, fails the pair with a :class:`MultiplicityOverflowError`.
     """
     n = len(ds)
     start = time.perf_counter()
@@ -141,6 +146,10 @@ def gram_explicit(
         a = vectors[i]
         for j in range(i, n):
             total = dot(a, vectors[j])
+            if total >= _EXACT_LIMIT and isinstance(total, int):
+                cause = MultiplicityOverflowError(f"integer dot {total:.4g} past 2**53")
+                message = f"{kernel_name}: pair ({i}, {j}) failed: {cause}"
+                raise GramError(message) from cause
             values[i, j] = total
             values[j, i] = total
     dot_seconds = time.perf_counter() - start

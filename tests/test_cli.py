@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gkern import load_gram_csv, load_tu_dataset
+from gkern.bench import KERNELS, kernel_plan
 from gkern.cli import load_data_spec, main
 
 
@@ -314,3 +315,77 @@ class TestConfig:
         with pytest.raises(SystemExit) as info:
             main(["compute", "--data", DATA, "--kernel", "walk", "--frobnicate"])
         assert info.value.code == 2
+
+
+# -- kernel plans ----------------------------------------------------------
+
+TINY = "labeled:count=4,mean=6,edge-prob=0.3,pv=0.5"
+
+
+@pytest.mark.parametrize("regime", ("implicit", "explicit", "both"))
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_every_kernel_and_regime(kernel, regime, tmp_path, capsys):
+    plan = kernel_plan(kernel, load_data_spec(TINY, seed=0))
+    regimes = ("implicit", "explicit") if regime == "both" else (regime,)
+    reasons = [getattr(plan, r) for r in regimes if isinstance(getattr(plan, r), str)]
+    out = str(tmp_path / "gram")
+    code = main(
+        ["compute", "--data", TINY, "--kernel", kernel, "--regime", regime, "--out", out]
+    )
+    if reasons:
+        assert code == 2
+        assert reasons[0] in capsys.readouterr().err
+        return
+    assert code == 0
+    if regime == "both":
+        # Dirac defaults: the two schemes export the same text
+        assert open(f"{out}.implicit.csv").read() == open(f"{out}.explicit.csv").read()
+    else:
+        assert load_gram_csv(f"{out}.csv").shape == (4, 4)
+
+
+def test_missing_scheme_is_rejected_before_any_gram(monkeypatch, capsys):
+    import sys
+
+    import gkern
+
+    calls = []
+    real = gkern.gram_implicit
+    counting = lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gkern.") and getattr(module, "gram_implicit", None) is real:
+            monkeypatch.setattr(module, "gram_implicit", counting)
+    code = main(
+        ["compute", "--data", DATA, "--kernel", "sp", "--length-kernel", "brownian-bridge"]
+    )
+    assert code == 2
+    assert "implicit-only" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("regime", ("implicit", "explicit"))
+def test_gram_failure_exits_with_its_cause_code(regime, capsys):
+    # one uniformly labelled K20-like pair: ~8.3e35 walks of length 12,
+    # past the exact float64 integers on either scheme
+    code = main(
+        [
+            "compute",
+            "--data", "labeled:count=2,mean=20,edge-prob=1.0,pv=0.0",
+            "--kernel", "walk",
+            "--length", "12",
+            "--regime", regime,
+        ]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"walk(l=12)/{regime}: pair (0, 0) failed" in err
+    assert "2**53" in err
+
+
+@pytest.mark.parametrize("axis", ("length", "alphabet"))
+def test_sweep_length_only_on_pv_axis(axis, capsys):
+    code = main(
+        ["sweep", "--axis", axis, "--sizes", "3", "--grid", "1", "--reps", "1", "--length", "3"]
+    )
+    assert code == 2
+    assert "--length" in capsys.readouterr().err

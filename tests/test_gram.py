@@ -8,6 +8,7 @@ import pytest
 from gkern import (
     Dataset,
     EdgeKernelSpec,
+    FeatureVector,
     Graph,
     GramError,
     MultiplicityOverflowError,
@@ -128,6 +129,20 @@ class TestAssembly:
                 rows=True,
             )
         assert isinstance(caught.value.__cause__, MultiplicityOverflowError)
+
+    def test_explicit_integer_dots_past_2_53_name_the_pair(self):
+        # K20's self-kernel at length 6 is ~8.8e17, as in the implicit case
+        k20 = Graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20)])
+        ds = Dataset("t", [Graph(1), k20, Graph(1)])
+        with pytest.raises(GramError, match=r"pair \(1, 1\)") as caught:
+            gram_explicit(ds, lambda g: walk_features_explicit(g, 6))
+        assert isinstance(caught.value.__cause__, MultiplicityOverflowError)
+        # one step shorter the dot (~2.5e15) is still exact
+        gram = gram_explicit(ds, lambda g: walk_features_explicit(g, 5))
+        assert gram.values[1, 1] == (20 * 19**5) ** 2
+        # float dots make no exactness claim
+        big = gram_explicit(ds, lambda g: FeatureVector({b"x": 1e10}))
+        assert (big.values == 1e20).all()
 
     def test_explicit_dot_agrees_with_feature_dot(self):
         rng = random.Random(191)
