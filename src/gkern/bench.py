@@ -279,8 +279,8 @@ def kernel_plan(
 
 
 def max_relative_discrepancy(a: np.ndarray, b: np.ndarray) -> float:
-    """max_ij |a_ij - b_ij| / max(1, |a_ij|)."""
-    return float((np.abs(a - b) / np.maximum(1.0, np.abs(a))).max())
+    """max_ij |a_ij - b_ij| / max(1, |a_ij|); 0.0 for empty matrices."""
+    return float((np.abs(a - b) / np.maximum(1.0, np.abs(a))).max(initial=0.0))
 
 
 def _median_time(

@@ -174,7 +174,12 @@ def wv_kernel_implicit(
     weight_map: WeightFeatureMap,
     vertex_kernel: VertexKernelSpec,
 ) -> float:
-    """Direct double sum of weight-vector dots times attribute kernel."""
+    """Direct double sum of weight-vector dots times attribute kernel.
+
+    With a Dirac vertex kernel every term is a non-negative integer, so the
+    float64 total is exact below 2**53; a total that reaches 2**53 raises
+    :class:`MultiplicityOverflowError` instead of losing exactness.
+    """
     wg = weight_map.vectors(g)
     wh = weight_map.vectors(h)
     values = vertex_kernel.matrix(g, h)
@@ -184,6 +189,11 @@ def wv_kernel_implicit(
         left = wg[u]
         for v in np.nonzero(row)[0]:
             total += dot(left, wh[int(v)]) * row[v]
+    if vertex_kernel.kind in ("dirac", "dirac-attributes") and total >= _EXACT_LIMIT:
+        raise MultiplicityOverflowError(
+            f"weighted vertex total {total:.4g} reached 2**53, past the "
+            f"integer-exact float64 range"
+        )
     return float(total)
 
 

@@ -389,3 +389,27 @@ def test_sweep_length_only_on_pv_axis(axis, capsys):
     )
     assert code == 2
     assert "--length" in capsys.readouterr().err
+
+
+def test_empty_dataset_writes_empty_grams(tmp_path):
+    out = str(tmp_path / "empty")
+    code = main(["compute", "--data", "labeled:count=0", "--kernel", "walk", "--out", out])
+    assert code == 0
+    for scheme in ("implicit", "explicit"):
+        assert open(f"{out}.{scheme}.csv").read() == ""
+        assert load_gram_csv(f"{out}.{scheme}.csv").size == 0
+    assert float(open(f"{out}.discrepancy.txt").read()) == 0.0
+
+
+def test_explicit_timing_json_counts_distinct_features(tmp_path):
+    out = str(tmp_path / "walk")
+    code = main(
+        ["compute", "--data", DATA, "--kernel", "walk", "--length", "2",
+         "--regime", "explicit", "--out", out]
+    )
+    assert code == 0
+    timing = json.loads(open(f"{out}.timing.json").read())
+    assert 0 < timing["distinct_features"] <= timing["stored_features"]
+    assert timing["seconds_total"] == pytest.approx(
+        timing["seconds_feature_maps"] + timing["seconds_dot"], abs=2e-6
+    )

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkern import (
     Dataset,
@@ -25,8 +27,9 @@ from gkern import (
     walk_kernel_implicit,
     walk_kernel_row,
 )
-from gkern import walks
-from conftest import make_random_graph
+from gkern import bench, gram as gram_module, walks
+from gkern.features import TAG_LABEL, feature_key
+from conftest import graphs, make_random_graph
 
 DIRAC = VertexKernelSpec("dirac")
 DIRAC_EDGE = EdgeKernelSpec("dirac")
@@ -258,3 +261,105 @@ def _gram_of(values, class_labels=None):
         [f"g[{i}]" for i in range(values.shape[0])],
         labels,
     )
+
+
+# -- the explicit Gram as one blocked matrix product --------------------------
+
+EXPLICIT_KERNELS = ("walk", "maxwalk", "sp", "graphlet", "graph-invariant", "graphhopper")
+
+
+def _pairwise_dots(ds, feature_fn):
+    """The loop reference: one sparse ``dot`` per pair, as float64."""
+    vectors = [feature_fn(g) for g in ds.graphs]
+    n = len(vectors)
+    return np.array(
+        [[dot(a, b) for b in vectors] for a in vectors], dtype=np.float64
+    ).reshape(n, n)
+
+
+def _explicit_and_pairwise(plan):
+    """A plan's explicit Gram, and the pairwise dots of the same feature map."""
+    seen = []
+
+    def capture(ds, feature_fn, kernel_name="explicit"):
+        seen.append((ds, feature_fn))
+        return gram_explicit(ds, feature_fn, kernel_name)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bench, "gram_explicit", capture)
+        gram = plan.explicit()
+    (ds, feature_fn), = seen
+    return gram, _pairwise_dots(ds, feature_fn)
+
+
+class TestExplicitProduct:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(graphs(), max_size=4))
+    def test_every_explicit_map_matches_pairwise_dots_bit_for_bit(self, members):
+        ds = Dataset("h", members)
+        for kernel in EXPLICIT_KERNELS:
+            gram, reference = _explicit_and_pairwise(
+                bench.kernel_plan(kernel, ds, length=3, wl_iters=2)
+            )
+            assert gram.values.tobytes() == reference.tobytes(), kernel
+
+    def test_dyadic_binned_gram_matches_pairwise_dots_exactly(self):
+        # P=4 binning weights are 1/2, so every sum is exact in float64
+        rng = random.Random(401)
+        ds = Dataset(
+            "b", [make_random_graph(rng, max_n=6, attribute_dim=2) for _ in range(6)]
+        )
+        for kernel in ("graph-invariant", "graphhopper"):
+            plan = bench.kernel_plan(kernel, ds, vertex_kernel="binned", binning=4, seed=3)
+            gram, reference = _explicit_and_pairwise(plan)
+            assert gram.values.tobytes() == reference.tobytes(), kernel
+            assert (gram.values % 0.25 == 0).all()
+
+    def test_degenerate_datasets(self):
+        walks3 = lambda g: walk_features_explicit(g, 3)
+        empty = gram_explicit(Dataset("e", []), walks3)
+        assert empty.values.shape == (0, 0)
+        assert empty.timings["stored_features"] == empty.timings["distinct_features"] == 0
+        edge = Graph(2, [(0, 1)], vertex_labels=[0, 1])
+        one = gram_explicit(Dataset("o", [edge]), walks3)
+        assert one.values.tolist() == [[dot(walks3(edge), walks3(edge))]]
+        # graphs without vertices map to empty vectors: zero rows and columns
+        ds = Dataset("z", [Graph(0), edge, Graph(0)])
+        mixed = gram_explicit(ds, walks3)
+        assert mixed.values.tobytes() == _pairwise_dots(ds, walks3).tobytes()
+        assert mixed.values[[0, 2]].sum() == 0 and mixed.values[:, [0, 2]].sum() == 0
+        nothing = gram_explicit(ds, lambda g: FeatureVector())
+        assert (nothing.values == 0).all() and nothing.values.shape == (3, 3)
+        assert nothing.timings["distinct_features"] == 0
+
+    def test_features_spanning_several_column_blocks(self):
+        n = 3
+        count = 2 * (gram_module.BLOCK_CELLS // n) + 5
+        keys = [feature_key(TAG_LABEL, (k,)) for k in range(count)]
+        vectors = [
+            FeatureVector({key: (i + j) % 4 for j, key in enumerate(keys) if (i + j) % 3})
+            for i in range(n)
+        ]
+        ds = Dataset("wide", [Graph(1) for _ in range(n)])
+        by_graph = {id(g): v for g, v in zip(ds.graphs, vectors)}
+        features = lambda g: by_graph[id(g)]
+        gram = gram_explicit(ds, features)
+        assert gram.timings["distinct_features"] == count
+        assert gram.timings["stored_features"] == sum(len(v) for v in vectors)
+        assert gram.values.tobytes() == _pairwise_dots(ds, features).tobytes()
+
+    def test_exactness_guard_checks_integer_pairs_in_row_major_order(self):
+        # float vectors make no claim; the first all-integer pair past 2**53
+        # in row-major order of the upper triangle is the one named
+        vectors = [FeatureVector({b"x": 1e10}), FeatureVector({b"x": 2**27}),
+                   FeatureVector({b"x": 2**26})]
+        ds = Dataset("t", [Graph(1) for _ in vectors])
+        by_graph = {id(g): v for g, v in zip(ds.graphs, vectors)}
+        with pytest.raises(GramError, match=r"pair \(1, 1\)") as caught:
+            gram_explicit(ds, lambda g: by_graph[id(g)])
+        assert isinstance(caught.value.__cause__, MultiplicityOverflowError)
+        # an integer weight past float64's range fails its pair, not the cast
+        huge = Dataset("h", [Graph(1), Graph(1)])
+        with pytest.raises(GramError, match=r"pair \(0, 0\)") as caught:
+            gram_explicit(huge, lambda g: FeatureVector({b"x": 2**1100}))
+        assert isinstance(caught.value.__cause__, MultiplicityOverflowError)

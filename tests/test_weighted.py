@@ -7,7 +7,9 @@ import pytest
 from gkern import (
     ContractError,
     Dataset,
+    FeatureVector,
     Graph,
+    MultiplicityOverflowError,
     VertexKernelSpec,
     attribute_class_features,
     binned_attribute_features,
@@ -21,6 +23,7 @@ from gkern import (
     wv_kernel_implicit,
 )
 from gkern.features import TAG_GH, decode_key
+from gkern.weighted import WeightFeatureMap
 from conftest import make_random_graph
 from oracles import oracle_color_histogram_kernel, oracle_hopper_tables
 
@@ -229,3 +232,26 @@ class TestWeightedKernels:
         feature_map = binned_attribute_features(grid)
         with pytest.raises(ContractError):
             feature_map(Graph(1, []), 0)
+
+
+def test_dirac_total_reaching_2_53_raises():
+    g, h = Graph(1, []), Graph(1, [])
+
+    def weights(w):
+        return WeightFeatureMap(
+            "constructed",
+            {id(x): (x, [FeatureVector({b"w": w})]) for x in (g, h)},
+        )
+
+    # <w, w> = 2**52 is exact, 2**54 is not
+    assert wv_kernel_implicit(g, h, weights(2**26), DIRAC) == 2**52
+    with pytest.raises(MultiplicityOverflowError, match="2\\*\\*53"):
+        wv_kernel_implicit(g, h, weights(2**27), DIRAC)
+    # a non-Dirac vertex kernel makes no exactness claim
+    grid = sample_binning_grid(1, 1.0, 4, seed=2)
+    a = Graph(1, [], vertex_attributes=[[0.5]])
+    b = Graph(1, [], vertex_attributes=[[0.5]])
+    binned = WeightFeatureMap(
+        "constructed", {id(x): (x, [FeatureVector({b"w": 2**27})]) for x in (a, b)}
+    )
+    assert wv_kernel_implicit(a, b, binned, VertexKernelSpec("binned", grid=grid)) == 2**54
