@@ -32,11 +32,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError, MultiplicityOverflowError, ParameterError
 from .features import direct_sum, dot
-from .gram import GramMatrix, gram_explicit, gram_implicit
+from .gram import EXACT_LIMIT, GramMatrix, gram_explicit, gram_implicit
 from .graphs import (
     Dataset,
+    Graph,
     generate_synthetic_alphabet,
     generate_synthetic_labeled,
     scale_attributes,
@@ -212,12 +213,16 @@ def kernel_plan(
         return KernelPlan(implicit, explicit)
 
     if kernel == "graphlet":
+
+        def pair(a: Graph, b: Graph) -> int:
+            # an integer count dot, exact in the float64 Gram below 2**53 only
+            value = dot(graphlet_features(a), graphlet_features(b))
+            if value >= EXACT_LIMIT:
+                raise MultiplicityOverflowError(f"integer dot {value:.4g} past 2**53")
+            return value
+
         return KernelPlan(
-            lambda: gram_implicit(
-                ds,
-                lambda a, b: dot(graphlet_features(a), graphlet_features(b)),
-                "graphlet(3)/implicit",
-            ),
+            lambda: gram_implicit(ds, pair, "graphlet(3)/implicit"),
             lambda: gram_explicit(ds, graphlet_features, "graphlet(3)/explicit"),
         )
 

@@ -92,29 +92,50 @@ def load_data_spec(spec: str, seed: int) -> Dataset:
         count = int(params.pop("count"))
     except KeyError:
         raise ParameterError(f"dataset spec {spec!r} needs count=...") from None
-    if kind == "labeled":
-        ds = generate_synthetic_labeled(
-            count,
-            mean_vertices=float(params.pop("mean", 20.0)),
-            edge_prob=float(params.pop("edge-prob", 0.1)),
-            p_vertex=float(params.pop("pv", 0.5)),
-            seed=seed,
-        )
-    elif kind == "alphabet":
-        ds = generate_synthetic_alphabet(
-            count,
-            mean_vertices=float(params.pop("mean", 60.0)),
-            edge_prob=float(params.pop("edge-prob", 0.5)),
-            alphabet_size=int(params.pop("alphabet", 4)),
-            seed=seed,
-        )
-    else:
+    return _synthetic_dataset(kind, count, seed, params)
+
+
+def _synthetic_dataset(
+    kind: str,
+    count: int,
+    seed: int,
+    params: Dict[str, object],
+    name: Optional[str] = None,
+) -> Dataset:
+    """Draw a ``labeled`` or ``alphabet`` synthetic dataset.
+
+    ``params`` holds the spec keys ``mean``, ``edge-prob``, ``pv`` and
+    ``alphabet`` (``gkern generate`` passes its flags of those names); a
+    parameter left out keeps the generator's own default.
+    """
+    generators = {
+        "labeled": generate_synthetic_labeled,
+        "alphabet": generate_synthetic_alphabet,
+    }
+    if kind not in generators:
         raise ParameterError(
             f"unknown dataset kind {kind!r} (expected tu, labeled or alphabet)"
         )
-    if params:
-        raise ParameterError(f"unknown dataset parameters {sorted(params)}")
-    return ds
+    signature = inspect.signature(generators[kind]).parameters
+    parameter_of = {
+        "mean": "mean_vertices",
+        "edge-prob": "edge_prob",
+        "pv": "p_vertex",
+        "alphabet": "alphabet_size",
+    }
+    unknown = sorted(key for key in params if parameter_of.get(key) not in signature)
+    if unknown:
+        raise ParameterError(f"unknown dataset parameters {unknown}")
+    kwargs = {}
+    for key, value in params.items():
+        cast = type(signature[parameter_of[key]].default)
+        try:
+            kwargs[parameter_of[key]] = cast(value)
+        except ValueError:
+            raise ParameterError(
+                f"dataset parameter {key}={value!r} does not read as {cast.__name__}"
+            ) from None
+    return generators[kind](count, seed=seed, name=name, **kwargs)
 
 
 def cmd_compute(args) -> int:
@@ -187,24 +208,19 @@ def cmd_stats(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.generator == "labeled":
-        ds = generate_synthetic_labeled(
-            args.count,
-            mean_vertices=args.mean,
-            edge_prob=args.edge_prob,
-            p_vertex=args.pv,
-            seed=args.seed,
-            name=args.name,
-        )
-    else:
-        ds = generate_synthetic_alphabet(
-            args.count,
-            mean_vertices=args.mean,
-            edge_prob=args.edge_prob,
-            alphabet_size=args.alphabet,
-            seed=args.seed,
-            name=args.name,
-        )
+    flags = {
+        "mean": args.mean,
+        "edge-prob": args.edge_prob,
+        "pv": args.pv,
+        "alphabet": args.alphabet,
+    }
+    ds = _synthetic_dataset(
+        args.generator,
+        args.count,
+        args.seed,
+        {key: value for key, value in flags.items() if value is not None},
+        args.name,
+    )
     target = write_tu_dataset(ds, args.out)
     print(f"wrote {len(ds)} graphs to {target}")
     return 0
@@ -278,10 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(generate)
     generate.add_argument("--generator", choices=("labeled", "alphabet"), required=True)
     generate.add_argument("--count", type=int, required=True)
-    generate.add_argument("--mean", type=float, default=20.0)
-    generate.add_argument("--edge-prob", type=float, default=0.1)
-    generate.add_argument("--pv", type=float, default=0.5)
-    generate.add_argument("--alphabet", type=int, default=4)
+    # unset flags keep the generator's own defaults
+    generate.add_argument("--mean", type=float)
+    generate.add_argument("--edge-prob", type=float)
+    generate.add_argument("--pv", type=float)
+    generate.add_argument("--alphabet", type=int)
     generate.add_argument("--name", help="dataset name (defaults to parameters)")
     generate.add_argument("--out", required=True, help="target directory")
     generate.set_defaults(func=cmd_generate)

@@ -26,7 +26,7 @@ from .features import FeatureVector
 from .graphs import Dataset, Graph
 
 #: float64 holds every integer below this bound exactly.
-_EXACT_LIMIT = 2**53
+EXACT_LIMIT = 2**53
 
 #: Most dense cells (graphs x feature columns) of one column block of
 #: :func:`gram_explicit`'s feature matrix.  A block is an ``n x width``
@@ -171,7 +171,7 @@ def gram_explicit(
     ranks = _ascending_key_ranks(columns)
     values = _blocked_product(row_cols, row_weights, ranks, n)
     exact = integral[:, None] & integral[None, :]
-    over = np.argwhere(np.triu(exact & (values >= _EXACT_LIMIT)))
+    over = np.argwhere(np.triu(exact & (values >= EXACT_LIMIT)))
     if len(over):
         i, j = over[0]
         cause = MultiplicityOverflowError(f"integer dot {values[i, j]:.4g} past 2**53")
@@ -213,7 +213,7 @@ def _intern(
     except OverflowError:
         # an integer past float64's range; 2**53 keeps its pairs failing
         array = np.fromiter(
-            (min(w, _EXACT_LIMIT) if type(w) is int else w for w in weights),
+            (min(w, EXACT_LIMIT) if type(w) is int else w for w in weights),
             np.float64,
             count,
         )

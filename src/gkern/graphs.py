@@ -160,20 +160,35 @@ class Graph:
     def neighbors(self, v: int) -> Tuple[int, ...]:
         return self.adj[v]
 
+    def vertex_label_array(self) -> np.ndarray:
+        """Vertex labels as an int64 array of length ``n``.
+
+        An unlabeled graph reads as uniformly labeled: every vertex gets
+        label 0.  Every kernel and feature map that compares discrete
+        vertex labels reads them through here.
+        """
+        if self.vertex_labels is None:
+            return np.zeros(self.n, dtype=np.int64)
+        return self.vertex_labels
+
+    def edge_label_array(self) -> np.ndarray:
+        """Edge labels as an int64 array aligned with ``edges``; an
+        unlabeled graph reads as label 0 on every edge."""
+        if self.edge_labels is None:
+            return np.zeros(self.m, dtype=np.int64)
+        return self.edge_labels
+
     @property
     def edge_label_map(self) -> Dict[Tuple[int, int], int]:
         """Mapping from ordered pair ``(min(u,v), max(u,v))`` to edge label
-        (label 0 for every edge when the graph carries no edge labels)."""
+        (see :meth:`edge_label_array`)."""
         if self._edge_label_map is None:
-            if self.edge_labels is None:
-                self._edge_label_map = {
-                    (int(u), int(v)): 0 for u, v in self.edges
-                }
-            else:
-                self._edge_label_map = {
-                    (int(u), int(v)): int(l)
-                    for (u, v), l in zip(self.edges, self.edge_labels)
-                }
+            self._edge_label_map = dict(
+                zip(
+                    map(tuple, self.edges.tolist()),
+                    self.edge_label_array().tolist(),
+                )
+            )
         return self._edge_label_map
 
     def neighbor_sets(self) -> Tuple[frozenset, ...]:
@@ -359,15 +374,6 @@ class Dataset:
                 f"inconsistent vertex attributes across graphs in {self.name!r}"
             )
         return dims.pop()
-
-    @property
-    def label_alphabet_size(self) -> int:
-        """Number of distinct vertex labels used anywhere in the dataset."""
-        values = set()
-        for g in self.graphs:
-            if g.vertex_labels is not None:
-                values.update(g.vertex_labels.tolist())
-        return len(values)
 
     @property
     def max_diameter(self) -> int:
@@ -679,8 +685,7 @@ def write_tu_dataset(ds: Dataset, path: str) -> str:
                 attr_rows.append(
                     ",".join(f"{x:.17g}" for x in g.vertex_attributes[v])
                 )
-        labels = g.edge_labels if g.edge_labels is not None else [0] * g.m
-        for (u, v), l in zip(g.edges, labels):
+        for (u, v), l in zip(g.edges, g.edge_label_array()):
             a_rows.append(f"{offset + int(u) + 1}, {offset + int(v) + 1}")
             a_rows.append(f"{offset + int(v) + 1}, {offset + int(u) + 1}")
             elabel_rows.append(str(int(l)))

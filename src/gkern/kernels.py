@@ -7,8 +7,9 @@ attribute vectors, or path lengths.  This module provides
 * the scalar functions (:func:`dirac`, :func:`hat_kernel`,
   :func:`rbf_kernel`, :func:`brownian_bridge`),
 * :class:`VertexKernelSpec` / :class:`EdgeKernelSpec` — parameterized
-  kernel choices that also expose vectorized all-pairs evaluation, which
-  the product-graph construction relies on,
+  kernel choices that also expose vectorized all-pairs evaluation and
+  their support (where they are positive), which the product-graph
+  construction relies on,
 * randomized binning grids, whose collision feature map approximates the
   hat kernel (:func:`sample_binning_grid`, :func:`binning_features`), and
 * :func:`binary_feature_map`, the exact finite-dimensional feature map
@@ -155,12 +156,6 @@ def _attributes_of(g: Graph) -> np.ndarray:
     return g.vertex_attributes
 
 
-def _labels_of(g: Graph) -> np.ndarray:
-    if g.vertex_labels is None:
-        return np.zeros(g.n, dtype=np.int64)
-    return g.vertex_labels
-
-
 @dataclass(frozen=True)
 class VertexKernelSpec:
     """A choice of kernel comparing two vertices.
@@ -199,7 +194,9 @@ class VertexKernelSpec:
     def value(self, g: Graph, u: int, h: Graph, v: int) -> float:
         """Kernel between vertex ``u`` of ``g`` and vertex ``v`` of ``h``."""
         if self.kind == "dirac":
-            return dirac(int(_labels_of(g)[u]), int(_labels_of(h)[v]))
+            return dirac(
+                int(g.vertex_label_array()[u]), int(h.vertex_label_array()[v])
+            )
         if self.kind == "dirac-attributes":
             return dirac(
                 tuple(_attributes_of(g)[u].tolist()),
@@ -216,15 +213,28 @@ class VertexKernelSpec:
             binning_features(_attributes_of(h)[v], self.grid),
         )
 
-    def matrix(self, g: Graph, h: Graph) -> np.ndarray:
-        """All-pairs kernel values, shape (g.n, h.n)."""
+    def support(
+        self, g: Graph, h: Graph
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Where the kernel is positive, and its values.
+
+        Returns the boolean ``(g.n, h.n)`` keep-mask and the all-pairs
+        values, or ``None`` for the values when every kept value is 1
+        (the Dirac kinds), so callers need not gather weights.
+        """
         if self.kind == "dirac":
-            return (
-                _labels_of(g)[:, None] == _labels_of(h)[None, :]
-            ).astype(np.float64)
+            keep = np.equal.outer(g.vertex_label_array(), h.vertex_label_array())
+            return keep, None
         if self.kind == "dirac-attributes":
             xg, xh = _attributes_of(g), _attributes_of(h)
-            return (xg[:, None, :] == xh[None, :, :]).all(axis=2).astype(np.float64)
+            return (xg[:, None, :] == xh[None, :, :]).all(axis=2), None
+        values = self.matrix(g, h)
+        return values > 0, values
+
+    def matrix(self, g: Graph, h: Graph) -> np.ndarray:
+        """All-pairs kernel values, shape (g.n, h.n)."""
+        if self.kind in ("dirac", "dirac-attributes"):
+            return self.support(g, h)[0].astype(np.float64)
         if self.kind == "hat":
             xg, xh = _attributes_of(g), _attributes_of(h)
             terms = 1.0 - np.abs(xg[:, None, :] - xh[None, :, :]) / self.delta
@@ -301,30 +311,36 @@ class EdgeKernelSpec:
             return dirac(label_g, label_h)
         return brownian_bridge(label_g, label_h, self.c)
 
+    def support(
+        self, labels_g: np.ndarray, labels_h: np.ndarray
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """Where the kernel is positive, and its values, for all pairs of
+        two edge-annotation arrays.
+
+        Returns a boolean keep-mask, ``None`` when every pair is kept (the
+        uniform kind), and the all-pairs values, ``None`` when every kept
+        value is 1 (the uniform and Dirac kinds).
+        """
+        if self.kind == "uniform":
+            return None, None
+        if self.kind == "dirac":
+            return np.equal.outer(labels_g, labels_h), None
+        values = self.matrix(labels_g, labels_h)
+        return values > 0, values
+
     def matrix(self, labels_g: np.ndarray, labels_h: np.ndarray) -> np.ndarray:
         """All-pairs kernel values for two edge-annotation arrays."""
         lg = np.asarray(labels_g, dtype=np.int64)
         lh = np.asarray(labels_h, dtype=np.int64)
-        if self.kind == "uniform":
-            return np.ones((lg.shape[0], lh.shape[0]), dtype=np.float64)
-        if self.kind in ("dirac", "table"):
-            out = (lg[:, None] == lh[None, :]).astype(np.float64)
-            if self.kind == "table":
-                for a, b, w in self.table:
-                    hit = (lg[:, None] == a) & (lh[None, :] == b)
-                    hit |= (lg[:, None] == b) & (lh[None, :] == a)
-                    out[hit] = w
-            return out
-        return self._bridge(
-            lg[:, None].astype(np.float64), lh[None, :].astype(np.float64)
-        )
+        return self.elementwise(lg[:, None], lh[None, :])
 
     def elementwise(self, labels_g: np.ndarray, labels_h: np.ndarray) -> np.ndarray:
-        """Kernel values for two same-shape edge-annotation arrays."""
+        """Kernel values for two edge-annotation arrays of one shape (or
+        shapes that broadcast to one)."""
         lg = np.asarray(labels_g, dtype=np.int64)
         lh = np.asarray(labels_h, dtype=np.int64)
         if self.kind == "uniform":
-            return np.ones(lg.shape, dtype=np.float64)
+            return np.ones(np.broadcast_shapes(lg.shape, lh.shape), dtype=np.float64)
         if self.kind in ("dirac", "table"):
             out = (lg == lh).astype(np.float64)
             if self.kind == "table":

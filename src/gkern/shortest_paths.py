@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .errors import ContractError, ParameterError, ResourceBudgetError
+from .errors import ParameterError, ResourceBudgetError
 from .features import (
     TAG_LEN,
     TAG_SP,
@@ -31,20 +31,19 @@ from .features import (
     feature_key,
     tensor_product,
 )
-from .graphs import DistanceMatrix, Graph, all_pairs_shortest_paths, INF_DISTANCE
+from .graphs import Graph, all_pairs_shortest_paths, INF_DISTANCE
 from .kernels import EdgeKernelSpec, VertexKernelSpec
-from .walks import walk_kernel_implicit
+from .walks import explicit_labels, walk_kernel_implicit
 
 
-def sp_transform(g: Graph, distances: Optional[DistanceMatrix] = None) -> Graph:
+def sp_transform(g: Graph) -> Graph:
     """Graph connecting every reachable vertex pair, annotated by distance.
 
     Vertex labels and attributes are carried over; pairs at infinite
     distance are simply not connected (the length kernel treats them as
     incomparable anyway).
     """
-    dm = distances if distances is not None else all_pairs_shortest_paths(g)
-    dist = dm.dist
+    dist = all_pairs_shortest_paths(g).dist
     edges = []
     labels = []
     for u in range(g.n):
@@ -79,30 +78,15 @@ def sp_kernel_implicit(
     return walk_kernel_implicit(tg, th, vertex_kernel, length_kernel, length=1)
 
 
-def _sp_labels(g: Graph) -> list:
-    if g.vertex_labels is None:
-        if g.vertex_attributes is not None:
-            raise ContractError(
-                "explicit shortest-path features need discrete vertex labels; "
-                "this graph carries only continuous attributes — use the "
-                "implicit scheme"
-            )
-        return [0] * g.n
-    return [int(x) for x in g.vertex_labels]
-
-
-def sp_features_explicit(
-    g: Graph, distances: Optional[DistanceMatrix] = None
-) -> FeatureVector:
+def sp_features_explicit(g: Graph) -> FeatureVector:
     """Count vector over (source label, target label, distance) triples.
 
     Every ordered pair of distinct, mutually reachable vertices counts
     once; the dot product of two such vectors equals the shortest-path
     kernel with Dirac vertex and length kernels.
     """
-    labels = _sp_labels(g)
-    dm = distances if distances is not None else all_pairs_shortest_paths(g)
-    dist = dm.dist
+    labels = explicit_labels(g, "shortest-path")
+    dist = all_pairs_shortest_paths(g).dist
     counts: dict = {}
     for u in range(g.n):
         row = dist[u]
@@ -126,7 +110,6 @@ def sp_features_approx(
     g: Graph,
     vertex_features: Callable[[Graph, int], FeatureVector],
     length_features: Callable[[int], FeatureVector] = dirac_length_features,
-    distances: Optional[DistanceMatrix] = None,
     max_entries: Optional[int] = 10_000_000,
 ) -> FeatureVector:
     """Shortest-path feature map assembled from factor feature maps.
@@ -140,8 +123,7 @@ def sp_features_approx(
     """
     if max_entries is not None and max_entries < 1:
         raise ParameterError(f"max_entries must be positive, got {max_entries}")
-    dm = distances if distances is not None else all_pairs_shortest_paths(g)
-    dist = dm.dist
+    dist = all_pairs_shortest_paths(g).dist
     vertex_maps = [vertex_features(g, v) for v in range(g.n)]
     length_maps: dict = {}
     total: dict = {}

@@ -74,11 +74,7 @@ def canonical_string(sub: Graph) -> str:
         raise ContractError(f"canonical form is defined for 3 vertices, got {sub.n}")
     if sub.m < 2:
         raise ContractError("canonical form is defined for connected graphs")
-    labels = (
-        tuple(int(x) for x in sub.vertex_labels)
-        if sub.vertex_labels is not None
-        else (0, 0, 0)
-    )
+    labels = tuple(sub.vertex_label_array().tolist())
     edges = {
         (int(u), int(v)): label
         for (u, v), label in sub.edge_label_map.items()
@@ -114,11 +110,7 @@ def graphlet_features(g: Graph) -> FeatureVector:
     Unlabeled graphs behave as uniformly labeled; the triangle count and
     path count of e.g. the complete graph K4 come out as 4 and 0.
     """
-    labels = (
-        [int(x) for x in g.vertex_labels]
-        if g.vertex_labels is not None
-        else [0] * g.n
-    )
+    labels = g.vertex_label_array().tolist()
     label_of = g.edge_label_map
     counts: dict = {}
     for a, b, c in _connected_triples(g):

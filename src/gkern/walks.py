@@ -14,6 +14,12 @@ whose total after ``length`` rounds is exactly the kernel value.  The
 recursion touches each product edge once per round, so a pair evaluation
 costs O(product size * length) and never materializes features.
 
+:func:`build_wdpg` is the one construction of the product, whatever the
+base kernels: each kernel reports its support (a keep-mask, plus its
+values unless every kept value is 1), and the build keeps the masked
+pairs.  Binary kernels (Dirac, uniform) report no values, so the Dirac
+hot path gathers no weight arrays; its weights are ones.
+
 *Row scheme* — :func:`walk_kernel_row`: the product of ``g`` with a
 disjoint union ``h_1 + ... + h_k`` is the disjoint union of the products
 ``g x h_j``, since no product vertex or edge pairs ``g`` with two partners
@@ -55,6 +61,7 @@ import numpy as np
 
 from .errors import ContractError, MultiplicityOverflowError, ParameterError
 from .features import TAG_WALK, FeatureVector, feature_key
+from .gram import EXACT_LIMIT
 from .graphs import Graph
 from .kernels import EdgeKernelSpec, VertexKernelSpec
 
@@ -93,70 +100,6 @@ class WeightedProductGraph:
         return [sorted(nbrs) for nbrs in out]
 
 
-def _edge_annotations(g: Graph) -> np.ndarray:
-    if g.edge_labels is not None:
-        return g.edge_labels
-    return np.zeros(g.m, dtype=np.int64)
-
-
-def _labels_or_zero(values: Optional[np.ndarray], count: int) -> np.ndarray:
-    if values is None:
-        return np.zeros(count, dtype=np.int64)
-    return values
-
-
-def _dirac_wdpg(g: Graph, h: Graph, match_edge_labels: bool) -> WeightedProductGraph:
-    """Specialized construction when all kept weights are exactly 1.
-
-    Dirac vertex and Dirac/uniform edge kernels only ever keep weight-1
-    pairs, so the matrices of kernel values shrink to boolean masks and
-    the weight arrays to ones.  This is the hot path of Gram computation;
-    it returns exactly what the general construction would.
-    """
-    mask = np.equal.outer(_labels_or_zero(g.vertex_labels, g.n),
-                          _labels_or_zero(h.vertex_labels, h.n))
-    flat = np.flatnonzero(mask)
-    count = flat.size
-    pairs = np.empty((count, 2), dtype=np.int64)
-    np.divmod(flat, h.n, out=(pairs[:, 0], pairs[:, 1]))
-    vertex_weights = np.ones(count, dtype=np.float64)
-
-    empty = np.zeros(0, dtype=np.int64)
-    if count == 0 or g.m == 0 or h.m == 0:
-        return WeightedProductGraph(
-            pairs, vertex_weights, empty, empty, np.zeros(0, dtype=np.float64)
-        )
-
-    index_flat = np.full(g.n * h.n, -1, dtype=np.int64)
-    index_flat[flat] = np.arange(count, dtype=np.int64)
-    compatible = (
-        np.equal.outer(_edge_annotations(g), _edge_annotations(h))
-        if match_edge_labels
-        else None
-    )
-    ga, gb = g.edges[:, 0], g.edges[:, 1]
-    ha, hb = h.edges[:, 0], h.edges[:, 1]
-    span = h.n
-    chunks_u: List[np.ndarray] = []
-    chunks_v: List[np.ndarray] = []
-    for (l0, l1), (r0, r1) in (((ga, ha), (gb, hb)), ((ga, hb), (gb, ha))):
-        side_a = index_flat[l0[:, None] * span + l1[None, :]]
-        side_b = index_flat[r0[:, None] * span + r1[None, :]]
-        valid = (side_a >= 0) & (side_b >= 0)
-        if compatible is not None:
-            valid &= compatible
-        chunks_u.append(side_a[valid])
-        chunks_v.append(side_b[valid])
-    edge_u = np.concatenate(chunks_u)
-    return WeightedProductGraph(
-        pairs,
-        vertex_weights,
-        edge_u,
-        np.concatenate(chunks_v),
-        np.ones(edge_u.size, dtype=np.float64),
-    )
-
-
 def build_wdpg(
     g: Graph,
     h: Graph,
@@ -165,23 +108,21 @@ def build_wdpg(
 ) -> WeightedProductGraph:
     """Construct the weighted direct product of ``g`` and ``h``.
 
-    Product vertices are the pairs with positive vertex-kernel value, in
-    lexicographic order.  Every unordered product edge arises from exactly
-    one (g-edge, h-edge, orientation) combination, so the enumeration
-    below emits each edge once.
+    Product vertices are the pairs the vertex kernel keeps (positive
+    value), in lexicographic order, numbered through one (u, v) index.
+    Every unordered product edge arises from exactly one (g-edge, h-edge,
+    orientation) combination, so enumerating both orientations of every
+    edge pair emits each edge once.  The kernels' ``support`` says which
+    pairs are kept and with what weight; a binary kernel (Dirac, uniform)
+    keeps weight 1 everywhere, so its weights are ones and no weight
+    array is gathered.
     """
-    if vertex_kernel.kind == "dirac" and edge_kernel.kind in ("dirac", "uniform"):
-        return _dirac_wdpg(g, h, edge_kernel.kind == "dirac")
-
-    weights = vertex_kernel.matrix(g, h)
-    mask = weights > 0
-    pairs = np.argwhere(mask).astype(np.int64)
-    count = pairs.shape[0]
-    vertex_weights = weights[mask].astype(np.float64)
-
-    index = np.full((g.n, h.n), -1, dtype=np.int64)
-    if count:
-        index[mask] = np.arange(count, dtype=np.int64)
+    keep, values = vertex_kernel.support(g, h)
+    flat = np.flatnonzero(keep)
+    count = flat.size
+    pairs = np.empty((count, 2), dtype=np.int64)
+    np.divmod(flat, h.n, out=(pairs[:, 0], pairs[:, 1]))
+    vertex_weights = np.ones(count) if values is None else values.ravel()[flat]
 
     empty = np.zeros(0, dtype=np.int64)
     if count == 0 or g.m == 0 or h.m == 0:
@@ -189,26 +130,35 @@ def build_wdpg(
             pairs, vertex_weights, empty, empty, np.zeros(0, dtype=np.float64)
         )
 
-    edge_values = edge_kernel.matrix(_edge_annotations(g), _edge_annotations(h))
+    index = np.full((g.n, h.n), -1, dtype=np.int64)
+    index[keep] = np.arange(count, dtype=np.int64)
+    compatible, edge_values = edge_kernel.support(
+        g.edge_label_array(), h.edge_label_array()
+    )
     ga, gb = g.edges[:, 0], g.edges[:, 1]
     ha, hb = h.edges[:, 0], h.edges[:, 1]
-
     chunks_u: List[np.ndarray] = []
     chunks_v: List[np.ndarray] = []
     chunks_w: List[np.ndarray] = []
-    for left, right in (((ga, ha), (gb, hb)), ((ga, hb), (gb, ha))):
-        side_a = index[left[0]][:, left[1]]
-        side_b = index[right[0]][:, right[1]]
-        valid = (side_a >= 0) & (side_b >= 0) & (edge_values > 0)
+    for (l0, l1), (r0, r1) in (((ga, ha), (gb, hb)), ((ga, hb), (gb, ha))):
+        # (g.m, h.m) product-vertex ids of the two edge ends; take keeps
+        # them C-ordered, which the boolean selections below are fast on
+        side_a = index[l0].take(l1, axis=1)
+        side_b = index[r0].take(r1, axis=1)
+        valid = (side_a >= 0) & (side_b >= 0)
+        if compatible is not None:
+            valid &= compatible
         chunks_u.append(side_a[valid])
         chunks_v.append(side_b[valid])
-        chunks_w.append(edge_values[valid])
+        if edge_values is not None:
+            chunks_w.append(edge_values[valid])
+    edge_u = np.concatenate(chunks_u)
     return WeightedProductGraph(
         pairs,
         vertex_weights,
-        np.concatenate(chunks_u),
+        edge_u,
         np.concatenate(chunks_v),
-        np.concatenate(chunks_w).astype(np.float64),
+        np.ones(edge_u.size) if edge_values is None else np.concatenate(chunks_w),
     )
 
 
@@ -218,17 +168,15 @@ def build_wdpg(
 #: is; a partner that alone exceeds it forms a block of its own.
 BLOCK_CELLS = 8192
 
-#: float64 holds every integer below this bound exactly.
-_EXACT_LIMIT = 2.0**53
-
 
 @dataclass
 class _DisjointUnion:
     """Partner graphs side by side, vertex ids offset in partner order.
 
-    Carries the fields :func:`build_wdpg` reads from a graph, so a block's
-    product is built by the same code as a single pair's.  ``owner[v]`` is
-    the index of the partner that union vertex ``v`` came from.
+    Carries what :func:`build_wdpg` and the vertex kernels read from a
+    graph, so a block's product is built by the same code as a single
+    pair's.  ``owner[v]`` is the index of the partner that union vertex
+    ``v`` came from.
     """
 
     n: int
@@ -241,6 +189,12 @@ class _DisjointUnion:
     @property
     def m(self) -> int:
         return int(self.edges.shape[0])
+
+    def vertex_label_array(self) -> np.ndarray:
+        return self.vertex_labels
+
+    def edge_label_array(self) -> np.ndarray:
+        return self.edge_labels
 
 
 def _disjoint_union(hs: Sequence[Graph]) -> _DisjointUnion:
@@ -255,8 +209,8 @@ def _disjoint_union(hs: Sequence[Graph]) -> _DisjointUnion:
     return _DisjointUnion(
         int(sizes.sum()),
         edges,
-        np.concatenate([_labels_or_zero(h.vertex_labels, h.n) for h in hs]),
-        np.concatenate([_edge_annotations(h) for h in hs]),
+        np.concatenate([h.vertex_label_array() for h in hs]),
+        np.concatenate([h.edge_label_array() for h in hs]),
         attributes,
         np.repeat(np.arange(len(hs), dtype=np.int64), sizes),
     )
@@ -350,7 +304,7 @@ def walk_kernel_row(
         if counting:
             mass = totals.sum(axis=1)
             worst = int(np.argmax(mass))
-            if mass[worst] >= _EXACT_LIMIT:
+            if mass[worst] >= EXACT_LIMIT:
                 raise MultiplicityOverflowError(
                     f"walk kernel against partner {start + worst} counts "
                     f"{mass[worst]:.4g} walks, past 2**53, where float64 "
@@ -403,16 +357,20 @@ def max_walk_kernel_implicit(
     return float(sum(c * s for c, s in zip(coefficients, sums)))
 
 
-def _walk_labels(g: Graph) -> List[int]:
-    if g.vertex_labels is None:
-        if g.vertex_attributes is not None:
-            raise ContractError(
-                "explicit walk features need discrete vertex labels; this "
-                "graph carries only continuous attributes — use the "
-                "implicit scheme"
-            )
-        return [0] * g.n
-    return [int(x) for x in g.vertex_labels]
+def explicit_labels(g: Graph, features: str) -> List[int]:
+    """Vertex labels for an explicit Dirac feature map, as Python ints.
+
+    An unlabeled graph reads as label 0 everywhere, but a graph that
+    carries continuous attributes instead of labels has nothing discrete
+    to count, so ``features`` (the map's name) fails with
+    :class:`ContractError`.
+    """
+    if g.vertex_labels is None and g.vertex_attributes is not None:
+        raise ContractError(
+            f"explicit {features} features need discrete vertex labels; this "
+            f"graph carries only continuous attributes — use the implicit scheme"
+        )
+    return g.vertex_label_array().tolist()
 
 
 def walk_features_explicit(g: Graph, length: int) -> FeatureVector:
@@ -426,7 +384,7 @@ def walk_features_explicit(g: Graph, length: int) -> FeatureVector:
     """
     if length < 0:
         raise ParameterError(f"walk length must be >= 0, got {length}")
-    labels = _walk_labels(g)
+    labels = explicit_labels(g, "walk")
     per_vertex: List[dict] = [{(labels[v],): 1} for v in range(g.n)]
     if length and g.n:
         ladj = g.labeled_adjacency()

@@ -43,6 +43,7 @@ from .features import (
     set_sum,
     tensor_product,
 )
+from .gram import EXACT_LIMIT
 from .graphs import (
     Dataset,
     Graph,
@@ -55,7 +56,6 @@ from .wl import wl_refine_dataset
 # Multiplicities above this bound could make the table accumulation leave
 # the integer-exact range of float64; we stop instead of getting it wrong.
 _COUNT_LIMIT = 1 << 26
-_EXACT_LIMIT = float(1 << 53)
 
 
 class WeightFeatureMap:
@@ -133,7 +133,7 @@ def _hopper_tables(g: Graph, delta: int, graph_name: str) -> List[FeatureVector]
                 on_path
             ]
             np.add.at(table, (position, length), multiplicity)
-        if table.max() >= _EXACT_LIMIT:
+        if table.max() >= EXACT_LIMIT:
             raise MultiplicityOverflowError(
                 f"{graph_name}: path-count table entry left the "
                 f"integer-exact float64 range"
@@ -189,7 +189,7 @@ def wv_kernel_implicit(
         left = wg[u]
         for v in np.nonzero(row)[0]:
             total += dot(left, wh[int(v)]) * row[v]
-    if vertex_kernel.kind in ("dirac", "dirac-attributes") and total >= _EXACT_LIMIT:
+    if vertex_kernel.kind in ("dirac", "dirac-attributes") and total >= EXACT_LIMIT:
         raise MultiplicityOverflowError(
             f"weighted vertex total {total:.4g} reached 2**53, past the "
             f"integer-exact float64 range"
@@ -216,7 +216,7 @@ def wv_features_explicit(
 
 def label_features(g: Graph, v: int) -> FeatureVector:
     """One-hot on the discrete vertex label (pseudo-label 0 if none)."""
-    label = int(g.vertex_labels[v]) if g.vertex_labels is not None else 0
+    label = int(g.vertex_label_array()[v])
     return FeatureVector.one_hot(feature_key(TAG_LABEL, (label,)))
 
 

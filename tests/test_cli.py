@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import gkern.bench
 from gkern import load_gram_csv, load_tu_dataset
 from gkern.bench import KERNELS, kernel_plan
+from gkern.features import TAG_GRAPHLET, FeatureVector, feature_key
 from gkern.cli import load_data_spec, main
 
 
@@ -413,3 +415,37 @@ def test_explicit_timing_json_counts_distinct_features(tmp_path):
     assert timing["seconds_total"] == pytest.approx(
         timing["seconds_feature_maps"] + timing["seconds_dot"], abs=2e-6
     )
+
+
+@pytest.mark.parametrize("generator", ("labeled", "alphabet"))
+def test_generate_writes_the_spec_dataset(generator, tmp_path):
+    # flags left unset keep the generator's own defaults, as in a --data spec
+    out = str(tmp_path)
+    args = ["generate", "--generator", generator, "--count", "3", "--seed", "1"]
+    assert main([*args, "--name", "GEN", "--out", out]) == 0
+    written = load_data_spec(f"tu:{out}:GEN", seed=0)
+    drawn = load_data_spec(f"{generator}:count=3", seed=1)
+    assert len(written) == len(drawn) == 3
+    for a, b in zip(written, drawn):
+        assert a.n == b.n
+        assert a.edges.tolist() == b.edges.tolist()
+        assert a.vertex_labels.tolist() == b.vertex_labels.tolist()
+        assert a.edge_labels.tolist() == b.edge_labels.tolist()
+
+
+def test_generate_rejects_a_flag_its_generator_lacks(tmp_path, capsys):
+    args = ["generate", "--generator", "alphabet", "--count", "2", "--pv", "0.3"]
+    assert main([*args, "--out", str(tmp_path)]) == 2
+    assert "pv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("regime", ("implicit", "explicit"))
+def test_graphlet_dots_past_2_53_fail_their_pair(regime, monkeypatch, capsys):
+    # one class counted 2**27 times: its self-dot is 2**54
+    heavy = FeatureVector({feature_key(TAG_GRAPHLET, (0,)): 2**27})
+    monkeypatch.setattr(gkern.bench, "graphlet_features", lambda g: heavy)
+    code = main(["compute", "--data", DATA, "--kernel", "graphlet", "--regime", regime])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"graphlet(3)/{regime}: pair (0, 0) failed" in err
+    assert "2**53" in err

@@ -35,6 +35,16 @@ class TestGraph:
         # (2,1) normalizes to (1,2) and sorts after (0,1)
         assert g.edge_label_map == {(0, 1): 9, (1, 2): 7}
 
+    def test_unlabeled_reads_as_label_zero(self):
+        bare = Graph(3, [(2, 1), (0, 1)])
+        assert bare.vertex_label_array().tolist() == [0, 0, 0]
+        assert bare.edge_label_array().tolist() == [0, 0]
+        assert bare.edge_label_map == {(0, 1): 0, (1, 2): 0}
+        tagged = Graph(3, [(2, 1), (0, 1)], vertex_labels=[4, 5, 6], edge_labels=[7, 9])
+        assert tagged.vertex_label_array().tolist() == [4, 5, 6]
+        assert tagged.edge_label_array().tolist() == [9, 7]
+        assert Graph(0).vertex_label_array().shape == (0,)
+
     def test_rejects_self_loops_duplicates_and_bad_ids(self):
         with pytest.raises(ContractError):
             Graph(3, [(1, 1)])

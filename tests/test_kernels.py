@@ -157,6 +157,22 @@ class TestVertexKernelSpec:
                         single = spec.value(g, u, h, v)
                         assert full[u, v] == pytest.approx(single, rel=1e-12, abs=1e-15)
 
+    def test_support_is_the_positive_part_of_matrix(self):
+        rng = random.Random(23)
+        for trial in range(12):
+            g = make_random_graph(rng, max_n=6, attribute_dim=2, labels=2)
+            h = make_random_graph(rng, max_n=6, attribute_dim=2, labels=2)
+            for spec in self._specs():
+                keep, values = spec.support(g, h)
+                full = spec.matrix(g, h)
+                assert keep.dtype == bool and (keep == (full > 0)).all()
+                if values is None:
+                    # binary kinds keep weight 1 and leave nothing to gather
+                    assert spec.kind in ("dirac", "dirac-attributes")
+                    assert (full[keep] == 1.0).all()
+                else:
+                    assert (values == full).all()
+
     def test_binned_matrix_is_collision_fraction(self):
         # With P = 4 grids the per-cell weight squared is exactly 1/4, so
         # the feature dot product and the collision fraction agree exactly.
@@ -245,6 +261,22 @@ class TestEdgeKernelSpec:
                 assert flat.shape == (n,)
                 for i in range(n):
                     assert flat[i] == spec.value(lg[i], lh[i])
+
+    def test_support_is_the_positive_part_of_matrix(self):
+        lg, lh = np.array([0, 1, 2, 3, 1]), np.array([1, 2, 0])
+        for spec in self._specs():
+            keep, values = spec.support(lg, lh)
+            full = spec.matrix(lg, lh)
+            if keep is None:
+                # uniform keeps every pair at weight 1
+                assert spec.kind == "uniform" and values is None
+                assert (full == 1.0).all()
+                continue
+            assert keep.dtype == bool and (keep == (full > 0)).all()
+            if values is None:
+                assert spec.kind == "dirac" and (full[keep] == 1.0).all()
+            else:
+                assert (values == full).all()
 
     def test_bridge_matrix_zeroes_unreachable_sentinel(self):
         bridge = EdgeKernelSpec("brownian-bridge", c=3.0)

@@ -56,11 +56,6 @@ class TestTransform:
         assert t.vertex_labels.tolist() == [5, 6, 7]
         assert t.vertex_attributes.tolist() == [[0.1], [0.2], [0.3]]
 
-    def test_accepts_precomputed_distances(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        dm = all_pairs_shortest_paths(g)
-        assert sp_transform(g, dm).edges.tolist() == sp_transform(g).edges.tolist()
-
 
 class TestImplicitKernel:
     def test_uniform_path_self_kernel(self):
@@ -122,7 +117,7 @@ class TestExplicitFeatures:
         for trial in range(10):
             g = make_random_graph(rng, max_n=7, labels=2)
             dm = all_pairs_shortest_paths(g)
-            vec = sp_features_explicit(g, dm)
+            vec = sp_features_explicit(g)
             reachable = sum(
                 1
                 for u in range(g.n)

@@ -90,6 +90,20 @@ class TestProductGraph:
             se = {tuple(sorted(e)) for e in zip(slow.edge_u.tolist(), slow.edge_v.tolist())}
             assert fe == se
 
+    def test_binary_kernels_gather_no_weights(self, monkeypatch):
+        # Dirac and uniform kernels keep weight 1 wherever they keep a
+        # pair, so the build reads their keep-masks and no value matrix
+        def refuse(*args):
+            raise AssertionError("a binary kernel's values were gathered")
+
+        monkeypatch.setattr(VertexKernelSpec, "matrix", refuse)
+        monkeypatch.setattr(EdgeKernelSpec, "matrix", refuse)
+        g = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 0], edge_labels=[2, 2])
+        for edge_kernel in (DIRAC_EDGE, UNIFORM_EDGE):
+            pg = build_wdpg(g, g, DIRAC, edge_kernel)
+            assert pg.num_vertices == 5 and pg.num_edges == 4
+            assert (pg.vertex_weights == 1.0).all() and (pg.edge_weights == 1.0).all()
+
     def test_neighbor_lists_cover_both_endpoints(self):
         g = Graph(3, [(0, 1), (1, 2)])
         pg = build_wdpg(g, g, DIRAC, UNIFORM_EDGE)
