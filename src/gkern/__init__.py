@@ -85,6 +85,7 @@ from .shortest_paths import (
 from .subgraphs import (
     canonical_string,
     graphlet_features,
+    matching_features,
     subgraph_matching_kernel,
 )
 from .walks import (
@@ -156,6 +157,7 @@ __all__ = [
     "label_features",
     "load_gram_csv",
     "load_tu_dataset",
+    "matching_features",
     "max_walk_kernel_implicit",
     "min_eigenvalue_estimate",
     "normalize",

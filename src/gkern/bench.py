@@ -32,19 +32,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ContractError, MultiplicityOverflowError, ParameterError
-from .features import direct_sum, dot
-from .gram import EXACT_LIMIT, GramMatrix, gram_explicit, gram_implicit
+from .errors import ContractError, ParameterError
+from .features import direct_sum
+from .gram import GramMatrix, gram_explicit, gram_implicit
 from .graphs import (
     Dataset,
-    Graph,
     generate_synthetic_alphabet,
     generate_synthetic_labeled,
     scale_attributes,
 )
 from .kernels import EdgeKernelSpec, VertexKernelSpec, sample_binning_grid
 from .shortest_paths import sp_features_explicit, sp_transform
-from .subgraphs import graphlet_features, subgraph_matching_kernel
+from .subgraphs import graphlet_features, matching_features, subgraph_matching_kernel
 from .walks import walk_features_explicit, walk_kernel_row
 from .weighted import (
     attribute_class_features,
@@ -153,7 +152,6 @@ def kernel_plan(
     binning: int = 16,
     max_size: int = 3,
     connected_only: bool = False,
-    size_weights: Optional[Callable[[int], float]] = None,
     vertex_kernel: str = "dirac",
     length_kernel: str = "dirac",
     bridge_c: float = 3.0,
@@ -161,8 +159,9 @@ def kernel_plan(
 ) -> KernelPlan:
     """The plan of one of :data:`KERNELS` on ``ds``.
 
-    The keyword parameters are those of ``gkern compute`` (``seed`` draws
-    the binning grid), plus ``size_weights`` for subgraph matching.
+    The keyword parameters are exactly the flags of ``gkern compute``
+    (``seed`` draws the binning grid).  Discrete labels are compared with
+    Dirac kernels, and an unlabeled graph reads as label 0 throughout.
     Per-dataset preparation that both schemes share (attribute scaling,
     weight maps) runs here; the rest runs when a builder is called.
     """
@@ -170,7 +169,7 @@ def kernel_plan(
     # stored at import, so replacing a module attribute (as a tracer does)
     # reaches every call.
     dirac = VertexKernelSpec("dirac")
-    edges = EdgeKernelSpec("dirac" if ds.has_edge_labels else "uniform")
+    edges = EdgeKernelSpec("dirac")
     if kernel in ("walk", "maxwalk"):
         name = f"{kernel}(l={length})"
         if kernel == "walk":
@@ -213,31 +212,31 @@ def kernel_plan(
         return KernelPlan(implicit, explicit)
 
     if kernel == "graphlet":
-
-        def pair(a: Graph, b: Graph) -> int:
-            # an integer count dot, exact in the float64 Gram below 2**53 only
-            value = dot(graphlet_features(a), graphlet_features(b))
-            if value >= EXACT_LIMIT:
-                raise MultiplicityOverflowError(f"integer dot {value:.4g} past 2**53")
-            return value
-
         return KernelPlan(
-            lambda: gram_implicit(ds, pair, "graphlet(3)/implicit"),
+            "graphlet counts have no implicit scheme; their implicit "
+            "counterpart is subgraph matching (--kernel subgraph-matching "
+            "--connected-only)",
             lambda: gram_explicit(ds, graphlet_features, "graphlet(3)/explicit"),
         )
 
     if kernel == "subgraph-matching":
-        return KernelPlan(
-            lambda: gram_implicit(
-                ds,
-                lambda a, b: subgraph_matching_kernel(
-                    a, b, dirac, edges, max_size, size_weights, connected_only
-                ),
-                f"subgraph-matching(max={max_size})/implicit",
+        name = f"subgraph-matching(max={max_size})"
+        implicit = lambda: gram_implicit(
+            ds,
+            lambda a, b: subgraph_matching_kernel(
+                a, b, dirac, edges, max_size, connected_only=connected_only
             ),
-            "subgraph-matching has no explicit feature map here; its "
-            "explicit counterpart is the graphlet kernel (--kernel graphlet)",
+            f"{name}/implicit",
         )
+        explicit = lambda: gram_explicit(
+            ds,
+            lambda g: matching_features(g, max_size, connected_only),
+            f"{name}/explicit",
+        )
+        if max_size > 5:
+            # the class counter tries up to max_size! vertex orders per subgraph
+            explicit = f"explicit subgraph matching stops at max_size 5, got {max_size}"
+        return KernelPlan(implicit, explicit)
 
     if kernel not in ("graph-invariant", "graphhopper"):
         raise ParameterError(f"unknown kernel {kernel!r} (expected one of {KERNELS})")
@@ -306,7 +305,6 @@ def sweep(
     dataset_at: Callable[[int, object], Dataset],
     plan_at: Callable[[object, Dataset], KernelPlan],
     reps: int,
-    compare: bool = True,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[Dict[str, object]]:
     """Time both schemes at every (grid value, dataset size) cell of an axis.
@@ -314,9 +312,9 @@ def sweep(
     ``dataset_at(step, value)`` draws the largest dataset of the ``step``-th
     grid value; smaller sizes are its prefixes.  ``plan_at(value, ds)``
     gives the plan whose two builders are timed on ``ds``, each as the
-    median of ``reps`` runs.  With ``compare`` a row carries the largest
-    relative discrepancy between the two Grams, otherwise 0.0 (for plans
-    whose two sides are different kernels).
+    median of ``reps`` runs.  A row carries the largest relative
+    discrepancy between the two Grams, 0.0 wherever the plan's kernel is
+    exact on both schemes.
     """
     if reps < 1:
         raise ParameterError(f"reps must be >= 1, got {reps}")
@@ -330,9 +328,7 @@ def sweep(
                 _median_time(build, reps) for build in builds
             ]
             winner = "implicit" if implicit_seconds < explicit_seconds else "explicit"
-            discrepancy = 0.0
-            if compare:
-                discrepancy = max_relative_discrepancy(gram_i.values, gram_e.values)
+            discrepancy = max_relative_discrepancy(gram_i.values, gram_e.values)
             rows.append(
                 {
                     "axis": axis,
@@ -417,26 +413,14 @@ def alphabet_sweep(
     seed: int = 13,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[Dict[str, object]]:
-    """Size-3 subgraph kernels across label-alphabet size.
+    """Subgraph matching (connected, up to 3 vertices) across
+    label-alphabet size.
 
-    Implicit: subgraph matching (cliques of the association graph, exact
-    size 3, connectedness filter).  Explicit: canonical counts of
-    connected 3-vertex subgraphs.  Small alphabets blow up the
-    association graph, so this axis is the hardest on the implicit side;
-    the two kernels weight mappings differently (automorphisms), so no
-    discrepancy is reported here.
+    Implicit: cliques of the association graph.  Explicit: counts of
+    labeled subgraph classes, each repeated once per automorphism.  Small
+    alphabets blow up the association graph, so this axis is the hardest
+    on the implicit side.
     """
-
-    def plan_at(alphabet: int, ds: Dataset) -> KernelPlan:
-        matching = kernel_plan(
-            "subgraph-matching",
-            ds,
-            max_size=3,
-            connected_only=True,
-            size_weights=lambda k: 1.0 if k == 3 else 0.0,
-        )
-        return KernelPlan(matching.implicit, kernel_plan("graphlet", ds).explicit)
-
     return sweep(
         "alphabet",
         grid,
@@ -444,9 +428,10 @@ def alphabet_sweep(
         lambda step, alphabet: generate_synthetic_alphabet(
             max(sizes), mean_vertices, edge_prob, alphabet, seed + step
         ),
-        plan_at,
+        lambda alphabet, ds: kernel_plan(
+            "subgraph-matching", ds, max_size=3, connected_only=True
+        ),
         reps,
-        compare=False,
         progress=progress,
     )
 

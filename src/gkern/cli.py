@@ -61,6 +61,16 @@ _SWEEPS = {
 }
 
 
+def _read(text, cast, what: str):
+    """``cast(text)``, or a ParameterError naming ``what`` and the text."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ParameterError(
+            f"{what}={text!r} does not read as {cast.__name__}"
+        ) from None
+
+
 def _parse_spec_params(body: str) -> Dict[str, str]:
     params: Dict[str, str] = {}
     if not body:
@@ -88,10 +98,9 @@ def load_data_spec(spec: str, seed: int) -> Dataset:
             )
         return load_tu_dataset(path, name)
     params = _parse_spec_params(body)
-    try:
-        count = int(params.pop("count"))
-    except KeyError:
-        raise ParameterError(f"dataset spec {spec!r} needs count=...") from None
+    if "count" not in params:
+        raise ParameterError(f"dataset spec {spec!r} needs count=...")
+    count = _read(params.pop("count"), int, "dataset parameter count")
     return _synthetic_dataset(kind, count, seed, params)
 
 
@@ -129,12 +138,7 @@ def _synthetic_dataset(
     kwargs = {}
     for key, value in params.items():
         cast = type(signature[parameter_of[key]].default)
-        try:
-            kwargs[parameter_of[key]] = cast(value)
-        except ValueError:
-            raise ParameterError(
-                f"dataset parameter {key}={value!r} does not read as {cast.__name__}"
-            ) from None
+        kwargs[parameter_of[key]] = _read(value, cast, f"dataset parameter {key}")
     return generators[kind](count, seed=seed, name=name, **kwargs)
 
 
@@ -170,11 +174,10 @@ def cmd_sweep(args) -> int:
     grids = bench.FULL_GRIDS if args.full_scale else bench.DESK_GRIDS
     config = dict(grids[args.axis])
     if args.sizes:
-        config["sizes"] = tuple(int(s) for s in args.sizes.split(","))
+        config["sizes"] = tuple(_read(s, int, "--sizes") for s in args.sizes.split(","))
     if args.grid:
-        config["grid"] = tuple(
-            float(v) if args.axis == "pv" else int(v) for v in args.grid.split(",")
-        )
+        cast = float if args.axis == "pv" else int
+        config["grid"] = tuple(_read(v, cast, "--grid") for v in args.grid.split(","))
     if args.length is not None:
         if "length" not in config:
             raise ParameterError(

@@ -35,7 +35,7 @@ TAG_CLASS = 2      # equivalence class of a binary kernel
 TAG_BIN = 3        # randomized grid cell of a continuous attribute
 TAG_WALK = 4       # label sequence of a fixed-length walk
 TAG_SP = 5         # (source label, target label, distance) triple
-TAG_GRAPHLET = 6   # canonical form of a small connected subgraph
+TAG_GRAPHLET = 6   # canonical form of a small induced subgraph
 TAG_WL = 7         # refinement color at a given iteration
 TAG_GH = 8         # (position, path length) cell of a path-count table
 TAG_LEN = 9        # one-hot on a path length
@@ -130,17 +130,6 @@ class FeatureVector:
         return "\n".join(
             f"{k.decode('ascii')}\t{w!r}" for k, w in self.entries.items()
         )
-
-    @classmethod
-    def from_text(cls, text: str) -> "FeatureVector":
-        entries: Dict[bytes, float] = {}
-        for line in text.splitlines():
-            if not line:
-                continue
-            key, _, weight = line.partition("\t")
-            value = float(weight)
-            entries[key.encode("ascii")] = int(value) if value.is_integer() else value
-        return cls(entries)
 
 
 def dot(u: FeatureVector, v: FeatureVector) -> float:

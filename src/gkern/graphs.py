@@ -71,7 +71,6 @@ class Graph:
         "vertex_attributes",
         "adj",
         "_edge_label_map",
-        "_neighbor_sets",
         "_labeled_adj",
     )
 
@@ -144,7 +143,6 @@ class Graph:
         self.adj = tuple(tuple(sorted(lst)) for lst in nbrs)
 
         self._edge_label_map = None
-        self._neighbor_sets = None
         self._labeled_adj = None
 
     # -- basic accessors -----------------------------------------------------
@@ -153,12 +151,6 @@ class Graph:
     def m(self) -> int:
         """Number of undirected edges."""
         return int(self.edges.shape[0])
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self.adj[v]
 
     def vertex_label_array(self) -> np.ndarray:
         """Vertex labels as an int64 array of length ``n``.
@@ -191,14 +183,6 @@ class Graph:
             )
         return self._edge_label_map
 
-    def neighbor_sets(self) -> Tuple[frozenset, ...]:
-        if self._neighbor_sets is None:
-            self._neighbor_sets = tuple(frozenset(a) for a in self.adj)
-        return self._neighbor_sets
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_sets()[u]
-
     def labeled_adjacency(self) -> List[List[Tuple[int, int]]]:
         """Per-vertex list of ``(neighbor, edge label)`` pairs, neighbor
         ascending; edge label 0 substitutes when the graph has none."""
@@ -222,24 +206,6 @@ class Graph:
             a[self.edges[:, 0], self.edges[:, 1]] = True
             a[self.edges[:, 1], self.edges[:, 0]] = True
         return a
-
-    def audit(self) -> None:
-        """Re-check structural invariants; raises ContractError on failure."""
-        if self.m:
-            u, v = self.edges[:, 0], self.edges[:, 1]
-            if not (u < v).all():
-                raise ContractError("edge rows must satisfy u < v")
-            if int(u.min()) < 0 or int(v.max()) >= self.n:
-                raise ContractError("edge endpoint out of range")
-            rows = [tuple(r) for r in self.edges.tolist()]
-            if len(set(rows)) != len(rows):
-                raise ContractError("duplicate edges present")
-        for w in range(self.n):
-            for x in self.adj[w]:
-                if w not in self.adj[x]:
-                    raise ContractError("adjacency is not symmetric")
-        if self.edge_labels is not None and len(self.edge_labels) != self.m:
-            raise ContractError("edge label array misaligned")
 
     def __repr__(self) -> str:
         parts = [f"n={self.n}", f"m={self.m}"]

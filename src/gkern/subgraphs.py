@@ -1,67 +1,118 @@
 """Kernels built from small subgraphs.
 
-:func:`graphlet_features` counts the connected induced 3-vertex subgraphs
-of a graph — triangles and 2-edge paths, with their vertex and edge labels
-— keyed by a canonical form, so the dot product of two count vectors is a
-kernel comparing subgraph content.  Enumeration is edge-anchored (each
-triangle found at its lexicographically smallest edge, each path at its
-center), which costs sum-of-squared-degrees rather than all vertex triples.
+One counter underlies the explicit maps: it visits every vertex set of
+1..``max_size`` vertices (all of them, or only those inducing a connected
+subgraph), keys the induced subgraph by its smallest encoding over all
+vertex orders — vertex labels, then for each position pair ``(0, 0)`` if
+absent or ``(1, label)`` if an edge — and counts the sets per key.  The
+number of vertex orders reaching the smallest encoding is the class's
+automorphism count |Aut(P)|.  Connected sets are enumerated by extension
+from their smallest vertex (ESU, Wernicke 2006), so each comes up once at
+a cost that follows the sets, not all k-subsets.
+
+:func:`graphlet_features` is the counter's connected 3-vertex slice:
+triangles and 2-edge paths with their vertex and edge labels, so the dot
+product of two count vectors compares subgraph content.
 
 :func:`subgraph_matching_kernel` scores *mappings* between subgraphs
 instead of counting isomorphism classes: each common-subgraph isomorphism
 of size up to ``max_size`` appears as a clique in the association graph of
 compatible vertex pairs, and contributes the product of its vertex- and
 edge-kernel values, weighted by a function of its size.  With Dirac
-kernels, exact size 3 and the connectedness filter, the value equals the
-graphlet count agreement with each class weighted by its automorphism
-count (6 per triangle pairing, 2 per path pairing with uniform labels).
+kernels a mapping is an isomorphism between induced subgraphs, so the
+kernel is Σ_P |Aut(P)|·c_P(G)·c_P(H) over the classes P the counter keys;
+:func:`matching_features` is that explicit feature map.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Tuple
+from itertools import chain, combinations, permutations, product
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError, MultiplicityOverflowError, ParameterError
 from .features import TAG_GRAPHLET, FeatureVector, feature_key
+from .gram import EXACT_LIMIT
 from .graphs import Graph
 from .kernels import EdgeKernelSpec, VertexKernelSpec
 
-_TRIPLE_ORDERS = (
-    (0, 1, 2),
-    (0, 2, 1),
-    (1, 0, 2),
-    (1, 2, 0),
-    (2, 0, 1),
-    (2, 1, 0),
-)
+
+def _connected_sets(g: Graph, max_size: int) -> Iterator[Tuple[int, ...]]:
+    """Each vertex set of 1..``max_size`` vertices inducing a connected
+    subgraph, once, grown from its smallest vertex."""
+    adj = g.adj
+
+    def grow(members, extension, closed, root):
+        yield members
+        if len(members) == max_size:
+            return
+        while extension:
+            w = extension.pop()
+            fresh = [u for u in adj[w] if u > root and u not in closed]
+            yield from grow(
+                (*members, w), extension + fresh, closed.union(fresh), root
+            )
+
+    for v in range(g.n):
+        above = [u for u in adj[v] if u > v]
+        yield from grow((v,), above, {v, *above}, v)
 
 
-def _canonical_triple(
-    labels: Tuple[int, int, int],
-    edges: dict,
-) -> Tuple[int, ...]:
-    """Smallest encoding of a labeled 3-vertex graph over all orderings.
+def _canonical(
+    members: Tuple[int, ...], labels: List[int], label_of: Dict
+) -> Tuple[Tuple[int, ...], int]:
+    """(smallest encoding of the subgraph ``members`` induce over all
+    vertex orders, how many orders reach it).
 
-    ``edges`` maps local unordered pairs to labels; absent pairs encode as
-    (0, 0) and present ones as (1, label), so arbitrary label values stay
-    unambiguous.
+    Only orders that sort the vertex labels can reach the smallest
+    encoding, so just those are tried: permutations within each group of
+    equal labels.
     """
-    best = None
-    for order in _TRIPLE_ORDERS:
-        encoded = [labels[order[0]], labels[order[1]], labels[order[2]]]
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            pair = (min(order[a], order[b]), max(order[a], order[b]))
-            if pair in edges:
-                encoded.extend((1, edges[pair]))
-            else:
-                encoded.extend((0, 0))
-        candidate = tuple(encoded)
-        if best is None or candidate < best:
-            best = candidate
-    return best
+    pairs = list(combinations(range(len(members)), 2))
+    local = [labels[v] for v in members]
+    code: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for a, b in pairs:
+        u, v = members[a], members[b]
+        label = label_of.get((u, v) if u < v else (v, u))
+        code[a, b] = code[b, a] = (0, 0) if label is None else (1, label)
+    groups: Dict[int, List[int]] = {}
+    for i in sorted(range(len(local)), key=local.__getitem__):
+        groups.setdefault(local[i], []).append(i)
+    best, reach = None, 0
+    for parts in product(*(permutations(group) for group in groups.values())):
+        order = tuple(chain.from_iterable(parts))
+        encoding = [code[order[a], order[b]] for a, b in pairs]
+        if best is None or encoding < best:
+            best, reach = encoding, 1
+        elif encoding == best:
+            reach += 1
+    return (*sorted(local), *chain.from_iterable(best)), reach
+
+
+def _class_counts(
+    g: Graph, max_size: int, connected_only: bool, smallest: int = 1
+) -> Dict[Tuple[int, ...], List[int]]:
+    """``{encoding: [count, automorphisms]}`` over the induced subgraphs on
+    ``smallest``..``max_size`` vertices (connected ones only with
+    ``connected_only``); unlabeled graphs read as label 0 throughout."""
+    if max_size < 1:
+        raise ParameterError(f"max_size must be >= 1, got {max_size}")
+    labels = g.vertex_label_array().tolist()
+    label_of = g.edge_label_map
+    if connected_only:
+        sets = _connected_sets(g, max_size)
+    else:
+        sizes = range(smallest, max_size + 1)
+        sets = chain.from_iterable(combinations(range(g.n), k) for k in sizes)
+    classes: Dict[Tuple[int, ...], List[int]] = {}
+    for members in sets:
+        if len(members) < smallest:
+            continue
+        encoding, automorphisms = _canonical(members, labels, label_of)
+        classes.setdefault(encoding, [0, automorphisms])[0] += 1
+    return classes
 
 
 def canonical_string(sub: Graph) -> str:
@@ -74,34 +125,12 @@ def canonical_string(sub: Graph) -> str:
         raise ContractError(f"canonical form is defined for 3 vertices, got {sub.n}")
     if sub.m < 2:
         raise ContractError("canonical form is defined for connected graphs")
-    labels = tuple(sub.vertex_label_array().tolist())
-    edges = {
-        (int(u), int(v)): label
-        for (u, v), label in sub.edge_label_map.items()
-    }
-    canon = _canonical_triple(labels, edges)
+    (canon,) = _class_counts(sub, 3, True, smallest=3)
     vertex_part = ",".join(map(str, canon[:3]))
     edge_part = ",".join(
         f"{canon[3 + 2 * i]}:{canon[4 + 2 * i]}" for i in range(3)
     )
     return f"{vertex_part}|{edge_part}"
-
-
-def _connected_triples(g: Graph):
-    """Yield each connected 3-subset exactly once as a sorted tuple."""
-    nbr = g.neighbor_sets()
-    for u, v in g.edges.tolist():
-        for w in sorted(nbr[u] & nbr[v]):
-            if w > v:
-                yield (u, v, w)
-    for c in range(g.n):
-        around = g.adj[c]
-        for i in range(len(around)):
-            a = around[i]
-            for j in range(i + 1, len(around)):
-                b = around[j]
-                if b not in nbr[a]:
-                    yield tuple(sorted((a, c, b)))
 
 
 def graphlet_features(g: Graph) -> FeatureVector:
@@ -110,20 +139,31 @@ def graphlet_features(g: Graph) -> FeatureVector:
     Unlabeled graphs behave as uniformly labeled; the triangle count and
     path count of e.g. the complete graph K4 come out as 4 and 0.
     """
-    labels = g.vertex_label_array().tolist()
-    label_of = g.edge_label_map
-    counts: dict = {}
-    for a, b, c in _connected_triples(g):
-        local_edges = {}
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            pair = ((a, b, c)[i], (a, b, c)[j])
-            if pair in label_of:
-                local_edges[(i, j)] = label_of[pair]
-        canon = _canonical_triple((labels[a], labels[b], labels[c]), local_edges)
-        counts[canon] = counts.get(canon, 0) + 1
+    classes = _class_counts(g, 3, True, smallest=3)
     return FeatureVector(
-        {feature_key(TAG_GRAPHLET, canon): c for canon, c in counts.items()}
+        {feature_key(TAG_GRAPHLET, canon): c for canon, (c, _) in classes.items()}
     )
+
+
+def matching_features(
+    g: Graph, max_size: int = 3, connected_only: bool = False
+) -> FeatureVector:
+    """Explicit map of the Dirac subgraph matching kernel.
+
+    Each class P of induced subgraphs on 1..``max_size`` vertices
+    (connected ones only with ``connected_only``) appears as |Aut(P)|
+    keys, each weighted by its count c_P, so the dot product of two
+    vectors is Σ_P |Aut(P)|·c_P(G)·c_P(H) in integers: the value of
+    :func:`subgraph_matching_kernel` with Dirac vertex and edge kernels
+    and unit size weights.
+    """
+    entries = {}
+    for canon, (count, automorphisms) in _class_counts(
+        g, max_size, connected_only
+    ).items():
+        for copy in range(automorphisms):
+            entries[feature_key(TAG_GRAPHLET, (*canon, copy))] = count
+    return FeatureVector(entries)
 
 
 def _edge_label_matrix(g: Graph) -> np.ndarray:
@@ -211,6 +251,11 @@ def subgraph_matching_kernel(
     at which point the Dirac/uniform value counts each unordered common
     subgraph selection once.  ``max_size`` beyond the association graph
     order is harmless.
+
+    When every clique contributes an integer — all vertex and connection
+    weights 1 (Dirac or uniform kernels) and integer size factors — the
+    float64 total counts exactly below 2**53 only, so reaching it raises
+    :class:`MultiplicityOverflowError`.
     """
     if max_size < 1:
         raise ParameterError(f"max_size must be >= 1, got {max_size}")
@@ -250,4 +295,14 @@ def subgraph_matching_kernel(
     for start in range(count):
         rest = indices[start + 1 :]
         grow([start], rest[allowed[start, rest]], float(vertex_weights[start]))
+    integral = (
+        (vertex_weights == 1).all()
+        and (weights[allowed] == 1).all()
+        and all(float(factor).is_integer() for factor in scale)
+    )
+    if integral and total >= EXACT_LIMIT:
+        raise MultiplicityOverflowError(
+            f"{total:.4g} common-subgraph mappings, past 2**53, where float64 "
+            f"stops counting exactly"
+        )
     return total

@@ -91,14 +91,6 @@ class WeightedProductGraph:
     def num_edges(self) -> int:
         return int(self.edge_u.shape[0])
 
-    def neighbor_lists(self) -> List[List[int]]:
-        """Adjacency lists over product-vertex indices (for inspection)."""
-        out: List[List[int]] = [[] for _ in range(self.num_vertices)]
-        for a, b in zip(self.edge_u.tolist(), self.edge_v.tolist()):
-            out[a].append(b)
-            out[b].append(a)
-        return [sorted(nbrs) for nbrs in out]
-
 
 def build_wdpg(
     g: Graph,

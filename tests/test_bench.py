@@ -1,15 +1,44 @@
-"""Sweep machinery: discrepancy measure, rows, CSV output."""
+"""Kernel plans and sweep machinery: scheme agreement, discrepancy
+measure, rows, CSV output."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gkern import ParameterError
+from gkern import Dataset, Graph, ParameterError
 from gkern.bench import (
     alphabet_sweep,
+    kernel_plan,
     max_relative_discrepancy,
     walk_length_sweep,
     write_sweep_csv,
 )
+from conftest import graphs
+
+
+class TestKernelPlanSchemes:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(graphs(), max_size=4))
+    def test_dirac_plans_agree_bit_for_bit_on_mixed_labels(self, members):
+        # some graphs carry edge labels and some do not; both schemes read
+        # an unlabeled edge as label 0
+        ds = Dataset("mixed", members)
+        for kernel in ("walk", "maxwalk", "sp", "subgraph-matching"):
+            implicit, explicit = kernel_plan(kernel, ds, length=2).grams(
+                ("implicit", "explicit")
+            )
+            assert implicit.values.tobytes() == explicit.values.tobytes(), kernel
+
+    def test_labeled_and_unlabeled_edges_are_compared_as_label_zero(self):
+        p3 = [(0, 1), (1, 2)]
+        ds = Dataset("p3", [Graph(3, p3, edge_labels=[1, 1]), Graph(3, p3)])
+        # no edge matches, so only the 3 x 3 length-0 walks of maxwalk count
+        for kernel, value in (("walk", 0.0), ("maxwalk", 9.0)):
+            implicit, explicit = kernel_plan(kernel, ds, length=2).grams(
+                ("implicit", "explicit")
+            )
+            assert implicit.values[0, 1] == explicit.values[0, 1] == value, kernel
 
 
 class TestDiscrepancy:
@@ -52,6 +81,8 @@ class TestSweepRows:
         )
         assert [row["value"] for row in rows] == [1, 2]
         assert all(row["axis"] == "alphabet" for row in rows)
+        # one kernel timed two ways: the Grams agree exactly
+        assert all(row["max_rel_discrepancy"] == 0.0 for row in rows)
 
     def test_csv_round_trip(self, tmp_path):
         rows = walk_length_sweep(sizes=(4,), grid=(2,), reps=1, seed=7)

@@ -155,17 +155,34 @@ class TestCompute:
         assert code == 2
         assert "implicit-only" in capsys.readouterr().err
 
-    def test_subgraph_matching_has_no_explicit_regime(self, capsys):
+    def test_subgraph_matching_explicit_regime_matches_implicit(self, tmp_path, capsys):
+        out = str(tmp_path / "sm")
         code = main(
             [
                 "compute",
                 "--data", DATA,
                 "--kernel", "subgraph-matching",
+                "--max-size", "4",
+                "--connected-only",
+                "--out", out,
+            ]
+        )
+        assert code == 0
+        assert "max relative discrepancy between schemes: 0.000e+00" in capsys.readouterr().out
+        assert open(f"{out}.implicit.csv").read() == open(f"{out}.explicit.csv").read()
+
+    def test_explicit_subgraph_matching_stops_at_size_five(self, capsys):
+        code = main(
+            [
+                "compute",
+                "--data", DATA,
+                "--kernel", "subgraph-matching",
+                "--max-size", "6",
                 "--regime", "explicit",
             ]
         )
         assert code == 2
-        assert "graphlet" in capsys.readouterr().err
+        assert "max_size 5" in capsys.readouterr().err
 
     def test_subgraph_matching_implicit_works(self, capsys):
         code = main(
@@ -439,7 +456,7 @@ def test_generate_rejects_a_flag_its_generator_lacks(tmp_path, capsys):
     assert "pv" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("regime", ("implicit", "explicit"))
+@pytest.mark.parametrize("regime", ("explicit",))
 def test_graphlet_dots_past_2_53_fail_their_pair(regime, monkeypatch, capsys):
     # one class counted 2**27 times: its self-dot is 2**54
     heavy = FeatureVector({feature_key(TAG_GRAPHLET, (0,)): 2**27})
@@ -449,3 +466,16 @@ def test_graphlet_dots_past_2_53_fail_their_pair(regime, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert f"graphlet(3)/{regime}: pair (0, 0) failed" in err
     assert "2**53" in err
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    (
+        (["compute", "--data", "labeled:count=abc", "--kernel", "walk"], "'abc'"),
+        (["sweep", "--sizes", "x"], "'x'"),
+        (["sweep", "--axis", "length", "--grid", "2.5"], "'2.5'"),
+    ),
+)
+def test_malformed_numbers_are_usage_errors_naming_the_value(argv, value, capsys):
+    assert main(argv) == 2
+    assert value in capsys.readouterr().err

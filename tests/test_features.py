@@ -58,11 +58,10 @@ class TestFeatureVector:
         v = FeatureVector.one_hot(b"k")
         assert v.nnz == 1 and v[b"k"] == 1
 
-    def test_text_round_trip(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            v = random_vector(rng)
-            assert FeatureVector.from_text(v.to_text()) == v
+    def test_to_text_is_one_line_per_entry_in_key_order(self):
+        v = FeatureVector({b"6|1,0": 2, b"4|0": 0.5, b"1|3": 0})
+        assert v.to_text() == "4|0\t0.5\n6|1,0\t2"
+        assert FeatureVector().to_text() == ""
 
 
 class TestDot:

@@ -265,7 +265,15 @@ def _gram_of(values, class_labels=None):
 
 # -- the explicit Gram as one blocked matrix product --------------------------
 
-EXPLICIT_KERNELS = ("walk", "maxwalk", "sp", "graphlet", "graph-invariant", "graphhopper")
+EXPLICIT_KERNELS = (
+    "walk",
+    "maxwalk",
+    "sp",
+    "graphlet",
+    "subgraph-matching",
+    "graph-invariant",
+    "graphhopper",
+)
 
 
 def _pairwise_dots(ds, feature_fn):

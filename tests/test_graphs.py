@@ -58,9 +58,6 @@ class TestGraph:
             Graph(2, [(0, 1)], edge_labels=[1, 2])
 
     def test_adjacency_and_degree(self, path3):
-        assert path3.neighbors(1) == (0, 2)
-        assert path3.degree(1) == 2
-        assert path3.has_edge(0, 1) and not path3.has_edge(0, 2)
         matrix = path3.adjacency_matrix()
         assert matrix.tolist() == [
             [False, True, False],
@@ -71,9 +68,6 @@ class TestGraph:
     def test_empty_graph_allowed(self):
         g = Graph(0, [])
         assert g.n == 0 and g.m == 0
-
-    def test_audit_passes_on_valid_graph(self):
-        make_random_graph(random.Random(1), max_n=10).audit()
 
 
 class TestShortestPaths:

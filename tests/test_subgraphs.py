@@ -4,19 +4,25 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkern import (
     ContractError,
+    Dataset,
     EdgeKernelSpec,
     Graph,
+    MultiplicityOverflowError,
     ParameterError,
     VertexKernelSpec,
     canonical_string,
     dot,
     graphlet_features,
+    matching_features,
     subgraph_matching_kernel,
 )
-from conftest import make_random_graph
+from gkern.bench import kernel_plan
+from conftest import graphs, make_random_graph
 from oracles import (
     oracle_graphlet_kernel,
     oracle_subgraph_matching,
@@ -112,6 +118,48 @@ class TestGraphletFeatures:
         assert graphlet_features(Graph(0, [])).nnz == 0
         assert graphlet_features(Graph(2, [(0, 1)])).nnz == 0
         assert graphlet_features(Graph(5, [])).nnz == 0
+
+    def test_keys_are_labels_then_pair_codes(self):
+        # sorted vertex labels, then (0, 0) for an absent pair and
+        # (1, label) for an edge, over the position pairs (0,1), (0,2), (1,2)
+        path = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 2], edge_labels=[5, 7])
+        assert graphlet_features(path).entries == {b"6|0,1,2,1,5,0,0,1,7": 1}
+
+
+class TestMatchingFeatures:
+    def test_each_class_repeats_once_per_automorphism(self, triangle):
+        # one vertex class (3 sets, |Aut| 1), one edge class (3, |Aut| 2)
+        # and the triangle (1, |Aut| 6)
+        vec = matching_features(triangle, max_size=3)
+        assert sorted(vec.entries.values()) == [1] * 6 + [3] * 3
+        assert dot(vec, vec) == 9 * 1 + 9 * 2 + 1 * 6
+        assert dot(vec, vec) == subgraph_matching_kernel(triangle, triangle)
+
+    def test_connected_only_drops_disconnected_sets(self, disconnected):
+        everything = matching_features(disconnected, max_size=2)
+        connected = matching_features(disconnected, max_size=2, connected_only=True)
+        # 5 vertices; 2 edges vs 8 non-adjacent pairs, each with |Aut| 2
+        assert sum(everything.entries.values()) == 5 + 2 * 2 + 2 * 8
+        assert sum(connected.entries.values()) == 5 + 2 * 2
+
+    def test_rejects_bad_max_size(self, triangle):
+        with pytest.raises(ParameterError):
+            matching_features(triangle, max_size=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(graphs(), max_size=4))
+    def test_grams_match_the_implicit_kernel_bit_for_bit(self, members):
+        ds = Dataset("h", members)
+        for max_size in (1, 2, 3, 4):
+            for connected_only in (False, True):
+                plan = kernel_plan(
+                    "subgraph-matching", ds, max_size=max_size, connected_only=connected_only
+                )
+                implicit, explicit = plan.grams(("implicit", "explicit"))
+                assert implicit.values.tobytes() == explicit.values.tobytes(), (
+                    max_size,
+                    connected_only,
+                )
 
 
 class TestSubgraphMatching:
@@ -214,6 +262,15 @@ class TestSubgraphMatching:
         e = Graph(2, [(0, 1)])
         with pytest.raises(ParameterError):
             subgraph_matching_kernel(e, e, max_size=0)
+
+    def test_integer_totals_reaching_2_53_raise(self):
+        one = Graph(1)
+        with pytest.raises(MultiplicityOverflowError, match="2\\*\\*53"):
+            subgraph_matching_kernel(one, one, max_size=1, size_weights=lambda k: 2.0**53)
+        below = subgraph_matching_kernel(
+            one, one, max_size=1, size_weights=lambda k: 2.0**53 - 1
+        )
+        assert below == 2**53 - 1
 
     def test_no_compatible_pairs(self):
         g = Graph(2, [(0, 1)], vertex_labels=[0, 0])

@@ -104,13 +104,6 @@ class TestProductGraph:
             assert pg.num_vertices == 5 and pg.num_edges == 4
             assert (pg.vertex_weights == 1.0).all() and (pg.edge_weights == 1.0).all()
 
-    def test_neighbor_lists_cover_both_endpoints(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        pg = build_wdpg(g, g, DIRAC, UNIFORM_EDGE)
-        lists = pg.neighbor_lists()
-        for a, b in zip(pg.edge_u.tolist(), pg.edge_v.tolist()):
-            assert b in lists[a] and a in lists[b]
-
 
 class TestWalkKernelImplicit:
     def test_triangle_against_itself(self):
