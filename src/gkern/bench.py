@@ -164,7 +164,13 @@ def kernel_plan(
     Dirac kernels, and an unlabeled graph reads as label 0 throughout.
     Per-dataset preparation that both schemes share (attribute scaling,
     weight maps) runs here; the rest runs when a builder is called.
+    A walk ``length`` below 0 or a ``max_size`` below 1 is rejected here,
+    before any Gram is built.
     """
+    if length < 0:
+        raise ParameterError(f"walk length must be >= 0, got {length}")
+    if max_size < 1:
+        raise ParameterError(f"max_size must be >= 1, got {max_size}")
     # Kernel functions are looked up by name when a builder runs, never
     # stored at import, so replacing a module attribute (as a tracer does)
     # reaches every call.

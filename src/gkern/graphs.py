@@ -235,11 +235,6 @@ class DistanceMatrix:
     def n(self) -> int:
         return int(self.dist.shape[0])
 
-    def eccentricity_bound(self) -> int:
-        """Largest finite distance in the matrix (0 for edgeless graphs)."""
-        finite = self.dist[self.dist != INF_DISTANCE]
-        return int(finite.max()) if finite.size else 0
-
 
 def all_pairs_shortest_paths(g: Graph, with_counts: bool = False) -> DistanceMatrix:
     """Breadth-first all-pairs shortest paths, optionally with multiplicities.
@@ -286,7 +281,7 @@ def all_pairs_shortest_paths(g: Graph, with_counts: bool = False) -> DistanceMat
 class Dataset:
     """A named list of graphs with one integer class label per graph."""
 
-    __slots__ = ("name", "graphs", "class_labels", "_max_diameter")
+    __slots__ = ("name", "graphs", "class_labels")
 
     def __init__(self, name: str, graphs: Sequence[Graph], class_labels=None):
         self.name = name
@@ -299,7 +294,6 @@ class Dataset:
                 f"{self.class_labels.shape[0]} class labels for "
                 f"{len(self.graphs)} graphs"
             )
-        self._max_diameter = None
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -340,20 +334,6 @@ class Dataset:
                 f"inconsistent vertex attributes across graphs in {self.name!r}"
             )
         return dims.pop()
-
-    @property
-    def max_diameter(self) -> int:
-        """Vertex count of the longest finite shortest path in any graph
-        (at least 1 for non-empty graphs: the single-vertex path)."""
-        if self._max_diameter is None:
-            best = 0
-            for g in self.graphs:
-                if g.n == 0:
-                    continue
-                dm = all_pairs_shortest_paths(g)
-                best = max(best, dm.eccentricity_bound() + 1)
-            self._max_diameter = best
-        return self._max_diameter
 
     def subset(self, count: int, name: Optional[str] = None) -> "Dataset":
         """Prefix subset of the first ``count`` graphs."""

@@ -2,12 +2,12 @@
 
 These kernels compare all vertex pairs of two graphs through an attribute
 kernel k_V, but weight every comparison by a structural kernel k_W that
-factors through per-vertex feature vectors:
+factors through per-vertex weight vectors:
 
     K(G, H) = sum over (v in G, v' in H) of <w(v), w(v')> * k_V(v, v').
 
-Two weight constructions are provided, both computed dataset-wide so the
-vectors are comparable across graphs:
+A :class:`WeightFeatureMap` stores the vectors as one integer matrix W_G
+per graph, row v = w(v), over weight columns shared by the dataset:
 
 * :func:`graph_invariant_weight_maps` — w(v) stacks one-hot indicators of
   the vertex's color refinement colors (on plain structure, uniform start)
@@ -19,37 +19,24 @@ vectors are comparable across graphs:
   including the single-vertex path v -> v), so <w(v), w(v')> is the
   Frobenius inner product of the two tables.
 
-The implicit scheme (:func:`wv_kernel_implicit`) evaluates the double sum
-directly; the explicit scheme (:func:`wv_features_explicit`) uses that the
-whole kernel factors as the dot of per-graph sums of tensor products
-w(v) x phi_V(v), given a feature map phi_V for k_V (exact one-hots for
-discrete comparisons, binning maps as an approximation for hat kernels).
+Both schemes read W_G.  The implicit scheme (:func:`wv_kernel_implicit`)
+sums (W_G W_H^T) * k_V(G, H) entrywise; the explicit scheme
+(:func:`wv_features_explicit`) uses that the whole kernel factors as the
+dot of per-graph sums of tensor products w(v) x phi_V(v), given a feature
+map phi_V for k_V (exact one-hots for discrete comparisons, binning maps
+as an approximation for hat kernels).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from .errors import ContractError, MultiplicityOverflowError
-from .features import (
-    TAG_GH,
-    TAG_LABEL,
-    TAG_WL,
-    FeatureVector,
-    dot,
-    feature_key,
-    set_sum,
-    tensor_product,
-)
+from .features import TAG_GH, TAG_LABEL, TAG_WL, FeatureVector, feature_key, pair_key
 from .gram import EXACT_LIMIT
-from .graphs import (
-    Dataset,
-    Graph,
-    INF_DISTANCE,
-    all_pairs_shortest_paths,
-)
+from .graphs import INF_DISTANCE, Dataset, DistanceMatrix, Graph, all_pairs_shortest_paths
 from .kernels import BinningGrid, VertexKernelSpec, binning_features
 from .wl import wl_refine_dataset
 
@@ -61,25 +48,49 @@ _COUNT_LIMIT = 1 << 26
 class WeightFeatureMap:
     """Per-vertex weight vectors for every graph of one dataset.
 
+    Weight columns are numbered dataset wide; ``keys[c]`` is column ``c``'s
+    byte key in explicit feature vectors.  ``per_graph`` maps ``id(g)`` to
+    ``(g, columns, W)``: the ascending columns ``g`` uses and the int64
+    ``(g.n, len(columns))`` matrix whose row ``v`` is w(v) over them.
+
     Graphs are identified by object identity; asking for a graph that was
     not part of the construction is an error.
     """
 
-    def __init__(self, kind: str, per_graph: Dict[int, "tuple[Graph, List[FeatureVector]]"]):
+    def __init__(self, kind: str, keys: Dict[int, bytes], per_graph: Dict[int, tuple]):
         self.kind = kind
+        self.keys = keys
         self._per_graph = per_graph
 
-    def vectors(self, g: Graph) -> List[FeatureVector]:
+    def matrix(self, g: Graph) -> Tuple[np.ndarray, np.ndarray]:
+        """``(columns, W)`` of ``g``."""
         entry = self._per_graph.get(id(g))
         if entry is None or entry[0] is not g:
             raise ContractError(
                 f"graph {g!r} is not covered by this {self.kind} weight map"
             )
-        return entry[1]
+        return entry[1], entry[2]
 
-    def weight(self, g: Graph, u: int, h: Graph, v: int) -> float:
+    def common(self, g: Graph, h: Graph) -> Tuple[np.ndarray, np.ndarray]:
+        """W_g and W_h restricted to the columns both graphs use."""
+        (columns_g, wg), (columns_h, wh) = self.matrix(g), self.matrix(h)
+        _, at_g, at_h = np.intersect1d(
+            columns_g, columns_h, assume_unique=True, return_indices=True
+        )
+        return wg[:, at_g], wh[:, at_h]
+
+    def weight(self, g: Graph, u: int, h: Graph, v: int) -> int:
         """k_W between two vertices: the dot of their weight vectors."""
-        return dot(self.vectors(g)[u], self.vectors(h)[v])
+        wg, wh = self.common(g, h)
+        return sum(a * b for a, b in zip(wg[u].tolist(), wh[v].tolist()))
+
+
+def _weight_matrix(n: int, vertex, column, weight) -> Tuple[np.ndarray, np.ndarray]:
+    """``(columns, W)`` from distinct (vertex, column) cells and their weights."""
+    columns = np.unique(column)
+    w = np.zeros((n, len(columns)), dtype=np.int64)
+    w[vertex, np.searchsorted(columns, column)] = weight
+    return columns, w
 
 
 def graph_invariant_weight_maps(ds: Dataset, iterations: int) -> WeightFeatureMap:
@@ -87,85 +98,79 @@ def graph_invariant_weight_maps(ds: Dataset, iterations: int) -> WeightFeatureMa
 
     Refinement runs on the unlabeled structure (uniform start), dataset
     wide; every vertex vector has exactly ``iterations + 1`` entries, one
-    per stratum, so dots count agreeing strata.
+    per stratum, so dots count agreeing strata.  Color ``c`` of stratum
+    ``i`` is column ``c`` plus the color count of the earlier strata.
     """
     assignment = wl_refine_dataset(ds, iterations, init="uniform")
+    counts = assignment.colors_per_iteration
+    offsets = np.cumsum([0, *counts[:-1]])
+    keys = {
+        int(offsets[i]) + c: feature_key(TAG_WL, (i, c))
+        for i, count in enumerate(counts)
+        for c in range(count)
+    }
     per_graph: Dict[int, tuple] = {}
-    for gi, g in enumerate(ds.graphs):
-        rows = assignment.colors[gi]
-        vectors = []
-        for v in range(g.n):
-            vectors.append(
-                FeatureVector(
-                    {
-                        feature_key(TAG_WL, (i, int(rows[i][v]))): 1
-                        for i in range(iterations + 1)
-                    }
-                )
-            )
-        per_graph[id(g)] = (g, vectors)
-    return WeightFeatureMap(f"graph-invariant(h={iterations})", per_graph)
+    for g, strata in zip(ds.graphs, assignment.colors):
+        column = (np.stack(strata, axis=1) + offsets).ravel()
+        vertex = np.repeat(np.arange(g.n), iterations + 1)
+        per_graph[id(g)] = (g, *_weight_matrix(g.n, vertex, column, 1))
+    return WeightFeatureMap(f"graph-invariant(h={iterations})", keys, per_graph)
 
 
-def _hopper_tables(g: Graph, delta: int, graph_name: str) -> List[FeatureVector]:
-    dm = all_pairs_shortest_paths(g, with_counts=True)
-    n = g.n
-    dist = dm.dist
-    counts = dm.counts
+def _hopper_tables(
+    dm: DistanceMatrix, delta: int, graph_name: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(columns, W)`` of one graph: cell (i, j) of M(v), 0-based, is
+    column ``i * delta + j`` of row ``v``."""
+    dist, counts, n = dm.dist, dm.counts, dm.n
     if counts.size and int(counts.max()) > _COUNT_LIMIT:
         raise MultiplicityOverflowError(
             f"{graph_name}: shortest-path multiplicity {int(counts.max())} "
             f"exceeds the exact-arithmetic bound {_COUNT_LIMIT}"
         )
     finite = dist != INF_DISTANCE
-    dist_f = np.where(finite, dist.astype(np.float64), np.inf)
+    # n exceeds every finite distance, so no path runs through an
+    # unreachable vertex
+    d = np.where(finite, dist, n)
     counts_f = counts.astype(np.float64)
-    vectors = []
+    cells, multiplicities = [np.zeros(0, np.int64)], [np.zeros(0)]
     for v in range(n):
-        into = dist_f[:, v][:, None]   # d(s, v)
-        out_of = dist_f[v, :][None, :]  # d(v, t)
-        on_path = np.isfinite(dist_f) & (into + out_of == dist_f)
-        table = np.zeros((delta, delta), dtype=np.float64)
-        if on_path.any():
-            position = np.broadcast_to(dist[:, v][:, None], (n, n))[on_path]
-            length = dist[on_path]
-            multiplicity = (counts_f[:, v][:, None] * counts_f[v, :][None, :])[
-                on_path
-            ]
-            np.add.at(table, (position, length), multiplicity)
-        if table.max() >= EXACT_LIMIT:
-            raise MultiplicityOverflowError(
-                f"{graph_name}: path-count table entry left the "
-                f"integer-exact float64 range"
-            )
-        vectors.append(
-            FeatureVector(
-                {
-                    feature_key(TAG_GH, (i + 1, j + 1)): int(table[i, j])
-                    for i, j in zip(*np.nonzero(table))
-                }
-            )
+        s, t = np.nonzero(finite & (d[:, v, None] + d[v] == d))
+        cells.append((v * delta + d[s, v]) * delta + d[s, t])
+        multiplicities.append(counts_f[s, v] * counts_f[v, t])
+    cell, at = np.unique(np.concatenate(cells), return_inverse=True)
+    table = np.bincount(at, weights=np.concatenate(multiplicities))
+    if table.max(initial=0) >= EXACT_LIMIT:
+        raise MultiplicityOverflowError(
+            f"{graph_name}: path-count table entry left the "
+            f"integer-exact float64 range"
         )
-    return vectors
+    vertex, column = np.divmod(cell, delta * delta)
+    return _weight_matrix(n, vertex, column, table.astype(np.int64))
 
 
 def graphhopper_weight_maps(ds: Dataset) -> WeightFeatureMap:
     """Path-count weights: M(v)[i, j] = #(shortest paths with j vertices
     on which v is the i-th vertex), over all ordered source/target pairs.
 
-    The table is square with side ``ds.max_diameter`` (vertex count of the
-    longest shortest path anywhere in the dataset), so vectors from
+    The table is square with side ``delta``, the vertex count of the
+    longest shortest path anywhere in the dataset, so vectors from
     different graphs share their key space.  The trivial path v -> v
-    contributes M(v)[1, 1] += 1.
+    contributes M(v)[1, 1] += 1.  One all-pairs shortest-path pass per
+    graph gives both ``delta`` and the tables.
     """
-    delta = ds.max_diameter
-    per_graph: Dict[int, tuple] = {}
-    for gi, g in enumerate(ds.graphs):
-        per_graph[id(g)] = (
-            g,
-            _hopper_tables(g, delta, f"graph {gi} of {ds.name!r}"),
-        )
-    return WeightFeatureMap("graphhopper", per_graph)
+    distances = [all_pairs_shortest_paths(g, with_counts=True) for g in ds.graphs]
+    delta = max(
+        (int(dm.dist[dm.dist != INF_DISTANCE].max()) + 1 for dm in distances if dm.n),
+        default=0,
+    )
+    per_graph = {
+        id(g): (g, *_hopper_tables(dm, delta, f"graph {gi} of {ds.name!r}"))
+        for gi, (g, dm) in enumerate(zip(ds.graphs, distances))
+    }
+    used = set().union(*(entry[1].tolist() for entry in per_graph.values()))
+    keys = {c: feature_key(TAG_GH, (c // delta + 1, c % delta + 1)) for c in used}
+    return WeightFeatureMap("graphhopper", keys, per_graph)
 
 
 def wv_kernel_implicit(
@@ -174,27 +179,24 @@ def wv_kernel_implicit(
     weight_map: WeightFeatureMap,
     vertex_kernel: VertexKernelSpec,
 ) -> float:
-    """Direct double sum of weight-vector dots times attribute kernel.
+    """Sum of (W_g W_h^T) * k_V(g, h) entrywise: every vertex pair's
+    weight dot times its attribute kernel value.
 
     With a Dirac vertex kernel every term is a non-negative integer, so the
     float64 total is exact below 2**53; a total that reaches 2**53 raises
     :class:`MultiplicityOverflowError` instead of losing exactness.
     """
-    wg = weight_map.vectors(g)
-    wh = weight_map.vectors(h)
-    values = vertex_kernel.matrix(g, h)
-    total = 0.0
-    for u in range(g.n):
-        row = values[u]
-        left = wg[u]
-        for v in np.nonzero(row)[0]:
-            total += dot(left, wh[int(v)]) * row[v]
+    wg, wh = weight_map.common(g, h)
+    # einsum runs in this thread; BLAS would spread these tiny products
+    # over every core (see gram._blocked_product)
+    weights = np.einsum("ik,jk->ij", wg, wh, dtype=np.float64)
+    total = float(np.einsum("ij,ij->", weights, vertex_kernel.matrix(g, h)))
     if vertex_kernel.kind in ("dirac", "dirac-attributes") and total >= EXACT_LIMIT:
         raise MultiplicityOverflowError(
             f"weighted vertex total {total:.4g} reached 2**53, past the "
             f"integer-exact float64 range"
         )
-    return float(total)
+    return total
 
 
 def wv_features_explicit(
@@ -203,12 +205,22 @@ def wv_features_explicit(
     vertex_features: Callable[[Graph, int], FeatureVector],
 ) -> FeatureVector:
     """Feature map of the weighted vertex kernel: sum over vertices of
-    w(v) x phi_V(v).  Exact when phi_V realizes k_V exactly; with binning
-    maps it realizes the binned approximation instead."""
-    weights = weight_map.vectors(g)
-    return set_sum(
-        tensor_product(weights[v], vertex_features(g, v)) for v in range(g.n)
-    )
+    w(v) x phi_V(v), from the rows of W_g in vertex order.  Exact when
+    phi_V realizes k_V exactly; with binning maps it realizes the binned
+    approximation instead.  Integer weights stay Python ints, which
+    :func:`gkern.gram.gram_explicit` guards at 2**53.
+    """
+    columns, w = weight_map.matrix(g)
+    keys = [weight_map.keys[c] for c in columns.tolist()]
+    entries: Dict[bytes, float] = {}
+    for v, row in enumerate(w.tolist()):
+        phi = vertex_features(g, v).items()
+        for key, weight in zip(keys, row):
+            if weight:
+                for phi_key, phi_weight in phi:
+                    pair = pair_key(key, phi_key)
+                    entries[pair] = entries.get(pair, 0) + weight * phi_weight
+    return FeatureVector(entries)
 
 
 # -- ready-made per-vertex attribute feature maps ---------------------------

@@ -24,7 +24,14 @@ class TestKernelPlanSchemes:
         # some graphs carry edge labels and some do not; both schemes read
         # an unlabeled edge as label 0
         ds = Dataset("mixed", members)
-        for kernel in ("walk", "maxwalk", "sp", "subgraph-matching"):
+        for kernel in (
+            "walk",
+            "maxwalk",
+            "sp",
+            "subgraph-matching",
+            "graph-invariant",
+            "graphhopper",
+        ):
             implicit, explicit = kernel_plan(kernel, ds, length=2).grams(
                 ("implicit", "explicit")
             )

@@ -468,6 +468,21 @@ def test_graphlet_dots_past_2_53_fail_their_pair(regime, monkeypatch, capsys):
     assert "2**53" in err
 
 
+@pytest.mark.parametrize("count", (4, 0))
+@pytest.mark.parametrize(
+    "kernel, flag, value",
+    (("walk", "--length", "-1"), ("subgraph-matching", "--max-size", "0")),
+)
+def test_out_of_range_sizes_are_usage_errors(kernel, flag, value, count, tmp_path, capsys):
+    out = str(tmp_path / "gram")
+    argv = ["compute", "--data", f"labeled:count={count}", "--kernel", kernel]
+    assert main([*argv, flag, value, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert value in err
+    assert "pair" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv, value",
     (

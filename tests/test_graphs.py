@@ -96,10 +96,6 @@ class TestShortestPaths:
                 for j in range(g.n):
                     assert dm.counts[i][j] == expected[i][j], (i, j)
 
-    def test_eccentricity_bound(self, path3):
-        dm = all_pairs_shortest_paths(path3)
-        assert dm.eccentricity_bound() == 2
-
 
 class TestDataset:
     def test_class_labels_default_to_zero(self, path3):
@@ -125,12 +121,6 @@ class TestDataset:
         bare = Graph(1, [])
         with pytest.raises(ContractError):
             Dataset("d", [a, bare]).attribute_dim
-
-    def test_max_diameter_counts_vertices_on_longest_path(self, path3, triangle):
-        assert Dataset("d", [path3]).max_diameter == 3
-        assert Dataset("d", [triangle]).max_diameter == 2
-        # disconnected parts do not create infinite diameters
-        assert Dataset("d", [Graph(3, [(0, 1)])]).max_diameter == 2
 
     def test_subset_is_prefix(self, path3, triangle):
         ds = Dataset("d", [path3, triangle], [0, 1])

@@ -2,18 +2,20 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from gkern import (
     ContractError,
     Dataset,
-    FeatureVector,
     Graph,
+    GramError,
     MultiplicityOverflowError,
     VertexKernelSpec,
     attribute_class_features,
     binned_attribute_features,
     dot,
+    gram_explicit,
     graph_invariant_weight_maps,
     graphhopper_weight_maps,
     label_features,
@@ -29,6 +31,28 @@ from oracles import oracle_color_histogram_kernel, oracle_hopper_tables
 
 DIRAC = VertexKernelSpec("dirac")
 DIRAC_ATTR = VertexKernelSpec("dirac-attributes")
+
+
+def decoded_rows(wm, g):
+    """Per vertex of ``g``: its weight row as {key payload: weight}."""
+    columns, w = wm.matrix(g)
+    keys = [wm.keys[c] for c in columns.tolist()]
+    return [
+        {decode_key(key)[1]: x for key, x in zip(keys, row) if x}
+        for row in w.tolist()
+    ]
+
+
+def constructed(graphs, weight):
+    """A one-column weight map giving every vertex of ``graphs`` ``weight``."""
+    return WeightFeatureMap(
+        "constructed",
+        {0: b"w"},
+        {
+            id(x): (x, np.array([0]), np.full((x.n, 1), weight, dtype=np.int64))
+            for x in graphs
+        },
+    )
 
 
 class TestGraphInvariantWeights:
@@ -80,11 +104,10 @@ class TestGraphHopperWeights:
         e = Graph(2, [(0, 1)])
         ds = Dataset("t", [e])
         wm = graphhopper_weight_maps(ds)
-        vec = wm.vectors(e)[0]
-        decoded = {decode_key(k)[1]: v for k, v in vec.entries.items()}
         # trivial path, start of 0->1, end of 1->0
-        assert decoded == {(1, 1): 1, (1, 2): 1, (2, 2): 1}
-        assert all(decode_key(k)[0] == TAG_GH for k in vec.entries)
+        assert decoded_rows(wm, e)[0] == {(1, 1): 1, (1, 2): 1, (2, 2): 1}
+        columns, _ = wm.matrix(e)
+        assert all(decode_key(wm.keys[c])[0] == TAG_GH for c in columns.tolist())
         # self weight: 1 + 1 + 1 = 3
         assert wm.weight(e, 0, e, 0) == 3.0
 
@@ -94,13 +117,19 @@ class TestGraphHopperWeights:
             g = make_random_graph(rng, max_n=7)
             ds = Dataset("t", [g])
             wm = graphhopper_weight_maps(ds)
-            expected = oracle_hopper_tables(g)
-            for v in range(g.n):
-                decoded = {
-                    decode_key(k)[1]: val
-                    for k, val in wm.vectors(g)[v].entries.items()
-                }
-                assert decoded == expected[v]
+            assert decoded_rows(wm, g) == oracle_hopper_tables(g)
+
+    def test_table_side_is_the_dataset_longest_shortest_path(self):
+        path3 = Graph(3, [(0, 1), (1, 2)])
+        triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
+        # disconnected parts do not create infinite path lengths
+        split = Graph(3, [(0, 1)])
+        graphs = [triangle, Graph(0, []), split, path3]
+        wm = graphhopper_weight_maps(Dataset("t", graphs))
+        assert max(decode_key(key)[1][1] for key in wm.keys.values()) == 3
+        # columns of the shorter graphs' tables are laid out on that side
+        for g in graphs:
+            assert decoded_rows(wm, g) == oracle_hopper_tables(g)
 
     def test_tables_shared_across_dataset(self):
         # one weight map covers several graphs with comparable keys
@@ -114,7 +143,7 @@ class TestGraphHopperWeights:
         wm = graphhopper_weight_maps(Dataset("t", [a]))
         clone = Graph(2, [(0, 1)])
         with pytest.raises(ContractError):
-            wm.vectors(clone)
+            wm.matrix(clone)
 
 
 class TestWeightedKernels:
@@ -236,22 +265,30 @@ class TestWeightedKernels:
 
 def test_dirac_total_reaching_2_53_raises():
     g, h = Graph(1, []), Graph(1, [])
-
-    def weights(w):
-        return WeightFeatureMap(
-            "constructed",
-            {id(x): (x, [FeatureVector({b"w": w})]) for x in (g, h)},
-        )
-
     # <w, w> = 2**52 is exact, 2**54 is not
-    assert wv_kernel_implicit(g, h, weights(2**26), DIRAC) == 2**52
+    assert wv_kernel_implicit(g, h, constructed((g, h), 2**26), DIRAC) == 2**52
     with pytest.raises(MultiplicityOverflowError, match="2\\*\\*53"):
-        wv_kernel_implicit(g, h, weights(2**27), DIRAC)
+        wv_kernel_implicit(g, h, constructed((g, h), 2**27), DIRAC)
     # a non-Dirac vertex kernel makes no exactness claim
     grid = sample_binning_grid(1, 1.0, 4, seed=2)
     a = Graph(1, [], vertex_attributes=[[0.5]])
     b = Graph(1, [], vertex_attributes=[[0.5]])
-    binned = WeightFeatureMap(
-        "constructed", {id(x): (x, [FeatureVector({b"w": 2**27})]) for x in (a, b)}
-    )
+    binned = constructed((a, b), 2**27)
     assert wv_kernel_implicit(a, b, binned, VertexKernelSpec("binned", grid=grid)) == 2**54
+
+
+def test_explicit_self_dot_reaching_2_53_fails_its_pair():
+    g = Graph(1, [])
+    ds = Dataset("t", [g])
+
+    def gram(weight):
+        wm = constructed([g], weight)
+        return gram_explicit(ds, lambda x: wv_features_explicit(x, wm, label_features))
+
+    # the weights reach the Gram as Python ints, so the integer guard holds
+    vector = wv_features_explicit(g, constructed([g], 2**27), label_features)
+    assert [type(w) for w in vector.entries.values()] == [int]
+    assert gram(2**26).values[0, 0] == 2**52
+    with pytest.raises(GramError, match=r"pair \(0, 0\) failed") as info:
+        gram(2**27)
+    assert isinstance(info.value.__cause__, MultiplicityOverflowError)
