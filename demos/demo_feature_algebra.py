@@ -3,21 +3,21 @@ Sparse feature vectors and the kernels they realize
 ===================================================
 
 Every explicit computation scheme in this library rests on one data
-structure: a sparse feature vector mapping byte-string keys to float
-counts.  This demo builds vectors by hand, combines them with the
+structure: a sparse feature vector mapping keys to float counts.  A
+key is a tuple that starts with an integer tag naming its namespace.  This demo builds vectors by hand, combines them with the
 closure operations (scaling, direct sum, tensor product, set sum), and
 then shows how an arbitrary binary-valued kernel is turned into one-hot
 vectors whose dot product reproduces it exactly.
 """
 
 from gkern import FeatureVector, binary_feature_map, dot, scale, set_sum
-from gkern.features import direct_sum, feature_key, tensor_product
+from gkern.features import TAG_LABEL, direct_sum, tensor_product
 
 # ---------------------------------------------------------------------
 # 1. Vectors are dictionaries; the dot product sums matching keys.
 # ---------------------------------------------------------------------
-u = FeatureVector({feature_key(1, (0,)): 2.0, feature_key(1, (1,)): 1.0})
-v = FeatureVector({feature_key(1, (1,)): 3.0, feature_key(1, (2,)): 5.0})
+u = FeatureVector({(TAG_LABEL, 0): 2.0, (TAG_LABEL, 1): 1.0})
+v = FeatureVector({(TAG_LABEL, 1): 3.0, (TAG_LABEL, 2): 5.0})
 print("u =", u.to_text())
 print("v =", v.to_text())
 print("dot(u, v) =", dot(u, v), "(only the shared key contributes: 1*3)")
@@ -32,7 +32,7 @@ assert dot(u, v) == 3.0
 #    - set_sum adds up one vector per element of a set.
 # ---------------------------------------------------------------------
 print("\nscale(u, 2)              ->", scale(u, 2.0).to_text())
-print("direct_sum([u, v])       -> nnz", direct_sum([u, v]).nnz)
+print("direct_sum([u, v])       ->", direct_sum([u, v]).to_text())
 print("tensor_product(u, v)     -> nnz", tensor_product(u, v).nnz)
 print("set_sum([u, u, v])       ->", set_sum([u, u, v]).to_text())
 

@@ -24,7 +24,6 @@ from gkern import (
     sp_kernel_implicit,
     sp_transform,
 )
-from gkern.features import decode_key
 
 # A labeled 5-cycle and a labeled 5-path.
 cycle = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
@@ -54,10 +53,8 @@ assert implicit == explicit
 #    counts over ordered pairs.
 # ---------------------------------------------------------------------
 print("\ntriples of the 5-path:")
-for key, count in sorted(sp_features_explicit(path).items()):
-    _, payload = decode_key(key)
-    print(f"  labels {payload[0]}->{payload[1]} at distance {payload[2]}:"
-          f" {count:g}")
+for (_, source, target, distance), count in sp_features_explicit(path).items():
+    print(f"  labels {source}->{target} at distance {distance}: {count:g}")
 
 # ---------------------------------------------------------------------
 # 4. The approximate map assembles the same triples from factor maps —

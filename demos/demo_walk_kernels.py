@@ -27,7 +27,6 @@ from gkern import (
     walk_features_explicit,
     walk_kernel_implicit,
 )
-from gkern.features import decode_key
 
 # Two labeled graphs: a labeled triangle and a labeled 4-path.
 g = Graph(3, [(0, 1), (1, 2), (0, 2)], vertex_labels=[0, 1, 0],
@@ -50,13 +49,12 @@ for length in range(6):
 
 # ---------------------------------------------------------------------
 # 2. What the explicit features actually are: counts of alternating
-#    vertex/edge label sequences.  The payload starts with the walk
-#    length, then alternates vertex and edge labels.
+#    vertex/edge label sequences.  A key is the walk tag, the walk
+#    length, then alternating vertex and edge labels.
 # ---------------------------------------------------------------------
 print("\nlength-2 walk features of the triangle:")
 for key, count in walk_features_explicit(g, 2).items():
-    _, payload = decode_key(key)
-    length, sequence = payload[0], payload[1:]
+    length, sequence = key[1], key[2:]
     print(f"  sequence {sequence} (length {length}): {count:g} walk(s)")
 
 # ---------------------------------------------------------------------

@@ -10,8 +10,9 @@ Subcommands::
 Datasets are named by a ``--data`` spec: ``tu:<path>:<name>`` loads the
 benchmark-collection layout from disk, ``labeled:count=...`` and
 ``alphabet:count=...`` draw synthetic data (deterministic in ``--seed``).
-Every option can also come from a JSON config file (``--config``); flags
-given on the command line win.
+Every option can also come from a JSON config file (``--config``); its
+values pass the same checks as the flags, and flags given on the command
+line win.
 
 Exit codes: 0 success, 1 any other library error, 2 usage problems,
 3 data problems, 4 resource limits.  A failed Gram matrix exits with the
@@ -328,13 +329,30 @@ def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> List[str]
     defaults = {key.replace("-", "_"): value for key, value in payload.items()}
     for action in parser._subparsers._group_actions:  # noqa: SLF001
         for sub in action.choices.values():
-            known = {a.dest for a in sub._actions}  # noqa: SLF001
-            sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-            # a value from the config satisfies a required flag
             for sub_action in sub._actions:  # noqa: SLF001
-                if sub_action.required and sub_action.dest in defaults:
+                if sub_action.dest in defaults:
+                    value = _config_value(sub_action, defaults[sub_action.dest])
+                    sub.set_defaults(**{sub_action.dest: value})
+                    # a value from the config satisfies a required flag
                     sub_action.required = False
     return argv
+
+
+def _config_value(action: argparse.Action, value):
+    """``value`` as its flag reads it: true or false for a switch, else a
+    JSON string or number that passes the flag's ``type`` and ``choices``."""
+    what = f"config key {action.dest}"
+    flag = action.option_strings[-1]
+    if action.nargs == 0:
+        if type(value) is not bool:
+            raise ParameterError(f"{what}={value!r}: {flag} takes true or false")
+        return value
+    if type(value) not in (str, int, float):
+        raise ParameterError(f"{what}={value!r}: {flag} takes a string or number")
+    value = _read(str(value), action.type or str, what)
+    if action.choices is not None and value not in action.choices:
+        raise ParameterError(f"{what}={value!r} is not one of {list(action.choices)}")
+    return value
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -150,7 +150,7 @@ def gram_explicit(
     claim.
     """
     n = len(ds)
-    columns: Dict[bytes, int] = {}
+    columns: Dict[tuple, int] = {}
     row_cols: List[np.ndarray] = []
     row_weights: List[np.ndarray] = []
     integral = np.zeros(n, dtype=bool)
@@ -195,17 +195,18 @@ def gram_explicit(
 
 
 def _intern(
-    entries: Dict[bytes, float], columns: Dict[bytes, int]
+    entries: Dict[tuple, float], columns: Dict[tuple, int]
 ) -> Tuple[np.ndarray, np.ndarray, bool]:
     """One vector as (column ids, float64 weights, whether exact-integral).
 
     Keys not yet in ``columns`` get the next free ids.  A vector is
     exact-integral when every weight is a non-negative Python ``int``.
     """
-    new = [key for key in entries if key not in columns]
-    columns.update(zip(new, range(len(columns), len(columns) + len(new))))
     count = len(entries)
-    cols = np.fromiter(map(columns.__getitem__, entries), np.int32, count)
+    # one lookup per key: a tuple hashes its items anew on every lookup
+    cols = np.fromiter(
+        (columns.setdefault(key, len(columns)) for key in entries), np.int32, count
+    )
     weights = entries.values()
     integral = all(type(w) is int for w in weights)
     try:
@@ -220,7 +221,7 @@ def _intern(
     return cols, array, integral and not (array < 0).any()
 
 
-def _ascending_key_ranks(columns: Dict[bytes, int]) -> np.ndarray:
+def _ascending_key_ranks(columns: Dict[tuple, int]) -> np.ndarray:
     """``ranks[c]``: the position of column ``c``'s key in ascending key order."""
     keys = list(columns)
     ranks = np.empty(len(keys), dtype=np.int32)

@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ContractError, InvalidKernelError, ParameterError
-from .features import TAG_BIN, TAG_CLASS, FeatureVector, feature_key
+from .features import TAG_BIN, TAG_CLASS, FeatureVector
 from .graphs import INF_DISTANCE, Graph
 from .rng import SplitMix64
 
@@ -138,10 +138,7 @@ def binning_features(x, grid: BinningGrid) -> FeatureVector:
     cells = grid.bin_indices(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
     weight = 1.0 / grid.num_grids**0.5
     return FeatureVector(
-        {
-            feature_key(TAG_BIN, (p, *cells[p].tolist())): weight
-            for p in range(grid.num_grids)
-        }
+        {(TAG_BIN, p, *cells[p].tolist()): weight for p in range(grid.num_grids)}
     )
 
 
@@ -422,5 +419,5 @@ def binary_feature_map(
         else:
             class_id = len(representatives)
             representatives.append((x, class_id))
-        vectors.append(FeatureVector.one_hot(feature_key(tag, (class_id,))))
+        vectors.append(FeatureVector.one_hot((tag, class_id)))
     return vectors

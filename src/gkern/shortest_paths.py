@@ -24,13 +24,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .errors import ParameterError, ResourceBudgetError
-from .features import (
-    TAG_LEN,
-    TAG_SP,
-    FeatureVector,
-    feature_key,
-    tensor_product,
-)
+from .features import TAG_LEN, TAG_SP, FeatureVector, tensor_product
 from .graphs import Graph, all_pairs_shortest_paths, INF_DISTANCE
 from .kernels import EdgeKernelSpec, VertexKernelSpec
 from .walks import explicit_labels, walk_kernel_implicit
@@ -66,16 +60,11 @@ def sp_kernel_implicit(
     h: Graph,
     vertex_kernel: VertexKernelSpec = VertexKernelSpec("dirac"),
     length_kernel: EdgeKernelSpec = EdgeKernelSpec("dirac"),
-    transformed: bool = False,
 ) -> float:
-    """Shortest-path kernel as the length-1 walk kernel on transforms.
-
-    Pass ``transformed=True`` when the inputs already are shortest-path
-    transforms (a Gram computation transforms each graph once).
-    """
-    tg = g if transformed else sp_transform(g)
-    th = h if transformed else sp_transform(h)
-    return walk_kernel_implicit(tg, th, vertex_kernel, length_kernel, length=1)
+    """Shortest-path kernel as the length-1 walk kernel on transforms."""
+    return walk_kernel_implicit(
+        sp_transform(g), sp_transform(h), vertex_kernel, length_kernel, length=1
+    )
 
 
 def sp_features_explicit(g: Graph) -> FeatureVector:
@@ -94,16 +83,14 @@ def sp_features_explicit(g: Graph) -> FeatureVector:
         for v in range(g.n):
             if u == v or row[v] == INF_DISTANCE:
                 continue
-            key = (lu, labels[v], int(row[v]))
+            key = (TAG_SP, lu, labels[v], int(row[v]))
             counts[key] = counts.get(key, 0) + 1
-    return FeatureVector(
-        {feature_key(TAG_SP, key): c for key, c in counts.items()}
-    )
+    return FeatureVector(counts)
 
 
 def dirac_length_features(distance: int) -> FeatureVector:
     """One-hot feature map of the Dirac kernel on path lengths."""
-    return FeatureVector.one_hot(feature_key(TAG_LEN, (int(distance),)))
+    return FeatureVector.one_hot((TAG_LEN, int(distance)))
 
 
 def sp_features_approx(

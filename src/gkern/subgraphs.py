@@ -26,14 +26,13 @@ kernel is Σ_P |Aut(P)|·c_P(G)·c_P(H) over the classes P the counter keys;
 
 from __future__ import annotations
 
-import math
 from itertools import chain, combinations, permutations, product
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import ContractError, MultiplicityOverflowError, ParameterError
-from .features import TAG_GRAPHLET, FeatureVector, feature_key
+from .features import TAG_GRAPHLET, FeatureVector
 from .gram import EXACT_LIMIT
 from .graphs import Graph
 from .kernels import EdgeKernelSpec, VertexKernelSpec
@@ -141,7 +140,7 @@ def graphlet_features(g: Graph) -> FeatureVector:
     """
     classes = _class_counts(g, 3, True, smallest=3)
     return FeatureVector(
-        {feature_key(TAG_GRAPHLET, canon): c for canon, (c, _) in classes.items()}
+        {(TAG_GRAPHLET, *canon): c for canon, (c, _) in classes.items()}
     )
 
 
@@ -162,7 +161,7 @@ def matching_features(
         g, max_size, connected_only
     ).items():
         for copy in range(automorphisms):
-            entries[feature_key(TAG_GRAPHLET, (*canon, copy))] = count
+            entries[(TAG_GRAPHLET, *canon, copy)] = count
     return FeatureVector(entries)
 
 
@@ -238,7 +237,6 @@ def subgraph_matching_kernel(
     max_size: int = 3,
     size_weights: Optional[Callable[[int], float]] = None,
     connected_only: bool = False,
-    normalize_by_size: bool = False,
 ) -> float:
     """Sum over common-subgraph mappings of their kernel value.
 
@@ -246,11 +244,10 @@ def subgraph_matching_kernel(
     vertices in index order (each clique once); a clique contributes
     ``size_weights(size)`` times the product of its vertex weights and of
     the weights of all its internal connections.  ``connected_only``
-    keeps only mappings whose shared edges connect the mapped vertices;
-    ``normalize_by_size`` divides each contribution by size factorial,
-    at which point the Dirac/uniform value counts each unordered common
-    subgraph selection once.  ``max_size`` beyond the association graph
-    order is harmless.
+    keeps only mappings whose shared edges connect the mapped vertices.
+    With ``size_weights=lambda k: 1 / math.factorial(k)`` the
+    Dirac/uniform value counts each unordered common subgraph selection
+    once.  ``max_size`` beyond the association graph order is harmless.
 
     When every clique contributes an integer — all vertex and connection
     weights 1 (Dirac or uniform kernels) and integer size factors — the
@@ -270,9 +267,7 @@ def subgraph_matching_kernel(
         return total
 
     indices = np.arange(count, dtype=np.int64)
-    scale = [0.0] * (max_size + 1)
-    for k in range(1, max_size + 1):
-        scale[k] = weight_of(k) / (math.factorial(k) if normalize_by_size else 1)
+    scale = [0.0] + [weight_of(k) for k in range(1, max_size + 1)]
 
     def grow(members: List[int], candidates: np.ndarray, product: float):
         nonlocal total

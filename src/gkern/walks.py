@@ -60,7 +60,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ContractError, MultiplicityOverflowError, ParameterError
-from .features import TAG_WALK, FeatureVector, feature_key
+from .features import TAG_WALK, FeatureVector
 from .gram import EXACT_LIMIT
 from .graphs import Graph
 from .kernels import EdgeKernelSpec, VertexKernelSpec
@@ -395,6 +395,4 @@ def walk_features_explicit(g: Graph, length: int) -> FeatureVector:
     for bucket in per_vertex:
         for seq, count in bucket.items():
             total[seq] = total.get(seq, 0) + count
-    return FeatureVector(
-        {feature_key(TAG_WALK, (length, *seq)): c for seq, c in total.items()}
-    )
+    return FeatureVector({(TAG_WALK, length, *seq): c for seq, c in total.items()})

@@ -34,7 +34,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .errors import ContractError, MultiplicityOverflowError
-from .features import TAG_GH, TAG_LABEL, TAG_WL, FeatureVector, feature_key, pair_key
+from .features import TAG_GH, TAG_LABEL, TAG_PAIR, TAG_WL, FeatureVector
 from .gram import EXACT_LIMIT
 from .graphs import INF_DISTANCE, Dataset, DistanceMatrix, Graph, all_pairs_shortest_paths
 from .kernels import BinningGrid, VertexKernelSpec, binning_features
@@ -49,7 +49,7 @@ class WeightFeatureMap:
     """Per-vertex weight vectors for every graph of one dataset.
 
     Weight columns are numbered dataset wide; ``keys[c]`` is column ``c``'s
-    byte key in explicit feature vectors.  ``per_graph`` maps ``id(g)`` to
+    feature key in explicit feature vectors.  ``per_graph`` maps ``id(g)`` to
     ``(g, columns, W)``: the ascending columns ``g`` uses and the int64
     ``(g.n, len(columns))`` matrix whose row ``v`` is w(v) over them.
 
@@ -57,7 +57,7 @@ class WeightFeatureMap:
     not part of the construction is an error.
     """
 
-    def __init__(self, kind: str, keys: Dict[int, bytes], per_graph: Dict[int, tuple]):
+    def __init__(self, kind: str, keys: Dict[int, tuple], per_graph: Dict[int, tuple]):
         self.kind = kind
         self.keys = keys
         self._per_graph = per_graph
@@ -78,11 +78,6 @@ class WeightFeatureMap:
             columns_g, columns_h, assume_unique=True, return_indices=True
         )
         return wg[:, at_g], wh[:, at_h]
-
-    def weight(self, g: Graph, u: int, h: Graph, v: int) -> int:
-        """k_W between two vertices: the dot of their weight vectors."""
-        wg, wh = self.common(g, h)
-        return sum(a * b for a, b in zip(wg[u].tolist(), wh[v].tolist()))
 
 
 def _weight_matrix(n: int, vertex, column, weight) -> Tuple[np.ndarray, np.ndarray]:
@@ -105,7 +100,7 @@ def graph_invariant_weight_maps(ds: Dataset, iterations: int) -> WeightFeatureMa
     counts = assignment.colors_per_iteration
     offsets = np.cumsum([0, *counts[:-1]])
     keys = {
-        int(offsets[i]) + c: feature_key(TAG_WL, (i, c))
+        int(offsets[i]) + c: (TAG_WL, i, c)
         for i, count in enumerate(counts)
         for c in range(count)
     }
@@ -169,7 +164,7 @@ def graphhopper_weight_maps(ds: Dataset) -> WeightFeatureMap:
         for gi, (g, dm) in enumerate(zip(ds.graphs, distances))
     }
     used = set().union(*(entry[1].tolist() for entry in per_graph.values()))
-    keys = {c: feature_key(TAG_GH, (c // delta + 1, c % delta + 1)) for c in used}
+    keys = {c: (TAG_GH, c // delta + 1, c % delta + 1) for c in used}
     return WeightFeatureMap("graphhopper", keys, per_graph)
 
 
@@ -212,13 +207,13 @@ def wv_features_explicit(
     """
     columns, w = weight_map.matrix(g)
     keys = [weight_map.keys[c] for c in columns.tolist()]
-    entries: Dict[bytes, float] = {}
+    entries: Dict[tuple, float] = {}
     for v, row in enumerate(w.tolist()):
         phi = vertex_features(g, v).items()
         for key, weight in zip(keys, row):
             if weight:
                 for phi_key, phi_weight in phi:
-                    pair = pair_key(key, phi_key)
+                    pair = (TAG_PAIR, key, phi_key)
                     entries[pair] = entries.get(pair, 0) + weight * phi_weight
     return FeatureVector(entries)
 
@@ -229,7 +224,7 @@ def wv_features_explicit(
 def label_features(g: Graph, v: int) -> FeatureVector:
     """One-hot on the discrete vertex label (pseudo-label 0 if none)."""
     label = int(g.vertex_label_array()[v])
-    return FeatureVector.one_hot(feature_key(TAG_LABEL, (label,)))
+    return FeatureVector.one_hot((TAG_LABEL, label))
 
 
 def attribute_class_features(ds: Dataset) -> Callable[[Graph, int], FeatureVector]:
@@ -255,7 +250,7 @@ def attribute_class_features(ds: Dataset) -> Callable[[Graph, int], FeatureVecto
             raise ContractError(
                 "attribute row not seen when the class map was built"
             ) from None
-        return FeatureVector.one_hot(feature_key(TAG_LABEL, (class_id,)))
+        return FeatureVector.one_hot((TAG_LABEL, class_id))
 
     return _features
 

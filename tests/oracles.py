@@ -420,3 +420,15 @@ def oracle_color_histogram_kernel(
         for ch in colors_h:
             total += 1 if tuple(cg) == tuple(ch) else 0
     return total
+
+
+# ---------------------------------------------------------------------------
+# weighted vertex kernels
+
+def oracle_vertex_weight(weight_map, g, u: int, h, v: int) -> int:
+    """k_W between vertex ``u`` of ``g`` and vertex ``v`` of ``h``: the dot
+    of their weight rows, matched column by column from ``matrix()``."""
+    columns_g, wg = weight_map.matrix(g)
+    columns_h, wh = weight_map.matrix(h)
+    row_h = dict(zip(columns_h.tolist(), wh[v].tolist()))
+    return sum(x * row_h.get(c, 0) for c, x in zip(columns_g.tolist(), wg[u].tolist()))

@@ -32,7 +32,6 @@ from gkern import (
     sample_binning_grid,
     sp_features_explicit,
     sp_kernel_implicit,
-    sp_transform,
     subgraph_matching_kernel,
     walk_features_explicit,
     walk_kernel_implicit,
@@ -185,14 +184,7 @@ def _sp_equivalence_grams():
         "sp-equivalence",
         [make_random_graph(rng, max_n=12, labels=3) for _ in range(30)],
     )
-    transformed = Dataset(
-        ds.name, [sp_transform(g) for g in ds.graphs], ds.class_labels
-    )
-    implicit = gram_implicit(
-        transformed,
-        lambda a, b: sp_kernel_implicit(a, b, transformed=True),
-        "sp/implicit",
-    )
+    implicit = gram_implicit(ds, sp_kernel_implicit, "sp/implicit")
     explicit = gram_explicit(ds, sp_features_explicit, "sp/explicit")
     return implicit, explicit
 

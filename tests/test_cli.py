@@ -8,7 +8,7 @@ import pytest
 import gkern.bench
 from gkern import load_gram_csv, load_tu_dataset
 from gkern.bench import KERNELS, kernel_plan
-from gkern.features import TAG_GRAPHLET, FeatureVector, feature_key
+from gkern.features import TAG_GRAPHLET, FeatureVector
 from gkern.cli import load_data_spec, main
 
 
@@ -330,6 +330,33 @@ class TestConfig:
         listy.write_text("[1, 2]")
         assert main(["compute", "--config", str(listy)]) == 3
 
+    @pytest.mark.parametrize(
+        "key, value",
+        (
+            ("length", 2.5),
+            ("seed", 1.5),
+            ("normalize", "no"),
+            ("normalize", 1),
+            ("length", True),
+            ("kernel", "nope"),
+            ("regime", 3),
+            ("out", None),
+            ("delta", "wide"),
+        ),
+    )
+    def test_config_values_pass_the_checks_of_their_flags(self, key, value, tmp_path, capsys):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"data": DATA, "kernel": "walk", key: value}))
+        assert main(["compute", "--config", str(config), "--regime", "implicit"]) == 2
+        assert f"config key {key}=" in capsys.readouterr().err
+
+    def test_config_values_read_like_flags(self, tmp_path, capsys):
+        config = tmp_path / "conf.json"
+        entries = {"length": "3", "delta": 1, "normalize": True, "regime": "implicit"}
+        config.write_text(json.dumps({"data": DATA, "kernel": "walk", **entries}))
+        assert main(["compute", "--config", str(config)]) == 0
+        assert '"walk(l=3)/implicit/normalized"' in capsys.readouterr().out
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["compute", "--data", DATA, "--kernel", "walk", "--frobnicate"])
@@ -459,7 +486,7 @@ def test_generate_rejects_a_flag_its_generator_lacks(tmp_path, capsys):
 @pytest.mark.parametrize("regime", ("explicit",))
 def test_graphlet_dots_past_2_53_fail_their_pair(regime, monkeypatch, capsys):
     # one class counted 2**27 times: its self-dot is 2**54
-    heavy = FeatureVector({feature_key(TAG_GRAPHLET, (0,)): 2**27})
+    heavy = FeatureVector({(TAG_GRAPHLET, 0): 2**27})
     monkeypatch.setattr(gkern.bench, "graphlet_features", lambda g: heavy)
     code = main(["compute", "--data", DATA, "--kernel", "graphlet", "--regime", regime])
     assert code == 4

@@ -6,71 +6,81 @@ import random
 import pytest
 
 from gkern import FeatureVector, ParameterError, direct_sum, dot, scale, set_sum, tensor_product
-from gkern.features import decode_key, feature_key, pair_key, part_key
+from gkern.features import TAG_LABEL, TAG_PAIR, TAG_PART, TAG_WALK
 
 
 def random_vector(rng: random.Random, universe: int = 12, max_nnz: int = 6) -> FeatureVector:
     entries = {}
     for _ in range(rng.randint(0, max_nnz)):
-        key = feature_key(1, (rng.randrange(universe),))
+        key = (TAG_LABEL, rng.randrange(universe))
         entries[key] = rng.randint(-4, 5)
     return FeatureVector(entries)
 
 
 class TestKeys:
-    def test_round_trip(self):
-        for tag, payload in [(1, ()), (4, (0,)), (7, (3, 12, 500)), (9, (-2, 8))]:
-            assert decode_key(feature_key(tag, payload)) == (tag, tuple(payload))
-
     def test_keys_injective_across_tags_and_payloads(self):
         seen = set()
         for tag in (1, 2, 3):
             for payload in [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (11,), (1, 1)]:
-                key = feature_key(tag, payload)
+                key = (tag, *payload)
                 assert key not in seen
                 seen.add(key)
 
     def test_part_and_pair_keys_do_not_collide(self):
-        base = feature_key(1, (3,))
-        other = feature_key(1, (4,))
-        assert part_key(0, base) != part_key(1, base)
-        assert pair_key(base, other) != pair_key(other, base)
-        # length prefix keeps (ab, c) apart from (a, bc)
-        assert pair_key(b"ab", b"c") != pair_key(b"a", b"bc")
+        base = FeatureVector.one_hot((TAG_LABEL, 3))
+        other = FeatureVector.one_hot((TAG_LABEL, 4))
+        first, second = direct_sum([base, base])
+        assert first == (TAG_PART, 0, (TAG_LABEL, 3)) and first != second
+        assert list(tensor_product(base, other)) != list(tensor_product(other, base))
+        # nesting keeps ((a, b), c) apart from (a, (b, c))
+        assert list(tensor_product(tensor_product(base, other), base)) != list(
+            tensor_product(base, tensor_product(other, base))
+        )
+
+    def test_set_sum_of_plain_and_composite_vectors_sorts(self):
+        plain = FeatureVector({(TAG_WALK, 2, 1, 0, 1): 3, (TAG_LABEL, 7): 1})
+        summed = direct_sum([plain, FeatureVector.one_hot((TAG_LABEL, 0))])
+        paired = tensor_product(plain, plain)
+        merged = set_sum([plain, summed, paired])
+        assert merged.nnz == plain.nnz + summed.nnz + paired.nnz
+        assert list(merged) == sorted(merged)
+        assert [key[0] for key in merged] == sorted(
+            [TAG_LABEL, TAG_WALK] + [TAG_PART] * 3 + [TAG_PAIR] * 4
+        )
 
 
 class TestFeatureVector:
     def test_zero_entries_are_pruned(self):
-        v = FeatureVector({b"a": 0, b"b": 2, b"c": 0.0})
+        v = FeatureVector({(1, 0): 0, (1, 1): 2, (1, 2): 0.0})
         assert v.nnz == 1
-        assert v[b"a"] == 0
-        assert v[b"b"] == 2
+        assert v[(1, 0)] == 0
+        assert v[(1, 1)] == 2
 
     def test_entries_are_key_sorted(self):
-        v = FeatureVector({b"z": 1, b"a": 2, b"m": 3})
-        assert list(v) == [b"a", b"m", b"z"]
+        v = FeatureVector({(4, 2, 0): 1, (1, 9): 2, (4, 10): 3, (4, 2): 4})
+        assert list(v) == [(1, 9), (4, 2), (4, 2, 0), (4, 10)]
 
     def test_equality_ignores_insertion_order(self):
-        assert FeatureVector({b"a": 1, b"b": 2}) == FeatureVector({b"b": 2, b"a": 1})
-        assert FeatureVector({b"a": 1}) != FeatureVector({b"a": 2})
+        assert FeatureVector({(1, 0): 1, (1, 1): 2}) == FeatureVector({(1, 1): 2, (1, 0): 1})
+        assert FeatureVector({(1, 0): 1}) != FeatureVector({(1, 0): 2})
 
     def test_one_hot(self):
-        v = FeatureVector.one_hot(b"k")
-        assert v.nnz == 1 and v[b"k"] == 1
+        v = FeatureVector.one_hot((2, 5))
+        assert v.nnz == 1 and v[(2, 5)] == 1
 
     def test_to_text_is_one_line_per_entry_in_key_order(self):
-        v = FeatureVector({b"6|1,0": 2, b"4|0": 0.5, b"1|3": 0})
-        assert v.to_text() == "4|0\t0.5\n6|1,0\t2"
+        v = FeatureVector({(6, 1, 0): 2, (4, 0): 0.5, (1, 3): 0, (10, 0, (1, 2)): 1})
+        assert v.to_text() == "(4, 0)\t0.5\n(6, 1, 0)\t2\n(10, 0, (1, 2))\t1"
         assert FeatureVector().to_text() == ""
 
 
 class TestDot:
     def test_empty_dot_is_zero(self):
-        assert dot(FeatureVector(), FeatureVector({b"a": 3})) == 0
+        assert dot(FeatureVector(), FeatureVector({(1, 0): 3})) == 0
 
     def test_integer_vectors_give_integer_dot(self):
-        u = FeatureVector({b"a": 2, b"b": 3})
-        v = FeatureVector({b"b": 5, b"c": 7})
+        u = FeatureVector({(1, 0): 2, (1, 1): 3})
+        v = FeatureVector({(1, 1): 5, (1, 2): 7})
         result = dot(u, v)
         assert result == 15
         assert isinstance(result, int)
@@ -106,7 +116,7 @@ class TestCombinators:
             )
 
     def test_scale_zero_empties_and_negative_raises(self):
-        v = FeatureVector({b"a": 2})
+        v = FeatureVector({(1, 0): 2})
         assert scale(v, 0).nnz == 0
         with pytest.raises(ParameterError):
             scale(v, -1.0)
@@ -120,8 +130,8 @@ class TestCombinators:
             assert dot(left, right) == pytest.approx(dot(u1, v1) + dot(u2, v2))
 
     def test_direct_sum_nnz_is_sum_of_parts(self):
-        u = FeatureVector({b"a": 1, b"b": 2})
-        v = FeatureVector({b"a": 3})
+        u = FeatureVector({(1, 0): 1, (1, 1): 2})
+        v = FeatureVector({(1, 0): 3})
         assert direct_sum([u, v]).nnz == 3
 
     def test_tensor_product_multiplies_dots(self):
@@ -133,10 +143,10 @@ class TestCombinators:
             assert dot(left, right) == pytest.approx(dot(u1, v1) * dot(u2, v2))
 
     def test_set_sum_merges_and_cancels(self):
-        u = FeatureVector({b"a": 2, b"b": 1})
-        v = FeatureVector({b"a": -2, b"c": 4})
+        u = FeatureVector({(1, 0): 2, (1, 1): 1})
+        v = FeatureVector({(1, 0): -2, (1, 2): 4})
         merged = set_sum([u, v])
-        assert merged == FeatureVector({b"b": 1, b"c": 4})
+        assert merged == FeatureVector({(1, 1): 1, (1, 2): 4})
 
     def test_set_sum_models_cross_product_kernel(self):
         # kernel of two sets = sum of pairwise dots = dot of summed features

@@ -28,7 +28,7 @@ from gkern import (
     walk_kernel_row,
 )
 from gkern import bench, gram as gram_module, walks
-from gkern.features import TAG_LABEL, feature_key
+from gkern.features import TAG_LABEL
 from conftest import graphs, make_random_graph
 
 DIRAC = VertexKernelSpec("dirac")
@@ -144,7 +144,7 @@ class TestAssembly:
         gram = gram_explicit(ds, lambda g: walk_features_explicit(g, 5))
         assert gram.values[1, 1] == (20 * 19**5) ** 2
         # float dots make no exactness claim
-        big = gram_explicit(ds, lambda g: FeatureVector({b"x": 1e10}))
+        big = gram_explicit(ds, lambda g: FeatureVector({(TAG_LABEL, 0): 1e10}))
         assert (big.values == 1e20).all()
 
     def test_explicit_dot_agrees_with_feature_dot(self):
@@ -286,7 +286,8 @@ def _pairwise_dots(ds, feature_fn):
 
 
 def _explicit_and_pairwise(plan):
-    """A plan's explicit Gram, and the pairwise dots of the same feature map."""
+    """A plan's explicit Gram, the pairwise dots of the same feature map,
+    and that map."""
     seen = []
 
     def capture(ds, feature_fn, kernel_name="explicit"):
@@ -297,7 +298,7 @@ def _explicit_and_pairwise(plan):
         patch.setattr(bench, "gram_explicit", capture)
         gram = plan.explicit()
     (ds, feature_fn), = seen
-    return gram, _pairwise_dots(ds, feature_fn)
+    return gram, _pairwise_dots(ds, feature_fn), feature_fn
 
 
 class TestExplicitProduct:
@@ -305,11 +306,16 @@ class TestExplicitProduct:
     @given(st.lists(graphs(), max_size=4))
     def test_every_explicit_map_matches_pairwise_dots_bit_for_bit(self, members):
         ds = Dataset("h", members)
+        keys = set()
         for kernel in EXPLICIT_KERNELS:
-            gram, reference = _explicit_and_pairwise(
+            gram, reference, feature_fn = _explicit_and_pairwise(
                 bench.kernel_plan(kernel, ds, length=3, wl_iters=2)
             )
             assert gram.values.tobytes() == reference.tobytes(), kernel
+            keys.update(key for g in members for key in feature_fn(g))
+        # every key is a tag-first tuple, and any two keys of any maps compare
+        assert all(type(key) is tuple and type(key[0]) is int for key in keys)
+        assert len(sorted(keys)) == len(keys)
 
     def test_dyadic_binned_gram_matches_pairwise_dots_exactly(self):
         # P=4 binning weights are 1/2, so every sum is exact in float64
@@ -319,9 +325,24 @@ class TestExplicitProduct:
         )
         for kernel in ("graph-invariant", "graphhopper"):
             plan = bench.kernel_plan(kernel, ds, vertex_kernel="binned", binning=4, seed=3)
-            gram, reference = _explicit_and_pairwise(plan)
+            gram, reference, _ = _explicit_and_pairwise(plan)
             assert gram.values.tobytes() == reference.tobytes(), kernel
             assert (gram.values % 0.25 == 0).all()
+
+    def test_binned_gram_of_reversed_dataset_is_reversed_bit_for_bit(self):
+        # columns follow ascending key order, not the order in which graphs
+        # bring keys in; P=5 weights are inexact, so a changed summation
+        # order would show in the last bits.  (graph-invariant keys carry
+        # refinement colours numbered in dataset order, so they differ.)
+        rng = random.Random(409)
+        graphs = [make_random_graph(rng, max_n=7, attribute_dim=2) for _ in range(10)]
+        forward, backward = (
+            bench.kernel_plan(
+                "graphhopper", Dataset("b", order), vertex_kernel="binned", binning=5, seed=3
+            ).explicit().values
+            for order in (graphs, graphs[::-1])
+        )
+        assert backward.tobytes() == forward[::-1, ::-1].tobytes()
 
     def test_degenerate_datasets(self):
         walks3 = lambda g: walk_features_explicit(g, 3)
@@ -343,7 +364,7 @@ class TestExplicitProduct:
     def test_features_spanning_several_column_blocks(self):
         n = 3
         count = 2 * (gram_module.BLOCK_CELLS // n) + 5
-        keys = [feature_key(TAG_LABEL, (k,)) for k in range(count)]
+        keys = [(TAG_LABEL, k) for k in range(count)]
         vectors = [
             FeatureVector({key: (i + j) % 4 for j, key in enumerate(keys) if (i + j) % 3})
             for i in range(n)
@@ -359,8 +380,9 @@ class TestExplicitProduct:
     def test_exactness_guard_checks_integer_pairs_in_row_major_order(self):
         # float vectors make no claim; the first all-integer pair past 2**53
         # in row-major order of the upper triangle is the one named
-        vectors = [FeatureVector({b"x": 1e10}), FeatureVector({b"x": 2**27}),
-                   FeatureVector({b"x": 2**26})]
+        key = (TAG_LABEL, 0)
+        vectors = [FeatureVector({key: 1e10}), FeatureVector({key: 2**27}),
+                   FeatureVector({key: 2**26})]
         ds = Dataset("t", [Graph(1) for _ in vectors])
         by_graph = {id(g): v for g, v in zip(ds.graphs, vectors)}
         with pytest.raises(GramError, match=r"pair \(1, 1\)") as caught:
@@ -369,5 +391,5 @@ class TestExplicitProduct:
         # an integer weight past float64's range fails its pair, not the cast
         huge = Dataset("h", [Graph(1), Graph(1)])
         with pytest.raises(GramError, match=r"pair \(0, 0\)") as caught:
-            gram_explicit(huge, lambda g: FeatureVector({b"x": 2**1100}))
+            gram_explicit(huge, lambda g: FeatureVector({key: 2**1100}))
         assert isinstance(caught.value.__cause__, MultiplicityOverflowError)

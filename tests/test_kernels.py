@@ -24,7 +24,7 @@ from gkern import (
     rbf_kernel,
     sample_binning_grid,
 )
-from gkern.features import TAG_CLASS, decode_key
+from gkern.features import TAG_CLASS
 from conftest import make_random_graph
 
 
@@ -371,9 +371,7 @@ class TestBinaryFeatureMap:
         items = [5, 9, 5, 2, 9, 5]
         vectors = binary_feature_map(items, dirac)
         keys = [next(iter(v.entries)) for v in vectors]
-        class_of = [decode_key(k)[1][0] for k in keys]
-        assert class_of == [0, 1, 0, 2, 1, 0]
-        assert all(decode_key(k)[0] == TAG_CLASS for k in keys)
+        assert keys == [(TAG_CLASS, c) for c in [0, 1, 0, 2, 1, 0]]
         assert all(v.entries[k] == 1 for v, k in zip(vectors, keys))
 
     def test_feature_map_reproduces_kernel(self):

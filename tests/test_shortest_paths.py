@@ -20,7 +20,7 @@ from gkern import (
     sp_kernel_implicit,
     sp_transform,
 )
-from gkern.features import TAG_SP, decode_key
+from gkern.features import TAG_SP
 from conftest import make_random_graph
 from oracles import brownian_bridge_fn, oracle_sp_kernel
 
@@ -62,15 +62,6 @@ class TestImplicitKernel:
         p3 = Graph(3, [(0, 1), (1, 2)])
         assert sp_kernel_implicit(p3, p3) == 20.0
 
-    def test_transformed_flag_skips_retransform(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        h = Graph(3, [(0, 1), (1, 2)])
-        direct = sp_kernel_implicit(g, h)
-        pre = sp_kernel_implicit(
-            sp_transform(g), sp_transform(h), transformed=True
-        )
-        assert direct == pre
-
     def test_matches_oracle_on_labeled_graphs(self):
         rng = random.Random(83)
         for trial in range(12):
@@ -98,9 +89,7 @@ class TestExplicitFeatures:
     def test_uniform_path_feature_counts(self):
         p3 = Graph(3, [(0, 1), (1, 2)])
         vec = sp_features_explicit(p3)
-        decoded = {decode_key(k)[1]: v for k, v in vec.entries.items()}
-        assert decoded == {(0, 0, 1): 4, (0, 0, 2): 2}
-        assert all(decode_key(k)[0] == TAG_SP for k in vec.entries)
+        assert vec.entries == {(TAG_SP, 0, 0, 1): 4, (TAG_SP, 0, 0, 2): 2}
         assert dot(vec, vec) == 20
 
     def test_dot_equals_implicit_kernel_exactly(self):
@@ -164,7 +153,7 @@ class TestApproxFeatures:
 
 def _one_hot_label(g: Graph, v: int):
     from gkern import FeatureVector
-    from gkern.features import TAG_LABEL, feature_key
+    from gkern.features import TAG_LABEL
 
     label = int(g.vertex_labels[v]) if g.vertex_labels is not None else 0
-    return FeatureVector.one_hot(feature_key(TAG_LABEL, (label,)))
+    return FeatureVector.one_hot((TAG_LABEL, label))

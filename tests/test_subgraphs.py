@@ -1,6 +1,7 @@
 """Graphlet counting and the subgraph matching kernel."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from gkern import (
     subgraph_matching_kernel,
 )
 from gkern.bench import kernel_plan
+from gkern.features import TAG_GRAPHLET
 from conftest import graphs, make_random_graph
 from oracles import (
     oracle_graphlet_kernel,
@@ -123,7 +125,7 @@ class TestGraphletFeatures:
         # sorted vertex labels, then (0, 0) for an absent pair and
         # (1, label) for an edge, over the position pairs (0,1), (0,2), (1,2)
         path = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 2], edge_labels=[5, 7])
-        assert graphlet_features(path).entries == {b"6|0,1,2,1,5,0,0,1,7": 1}
+        assert graphlet_features(path).entries == {(TAG_GRAPHLET, 0, 1, 2, 1, 5, 0, 0, 1, 7): 1}
 
 
 class TestMatchingFeatures:
@@ -189,8 +191,10 @@ class TestSubgraphMatching:
                             DIRAC,
                             DIRAC_EDGE,
                             max_size=max_size,
+                            size_weights=(
+                                (lambda k: 1 / math.factorial(k)) if normalize else None
+                            ),
                             connected_only=connected,
-                            normalize_by_size=normalize,
                         )
                         assert got == pytest.approx(
                             expected, rel=1e-10, abs=1e-12

@@ -21,7 +21,7 @@ from gkern import (
     walk_kernel_implicit,
     walk_kernel_row,
 )
-from gkern.features import TAG_WALK, decode_key
+from gkern.features import TAG_WALK
 from conftest import graphs, make_random_graph
 from oracles import (
     dirac_fn,
@@ -189,11 +189,7 @@ class TestWalkFeaturesExplicit:
     def test_single_edge_counts(self):
         g = Graph(2, [(0, 1)], vertex_labels=[1, 2], edge_labels=[7])
         vec = walk_features_explicit(g, 1)
-        decoded = {decode_key(k): v for k, v in vec.entries.items()}
-        assert decoded == {
-            (TAG_WALK, (1, 1, 7, 2)): 1,
-            (TAG_WALK, (1, 2, 7, 1)): 1,
-        }
+        assert vec.entries == {(TAG_WALK, 1, 1, 7, 2): 1, (TAG_WALK, 1, 2, 7, 1): 1}
         assert dot(vec, vec) == 2
 
     def test_counts_match_oracle(self):
@@ -203,11 +199,10 @@ class TestWalkFeaturesExplicit:
             for length in (0, 1, 2, 3):
                 vec = walk_features_explicit(g, length)
                 decoded = {}
-                for key, count in vec.entries.items():
-                    tag, payload = decode_key(key)
+                for (tag, walk_length, *labels), count in vec.entries.items():
                     assert tag == TAG_WALK
-                    assert payload[0] == length
-                    decoded[payload[1:]] = count
+                    assert walk_length == length
+                    decoded[tuple(labels)] = count
                 assert decoded == oracle_walk_label_counts(g, length)
 
     def test_lengths_never_collide(self):

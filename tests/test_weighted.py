@@ -24,10 +24,14 @@ from gkern import (
     wv_features_explicit,
     wv_kernel_implicit,
 )
-from gkern.features import TAG_GH, decode_key
+from gkern.features import TAG_GH
 from gkern.weighted import WeightFeatureMap
 from conftest import make_random_graph
-from oracles import oracle_color_histogram_kernel, oracle_hopper_tables
+from oracles import (
+    oracle_color_histogram_kernel,
+    oracle_hopper_tables,
+    oracle_vertex_weight,
+)
 
 DIRAC = VertexKernelSpec("dirac")
 DIRAC_ATTR = VertexKernelSpec("dirac-attributes")
@@ -38,7 +42,7 @@ def decoded_rows(wm, g):
     columns, w = wm.matrix(g)
     keys = [wm.keys[c] for c in columns.tolist()]
     return [
-        {decode_key(key)[1]: x for key, x in zip(keys, row) if x}
+        {key[1:]: x for key, x in zip(keys, row) if x}
         for row in w.tolist()
     ]
 
@@ -47,7 +51,7 @@ def constructed(graphs, weight):
     """A one-column weight map giving every vertex of ``graphs`` ``weight``."""
     return WeightFeatureMap(
         "constructed",
-        {0: b"w"},
+        {0: (TAG_GH, 1, 1)},
         {
             id(x): (x, np.array([0]), np.full((x.n, 1), weight, dtype=np.int64))
             for x in graphs
@@ -62,11 +66,11 @@ class TestGraphInvariantWeights:
         ds = Dataset("t", [p3])
         wm = graph_invariant_weight_maps(ds, 2)
         # same vertex: all 3 strata agree
-        assert wm.weight(p3, 0, p3, 0) == 3.0
+        assert oracle_vertex_weight(wm, p3, 0, p3, 0) == 3.0
         # two ends agree everywhere
-        assert wm.weight(p3, 0, p3, 2) == 3.0
+        assert oracle_vertex_weight(wm, p3, 0, p3, 2) == 3.0
         # end vs center: only the uniform stratum agrees
-        assert wm.weight(p3, 0, p3, 1) == 1.0
+        assert oracle_vertex_weight(wm, p3, 0, p3, 1) == 1.0
 
     def test_dot_equals_common_prefix_of_color_trajectories(self):
         rng = random.Random(139)
@@ -90,13 +94,14 @@ class TestGraphInvariantWeights:
                                 a == b
                                 for a, b in zip(trajectory_u, trajectory_v)
                             )
-                            assert wm.weight(g, u, g2, v) == float(agree)
+                            assert oracle_vertex_weight(wm, g, u, g2, v) == float(agree)
 
     def test_refinement_weights_ignore_vertex_labels(self):
         bare = Graph(3, [(0, 1), (1, 2)])
         tagged = Graph(3, [(0, 1), (1, 2)], vertex_labels=[5, 6, 7])
         wm = graph_invariant_weight_maps(Dataset("t", [bare, tagged]), 1)
-        assert wm.weight(bare, 0, tagged, 2) == wm.weight(bare, 0, bare, 2)
+        across = oracle_vertex_weight(wm, bare, 0, tagged, 2)
+        assert across == oracle_vertex_weight(wm, bare, 0, bare, 2)
 
 
 class TestGraphHopperWeights:
@@ -107,9 +112,9 @@ class TestGraphHopperWeights:
         # trivial path, start of 0->1, end of 1->0
         assert decoded_rows(wm, e)[0] == {(1, 1): 1, (1, 2): 1, (2, 2): 1}
         columns, _ = wm.matrix(e)
-        assert all(decode_key(wm.keys[c])[0] == TAG_GH for c in columns.tolist())
+        assert all(wm.keys[c][0] == TAG_GH for c in columns.tolist())
         # self weight: 1 + 1 + 1 = 3
-        assert wm.weight(e, 0, e, 0) == 3.0
+        assert oracle_vertex_weight(wm, e, 0, e, 0) == 3.0
 
     def test_tables_match_oracle(self):
         rng = random.Random(149)
@@ -126,7 +131,7 @@ class TestGraphHopperWeights:
         split = Graph(3, [(0, 1)])
         graphs = [triangle, Graph(0, []), split, path3]
         wm = graphhopper_weight_maps(Dataset("t", graphs))
-        assert max(decode_key(key)[1][1] for key in wm.keys.values()) == 3
+        assert max(key[2] for key in wm.keys.values()) == 3
         # columns of the shorter graphs' tables are laid out on that side
         for g in graphs:
             assert decoded_rows(wm, g) == oracle_hopper_tables(g)
@@ -136,7 +141,7 @@ class TestGraphHopperWeights:
         a = Graph(2, [(0, 1)])
         b = Graph(2, [(0, 1)])
         wm = graphhopper_weight_maps(Dataset("t", [a, b]))
-        assert wm.weight(a, 0, b, 0) == 3.0
+        assert oracle_vertex_weight(wm, a, 0, b, 0) == 3.0
 
     def test_wrong_graph_is_rejected(self):
         a = Graph(2, [(0, 1)])
@@ -164,7 +169,7 @@ class TestWeightedKernels:
             for g in ds.graphs:
                 for h in ds.graphs:
                     naive = sum(
-                        wm.weight(g, u, h, v)
+                        oracle_vertex_weight(wm, g, u, h, v)
                         * DIRAC_ATTR.value(g, u, h, v)
                         for u in range(g.n)
                         for v in range(h.n)
@@ -190,7 +195,7 @@ class TestWeightedKernels:
                         [[int(c)] for c in assignment.at(hi, i)],
                     )
                 total = sum(
-                    wm.weight(g, u, h, v)
+                    oracle_vertex_weight(wm, g, u, h, v)
                     for u in range(g.n)
                     for v in range(h.n)
                 )
