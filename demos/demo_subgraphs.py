@@ -45,7 +45,7 @@ dirac_e = EdgeKernelSpec("dirac")
 for name, graph in (("g", g), ("h", h)):
     vec = graphlet_features(graph)
     print(f"connected 3-vertex subgraphs of {name}: "
-          f"{vec.nnz} classes, total {sum(c for _, c in vec.items()):g}")
+          f"{len(vec)} classes, total {sum(vec.values()):g}")
 print("graphlet kernel =", dot(graphlet_features(g), graphlet_features(h)))
 
 # ---------------------------------------------------------------------

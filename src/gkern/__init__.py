@@ -33,14 +33,7 @@ from .errors import (
     ParameterError,
     ResourceBudgetError,
 )
-from .features import (
-    FeatureVector,
-    direct_sum,
-    dot,
-    scale,
-    set_sum,
-    tensor_product,
-)
+from .features import dot
 from .gram import (
     GramMatrix,
     export_gram,
@@ -119,7 +112,6 @@ __all__ = [
     "DatasetLoadError",
     "DistanceMatrix",
     "EdgeKernelSpec",
-    "FeatureVector",
     "GKError",
     "GramError",
     "GramMatrix",
@@ -143,7 +135,6 @@ __all__ = [
     "canonical_string",
     "dirac",
     "dirac_length_features",
-    "direct_sum",
     "dot",
     "export_gram",
     "generate_synthetic_alphabet",
@@ -163,15 +154,12 @@ __all__ = [
     "normalize",
     "rbf_kernel",
     "sample_binning_grid",
-    "scale",
     "scale_attributes",
-    "set_sum",
     "sp_features_approx",
     "sp_features_explicit",
     "sp_kernel_implicit",
     "sp_transform",
     "subgraph_matching_kernel",
-    "tensor_product",
     "walk_features_explicit",
     "walk_kernel_implicit",
     "walk_kernel_row",

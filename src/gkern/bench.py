@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .features import direct_sum
 from .gram import GramMatrix, gram_explicit, gram_implicit
 from .graphs import (
     Dataset,
@@ -185,9 +184,12 @@ def kernel_plan(
             row = lambda g, hs: walk_kernel_row(
                 g, hs, dirac, edges, length, all_rounds=True
             ).sum(axis=1)
-            features = lambda g: direct_sum(
-                [walk_features_explicit(g, l) for l in range(length + 1)]
-            )
+            # the sum kernel's map: keys (TAG_WALK, l, ...) carry the length
+            features = lambda g: {
+                key: count
+                for l in range(length + 1)
+                for key, count in walk_features_explicit(g, l).items()
+            }
         return KernelPlan(
             lambda: gram_implicit(ds, row, f"{name}/implicit", rows=True),
             lambda: gram_explicit(ds, features, f"{name}/explicit"),

@@ -11,8 +11,8 @@ Datasets are named by a ``--data`` spec: ``tu:<path>:<name>`` loads the
 benchmark-collection layout from disk, ``labeled:count=...`` and
 ``alphabet:count=...`` draw synthetic data (deterministic in ``--seed``).
 Every option can also come from a JSON config file (``--config``); its
-values pass the same checks as the flags, and flags given on the command
-line win.
+values pass the same checks as the flags, a key that no flag takes is an
+error, and flags given on the command line win.
 
 Exit codes: 0 success, 1 any other library error, 2 usage problems,
 3 data problems, 4 resource limits.  A failed Gram matrix exits with the
@@ -327,14 +327,22 @@ def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> List[str]
     if not isinstance(payload, dict):
         raise DatasetLoadError(f"config file {path} must hold a JSON object")
     defaults = {key.replace("-", "_"): value for key, value in payload.items()}
-    for action in parser._subparsers._group_actions:  # noqa: SLF001
-        for sub in action.choices.values():
-            for sub_action in sub._actions:  # noqa: SLF001
-                if sub_action.dest in defaults:
-                    value = _config_value(sub_action, defaults[sub_action.dest])
-                    sub.set_defaults(**{sub_action.dest: value})
-                    # a value from the config satisfies a required flag
-                    sub_action.required = False
+    subs = [
+        (sub, sub_action)
+        for action in parser._subparsers._group_actions  # noqa: SLF001
+        for sub in action.choices.values()
+        for sub_action in sub._actions  # noqa: SLF001
+    ]
+    known = {sub_action.dest for _, sub_action in subs}
+    unknown = [key for key in payload if key.replace("-", "_") not in known]
+    if unknown:
+        raise ParameterError(f"config file {path}: no flag takes the keys {unknown}")
+    for sub, sub_action in subs:
+        if sub_action.dest in defaults:
+            value = _config_value(sub_action, defaults[sub_action.dest])
+            sub.set_defaults(**{sub_action.dest: value})
+            # a value from the config satisfies a required flag
+            sub_action.required = False
     return argv
 
 

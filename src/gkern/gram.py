@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import GKError, GramError, MultiplicityOverflowError, ParameterError
-from .features import FeatureVector
 from .graphs import Dataset, Graph
 
 #: float64 holds every integer below this bound exactly.
@@ -127,16 +126,16 @@ def _failing_pair(row_kernel, graphs, i, lo, hi, exc):
 
 def gram_explicit(
     ds: Dataset,
-    feature_fn: Callable[[Graph], FeatureVector],
+    feature_fn: Callable[[Graph], Dict[tuple, float]],
     kernel_name: str = "explicit",
 ) -> GramMatrix:
     """Materialize per-graph feature vectors, then take one matrix product.
 
-    Each vector's keys are interned into one dataset-wide column numbering
-    (ascending key order) and the vector is kept as two arrays, columns
-    and float64 weights.  The Gram is then X·Xᵀ for the ``n x features``
-    matrix X, summed over column blocks of at most :data:`BLOCK_CELLS`
-    dense cells.
+    Each vector is a dict of key -> weight.  Its keys are interned into
+    one dataset-wide column numbering (ascending key order) and the vector
+    is kept as two arrays, columns and float64 weights.  The Gram is then
+    X·Xᵀ for the ``n x features`` matrix X, summed over column blocks of
+    at most :data:`BLOCK_CELLS` dense cells.
 
     The timing breakdown reports the feature-map phase (``feature_fn``
     only) and the dot phase (interning and product) separately, plus the
@@ -163,7 +162,7 @@ def gram_explicit(
         except GKError as exc:
             raise GramError(f"{kernel_name}: graph {i} failed: {exc}") from exc
         map_seconds += time.perf_counter() - begin
-        cols, weights, integral[i] = _intern(vector.entries, columns)
+        cols, weights, integral[i] = _intern(vector, columns)
         row_cols.append(cols)
         row_weights.append(weights)
 

@@ -19,12 +19,12 @@ attribute vectors, or path lengths.  This module provides
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ContractError, InvalidKernelError, ParameterError
-from .features import TAG_BIN, TAG_CLASS, FeatureVector
+from .features import TAG_BIN, TAG_CLASS, dot
 from .graphs import INF_DISTANCE, Graph
 from .rng import SplitMix64
 
@@ -129,7 +129,7 @@ def sample_binning_grid(
     return BinningGrid(delta, shifts)
 
 
-def binning_features(x, grid: BinningGrid) -> FeatureVector:
+def binning_features(x, grid: BinningGrid) -> Dict[tuple, float]:
     """Feature map of one point: its cell in each grid, weight 1/sqrt(P).
 
     Keys from different grids never coincide (the grid index is part of
@@ -137,9 +137,7 @@ def binning_features(x, grid: BinningGrid) -> FeatureVector:
     """
     cells = grid.bin_indices(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
     weight = 1.0 / grid.num_grids**0.5
-    return FeatureVector(
-        {(TAG_BIN, p, *cells[p].tolist()): weight for p in range(grid.num_grids)}
-    )
+    return {(TAG_BIN, p, *cells[p].tolist()): weight for p in range(grid.num_grids)}
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +201,7 @@ class VertexKernelSpec:
             return hat_kernel(_attributes_of(g)[u], _attributes_of(h)[v], self.delta)
         if self.kind == "rbf":
             return rbf_kernel(_attributes_of(g)[u], _attributes_of(h)[v], self.sigma)
-        from .features import dot as _dot
-
-        return _dot(
+        return dot(
             binning_features(_attributes_of(g)[u], self.grid),
             binning_features(_attributes_of(h)[v], self.grid),
         )
@@ -363,7 +359,7 @@ def binary_feature_map(
     items: Sequence,
     kernel: Callable,
     tag: int = TAG_CLASS,
-) -> List[FeatureVector]:
+) -> List[Dict[tuple, int]]:
     """One-hot feature vectors realizing a binary-valued kernel exactly.
 
     A kernel that only takes values 0 and 1 is positive semidefinite iff
@@ -387,7 +383,7 @@ def binary_feature_map(
         return int(value)
 
     representatives: List[Tuple[object, int]] = []
-    vectors: List[FeatureVector] = []
+    vectors: List[Dict[tuple, int]] = []
     for x in items:
         self_value = _binary(kernel(x, x), x, x)
         matches = []
@@ -407,7 +403,7 @@ def binary_feature_map(
                     f"item {x!r} has k(x, x) = 0 but matches class"
                     f" {matches[0]}; relation is not a partial equivalence"
                 )
-            vectors.append(FeatureVector())
+            vectors.append({})
             continue
         if len(matches) > 1:
             raise InvalidKernelError(
@@ -419,5 +415,5 @@ def binary_feature_map(
         else:
             class_id = len(representatives)
             representatives.append((x, class_id))
-        vectors.append(FeatureVector.one_hot((tag, class_id)))
+        vectors.append({(tag, class_id): 1})
     return vectors

@@ -21,10 +21,10 @@ map from per-vertex and per-length feature maps.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from .errors import ParameterError, ResourceBudgetError
-from .features import TAG_LEN, TAG_SP, FeatureVector, tensor_product
+from .features import TAG_LEN, TAG_PAIR, TAG_SP
 from .graphs import Graph, all_pairs_shortest_paths, INF_DISTANCE
 from .kernels import EdgeKernelSpec, VertexKernelSpec
 from .walks import explicit_labels, walk_kernel_implicit
@@ -67,7 +67,7 @@ def sp_kernel_implicit(
     )
 
 
-def sp_features_explicit(g: Graph) -> FeatureVector:
+def sp_features_explicit(g: Graph) -> Dict[tuple, int]:
     """Count vector over (source label, target label, distance) triples.
 
     Every ordered pair of distinct, mutually reachable vertices counts
@@ -85,55 +85,59 @@ def sp_features_explicit(g: Graph) -> FeatureVector:
                 continue
             key = (TAG_SP, lu, labels[v], int(row[v]))
             counts[key] = counts.get(key, 0) + 1
-    return FeatureVector(counts)
+    return counts
 
 
-def dirac_length_features(distance: int) -> FeatureVector:
+def dirac_length_features(distance: int) -> Dict[tuple, int]:
     """One-hot feature map of the Dirac kernel on path lengths."""
-    return FeatureVector.one_hot((TAG_LEN, int(distance)))
+    return {(TAG_LEN, int(distance)): 1}
 
 
 def sp_features_approx(
     g: Graph,
-    vertex_features: Callable[[Graph, int], FeatureVector],
-    length_features: Callable[[int], FeatureVector] = dirac_length_features,
+    vertex_features: Callable[[Graph, int], Dict[tuple, float]],
+    length_features: Callable[[int], Dict[tuple, float]] = dirac_length_features,
     max_entries: Optional[int] = 10_000_000,
-) -> FeatureVector:
+) -> Dict[tuple, float]:
     """Shortest-path feature map assembled from factor feature maps.
 
     Each ordered reachable pair (u, v) contributes the tensor product
-    ``phi_V(u) x (phi_len(d(u,v)) x phi_V(v))``; the sum over pairs is the
-    feature map of the shortest-path kernel whose factors have those maps
-    (e.g. binning maps for continuous attributes).  ``max_entries`` bounds
+    ``phi_V(u) x (phi_len(d(u,v)) x phi_V(v))``: weight ``wu * (wl * wv)``
+    on key ``(TAG_PAIR, ku, (TAG_PAIR, kl, kv))``, zero products skipped.
+    The sum over pairs, with exact cancellations dropped, is the feature
+    map of the shortest-path kernel whose factors have those maps (e.g.
+    binning maps for continuous attributes).  ``max_entries`` bounds
     the accumulated entry count; exceeding it raises
     :class:`ResourceBudgetError` rather than exhausting memory.
     """
     if max_entries is not None and max_entries < 1:
         raise ParameterError(f"max_entries must be positive, got {max_entries}")
     dist = all_pairs_shortest_paths(g).dist
-    vertex_maps = [vertex_features(g, v) for v in range(g.n)]
+    vertex_maps = [vertex_features(g, v).items() for v in range(g.n)]
     length_maps: dict = {}
     total: dict = {}
     for u in range(g.n):
         row = dist[u]
-        left = vertex_maps[u]
         for v in range(g.n):
             if u == v or row[v] == INF_DISTANCE:
                 continue
             d = int(row[v])
             if d not in length_maps:
-                length_maps[d] = length_features(d)
-            contribution = tensor_product(
-                left, tensor_product(length_maps[d], vertex_maps[v])
-            )
-            for key, weight in contribution.items():
-                accumulated = total.get(key, 0) + weight
-                if accumulated == 0:
-                    total.pop(key, None)
-                else:
-                    total[key] = accumulated
+                length_maps[d] = length_features(d).items()
+            for ku, wu in vertex_maps[u]:
+                for kl, wl in length_maps[d]:
+                    for kv, wv in vertex_maps[v]:
+                        weight = wu * (wl * wv)
+                        if weight == 0:
+                            continue
+                        key = (TAG_PAIR, ku, (TAG_PAIR, kl, kv))
+                        accumulated = total.get(key, 0) + weight
+                        if accumulated == 0:
+                            del total[key]
+                        else:
+                            total[key] = accumulated
             if max_entries is not None and len(total) > max_entries:
                 raise ResourceBudgetError(
                     f"shortest-path feature map exceeded {max_entries} entries"
                 )
-    return FeatureVector(total)
+    return total

@@ -32,7 +32,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .errors import ContractError, MultiplicityOverflowError, ParameterError
-from .features import TAG_GRAPHLET, FeatureVector
+from .features import TAG_GRAPHLET
 from .gram import EXACT_LIMIT
 from .graphs import Graph
 from .kernels import EdgeKernelSpec, VertexKernelSpec
@@ -132,21 +132,19 @@ def canonical_string(sub: Graph) -> str:
     return f"{vertex_part}|{edge_part}"
 
 
-def graphlet_features(g: Graph) -> FeatureVector:
+def graphlet_features(g: Graph) -> Dict[tuple, int]:
     """Counts of connected induced 3-vertex subgraphs by canonical form.
 
     Unlabeled graphs behave as uniformly labeled; the triangle count and
     path count of e.g. the complete graph K4 come out as 4 and 0.
     """
     classes = _class_counts(g, 3, True, smallest=3)
-    return FeatureVector(
-        {(TAG_GRAPHLET, *canon): c for canon, (c, _) in classes.items()}
-    )
+    return {(TAG_GRAPHLET, *canon): c for canon, (c, _) in classes.items()}
 
 
 def matching_features(
     g: Graph, max_size: int = 3, connected_only: bool = False
-) -> FeatureVector:
+) -> Dict[tuple, int]:
     """Explicit map of the Dirac subgraph matching kernel.
 
     Each class P of induced subgraphs on 1..``max_size`` vertices
@@ -162,7 +160,7 @@ def matching_features(
     ).items():
         for copy in range(automorphisms):
             entries[(TAG_GRAPHLET, *canon, copy)] = count
-    return FeatureVector(entries)
+    return entries
 
 
 def _edge_label_matrix(g: Graph) -> np.ndarray:

@@ -55,12 +55,12 @@ than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ContractError, MultiplicityOverflowError, ParameterError
-from .features import TAG_WALK, FeatureVector
+from .features import TAG_WALK
 from .gram import EXACT_LIMIT
 from .graphs import Graph
 from .kernels import EdgeKernelSpec, VertexKernelSpec
@@ -365,7 +365,7 @@ def explicit_labels(g: Graph, features: str) -> List[int]:
     return g.vertex_label_array().tolist()
 
 
-def walk_features_explicit(g: Graph, length: int) -> FeatureVector:
+def walk_features_explicit(g: Graph, length: int) -> Dict[tuple, int]:
     """Count vector over walk label sequences of one fixed length.
 
     A walk (v_0, e_1, v_1, ..., v_len) is keyed by its alternating label
@@ -395,4 +395,4 @@ def walk_features_explicit(g: Graph, length: int) -> FeatureVector:
     for bucket in per_vertex:
         for seq, count in bucket.items():
             total[seq] = total.get(seq, 0) + count
-    return FeatureVector({(TAG_WALK, length, *seq): c for seq, c in total.items()})
+    return {(TAG_WALK, length, *seq): c for seq, c in total.items()}

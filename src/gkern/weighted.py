@@ -34,7 +34,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .errors import ContractError, MultiplicityOverflowError
-from .features import TAG_GH, TAG_LABEL, TAG_PAIR, TAG_WL, FeatureVector
+from .features import TAG_GH, TAG_LABEL, TAG_PAIR, TAG_WL
 from .gram import EXACT_LIMIT
 from .graphs import INF_DISTANCE, Dataset, DistanceMatrix, Graph, all_pairs_shortest_paths
 from .kernels import BinningGrid, VertexKernelSpec, binning_features
@@ -197,8 +197,8 @@ def wv_kernel_implicit(
 def wv_features_explicit(
     g: Graph,
     weight_map: WeightFeatureMap,
-    vertex_features: Callable[[Graph, int], FeatureVector],
-) -> FeatureVector:
+    vertex_features: Callable[[Graph, int], Dict[tuple, float]],
+) -> Dict[tuple, float]:
     """Feature map of the weighted vertex kernel: sum over vertices of
     w(v) x phi_V(v), from the rows of W_g in vertex order.  Exact when
     phi_V realizes k_V exactly; with binning maps it realizes the binned
@@ -215,19 +215,18 @@ def wv_features_explicit(
                 for phi_key, phi_weight in phi:
                     pair = (TAG_PAIR, key, phi_key)
                     entries[pair] = entries.get(pair, 0) + weight * phi_weight
-    return FeatureVector(entries)
+    return entries
 
 
 # -- ready-made per-vertex attribute feature maps ---------------------------
 
 
-def label_features(g: Graph, v: int) -> FeatureVector:
+def label_features(g: Graph, v: int) -> Dict[tuple, int]:
     """One-hot on the discrete vertex label (pseudo-label 0 if none)."""
-    label = int(g.vertex_label_array()[v])
-    return FeatureVector.one_hot((TAG_LABEL, label))
+    return {(TAG_LABEL, int(g.vertex_label_array()[v])): 1}
 
 
-def attribute_class_features(ds: Dataset) -> Callable[[Graph, int], FeatureVector]:
+def attribute_class_features(ds: Dataset) -> Callable[[Graph, int], Dict[tuple, int]]:
     """Exact one-hot map over the distinct attribute rows of a dataset.
 
     The returned map realizes the Dirac kernel on attribute rows exactly;
@@ -242,7 +241,7 @@ def attribute_class_features(ds: Dataset) -> Callable[[Graph, int], FeatureVecto
             if key not in classes:
                 classes[key] = len(classes)
 
-    def _features(g: Graph, v: int) -> FeatureVector:
+    def _features(g: Graph, v: int) -> Dict[tuple, int]:
         key = tuple(g.vertex_attributes[v].tolist())
         try:
             class_id = classes[key]
@@ -250,17 +249,17 @@ def attribute_class_features(ds: Dataset) -> Callable[[Graph, int], FeatureVecto
             raise ContractError(
                 "attribute row not seen when the class map was built"
             ) from None
-        return FeatureVector.one_hot((TAG_LABEL, class_id))
+        return {(TAG_LABEL, class_id): 1}
 
     return _features
 
 
 def binned_attribute_features(
     grid: BinningGrid,
-) -> Callable[[Graph, int], FeatureVector]:
+) -> Callable[[Graph, int], Dict[tuple, float]]:
     """Binning feature map on vertex attributes for a fixed grid."""
 
-    def _features(g: Graph, v: int) -> FeatureVector:
+    def _features(g: Graph, v: int) -> Dict[tuple, float]:
         if g.vertex_attributes is None:
             raise ContractError("graph has no vertex attributes")
         return binning_features(g.vertex_attributes[v], grid)

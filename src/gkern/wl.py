@@ -4,9 +4,10 @@ Starting from an initial coloring — uniform, or the vertex labels — each
 round replaces a vertex's color by a fresh dense integer standing for the
 pair (own color, sorted multiset of neighbor colors).  The signature table
 is shared across all graphs of the dataset, so colors are comparable
-between graphs; within each iteration colors are numbered 0, 1, 2, ... in
-order of first appearance (graphs scanned in dataset order, vertices in
-index order), which makes the assignment deterministic.
+between graphs.  Within each iteration colors are numbered 0, 1, 2, ... in
+ascending order of what they stand for: the labels at iteration 0, the
+signatures after that.  So the colors do not depend on the order of the
+graphs in the dataset.
 
 Refinement is monotone: vertices with different colors at iteration i
 never merge at iteration i+1, because the old color is part of the
@@ -16,7 +17,7 @@ signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -71,15 +72,10 @@ def wl_refine_dataset(
         for g in ds.graphs:
             initial.append(np.zeros(g.n, dtype=np.int64))
     else:
-        recode: Dict[int, int] = {}
-        for g in ds.graphs:
-            colors = np.empty(g.n, dtype=np.int64)
-            for v in range(g.n):
-                label = int(g.vertex_labels[v])
-                if label not in recode:
-                    recode[label] = len(recode)
-                colors[v] = recode[label]
-            initial.append(colors)
+        labels = [[int(x) for x in g.vertex_labels] if g.n else [] for g in ds.graphs]
+        recode = _ascending_codes(x for row in labels for x in row)
+        for row in labels:
+            initial.append(np.array([recode[x] for x in row], dtype=np.int64))
         num_initial = len(recode)
 
     per_graph: List[List[np.ndarray]] = [[c] for c in initial]
@@ -87,25 +83,24 @@ def wl_refine_dataset(
 
     current = initial
     for _ in range(iterations):
-        table: Dict[Tuple, int] = {}
-        refined: List[np.ndarray] = []
+        signatures: List[List[Tuple]] = []
         for g, colors in zip(ds.graphs, current):
-            nxt = np.empty(g.n, dtype=np.int64)
             lst = colors.tolist()
-            for v in range(g.n):
-                signature = (
-                    lst[v],
-                    tuple(sorted(lst[w] for w in g.adj[v])),
-                )
-                code = table.get(signature)
-                if code is None:
-                    code = len(table)
-                    table[signature] = code
-                nxt[v] = code
-            refined.append(nxt)
+            signatures.append(
+                [(lst[v], tuple(sorted(lst[w] for w in g.adj[v]))) for v in range(g.n)]
+            )
+        table = _ascending_codes(sig for row in signatures for sig in row)
+        refined = [
+            np.array([table[sig] for sig in row], dtype=np.int64) for row in signatures
+        ]
         for rows, colors in zip(per_graph, refined):
             rows.append(colors)
         counts.append(len(table))
         current = refined
 
     return ColorAssignment(per_graph, counts)
+
+
+def _ascending_codes(values: Iterable) -> Dict:
+    """Dense codes 0, 1, 2, ... for the distinct ``values``, ascending."""
+    return {value: code for code, value in enumerate(sorted(set(values)))}

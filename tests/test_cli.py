@@ -8,7 +8,7 @@ import pytest
 import gkern.bench
 from gkern import load_gram_csv, load_tu_dataset
 from gkern.bench import KERNELS, kernel_plan
-from gkern.features import TAG_GRAPHLET, FeatureVector
+from gkern.features import TAG_GRAPHLET
 from gkern.cli import load_data_spec, main
 
 
@@ -350,6 +350,17 @@ class TestConfig:
         assert main(["compute", "--config", str(config), "--regime", "implicit"]) == 2
         assert f"config key {key}=" in capsys.readouterr().err
 
+    def test_config_key_that_no_flag_takes_is_rejected(self, tmp_path, capsys):
+        # a misspelt key must not leave its flag at the default silently
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"data": DATA, "kernel": "walk", "lenght": 2}))
+        assert main(["compute", "--config", str(config), "--regime", "implicit"]) == 2
+        captured = capsys.readouterr()
+        assert "lenght" in captured.err and captured.out == ""
+        # a key of another subcommand's flag is known, as before
+        config.write_text(json.dumps({"data": DATA, "kernel": "walk", "axis": "pv"}))
+        assert main(["compute", "--config", str(config), "--regime", "implicit"]) == 0
+
     def test_config_values_read_like_flags(self, tmp_path, capsys):
         config = tmp_path / "conf.json"
         entries = {"length": "3", "delta": 1, "normalize": True, "regime": "implicit"}
@@ -486,7 +497,7 @@ def test_generate_rejects_a_flag_its_generator_lacks(tmp_path, capsys):
 @pytest.mark.parametrize("regime", ("explicit",))
 def test_graphlet_dots_past_2_53_fail_their_pair(regime, monkeypatch, capsys):
     # one class counted 2**27 times: its self-dot is 2**54
-    heavy = FeatureVector({(TAG_GRAPHLET, 0): 2**27})
+    heavy = {(TAG_GRAPHLET, 0): 2**27}
     monkeypatch.setattr(gkern.bench, "graphlet_features", lambda g: heavy)
     code = main(["compute", "--data", DATA, "--kernel", "graphlet", "--regime", regime])
     assert code == 4

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gkern import (
     Dataset,
     EdgeKernelSpec,
-    FeatureVector,
     Graph,
     GramError,
     MultiplicityOverflowError,
@@ -144,7 +143,7 @@ class TestAssembly:
         gram = gram_explicit(ds, lambda g: walk_features_explicit(g, 5))
         assert gram.values[1, 1] == (20 * 19**5) ** 2
         # float dots make no exactness claim
-        big = gram_explicit(ds, lambda g: FeatureVector({(TAG_LABEL, 0): 1e10}))
+        big = gram_explicit(ds, lambda g: {(TAG_LABEL, 0): 1e10})
         assert (big.values == 1e20).all()
 
     def test_explicit_dot_agrees_with_feature_dot(self):
@@ -312,7 +311,12 @@ class TestExplicitProduct:
                 bench.kernel_plan(kernel, ds, length=3, wl_iters=2)
             )
             assert gram.values.tobytes() == reference.tobytes(), kernel
-            keys.update(key for g in members for key in feature_fn(g))
+            for g in members:
+                vector = feature_fn(g)
+                # a plain dict, and no map stores a zero weight
+                assert type(vector) is dict, kernel
+                assert 0 not in vector.values(), kernel
+                keys.update(vector)
         # every key is a tag-first tuple, and any two keys of any maps compare
         assert all(type(key) is tuple and type(key[0]) is int for key in keys)
         assert len(sorted(keys)) == len(keys)
@@ -332,17 +336,17 @@ class TestExplicitProduct:
     def test_binned_gram_of_reversed_dataset_is_reversed_bit_for_bit(self):
         # columns follow ascending key order, not the order in which graphs
         # bring keys in; P=5 weights are inexact, so a changed summation
-        # order would show in the last bits.  (graph-invariant keys carry
-        # refinement colours numbered in dataset order, so they differ.)
+        # order would show in the last bits
         rng = random.Random(409)
         graphs = [make_random_graph(rng, max_n=7, attribute_dim=2) for _ in range(10)]
-        forward, backward = (
-            bench.kernel_plan(
-                "graphhopper", Dataset("b", order), vertex_kernel="binned", binning=5, seed=3
-            ).explicit().values
-            for order in (graphs, graphs[::-1])
-        )
-        assert backward.tobytes() == forward[::-1, ::-1].tobytes()
+        for kernel in ("graph-invariant", "graphhopper"):
+            forward, backward = (
+                bench.kernel_plan(
+                    kernel, Dataset("b", order), vertex_kernel="binned", binning=5, seed=3
+                ).explicit().values
+                for order in (graphs, graphs[::-1])
+            )
+            assert backward.tobytes() == forward[::-1, ::-1].tobytes(), kernel
 
     def test_degenerate_datasets(self):
         walks3 = lambda g: walk_features_explicit(g, 3)
@@ -357,7 +361,7 @@ class TestExplicitProduct:
         mixed = gram_explicit(ds, walks3)
         assert mixed.values.tobytes() == _pairwise_dots(ds, walks3).tobytes()
         assert mixed.values[[0, 2]].sum() == 0 and mixed.values[:, [0, 2]].sum() == 0
-        nothing = gram_explicit(ds, lambda g: FeatureVector())
+        nothing = gram_explicit(ds, lambda g: {})
         assert (nothing.values == 0).all() and nothing.values.shape == (3, 3)
         assert nothing.timings["distinct_features"] == 0
 
@@ -366,7 +370,7 @@ class TestExplicitProduct:
         count = 2 * (gram_module.BLOCK_CELLS // n) + 5
         keys = [(TAG_LABEL, k) for k in range(count)]
         vectors = [
-            FeatureVector({key: (i + j) % 4 for j, key in enumerate(keys) if (i + j) % 3})
+            {key: (i + j) % 4 for j, key in enumerate(keys) if (i + j) % 3}
             for i in range(n)
         ]
         ds = Dataset("wide", [Graph(1) for _ in range(n)])
@@ -381,8 +385,7 @@ class TestExplicitProduct:
         # float vectors make no claim; the first all-integer pair past 2**53
         # in row-major order of the upper triangle is the one named
         key = (TAG_LABEL, 0)
-        vectors = [FeatureVector({key: 1e10}), FeatureVector({key: 2**27}),
-                   FeatureVector({key: 2**26})]
+        vectors = [{key: 1e10}, {key: 2**27}, {key: 2**26}]
         ds = Dataset("t", [Graph(1) for _ in vectors])
         by_graph = {id(g): v for g, v in zip(ds.graphs, vectors)}
         with pytest.raises(GramError, match=r"pair \(1, 1\)") as caught:
@@ -391,5 +394,5 @@ class TestExplicitProduct:
         # an integer weight past float64's range fails its pair, not the cast
         huge = Dataset("h", [Graph(1), Graph(1)])
         with pytest.raises(GramError, match=r"pair \(0, 0\)") as caught:
-            gram_explicit(huge, lambda g: FeatureVector({key: 2**1100}))
+            gram_explicit(huge, lambda g: {key: 2**1100})
         assert isinstance(caught.value.__cause__, MultiplicityOverflowError)

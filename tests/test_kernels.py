@@ -325,9 +325,10 @@ class TestBinning:
         for P in (1, 3, 4, 16):
             grid = sample_binning_grid(2, 1.3, P, seed=P)
             vec = binning_features([0.4, -1.2], grid)
-            assert vec.nnz == P
+            assert type(vec) is dict
+            assert len(vec) == P
             weight = 1.0 / math.sqrt(P)
-            assert all(w == weight for w in vec.entries.values())
+            assert all(w == weight for w in vec.values())
 
     def test_dot_is_collision_fraction(self):
         rng = random.Random(31)
@@ -370,15 +371,16 @@ class TestBinaryFeatureMap:
     def test_dirac_classes_numbered_by_first_occurrence(self):
         items = [5, 9, 5, 2, 9, 5]
         vectors = binary_feature_map(items, dirac)
-        keys = [next(iter(v.entries)) for v in vectors]
+        keys = [next(iter(v)) for v in vectors]
         assert keys == [(TAG_CLASS, c) for c in [0, 1, 0, 2, 1, 0]]
-        assert all(v.entries[k] == 1 for v, k in zip(vectors, keys))
+        assert all(v[k] == 1 for v, k in zip(vectors, keys))
 
     def test_feature_map_reproduces_kernel(self):
         rng = random.Random(13)
         for trial in range(20):
             items = [rng.randrange(5) for _ in range(rng.randint(1, 12))]
             vectors = binary_feature_map(items, dirac)
+            assert all(type(v) is dict and 0 not in v.values() for v in vectors)
             for i, x in enumerate(items):
                 for j, y in enumerate(items):
                     assert dot(vectors[i], vectors[j]) == dirac(x, y)
@@ -388,8 +390,8 @@ class TestBinaryFeatureMap:
             return 1 if x == y and x > 0 else 0
 
         vectors = binary_feature_map([1, 0, 1, -2], positive_dirac)
-        assert vectors[0].nnz == 1 and vectors[2].nnz == 1
-        assert vectors[1].nnz == 0 and vectors[3].nnz == 0
+        assert len(vectors[0]) == 1 and len(vectors[2]) == 1
+        assert vectors[1] == {} and vectors[3] == {}
         assert dot(vectors[0], vectors[2]) == 1
 
     def test_custom_tag_separates_feature_families(self):

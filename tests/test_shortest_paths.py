@@ -13,8 +13,10 @@ from gkern import (
     ResourceBudgetError,
     VertexKernelSpec,
     all_pairs_shortest_paths,
+    binned_attribute_features,
     dirac_length_features,
     dot,
+    sample_binning_grid,
     sp_features_approx,
     sp_features_explicit,
     sp_kernel_implicit,
@@ -89,7 +91,7 @@ class TestExplicitFeatures:
     def test_uniform_path_feature_counts(self):
         p3 = Graph(3, [(0, 1), (1, 2)])
         vec = sp_features_explicit(p3)
-        assert vec.entries == {(TAG_SP, 0, 0, 1): 4, (TAG_SP, 0, 0, 2): 2}
+        assert vec == {(TAG_SP, 0, 0, 1): 4, (TAG_SP, 0, 0, 2): 2}
         assert dot(vec, vec) == 20
 
     def test_dot_equals_implicit_kernel_exactly(self):
@@ -113,7 +115,7 @@ class TestExplicitFeatures:
                 for v in range(g.n)
                 if u != v and dm.dist[u][v] != INF_DISTANCE
             )
-            assert sum(vec.entries.values()) == reachable
+            assert sum(vec.values()) == reachable
 
     def test_attributes_only_graph_is_rejected(self):
         g = Graph(2, [(0, 1)], vertex_attributes=[[0.5], [0.25]])
@@ -136,9 +138,19 @@ class TestApproxFeatures:
             )
             assert assembled == direct
 
+    def test_maps_are_dicts_without_zero_weights(self):
+        rng = random.Random(107)
+        grid = sample_binning_grid(2, 1.0, 5, seed=2)
+        binned = binned_attribute_features(grid)
+        for trial in range(6):
+            g = make_random_graph(rng, max_n=6, labels=2, attribute_dim=2)
+            for vertex_map in (_one_hot_label, binned):
+                vec = sp_features_approx(g, vertex_map)
+                assert type(vec) is dict and 0 not in vec.values()
+
     def test_dirac_length_features_are_one_hot(self):
         a, b = dirac_length_features(3), dirac_length_features(4)
-        assert a.nnz == 1 and dot(a, a) == 1 and dot(a, b) == 0
+        assert len(a) == 1 and dot(a, a) == 1 and dot(a, b) == 0
 
     def test_budget_is_enforced(self):
         g = Graph(6, [(i, i + 1) for i in range(5)], vertex_labels=list(range(6)))
@@ -152,8 +164,7 @@ class TestApproxFeatures:
 
 
 def _one_hot_label(g: Graph, v: int):
-    from gkern import FeatureVector
     from gkern.features import TAG_LABEL
 
     label = int(g.vertex_labels[v]) if g.vertex_labels is not None else 0
-    return FeatureVector.one_hot((TAG_LABEL, label))
+    return {(TAG_LABEL, label): 1}

@@ -189,7 +189,7 @@ class TestWalkFeaturesExplicit:
     def test_single_edge_counts(self):
         g = Graph(2, [(0, 1)], vertex_labels=[1, 2], edge_labels=[7])
         vec = walk_features_explicit(g, 1)
-        assert vec.entries == {(TAG_WALK, 1, 1, 7, 2): 1, (TAG_WALK, 1, 2, 7, 1): 1}
+        assert vec == {(TAG_WALK, 1, 1, 7, 2): 1, (TAG_WALK, 1, 2, 7, 1): 1}
         assert dot(vec, vec) == 2
 
     def test_counts_match_oracle(self):
@@ -199,7 +199,7 @@ class TestWalkFeaturesExplicit:
             for length in (0, 1, 2, 3):
                 vec = walk_features_explicit(g, length)
                 decoded = {}
-                for (tag, walk_length, *labels), count in vec.entries.items():
+                for (tag, walk_length, *labels), count in vec.items():
                     assert tag == TAG_WALK
                     assert walk_length == length
                     decoded[tuple(labels)] = count
@@ -227,9 +227,7 @@ class TestWalkFeaturesExplicit:
     def test_unlabeled_edges_share_pseudo_label(self):
         bare = Graph(2, [(0, 1)], vertex_labels=[1, 2])
         tagged = Graph(2, [(0, 1)], vertex_labels=[1, 2], edge_labels=[0])
-        assert walk_features_explicit(bare, 2).entries == (
-            walk_features_explicit(tagged, 2).entries
-        )
+        assert walk_features_explicit(bare, 2) == walk_features_explicit(tagged, 2)
 
     def test_attributes_only_graph_is_rejected(self):
         g = Graph(2, [(0, 1)], vertex_attributes=[[0.5], [0.25]])
@@ -301,7 +299,7 @@ class TestDisconnectedAndEmpty:
         g = Graph(0, [])
         h = Graph(3, [(0, 1), (1, 2)])
         assert walk_kernel_implicit(g, h, DIRAC, UNIFORM_EDGE, 3) == 0.0
-        assert walk_features_explicit(g, 3).nnz == 0
+        assert walk_features_explicit(g, 3) == {}
 
     def test_no_shared_labels(self):
         g = Graph(2, [(0, 1)], vertex_labels=[0, 0])

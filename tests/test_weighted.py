@@ -292,7 +292,7 @@ def test_explicit_self_dot_reaching_2_53_fails_its_pair():
 
     # the weights reach the Gram as Python ints, so the integer guard holds
     vector = wv_features_explicit(g, constructed([g], 2**27), label_features)
-    assert [type(w) for w in vector.entries.values()] == [int]
+    assert [type(w) for w in vector.values()] == [int]
     assert gram(2**26).values[0, 0] == 2**52
     with pytest.raises(GramError, match=r"pair \(0, 0\) failed") as info:
         gram(2**27)

@@ -105,19 +105,37 @@ class TestInvariants:
                         else:
                             seen[signature] = nxt[v]
 
-    def test_colors_dense_in_order_of_first_appearance(self):
+    def test_colors_dense_in_ascending_order_of_labels_and_signatures(self):
         rng = random.Random(31)
         for trial in range(10):
-            ds = Dataset("t", [make_random_graph(rng, max_n=7) for _ in range(3)])
-            assignment = wl_refine_dataset(ds, 2)
-            for i in range(3):
-                seen = []
-                for g_idx in range(3):
-                    for c in assignment.at(g_idx, i).tolist():
-                        if c not in seen:
-                            seen.append(c)
-                assert seen == list(range(len(seen)))
-                assert len(seen) == assignment.colors_per_iteration[i]
+            graphs = [make_random_graph(rng, max_n=7, labels=4) for _ in range(3)]
+            assignment = wl_refine_dataset(Dataset("t", graphs), 2)
+            # iteration 0 numbers the labels, iteration i + 1 the signatures
+            # (color, sorted neighbor colors) of iteration i, both ascending
+            meanings = [[[int(x) for x in g.vertex_labels] for g in graphs]]
+            for i in range(2):
+                meanings.append([
+                    [
+                        (colors[v], tuple(sorted(colors[w] for w in g.adj[v])))
+                        for v in range(g.n)
+                    ]
+                    for g_idx, g in enumerate(graphs)
+                    for colors in [assignment.at(g_idx, i).tolist()]
+                ])
+            for i, per_graph in enumerate(meanings):
+                distinct = sorted({m for row in per_graph for m in row})
+                expected = [[distinct.index(m) for m in row] for row in per_graph]
+                got = [assignment.at(g_idx, i).tolist() for g_idx in range(3)]
+                assert got == expected
+                assert len(distinct) == assignment.colors_per_iteration[i]
+            # so reordering the dataset reorders the colors with it
+            backward = wl_refine_dataset(Dataset("t", graphs[::-1]), 2)
+            for g_idx in range(3):
+                for i in range(3):
+                    assert (
+                        backward.at(2 - g_idx, i).tolist()
+                        == assignment.at(g_idx, i).tolist()
+                    )
 
     def test_stable_point_persists(self):
         # once two consecutive iterations induce the same partition, the
