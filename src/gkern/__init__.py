@@ -80,6 +80,7 @@ from .subgraphs import (
     graphlet_features,
     matching_features,
     subgraph_matching_kernel,
+    subgraph_matching_row,
 )
 from .walks import (
     WeightedProductGraph,
@@ -160,6 +161,7 @@ __all__ = [
     "sp_kernel_implicit",
     "sp_transform",
     "subgraph_matching_kernel",
+    "subgraph_matching_row",
     "walk_features_explicit",
     "walk_kernel_implicit",
     "walk_kernel_row",

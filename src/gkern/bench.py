@@ -42,7 +42,7 @@ from .graphs import (
 )
 from .kernels import EdgeKernelSpec, VertexKernelSpec, sample_binning_grid
 from .shortest_paths import sp_features_explicit, sp_transform
-from .subgraphs import graphlet_features, matching_features, subgraph_matching_kernel
+from .subgraphs import graphlet_features, matching_features, subgraph_matching_row
 from .walks import walk_features_explicit, walk_kernel_row
 from .weighted import (
     attribute_class_features,
@@ -231,10 +231,11 @@ def kernel_plan(
         name = f"subgraph-matching(max={max_size})"
         implicit = lambda: gram_implicit(
             ds,
-            lambda a, b: subgraph_matching_kernel(
-                a, b, dirac, edges, max_size, connected_only=connected_only
+            lambda g, hs: subgraph_matching_row(
+                g, hs, dirac, edges, max_size, connected_only=connected_only
             ),
             f"{name}/implicit",
+            rows=True,
         )
         explicit = lambda: gram_explicit(
             ds,

@@ -332,6 +332,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> List[str]
         for action in parser._subparsers._group_actions  # noqa: SLF001
         for sub in action.choices.values()
         for sub_action in sub._actions  # noqa: SLF001
+        # -h is no setting: a "help" key names no flag
+        if not isinstance(sub_action, argparse._HelpAction)  # noqa: SLF001
     ]
     known = {sub_action.dest for _, sub_action in subs}
     unknown = [key for key in payload if key.replace("-", "_") not in known]

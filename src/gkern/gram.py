@@ -78,8 +78,9 @@ def gram_implicit(
     of its own.  With ``rows`` it is a row kernel: ``kernel(g, hs)``
     returns one value per partner in ``hs``, and graph ``i`` is evaluated
     against all of ``ds[i:]`` in one call (see
-    :func:`gkern.walks.walk_kernel_row`, which batches a row into a few
-    product graphs).
+    :func:`gkern.walks.walk_kernel_row` and
+    :func:`gkern.subgraphs.subgraph_matching_row`, which batch a row into
+    a few product or association graphs).
 
     Any exception during an evaluation aborts the computation with the
     failing pair's indices attached; a failed batched row is re-evaluated

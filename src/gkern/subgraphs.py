@@ -22,12 +22,29 @@ edge-kernel values, weighted by a function of its size.  With Dirac
 kernels a mapping is an isomorphism between induced subgraphs, so the
 kernel is Σ_P |Aut(P)|·c_P(G)·c_P(H) over the classes P the counter keys;
 :func:`matching_features` is that explicit feature map.
+
+The implicit side runs a Gram row at a time
+(:func:`subgraph_matching_row`; the one-pair kernel is its one-partner
+case).  ``g`` is paired with the disjoint union of a block of partners,
+and pairs of different partners are never connected, so the association
+graph of the union is the disjoint union of the per-partner ones.  Its
+cliques are enumerated in numpy, a chunk of one size at a time: a chunk
+is one int array of ascending member indices, and each clique grows by
+the candidates above its last member that every member allows (an AND of
+rows of the "allowed" matrix).  Products follow the one-clique-at-a-time
+order and are summed per partner, size by size.  With Dirac kernels
+every term is an integer, exact in float64 below 2**53 in any order, so
+the Grams equal the explicit ones bit for bit, and the 2**53 bound is
+checked per partner.  :data:`ASSOCIATION_CELLS` bounds the dense
+association block and each extension chunk's mask, and chunks grow
+depth first, so a row holds one chunk per clique size however many
+cliques a size has.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, permutations, product
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from itertools import accumulate, chain, combinations, permutations, product
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +53,7 @@ from .features import TAG_GRAPHLET
 from .gram import EXACT_LIMIT
 from .graphs import Graph
 from .kernels import EdgeKernelSpec, VertexKernelSpec
+from .walks import _disjoint_union, _partner_runs
 
 
 def _connected_sets(g: Graph, max_size: int) -> Iterator[Tuple[int, ...]]:
@@ -43,20 +61,20 @@ def _connected_sets(g: Graph, max_size: int) -> Iterator[Tuple[int, ...]]:
     subgraph, once, grown from its smallest vertex."""
     adj = g.adj
 
-    def grow(members, extension, closed, root):
+    def visit(members, extension, closed, root):
         yield members
         if len(members) == max_size:
             return
         while extension:
             w = extension.pop()
             fresh = [u for u in adj[w] if u > root and u not in closed]
-            yield from grow(
+            yield from visit(
                 (*members, w), extension + fresh, closed.union(fresh), root
             )
 
     for v in range(g.n):
         above = [u for u in adj[v] if u > v]
-        yield from grow((v,), above, {v, *above}, v)
+        yield from visit((v,), above, {v, *above}, v)
 
 
 def _canonical(
@@ -163,68 +181,278 @@ def matching_features(
     return entries
 
 
-def _edge_label_matrix(g: Graph) -> np.ndarray:
-    lab = np.zeros((g.n, g.n), dtype=np.int64)
-    for (u, v), label in g.edge_label_map.items():
-        lab[u, v] = label
-        lab[v, u] = label
-    return lab
+#: Budget on the dense cells of implicit subgraph matching: the
+#: vertex-kernel grid of ``g`` against a group of partners, the
+#: association graph of ``g`` against one block of them (its order
+#: squared) and the (cliques x candidates) mask of one extension chunk.
+#: It keeps a row's peak memory flat however long the row is and however
+#: many cliques a size has; a partner that alone exceeds it forms a
+#: group or block of its own.
+ASSOCIATION_CELLS = 1 << 15
 
 
-def _association_graph(
+def _pair_matrices(
+    n: int, edges: np.ndarray, labels: np.ndarray, ids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Adjacency and edge labels between every two entries of ``ids``
+    (vertex ids of a graph with ``n`` vertices, repeats allowed), built
+    densely on the distinct ids only."""
+    used, local = np.unique(ids, return_inverse=True)
+    lookup = np.full(n, -1, dtype=np.int64)
+    lookup[used] = np.arange(used.size)
+    a, b = lookup[edges[:, 0]], lookup[edges[:, 1]]
+    kept = (a >= 0) & (b >= 0)
+    a, b = a[kept], b[kept]
+    adj = np.zeros((used.size, used.size), dtype=bool)
+    lab = np.zeros((used.size, used.size), dtype=np.int64)
+    adj[a, b] = adj[b, a] = True
+    lab[a, b] = lab[b, a] = labels[kept]
+    return (
+        adj.take(local, axis=0).take(local, axis=1),
+        lab.take(local, axis=0).take(local, axis=1),
+    )
+
+
+def _closure(cliques: np.ndarray, structural: np.ndarray) -> np.ndarray:
+    """``(cliques, k, k)``: whether two members of a clique (rows of member
+    indices) are joined by a path of its structural connections."""
+    size = cliques.shape[1]
+    sub = structural[cliques[:, :, None], cliques[:, None, :]]
+    reach = sub | np.eye(size, dtype=bool)
+    for _ in range(size - 2):
+        reach |= (reach[:, :, :, None] & sub[:, None, :, :]).any(axis=2)
+    return reach
+
+
+def _candidates(
+    cliques: np.ndarray, allowed: np.ndarray, hi: int
+) -> Tuple[np.ndarray, int]:
+    """``(mask, lo)``: ``mask[i, x - lo]`` says whether candidate ``x``
+    (below ``hi``) lies above clique ``i``'s last member and every member
+    allows it."""
+    lo = int(cliques[:, -1].min()) + 1
+    above = allowed[:, lo:hi]
+    mask = above.take(cliques[:, 0], axis=0)
+    for t in range(1, cliques.shape[1]):
+        mask &= above.take(cliques[:, t], axis=0)
+    mask &= np.arange(lo, hi) > cliques[:, -1:]
+    return mask, lo
+
+
+def _joining(
+    cliques: np.ndarray, structural: np.ndarray, mask: np.ndarray, lo: int
+) -> np.ndarray:
+    """The ``mask`` candidates (from ``lo`` on) that make their clique
+    connected: those touching, structurally, every component of it."""
+    size = cliques.shape[1]
+    reach = _closure(cliques, structural)
+    near = structural[:, lo : lo + mask.shape[1]]
+    touches = [near.take(cliques[:, u], axis=0) for u in range(size)]
+    joins = mask.copy()
+    for t in range(size):
+        touch = touches[t].copy()
+        for u in range(size):
+            if u != t:
+                touch |= reach[:, t, u, None] & touches[u]
+        joins &= touch
+    return joins
+
+
+def _extend(
+    cliques: np.ndarray,
+    products: np.ndarray,
+    mask: np.ndarray,
+    lo: int,
+    weights: np.ndarray,
+    vertex_weights: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(parent, nxt, extended)``: each ``mask`` cell's clique row and
+    candidate, in row-major (clique, candidate) order, and the product of
+    the clique it grows to."""
+    parent, nxt = np.divmod(np.flatnonzero(mask), mask.shape[1])
+    nxt += lo
+    # the order of the one-clique-at-a-time product: vertex, then each member
+    extended = products.take(parent) * vertex_weights.take(nxt)
+    for t in range(cliques.shape[1]):
+        extended *= weights.take(cliques[:, t].take(parent) * weights.shape[1] + nxt)
+    return parent, nxt, extended
+
+
+def _clique_sums(
+    allowed: np.ndarray,
+    structural: np.ndarray,
+    weights: np.ndarray,
+    vertex_weights: np.ndarray,
+    partner: np.ndarray,
+    count: int,
+    factors: List[float],
+    connected_only: bool,
+) -> np.ndarray:
+    """``(len(factors), count)`` sums of the clique products of each size,
+    by the partner of their members, over one association graph.
+
+    Cliques grow depth first in chunks of :data:`ASSOCIATION_CELLS`
+    candidate-mask cells: each chunk's grown cliques are grown on to the
+    largest size before the next chunk starts, so one chunk per size is
+    held at a time.  The grown products are summed by ``np.add.at``, which
+    adds each partner's products one at a time in ascending member order,
+    so the chunking never changes a sum.
+    """
+    sums = np.zeros((len(factors), count), dtype=np.float64)
+    top = max((k for k, f in enumerate(factors, 1) if f != 0), default=0)
+    if not top:
+        return sums
+    order = allowed.shape[0]
+    chunk = max(1, ASSOCIATION_CELLS // max(order, 1))
+    # a clique's candidates end with its partner's vertices
+    stop_of = np.cumsum(np.bincount(partner, minlength=count))[partner]
+    np.add.at(sums[0], partner, vertex_weights)
+    # a stack: the last chunk grown is the first grown on
+    pending = [(np.arange(order, dtype=np.int64)[:, None], vertex_weights)]
+    while top > 1 and pending:
+        cliques, products = pending.pop()
+        if cliques.shape[0] > chunk:
+            pending.append((cliques[chunk:], products[chunk:]))
+        parents, products = cliques[:chunk], products[:chunk]
+        size = parents.shape[1] + 1
+        # cliques ascend, so the last one has the last partner
+        mask, offset = _candidates(parents, allowed, int(stop_of[parents[-1, 0]]))
+        parent, nxt, extended = _extend(
+            parents, products, mask, offset, weights, vertex_weights
+        )
+        if factors[size - 1] != 0:
+            # a grown clique's partner is its new member's
+            if connected_only:
+                counted = _joining(parents, structural, mask, offset)[mask]
+                np.add.at(sums[size - 1], partner[nxt[counted]], extended[counted])
+            else:
+                np.add.at(sums[size - 1], partner[nxt], extended)
+        if size < top and nxt.size:
+            grown = np.column_stack((parents.take(parent, axis=0), nxt))
+            pending.append((grown, extended))
+    return sums
+
+
+def _level_sums(
     g: Graph,
-    h: Graph,
+    hs: Sequence[Graph],
     vertex_kernel: VertexKernelSpec,
     edge_kernel: EdgeKernelSpec,
-):
-    """Compatibility structure for common-subgraph mappings.
+    factors: List[float],
+    connected_only: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sums, unit)``: the ``(len(factors), len(hs))`` clique sums of
+    ``g`` against each partner by size, and which partners have only
+    weight-1 vertices and allowed connections (see
+    :func:`subgraph_matching_row`)."""
+    union = _disjoint_union(hs)
+    keep, values = vertex_kernel.support(g, union)
+    us, vs = np.nonzero(keep)
+    by_partner = np.argsort(union.owner[vs], kind="stable")
+    us, vs = us[by_partner], vs[by_partner]
+    vertex_weights = np.ones(us.size) if values is None else values[us, vs]
+    owner = union.owner[vs]
+    orders = np.bincount(owner, minlength=len(hs)).tolist()
+    pair_ends = list(accumulate(orders, initial=0))
+    g_labels = g.edge_label_array()
+    h_labels = union.edge_label_array()
+    sums = np.zeros((len(factors), len(hs)), dtype=np.float64)
+    unit = np.ones(len(hs), dtype=bool)
+    # a block's association graph is dense: its order squared
+    cells = lambda a, b: (pair_ends[b] - pair_ends[a]) ** 2
+    for start, stop in _partner_runs(len(hs), cells, ASSOCIATION_CELLS):
+        lo, hi = pair_ends[start], pair_ends[stop]
+        if lo == hi:
+            continue
+        pg, ph, partner = us[lo:hi], vs[lo:hi], owner[lo:hi] - start
+        adj_g, lab_g = _pair_matrices(g.n, g.edges, g_labels, pg)
+        adj_h, lab_h = _pair_matrices(union.n, union.edges, h_labels, ph)
+        # an edge on both sides joins distinct vertices of one partner
+        structural = adj_g & adj_h
+        both_absent = ~(adj_g | adj_h)
+        both_absent &= pg[:, None] != pg[None, :]
+        both_absent &= ph[:, None] != ph[None, :]
+        both_absent &= partner[:, None] == partner[None, :]
+        edge_values = edge_kernel.elementwise(lab_g, lab_h)
+        allowed = (structural & (edge_values > 0)) | both_absent
+        weights = np.where(structural, edge_values, 1.0)
+        block_weights = vertex_weights[lo:hi]
+        odd = (block_weights != 1) | (allowed & (weights != 1)).any(axis=1)
+        unit[start:stop] = np.bincount(partner[odd], minlength=stop - start) == 0
+        sums[:, start:stop] = _clique_sums(
+            allowed,
+            structural,
+            weights,
+            block_weights,
+            partner,
+            stop - start,
+            factors,
+            connected_only,
+        )
+    return sums, unit
 
-    Vertices: pairs (u in g, v in h) with positive vertex kernel, in
-    lexicographic order.  Two pairs can belong to one mapping ("allowed")
-    when their components are distinct on both sides and edge presence
-    agrees; where both sides have an edge the connection is "structural"
-    and weighted by the edge kernel, where neither does it has weight 1.
+
+def subgraph_matching_row(
+    g: Graph,
+    hs: Sequence[Graph],
+    vertex_kernel: VertexKernelSpec = VertexKernelSpec("dirac"),
+    edge_kernel: EdgeKernelSpec = EdgeKernelSpec("dirac"),
+    max_size: int = 3,
+    size_weights: Optional[Callable[[int], float]] = None,
+    connected_only: bool = False,
+) -> np.ndarray:
+    """Subgraph matching kernels of ``g`` against every partner in ``hs``.
+
+    One association graph per block of partners: its vertices are the
+    pairs (u in g, v in a partner) with positive vertex kernel, partner
+    by partner and in (u, v) order within each, so a partner's pairs keep
+    their one-partner order.  Two pairs of one partner are "allowed" in
+    one mapping when their components are distinct on both sides and edge
+    presence agrees; where both sides have an edge the connection is
+    "structural" and weighted by the edge kernel (allowed only where that
+    is positive), where neither does it has weight 1.  Pairs of different
+    partners are never connected, so every clique maps into one partner.
+
+    Each clique of up to ``max_size`` vertices, enumerated once, a chunk
+    of one size at a time, contributes ``size_weights(size)`` times the
+    product of its vertex weights and of the weights of all its internal
+    connections; ``connected_only`` keeps only cliques whose structural
+    connections connect them.
+
+    When a partner's cliques all contribute integers (all its vertex and
+    allowed connection weights 1, and integer size factors), float64
+    sums them exactly below 2**53 only; should the partner's total
+    clique mass (each size's sum times its factor's magnitude) reach
+    2**53, :class:`MultiplicityOverflowError` names that partner.
     """
-    kv = vertex_kernel.matrix(g, h)
-    mask = kv > 0
-    pairs = np.argwhere(mask).astype(np.int64)
-    vertex_weights = kv[mask].astype(np.float64)
-    count = pairs.shape[0]
-    if count == 0:
-        empty = np.zeros((0, 0))
-        return pairs, vertex_weights, empty, empty.astype(bool), empty.astype(bool)
-
-    pg, ph = pairs[:, 0], pairs[:, 1]
-    adj_g = g.adjacency_matrix()[np.ix_(pg, pg)]
-    adj_h = h.adjacency_matrix()[np.ix_(ph, ph)]
-    distinct = (pg[:, None] != pg[None, :]) & (ph[:, None] != ph[None, :])
-    structural = adj_g & adj_h & distinct
-    both_absent = ~adj_g & ~adj_h & distinct
-
-    edge_values = edge_kernel.elementwise(
-        _edge_label_matrix(g)[np.ix_(pg, pg)],
-        _edge_label_matrix(h)[np.ix_(ph, ph)],
-    )
-    weights = np.where(structural, edge_values, 0.0) + both_absent
-    allowed = (structural & (edge_values > 0)) | both_absent
-    return pairs, vertex_weights, weights, allowed, structural
-
-
-def _spans_connectedly(members: List[int], structural: np.ndarray) -> bool:
-    """True when the structural connections alone connect all members."""
-    if len(members) <= 1:
-        return True
-    seen = {members[0]}
-    frontier = [members[0]]
-    rest = set(members[1:])
-    while frontier and rest:
-        x = frontier.pop()
-        for y in list(rest):
-            if structural[x, y]:
-                rest.discard(y)
-                seen.add(y)
-                frontier.append(y)
-    return not rest
+    if max_size < 1:
+        raise ParameterError(f"max_size must be >= 1, got {max_size}")
+    weight_of = size_weights if size_weights is not None else (lambda k: 1.0)
+    factors = [weight_of(k) for k in range(1, max_size + 1)]
+    integral_factors = all(float(f).is_integer() for f in factors)
+    out = np.zeros(len(hs), dtype=np.float64)
+    # the vertex-kernel grid of g against a group of partners stays within
+    # the budget too; association blocks subdivide each group
+    vertices = list(accumulate((h.n for h in hs), initial=0))
+    grid = lambda a, b: g.n * (vertices[b] - vertices[a])
+    for first, last in _partner_runs(len(hs), grid, ASSOCIATION_CELLS):
+        sums, unit = _level_sums(
+            g, hs[first:last], vertex_kernel, edge_kernel, factors, connected_only
+        )
+        for k, factor in enumerate(factors):
+            if factor != 0:
+                out[first:last] += factor * sums[k]
+        if integral_factors:
+            mass = np.abs(factors) @ sums
+            mass[~unit] = 0.0
+            worst = int(np.argmax(mass))
+            if mass[worst] >= EXACT_LIMIT:
+                raise MultiplicityOverflowError(
+                    f"subgraph matching against partner {first + worst} sums "
+                    f"{mass[worst]:.4g} common-subgraph mappings, past 2**53, "
+                    f"where float64 stops counting exactly"
+                )
+    return out
 
 
 def subgraph_matching_kernel(
@@ -238,64 +466,20 @@ def subgraph_matching_kernel(
 ) -> float:
     """Sum over common-subgraph mappings of their kernel value.
 
-    Enumerates cliques of the association graph up to ``max_size``
-    vertices in index order (each clique once); a clique contributes
-    ``size_weights(size)`` times the product of its vertex weights and of
-    the weights of all its internal connections.  ``connected_only``
-    keeps only mappings whose shared edges connect the mapped vertices.
-    With ``size_weights=lambda k: 1 / math.factorial(k)`` the
-    Dirac/uniform value counts each unordered common subgraph selection
-    once.  ``max_size`` beyond the association graph order is harmless.
-
-    When every clique contributes an integer — all vertex and connection
-    weights 1 (Dirac or uniform kernels) and integer size factors — the
-    float64 total counts exactly below 2**53 only, so reaching it raises
-    :class:`MultiplicityOverflowError`.
+    Each mapping of up to ``max_size`` vertices is a clique of the
+    association graph of compatible vertex pairs, enumerated a chunk of
+    one size at a time; it contributes ``size_weights(size)`` times the
+    product of its vertex weights and of the weights of all its internal
+    connections.
+    ``connected_only`` keeps only mappings whose shared edges connect the
+    mapped vertices.  With ``size_weights=lambda k: 1 / math.factorial(k)``
+    the Dirac/uniform value counts each unordered common subgraph
+    selection once.  ``max_size`` beyond the association graph order is
+    harmless.  This is the one-partner case of
+    :func:`subgraph_matching_row`, whose 2**53 check it shares.
     """
-    if max_size < 1:
-        raise ParameterError(f"max_size must be >= 1, got {max_size}")
-    weight_of = size_weights if size_weights is not None else (lambda k: 1.0)
-
-    pairs, vertex_weights, weights, allowed, structural = _association_graph(
-        g, h, vertex_kernel, edge_kernel
+    return float(
+        subgraph_matching_row(
+            g, [h], vertex_kernel, edge_kernel, max_size, size_weights, connected_only
+        )[0]
     )
-    count = pairs.shape[0]
-    total = 0.0
-    if count == 0:
-        return total
-
-    indices = np.arange(count, dtype=np.int64)
-    scale = [0.0] + [weight_of(k) for k in range(1, max_size + 1)]
-
-    def grow(members: List[int], candidates: np.ndarray, product: float):
-        nonlocal total
-        size = len(members)
-        factor = scale[size]
-        if factor != 0 and (
-            not connected_only or _spans_connectedly(members, structural)
-        ):
-            total += factor * product
-        if size == max_size:
-            return
-        for pos in range(candidates.shape[0]):
-            nxt = int(candidates[pos])
-            extended = product * vertex_weights[nxt]
-            for m in members:
-                extended *= weights[m, nxt]
-            rest = candidates[pos + 1 :]
-            grow(members + [nxt], rest[allowed[nxt, rest]], extended)
-
-    for start in range(count):
-        rest = indices[start + 1 :]
-        grow([start], rest[allowed[start, rest]], float(vertex_weights[start]))
-    integral = (
-        (vertex_weights == 1).all()
-        and (weights[allowed] == 1).all()
-        and all(float(factor).is_integer() for factor in scale)
-    )
-    if integral and total >= EXACT_LIMIT:
-        raise MultiplicityOverflowError(
-            f"{total:.4g} common-subgraph mappings, past 2**53, where float64 "
-            f"stops counting exactly"
-        )
-    return total

@@ -55,7 +55,8 @@ than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -208,17 +209,30 @@ def _disjoint_union(hs: Sequence[Graph]) -> _DisjointUnion:
     )
 
 
+def _partner_runs(
+    count: int, cells: Callable[[int, int], int], budget: int
+) -> Iterator[Tuple[int, int]]:
+    """Consecutive ``(start, stop)`` ranges of ``count`` partners whose
+    ``cells(start, stop)`` stay within ``budget``; a partner that alone
+    exceeds it forms a range of its own."""
+    start = 0
+    for j in range(1, count):
+        if cells(start, j + 1) > budget:
+            yield start, j
+            start = j
+    if count:
+        yield start, count
+
+
 def _blocks(g: Graph, hs: Sequence[Graph]) -> Iterator[Tuple[int, int]]:
     """Consecutive ``(start, stop)`` partner ranges within :data:`BLOCK_CELLS`."""
-    start = vertices = edges = 0
-    for j, h in enumerate(hs):
-        vertices += h.n
-        edges += h.m
-        if j > start and max(g.n * vertices, g.m * edges) > BLOCK_CELLS:
-            yield start, j
-            start, vertices, edges = j, h.n, h.m
-    if hs:
-        yield start, len(hs)
+    vertices = list(accumulate((h.n for h in hs), initial=0))
+    edges = list(accumulate((h.m for h in hs), initial=0))
+    return _partner_runs(
+        len(hs),
+        lambda a, b: max(g.n * (vertices[b] - vertices[a]), g.m * (edges[b] - edges[a])),
+        BLOCK_CELLS,
+    )
 
 
 def _walk_totals(

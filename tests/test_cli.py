@@ -361,6 +361,14 @@ class TestConfig:
         config.write_text(json.dumps({"data": DATA, "kernel": "walk", "axis": "pv"}))
         assert main(["compute", "--config", str(config), "--regime", "implicit"]) == 0
 
+    def test_config_key_help_is_rejected(self, tmp_path, capsys):
+        # argparse's -h action has dest "help", but no flag reads a setting there
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"help": True, "data": DATA, "kernel": "walk"}))
+        assert main(["compute", "--config", str(config), "--regime", "implicit"]) == 2
+        captured = capsys.readouterr()
+        assert "'help'" in captured.err and captured.out == ""
+
     def test_config_values_read_like_flags(self, tmp_path, capsys):
         config = tmp_path / "conf.json"
         entries = {"length": "3", "delta": 1, "normalize": True, "regime": "implicit"}

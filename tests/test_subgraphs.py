@@ -4,15 +4,18 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gkern.subgraphs as subgraphs
 from gkern import (
     ContractError,
     Dataset,
     EdgeKernelSpec,
     Graph,
+    GramError,
     MultiplicityOverflowError,
     ParameterError,
     VertexKernelSpec,
@@ -21,11 +24,14 @@ from gkern import (
     graphlet_features,
     matching_features,
     subgraph_matching_kernel,
+    subgraph_matching_row,
 )
 from gkern.bench import kernel_plan
 from gkern.features import TAG_GRAPHLET
+from gkern.gram import gram_implicit
 from conftest import graphs, make_random_graph
 from oracles import (
+    dirac_fn,
     oracle_graphlet_kernel,
     oracle_subgraph_matching,
     oracle_triple_automorphisms,
@@ -35,6 +41,12 @@ from oracles import (
 
 DIRAC = VertexKernelSpec("dirac")
 DIRAC_EDGE = EdgeKernelSpec("dirac")
+HALF_EDGE = EdgeKernelSpec("table", table=((0, 1, 0.5),))
+
+
+def half_fn(a, b) -> float:
+    """``HALF_EDGE`` written out: Dirac, but labels 0 and 1 match by half."""
+    return 0.5 if {a, b} == {0, 1} else float(a == b)
 
 
 def _relabeled(sub: Graph, order) -> Graph:
@@ -280,3 +292,162 @@ class TestSubgraphMatching:
         g = Graph(2, [(0, 1)], vertex_labels=[0, 0])
         h = Graph(2, [(0, 1)], vertex_labels=[1, 1])
         assert subgraph_matching_kernel(g, h, max_size=3) == 0.0
+
+
+def _inverse_factorial(k):
+    return 1 / math.factorial(k)
+
+
+class TestSubgraphMatchingRow:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graphs(max_n=4),
+        st.lists(graphs(max_n=4), min_size=1, max_size=3),
+        st.integers(1, 4),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_row_equals_pairs_bit_for_bit_and_the_oracle(
+        self, g, hs, max_size, connected, normalize, half
+    ):
+        edges = HALF_EDGE if half else DIRAC_EDGE
+        weights = _inverse_factorial if normalize else None
+        row = subgraph_matching_row(g, hs, DIRAC, edges, max_size, weights, connected)
+        pairs = [
+            subgraph_matching_kernel(g, h, DIRAC, edges, max_size, weights, connected)
+            for h in hs
+        ]
+        assert row.tobytes() == np.array(pairs).tobytes()
+        for value, h in zip(row.tolist(), hs):
+            expected = oracle_subgraph_matching(
+                g,
+                h,
+                max_size,
+                edge_kernel=half_fn if half else dirac_fn,
+                connected_only=connected,
+                size_weights=weights,
+            )
+            if half or normalize:
+                assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            else:
+                assert value == expected
+
+    def test_partners_without_compatible_pairs_or_edges(self, triangle):
+        labeled = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 0, 1])
+        hs = [
+            Graph(2, [(0, 1)], vertex_labels=[2, 2]),  # no compatible pair
+            Graph(3, [], vertex_labels=[0, 1, 0]),  # no edges
+            Graph(0, []),
+            Graph(2, [(0, 1)], vertex_labels=[0, 1]),
+            Graph(4, [], vertex_labels=[3, 3, 3, 3]),  # no edges, no compatible pair
+        ]
+        for connected in (False, True):
+            row = subgraph_matching_row(labeled, hs, max_size=3, connected_only=connected)
+            expected = [
+                oracle_subgraph_matching(labeled, h, 3, connected_only=connected)
+                for h in hs
+            ]
+            assert row.tolist() == expected
+        assert row[0] == row[2] == row[4] == 0.0
+        # no edges on either side: every mapping pairs non-edges
+        edgeless = Graph(3, [])
+        assert subgraph_matching_row(edgeless, [Graph(2, [])], max_size=2).tolist() == [
+            3 * 2 + 3 * 2
+        ]
+        assert subgraph_matching_row(triangle, []).shape == (0,)
+
+    def test_connected_mapping_grown_from_an_unconnected_pair(self):
+        # paths whose middle vertex comes last: the mapping {0->0, 1->1,
+        # 2->2} starts from the non-adjacent pair 0, 1 and is connected only
+        # once 2 joins, so the unconnected pair must still be grown
+        g = Graph(3, [(0, 2), (1, 2)], edge_labels=[0, 1])
+        h = Graph(3, [(0, 2), (1, 2)], edge_labels=[1, 1])
+        for edges, fn in ((DIRAC_EDGE, dirac_fn), (HALF_EDGE, half_fn)):
+            got = subgraph_matching_kernel(g, h, DIRAC, edges, 3, connected_only=True)
+            assert got == oracle_subgraph_matching(
+                g, h, 3, edge_kernel=fn, connected_only=True
+            ), edges.kind
+
+    def test_weighted_vertices_keep_their_partner(self):
+        # hat(delta=1) on 1-d attributes: g's pairs against the two
+        # partners interleave in the kernel grid, so a weight gathered for
+        # the wrong pair or partner changes a value
+        hat = VertexKernelSpec("hat", delta=1.0)
+        g = Graph(2, [(0, 1)], vertex_attributes=[[0.0], [1.0]])
+        h = Graph(2, [(0, 1)], vertex_attributes=[[0.25], [1.0]])
+        path = Graph(3, [(0, 1), (1, 2)], vertex_attributes=[[1.0], [0.5], [0.0]])
+        # h: pairs 0.75 + 0.25 + 1, one mapping of both edges 0.75 * 1
+        # path: pairs 0.5 + 1 + 1 + 0.5, mappings onto 1-0 and 2-1: 0.5 + 0.5
+        for connected in (False, True):
+            row = subgraph_matching_row(g, [h, path], hat, DIRAC_EDGE, 2, None, connected)
+            assert row.tolist() == [2.75, 4.0]
+        rng = random.Random(7)
+        attributed = dict(edge_prob=0.6, attribute_dim=2, attribute_levels=3)
+        g = make_random_graph(rng, max_n=6, min_n=4, **attributed)
+        hs = [make_random_graph(rng, max_n=6, **attributed) for _ in range(5)]
+        for kernel in (hat, VertexKernelSpec("rbf", sigma=0.7)):
+            for connected in (False, True):
+                row = subgraph_matching_row(g, hs, kernel, HALF_EDGE, 3, None, connected)
+                pairs = [
+                    subgraph_matching_kernel(g, h, kernel, HALF_EDGE, 3, None, connected)
+                    for h in hs
+                ]
+                assert row.tobytes() == np.array(pairs).tobytes(), (kernel.kind, connected)
+                assert (row > 0).all()
+
+    def test_minimum_budget_crosses_every_block_and_chunk(self, monkeypatch):
+        rng = random.Random(139)
+        dense = dict(edge_prob=0.6, labels=2, edge_label_count=2)
+        g = make_random_graph(rng, max_n=7, min_n=6, **dense)
+        hs = [make_random_graph(rng, max_n=7, min_n=3, **dense) for _ in range(5)]
+        hs.append(Graph(3, [], vertex_labels=[5, 5, 5]))
+        cases = [
+            (g, hs, DIRAC, edges, max_size, None, connected)
+            for edges in (DIRAC_EDGE, HALF_EDGE)
+            for max_size in (1, 3, 4)
+            for connected in (False, True)
+        ]
+        # rbf products are not dyadic: on these graphs, growing the chunks
+        # breadth first adds the size-3 products out of order and changes
+        # the sums' last bits
+        soft_rng = random.Random(7)
+        soft = dict(edge_prob=0.6, attribute_dim=1, attribute_levels=5)
+        soft_g = make_random_graph(soft_rng, max_n=5, min_n=4, **soft)
+        soft_hs = [make_random_graph(soft_rng, max_n=5, min_n=3, **soft) for _ in range(3)]
+        rbf = VertexKernelSpec("rbf", sigma=0.5)
+        cases += [(soft_g, soft_hs, rbf, HALF_EDGE, 3, None, c) for c in (False, True)]
+        wide = [subgraph_matching_row(*case) for case in cases]
+        monkeypatch.setattr(subgraphs, "ASSOCIATION_CELLS", 1)
+        # one partner per block, however small its association graph
+        ends = [0, 2, 2, 5, 6]
+        cells = lambda a, b: (ends[b] - ends[a]) ** 2
+        runs = subgraphs._partner_runs(4, cells, subgraphs.ASSOCIATION_CELLS)
+        assert list(runs) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        for case, expected in zip(cases, wide):
+            narrow = subgraph_matching_row(*case)
+            assert narrow.tobytes() == expected.tobytes(), case[2:]
+        oracle = [
+            oracle_subgraph_matching(g, h, 3, edge_kernel=half_fn, connected_only=True)
+            for h in hs
+        ]
+        got = subgraph_matching_row(g, hs, DIRAC, HALF_EDGE, 3, None, True)
+        assert got.tolist() == pytest.approx(oracle, rel=1e-12)
+
+    def test_overflow_names_the_partner_and_the_gram_pair(self, monkeypatch):
+        one = Graph(1, [], vertex_labels=[1])
+        two = Graph(2, [], vertex_labels=[1, 1])
+        huge = lambda k: 2.0**52
+        # one vertex pair per mapping: 2**52 for (one, one), 2**53 for (one, two)
+        assert subgraph_matching_kernel(one, one, max_size=1, size_weights=huge) == 2**52
+        for budget in (subgraphs.ASSOCIATION_CELLS, 1):
+            monkeypatch.setattr(subgraphs, "ASSOCIATION_CELLS", budget)
+            with pytest.raises(MultiplicityOverflowError, match="partner 1 "):
+                subgraph_matching_row(one, [one, two], max_size=1, size_weights=huge)
+        monkeypatch.undo()
+        ds = Dataset("h", [Graph(1, [], vertex_labels=[0]), one, two])
+        row = lambda g, hs: subgraph_matching_row(
+            g, hs, DIRAC, DIRAC_EDGE, 1, size_weights=huge
+        )
+        with pytest.raises(GramError, match=r"pair \(1, 2\) failed: .*2\*\*53"):
+            gram_implicit(ds, row, "matching", rows=True)
