@@ -7,9 +7,9 @@ attribute vectors, or path lengths.  This module provides
 * the scalar functions (:func:`dirac`, :func:`hat_kernel`,
   :func:`rbf_kernel`, :func:`brownian_bridge`),
 * :class:`VertexKernelSpec` / :class:`EdgeKernelSpec` — parameterized
-  kernel choices that also expose vectorized all-pairs evaluation and
-  their support (where they are positive), which the product-graph
-  construction relies on,
+  kernel choices that also expose vectorized evaluation and an equality
+  key per element (two elements with different keys compare as 0), which
+  the product-graph construction joins on,
 * randomized binning grids, whose collision feature map approximates the
   hat kernel (:func:`sample_binning_grid`, :func:`binning_features`), and
 * :func:`binary_feature_map`, the exact finite-dimensional feature map
@@ -224,6 +224,20 @@ class VertexKernelSpec:
         values = self.matrix(g, h)
         return values > 0, values
 
+    @property
+    def unit(self) -> bool:
+        """Whether the kernel is 1 wherever the :meth:`keys` agree (the
+        ``dirac`` kind), so a key match alone gives the value."""
+        return self.kind == "dirac"
+
+    def keys(self, g: Graph) -> np.ndarray:
+        """Equality key per vertex of ``g``: the label for the ``dirac``
+        kind, a constant for every other kind.  The kernel is 0 between
+        vertices whose keys differ."""
+        if self.kind == "dirac":
+            return g.vertex_label_array()
+        return np.zeros(g.n, dtype=np.int64)
+
     def matrix(self, g: Graph, h: Graph) -> np.ndarray:
         """All-pairs kernel values, shape (g.n, h.n)."""
         if self.kind in ("dirac", "dirac-attributes"):
@@ -304,22 +318,19 @@ class EdgeKernelSpec:
             return dirac(label_g, label_h)
         return brownian_bridge(label_g, label_h, self.c)
 
-    def support(
-        self, labels_g: np.ndarray, labels_h: np.ndarray
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """Where the kernel is positive, and its values, for all pairs of
-        two edge-annotation arrays.
+    @property
+    def unit(self) -> bool:
+        """Whether the kernel is 1 wherever the :meth:`keys` agree (the
+        Dirac and uniform kinds), so a key match alone gives the value."""
+        return self.kind in ("dirac", "uniform")
 
-        Returns a boolean keep-mask, ``None`` when every pair is kept (the
-        uniform kind), and the all-pairs values, ``None`` when every kept
-        value is 1 (the uniform and Dirac kinds).
-        """
-        if self.kind == "uniform":
-            return None, None
+    def keys(self, labels: np.ndarray) -> np.ndarray:
+        """Equality key per edge annotation: the label for the Dirac kind,
+        a constant for every other kind.  The kernel is 0 between
+        annotations whose keys differ."""
         if self.kind == "dirac":
-            return np.equal.outer(labels_g, labels_h), None
-        values = self.matrix(labels_g, labels_h)
-        return values > 0, values
+            return np.asarray(labels, dtype=np.int64)
+        return np.zeros(len(labels), dtype=np.int64)
 
     def matrix(self, labels_g: np.ndarray, labels_h: np.ndarray) -> np.ndarray:
         """All-pairs kernel values for two edge-annotation arrays."""

@@ -258,6 +258,23 @@ def _joining(
     return joins
 
 
+def _chunk_size(cliques: np.ndarray, stop_of: np.ndarray) -> int:
+    """How many leading ``cliques`` (ascending) one extension chunk takes:
+    the most whose :func:`_candidates` mask, (cliques x candidate window),
+    stays within :data:`ASSOCIATION_CELLS` cells, and at least one.
+
+    A chunk's window runs from its lowest last member to the end of its
+    last clique's partner, so it only widens as the chunk grows; sizing
+    by it rather than by the whole association order lets chunks of
+    late cliques, whose windows are narrow, take many more.
+    """
+    first = int(stop_of[cliques[0, 0]] - cliques[0, -1] - 1)
+    head = cliques[: ASSOCIATION_CELLS // max(first, 1)]
+    width = stop_of[head[:, 0]] - np.minimum.accumulate(head[:, -1]) - 1
+    cells = np.arange(1, head.shape[0] + 1) * width
+    return max(1, int(np.searchsorted(cells, ASSOCIATION_CELLS, "right")))
+
+
 def _extend(
     cliques: np.ndarray,
     products: np.ndarray,
@@ -291,19 +308,18 @@ def _clique_sums(
     """``(len(factors), count)`` sums of the clique products of each size,
     by the partner of their members, over one association graph.
 
-    Cliques grow depth first in chunks of :data:`ASSOCIATION_CELLS`
-    candidate-mask cells: each chunk's grown cliques are grown on to the
-    largest size before the next chunk starts, so one chunk per size is
-    held at a time.  The grown products are summed by ``np.add.at``, which
-    adds each partner's products one at a time in ascending member order,
-    so the chunking never changes a sum.
+    Cliques grow depth first in chunks of at most :data:`ASSOCIATION_CELLS`
+    candidate-mask cells (see :func:`_chunk_size`): each chunk's grown
+    cliques are grown on to the largest size before the next chunk
+    starts, so one chunk per size is held at a time.  The grown products
+    are summed by ``np.add.at``, which adds each partner's products one at
+    a time in ascending member order, so the chunking never changes a sum.
     """
     sums = np.zeros((len(factors), count), dtype=np.float64)
     top = max((k for k, f in enumerate(factors, 1) if f != 0), default=0)
     if not top:
         return sums
     order = allowed.shape[0]
-    chunk = max(1, ASSOCIATION_CELLS // max(order, 1))
     # a clique's candidates end with its partner's vertices
     stop_of = np.cumsum(np.bincount(partner, minlength=count))[partner]
     np.add.at(sums[0], partner, vertex_weights)
@@ -311,6 +327,7 @@ def _clique_sums(
     pending = [(np.arange(order, dtype=np.int64)[:, None], vertex_weights)]
     while top > 1 and pending:
         cliques, products = pending.pop()
+        chunk = _chunk_size(cliques, stop_of)
         if cliques.shape[0] > chunk:
             pending.append((cliques[chunk:], products[chunk:]))
         parents, products = cliques[:chunk], products[:chunk]

@@ -15,10 +15,15 @@ recursion touches each product edge once per round, so a pair evaluation
 costs O(product size * length) and never materializes features.
 
 :func:`build_wdpg` is the one construction of the product, whatever the
-base kernels: each kernel reports its support (a keep-mask, plus its
-values unless every kept value is 1), and the build keeps the masked
-pairs.  Binary kernels (Dirac, uniform) report no values, so the Dirac
-hot path gathers no weight arrays; its weights are ones.
+base kernels.  Each kernel reports an equality key per element (the label
+for the Dirac kinds, a constant for every other kind; elements with
+different keys compare as 0), and the build joins the two graphs' edges
+on (vertex key, edge key, vertex key): a sort and ``searchsorted``, so it
+touches only the matching edge pairs, and the vertex keep-mask and edge
+values are applied to those alone.  With Dirac kernels a key match is
+already a product edge of weight 1, so nothing else is read.  Constant
+keys match everything, so the non-Dirac kinds fall back to the dense
+enumeration through the same code.
 
 *Row scheme* — :func:`walk_kernel_row`: the product of ``g`` with a
 disjoint union ``h_1 + ... + h_k`` is the disjoint union of the products
@@ -27,12 +32,15 @@ at once.  So a Gram row is evaluated a block of partners at a time: one
 product build and one recursion over the union, then one bincount over
 each product vertex's partner reads off the per-partner totals.  The
 values are the pairwise ones: every product vertex keeps its pair's
-neighbours, so the per-vertex sums add the same terms in the same
-relative order as a one-partner call, and each partner's total sums the
-same vertices in the same order.  This removes the fixed per-pair cost
-(a build and a recursion setup per pair), which dominates on small
-product graphs.  :data:`BLOCK_CELLS` bounds the dense arrays one build
-allocates, so memory stays flat however long the row is.
+neighbours and its edges in their one-partner order, so the per-vertex
+sums add the same terms in the same relative order as a one-partner
+call, and each partner's total sums the same vertices in the same order.
+This removes the fixed per-pair cost (a build and a recursion setup per
+pair), which dominates on small product graphs.  The row's union and its
+join keys are made once; :data:`BLOCK_CELLS` then bounds each block's
+vertex index and its matched edge pairs, counted from the keys before
+anything is gathered, so memory stays flat however long the row is, and
+sparse matches (many labels) let a whole row share a few builds.
 
 *Explicit scheme* — :func:`walk_features_explicit`: for Dirac base kernels
 on discrete annotations, a walk contributes through its label sequence
@@ -55,7 +63,6 @@ than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,11 +111,15 @@ def build_wdpg(
     Product vertices are the pairs the vertex kernel keeps (positive
     value), in lexicographic order, numbered through one (u, v) index.
     Every unordered product edge arises from exactly one (g-edge, h-edge,
-    orientation) combination, so enumerating both orientations of every
-    edge pair emits each edge once.  The kernels' ``support`` says which
-    pairs are kept and with what weight; a binary kernel (Dirac, uniform)
-    keeps weight 1 everywhere, so its weights are ones and no weight
-    array is gathered.
+    orientation) combination, found by a join on the kernels' equality
+    keys (see :func:`_join`): ``h``'s edges are sorted by key, and
+    each g-edge, read in both orientations, finds its matching range with
+    ``searchsorted``.  Only those candidates meet the vertex keep-mask
+    and, unless the edge kernel is 1 on equal keys, its values.  Edges
+    come out in (orientation, g-edge, h-edge) order.  When every g-edge
+    has one key (a single label, or the constant key of a non-Dirac
+    kernel) the candidates form one dense block, read off like the full
+    cross product.
     """
     keep, values = vertex_kernel.support(g, h)
     flat = np.flatnonzero(keep)
@@ -125,40 +136,118 @@ def build_wdpg(
 
     index = np.full((g.n, h.n), -1, dtype=np.int64)
     index[keep] = np.arange(count, dtype=np.int64)
-    compatible, edge_values = edge_kernel.support(
-        g.edge_label_array(), h.edge_label_array()
+    queries, keys, order = getattr(h, "join", None) or _join(
+        g, h, vertex_kernel, edge_kernel
     )
+    ha, hb = h.edges[order].T
     ga, gb = g.edges[:, 0], g.edges[:, 1]
-    ha, hb = h.edges[:, 0], h.edges[:, 1]
+    # equal keys make both ends product vertices and the edge value 1
+    unit = vertex_kernel.unit and edge_kernel.unit
+    if not edge_kernel.unit:
+        label_g = g.edge_label_array()
+        label_h = h.edge_label_array()[order]
     chunks_u: List[np.ndarray] = []
     chunks_v: List[np.ndarray] = []
     chunks_w: List[np.ndarray] = []
-    for (l0, l1), (r0, r1) in (((ga, ha), (gb, hb)), ((ga, hb), (gb, ha))):
-        # (g.m, h.m) product-vertex ids of the two edge ends; take keeps
-        # them C-ordered, which the boolean selections below are fast on
-        side_a = index[l0].take(l1, axis=1)
-        side_b = index[r0].take(r1, axis=1)
+    for query, (l0, l1), (r0, r1) in zip(
+        queries, ((ga, ha), (ga, hb)), ((gb, hb), (gb, ha))
+    ):
+        if (query == query[0]).all():
+            # one bucket serves every g-edge: a dense (g.m, width) block;
+            # take keeps it C-ordered, which the selections below are fast on
+            lo = np.searchsorted(keys, query[0], "left")
+            hi = np.searchsorted(keys, query[0], "right")
+            rows, cols = np.arange(g.m)[:, None], np.arange(lo, hi)
+            side_a = index[l0].take(l1[cols], axis=1)
+            side_b = index[r0].take(r1[cols], axis=1)
+        else:
+            # each g-edge's range of sorted h-edges, the ranges end to end
+            lo = np.searchsorted(keys, query, "left")
+            counts = np.searchsorted(keys, query, "right") - lo
+            rows = np.repeat(np.arange(g.m), counts)
+            cols = np.arange(rows.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+            side_a = index[l0[rows], l1[cols]]
+            side_b = index[r0[rows], r1[cols]]
+        if unit:
+            chunks_u.append(side_a.ravel())
+            chunks_v.append(side_b.ravel())
+            continue
         valid = (side_a >= 0) & (side_b >= 0)
-        if compatible is not None:
-            valid &= compatible
+        if not edge_kernel.unit:
+            weights = edge_kernel.elementwise(label_g[rows], label_h[cols])
+            valid &= weights > 0
+            chunks_w.append(weights[valid])
         chunks_u.append(side_a[valid])
         chunks_v.append(side_b[valid])
-        if edge_values is not None:
-            chunks_w.append(edge_values[valid])
     edge_u = np.concatenate(chunks_u)
     return WeightedProductGraph(
         pairs,
         vertex_weights,
         edge_u,
         np.concatenate(chunks_v),
-        np.ones(edge_u.size) if edge_values is None else np.concatenate(chunks_w),
+        np.concatenate(chunks_w) if chunks_w else np.ones(edge_u.size),
     )
 
 
-#: Budget on the dense cells one batched product build allocates,
-#: max(g.n * H.n, g.m * H.m) for ``g`` against the union ``H`` of a block
-#: of partners.  It keeps a row's peak memory flat however long the row
-#: is; a partner that alone exceeds it forms a block of its own.
+def _codes(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ``keys`` and each key's position among them."""
+    ordered = np.sort(keys)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    vocab = ordered[first]
+    return vocab, np.searchsorted(vocab, keys)
+
+
+def _rank(vocab: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in the sorted ``vocab``, or -1 if absent."""
+    at = np.searchsorted(vocab, keys)
+    found = np.zeros(keys.shape, dtype=bool)
+    inside = at < vocab.size
+    found[inside] = vocab[at[inside]] == keys[inside]
+    return np.where(found, at, -1)
+
+
+def _join(
+    g: Graph, h: Graph, vertex_kernel: VertexKernelSpec, edge_kernel: EdgeKernelSpec
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(queries, keys, order)``: ``g``'s and ``h``'s edges keyed for the
+    product join.
+
+    An h-edge's key packs the ranks, among ``h``'s keys, of its (vertex
+    key, edge key, vertex key) into one int64; ``keys`` holds them
+    ascending, ``order`` the h-edges in that order (stably).
+    ``queries[0]`` and ``queries[1]`` key each g-edge read forwards and
+    backwards in the same ranks, -1 where one of its keys does not occur
+    in ``h``.  A g-edge pairs with an h-edge only where their keys are
+    equal.
+    """
+    vertex_vocab, vertex_h = _codes(vertex_kernel.keys(h))
+    edge_vocab, edge_h = _codes(edge_kernel.keys(h.edge_label_array()))
+    nv, ne = vertex_vocab.size, edge_vocab.size
+    if nv * nv * ne * h.m >= 2**63:
+        raise ContractError(
+            f"{nv} vertex keys and {ne} edge keys on {h.m} edges overflow "
+            f"an int64 join key"
+        )
+    keys = (vertex_h[h.edges[:, 0]] * ne + edge_h) * nv + vertex_h[h.edges[:, 1]]
+    vertex_g = _rank(vertex_vocab, vertex_kernel.keys(g))
+    edge_g = _rank(edge_vocab, edge_kernel.keys(g.edge_label_array()))
+    a, b = vertex_g[g.edges[:, 0]], vertex_g[g.edges[:, 1]]
+    queries = np.stack(((a * ne + edge_g) * nv + b, (b * ne + edge_g) * nv + a))
+    queries[:, (a < 0) | (b < 0) | (edge_g < 0)] = -1
+    # sorting key * m + edge id is a stable sort by key, and many times
+    # faster than a stable argsort
+    packed = np.sort(keys * h.m + np.arange(h.m))
+    size = max(h.m, 1)
+    return queries, packed // size, packed % size
+
+
+#: Budget on the cells one batched product build allocates for ``g``
+#: against the union ``H`` of a block of partners: the ``g.n * H.n``
+#: vertex index, and per orientation the (g-edge, H-edge) pairs whose
+#: join keys match, which is ``g.m * H.m`` when every key agrees.  It
+#: keeps a row's peak memory flat however long the row is; a partner
+#: that alone exceeds it forms a block of its own.
 BLOCK_CELLS = 8192
 
 
@@ -169,7 +258,10 @@ class _DisjointUnion:
     Carries what :func:`build_wdpg` and the vertex kernels read from a
     graph, so a block's product is built by the same code as a single
     pair's.  ``owner[v]`` is the index of the partner that union vertex
-    ``v`` came from.
+    ``v`` came from; partner ``j`` holds the vertices and edges from
+    ``vertex_offsets[j]`` and ``edge_offsets[j]`` up to the next offsets.
+    ``join``, when set, is :func:`_join` of a row's ``g`` against these
+    partners, made once for the whole row and restricted per block.
     """
 
     n: int
@@ -178,6 +270,9 @@ class _DisjointUnion:
     edge_labels: np.ndarray
     vertex_attributes: Optional[np.ndarray]
     owner: np.ndarray
+    vertex_offsets: np.ndarray
+    edge_offsets: np.ndarray
+    join: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @property
     def m(self) -> int:
@@ -189,12 +284,35 @@ class _DisjointUnion:
     def edge_label_array(self) -> np.ndarray:
         return self.edge_labels
 
+    def partners(self, start: int, stop: int) -> "_DisjointUnion":
+        """The union of partners ``start..stop-1``, with their share of
+        this union's join."""
+        v0, v1 = self.vertex_offsets[start], self.vertex_offsets[stop]
+        e0, e1 = self.edge_offsets[start], self.edge_offsets[stop]
+        attributes = self.vertex_attributes
+        queries, keys, order = self.join
+        inside = (order >= e0) & (order < e1)
+        return _DisjointUnion(
+            int(v1 - v0),
+            self.edges[e0:e1] - v0,
+            self.vertex_labels[v0:v1],
+            self.edge_labels[e0:e1],
+            None if attributes is None else attributes[v0:v1],
+            self.owner[v0:v1] - start,
+            self.vertex_offsets[start : stop + 1] - v0,
+            self.edge_offsets[start : stop + 1] - e0,
+            (queries, keys[inside], order[inside] - e0),
+        )
+
 
 def _disjoint_union(hs: Sequence[Graph]) -> _DisjointUnion:
     sizes = np.array([h.n for h in hs], dtype=np.int64)
-    offsets = np.cumsum(sizes) - sizes
     edge_counts = np.array([h.m for h in hs], dtype=np.int64)
-    edges = np.concatenate([h.edges for h in hs]) + np.repeat(offsets, edge_counts)[:, None]
+    vertex_offsets = np.concatenate(([0], np.cumsum(sizes)))
+    edge_offsets = np.concatenate(([0], np.cumsum(edge_counts)))
+    edges = np.concatenate([h.edges for h in hs]) + np.repeat(
+        vertex_offsets[:-1], edge_counts
+    )[:, None]
     attributes = [h.vertex_attributes for h in hs]
     # without every partner's attributes, a kernel that needs them fails on
     # the union, and the Gram finds the failing pair by evaluating it alone
@@ -206,6 +324,8 @@ def _disjoint_union(hs: Sequence[Graph]) -> _DisjointUnion:
         np.concatenate([h.edge_label_array() for h in hs]),
         attributes,
         np.repeat(np.arange(len(hs), dtype=np.int64), sizes),
+        vertex_offsets,
+        edge_offsets,
     )
 
 
@@ -224,13 +344,36 @@ def _partner_runs(
         yield start, count
 
 
-def _blocks(g: Graph, hs: Sequence[Graph]) -> Iterator[Tuple[int, int]]:
+def _matched_pairs(union: _DisjointUnion) -> np.ndarray:
+    """Matched (g-edge, union-edge) pairs per orientation, ``(2, k + 1)``
+    prefix sums over the union's ``k`` partners, from its join.
+
+    Counted before anything is gathered: each union edge matches as many
+    g-edges as share its key.  With unit kernels every matched pair is a
+    product edge, so the two totals sum to the product's edge count.
+    """
+    queries, keys, order = union.join
+    matched = np.zeros((2, union.m + 1), dtype=np.int64)
+    for query, prefix in zip(queries, matched):
+        # +1 over each g-edge's range of sorted union edges
+        ranges = np.bincount(np.searchsorted(keys, query), minlength=union.m + 1)
+        ranges -= np.bincount(np.searchsorted(keys, query, "right"), minlength=union.m + 1)
+        prefix[1:][order] = np.cumsum(ranges[:-1])
+        np.cumsum(prefix, out=prefix)
+    return matched[:, union.edge_offsets]
+
+
+def _blocks(g: Graph, union: _DisjointUnion) -> Iterator[Tuple[int, int]]:
     """Consecutive ``(start, stop)`` partner ranges within :data:`BLOCK_CELLS`."""
-    vertices = list(accumulate((h.n for h in hs), initial=0))
-    edges = list(accumulate((h.m for h in hs), initial=0))
+    vertices = union.vertex_offsets.tolist()
+    forwards, backwards = _matched_pairs(union).tolist()
     return _partner_runs(
-        len(hs),
-        lambda a, b: max(g.n * (vertices[b] - vertices[a]), g.m * (edges[b] - edges[a])),
+        len(vertices) - 1,
+        lambda a, b: max(
+            g.n * (vertices[b] - vertices[a]),
+            forwards[b] - forwards[a],
+            backwards[b] - backwards[a],
+        ),
         BLOCK_CELLS,
     )
 
@@ -266,7 +409,7 @@ def _walk_totals(
     r = weights
     rounds = [by_partner(r)] if all_rounds or length == 0 else []
     for step in range(1, length + 1):
-        message = r[dst] if sym_weights is None else sym_weights * r[dst]
+        message = r.take(dst) if sym_weights is None else sym_weights * r.take(dst)
         flow = np.bincount(src, weights=message, minlength=n)
         r = flow if unit_vertices else weights * flow
         if all_rounds or step == length:
@@ -297,15 +440,15 @@ def walk_kernel_row(
     if length < 0:
         raise ParameterError(f"walk length must be >= 0, got {length}")
     out = np.empty((len(hs), length + 1 if all_rounds else 1), dtype=np.float64)
-    for start, stop in _blocks(g, hs):
-        if stop - start == 1:
-            union, owner = hs[start], np.zeros(hs[start].n, dtype=np.int64)
-        else:
-            union = _disjoint_union(hs[start:stop])
-            owner = union.owner
-        pg = build_wdpg(g, union, vertex_kernel, edge_kernel)
+    if not len(hs):
+        return out if all_rounds else out[:, 0]
+    union = _disjoint_union(hs)
+    union.join = _join(g, union, vertex_kernel, edge_kernel)
+    for start, stop in _blocks(g, union):
+        block = union.partners(start, stop)
+        pg = build_wdpg(g, block, vertex_kernel, edge_kernel)
         totals, counting = _walk_totals(
-            pg, owner[pg.pairs[:, 1]], stop - start, length, all_rounds
+            pg, block.owner[pg.pairs[:, 1]], stop - start, length, all_rounds
         )
         if counting:
             mass = totals.sum(axis=1)

@@ -104,6 +104,40 @@ def oracle_walk_kernel(
     return total
 
 
+def oracle_product_graph(
+    g,
+    h,
+    vertex_kernel: Callable,
+    edge_kernel: Callable[[int, int], float],
+) -> Tuple[Dict[Tuple[int, int], float], Dict[frozenset, float]]:
+    """Weighted direct product of ``g`` and ``h`` from its definition.
+
+    ``vertex_kernel(g, u, h, v)`` and ``edge_kernel(label_g, label_h)``
+    are scalar kernels.  Returns ``(vertices, edges)``: ``vertices`` maps
+    each pair (u, v) of positive vertex-kernel value to that value, and
+    ``edges`` maps each unordered pair {(u, v), (u2, v2)} of product
+    vertices, with u u2 an edge of g and v v2 one of h and a positive
+    edge-kernel value on their labels, to that value.
+    """
+    vertices: Dict[Tuple[int, int], float] = {}
+    for u in range(g.n):
+        for v in range(h.n):
+            value = vertex_kernel(g, u, h, v)
+            if value > 0:
+                vertices[(u, v)] = value
+    eg, eh = edge_label_dict(g), edge_label_dict(h)
+    edges: Dict[frozenset, float] = {}
+    # each g-edge once, each h-edge in both orientations: every unordered
+    # product edge arises exactly once
+    for a, b in edge_list(g):
+        for (c, d), label in eh.items():
+            if (a, c) in vertices and (b, d) in vertices:
+                value = edge_kernel(eg[(a, b)], label)
+                if value > 0:
+                    edges[frozenset(((a, c), (b, d)))] = value
+    return vertices, edges
+
+
 def oracle_walk_label_counts(g, length: int) -> Dict[Tuple[int, ...], int]:
     """Alternating label sequence -> number of walks carrying it."""
     labels = vertex_label_list(g)

@@ -98,7 +98,9 @@ class TestAssembly:
             for _ in range(16)
         ]
         ds = Dataset("big", graphs)
-        assert len(list(walks._blocks(graphs[0], graphs))) > 1
+        union = walks._disjoint_union(graphs)
+        union.join = walks._join(graphs[0], union, DIRAC, DIRAC_EDGE)
+        assert len(list(walks._blocks(graphs[0], union))) > 1
         rows = gram_implicit(
             ds,
             lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 3),

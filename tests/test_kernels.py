@@ -166,6 +166,10 @@ class TestVertexKernelSpec:
                 keep, values = spec.support(g, h)
                 full = spec.matrix(g, h)
                 assert keep.dtype == bool and (keep == (full > 0)).all()
+                # the product build joins vertices on their keys
+                same = np.equal.outer(spec.keys(g), spec.keys(h))
+                assert not (keep & ~same).any()
+                assert not spec.unit or (keep == same).all()
                 if values is None:
                     # binary kinds keep weight 1 and leave nothing to gather
                     assert spec.kind in ("dirac", "dirac-attributes")
@@ -262,21 +266,21 @@ class TestEdgeKernelSpec:
                 for i in range(n):
                     assert flat[i] == spec.value(lg[i], lh[i])
 
-    def test_support_is_the_positive_part_of_matrix(self):
+    def test_keys_bound_the_positive_part_of_matrix(self):
+        # the product build joins edges on their keys and evaluates only
+        # the matched pairs, through elementwise
         lg, lh = np.array([0, 1, 2, 3, 1]), np.array([1, 2, 0])
         for spec in self._specs():
-            keep, values = spec.support(lg, lh)
             full = spec.matrix(lg, lh)
-            if keep is None:
-                # uniform keeps every pair at weight 1
-                assert spec.kind == "uniform" and values is None
-                assert (full == 1.0).all()
-                continue
-            assert keep.dtype == bool and (keep == (full > 0)).all()
-            if values is None:
-                assert spec.kind == "dirac" and (full[keep] == 1.0).all()
+            assert (spec.elementwise(lg[:, None], lh[None, :]) == full).all()
+            same = np.equal.outer(spec.keys(lg), spec.keys(lh))
+            assert (full[~same] == 0).all()
+            if spec.unit:
+                # a key match alone gives the value, 1
+                assert spec.kind in ("dirac", "uniform")
+                assert (full == same).all()
             else:
-                assert (values == full).all()
+                assert spec.kind in ("brownian-bridge", "table")
 
     def test_bridge_matrix_zeroes_unreachable_sentinel(self):
         bridge = EdgeKernelSpec("brownian-bridge", c=3.0)

@@ -21,7 +21,9 @@ from gkern import (
     sp_features_explicit,
     sp_kernel_implicit,
     sp_transform,
+    walk_kernel_row,
 )
+from gkern import walks
 from gkern.features import TAG_SP
 from conftest import make_random_graph
 from oracles import brownian_bridge_fn, oracle_sp_kernel
@@ -85,6 +87,30 @@ class TestImplicitKernel:
             )
             got = sp_kernel_implicit(g, h, DIRAC, bridge)
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+    def test_bridge_row_in_one_block_equals_one_partner_calls(self):
+        # non-dyadic bridge values: the batched build keeps each partner's
+        # edges in their one-partner order, so its sums stay bit for bit
+        bridge = EdgeKernelSpec("brownian-bridge", c=3.3)
+        rng = random.Random(97)
+        graphs = [make_random_graph(rng, max_n=8, min_n=3, labels=3) for _ in range(9)]
+        transforms = [sp_transform(g) for g in graphs]
+        g, hs = transforms[0], transforms
+        union = walks._disjoint_union(hs)
+        union.join = walks._join(g, union, DIRAC, bridge)
+        assert list(walks._blocks(g, union)) == [(0, len(hs))]
+        row = walk_kernel_row(g, hs, DIRAC, bridge, 1)
+        pairs = [sp_kernel_implicit(graphs[0], h, DIRAC, bridge) for h in graphs]
+        assert row.tolist() == pairs
+        assert row.tolist() == pytest.approx(
+            [
+                oracle_sp_kernel(
+                    graphs[0], h, length_kernel=lambda a, b: brownian_bridge_fn(a, b, 3.3)
+                )
+                for h in graphs
+            ],
+            rel=1e-10,
+        )
 
 
 class TestExplicitFeatures:

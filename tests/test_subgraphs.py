@@ -434,6 +434,33 @@ class TestSubgraphMatchingRow:
         got = subgraph_matching_row(g, hs, DIRAC, HALF_EDGE, 3, None, True)
         assert got.tolist() == pytest.approx(oracle, rel=1e-12)
 
+    def test_chunks_are_the_most_cliques_their_window_allows(self, monkeypatch):
+        # ascending 2-cliques within partners of 5, 9 and 3 association
+        # vertices; a chunk's mask spans its lowest last member to its last
+        # clique's partner end
+        sizes = [5, 9, 3]
+        ends = np.cumsum(sizes)
+        stop_of = np.repeat(ends, sizes)
+        starts = ends - sizes
+        cliques = np.array(
+            [pair for s, e in zip(starts, ends) for pair in itertools.combinations(range(s, e), 2)]
+        )
+        for budget in (1, 7, 40, 120, 10**6):
+            monkeypatch.setattr(subgraphs, "ASSOCIATION_CELLS", budget)
+            for skip in range(0, len(cliques), 5):
+                rest = cliques[skip:]
+                cells = [
+                    c * (stop_of[rest[c - 1, 0]] - rest[:c, -1].min() - 1)
+                    for c in range(1, len(rest) + 1)
+                ]
+                fits = [c for c, x in enumerate(cells, 1) if x <= budget]
+                chunk = subgraphs._chunk_size(rest, stop_of)
+                assert chunk == max(fits, default=1)
+                allowed = np.ones((ends[-1], ends[-1]), dtype=bool)
+                hi = stop_of[rest[chunk - 1, 0]]
+                mask, _ = subgraphs._candidates(rest[:chunk], allowed, hi)
+                assert chunk == 1 or mask.size <= budget
+
     def test_overflow_names_the_partner_and_the_gram_pair(self, monkeypatch):
         one = Graph(1, [], vertex_labels=[1])
         two = Graph(2, [], vertex_labels=[1, 1])

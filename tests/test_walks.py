@@ -17,14 +17,17 @@ from gkern import (
     build_wdpg,
     dot,
     max_walk_kernel_implicit,
+    sample_binning_grid,
     walk_features_explicit,
     walk_kernel_implicit,
     walk_kernel_row,
 )
+from gkern import walks
 from gkern.features import TAG_WALK
 from conftest import graphs, make_random_graph
 from oracles import (
     dirac_fn,
+    oracle_product_graph,
     oracle_total_walks,
     oracle_walk_kernel,
     oracle_walk_label_counts,
@@ -92,17 +95,120 @@ class TestProductGraph:
 
     def test_binary_kernels_gather_no_weights(self, monkeypatch):
         # Dirac and uniform kernels keep weight 1 wherever they keep a
-        # pair, so the build reads their keep-masks and no value matrix
+        # pair, so the build reads their keys and evaluates no values
         def refuse(*args):
             raise AssertionError("a binary kernel's values were gathered")
 
         monkeypatch.setattr(VertexKernelSpec, "matrix", refuse)
         monkeypatch.setattr(EdgeKernelSpec, "matrix", refuse)
+        monkeypatch.setattr(EdgeKernelSpec, "elementwise", refuse)
         g = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 0], edge_labels=[2, 2])
         for edge_kernel in (DIRAC_EDGE, UNIFORM_EDGE):
             pg = build_wdpg(g, g, DIRAC, edge_kernel)
             assert pg.num_vertices == 5 and pg.num_edges == 4
             assert (pg.vertex_weights == 1.0).all() and (pg.edge_weights == 1.0).all()
+
+
+class TestProductGraphOracle:
+    """``build_wdpg`` against the product built from its definition, for
+    every vertex kind x edge kind, on random and degenerate graphs."""
+
+    VERTEX_KERNELS = [
+        DIRAC,
+        VertexKernelSpec("dirac-attributes"),
+        VertexKernelSpec("hat", delta=0.7),
+        VertexKernelSpec("rbf", sigma=0.5),
+        VertexKernelSpec("binned", grid=sample_binning_grid(1, 0.6, 4, seed=5)),
+    ]
+    EDGE_KERNELS = [
+        DIRAC_EDGE,
+        UNIFORM_EDGE,
+        EdgeKernelSpec("brownian-bridge", c=2.5),
+        EdgeKernelSpec("table", table=((0, 1, 0.5), (2, 2, 0.0))),
+    ]
+
+    def _cases(self):
+        rng = random.Random(61)
+
+        def drawn(**kw):
+            kw = {"max_n": 6, "edge_label_count": 3, "attribute_dim": 1,
+                  "attribute_levels": 3, **kw}
+            return make_random_graph(rng, **kw)
+
+        def fixed(n, edges, labels, edge_labels=None):
+            attributes = [[rng.randrange(3) / 2] for _ in range(n)]
+            return Graph(n, edges, labels, edge_labels, attributes)
+
+        edgeless = fixed(3, [], [0, 1, 0])
+        single = fixed(1, [], [1])
+        distinct = fixed(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [0, 1, 2, 3], [0, 1, 2, 0])
+        one_label = fixed(4, [(0, 1), (1, 2), (0, 2), (2, 3)], [0, 0, 0, 0])
+        cases = [(drawn(), [drawn()]) for _ in range(12)]
+        cases += [
+            (edgeless, [drawn()]),
+            (drawn(), [edgeless]),
+            (single, [single]),
+            (single, [drawn()]),
+            (distinct, [distinct]),
+            (distinct, [one_label]),
+            (one_label, [one_label]),
+            (drawn(labels=1, edge_label_count=1), [drawn(labels=1, edge_label_count=1)]),
+        ]
+        # several partners side by side, as a Gram row's blocks hold them
+        for _ in range(4):
+            partners = [drawn() for _ in range(rng.randint(2, 4))] + [edgeless, single]
+            rng.shuffle(partners)
+            cases.append((drawn(), partners))
+        return cases
+
+    def test_build_equals_oracle(self):
+        for g, partners in self._cases():
+            h = partners[0] if len(partners) == 1 else walks._disjoint_union(partners)
+            for vk in self.VERTEX_KERNELS:
+                for ek in self.EDGE_KERNELS:
+                    vertices, edges = oracle_product_graph(g, h, vk.value, ek.value)
+                    pg = build_wdpg(g, h, vk, ek)
+                    pairs = [tuple(p) for p in pg.pairs.tolist()]
+                    assert pairs == sorted(vertices)
+                    expected = [vertices[p] for p in pairs]
+                    assert pg.vertex_weights.tolist() == pytest.approx(expected, rel=1e-12)
+                    built = {
+                        frozenset((pairs[x], pairs[y])): w
+                        for x, y, w in zip(
+                            pg.edge_u.tolist(), pg.edge_v.tolist(), pg.edge_weights.tolist()
+                        )
+                    }
+                    assert len(built) == pg.num_edges
+                    assert built == edges, (vk.describe(), ek.describe())
+
+    def test_row_keys_build_the_same_product_and_predict_its_edges(self):
+        for g, partners in self._cases():
+            count = len(partners)
+            for vk in self.VERTEX_KERNELS:
+                for ek in self.EDGE_KERNELS:
+                    # keyed once for the whole row, as walk_kernel_row does
+                    union = walks._disjoint_union(partners)
+                    pg = build_wdpg(g, union, vk, ek)
+                    union.join = walks._join(g, union, vk, ek)
+                    # a block of the row, the whole row or all but its first partner
+                    for start in {0, min(1, count - 1)}:
+                        row = build_wdpg(g, union.partners(start, count), vk, ek)
+                        alone = walks._disjoint_union(partners[start:])
+                        expected = build_wdpg(g, alone, vk, ek)
+                        for name in ("pairs", "vertex_weights", "edge_u", "edge_v",
+                                     "edge_weights"):
+                            got, want = getattr(row, name), getattr(expected, name)
+                            assert got.tobytes() == want.tobytes()
+                    matched = walks._matched_pairs(union)
+                    per_partner = np.diff(matched, axis=1).sum(axis=0)
+                    owner = union.owner[pg.pairs[pg.edge_u, 1]]
+                    edges = np.bincount(owner, minlength=count)
+                    if vk.unit and ek.unit:
+                        # Dirac kinds: every matched pair is a product edge
+                        assert matched[:, -1].sum() == pg.num_edges
+                        assert per_partner.tolist() == edges.tolist()
+                    else:
+                        assert (per_partner >= edges).all()
 
 
 class TestWalkKernelImplicit:
