@@ -99,6 +99,7 @@ from .weighted import (
     label_features,
     wv_features_explicit,
     wv_kernel_implicit,
+    wv_kernel_row,
 )
 from .wl import ColorAssignment, wl_refine_dataset
 
@@ -169,4 +170,5 @@ __all__ = [
     "write_tu_dataset",
     "wv_features_explicit",
     "wv_kernel_implicit",
+    "wv_kernel_row",
 ]

@@ -51,7 +51,7 @@ from .weighted import (
     graphhopper_weight_maps,
     label_features,
     wv_features_explicit,
-    wv_kernel_implicit,
+    wv_kernel_row,
 )
 
 DESK_GRIDS = {
@@ -191,7 +191,7 @@ def kernel_plan(
                 for key, count in walk_features_explicit(g, l).items()
             }
         return KernelPlan(
-            lambda: gram_implicit(ds, row, f"{name}/implicit", rows=True),
+            lambda: gram_implicit(ds, row, f"{name}/implicit"),
             lambda: gram_explicit(ds, features, f"{name}/explicit"),
         )
 
@@ -204,12 +204,8 @@ def kernel_plan(
             )
             # the shortest-path kernel is the length-1 walk kernel on the
             # transforms (see sp_kernel_implicit)
-            return gram_implicit(
-                transformed,
-                lambda g, hs: walk_kernel_row(g, hs, dirac, lk, 1),
-                f"sp({lk.describe()})/implicit",
-                rows=True,
-            )
+            row = lambda g, hs: walk_kernel_row(g, hs, dirac, lk, 1)
+            return gram_implicit(transformed, row, f"sp({lk.describe()})/implicit")
 
         explicit = lambda: gram_explicit(ds, sp_features_explicit, "sp/explicit")
         if length_kernel != "dirac":
@@ -229,14 +225,10 @@ def kernel_plan(
 
     if kernel == "subgraph-matching":
         name = f"subgraph-matching(max={max_size})"
-        implicit = lambda: gram_implicit(
-            ds,
-            lambda g, hs: subgraph_matching_row(
-                g, hs, dirac, edges, max_size, connected_only=connected_only
-            ),
-            f"{name}/implicit",
-            rows=True,
+        row = lambda g, hs: subgraph_matching_row(
+            g, hs, dirac, edges, max_size, connected_only=connected_only
         )
+        implicit = lambda: gram_implicit(ds, row, f"{name}/implicit")
         explicit = lambda: gram_explicit(
             ds,
             lambda g: matching_features(g, max_size, connected_only),
@@ -264,11 +256,8 @@ def kernel_plan(
         else graphhopper_weight_maps(ds)
     )
     name = f"{kernel}[{vk.describe()}]"
-    implicit = lambda: gram_implicit(
-        ds,
-        lambda a, b: wv_kernel_implicit(a, b, weight_map, vk),
-        f"{name}/implicit",
-    )
+    row = lambda g, hs: wv_kernel_row(g, hs, weight_map, vk)
+    implicit = lambda: gram_implicit(ds, row, f"{name}/implicit")
 
     def explicit() -> GramMatrix:
         if vk.kind == "dirac":

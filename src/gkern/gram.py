@@ -1,8 +1,8 @@
 """Gram matrices over datasets: assembly, normalization, diagnostics, export.
 
 Two assembly routes mirror the two computation schemes.
-:func:`gram_implicit` evaluates a kernel on the upper triangle, one row
-at a time, and mirrors it; its cost is all in the kernel evaluations.
+:func:`gram_implicit` calls a row kernel on the upper triangle, one row
+per call, and mirrors it; its cost is all in the kernel evaluations.
 :func:`gram_explicit` first materializes one sparse feature vector per
 graph, interning its keys into dataset-wide columns, then computes the
 whole matrix as one product X·Xᵀ of the graphs-by-features matrix, in
@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GKError, GramError, MultiplicityOverflowError, ParameterError
+from .errors import ContractError, GKError, GramError, ParameterError
+from .errors import MultiplicityOverflowError
 from .graphs import Dataset, Graph
 
 #: float64 holds every integer below this bound exactly.
@@ -68,42 +69,37 @@ def _ids(ds: Dataset) -> List[str]:
 
 def gram_implicit(
     ds: Dataset,
-    kernel: Callable,
+    kernel: Callable[[Graph, Sequence[Graph]], Sequence[float]],
     kernel_name: str = "implicit",
-    rows: bool = False,
 ) -> GramMatrix:
     """Fill the Gram matrix row by row of its upper triangle.
 
-    By default ``kernel(g, h)`` evaluates one pair, and each pair is a row
-    of its own.  With ``rows`` it is a row kernel: ``kernel(g, hs)``
-    returns one value per partner in ``hs``, and graph ``i`` is evaluated
-    against all of ``ds[i:]`` in one call (see
-    :func:`gkern.walks.walk_kernel_row` and
-    :func:`gkern.subgraphs.subgraph_matching_row`, which batch a row into
-    a few product or association graphs).
-
-    Any exception during an evaluation aborts the computation with the
-    failing pair's indices attached; a failed batched row is re-evaluated
-    pair by pair to find that pair.
+    ``kernel(g, hs)`` is a row kernel, called once per graph ``i`` with
+    ``hs = ds[i:]``; it returns one value per partner (as
+    :func:`gkern.walks.walk_kernel_row`,
+    :func:`gkern.subgraphs.subgraph_matching_row` and
+    :func:`gkern.weighted.wv_kernel_row` do), and a row of any other shape
+    fails with :class:`ContractError`.  An exception during an evaluation
+    aborts the computation with the failing pair's indices attached; a
+    failed row is re-evaluated pair by pair to find that pair.
     """
     n = len(ds)
     graphs = ds.graphs
-    row_kernel = kernel if rows else lambda g, hs: [kernel(g, hs[0])]
-    width = n if rows else 1
     values = np.zeros((n, n), dtype=np.float64)
     start = time.perf_counter()
     for i in range(n):
-        for lo in range(i, n, width):
-            hi = min(lo + width, n)
-            try:
-                row = row_kernel(graphs[i], graphs[lo:hi])
-            except GKError as exc:
-                j, cause = _failing_pair(row_kernel, graphs, i, lo, hi, exc)
-                raise GramError(
-                    f"{kernel_name}: pair ({i}, {j}) failed: {cause}"
-                ) from cause
-            values[i, lo:hi] = row
-            values[lo:hi, i] = row
+        try:
+            row = np.asarray(kernel(graphs[i], graphs[i:]), dtype=np.float64)
+        except GKError as exc:
+            j, cause = _failing_pair(kernel, graphs, i, exc)
+            raise GramError(
+                f"{kernel_name}: pair ({i}, {j}) failed: {cause}"
+            ) from cause
+        if row.shape != (n - i,):
+            cause = ContractError(f"row shape {row.shape} for {n - i} partners")
+            raise GramError(f"{kernel_name}: row {i} failed: {cause}") from cause
+        values[i, i:] = row
+        values[i:, i] = row
     elapsed = time.perf_counter() - start
     return GramMatrix(
         values,
@@ -114,15 +110,14 @@ def gram_implicit(
     )
 
 
-def _failing_pair(row_kernel, graphs, i, lo, hi, exc):
-    """The first partner ``j`` in ``lo..hi-1`` whose pair with ``i`` fails."""
-    if hi - lo > 1:
-        for j in range(lo, hi):
-            try:
-                row_kernel(graphs[i], graphs[j : j + 1])
-            except GKError as single:
-                return j, single
-    return lo, exc
+def _failing_pair(kernel, graphs, i, exc):
+    """The first partner ``j >= i`` whose pair with ``i`` fails alone."""
+    for j in range(i, len(graphs)):
+        try:
+            kernel(graphs[i], graphs[j : j + 1])
+        except GKError as single:
+            return j, single
+    return i, exc
 
 
 def gram_explicit(

@@ -199,14 +199,6 @@ class Graph:
             self._labeled_adj = out
         return self._labeled_adj
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency matrix (for small graphs)."""
-        a = np.zeros((self.n, self.n), dtype=bool)
-        if self.m:
-            a[self.edges[:, 0], self.edges[:, 1]] = True
-            a[self.edges[:, 1], self.edges[:, 0]] = True
-        return a
-
     def __repr__(self) -> str:
         parts = [f"n={self.n}", f"m={self.m}"]
         if self.vertex_labels is not None:

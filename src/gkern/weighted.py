@@ -19,20 +19,21 @@ per graph, row v = w(v), over weight columns shared by the dataset:
   including the single-vertex path v -> v), so <w(v), w(v')> is the
   Frobenius inner product of the two tables.
 
-Both schemes read W_G.  The implicit scheme (:func:`wv_kernel_implicit`)
-sums (W_G W_H^T) * k_V(G, H) entrywise; the explicit scheme
-(:func:`wv_features_explicit`) uses that the whole kernel factors as the
-dot of per-graph sums of tensor products w(v) x phi_V(v), given a feature
-map phi_V for k_V (exact one-hots for discrete comparisons, binning maps
-as an approximation for hat kernels).
+Both schemes read W_G.  The implicit scheme (:func:`wv_kernel_row`, a
+Gram row per call) sums (W_G W_H^T) * k_V(G, H) entrywise; the explicit
+scheme (:func:`wv_features_explicit`) uses that the whole kernel factors as
+the dot of per-graph sums of tensor products w(v) x phi_V(v), given a
+feature map phi_V for k_V (exact one-hots for discrete comparisons,
+binning maps as an approximation for hat kernels).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
+from . import walks
 from .errors import ContractError, MultiplicityOverflowError
 from .features import TAG_GH, TAG_LABEL, TAG_PAIR, TAG_WL
 from .gram import EXACT_LIMIT
@@ -70,14 +71,6 @@ class WeightFeatureMap:
                 f"graph {g!r} is not covered by this {self.kind} weight map"
             )
         return entry[1], entry[2]
-
-    def common(self, g: Graph, h: Graph) -> Tuple[np.ndarray, np.ndarray]:
-        """W_g and W_h restricted to the columns both graphs use."""
-        (columns_g, wg), (columns_h, wh) = self.matrix(g), self.matrix(h)
-        _, at_g, at_h = np.intersect1d(
-            columns_g, columns_h, assume_unique=True, return_indices=True
-        )
-        return wg[:, at_g], wh[:, at_h]
 
 
 def _weight_matrix(n: int, vertex, column, weight) -> Tuple[np.ndarray, np.ndarray]:
@@ -168,30 +161,59 @@ def graphhopper_weight_maps(ds: Dataset) -> WeightFeatureMap:
     return WeightFeatureMap("graphhopper", keys, per_graph)
 
 
+def wv_kernel_row(
+    g: Graph,
+    hs: Sequence[Graph],
+    weight_map: WeightFeatureMap,
+    vertex_kernel: VertexKernelSpec,
+) -> np.ndarray:
+    """Weighted vertex kernels of ``g`` against each partner in ``hs``.
+
+    Partners go in blocks whose ``g.n * H.n`` vertex pairs stay within
+    :data:`gkern.walks.BLOCK_CELLS`.  A block stacks its partners' W on
+    ``g``'s columns (columns ``g`` lacks add nothing); one weight product
+    times one vertex-kernel matrix against the block's disjoint union,
+    summed per partner, gives its values.  With a Dirac vertex kernel the
+    totals are exact integers below 2**53, and a partner whose total
+    reaches 2**53 raises :class:`MultiplicityOverflowError` naming it.
+    """
+    out = np.zeros(len(hs), dtype=np.float64)
+    counting = vertex_kernel.kind in ("dirac", "dirac-attributes")
+    columns_g, wg = weight_map.matrix(g)
+    padded = np.append(columns_g, -1)  # searchsorted past the end: no column
+    offsets = np.cumsum([0] + [h.n for h in hs])
+    cells = lambda a, b: g.n * int(offsets[b] - offsets[a])
+    for start, stop in walks._partner_runs(len(hs), cells, walks.BLOCK_CELLS):
+        rows = offsets[start : stop + 1] - offsets[start]
+        wh = np.zeros((rows[-1], len(columns_g)), dtype=np.int64)
+        for h, row in zip(hs[start:stop], rows.tolist()):
+            columns_h, w = weight_map.matrix(h)
+            at = np.searchsorted(columns_g, columns_h)
+            shared = padded[at] == columns_h
+            wh[row : row + h.n, at[shared]] = w[:, shared]
+        union = walks._disjoint_union(hs[start:stop])
+        # einsum keeps these small products off BLAS's threads (as gram does)
+        weights = np.einsum("ik,jk->ij", wg, wh, dtype=np.float64)
+        per_vertex = (weights * vertex_kernel.matrix(g, union)).sum(axis=0)
+        totals = np.bincount(union.owner, weights=per_vertex, minlength=stop - start)
+        worst = int(np.argmax(totals))
+        if counting and totals[worst] >= EXACT_LIMIT:
+            raise MultiplicityOverflowError(
+                f"weighted vertex total {totals[worst]:.4g} against partner "
+                f"{start + worst} reached 2**53, past float64's exact range"
+            )
+        out[start:stop] = totals
+    return out
+
+
 def wv_kernel_implicit(
     g: Graph,
     h: Graph,
     weight_map: WeightFeatureMap,
     vertex_kernel: VertexKernelSpec,
 ) -> float:
-    """Sum of (W_g W_h^T) * k_V(g, h) entrywise: every vertex pair's
-    weight dot times its attribute kernel value.
-
-    With a Dirac vertex kernel every term is a non-negative integer, so the
-    float64 total is exact below 2**53; a total that reaches 2**53 raises
-    :class:`MultiplicityOverflowError` instead of losing exactness.
-    """
-    wg, wh = weight_map.common(g, h)
-    # einsum runs in this thread; BLAS would spread these tiny products
-    # over every core (see gram._blocked_product)
-    weights = np.einsum("ik,jk->ij", wg, wh, dtype=np.float64)
-    total = float(np.einsum("ij,ij->", weights, vertex_kernel.matrix(g, h)))
-    if vertex_kernel.kind in ("dirac", "dirac-attributes") and total >= EXACT_LIMIT:
-        raise MultiplicityOverflowError(
-            f"weighted vertex total {total:.4g} reached 2**53, past the "
-            f"integer-exact float64 range"
-        )
-    return total
+    """The one-partner case of :func:`wv_kernel_row`."""
+    return float(wv_kernel_row(g, [h], weight_map, vertex_kernel)[0])
 
 
 def wv_features_explicit(

@@ -35,8 +35,9 @@ from gkern import (
     subgraph_matching_kernel,
     walk_features_explicit,
     walk_kernel_implicit,
+    walk_kernel_row,
     wv_features_explicit,
-    wv_kernel_implicit,
+    wv_kernel_row,
 )
 from gkern.bench import DESK_GRIDS, max_relative_discrepancy, walk_pv_sweep
 from conftest import make_random_graph
@@ -97,7 +98,7 @@ def _walk_equivalence_grams():
     for length in range(9):
         implicit = gram_implicit(
             ds,
-            lambda a, b, l=length: walk_kernel_implicit(a, b, DIRAC, DIRAC_EDGE, l),
+            lambda g, hs, l=length: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, l),
             f"walk(l={length})/implicit",
         )
         explicit = gram_explicit(
@@ -184,7 +185,9 @@ def _sp_equivalence_grams():
         "sp-equivalence",
         [make_random_graph(rng, max_n=12, labels=3) for _ in range(30)],
     )
-    implicit = gram_implicit(ds, sp_kernel_implicit, "sp/implicit")
+    implicit = gram_implicit(
+        ds, lambda g, hs: [sp_kernel_implicit(g, h) for h in hs], "sp/implicit"
+    )
     explicit = gram_explicit(ds, sp_features_explicit, "sp/explicit")
     return implicit, explicit
 
@@ -260,7 +263,7 @@ def _weighted_grams():
     ):
         implicit = gram_implicit(
             ds,
-            lambda a, b, w=wm: wv_kernel_implicit(a, b, w, DIRAC_ATTR),
+            lambda g, hs, w=wm: wv_kernel_row(g, hs, w, DIRAC_ATTR),
             f"{name}/implicit",
         )
         explicit = gram_explicit(
@@ -395,9 +398,7 @@ def test_criterion_07_binning_convergence():
     wm = graphhopper_weight_maps(ds)
     exact = gram_implicit(
         ds,
-        lambda a, b: wv_kernel_implicit(
-            a, b, wm, VertexKernelSpec("hat", delta=delta)
-        ),
+        lambda g, hs: wv_kernel_row(g, hs, wm, VertexKernelSpec("hat", delta=delta)),
         "hat/implicit",
     ).values
 

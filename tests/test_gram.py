@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkern import (
+    ContractError,
     Dataset,
     EdgeKernelSpec,
     Graph,
@@ -47,7 +48,7 @@ class TestAssembly:
         rng = random.Random(179)
         ds = _walk_dataset(rng)
         implicit = gram_implicit(
-            ds, lambda g, h: walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, 3)
+            ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 3)
         )
         explicit = gram_explicit(ds, lambda g: walk_features_explicit(g, 3))
         assert (implicit.values == explicit.values).all()  # integer-exact
@@ -58,7 +59,7 @@ class TestAssembly:
         rng = random.Random(181)
         ds = _walk_dataset(rng, count=3)
         implicit = gram_implicit(
-            ds, lambda g, h: walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, 2)
+            ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 2)
         )
         assert implicit.timings["scheme"] == "implicit"
         assert implicit.timings["seconds_total"] >= 0
@@ -77,7 +78,7 @@ class TestAssembly:
     def test_pair_failures_carry_indices(self):
         ds = Dataset("t", [Graph(2, [(0, 1)]), Graph(2, [(0, 1)])])
 
-        def broken(g, h):
+        def broken(g, hs):
             raise ParameterError("boom")
 
         with pytest.raises(GramError, match=r"pair \(0, 0\)"):
@@ -102,12 +103,13 @@ class TestAssembly:
         union.join = walks._join(graphs[0], union, DIRAC, DIRAC_EDGE)
         assert len(list(walks._blocks(graphs[0], union))) > 1
         rows = gram_implicit(
-            ds,
-            lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 3),
-            rows=True,
+            ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 3)
         )
         pairs = gram_implicit(
-            ds, lambda g, h: walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, 3)
+            ds,
+            lambda g, hs: [
+                walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, 3) for h in hs
+            ],
         )
         assert np.array_equal(rows.values, pairs.values)
         explicit = gram_explicit(ds, lambda g: walk_features_explicit(g, 3))
@@ -122,17 +124,27 @@ class TestAssembly:
             return [1.0] * len(hs)
 
         with pytest.raises(GramError, match=r"pair \(0, 2\)"):
-            gram_implicit(ds, fragile, rows=True)
+            gram_implicit(ds, fragile)
 
         k20 = Graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20)])
         ds = Dataset("t", [Graph(1), k20, Graph(1)])
         with pytest.raises(GramError, match=r"pair \(1, 1\)") as caught:
             gram_implicit(
-                ds,
-                lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 6),
-                rows=True,
+                ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 6)
             )
         assert isinstance(caught.value.__cause__, MultiplicityOverflowError)
+
+    def test_rows_of_the_wrong_shape_name_the_row(self):
+        ds = Dataset("t", [Graph(1), Graph(2), Graph(3)])
+        # a pair kernel's scalar would otherwise broadcast over the row
+        with pytest.raises(GramError, match=r"row 0 failed") as caught:
+            gram_implicit(ds, lambda g, hs: 1.0)
+        assert isinstance(caught.value.__cause__, ContractError)
+        # row 1 has two partners; one value is one too few
+        short = lambda g, hs: [1.0] * (len(hs) - (g.n == 2))
+        with pytest.raises(GramError, match=r"row 1 failed") as caught:
+            gram_implicit(ds, short)
+        assert isinstance(caught.value.__cause__, ContractError)
 
     def test_explicit_integer_dots_past_2_53_name_the_pair(self):
         # K20's self-kernel at length 6 is ~8.8e17, as in the implicit case
@@ -163,7 +175,7 @@ class TestNormalize:
         rng = random.Random(193)
         ds = _walk_dataset(rng)
         gram = gram_implicit(
-            ds, lambda g, h: walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, 2)
+            ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 2)
         )
         unit = normalize(gram)
         diag = np.diag(gram.values)
@@ -209,7 +221,7 @@ class TestMinEigenvalue:
         rng = random.Random(199)
         ds = _walk_dataset(rng)
         gram = gram_implicit(
-            ds, lambda g, h: walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, 3)
+            ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 3)
         )
         assert min_eigenvalue_estimate(gram.values) >= -1e-8
 
@@ -230,7 +242,7 @@ class TestExport:
         rng = random.Random(211)
         ds = _walk_dataset(rng, count=4)
         gram = gram_implicit(
-            ds, lambda g, h: walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, 2)
+            ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 2)
         )
         path = str(tmp_path / "gram.csv")
         assert export_gram(gram, "csv", path) == path

@@ -57,14 +57,6 @@ class TestGraph:
         with pytest.raises(ContractError):
             Graph(2, [(0, 1)], edge_labels=[1, 2])
 
-    def test_adjacency_and_degree(self, path3):
-        matrix = path3.adjacency_matrix()
-        assert matrix.tolist() == [
-            [False, True, False],
-            [True, False, True],
-            [False, True, False],
-        ]
-
     def test_empty_graph_allowed(self):
         g = Graph(0, [])
         assert g.n == 0 and g.m == 0

@@ -477,4 +477,4 @@ class TestSubgraphMatchingRow:
             g, hs, DIRAC, DIRAC_EDGE, 1, size_weights=huge
         )
         with pytest.raises(GramError, match=r"pair \(1, 2\) failed: .*2\*\*53"):
-            gram_implicit(ds, row, "matching", rows=True)
+            gram_implicit(ds, row, "matching")

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkern import (
     ContractError,
@@ -16,6 +18,7 @@ from gkern import (
     binned_attribute_features,
     dot,
     gram_explicit,
+    gram_implicit,
     graph_invariant_weight_maps,
     graphhopper_weight_maps,
     label_features,
@@ -23,10 +26,12 @@ from gkern import (
     wl_refine_dataset,
     wv_features_explicit,
     wv_kernel_implicit,
+    wv_kernel_row,
 )
+from gkern import walks
 from gkern.features import TAG_GH
 from gkern.weighted import WeightFeatureMap
-from conftest import make_random_graph
+from conftest import graphs, make_random_graph
 from oracles import (
     oracle_color_histogram_kernel,
     oracle_hopper_tables,
@@ -297,3 +302,103 @@ def test_explicit_self_dot_reaching_2_53_fails_its_pair():
     with pytest.raises(GramError, match=r"pair \(0, 0\) failed") as info:
         gram(2**27)
     assert isinstance(info.value.__cause__, MultiplicityOverflowError)
+
+
+@st.composite
+def attributed_graphs(draw):
+    """:func:`conftest.graphs` with 2-d attribute rows on a coarse grid, so
+    equal rows (what the Dirac kinds count) occur."""
+    g = draw(graphs())
+    level = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    row = st.lists(level, min_size=2, max_size=2)
+    rows = draw(st.lists(row, min_size=g.n, max_size=g.n))
+    return Graph(
+        g.n,
+        g.edges.tolist(),
+        vertex_labels=g.vertex_labels,
+        edge_labels=g.edge_labels,
+        vertex_attributes=np.array(rows, dtype=np.float64).reshape(g.n, 2),
+    )
+
+
+def pair_reference(g, h, wm, vk):
+    """One pair's kernel on the columns both graphs use, as one sum."""
+    (columns_g, wg), (columns_h, wh) = wm.matrix(g), wm.matrix(h)
+    _, at_g, at_h = np.intersect1d(columns_g, columns_h, return_indices=True)
+    weights = np.einsum("ik,jk->ij", wg[:, at_g], wh[:, at_h], dtype=np.float64)
+    return float(np.einsum("ij,ij->", weights, vk.matrix(g, h)))
+
+
+# P = 4 grids: binned values are quarters, so their sums are exact
+ROW_KERNELS = (
+    DIRAC,
+    DIRAC_ATTR,
+    VertexKernelSpec("binned", grid=sample_binning_grid(2, 1.0, 4, seed=3)),
+    VertexKernelSpec("hat", delta=0.75),
+    VertexKernelSpec("rbf", sigma=0.5),
+)
+
+
+def weight_maps(ds):
+    return graph_invariant_weight_maps(ds, 2), graphhopper_weight_maps(ds)
+
+
+class TestWeightedRows:
+    @settings(max_examples=40, deadline=None)
+    @given(g=attributed_graphs(), hs=st.lists(attributed_graphs(), max_size=4))
+    def test_row_equals_one_partner_calls(self, g, hs):
+        for wm in weight_maps(Dataset("t", [g, *hs])):
+            for vk in ROW_KERNELS:
+                row = wv_kernel_row(g, hs, wm, vk)
+                assert row.shape == (len(hs),)
+                singles = [wv_kernel_implicit(g, h, wm, vk) for h in hs]
+                assert row.tolist() == singles
+                reference = np.array([pair_reference(g, h, wm, vk) for h in hs])
+                if vk.kind in ("hat", "rbf"):
+                    # the row sums in another order than one whole-pair sum
+                    assert (np.abs(row - reference) <= 1e-15 * reference).all()
+                else:
+                    assert row.tolist() == reference.tolist()
+
+    def test_blocks_of_one_partner_give_the_same_row(self, monkeypatch):
+        rng = random.Random(227)
+        hs = [
+            make_random_graph(rng, max_n=8, attribute_dim=2, attribute_levels=3)
+            for _ in range(7)
+        ]
+        g = hs[0]
+        for wm in weight_maps(Dataset("t", hs)):
+            for vk in ROW_KERNELS:
+                whole = wv_kernel_row(g, hs, wm, vk)
+                monkeypatch.setattr(walks, "BLOCK_CELLS", 1)
+                split = wv_kernel_row(g, hs, wm, vk)
+                monkeypatch.undo()
+                assert split.tolist() == whole.tolist()
+                assert whole.tolist() == [wv_kernel_implicit(g, h, wm, vk) for h in hs]
+
+    def test_dirac_total_reaching_2_53_names_its_partner(self, monkeypatch):
+        one, two = Graph(1, []), Graph(2, [])
+        # every vertex pair weighs 2**52: 2**52 against one, 2**53 against two
+        wm = constructed((one, two), 2**26)
+        for budget in (walks.BLOCK_CELLS, 1):
+            monkeypatch.setattr(walks, "BLOCK_CELLS", budget)
+            with pytest.raises(MultiplicityOverflowError, match="partner 1 "):
+                wv_kernel_row(one, [one, two, one], wm, DIRAC)
+        monkeypatch.undo()
+        ds = Dataset("t", [one, one, two, one])
+        row = lambda g, hs: wv_kernel_row(g, hs, wm, DIRAC)
+        overflow = r"pair \(0, 2\) failed: .*2\*\*53"
+        with pytest.raises(GramError, match=overflow) as info:
+            gram_implicit(ds, row)
+        assert isinstance(info.value.__cause__, MultiplicityOverflowError)
+
+    def test_partner_without_attributes_fails_its_pair(self):
+        rng = random.Random(229)
+        a, c = (make_random_graph(rng, max_n=5, attribute_dim=2) for _ in range(2))
+        bare = make_random_graph(rng, max_n=5)
+        ds = Dataset("t", [a, bare, c])
+        wm = graph_invariant_weight_maps(ds, 1)
+        row = lambda g, hs: wv_kernel_row(g, hs, wm, DIRAC_ATTR)
+        with pytest.raises(GramError, match=r"pair \(0, 1\) failed") as info:
+            gram_implicit(ds, row)
+        assert isinstance(info.value.__cause__, ContractError)
