@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,61 +86,48 @@ class Graph:
             raise ParameterError(f"vertex count must be non-negative, got {n}")
         self.n = int(n)
 
-        raw = [(int(u), int(v)) for u, v in edges]
-        labels = list(edge_labels) if edge_labels is not None else None
-        if labels is not None and len(labels) != len(raw):
+        pairs = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+        labels = None if edge_labels is None else np.asarray(edge_labels, dtype=np.int64)
+        if labels is not None and len(labels) != len(pairs):
             raise ContractError(
-                f"got {len(labels)} edge labels for {len(raw)} edges"
+                f"got {len(labels)} edge labels for {len(pairs)} edges"
             )
-        seen: Dict[Tuple[int, int], int] = {}
-        normalized: List[Tuple[int, int]] = []
-        for idx, (u, v) in enumerate(raw):
+        lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+        # (min, max) order for edges in range; stable, so a repeated edge
+        # sorts right after its first occurrence
+        key = lo * self.n + hi
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
+        repeat = np.zeros(len(pairs), dtype=bool)
+        repeat[order[1:]] = ranked[1:] == ranked[:-1]
+        bad = (lo == hi) | (lo < 0) | (hi >= self.n) | repeat
+        if bad.any():
+            u, v = pairs[np.argmax(bad)].tolist()
             if u == v:
                 raise ContractError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ContractError(f"edge ({u}, {v}) out of range for n={self.n}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ContractError(f"duplicate edge {key}")
-            seen[key] = idx
-            normalized.append(key)
+            raise ContractError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+        self.edges = np.column_stack((lo[order], hi[order]))
+        self.edge_labels = None if labels is None else labels[order]
 
-        order = sorted(range(len(normalized)), key=normalized.__getitem__)
-        self.edges = np.array(
-            [normalized[i] for i in order], dtype=np.int64
-        ).reshape(len(normalized), 2)
-        self.edge_labels = (
-            np.array([labels[order[i]] for i in range(len(order))], dtype=np.int64)
-            if labels is not None
-            else None
+        vl = None if vertex_labels is None else np.asarray(vertex_labels, dtype=np.int64)
+        if vl is not None and vl.shape != (self.n,):
+            raise ContractError(f"vertex labels have shape {vl.shape}, expected ({self.n},)")
+        attrs = (
+            None if vertex_attributes is None else np.asarray(vertex_attributes, dtype=np.float64)
         )
+        if attrs is not None and (attrs.ndim != 2 or attrs.shape[0] != self.n):
+            raise ContractError(
+                f"vertex attributes have shape {attrs.shape}, expected ({self.n}, d)"
+            )
+        self.vertex_labels, self.vertex_attributes = vl, attrs
 
-        if vertex_labels is not None:
-            vl = np.asarray(vertex_labels, dtype=np.int64)
-            if vl.shape != (self.n,):
-                raise ContractError(
-                    f"vertex labels have shape {vl.shape}, expected ({self.n},)"
-                )
-            self.vertex_labels = vl
-        else:
-            self.vertex_labels = None
-
-        if vertex_attributes is not None:
-            attrs = np.asarray(vertex_attributes, dtype=np.float64)
-            if attrs.ndim != 2 or attrs.shape[0] != self.n:
-                raise ContractError(
-                    f"vertex attributes have shape {attrs.shape}, "
-                    f"expected ({self.n}, d)"
-                )
-            self.vertex_attributes = attrs
-        else:
-            self.vertex_attributes = None
-
-        nbrs: List[List[int]] = [[] for _ in range(self.n)]
-        for u, v in normalized:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self.adj = tuple(tuple(sorted(lst)) for lst in nbrs)
+        # neighbors as Python ints: the BFS, ESU and WL loops index lists with them
+        arcs = np.sort(np.concatenate((key, hi * self.n + lo)))  # u * n + v, ascending
+        nbrs = (arcs % self.n).tolist()
+        ends = np.searchsorted(arcs, np.arange(1, self.n + 1) * self.n).tolist()
+        self.adj = tuple(tuple(nbrs[a:b]) for a, b in zip([0] + ends, ends))
 
         self._edge_label_map = None
         self._labeled_adj = None
@@ -188,15 +175,10 @@ class Graph:
         ascending; edge label 0 substitutes when the graph has none."""
         if self._labeled_adj is None:
             label_of = self.edge_label_map
-            out: List[List[Tuple[int, int]]] = []
-            for u in range(self.n):
-                out.append(
-                    [
-                        (v, label_of[(u, v) if u < v else (v, u)])
-                        for v in self.adj[u]
-                    ]
-                )
-            self._labeled_adj = out
+            self._labeled_adj = [
+                [(v, label_of[(u, v) if u < v else (v, u)]) for v in nbrs]
+                for u, nbrs in enumerate(self.adj)
+            ]
         return self._labeled_adj
 
     def __repr__(self) -> str:
@@ -378,7 +360,6 @@ def scale_attributes(ds: Dataset) -> Dataset:
         for slot in Graph.__slots__:
             setattr(clone, slot, getattr(g, slot))
         clone.vertex_attributes = attrs
-        clone._edge_label_map = g._edge_label_map
         graphs.append(clone)
     return Dataset(ds.name, graphs, ds.class_labels)
 
@@ -397,7 +378,76 @@ def _dataset_dir(path: str, name: str) -> str:
 
 def _read_lines(filename: str) -> List[str]:
     with open(filename, "r", encoding="ascii") as fh:
-        return [line.strip() for line in fh if line.strip()]
+        return [line for line in map(str.strip, fh.read().split("\n")) if line]
+
+
+def _column(
+    filename: str, dtype=np.int64, count: Optional[int] = None, unit: str = ""
+) -> Optional[np.ndarray]:
+    """One side file as int64 values, or float64 comma-separated rows;
+    ``None`` when the file does not exist.
+
+    Each non-blank line is one value (one row).  With ``count``, the file
+    must hold that many lines; ``unit`` names them in the error (``"labels
+    for 5 vertices"``).  All tokens convert in one call; only when that
+    fails does a pass line by line name the first bad ``file:line``.
+    """
+    if not os.path.isfile(filename):
+        return None
+    lines = _read_lines(filename)
+    if count is not None and len(lines) != count:
+        raise DatasetFormatError(f"{filename}: {len(lines)} {unit}")
+    rows = [line.split(",") for line in lines] if dtype == np.float64 else lines
+    try:
+        return np.array(rows, dtype=dtype)
+    except (ValueError, OverflowError):
+        width = None
+        for ln, (text, row) in enumerate(zip(lines, rows), start=1):
+            try:
+                values = np.array([row], dtype=dtype)
+            except (ValueError, OverflowError):
+                what = "bad attribute row" if dtype == np.float64 else "not an integer:"
+                raise DatasetFormatError(f"{filename}:{ln}: {what} {text!r}") from None
+            width = width or values.size
+            if values.size != width:
+                raise DatasetFormatError(
+                    f"{filename}:{ln}: expected {width} values, got {values.size}"
+                ) from None
+        raise
+
+
+def _edge_pairs(filename: str) -> Tuple[List[str], np.ndarray]:
+    """The edge file's non-blank lines and its ``(lines, 2)`` int64 ids,
+    converted in one call; only on failure does a pass line by line name
+    the first line that is not two integers."""
+    lines = _read_lines(filename)
+    rows = [line.replace(",", " ").split() for line in lines]
+    try:
+        return lines, np.array(rows, dtype=np.int64).reshape(len(rows), 2)
+    except (ValueError, OverflowError):
+        for ln, (text, row) in enumerate(zip(lines, rows), start=1):
+            if len(row) != 2:
+                raise DatasetFormatError(
+                    f"{filename}:{ln}: expected 'u, v', got {text!r}"
+                ) from None
+            try:
+                np.array(row, dtype=np.int64)
+            except (ValueError, OverflowError) as exc:
+                # an id past int64 is out of range, as range checks would report it
+                overflow = isinstance(exc, OverflowError)
+                bad = "vertex id out of range" if overflow else "non-integer vertex id"
+                raise DatasetFormatError(f"{filename}:{ln}: {bad} in {text!r}") from None
+        raise
+
+
+def _first_defect(*checks: Tuple[np.ndarray, Callable[[int], str]]) -> None:
+    """Raise the message of the first check failing on the first line
+    where any of the per-line ``(mask, message)`` checks fails."""
+    failing = np.array([mask for mask, _ in checks], dtype=bool)
+    lines = np.flatnonzero(failing.any(axis=0))
+    if len(lines):
+        i = int(lines[0])
+        raise DatasetFormatError(checks[int(np.argmax(failing[:, i]))][1](i))
 
 
 def load_tu_dataset(path: str, name: str) -> Dataset:
@@ -410,193 +460,102 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
     ``<name>_graph_labels.txt`` with one class label per graph.  Optional
     side files add vertex labels, edge labels (aligned with ``_A.txt``)
     and comma-separated real vertex attributes.
+
+    A missing mandatory file raises :class:`DatasetLoadError`.  These
+    defects raise :class:`DatasetFormatError`:
+
+    * a graph id, class label, vertex label or edge label that is not an
+      integer; an attribute row that is not comma-separated reals, or
+      whose width differs from the first row's;
+    * a graph id below 1;
+    * a side file with the wrong line count: class labels against graphs,
+      edge labels against edge lines, vertex labels and attribute rows
+      against vertices;
+    * an edge line that is not two integer ids;
+    * an edge line with an id out of range, a self-loop, an edge between
+      two graphs, a repeated edge line, an edge without its mirror line,
+      or a mirror pair with two different edge labels.
+
+    The error names the first offending line in file order, counting
+    non-blank lines.  The edge file is checked for syntax first, then for
+    ids, then for mirrors.
     """
     base = _dataset_dir(path, name)
-    files = {
-        key: os.path.join(base, f"{name}_{key}.txt")
-        for key in (
-            "A",
-            "graph_indicator",
-            "graph_labels",
-            "node_labels",
-            "edge_labels",
-            "node_attributes",
-        )
-    }
-    for key in ("A", "graph_indicator", "graph_labels"):
+    keys = ("A", "graph_indicator", "graph_labels", "node_labels", "edge_labels",
+            "node_attributes")
+    files = {key: os.path.join(base, f"{name}_{key}.txt") for key in keys}
+    for key in keys[:3]:
         if not os.path.isfile(files[key]):
             raise DatasetLoadError(f"missing mandatory file {files[key]}")
 
-    indicator = []
-    for ln, text in enumerate(_read_lines(files["graph_indicator"]), start=1):
-        try:
-            indicator.append(int(text))
-        except ValueError:
-            raise DatasetFormatError(
-                f"{files['graph_indicator']}:{ln}: not an integer: {text!r}"
-            ) from None
-    total_vertices = len(indicator)
-    num_graphs = max(indicator) if indicator else 0
-    if indicator and min(indicator) < 1:
-        raise DatasetFormatError(
-            f"{files['graph_indicator']}: graph ids must be >= 1"
+    graph_ids = _column(files["graph_indicator"])
+    if len(graph_ids) and graph_ids.min() < 1:
+        raise DatasetFormatError(f"{files['graph_indicator']}: graph ids must be >= 1")
+    num_graphs, size = int(graph_ids.max()) if len(graph_ids) else 0, len(graph_ids)
+    graph_of = graph_ids - 1
+    class_labels = _column(
+        files["graph_labels"], np.int64, num_graphs, f"class labels for {num_graphs} graphs"
+    )
+    a_file, l_file = files["A"], files["edge_labels"]
+    a_lines, pairs = _edge_pairs(a_file)
+    edge_labels = _column(l_file, np.int64, len(a_lines), f"labels for {len(a_lines)} edge lines")
+
+    u, v = pairs[:, 0], pairs[:, 1]
+    inside = (pairs >= 1).all(axis=1) & (pairs <= size).all(axis=1)
+    key = np.where(inside, u * (size + 1) + v, -1)
+    uniq, firsts = np.unique(key, return_index=True)
+    repeat = np.ones(len(key), dtype=bool)
+    repeat[firsts] = False
+    # graph of each end; ids out of range index the -1 appended at the end
+    ends = np.append(graph_of, -1)[np.where(inside[:, None], pairs, 0) - 1]
+    _first_defect(
+        (~inside, lambda i: f"{a_file}:{i + 1}: vertex id out of range in {a_lines[i]!r}"),
+        (u == v, lambda i: f"{a_file}:{i + 1}: self-loop at vertex {u[i]}"),
+        (
+            ends[:, 0] != ends[:, 1],
+            lambda i: f"{a_file}:{i + 1}: edge ({u[i]}, {v[i]}) crosses graph boundaries",
+        ),
+        (repeat, lambda i: f"{a_file}:{i + 1}: duplicate edge ({u[i]}, {v[i]})"),
+    )
+    back = v * (size + 1) + u
+    mirror = firsts[np.minimum(np.searchsorted(uniq, back), len(uniq) - 1)]
+    labels = np.zeros(len(key), dtype=np.int64) if edge_labels is None else edge_labels
+    _first_defect(
+        (
+            key[mirror] != back,
+            lambda i: f"{a_file}:{i + 1}: edge ({u[i]}, {v[i]}) lacks its mirror ({v[i]}, {u[i]})",
+        ),
+        (
+            labels != labels[mirror],
+            lambda i: f"{l_file}: edge ({u[i]}, {v[i]}) labeled {labels[i]} at line {i + 1} "
+            f"but {labels[mirror[i]]} at line {mirror[i] + 1}",
+        ),
+    )
+    node_labels = _column(files["node_labels"], np.int64, size, f"labels for {size} vertices")
+    attributes = _column(files["node_attributes"], np.float64, size, f"rows for {size} vertices")
+
+    def cut(values: Optional[np.ndarray], owner: np.ndarray) -> list:
+        """``values`` split into one piece per graph, in their order."""
+        if values is None:
+            return [None] * num_graphs
+        bounds = np.cumsum(np.bincount(owner, minlength=num_graphs))[:-1]
+        return np.split(values[np.argsort(owner, kind="stable")], bounds)
+
+    once = u < v  # one line per undirected edge
+    edges = pairs[once] - 1
+    owner = graph_of[edges[:, 0]]
+    graphs = [
+        # a graph's global ids ascend, so their ranks are its local ids
+        Graph(len(ids), np.searchsorted(ids, e), vertex_labels=vl, edge_labels=el,
+              vertex_attributes=va)
+        for ids, e, el, vl, va in zip(
+            cut(np.arange(size), graph_of),
+            cut(edges, owner),
+            cut(None if edge_labels is None else edge_labels[once], owner),
+            cut(node_labels, graph_of),
+            cut(attributes, graph_of),
         )
-
-    class_lines = _read_lines(files["graph_labels"])
-    if len(class_lines) != num_graphs:
-        raise DatasetFormatError(
-            f"{files['graph_labels']}: {len(class_lines)} class labels for "
-            f"{num_graphs} graphs"
-        )
-    class_labels = []
-    for ln, text in enumerate(class_lines, start=1):
-        try:
-            class_labels.append(int(text))
-        except ValueError:
-            raise DatasetFormatError(
-                f"{files['graph_labels']}:{ln}: not an integer: {text!r}"
-            ) from None
-
-    # Per-graph local vertex numbering, in global id order.
-    graph_of = np.array(indicator, dtype=np.int64) - 1
-    sizes = [0] * num_graphs
-    local_id = [0] * total_vertices
-    for v, gi in enumerate(graph_of):
-        local_id[v] = sizes[gi]
-        sizes[gi] += 1
-
-    edge_label_lines: Optional[List[str]] = None
-    if os.path.isfile(files["edge_labels"]):
-        edge_label_lines = _read_lines(files["edge_labels"])
-
-    directed: Dict[Tuple[int, int], Tuple[int, Optional[int]]] = {}
-    a_lines = _read_lines(files["A"])
-    if edge_label_lines is not None and len(edge_label_lines) != len(a_lines):
-        raise DatasetFormatError(
-            f"{files['edge_labels']}: {len(edge_label_lines)} labels for "
-            f"{len(a_lines)} edge lines"
-        )
-    for ln, text in enumerate(a_lines, start=1):
-        parts = text.replace(",", " ").split()
-        if len(parts) != 2:
-            raise DatasetFormatError(f"{files['A']}:{ln}: expected 'u, v', got {text!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DatasetFormatError(
-                f"{files['A']}:{ln}: non-integer vertex id in {text!r}"
-            ) from None
-        if not (1 <= u <= total_vertices and 1 <= v <= total_vertices):
-            raise DatasetFormatError(
-                f"{files['A']}:{ln}: vertex id out of range in {text!r}"
-            )
-        if u == v:
-            raise DatasetFormatError(f"{files['A']}:{ln}: self-loop at vertex {u}")
-        if graph_of[u - 1] != graph_of[v - 1]:
-            raise DatasetFormatError(
-                f"{files['A']}:{ln}: edge ({u}, {v}) crosses graph boundaries"
-            )
-        if (u, v) in directed:
-            raise DatasetFormatError(f"{files['A']}:{ln}: duplicate edge ({u}, {v})")
-        label = None
-        if edge_label_lines is not None:
-            try:
-                label = int(edge_label_lines[ln - 1])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{files['edge_labels']}:{ln}: not an integer: "
-                    f"{edge_label_lines[ln - 1]!r}"
-                ) from None
-        directed[(u, v)] = (ln, label)
-
-    undirected: Dict[Tuple[int, int], Optional[int]] = {}
-    for (u, v), (ln, label) in directed.items():
-        if (v, u) not in directed:
-            raise DatasetFormatError(
-                f"{files['A']}:{ln}: edge ({u}, {v}) lacks its mirror ({v}, {u})"
-            )
-        back_ln, back_label = directed[(v, u)]
-        if label != back_label:
-            raise DatasetFormatError(
-                f"{files['edge_labels']}: edge ({u}, {v}) labeled {label} at line "
-                f"{ln} but {back_label} at line {back_ln}"
-            )
-        if u < v:
-            undirected[(u, v)] = label
-
-    node_labels: Optional[List[int]] = None
-    if os.path.isfile(files["node_labels"]):
-        lines = _read_lines(files["node_labels"])
-        if len(lines) != total_vertices:
-            raise DatasetFormatError(
-                f"{files['node_labels']}: {len(lines)} labels for "
-                f"{total_vertices} vertices"
-            )
-        node_labels = []
-        for ln, text in enumerate(lines, start=1):
-            try:
-                node_labels.append(int(text))
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{files['node_labels']}:{ln}: not an integer: {text!r}"
-                ) from None
-
-    attributes: Optional[List[List[float]]] = None
-    if os.path.isfile(files["node_attributes"]):
-        lines = _read_lines(files["node_attributes"])
-        if len(lines) != total_vertices:
-            raise DatasetFormatError(
-                f"{files['node_attributes']}: {len(lines)} rows for "
-                f"{total_vertices} vertices"
-            )
-        attributes = []
-        width = None
-        for ln, text in enumerate(lines, start=1):
-            try:
-                row = [float(tok) for tok in text.split(",")]
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{files['node_attributes']}:{ln}: bad attribute row {text!r}"
-                ) from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DatasetFormatError(
-                    f"{files['node_attributes']}:{ln}: expected {width} values, "
-                    f"got {len(row)}"
-                )
-            attributes.append(row)
-
-    per_graph_edges: List[List[Tuple[int, int]]] = [[] for _ in range(num_graphs)]
-    per_graph_elabels: List[List[int]] = [[] for _ in range(num_graphs)]
-    for (u, v), label in undirected.items():
-        gi = graph_of[u - 1]
-        per_graph_edges[gi].append((local_id[u - 1], local_id[v - 1]))
-        if label is not None:
-            per_graph_elabels[gi].append(label)
-
-    per_graph_vertices: List[List[int]] = [[] for _ in range(num_graphs)]
-    for v in range(total_vertices):
-        per_graph_vertices[graph_of[v]].append(v)
-
-    graphs = []
-    for gi in range(num_graphs):
-        vids = per_graph_vertices[gi]
-        graphs.append(
-            Graph(
-                n=len(vids),
-                edges=per_graph_edges[gi],
-                vertex_labels=(
-                    [node_labels[v] for v in vids] if node_labels is not None else None
-                ),
-                edge_labels=(
-                    per_graph_elabels[gi] if edge_label_lines is not None else None
-                ),
-                vertex_attributes=(
-                    [attributes[v] for v in vids] if attributes is not None else None
-                ),
-            )
-        )
+    ]
     return Dataset(name, graphs, class_labels)
 
 
@@ -608,41 +567,32 @@ def write_tu_dataset(ds: Dataset, path: str) -> str:
     """
     base = os.path.join(path, ds.name)
     os.makedirs(base, exist_ok=True)
-    offset = 0
-    a_rows: List[str] = []
-    elabel_rows: List[str] = []
-    indicator_rows: List[str] = []
-    nlabel_rows: List[str] = []
-    attr_rows: List[str] = []
-    for gi, g in enumerate(ds.graphs, start=1):
-        for v in range(g.n):
-            indicator_rows.append(str(gi))
-            if g.vertex_labels is not None:
-                nlabel_rows.append(str(int(g.vertex_labels[v])))
-            if g.vertex_attributes is not None:
-                attr_rows.append(
-                    ",".join(f"{x:.17g}" for x in g.vertex_attributes[v])
-                )
-        for (u, v), l in zip(g.edges, g.edge_label_array()):
-            a_rows.append(f"{offset + int(u) + 1}, {offset + int(v) + 1}")
-            a_rows.append(f"{offset + int(v) + 1}, {offset + int(u) + 1}")
-            elabel_rows.append(str(int(l)))
-            elabel_rows.append(str(int(l)))
-        offset += g.n
-
-    def _dump(suffix: str, rows: List[str]) -> None:
-        with open(os.path.join(base, f"{ds.name}_{suffix}.txt"), "w") as fh:
-            fh.write("\n".join(rows) + ("\n" if rows else ""))
-
-    _dump("A", a_rows)
-    _dump("graph_indicator", indicator_rows)
-    _dump("graph_labels", [str(int(c)) for c in ds.class_labels])
+    graphs = ds.graphs
+    sizes = [g.n for g in graphs]
+    first = np.cumsum([1] + sizes)  # 1-based id of each graph's first vertex
+    edges = np.vstack(
+        [np.zeros((0, 2), dtype=np.int64)] + [g.edges + f for g, f in zip(graphs, first)]
+    )
+    rows = {
+        "A": [line for u, v in edges.tolist() for line in (f"{u}, {v}", f"{v}, {u}")],
+        "graph_indicator": np.repeat(np.arange(1, len(graphs) + 1), sizes),
+        "graph_labels": ds.class_labels,
+    }
     if ds.has_vertex_labels:
-        _dump("node_labels", nlabel_rows)
+        rows["node_labels"] = np.concatenate([g.vertex_label_array() for g in graphs])
     if ds.has_edge_labels:
-        _dump("edge_labels", elabel_rows)
-    if all(g.vertex_attributes is not None for g in ds.graphs) and ds.graphs:
-        _dump("node_attributes", attr_rows)
+        rows["edge_labels"] = np.repeat(np.concatenate([g.edge_label_array() for g in graphs]), 2)
+    if graphs and all(g.vertex_attributes is not None for g in graphs):
+        rows["node_attributes"] = [
+            ",".join(f"{x:.17g}" for x in row)
+            for g in graphs
+            for row in g.vertex_attributes.tolist()
+        ]
+    for suffix, lines in rows.items():
+        if isinstance(lines, np.ndarray):
+            lines = [str(x) for x in lines.tolist()]
+        with open(os.path.join(base, f"{ds.name}_{suffix}.txt"), "w") as fh:
+            fh.write("\n".join(lines) + ("\n" if lines else ""))
     return base
 
 
@@ -684,26 +634,14 @@ def generate_synthetic_labeled(
     graphs = []
     for _ in range(count):
         n = _draw_size(stream, mean_vertices)
-        labels = []
-        for _ in range(n):
-            if stream.bernoulli(p_vertex):
-                labels.append(1 + stream.randint(2))
-            else:
-                labels.append(0)
+        labels = [1 + stream.randint(2) if stream.bernoulli(p_vertex) else 0 for _ in range(n)]
         edges = [
             (u, v)
             for u in range(n)
             for v in range(u + 1, n)
             if stream.bernoulli(edge_prob)
         ]
-        graphs.append(
-            Graph(
-                n,
-                edges,
-                vertex_labels=labels,
-                edge_labels=[0] * len(edges),
-            )
-        )
+        graphs.append(Graph(n, edges, vertex_labels=labels, edge_labels=[0] * len(edges)))
     return Dataset(
         name
         or f"synth-labeled-c{count}-m{mean_vertices:g}-p{edge_prob:g}"

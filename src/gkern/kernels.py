@@ -332,12 +332,6 @@ class EdgeKernelSpec:
             return np.asarray(labels, dtype=np.int64)
         return np.zeros(len(labels), dtype=np.int64)
 
-    def matrix(self, labels_g: np.ndarray, labels_h: np.ndarray) -> np.ndarray:
-        """All-pairs kernel values for two edge-annotation arrays."""
-        lg = np.asarray(labels_g, dtype=np.int64)
-        lh = np.asarray(labels_h, dtype=np.int64)
-        return self.elementwise(lg[:, None], lh[None, :])
-
     def elementwise(self, labels_g: np.ndarray, labels_h: np.ndarray) -> np.ndarray:
         """Kernel values for two edge-annotation arrays of one shape (or
         shapes that broadcast to one)."""

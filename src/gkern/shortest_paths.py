@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+import numpy as np
+
 from .errors import ParameterError, ResourceBudgetError
 from .features import TAG_LEN, TAG_PAIR, TAG_SP
 from .graphs import Graph, all_pairs_shortest_paths, INF_DISTANCE
@@ -38,19 +40,14 @@ def sp_transform(g: Graph) -> Graph:
     incomparable anyway).
     """
     dist = all_pairs_shortest_paths(g).dist
-    edges = []
-    labels = []
-    for u in range(g.n):
-        row = dist[u]
-        for v in range(u + 1, g.n):
-            if row[v] != INF_DISTANCE:
-                edges.append((u, v))
-                labels.append(int(row[v]))
+    pairs = np.stack(np.triu_indices(g.n, k=1), axis=1)  # already in sorted edge order
+    hops = dist[pairs[:, 0], pairs[:, 1]]
+    reachable = hops != INF_DISTANCE
     return Graph(
         g.n,
-        edges,
+        pairs[reachable],
         vertex_labels=g.vertex_labels,
-        edge_labels=labels,
+        edge_labels=hops[reachable],
         vertex_attributes=g.vertex_attributes,
     )
 

@@ -67,7 +67,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ContractError, MultiplicityOverflowError, ParameterError
+from .errors import (
+    ContractError,
+    MultiplicityOverflowError,
+    ParameterError,
+    ResourceBudgetError,
+)
 from .features import TAG_WALK
 from .gram import EXACT_LIMIT
 from .graphs import Graph
@@ -522,6 +527,13 @@ def explicit_labels(g: Graph, features: str) -> List[int]:
     return g.vertex_label_array().tolist()
 
 
+#: Most (vertex, label sequence) entries one round of
+#: :func:`walk_features_explicit` may store across a graph's vertices.  The
+#: per-vertex maps grow with the number of distinct labelled walks, which
+#: on dense edge-labelled graphs is exponential in the length.
+WALK_MAP_ENTRIES = 2**20
+
+
 def walk_features_explicit(g: Graph, length: int) -> Dict[tuple, int]:
     """Count vector over walk label sequences of one fixed length.
 
@@ -529,7 +541,8 @@ def walk_features_explicit(g: Graph, length: int) -> Dict[tuple, int]:
     sequence prefixed with the length, so different lengths never collide.
     Unlabeled edges contribute a shared pseudo-label 0.  The dot product
     of two such vectors equals the implicit walk kernel with Dirac vertex
-    and edge kernels.
+    and edge kernels.  A round whose maps grow past
+    :data:`WALK_MAP_ENTRIES` entries raises :class:`ResourceBudgetError`.
     """
     if length < 0:
         raise ParameterError(f"walk length must be >= 0, got {length}")
@@ -537,8 +550,9 @@ def walk_features_explicit(g: Graph, length: int) -> Dict[tuple, int]:
     per_vertex: List[dict] = [{(labels[v],): 1} for v in range(g.n)]
     if length and g.n:
         ladj = g.labeled_adjacency()
-        for _ in range(length):
+        for step in range(1, length + 1):
             nxt: List[dict] = [{} for _ in range(g.n)]
+            stored = 0
             for u in range(g.n):
                 lu = labels[u]
                 bucket = nxt[u]
@@ -547,6 +561,12 @@ def walk_features_explicit(g: Graph, length: int) -> Dict[tuple, int]:
                     for seq, count in per_vertex[v].items():
                         key = prefix + seq
                         bucket[key] = bucket.get(key, 0) + count
+                stored += len(bucket)
+                if stored > WALK_MAP_ENTRIES:
+                    raise ResourceBudgetError(
+                        f"walk feature map of length {step} exceeded "
+                        f"{WALK_MAP_ENTRIES} stored (vertex, sequence) entries"
+                    )
             per_vertex = nxt  # previous round's maps are released here
     total: dict = {}
     for bucket in per_vertex:

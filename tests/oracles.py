@@ -466,3 +466,35 @@ def oracle_vertex_weight(weight_map, g, u: int, h, v: int) -> int:
     columns_h, wh = weight_map.matrix(h)
     row_h = dict(zip(columns_h.tolist(), wh[v].tolist()))
     return sum(x * row_h.get(c, 0) for c, x in zip(columns_g.tolist(), wg[u].tolist()))
+
+
+# ---------------------------------------------------------------------------
+# graph construction
+
+
+def oracle_graph(n: int, edges, edge_labels=None):
+    """Normalized ``(edges, edge labels, adjacency)`` of an edge list, in
+    plain Python: ``(min, max)`` pairs sorted ascending, labels carried
+    along, neighbor tuples ascending.  The first bad edge in input order
+    raises ``ValueError``: a self-loop, then an id out of range, then a
+    repeat of an earlier edge."""
+    seen = set()
+    keys = []
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
+        keys.append(key)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    labels = None if edge_labels is None else [int(edge_labels[i]) for i in order]
+    neighbors: List[List[int]] = [[] for _ in range(n)]
+    for u, v in keys:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return [list(keys[i]) for i in order], labels, tuple(tuple(sorted(a)) for a in neighbors)

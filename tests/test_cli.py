@@ -447,6 +447,15 @@ def test_gram_failure_exits_with_its_cause_code(regime, capsys):
     assert "2**53" in err
 
 
+def test_walk_map_past_its_entry_budget_exits_as_a_resource_limit(monkeypatch, capsys):
+    monkeypatch.setattr(gkern.walks, "WALK_MAP_ENTRIES", 8)
+    code = main(["compute", "--data", DATA, "--kernel", "walk", "--regime", "explicit"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "walk(l=4)/explicit: graph 3 failed: walk feature map of length 1" in err
+    assert "exceeded 8 stored (vertex, sequence) entries" in err
+
+
 @pytest.mark.parametrize("axis", ("length", "alphabet"))
 def test_sweep_length_only_on_pv_axis(axis, capsys):
     code = main(

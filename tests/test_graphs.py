@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkern import (
     ContractError,
@@ -22,7 +24,119 @@ from gkern import (
     write_tu_dataset,
 )
 from conftest import make_random_graph
-from oracles import oracle_apsp, oracle_shortest_path_counts
+from oracles import oracle_apsp, oracle_graph, oracle_shortest_path_counts
+
+
+# One defect per TU directory, on top of the valid two-vertex graph that
+# ``TestDiskFormat._write`` writes, with the full message it must raise;
+# ``{root}`` stands for the parent directory of ``X/``.
+LOADER_DEFECTS = [
+    ({"A": None}, DatasetLoadError, "missing mandatory file {root}/X_A.txt"),
+    (
+        {"graph_indicator": "1\nx\n"},
+        DatasetFormatError,
+        "{root}/X/X_graph_indicator.txt:2: not an integer: 'x'",
+    ),
+    (
+        {"graph_indicator": "0\n1\n"},
+        DatasetFormatError,
+        "{root}/X/X_graph_indicator.txt: graph ids must be >= 1",
+    ),
+    (
+        {"graph_labels": "0\n1\n"},
+        DatasetFormatError,
+        "{root}/X/X_graph_labels.txt: 2 class labels for 1 graphs",
+    ),
+    (
+        {"graph_labels": "a\n"},
+        DatasetFormatError,
+        "{root}/X/X_graph_labels.txt:1: not an integer: 'a'",
+    ),
+    (
+        {"edge_labels": "1\n"},
+        DatasetFormatError,
+        "{root}/X/X_edge_labels.txt: 1 labels for 2 edge lines",
+    ),
+    (
+        {"edge_labels": "1\nz\n"},
+        DatasetFormatError,
+        "{root}/X/X_edge_labels.txt:2: not an integer: 'z'",
+    ),
+    (
+        {"A": "1, 2\n2\n"},
+        DatasetFormatError,
+        "{root}/X/X_A.txt:2: expected 'u, v', got '2'",
+    ),
+    (
+        {"A": "1, 2\n2, x\n"},
+        DatasetFormatError,
+        "{root}/X/X_A.txt:2: non-integer vertex id in '2, x'",
+    ),
+    (
+        {"A": "1, 2\n2, 1\n1, 3\n"},
+        DatasetFormatError,
+        "{root}/X/X_A.txt:3: vertex id out of range in '1, 3'",
+    ),
+    (
+        {"A": "1, 2\n2, 1\n1, 99999999999999999999\n"},
+        DatasetFormatError,
+        "{root}/X/X_A.txt:3: vertex id out of range in '1, 99999999999999999999'",
+    ),
+    (
+        {"A": "1, 2\n2, 1\n2, 2\n"},
+        DatasetFormatError,
+        "{root}/X/X_A.txt:3: self-loop at vertex 2",
+    ),
+    (
+        {
+            "A": "1, 2\n2, 1\n2, 3\n3, 2\n",
+            "graph_indicator": "1\n1\n2\n",
+            "graph_labels": "0\n0\n",
+        },
+        DatasetFormatError,
+        "{root}/X/X_A.txt:3: edge (2, 3) crosses graph boundaries",
+    ),
+    (
+        {"A": "1, 2\n2, 1\n1, 2\n"},
+        DatasetFormatError,
+        "{root}/X/X_A.txt:3: duplicate edge (1, 2)",
+    ),
+    (
+        {"A": "1, 2\n2, 1\n2, 3\n", "graph_indicator": "1\n1\n1\n"},
+        DatasetFormatError,
+        "{root}/X/X_A.txt:3: edge (2, 3) lacks its mirror (3, 2)",
+    ),
+    (
+        {"edge_labels": "3\n4\n"},
+        DatasetFormatError,
+        "{root}/X/X_edge_labels.txt: edge (1, 2) labeled 3 at line 1 but 4 at line 2",
+    ),
+    (
+        {"node_labels": "1\n"},
+        DatasetFormatError,
+        "{root}/X/X_node_labels.txt: 1 labels for 2 vertices",
+    ),
+    (
+        {"node_labels": "1\n2.5\n"},
+        DatasetFormatError,
+        "{root}/X/X_node_labels.txt:2: not an integer: '2.5'",
+    ),
+    (
+        {"node_attributes": "0.5\n"},
+        DatasetFormatError,
+        "{root}/X/X_node_attributes.txt: 1 rows for 2 vertices",
+    ),
+    (
+        {"node_attributes": "0.5\nfoo\n"},
+        DatasetFormatError,
+        "{root}/X/X_node_attributes.txt:2: bad attribute row 'foo'",
+    ),
+    (
+        {"node_attributes": "0.5,0.5\n0.25\n"},
+        DatasetFormatError,
+        "{root}/X/X_node_attributes.txt:2: expected 2 values, got 1",
+    ),
+]
 
 
 class TestGraph:
@@ -60,6 +174,44 @@ class TestGraph:
     def test_empty_graph_allowed(self):
         g = Graph(0, [])
         assert g.n == 0 and g.m == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_plain_python_normalization(self, data):
+        # a valid edge list in shuffled order and orientation, with up to two
+        # arbitrary edges (self-loops, repeats, ids out of range) slipped in
+        n = data.draw(st.integers(0, 7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        edges = [
+            (v, u) if data.draw(st.booleans()) else (u, v)
+            for u, v in data.draw(st.permutations(chosen))
+        ]
+        ids = st.integers(-1, n)
+        for extra in data.draw(st.lists(st.tuples(ids, ids), max_size=2)):
+            edges.insert(data.draw(st.integers(0, len(edges))), extra)
+        labels = data.draw(
+            st.none() | st.lists(st.integers(0, 3), min_size=len(edges), max_size=len(edges))
+        )
+        if data.draw(st.booleans()):
+            edges = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+        try:
+            want_edges, want_labels, want_adj = oracle_graph(n, edges, labels)
+        except ValueError as exc:
+            with pytest.raises(ContractError) as got:
+                Graph(n, edges, edge_labels=labels)
+            assert str(got.value) == str(exc)
+            return
+        g = Graph(n, edges, edge_labels=labels)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (len(want_edges), 2)
+        assert g.edges.tolist() == want_edges
+        if labels is None:
+            assert g.edge_labels is None
+        else:
+            assert g.edge_labels.dtype == np.int64
+            assert g.edge_labels.tolist() == want_labels
+        assert g.adj == want_adj and type(g.adj) is tuple
+        assert all(type(a) is tuple and all(type(x) is int for x in a) for a in g.adj)
 
 
 class TestShortestPaths:
@@ -261,6 +413,13 @@ class TestDiskFormat:
         # files live in tmp_path/NEST/, loadable via the parent directory
         ds = load_tu_dataset(str(tmp_path), "NEST")
         assert len(ds) == 1 and ds[0].n == 2
+
+    @pytest.mark.parametrize("files, error, message", LOADER_DEFECTS)
+    def test_each_defect_raises_its_full_message(self, tmp_path, files, error, message):
+        path = self._write(tmp_path, "X", **files)
+        with pytest.raises(error) as raised:
+            load_tu_dataset(path, "X")
+        assert str(raised.value) == message.format(root=tmp_path)
 
 
 class TestGenerators:

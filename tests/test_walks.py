@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 from gkern import (
     ContractError,
+    Dataset,
     EdgeKernelSpec,
     Graph,
+    GramError,
     MultiplicityOverflowError,
     ParameterError,
+    ResourceBudgetError,
     VertexKernelSpec,
     build_wdpg,
     dot,
+    gram_explicit,
     max_walk_kernel_implicit,
     sample_binning_grid,
     walk_features_explicit,
@@ -100,7 +104,6 @@ class TestProductGraph:
             raise AssertionError("a binary kernel's values were gathered")
 
         monkeypatch.setattr(VertexKernelSpec, "matrix", refuse)
-        monkeypatch.setattr(EdgeKernelSpec, "matrix", refuse)
         monkeypatch.setattr(EdgeKernelSpec, "elementwise", refuse)
         g = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 0], edge_labels=[2, 2])
         for edge_kernel in (DIRAC_EDGE, UNIFORM_EDGE):
@@ -343,6 +346,19 @@ class TestWalkFeaturesExplicit:
     def test_rejects_negative_length(self):
         with pytest.raises(ParameterError):
             walk_features_explicit(Graph(1, []), -2)
+
+    def test_a_round_past_the_entry_budget_fails_its_graph(self, monkeypatch):
+        # the labelled path 0-1-2 stores 4 (vertex, sequence) entries in
+        # round 1 and 6 in round 2
+        g = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 2])
+        monkeypatch.setattr(walks, "WALK_MAP_ENTRIES", 4)
+        assert len(walk_features_explicit(g, 1)) == 4
+        with pytest.raises(ResourceBudgetError, match="length 2 exceeded 4 stored"):
+            walk_features_explicit(g, 2)
+        ds = Dataset("d", [Graph(1), g])
+        with pytest.raises(GramError, match="walk: graph 1 failed") as failed:
+            gram_explicit(ds, lambda h: walk_features_explicit(h, 2), "walk")
+        assert isinstance(failed.value.__cause__, ResourceBudgetError)
 
 
 class TestMaxWalkKernel:
