@@ -19,9 +19,10 @@ cell.  The flip along each row is the point of the exercise; exact
 timings vary by machine.
 """
 
-from gkern.bench import walk_pv_sweep
+from gkern.bench import sweep
 
-rows = walk_pv_sweep(
+rows = sweep(
+    "pv",
     sizes=(20, 40),
     grid=(0.0, 0.3, 0.6, 0.9),
     length=5,

@@ -4,27 +4,28 @@
 computed: its :class:`KernelPlan` holds an implicit and an explicit Gram
 builder, or, for a scheme the kernel lacks, the reason why.
 
-:func:`sweep`, the one sweep driver, builds synthetic datasets along one
-axis (vertex-label diversity, walk length, or label-alphabet size; each
-sweep function binds a generator and a plan) and the dataset-size axis,
-computes a plan's two Grams, and records the median wall time of each
-over repeated runs (medians are robust against scheduler noise).  Rows
-also carry the largest entrywise relative discrepancy between the two
-matrices, so a sweep doubles as an end-to-end consistency check.
+:data:`AXES` is the one table of phase-transition axes (vertex-label
+diversity, walk length, label-alphabet size).  A row names the generator
+that draws the axis's datasets, the kernel it times, the keyword its grid
+values set, its fixed generator and plan keywords, and its desk-scale and
+full-scale sizes and grids; the full-scale ones follow the published
+protocol and can take hours in pure Python.
 
-Datasets are nested along the size axis: one generator call produces the
-largest dataset per axis point and smaller sizes are prefixes, matching
-the incremental-growth protocol of the experiments this reproduces, and
-keeping generation cost flat.
-
-Desk-scale default grids live in :data:`DESK_GRIDS`; the full-scale grids
-(:data:`FULL_GRIDS`) match the published protocol and can take hours in
-pure Python — they are opt-in.
+:func:`sweep`, the one sweep driver, walks a row's grid and the
+dataset-size axis, computes the plan's two Grams per cell, and records the
+median wall time of each over repeated runs (medians are robust against
+scheduler noise).  Rows also carry the largest entrywise relative
+discrepancy between the two matrices, so a sweep doubles as an end-to-end
+consistency check.  Datasets are nested along the size axis: one
+generator call draws the largest dataset and smaller sizes are prefixes,
+matching the incremental-growth protocol of the experiments this
+reproduces and keeping generation cost flat.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import statistics
 import time
 from dataclasses import dataclass
@@ -54,53 +55,6 @@ from .weighted import (
     wv_kernel_row,
 )
 
-DESK_GRIDS = {
-    "pv": {
-        "sizes": (50, 100, 150),
-        "grid": (0.0, 0.3, 0.6, 0.9),
-        "length": 7,
-        "mean_vertices": 20.0,
-        "edge_prob": 0.1,
-    },
-    "length": {
-        "sizes": (50, 100),
-        "grid": (1, 2, 3, 5, 7),
-        "p_vertex": 0.4,
-        "mean_vertices": 20.0,
-        "edge_prob": 0.1,
-    },
-    "alphabet": {
-        "sizes": (20, 40),
-        "grid": (1, 2, 4, 8, 16),
-        "mean_vertices": 15.0,
-        "edge_prob": 0.3,
-    },
-}
-
-FULL_GRIDS = {
-    "pv": {
-        "sizes": tuple(range(100, 301, 20)),
-        "grid": tuple(round(0.1 * i, 1) for i in range(10)),
-        "length": 7,
-        "mean_vertices": 20.0,
-        "edge_prob": 0.1,
-    },
-    "length": {
-        "sizes": (100, 200, 300),
-        "grid": tuple(range(1, 11)),
-        "p_vertex": 0.4,
-        "mean_vertices": 20.0,
-        "edge_prob": 0.1,
-    },
-    "alphabet": {
-        "sizes": (100, 200, 300),
-        "grid": (1, 2, 3, 4, 5, 10, 15, 20, 30, 45, 65),
-        "mean_vertices": 60.0,
-        "edge_prob": 0.5,
-    },
-}
-
-
 KERNELS = (
     "walk",
     "maxwalk",
@@ -112,6 +66,10 @@ KERNELS = (
 )
 
 REGIMES = ("implicit", "explicit")
+
+# the keys of a sweep row, in CSV column order
+_COLUMNS = ("axis", "value", "size", "implicit_seconds", "explicit_seconds", "winner",
+            "max_rel_discrepancy")
 
 
 @dataclass
@@ -296,48 +254,125 @@ def _median_time(
     return statistics.median(times), gram
 
 
+@dataclass
+class Axis:
+    """One row of :data:`AXES`.
+
+    Datasets come from ``generate_synthetic_<generator>``, and each cell
+    times ``kernel_plan(kernel, ...)`` two ways.  A grid value sets
+    ``keyword``: a generator keyword draws a fresh dataset per value from
+    seed ``seed + step``, a :func:`kernel_plan` keyword reuses the one
+    dataset drawn from ``seed``.  ``dataset`` and ``plan`` are the fixed
+    generator and plan keywords; ``desk`` and ``full`` give each scale's
+    ``sizes`` and ``grid``, and any generator keywords that scale sets.
+    """
+
+    generator: str
+    kernel: str
+    keyword: str
+    dataset: Dict[str, object]
+    plan: Dict[str, object]
+    desk: Dict[str, object]
+    full: Dict[str, object]
+
+
+AXES = {
+    # vertex-label diversity at a fixed walk length: low diversity floods the
+    # product graphs (implicit pays), high diversity the feature space (explicit)
+    "pv": Axis(
+        "labeled", "walk", "p_vertex",
+        dataset={"mean_vertices": 20.0, "edge_prob": 0.1},
+        plan={"length": 7},
+        desk={"sizes": (50, 100, 150), "grid": (0.0, 0.3, 0.6, 0.9)},
+        full={"sizes": tuple(range(100, 301, 20)), "grid": tuple(i / 10 for i in range(10))},
+    ),
+    # walk length on molecular-style labels (a skewed three-letter alphabet)
+    "length": Axis(
+        "labeled", "walk", "length",
+        dataset={"p_vertex": 0.4, "mean_vertices": 20.0, "edge_prob": 0.1},
+        plan={},
+        desk={"sizes": (50, 100), "grid": (1, 2, 3, 5, 7)},
+        full={"sizes": (100, 200, 300), "grid": tuple(range(1, 11))},
+    ),
+    # label-alphabet size, subgraph matching (connected, up to 3 vertices):
+    # small alphabets blow up the association graph whose cliques the
+    # implicit scheme enumerates, so this axis is the hardest on that side
+    "alphabet": Axis(
+        "alphabet", "subgraph-matching", "alphabet_size",
+        dataset={},
+        plan={"max_size": 3, "connected_only": True},
+        desk={"sizes": (20, 40), "grid": (1, 2, 4, 8, 16), "mean_vertices": 15.0,
+              "edge_prob": 0.3},
+        full={"sizes": (100, 200, 300), "grid": (1, 2, 3, 4, 5, 10, 15, 20, 30, 45, 65),
+              "mean_vertices": 60.0, "edge_prob": 0.5},
+    ),
+}
+
+
 def sweep(
     axis: str,
-    grid: Sequence,
-    sizes: Sequence[int],
-    dataset_at: Callable[[int, object], Dataset],
-    plan_at: Callable[[object, Dataset], KernelPlan],
-    reps: int,
+    sizes: Optional[Sequence[int]] = None,
+    grid: Optional[Sequence] = None,
+    *,
+    full_scale: bool = False,
+    length: Optional[int] = None,
+    p_vertex: Optional[float] = None,
+    mean_vertices: Optional[float] = None,
+    edge_prob: Optional[float] = None,
+    reps: int = 5,
+    seed: int = 0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[Dict[str, object]]:
-    """Time both schemes at every (grid value, dataset size) cell of an axis.
+    """Time both schemes at every (grid value, size) cell of ``AXES[axis]``.
 
-    ``dataset_at(step, value)`` draws the largest dataset of the ``step``-th
-    grid value; smaller sizes are its prefixes.  ``plan_at(value, ds)``
-    gives the plan whose two builders are timed on ``ds``, each as the
-    median of ``reps`` runs.  A row carries the largest relative
-    discrepancy between the two Grams, 0.0 wherever the plan's kernel is
-    exact on both schemes.
+    ``sizes`` and ``grid`` default to the row's desk-scale values, or its
+    full-scale ones with ``full_scale``.  ``length``, ``p_vertex``,
+    ``mean_vertices`` and ``edge_prob`` replace a fixed keyword of the row;
+    one the row does not fix is a ParameterError.  Both builders of a
+    cell's plan are timed as the median of ``reps`` runs; a row's
+    discrepancy is 0.0 wherever the kernel is exact on both schemes.
     """
+    if axis not in AXES:
+        raise ParameterError(f"unknown sweep axis {axis!r} (expected one of {tuple(AXES)})")
     if reps < 1:
         raise ParameterError(f"reps must be >= 1, got {reps}")
+    row = AXES[axis]
+    scale = dict(row.full if full_scale else row.desk)
+    default_sizes, default_grid = scale.pop("sizes"), scale.pop("grid")
+    sizes = sorted(default_sizes if sizes is None else sizes)
+    if not sizes:
+        raise ParameterError("sizes must name at least one dataset size")
+    data_kw, plan_kw = {**row.dataset, **scale}, dict(row.plan)
+    given = dict(length=length, p_vertex=p_vertex, mean_vertices=mean_vertices,
+                 edge_prob=edge_prob)
+    for key, value in given.items():
+        if value is None:
+            continue
+        fixed = next((kw for kw in (plan_kw, data_kw) if key in kw), None)
+        if fixed is None:
+            raise ParameterError(f"the {axis} axis takes no {key}; it fixes "
+                                 f"{', '.join([*data_kw, *plan_kw])}")
+        fixed[key] = value
+    # looked up per call, so replacing a module attribute (as a tracer or a
+    # test does) reaches the sweep, as it reaches kernel_plan's builders
+    generators = {"labeled": generate_synthetic_labeled, "alphabet": generate_synthetic_alphabet}
+    generate = generators[row.generator]
+    per_value = row.keyword in inspect.signature(generate).parameters
     rows = []
-    for step, value in enumerate(grid):
-        full = dataset_at(step, value)
-        for size in sorted(sizes):
-            plan = plan_at(value, full.subset(size))
+    for step, value in enumerate(default_grid if grid is None else grid):
+        (data_kw if per_value else plan_kw)[row.keyword] = value
+        if per_value or step == 0:
+            drawn = generate(sizes[-1], seed=seed + step, **data_kw)
+        for size in sizes:
+            plan = kernel_plan(row.kernel, drawn.subset(size), **plan_kw)
             builds = [plan.builder(regime) for regime in REGIMES]
             (implicit_seconds, gram_i), (explicit_seconds, gram_e) = [
                 _median_time(build, reps) for build in builds
             ]
             winner = "implicit" if implicit_seconds < explicit_seconds else "explicit"
             discrepancy = max_relative_discrepancy(gram_i.values, gram_e.values)
-            rows.append(
-                {
-                    "axis": axis,
-                    "value": value,
-                    "size": size,
-                    "implicit_seconds": implicit_seconds,
-                    "explicit_seconds": explicit_seconds,
-                    "winner": winner,
-                    "max_rel_discrepancy": discrepancy,
-                }
-            )
+            cells = (axis, value, size, implicit_seconds, explicit_seconds, winner, discrepancy)
+            rows.append(dict(zip(_COLUMNS, cells)))
             if progress:
                 progress(
                     f"{axis}={value:g} size={size}: implicit "
@@ -347,107 +382,10 @@ def sweep(
     return rows
 
 
-def walk_pv_sweep(
-    sizes: Sequence[int] = DESK_GRIDS["pv"]["sizes"],
-    grid: Sequence[float] = DESK_GRIDS["pv"]["grid"],
-    length: int = 7,
-    mean_vertices: float = 20.0,
-    edge_prob: float = 0.1,
-    reps: int = 5,
-    seed: int = 7,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[Dict[str, object]]:
-    """Fixed-length walk kernel across vertex-label diversity and size.
-
-    Low diversity floods the product graphs (implicit pays), high
-    diversity floods the feature space (explicit pays); the sweep exposes
-    where the winner flips.
-    """
-    return sweep(
-        "pv",
-        grid,
-        sizes,
-        lambda step, p_vertex: generate_synthetic_labeled(
-            max(sizes), mean_vertices, edge_prob, p_vertex, seed + step
-        ),
-        lambda p_vertex, ds: kernel_plan("walk", ds, length=length),
-        reps,
-        progress=progress,
-    )
-
-
-def walk_length_sweep(
-    sizes: Sequence[int] = DESK_GRIDS["length"]["sizes"],
-    grid: Sequence[int] = DESK_GRIDS["length"]["grid"],
-    p_vertex: float = 0.4,
-    mean_vertices: float = 20.0,
-    edge_prob: float = 0.1,
-    reps: int = 5,
-    seed: int = 11,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[Dict[str, object]]:
-    """Fixed-length walk kernel across walk length, molecular-style labels
-    (a skewed three-letter alphabet)."""
-    full = generate_synthetic_labeled(
-        max(sizes), mean_vertices, edge_prob, p_vertex, seed
-    )
-    return sweep(
-        "length",
-        grid,
-        sizes,
-        lambda step, length: full,
-        lambda length, ds: kernel_plan("walk", ds, length=length),
-        reps,
-        progress=progress,
-    )
-
-
-def alphabet_sweep(
-    sizes: Sequence[int] = DESK_GRIDS["alphabet"]["sizes"],
-    grid: Sequence[int] = DESK_GRIDS["alphabet"]["grid"],
-    mean_vertices: float = 15.0,
-    edge_prob: float = 0.3,
-    reps: int = 3,
-    seed: int = 13,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[Dict[str, object]]:
-    """Subgraph matching (connected, up to 3 vertices) across
-    label-alphabet size.
-
-    Implicit: cliques of the association graph.  Explicit: counts of
-    labeled subgraph classes, each repeated once per automorphism.  Small
-    alphabets blow up the association graph, so this axis is the hardest
-    on the implicit side.
-    """
-    return sweep(
-        "alphabet",
-        grid,
-        sizes,
-        lambda step, alphabet: generate_synthetic_alphabet(
-            max(sizes), mean_vertices, edge_prob, alphabet, seed + step
-        ),
-        lambda alphabet, ds: kernel_plan(
-            "subgraph-matching", ds, max_size=3, connected_only=True
-        ),
-        reps,
-        progress=progress,
-    )
-
-
 def write_sweep_csv(rows: List[Dict[str, object]], path: str) -> str:
     """Write sweep rows as CSV with a stable column order."""
-    columns = [
-        "axis",
-        "value",
-        "size",
-        "implicit_seconds",
-        "explicit_seconds",
-        "winner",
-        "max_rel_discrepancy",
-    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return path

@@ -55,13 +55,6 @@ _EXIT_CODES = (
     ((ResourceBudgetError, MultiplicityOverflowError), _RESOURCE_EXIT),
 )
 
-_SWEEPS = {
-    "pv": bench.walk_pv_sweep,
-    "length": bench.walk_length_sweep,
-    "alphabet": bench.alphabet_sweep,
-}
-
-
 def _read(text, cast, what: str):
     """``cast(text)``, or a ParameterError naming ``what`` and the text."""
     try:
@@ -172,23 +165,22 @@ def cmd_compute(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grids = bench.FULL_GRIDS if args.full_scale else bench.DESK_GRIDS
-    config = dict(grids[args.axis])
-    if args.sizes:
-        config["sizes"] = tuple(_read(s, int, "--sizes") for s in args.sizes.split(","))
-    if args.grid:
-        cast = float if args.axis == "pv" else int
-        config["grid"] = tuple(_read(v, cast, "--grid") for v in args.grid.split(","))
-    if args.length is not None:
-        if "length" not in config:
-            raise ParameterError(
-                f"--length sets the walk length of the pv axis; "
-                f"the {args.axis} axis does not take it"
-            )
-        config["length"] = args.length
-    progress = (lambda line: print(line, flush=True)) if not args.quiet else None
-    rows = _SWEEPS[args.axis](
-        **config, reps=args.reps, seed=args.seed, progress=progress
+    row = bench.AXES[args.axis]
+    if args.length is not None and "length" not in row.plan:
+        takers = ", ".join(axis for axis, r in bench.AXES.items() if "length" in r.plan)
+        raise ParameterError(f"--length sets the walk length of the {takers} axis; "
+                             f"the {args.axis} axis does not take it")
+    values = lambda s, cast, flag: s and tuple(_read(v, cast, flag) for v in s.split(","))
+    rows = bench.sweep(
+        args.axis,
+        values(args.sizes, int, "--sizes") or None,
+        # grid values read as the type of the row's own
+        values(args.grid, type(row.desk["grid"][0]), "--grid") or None,
+        full_scale=args.full_scale,
+        length=args.length,
+        reps=args.reps,
+        seed=args.seed,
+        progress=(lambda line: print(line, flush=True)) if not args.quiet else None,
     )
     if args.out:
         bench.write_sweep_csv(rows, args.out)
@@ -275,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="implicit-vs-explicit timing sweep")
     common(sweep)
-    sweep.add_argument("--axis", choices=("pv", "length", "alphabet"), default="pv")
+    sweep.add_argument("--axis", choices=tuple(bench.AXES), default="pv")
     sweep.add_argument("--sizes", help="comma-separated dataset sizes")
     sweep.add_argument("--grid", help="comma-separated axis values")
     sweep.add_argument("--length", type=int, help="walk length (pv axis)")

@@ -381,6 +381,20 @@ def _read_lines(filename: str) -> List[str]:
         return [line for line in map(str.strip, fh.read().split("\n")) if line]
 
 
+def _line_number(filename: str, i: int) -> int:
+    """The physical line number (from 1) of the ``i``-th non-blank line of
+    ``filename``, counted from 0; the file is read again only to name an
+    error, so a clean load pays nothing for it."""
+    with open(filename, "r", encoding="ascii") as fh:
+        lines = fh.read().split("\n")
+    return [ln for ln, line in enumerate(lines, start=1) if line.strip()][i]
+
+
+def _at(filename: str, i: int) -> str:
+    """``file:line`` of the ``i``-th non-blank line, counting physical lines."""
+    return f"{filename}:{_line_number(filename, i)}"
+
+
 def _column(
     filename: str, dtype=np.int64, count: Optional[int] = None, unit: str = ""
 ) -> Optional[np.ndarray]:
@@ -402,16 +416,16 @@ def _column(
         return np.array(rows, dtype=dtype)
     except (ValueError, OverflowError):
         width = None
-        for ln, (text, row) in enumerate(zip(lines, rows), start=1):
+        for i, (text, row) in enumerate(zip(lines, rows)):
             try:
                 values = np.array([row], dtype=dtype)
             except (ValueError, OverflowError):
                 what = "bad attribute row" if dtype == np.float64 else "not an integer:"
-                raise DatasetFormatError(f"{filename}:{ln}: {what} {text!r}") from None
+                raise DatasetFormatError(f"{_at(filename, i)}: {what} {text!r}") from None
             width = width or values.size
             if values.size != width:
                 raise DatasetFormatError(
-                    f"{filename}:{ln}: expected {width} values, got {values.size}"
+                    f"{_at(filename, i)}: expected {width} values, got {values.size}"
                 ) from None
         raise
 
@@ -425,10 +439,10 @@ def _edge_pairs(filename: str) -> Tuple[List[str], np.ndarray]:
     try:
         return lines, np.array(rows, dtype=np.int64).reshape(len(rows), 2)
     except (ValueError, OverflowError):
-        for ln, (text, row) in enumerate(zip(lines, rows), start=1):
+        for i, (text, row) in enumerate(zip(lines, rows)):
             if len(row) != 2:
                 raise DatasetFormatError(
-                    f"{filename}:{ln}: expected 'u, v', got {text!r}"
+                    f"{_at(filename, i)}: expected 'u, v', got {text!r}"
                 ) from None
             try:
                 np.array(row, dtype=np.int64)
@@ -436,7 +450,7 @@ def _edge_pairs(filename: str) -> Tuple[List[str], np.ndarray]:
                 # an id past int64 is out of range, as range checks would report it
                 overflow = isinstance(exc, OverflowError)
                 bad = "vertex id out of range" if overflow else "non-integer vertex id"
-                raise DatasetFormatError(f"{filename}:{ln}: {bad} in {text!r}") from None
+                raise DatasetFormatError(f"{_at(filename, i)}: {bad} in {text!r}") from None
         raise
 
 
@@ -477,7 +491,8 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
       or a mirror pair with two different edge labels.
 
     The error names the first offending line in file order, counting
-    non-blank lines.  The edge file is checked for syntax first, then for
+    physical lines, blank ones included (a side file's line count ignores
+    blank lines).  The edge file is checked for syntax first, then for
     ids, then for mirrors.
     """
     base = _dataset_dir(path, name)
@@ -509,13 +524,13 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
     # graph of each end; ids out of range index the -1 appended at the end
     ends = np.append(graph_of, -1)[np.where(inside[:, None], pairs, 0) - 1]
     _first_defect(
-        (~inside, lambda i: f"{a_file}:{i + 1}: vertex id out of range in {a_lines[i]!r}"),
-        (u == v, lambda i: f"{a_file}:{i + 1}: self-loop at vertex {u[i]}"),
+        (~inside, lambda i: f"{_at(a_file, i)}: vertex id out of range in {a_lines[i]!r}"),
+        (u == v, lambda i: f"{_at(a_file, i)}: self-loop at vertex {u[i]}"),
         (
             ends[:, 0] != ends[:, 1],
-            lambda i: f"{a_file}:{i + 1}: edge ({u[i]}, {v[i]}) crosses graph boundaries",
+            lambda i: f"{_at(a_file, i)}: edge ({u[i]}, {v[i]}) crosses graph boundaries",
         ),
-        (repeat, lambda i: f"{a_file}:{i + 1}: duplicate edge ({u[i]}, {v[i]})"),
+        (repeat, lambda i: f"{_at(a_file, i)}: duplicate edge ({u[i]}, {v[i]})"),
     )
     back = v * (size + 1) + u
     mirror = firsts[np.minimum(np.searchsorted(uniq, back), len(uniq) - 1)]
@@ -523,12 +538,13 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
     _first_defect(
         (
             key[mirror] != back,
-            lambda i: f"{a_file}:{i + 1}: edge ({u[i]}, {v[i]}) lacks its mirror ({v[i]}, {u[i]})",
+            lambda i: f"{_at(a_file, i)}: edge ({u[i]}, {v[i]}) lacks its mirror ({v[i]}, {u[i]})",
         ),
         (
             labels != labels[mirror],
-            lambda i: f"{l_file}: edge ({u[i]}, {v[i]}) labeled {labels[i]} at line {i + 1} "
-            f"but {labels[mirror[i]]} at line {mirror[i] + 1}",
+            lambda i: f"{l_file}: edge ({u[i]}, {v[i]}) labeled {labels[i]} at line "
+            f"{_line_number(l_file, i)} but {labels[mirror[i]]} at line "
+            f"{_line_number(l_file, mirror[i])}",
         ),
     )
     node_labels = _column(files["node_labels"], np.int64, size, f"labels for {size} vertices")

@@ -39,7 +39,7 @@ from gkern import (
     wv_features_explicit,
     wv_kernel_row,
 )
-from gkern.bench import DESK_GRIDS, max_relative_discrepancy, walk_pv_sweep
+from gkern.bench import AXES, max_relative_discrepancy, sweep
 from conftest import make_random_graph
 from oracles import (
     dirac_fn,
@@ -441,19 +441,10 @@ def test_criterion_07_binning_convergence():
 
 def test_criterion_08_phase_transition():
     started = time.perf_counter()
-    config = DESK_GRIDS["pv"]
-    rows = walk_pv_sweep(
-        sizes=config["sizes"],
-        grid=config["grid"],
-        length=config["length"],
-        mean_vertices=config["mean_vertices"],
-        edge_prob=config["edge_prob"],
-        reps=3,
-        seed=7,
-        progress=None,
-    )
-    sizes = config["sizes"]
-    grid = config["grid"]
+    # the desk-scale pv row: walk length 7 across label diversity
+    rows = sweep("pv", reps=3, seed=7)
+    sizes = AXES["pv"].desk["sizes"]
+    grid = AXES["pv"].desk["grid"]
     by_size = {
         size: [row for row in rows if row["size"] == size] for size in sizes
     }

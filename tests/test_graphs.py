@@ -136,6 +136,27 @@ LOADER_DEFECTS = [
         DatasetFormatError,
         "{root}/X/X_node_attributes.txt:2: expected 2 values, got 1",
     ),
+    # line numbers count physical lines: blank lines are skipped, not renumbered
+    (
+        {"A": "1, 2\n\n2, x\n"},
+        DatasetFormatError,
+        "{root}/X/X_A.txt:3: non-integer vertex id in '2, x'",
+    ),
+    (
+        {"A": "\n1, 2\n2, 1\n\n2, 2\n"},
+        DatasetFormatError,
+        "{root}/X/X_A.txt:5: self-loop at vertex 2",
+    ),
+    (
+        {"edge_labels": "\n3\n\n4\n"},
+        DatasetFormatError,
+        "{root}/X/X_edge_labels.txt: edge (1, 2) labeled 3 at line 2 but 4 at line 4",
+    ),
+    (
+        {"node_labels": "1\n\n\n2.5\n"},
+        DatasetFormatError,
+        "{root}/X/X_node_labels.txt:4: not an integer: '2.5'",
+    ),
 ]
 
 
