@@ -6,8 +6,12 @@ The fixed-length walk kernel counts pairs of label-matching walks, one
 walk in each graph.  It can be computed two ways:
 
 * **implicit** — build the weighted direct product of the two graphs
-  and run a counting recursion over its vertices; never materializes
-  features, cost driven by the product graph's size;
+  and count walks over its vertices; never materializes features, cost
+  driven by the product graph's size.  The product's adjacency is
+  symmetric, so walks of length l meet in the middle: each vertex's count
+  of length-ceil(l/2) walks ending there, times its count of
+  length-floor(l/2) ones, summed over the vertices, gives the value after
+  ceil(l/2) rounds over the product edges instead of l;
 * **explicit** — compute, per graph, a sparse vector counting every
   walk label sequence, then take one dot product; cost driven by how
   many distinct sequences exist.

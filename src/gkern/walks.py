@@ -6,13 +6,14 @@ walk positions and edge-kernel values along the steps.
 
 *Implicit scheme* — :func:`walk_kernel_implicit`: build the weighted
 direct product graph (one vertex per compatible vertex pair, one edge per
-compatible edge pair) and run the counting recursion
-
-    r_0(x) = w(x),     r_i(x) = w(x) * sum over xy of w(xy) * r_{i-1}(y)
-
-whose total after ``length`` rounds is exactly the kernel value.  The
-recursion touches each product edge once per round, so a pair evaluation
-costs O(product size * length) and never materializes features.
+compatible edge pair) and count walk pairs over it.  With ``w`` its vertex
+weights and ``A`` its weighted adjacency, both symmetric, the walks meet
+in the middle: with ``r_0 = w``, ``f_a = A r_{a-1}`` and ``r_a = w * f_a``,
+the length-``i`` value ``1' diag(w) (A diag(w))^i 1`` is the sum of
+``r_{i//2} * f_{ceil(i/2)}`` (of ``w`` at ``i = 0``).  So ``ceil(length/2)``
+products by ``A``, each touching each product edge twice, serve every
+length up to ``length``: a pair costs O(product size * ceil(length/2))
+and never materializes features.
 
 :func:`build_wdpg` is the one construction of the product, whatever the
 base kernels.  Each kernel reports an equality key per element (the label
@@ -52,12 +53,13 @@ values are then plain sparse dot products.
 Both schemes stay in exact integer arithmetic for Dirac kernels (the
 recursion sums float64 integers, exact below 2**53; the feature counts are
 Python ints), which is what makes their equality testable bit for bit.
-With weight-1 kernels every recursion value and every partial sum counts
-walks.  From the first round on, no such count exceeds the pair's final
-total (a walk of length i >= 1 extends back along its last edge), and
-round 0 counts product vertices; so checking each final total against
-2**53 guards every float64 sum of the recursion, and it is checked rather
-than assumed.
+With weight-1 kernels ``r_a(x)`` and ``f_a(x)`` count the length-``a``
+walks ending at ``x``, and ``r_a(x) * f_b(x)`` the length-``(a + b)`` walks
+through ``x`` at step ``a``.  Walks counted at a vertex with an edge extend
+(back and forth along it) to distinct longer walks, and an isolated vertex
+holds 1 or 0, so no factor, product or partial sum exceeds the pair's
+total at the longest length it feeds: checking each final total against
+2**53 guards every float64 sum, and it is checked rather than assumed.
 """
 
 from __future__ import annotations
@@ -390,36 +392,32 @@ def _walk_totals(
     length: int,
     all_rounds: bool,
 ) -> Tuple[np.ndarray, bool]:
-    """Recursion mass per partner after 0..length rounds (or only the last).
+    """Walk totals per partner for lengths 0..length (or only the last).
 
-    ``partner[x]`` names the partner of product vertex ``x``; one bincount
-    per kept round sums the mass by partner.  Returns the ``(count,
-    rounds)`` totals and whether every weight was 1, i.e. whether the
-    values are walk counts.  Unit vertex or edge weights (the Dirac hot
-    path) skip their multiplies; the two bincount passes per round are
-    fused over a symmetric edge list built once.
+    The module docstring's recursion: ``ceil(length/2)`` products by the
+    weighted adjacency, each spread over the unordered edges in two
+    bincounts (``u`` collects ``r[v]``, ``v`` collects ``r[u]``), then one
+    bincount of ``r * f`` by ``partner`` per kept length.  Also returns
+    whether every weight was 1, i.e. whether the totals count walks; then
+    no factor, product or partial sum exceeds the last total, so the
+    caller's 2**53 check on the totals guards every float64 sum.
     """
-    weights = pg.vertex_weights
-    unit_vertices = bool((weights == 1.0).all())
-    sym_weights = None
-    if not bool((pg.edge_weights == 1.0).all()):
-        sym_weights = np.concatenate((pg.edge_weights, pg.edge_weights))
-    src = np.concatenate((pg.edge_u, pg.edge_v))
-    dst = np.concatenate((pg.edge_v, pg.edge_u))
-    n = pg.num_vertices
+    w = pg.vertex_weights
+    unit_vertices = bool((w == 1.0).all())
+    ew = None if bool((pg.edge_weights == 1.0).all()) else pg.edge_weights
+    u, v, n = pg.edge_u, pg.edge_v, pg.num_vertices
 
-    def by_partner(r: np.ndarray) -> np.ndarray:
-        return np.bincount(partner, weights=r, minlength=count)
+    def spread(r: np.ndarray) -> np.ndarray:
+        at_u, at_v = (r.take(v), r.take(u)) if ew is None else (ew * r.take(v), ew * r.take(u))
+        return np.bincount(u, at_u, n) + np.bincount(v, at_v, n)
 
-    r = weights
-    rounds = [by_partner(r)] if all_rounds or length == 0 else []
-    for step in range(1, length + 1):
-        message = r.take(dst) if sym_weights is None else sym_weights * r.take(dst)
-        flow = np.bincount(src, weights=message, minlength=n)
-        r = flow if unit_vertices else weights * flow
-        if all_rounds or step == length:
-            rounds.append(by_partner(r))
-    return np.stack(rounds, axis=1), unit_vertices and sym_weights is None
+    r, f = [w], [None]
+    for _ in range((length + 1) // 2):
+        f.append(spread(r[-1]))
+        r.append(f[-1] if unit_vertices else w * f[-1])
+    kept = range(length + 1) if all_rounds else (length,)
+    totals = [np.bincount(partner, r[i // 2] * f[(i + 1) // 2] if i else w, count) for i in kept]
+    return np.stack(totals, axis=1), unit_vertices and ew is None
 
 
 def walk_kernel_row(

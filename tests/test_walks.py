@@ -213,6 +213,36 @@ class TestProductGraphOracle:
                     else:
                         assert (per_partner >= edges).all()
 
+    def test_walk_totals_equal_plain_rounds(self):
+        # the meet-in-the-middle recursion against `length` plain rounds of
+        # diag(w) A on each pair's product, as dense matrices
+        for g, partners in self._cases():
+            for vk in self.VERTEX_KERNELS:
+                for ek in self.EDGE_KERNELS:
+                    expected, unit = [], True
+                    for h in partners:
+                        pg = build_wdpg(g, h, vk, ek)
+                        w = pg.vertex_weights
+                        a = np.zeros((pg.num_vertices, pg.num_vertices))
+                        a[pg.edge_u, pg.edge_v] = a[pg.edge_v, pg.edge_u] = pg.edge_weights
+                        r, totals = w, [w.sum()]
+                        for _ in range(7):
+                            r = w * (a @ r)
+                            totals.append(r.sum())
+                        expected.append(totals)
+                        unit &= bool((w == 1).all() and (pg.edge_weights == 1).all())
+                    expected = np.array(expected)
+                    for length in range(8):
+                        fixed = walk_kernel_row(g, partners, vk, ek, length)
+                        rounds = walk_kernel_row(g, partners, vk, ek, length, all_rounds=True)
+                        for got, want in ((fixed, expected[:, length]),
+                                          (rounds, expected[:, : length + 1])):
+                            if unit:
+                                # walk counts: exact in any summation order
+                                assert got.tobytes() == want.tobytes()
+                            else:
+                                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
 
 class TestWalkKernelImplicit:
     def test_triangle_against_itself(self):
@@ -438,12 +468,20 @@ class TestDisconnectedAndEmpty:
         assert walk_kernel_implicit(g, g, DIRAC, UNIFORM_EDGE, 5) == 0.0
 
 
+def _vertex_sequences(counts):
+    """Label-sequence counts with the edge labels dropped."""
+    folded = {}
+    for seq, n in counts.items():
+        folded[seq[::2]] = folded.get(seq[::2], 0) + n
+    return folded
+
+
 class TestWalkKernelRow:
     @settings(max_examples=60, deadline=None)
     @given(
         g=graphs(),
         hs=st.lists(graphs(), max_size=4),
-        length=st.integers(0, 3),
+        length=st.integers(0, 5),
         uniform_edges=st.booleans(),
     )
     def test_row_equals_pairs_and_oracle(self, g, hs, length, uniform_edges):
@@ -451,14 +489,25 @@ class TestWalkKernelRow:
         row = walk_kernel_row(g, hs, DIRAC, edge_kernel, length)
         pairs = [walk_kernel_implicit(g, h, DIRAC, edge_kernel, length) for h in hs]
         assert row.tolist() == pairs  # bit for bit
-        edge_fn = uniform_fn if uniform_edges else dirac_fn
-        assert pairs == [oracle_walk_kernel(g, h, length, edge_kernel=edge_fn) for h in hs]
+        # walk pairs matched through their label sequences (vertex labels
+        # only under the uniform edge kernel); past length 3 the double sum
+        # over walk pairs gets too slow for a property test
+        counts = [oracle_walk_label_counts(x, length) for x in (g, *hs)]
+        if uniform_edges:
+            counts = [_vertex_sequences(c) for c in counts]
+        assert pairs == [
+            sum(n * counts[j].get(seq, 0) for seq, n in counts[0].items())
+            for j in range(1, len(counts))
+        ]
+        if length <= 3:
+            edge_fn = uniform_fn if uniform_edges else dirac_fn
+            assert pairs == [oracle_walk_kernel(g, h, length, edge_kernel=edge_fn) for h in hs]
         if not uniform_edges:
             features = walk_features_explicit(g, length)
             assert pairs == [dot(features, walk_features_explicit(h, length)) for h in hs]
 
     @settings(max_examples=30, deadline=None)
-    @given(g=graphs(), hs=st.lists(graphs(), max_size=4), length=st.integers(0, 3))
+    @given(g=graphs(), hs=st.lists(graphs(), max_size=4), length=st.integers(0, 5))
     def test_all_rounds_are_the_max_walk_terms(self, g, hs, length):
         rounds = walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, length, all_rounds=True)
         assert rounds.shape == (len(hs), length + 1)
@@ -493,5 +542,7 @@ class TestWalkKernelRow:
             walk_kernel_implicit(k20, k20, DIRAC, UNIFORM_EDGE, 6)
         with pytest.raises(MultiplicityOverflowError):
             max_walk_kernel_implicit(k20, k20, DIRAC, UNIFORM_EDGE, 6)
-        # one step shorter the count (~2.5e15) is still exact
+        # one step shorter the count (~2.5e15) is still exact, at every length
         assert walk_kernel_implicit(k20, k20, DIRAC, UNIFORM_EDGE, 5) == (20 * 19**5) ** 2
+        rounds = walk_kernel_row(k20, [k20], DIRAC, UNIFORM_EDGE, 5, all_rounds=True)
+        assert rounds[0].tolist() == [(20 * 19**i) ** 2 for i in range(6)]
