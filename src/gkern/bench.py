@@ -5,7 +5,7 @@ computed: its :class:`KernelPlan` holds an implicit and an explicit Gram
 builder, or, for a scheme the kernel lacks, the reason why.
 
 :data:`AXES` is the one table of phase-transition axes (vertex-label
-diversity, walk length, label-alphabet size).  A row names the generator
+diversity, walk length, label-alphabet size, subgraph size).  A row names the generator
 that draws the axis's datasets, the kernel it times, the keyword its grid
 values set, its fixed generator and plan keywords, and its desk-scale and
 full-scale sizes and grids; the full-scale ones follow the published
@@ -65,6 +65,9 @@ KERNELS = (
     "graphhopper",
 )
 
+# the kernels that compare vertex labels only, with the dirac kernel
+LABEL_KERNELS = KERNELS[:5]
+
 REGIMES = ("implicit", "explicit")
 
 # the keys of a sweep row, in CSV column order
@@ -121,6 +124,8 @@ def kernel_plan(
     Dirac kernels, and an unlabeled graph reads as label 0 throughout.
     Per-dataset preparation that both schemes share (attribute scaling,
     weight maps) runs here; the rest runs when a builder is called.
+    Only graph-invariant and graphhopper take a ``vertex_kernel`` other
+    than ``dirac``; the other kernels give both schemes the reason.
     A walk ``length`` below 0 or a ``max_size`` below 1 is rejected here,
     before any Gram is built.
     """
@@ -128,6 +133,12 @@ def kernel_plan(
         raise ParameterError(f"walk length must be >= 0, got {length}")
     if max_size < 1:
         raise ParameterError(f"max_size must be >= 1, got {max_size}")
+    if vertex_kernel != "dirac" and kernel in LABEL_KERNELS:
+        reason = (
+            f"{kernel} compares vertex labels with the dirac kernel only; "
+            f"--vertex-kernel {vertex_kernel} applies to graph-invariant and graphhopper"
+        )
+        return KernelPlan(reason, reason)
     # Kernel functions are looked up by name when a builder runs, never
     # stored at import, so replacing a module attribute (as a tracer does)
     # reaches every call.
@@ -305,6 +316,16 @@ AXES = {
               "edge_prob": 0.3},
         full={"sizes": (100, 200, 300), "grid": (1, 2, 3, 4, 5, 10, 15, 20, 30, 45, 65),
               "mean_vertices": 60.0, "edge_prob": 0.5},
+    ),
+    # subgraph size, subgraph matching (connected) on a 20-letter alphabet:
+    # the explicit classes multiply with the size, the implicit cliques
+    # stay rare while labels seldom match
+    "size": Axis(
+        "alphabet", "subgraph-matching", "max_size",
+        dataset={"alphabet_size": 20, "mean_vertices": 15.0, "edge_prob": 0.3},
+        plan={"connected_only": True},
+        desk={"sizes": (20, 40), "grid": (1, 2, 3, 4, 5)},
+        full={"sizes": (100, 200, 300), "grid": (1, 2, 3, 4, 5)},
     ),
 }
 

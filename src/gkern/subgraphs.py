@@ -27,16 +27,20 @@ The implicit side runs a Gram row at a time
 (:func:`subgraph_matching_row`; the one-pair kernel is its one-partner
 case).  ``g`` is paired with the disjoint union of a block of partners,
 and pairs of different partners are never connected, so the association
-graph of the union is the disjoint union of the per-partner ones.  Its
-cliques are enumerated in numpy, a chunk of one size at a time: a chunk
-is one int array of ascending member indices, and each clique grows by
-the candidates above its last member that every member allows (an AND of
-rows of the "allowed" matrix).  Products follow the one-clique-at-a-time
-order and are summed per partner, size by size.  With Dirac kernels
+graph of the union is the disjoint union of the per-partner ones; it is
+stored as such, one flat square of connections per partner, and nothing
+between partners is built or read.  Its cliques are enumerated in numpy,
+a chunk of one size at a time: a chunk is one int array of ascending
+member indices, and each clique grows by the candidates in its window.
+A one-vertex clique's window is the later vertices of its partner; a
+grown clique's window is the candidates its parent had above its new
+member, which every earlier member already allows, so a candidate costs
+one read of the new member's row.  Products follow the
+one-clique-at-a-time order and are summed per partner, size by size.  With Dirac kernels
 every term is an integer, exact in float64 below 2**53 in any order, so
 the Grams equal the explicit ones bit for bit, and the 2**53 bound is
-checked per partner.  :data:`ASSOCIATION_CELLS` bounds the dense
-association block and each extension chunk's mask, and chunks grow
+checked per partner.  :data:`ASSOCIATION_CELLS` bounds a block's summed
+squares and each extension chunk's summed windows, and chunks grow
 depth first, so a row holds one chunk per clique size however many
 cliques a size has.
 """
@@ -181,43 +185,48 @@ def matching_features(
     return entries
 
 
-#: Budget on the dense cells of implicit subgraph matching: the
-#: vertex-kernel grid of ``g`` against a group of partners, the
-#: association graph of ``g`` against one block of them (its order
-#: squared) and the (cliques x candidates) mask of one extension chunk.
-#: It keeps a row's peak memory flat however long the row is and however
-#: many cliques a size has; a partner that alone exceeds it forms a
-#: group or block of its own.
+#: Budget on the cells of implicit subgraph matching: the vertex-kernel
+#: grid of ``g`` against a group of partners, the association graph of
+#: ``g`` against one block of them (the sum of its partners' squares, as
+#: pairs of different partners are not stored) and the candidate cells of
+#: one extension chunk (the sum of its cliques' windows).  It keeps a
+#: row's peak memory flat however long the row is and however many
+#: cliques a size has; a partner, or a clique, that alone exceeds it
+#: forms a group, block or chunk of its own.
 ASSOCIATION_CELLS = 1 << 15
 
 
-def _pair_matrices(
-    n: int, edges: np.ndarray, labels: np.ndarray, ids: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Adjacency and edge labels between every two entries of ``ids``
-    (vertex ids of a graph with ``n`` vertices, repeats allowed), built
-    densely on the distinct ids only."""
+def _squares(
+    n: int, edges: np.ndarray, labels: np.ndarray, ids: np.ndarray, group: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(adjacency, labels, row, col)``: one flat square per group of the
+    distinct ``ids`` (vertex ids of a graph with ``n`` vertices, repeats
+    allowed, ``group`` giving each vertex's), such that entries ``x`` and
+    ``y`` of ``ids`` of one group are adjacent iff ``adjacency[row[x] +
+    col[y]]``.  No edge joins two groups."""
     used, local = np.unique(ids, return_inverse=True)
+    part = group[used]
+    sizes = np.bincount(part)
+    first = np.cumsum(sizes) - sizes
+    pos = np.arange(used.size) - first[part]
+    row = (np.cumsum(sizes * sizes) - sizes * sizes)[part] + pos * sizes[part]
     lookup = np.full(n, -1, dtype=np.int64)
     lookup[used] = np.arange(used.size)
     a, b = lookup[edges[:, 0]], lookup[edges[:, 1]]
     kept = (a >= 0) & (b >= 0)
     a, b = a[kept], b[kept]
-    adj = np.zeros((used.size, used.size), dtype=bool)
-    lab = np.zeros((used.size, used.size), dtype=np.int64)
-    adj[a, b] = adj[b, a] = True
-    lab[a, b] = lab[b, a] = labels[kept]
-    return (
-        adj.take(local, axis=0).take(local, axis=1),
-        lab.take(local, axis=0).take(local, axis=1),
-    )
+    adj = np.zeros(int((sizes * sizes).sum()), dtype=bool)
+    lab = np.zeros(adj.size, dtype=np.int64)
+    adj[row[a] + pos[b]] = adj[row[b] + pos[a]] = True
+    lab[row[a] + pos[b]] = lab[row[b] + pos[a]] = labels[kept]
+    return adj, lab, row[local], pos[local]
 
 
-def _closure(cliques: np.ndarray, structural: np.ndarray) -> np.ndarray:
+def _closure(cliques: np.ndarray, structural: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``(cliques, k, k)``: whether two members of a clique (rows of member
     indices) are joined by a path of its structural connections."""
     size = cliques.shape[1]
-    sub = structural[cliques[:, :, None], cliques[:, None, :]]
+    sub = structural[rows[cliques[:, :, None]] + cliques[:, None, :]]
     reach = sub | np.eye(size, dtype=bool)
     for _ in range(size - 2):
         reach |= (reach[:, :, :, None] & sub[:, None, :, :]).any(axis=2)
@@ -225,74 +234,58 @@ def _closure(cliques: np.ndarray, structural: np.ndarray) -> np.ndarray:
 
 
 def _candidates(
-    cliques: np.ndarray, allowed: np.ndarray, hi: int
-) -> Tuple[np.ndarray, int]:
-    """``(mask, lo)``: ``mask[i, x - lo]`` says whether candidate ``x``
-    (below ``hi``) lies above clique ``i``'s last member and every member
-    allows it."""
-    lo = int(cliques[:, -1].min()) + 1
-    above = allowed[:, lo:hi]
-    mask = above.take(cliques[:, 0], axis=0)
-    for t in range(1, cliques.shape[1]):
-        mask &= above.take(cliques[:, t], axis=0)
-    mask &= np.arange(lo, hi) > cliques[:, -1:]
-    return mask, lo
+    last: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    pool: np.ndarray,
+    allowed: np.ndarray,
+    rows: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(parent, nxt)``: each clique's window ``pool[lo:hi]`` (candidates
+    every earlier member allows, above its ``last`` member), kept where
+    ``last`` allows it too, in (clique, candidate) order."""
+    width = hi - lo
+    starts = np.cumsum(width) - width
+    at = np.repeat(lo - starts, width)
+    at += np.arange(at.size)
+    nxt = pool.take(at)
+    at = np.repeat(rows.take(last), width)
+    at += nxt
+    keep = allowed.take(at)
+    kept = np.add.reduceat(keep, starts, dtype=np.int64)
+    return np.repeat(np.arange(last.size), kept), nxt[keep]
 
 
 def _joining(
-    cliques: np.ndarray, structural: np.ndarray, mask: np.ndarray, lo: int
+    cliques: np.ndarray,
+    structural: np.ndarray,
+    rows: np.ndarray,
+    parent: np.ndarray,
+    touches: List[np.ndarray],
 ) -> np.ndarray:
-    """The ``mask`` candidates (from ``lo`` on) that make their clique
-    connected: those touching, structurally, every component of it."""
+    """Which grown cliques are connected: those whose new member touches,
+    structurally, every component of its ``parent`` clique; ``touches[t]``
+    says whether member ``t`` does."""
     size = cliques.shape[1]
-    reach = _closure(cliques, structural)
-    near = structural[:, lo : lo + mask.shape[1]]
-    touches = [near.take(cliques[:, u], axis=0) for u in range(size)]
-    joins = mask.copy()
+    reach = _closure(cliques, structural, rows).take(parent, axis=0)
+    joins = np.ones(parent.size, dtype=bool)
     for t in range(size):
         touch = touches[t].copy()
         for u in range(size):
             if u != t:
-                touch |= reach[:, t, u, None] & touches[u]
+                touch |= reach[:, t, u] & touches[u]
         joins &= touch
     return joins
 
 
-def _chunk_size(cliques: np.ndarray, stop_of: np.ndarray) -> int:
-    """How many leading ``cliques`` (ascending) one extension chunk takes:
-    the most whose :func:`_candidates` mask, (cliques x candidate window),
-    stays within :data:`ASSOCIATION_CELLS` cells, and at least one.
-
-    A chunk's window runs from its lowest last member to the end of its
-    last clique's partner, so it only widens as the chunk grows; sizing
-    by it rather than by the whole association order lets chunks of
-    late cliques, whose windows are narrow, take many more.
-    """
-    first = int(stop_of[cliques[0, 0]] - cliques[0, -1] - 1)
-    head = cliques[: ASSOCIATION_CELLS // max(first, 1)]
-    width = stop_of[head[:, 0]] - np.minimum.accumulate(head[:, -1]) - 1
-    cells = np.arange(1, head.shape[0] + 1) * width
+def _chunk_size(lo: np.ndarray, hi: np.ndarray) -> int:
+    """How many leading cliques one extension chunk takes: the most whose
+    windows, ``hi - lo`` candidates each, sum to at most
+    :data:`ASSOCIATION_CELLS` cells, and at least one.  Every window holds
+    a candidate, so no chunk takes more cliques than the budget."""
+    head = slice(0, ASSOCIATION_CELLS)
+    cells = np.cumsum(hi[head] - lo[head])
     return max(1, int(np.searchsorted(cells, ASSOCIATION_CELLS, "right")))
-
-
-def _extend(
-    cliques: np.ndarray,
-    products: np.ndarray,
-    mask: np.ndarray,
-    lo: int,
-    weights: np.ndarray,
-    vertex_weights: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(parent, nxt, extended)``: each ``mask`` cell's clique row and
-    candidate, in row-major (clique, candidate) order, and the product of
-    the clique it grows to."""
-    parent, nxt = np.divmod(np.flatnonzero(mask), mask.shape[1])
-    nxt += lo
-    # the order of the one-clique-at-a-time product: vertex, then each member
-    extended = products.take(parent) * vertex_weights.take(nxt)
-    for t in range(cliques.shape[1]):
-        extended *= weights.take(cliques[:, t].take(parent) * weights.shape[1] + nxt)
-    return parent, nxt, extended
 
 
 def _clique_sums(
@@ -300,54 +293,120 @@ def _clique_sums(
     structural: np.ndarray,
     weights: np.ndarray,
     vertex_weights: np.ndarray,
+    rows: np.ndarray,
+    stop_of: np.ndarray,
     partner: np.ndarray,
     count: int,
     factors: List[float],
     connected_only: bool,
 ) -> np.ndarray:
     """``(len(factors), count)`` sums of the clique products of each size,
-    by the partner of their members, over one association graph.
+    by the partner of their members, over one association graph stored
+    as per-partner squares (connection ``(x, y)`` at ``rows[x] + y``).
 
-    Cliques grow depth first in chunks of at most :data:`ASSOCIATION_CELLS`
-    candidate-mask cells (see :func:`_chunk_size`): each chunk's grown
-    cliques are grown on to the largest size before the next chunk
-    starts, so one chunk per size is held at a time.  The grown products
-    are summed by ``np.add.at``, which adds each partner's products one at
-    a time in ascending member order, so the chunking never changes a sum.
+    A clique's window is its parent's candidates above its last member
+    (for one vertex, the later vertices of its partner), which its earlier
+    members all allow, so growing it reads one row per candidate.  Cliques
+    grow depth first in chunks of at most :data:`ASSOCIATION_CELLS` window
+    cells (see :func:`_chunk_size`): each chunk's grown cliques are grown on
+    to the largest size before the next chunk starts, so one chunk per size
+    is held at a time.  The grown products are summed by ``np.add.at``,
+    which adds each partner's products one at a time in ascending member
+    order, so the chunking never changes a sum.
     """
     sums = np.zeros((len(factors), count), dtype=np.float64)
     top = max((k for k, f in enumerate(factors, 1) if f != 0), default=0)
     if not top:
         return sums
-    order = allowed.shape[0]
-    # a clique's candidates end with its partner's vertices
-    stop_of = np.cumsum(np.bincount(partner, minlength=count))[partner]
     np.add.at(sums[0], partner, vertex_weights)
-    # a stack: the last chunk grown is the first grown on
-    pending = [(np.arange(order, dtype=np.int64)[:, None], vertex_weights)]
+    # a stack of (cliques, products, pool, lo, hi), each clique's window
+    # being pool[lo:hi] and holding a candidate: the last chunk grown is
+    # the first grown on.  A vertex's window is its partner's later vertices.
+    vertices = np.arange(vertex_weights.size)
+    keep = vertices + 1 < stop_of
+    pending = [(vertices[keep, None], vertex_weights[keep], vertices, vertices[keep] + 1,
+                stop_of[keep])]
     while top > 1 and pending:
-        cliques, products = pending.pop()
-        chunk = _chunk_size(cliques, stop_of)
-        if cliques.shape[0] > chunk:
-            pending.append((cliques[chunk:], products[chunk:]))
-        parents, products = cliques[:chunk], products[:chunk]
+        cliques, products, pool, lo, hi = pending.pop()
+        if not lo.size:
+            continue
+        chunk = _chunk_size(lo, hi)
+        if lo.size > chunk:
+            pending.append(
+                (cliques[chunk:], products[chunk:], pool, lo[chunk:], hi[chunk:])
+            )
+        parents = cliques[:chunk]
         size = parents.shape[1] + 1
-        # cliques ascend, so the last one has the last partner
-        mask, offset = _candidates(parents, allowed, int(stop_of[parents[-1, 0]]))
-        parent, nxt, extended = _extend(
-            parents, products, mask, offset, weights, vertex_weights
-        )
+        parent, nxt = _candidates(parents[:, -1], lo[:chunk], hi[:chunk], pool, allowed, rows)
+        # the product of the one-clique-at-a-time order: vertex, then each
+        # member's connection to the new one
+        extended = products.take(parent) * vertex_weights.take(nxt)
+        touches = []
+        for member in parents.T:
+            at = rows.take(member).take(parent) + nxt
+            extended *= weights.take(at)
+            touches.append(structural.take(at))
         if factors[size - 1] != 0:
             # a grown clique's partner is its new member's
             if connected_only:
-                counted = _joining(parents, structural, mask, offset)[mask]
+                counted = _joining(parents, structural, rows, parent, touches)
                 np.add.at(sums[size - 1], partner[nxt[counted]], extended[counted])
             else:
                 np.add.at(sums[size - 1], partner[nxt], extended)
-        if size < top and nxt.size:
-            grown = np.column_stack((parents.take(parent, axis=0), nxt))
-            pending.append((grown, extended))
+        if size < top:
+            # a grown clique's window: its later siblings' new members
+            lo = np.arange(1, nxt.size + 1)
+            hi = np.cumsum(np.bincount(parent, minlength=chunk)).take(parent)
+            keep = lo < hi
+            grown = np.column_stack((parents.take(parent[keep], axis=0), nxt[keep]))
+            pending.append((grown, extended[keep], nxt, lo[keep], hi[keep]))
     return sums
+
+
+def _association(
+    sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    heads: np.ndarray,
+    width: np.ndarray,
+    rows: np.ndarray,
+    edge_kernel: EdgeKernelSpec,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(allowed, structural, weights)`` of one block's association graph
+    as flat per-partner squares: row ``x`` holds ``width[x]`` cells from
+    ``heads[x]`` on, and its connection to ``y`` is cell ``rows[x] + y``.
+
+    From the :func:`_squares` of ``g`` and of the partners, an edge on
+    both sides is structural, weighted by the edge kernel and allowed
+    where that is positive; distinct vertices with no edge on either side
+    are allowed with weight 1.  Rows are built in slabs of about
+    :data:`ASSOCIATION_CELLS` cells.
+    """
+    total = int(heads[-1] + width[-1])
+    allowed = np.empty(total, dtype=bool)
+    structural = np.empty(total, dtype=bool)
+    weights = np.ones(total, dtype=np.float64)
+    # a slab starts at the row holding each multiple of the budget
+    slabs = np.unique(np.searchsorted(heads, np.arange(0, total, ASSOCIATION_CELLS), "right") - 1)
+    for a, b in zip(slabs.tolist(), [*slabs[1:].tolist(), heads.size]):
+        x = np.repeat(np.arange(a, b), width[a:b])
+        part = slice(int(heads[a]), int(heads[a]) + x.size)
+        y = np.arange(part.start, part.stop) - rows.take(x)
+        at, adjacent = [], []
+        apart = np.ones(x.size, dtype=bool)
+        for square, _, row, col in sides:
+            cy = col.take(y)
+            apart &= col.take(x) != cy
+            cy += row.take(x)
+            at.append(cy)
+            adjacent.append(square.take(cy))
+        both = adjacent[0] & adjacent[1]
+        labels = [side[1].take(cells[both]) for side, cells in zip(sides, at)]
+        edge_values = edge_kernel.elementwise(*labels)
+        allowed[part] = ~(adjacent[0] | adjacent[1]) & apart
+        structural[part] = both
+        hit = part.start + np.flatnonzero(both)
+        allowed[hit] = edge_values > 0
+        weights[hit] = edge_values
+    return allowed, structural, weights
 
 
 def _level_sums(
@@ -369,38 +428,45 @@ def _level_sums(
     us, vs = us[by_partner], vs[by_partner]
     vertex_weights = np.ones(us.size) if values is None else values[us, vs]
     owner = union.owner[vs]
-    orders = np.bincount(owner, minlength=len(hs)).tolist()
-    pair_ends = list(accumulate(orders, initial=0))
-    g_labels = g.edge_label_array()
-    h_labels = union.edge_label_array()
+    orders = np.bincount(owner, minlength=len(hs))
+    pair_ends = list(accumulate(orders.tolist(), initial=0))
+    # a block stores only its partners' squares
+    squares = list(accumulate((orders * orders).tolist(), initial=0))
+    sides = (
+        _squares(g.n, g.edges, g.edge_label_array(), us, np.zeros(g.n, dtype=np.int64)),
+        _squares(union.n, union.edges, union.edge_label_array(), vs, union.owner),
+    )
     sums = np.zeros((len(factors), len(hs)), dtype=np.float64)
     unit = np.ones(len(hs), dtype=bool)
-    # a block's association graph is dense: its order squared
-    cells = lambda a, b: (pair_ends[b] - pair_ends[a]) ** 2
+    cells = lambda a, b: squares[b] - squares[a]
     for start, stop in _partner_runs(len(hs), cells, ASSOCIATION_CELLS):
         lo, hi = pair_ends[start], pair_ends[stop]
         if lo == hi:
             continue
-        pg, ph, partner = us[lo:hi], vs[lo:hi], owner[lo:hi] - start
-        adj_g, lab_g = _pair_matrices(g.n, g.edges, g_labels, pg)
-        adj_h, lab_h = _pair_matrices(union.n, union.edges, h_labels, ph)
-        # an edge on both sides joins distinct vertices of one partner
-        structural = adj_g & adj_h
-        both_absent = ~(adj_g | adj_h)
-        both_absent &= pg[:, None] != pg[None, :]
-        both_absent &= ph[:, None] != ph[None, :]
-        both_absent &= partner[:, None] == partner[None, :]
-        edge_values = edge_kernel.elementwise(lab_g, lab_h)
-        allowed = (structural & (edge_values > 0)) | both_absent
-        weights = np.where(structural, edge_values, 1.0)
-        block_weights = vertex_weights[lo:hi]
-        odd = (block_weights != 1) | (allowed & (weights != 1)).any(axis=1)
+        block = slice(lo, hi)
+        partner = owner[block] - start
+        width = orders.take(owner[block])
+        ends = np.cumsum(orders[start:stop]).take(partner)
+        first = ends - width
+        # row x of the squares starts at cell heads[x], and its connection
+        # to y is cell rows[x] + y
+        heads = np.take(squares, owner[block]) - squares[start]
+        heads += (np.arange(hi - lo) - first) * width
+        rows = heads - first
+        block_sides = [(*side[:2], side[2][block], side[3][block]) for side in sides]
+        allowed, structural, weights = _association(
+            block_sides, heads, width, rows, edge_kernel
+        )
+        odd = vertex_weights[block] != 1
+        odd |= np.logical_or.reduceat(allowed & (weights != 1), heads)
         unit[start:stop] = np.bincount(partner[odd], minlength=stop - start) == 0
         sums[:, start:stop] = _clique_sums(
             allowed,
             structural,
             weights,
-            block_weights,
+            vertex_weights[block],
+            rows,
+            ends,
             partner,
             stop - start,
             factors,

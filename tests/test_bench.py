@@ -148,6 +148,15 @@ PINNED = {
                      {"mean_vertices": 60.0, "edge_prob": 0.5}),
         },
     ),
+    "size": (
+        "alphabet", False, "max_size", "subgraph-matching", {"connected_only": True},
+        {
+            "desk": ((20, 40), (1, 2, 3, 4, 5),
+                     {"alphabet_size": 20, "mean_vertices": 15.0, "edge_prob": 0.3}),
+            "full": ((100, 200, 300), (1, 2, 3, 4, 5),
+                     {"alphabet_size": 20, "mean_vertices": 15.0, "edge_prob": 0.3}),
+        },
+    ),
 }
 GENERATORS = {"labeled": generate_synthetic_labeled, "alphabet": generate_synthetic_alphabet}
 

@@ -409,6 +409,24 @@ def test_every_kernel_and_regime(kernel, regime, tmp_path, capsys):
         assert load_gram_csv(f"{out}.csv").shape == (4, 4)
 
 
+@pytest.mark.parametrize("vertex_kernel", ("dirac-attributes", "hat", "rbf", "binned"))
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_vertex_kernel_no_scheme_reads_is_rejected(kernel, vertex_kernel, capsys):
+    # graph-invariant and graphhopper honour the flag; the label kernels
+    # would silently compute their dirac values, so they refuse it
+    code = main(["compute", "--data", TINY, "--kernel", kernel,
+                 "--vertex-kernel", vertex_kernel, "--regime", "implicit"])
+    err = capsys.readouterr().err
+    if kernel not in gkern.bench.LABEL_KERNELS:
+        assert "dirac kernel only" not in err
+        return
+    assert code == 2
+    assert f"{kernel} compares vertex labels with the dirac kernel only" in err
+    assert f"--vertex-kernel {vertex_kernel}" in err
+    plan = kernel_plan(kernel, load_data_spec(TINY, seed=0), vertex_kernel=vertex_kernel)
+    assert isinstance(plan.explicit, str) and plan.implicit == plan.explicit
+
+
 def test_missing_scheme_is_rejected_before_any_gram(monkeypatch, capsys):
     import sys
 

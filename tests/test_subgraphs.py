@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +43,11 @@ from oracles import (
 DIRAC = VertexKernelSpec("dirac")
 DIRAC_EDGE = EdgeKernelSpec("dirac")
 HALF_EDGE = EdgeKernelSpec("table", table=((0, 1, 0.5),))
+
+
+# association-cell budgets: every block and chunk a partner or clique alone,
+# small ones, and the default
+BUDGETS = (1, 40, subgraphs.ASSOCIATION_CELLS)
 
 
 def half_fn(a, b) -> float:
@@ -307,18 +313,21 @@ class TestSubgraphMatchingRow:
         st.booleans(),
         st.booleans(),
         st.booleans(),
+        st.sampled_from(BUDGETS),
     )
     def test_row_equals_pairs_bit_for_bit_and_the_oracle(
-        self, g, hs, max_size, connected, normalize, half
+        self, g, hs, max_size, connected, normalize, half, budget
     ):
         edges = HALF_EDGE if half else DIRAC_EDGE
         weights = _inverse_factorial if normalize else None
-        row = subgraph_matching_row(g, hs, DIRAC, edges, max_size, weights, connected)
-        pairs = [
-            subgraph_matching_kernel(g, h, DIRAC, edges, max_size, weights, connected)
-            for h in hs
-        ]
-        assert row.tobytes() == np.array(pairs).tobytes()
+        wide = subgraph_matching_row(g, hs, DIRAC, edges, max_size, weights, connected)
+        with mock.patch.object(subgraphs, "ASSOCIATION_CELLS", budget):
+            row = subgraph_matching_row(g, hs, DIRAC, edges, max_size, weights, connected)
+            pairs = [
+                subgraph_matching_kernel(g, h, DIRAC, edges, max_size, weights, connected)
+                for h in hs
+            ]
+        assert row.tobytes() == wide.tobytes() == np.array(pairs).tobytes()
         for value, h in zip(row.tolist(), hs):
             expected = oracle_subgraph_matching(
                 g,
@@ -419,9 +428,10 @@ class TestSubgraphMatchingRow:
         cases += [(soft_g, soft_hs, rbf, HALF_EDGE, 3, None, c) for c in (False, True)]
         wide = [subgraph_matching_row(*case) for case in cases]
         monkeypatch.setattr(subgraphs, "ASSOCIATION_CELLS", 1)
-        # one partner per block, however small its association graph
-        ends = [0, 2, 2, 5, 6]
-        cells = lambda a, b: (ends[b] - ends[a]) ** 2
+        # one partner per block, however small its association graph: a
+        # block stores the sum of its partners' squares
+        squares = [0, 4, 4, 13, 14]
+        cells = lambda a, b: squares[b] - squares[a]
         runs = subgraphs._partner_runs(4, cells, subgraphs.ASSOCIATION_CELLS)
         assert list(runs) == [(0, 1), (1, 2), (2, 3), (3, 4)]
         for case, expected in zip(cases, wide):
@@ -434,32 +444,107 @@ class TestSubgraphMatchingRow:
         got = subgraph_matching_row(g, hs, DIRAC, HALF_EDGE, 3, None, True)
         assert got.tolist() == pytest.approx(oracle, rel=1e-12)
 
-    def test_chunks_are_the_most_cliques_their_window_allows(self, monkeypatch):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_partner_layouts_agree_at_every_budget(self, budget, monkeypatch):
+        # small partners around one with no compatible pair, single-vertex
+        # ones and one whose square (4 * 50 = 200 association vertices,
+        # 40,000 cells) alone exceeds even the default budget
+        rng = random.Random(149)
+        dense = dict(edge_prob=0.6, labels=2, edge_label_count=2)
+        g = make_random_graph(rng, max_n=6, min_n=5, **dense)
+        g = Graph(g.n + 4, [*g.edges.tolist(), *itertools.combinations(range(g.n, g.n + 4), 2)],
+                  vertex_labels=[*g.vertex_label_array().tolist(), 9, 9, 9, 9],
+                  edge_labels=[*g.edge_label_array().tolist(), *[0] * 6])
+        big = list(itertools.combinations(range(50), 2))
+        wide_partner = Graph(50, big, vertex_labels=[9] * 50,
+                             edge_labels=[rng.randrange(10) for _ in big])
+        hs = [
+            make_random_graph(rng, max_n=5, min_n=3, **dense),
+            Graph(3, [(0, 1)], vertex_labels=[5, 5, 5]),
+            Graph(1, [], vertex_labels=[0]),
+            wide_partner,
+            make_random_graph(rng, max_n=5, min_n=3, **dense),
+            Graph(1, [], vertex_labels=[9]),
+            Graph(0, []),
+            make_random_graph(rng, max_n=4, min_n=2, **dense),
+        ]
+        cases = [
+            (g, hs, DIRAC, edges, max_size, None, connected)
+            for edges in (DIRAC_EDGE, HALF_EDGE)
+            for max_size in (1, 3)
+            for connected in (False, True)
+        ]
+        soft_rng = random.Random(151)
+        soft = dict(edge_prob=0.6, attribute_dim=1, attribute_levels=5)
+        soft_g = make_random_graph(soft_rng, max_n=5, min_n=4, **soft)
+        soft_hs = [
+            make_random_graph(soft_rng, max_n=5, min_n=3, **soft),
+            Graph(1, [], vertex_attributes=[[0.5]]),
+            make_random_graph(soft_rng, max_n=14, min_n=14, **soft),
+            make_random_graph(soft_rng, max_n=5, min_n=3, **soft),
+        ]
+        rbf = VertexKernelSpec("rbf", sigma=0.5)
+        cases += [(soft_g, soft_hs, rbf, HALF_EDGE, 3, None, c) for c in (False, True)]
+        wide = [subgraph_matching_row(*case) for case in cases]
+        assert (wide[-1] > 0).all()
+        blocks = []
+        clique_sums = subgraphs._clique_sums
+
+        def recorded(allowed, structural, weights, vertex_weights, rows, stop_of, *rest):
+            orders = np.diff(np.unique(np.append(stop_of, 0)))
+            blocks.append((allowed.size, int((orders * orders).sum())))
+            return clique_sums(allowed, structural, weights, vertex_weights, rows, stop_of, *rest)
+
+        monkeypatch.setattr(subgraphs, "_clique_sums", recorded)
+        monkeypatch.setattr(subgraphs, "ASSOCIATION_CELLS", budget)
+        for case, expected in zip(cases, wide):
+            g_, hs_, *options = case
+            row = subgraph_matching_row(*case)
+            pairs = [subgraph_matching_kernel(g_, h, *options) for h in hs_]
+            assert row.tobytes() == expected.tobytes() == np.array(pairs).tobytes(), case[2:]
+        # a block stores its partners' squares and nothing across them
+        assert blocks and all(cells == squares for cells, squares in blocks)
+        assert max(cells for cells, _ in blocks) == 200 * 200
+
+    def test_chunks_are_the_most_cliques_their_windows_allow(self, monkeypatch):
         # ascending 2-cliques within partners of 5, 9 and 3 association
-        # vertices; a chunk's mask spans its lowest last member to its last
-        # clique's partner end
+        # vertices, each with the window of its partner's vertices above
+        # its last member; a chunk's cells are the sum of its windows
         sizes = [5, 9, 3]
         ends = np.cumsum(sizes)
-        stop_of = np.repeat(ends, sizes)
         starts = ends - sizes
-        cliques = np.array(
-            [pair for s, e in zip(starts, ends) for pair in itertools.combinations(range(s, e), 2)]
-        )
+        cliques = np.array([
+            pair
+            for s, e in zip(starts, ends)
+            for pair in itertools.combinations(range(s, e - 1), 2)
+        ])
+        stop_of = np.repeat(ends, sizes)
+        lo, hi = cliques[:, -1] + 1, stop_of[cliques[:, -1]]
+        pool = np.arange(ends[-1])
+        # every connection allowed, in per-partner squares
+        allowed = np.ones(sum(k * k for k in sizes), dtype=bool)
+        rows = np.repeat(np.cumsum([k * k for k in sizes]) - [k * k for k in sizes], sizes)
+        rows += (pool - np.repeat(starts, sizes)) * np.repeat(sizes, sizes)
+        rows -= np.repeat(starts, sizes)
         for budget in (1, 7, 40, 120, 10**6):
             monkeypatch.setattr(subgraphs, "ASSOCIATION_CELLS", budget)
             for skip in range(0, len(cliques), 5):
-                rest = cliques[skip:]
-                cells = [
-                    c * (stop_of[rest[c - 1, 0]] - rest[:c, -1].min() - 1)
-                    for c in range(1, len(rest) + 1)
-                ]
-                fits = [c for c, x in enumerate(cells, 1) if x <= budget]
-                chunk = subgraphs._chunk_size(rest, stop_of)
+                rest = slice(skip, None)
+                windows = np.cumsum(hi[rest] - lo[rest])
+                fits = [c for c, cells in enumerate(windows.tolist(), 1) if cells <= budget]
+                chunk = subgraphs._chunk_size(lo[rest], hi[rest])
                 assert chunk == max(fits, default=1)
-                allowed = np.ones((ends[-1], ends[-1]), dtype=bool)
-                hi = stop_of[rest[chunk - 1, 0]]
-                mask, _ = subgraphs._candidates(rest[:chunk], allowed, hi)
-                assert chunk == 1 or mask.size <= budget
+                taken = slice(skip, skip + chunk)
+                parent, nxt = subgraphs._candidates(
+                    cliques[taken, -1], lo[taken], hi[taken], pool, allowed, rows
+                )
+                assert chunk == 1 or nxt.size <= budget
+                expected = [
+                    (i, x)
+                    for i, (a, b) in enumerate(zip(lo[taken], hi[taken]))
+                    for x in range(a, b)
+                ]
+                assert list(zip(parent.tolist(), nxt.tolist())) == expected
 
     def test_overflow_names_the_partner_and_the_gram_pair(self, monkeypatch):
         one = Graph(1, [], vertex_labels=[1])
