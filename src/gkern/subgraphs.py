@@ -36,13 +36,13 @@ A one-vertex clique's window is the later vertices of its partner; a
 grown clique's window is the candidates its parent had above its new
 member, which every earlier member already allows, so a candidate costs
 one read of the new member's row.  Products follow the
-one-clique-at-a-time order and are summed per partner, size by size.  With Dirac kernels
-every term is an integer, exact in float64 below 2**53 in any order, so
-the Grams equal the explicit ones bit for bit, and the 2**53 bound is
-checked per partner.  :data:`ASSOCIATION_CELLS` bounds a block's summed
-squares and each extension chunk's summed windows, and chunks grow
-depth first, so a row holds one chunk per clique size however many
-cliques a size has.
+one-clique-at-a-time order and are summed per partner, size by size.
+With Dirac kernels every term is an integer, exact in float64 below
+2**53 in any order, so the Grams equal the explicit ones bit for bit,
+and the 2**53 bound is checked per partner.  :data:`ASSOCIATION_CELLS`
+bounds a block's summed squares and each extension chunk's summed
+windows, and chunks grow depth first, so a row holds one chunk per
+clique size however many cliques a size has.
 """
 
 from __future__ import annotations
@@ -204,14 +204,14 @@ def _squares(
     allowed, ``group`` giving each vertex's), such that entries ``x`` and
     ``y`` of ``ids`` of one group are adjacent iff ``adjacency[row[x] +
     col[y]]``.  No edge joins two groups."""
-    used, local = np.unique(ids, return_inverse=True)
+    used = np.flatnonzero(np.bincount(ids, minlength=n))
+    lookup = np.full(n, -1, dtype=np.int64)
+    lookup[used] = np.arange(used.size)
     part = group[used]
     sizes = np.bincount(part)
     first = np.cumsum(sizes) - sizes
     pos = np.arange(used.size) - first[part]
     row = (np.cumsum(sizes * sizes) - sizes * sizes)[part] + pos * sizes[part]
-    lookup = np.full(n, -1, dtype=np.int64)
-    lookup[used] = np.arange(used.size)
     a, b = lookup[edges[:, 0]], lookup[edges[:, 1]]
     kept = (a >= 0) & (b >= 0)
     a, b = a[kept], b[kept]
@@ -219,6 +219,7 @@ def _squares(
     lab = np.zeros(adj.size, dtype=np.int64)
     adj[row[a] + pos[b]] = adj[row[b] + pos[a]] = True
     lab[row[a] + pos[b]] = lab[row[b] + pos[a]] = labels[kept]
+    local = lookup[ids]
     return adj, lab, row[local], pos[local]
 
 
@@ -324,8 +325,9 @@ def _clique_sums(
     # the first grown on.  A vertex's window is its partner's later vertices.
     vertices = np.arange(vertex_weights.size)
     keep = vertices + 1 < stop_of
-    pending = [(vertices[keep, None], vertex_weights[keep], vertices, vertices[keep] + 1,
-                stop_of[keep])]
+    pending = [
+        (vertices[keep, None], vertex_weights[keep], vertices, vertices[keep] + 1, stop_of[keep])
+    ]
     while top > 1 and pending:
         cliques, products, pool, lo, hi = pending.pop()
         if not lo.size:
@@ -385,7 +387,8 @@ def _association(
     structural = np.empty(total, dtype=bool)
     weights = np.ones(total, dtype=np.float64)
     # a slab starts at the row holding each multiple of the budget
-    slabs = np.unique(np.searchsorted(heads, np.arange(0, total, ASSOCIATION_CELLS), "right") - 1)
+    marks = np.arange(0, total, ASSOCIATION_CELLS)
+    slabs = np.unique(np.searchsorted(heads, marks, "right") - 1)
     for a, b in zip(slabs.tolist(), [*slabs[1:].tolist(), heads.size]):
         x = np.repeat(np.arange(a, b), width[a:b])
         part = slice(int(heads[a]), int(heads[a]) + x.size)

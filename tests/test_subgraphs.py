@@ -451,13 +451,14 @@ class TestSubgraphMatchingRow:
         # 40,000 cells) alone exceeds even the default budget
         rng = random.Random(149)
         dense = dict(edge_prob=0.6, labels=2, edge_label_count=2)
-        g = make_random_graph(rng, max_n=6, min_n=5, **dense)
-        g = Graph(g.n + 4, [*g.edges.tolist(), *itertools.combinations(range(g.n, g.n + 4), 2)],
-                  vertex_labels=[*g.vertex_label_array().tolist(), 9, 9, 9, 9],
-                  edge_labels=[*g.edge_label_array().tolist(), *[0] * 6])
-        big = list(itertools.combinations(range(50), 2))
-        wide_partner = Graph(50, big, vertex_labels=[9] * 50,
-                             edge_labels=[rng.randrange(10) for _ in big])
+        part = make_random_graph(rng, max_n=6, min_n=5, **dense)
+        k4 = list(itertools.combinations(range(part.n, part.n + 4), 2))
+        g = Graph(part.n + 4, [*part.edges.tolist(), *k4],
+                  vertex_labels=[*part.vertex_label_array().tolist(), *[9] * 4],
+                  edge_labels=[*part.edge_label_array().tolist(), *[0] * len(k4)])
+        k50 = list(itertools.combinations(range(50), 2))
+        wide_partner = Graph(50, k50, vertex_labels=[9] * 50,
+                             edge_labels=[rng.randrange(10) for _ in k50])
         hs = [
             make_random_graph(rng, max_n=5, min_n=3, **dense),
             Graph(3, [(0, 1)], vertex_labels=[5, 5, 5]),
