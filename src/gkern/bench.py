@@ -5,11 +5,11 @@ computed: its :class:`KernelPlan` holds an implicit and an explicit Gram
 builder, or, for a scheme the kernel lacks, the reason why.
 
 :data:`AXES` is the one table of phase-transition axes (vertex-label
-diversity, walk length, label-alphabet size, subgraph size).  A row names the generator
-that draws the axis's datasets, the kernel it times, the keyword its grid
-values set, its fixed generator and plan keywords, and its desk-scale and
-full-scale sizes and grids; the full-scale ones follow the published
-protocol and can take hours in pure Python.
+diversity, walk length, label-alphabet size, subgraph size).  A row names
+the generator that draws the axis's datasets, the kernel it times, the
+keyword its grid values set, its fixed generator and plan keywords, and
+its desk-scale and full-scale sizes and grids; the full-scale ones follow
+the published protocol and can take hours in pure Python.
 
 :func:`sweep`, the one sweep driver, walks a row's grid and the
 dataset-size axis, computes the plan's two Grams per cell, and records the
@@ -66,7 +66,7 @@ KERNELS = (
 )
 
 # the kernels that compare vertex labels only, with the dirac kernel
-LABEL_KERNELS = KERNELS[:5]
+LABEL_KERNELS = ("walk", "maxwalk", "sp", "graphlet", "subgraph-matching")
 
 REGIMES = ("implicit", "explicit")
 
