@@ -651,13 +651,13 @@ def generate_synthetic_labeled(
     for _ in range(count):
         n = _draw_size(stream, mean_vertices)
         labels = [1 + stream.randint(2) if stream.bernoulli(p_vertex) else 0 for _ in range(n)]
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if stream.bernoulli(edge_prob)
-        ]
-        graphs.append(Graph(n, edges, vertex_labels=labels, edge_labels=[0] * len(edges)))
+        # one Bernoulli draw per pair, u ascending then v, as one array
+        u, v = np.triu_indices(n, 1)
+        drawn = stream.uniforms(u.size) < edge_prob
+        edges = np.column_stack((u[drawn], v[drawn]))
+        graphs.append(
+            Graph(n, edges, vertex_labels=labels, edge_labels=np.zeros(len(edges), np.int64))
+        )
     return Dataset(
         name
         or f"synth-labeled-c{count}-m{mean_vertices:g}-p{edge_prob:g}"

@@ -10,7 +10,8 @@ the few samplers we need on top of it:
 * Core stream: **SplitMix64** (Steele, Lea & Flood, "Fast Splittable
   Pseudorandom Number Generators", OOPSLA 2014) — the exact odd-constant
   mixer used by Java's ``SplittableRandom``.
-* ``uniform()``: the top 53 bits of the next word, scaled by 2**-53.
+* ``uniform()``: the top 53 bits of the next word, scaled by 2**-53;
+  ``uniforms(count)`` draws the next ``count`` of them as one array.
 * ``poisson(mean)``: Knuth's inversion by sequential search (multiply
   uniforms until the product drops below exp(-mean)).
 * ``randint(n)``: ``floor(uniform() * n)``.  The rounding bias is below
@@ -23,6 +24,8 @@ implementation of SplitMix64 reproduces the data exactly.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -51,6 +54,18 @@ class SplitMix64:
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` :meth:`uniform` draws, in stream order, as
+        one float64 array: word ``i`` mixes state + i * gamma, and uint64
+        array arithmetic wraps mod 2**64 as the scalar masks do."""
+        state = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        state += np.uint64(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z = (state ^ (state >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def bernoulli(self, p: float) -> bool:
         return self.uniform() < p

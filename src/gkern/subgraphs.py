@@ -1,14 +1,16 @@
 """Kernels built from small subgraphs.
 
-One counter underlies the explicit maps: it visits every vertex set of
-1..``max_size`` vertices (all of them, or only those inducing a connected
-subgraph), keys the induced subgraph by its smallest encoding over all
-vertex orders — vertex labels, then for each position pair ``(0, 0)`` if
-absent or ``(1, label)`` if an edge — and counts the sets per key.  The
-number of vertex orders reaching the smallest encoding is the class's
-automorphism count |Aut(P)|.  Connected sets are enumerated by extension
-from their smallest vertex (ESU, Wernicke 2006), so each comes up once at
-a cost that follows the sets, not all k-subsets.
+One numpy counter underlies the explicit maps.  It lists the vertex sets
+of 1..``max_size`` vertices as int arrays, a chunk of one size at a time:
+every subset, or only those inducing a connected subgraph, grown a size
+at a time from the edges by the neighbours of their members above their
+smallest vertex, with repeats dropped by a packed key.  It keys each
+induced subgraph by its smallest encoding over the vertex orders that
+sort its labels (sorted vertex labels, then for each position pair
+``(0, 0)`` if absent or ``(1, label)`` if an edge), trying the orders for
+all sets of one tie pattern at once, and counts the sets per key with one
+sort.  The number of vertex orders reaching the smallest encoding is the
+class's automorphism count |Aut(P)|.
 
 :func:`graphlet_features` is the counter's connected 3-vertex slice:
 triangles and 2-edge paths with their vertex and edge labels, so the dot
@@ -47,7 +49,8 @@ clique size however many cliques a size has.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, combinations, permutations, product
+from functools import lru_cache
+from itertools import accumulate, chain, combinations, islice, permutations, product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,79 +63,221 @@ from .kernels import EdgeKernelSpec, VertexKernelSpec
 from .walks import _disjoint_union, _partner_runs
 
 
-def _connected_sets(g: Graph, max_size: int) -> Iterator[Tuple[int, ...]]:
-    """Each vertex set of 1..``max_size`` vertices inducing a connected
-    subgraph, once, grown from its smallest vertex."""
-    adj = g.adj
+#: Budget on the cells one step of this module holds.  The counter: the
+#: candidate cells of one run of roots grown a size (see
+#: :func:`_connected_sets`), the cells of one chunk of vertex subsets and
+#: the (set, vertex order, pair) cells of one slice of canonical forms.
+#: Implicit subgraph matching: the vertex-kernel grid of ``g`` against a
+#: group of partners, the association graph of ``g`` against one block of
+#: them (the sum of its partners' squares, as pairs of different partners
+#: are not stored) and the candidate cells of one extension chunk (the sum
+#: of its cliques' windows).  It keeps peak memory flat however many sets
+#: a graph has, however long a row is and however many cliques a size has;
+#: a root, set, partner or clique that alone exceeds it forms a run, slice,
+#: group, block or chunk of its own.
+ASSOCIATION_CELLS = 1 << 15
 
-    def visit(members, extension, closed, root):
-        yield members
-        if len(members) == max_size:
-            return
-        while extension:
-            w = extension.pop()
-            fresh = [u for u in adj[w] if u > root and u not in closed]
-            yield from visit(
-                (*members, w), extension + fresh, closed.union(fresh), root
-            )
 
-    for v in range(g.n):
-        above = [u for u in adj[v] if u > v]
-        yield from visit((v,), above, {v, *above}, v)
+def _connected_sets(g: Graph, max_size: int) -> Iterator[np.ndarray]:
+    """Every vertex set of 1..``max_size`` vertices inducing a connected
+    subgraph, once, as rows of ascending vertex ids in chunks of one size.
+
+    Sizes 1 and 2 are the vertices and the edges.  A larger chunk grows a
+    run of rows one size down, whose roots (smallest members) are
+    consecutive, by every neighbour of a member that lies above the root
+    and outside the set, then sorts each row and drops repeats by a packed
+    key.  A connected set keeps a non-cut vertex besides its root, so
+    removing it leaves a connected set with the same root, and every set
+    is reached.  A run holds the most roots whose candidate cells fit
+    :data:`ASSOCIATION_CELLS` (one root that alone exceeds it forms a run),
+    and runs grow depth first, so one run per size is held at a time.
+    """
+    n = g.n
+    arcs = np.sort(np.concatenate((g.edges @ [n, 1], g.edges @ [1, n])))
+    nbrs = arcs % max(n, 1)
+    starts = np.searchsorted(arcs, np.arange(n + 1) * n)
+    degree = np.diff(starts)
+    yield np.arange(n)[:, None]
+    if max_size > 1:
+        yield g.edges
+    pending = [g.edges] if max_size > 2 else []
+    while pending:
+        rows = pending.pop()
+        size = rows.shape[1] + 1
+        cells = np.cumsum(degree[rows].sum(axis=1)) * size
+        cut = int(np.searchsorted(cells, ASSOCIATION_CELLS, "right"))
+        if cut < len(rows):
+            # back to the first row of the root the budget cuts through,
+            # or past the first root when the cut falls within it
+            roots = rows[:, 0]
+            cut = int(np.searchsorted(roots, roots[cut]))
+            cut = cut or int(np.searchsorted(roots, roots[0], "right"))
+        if cut < len(rows):
+            pending.append(rows[cut:])
+        rows = rows[:cut]
+        counts = degree[rows]
+        flat = counts.ravel()
+        at = np.repeat(starts[rows.ravel()] - (np.cumsum(flat) - flat), flat)
+        at += np.arange(at.size)
+        grown = nbrs[at]
+        base = np.repeat(rows, counts.sum(axis=1), axis=0)
+        keep = (grown > base[:, 0]) & (base != grown[:, None]).all(axis=1)
+        grown = np.column_stack((base[keep], grown[keep]))
+        grown.sort(axis=1)
+        if n**size <= 1 << 63:  # one packed key per row, if it fits
+            grown = grown[np.argsort(grown @ n ** np.arange(size - 1, -1, -1))]
+        else:
+            grown = grown[np.lexsort(grown.T[::-1])]
+        grown = grown[_first_of_runs(grown)]
+        yield grown
+        if size < max_size and len(grown):
+            pending.append(grown)
+
+
+def _first_of_runs(rows: np.ndarray) -> np.ndarray:
+    """Which rows of a sorted 2-d array differ from the row before."""
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return fresh
+
+
+def _subsets(n: int, smallest: int, max_size: int) -> Iterator[np.ndarray]:
+    """Every set of ``smallest``..``max_size`` of ``n`` vertices, as rows
+    of ascending ids in chunks of one size and at most
+    :data:`ASSOCIATION_CELLS` cells."""
+    for size in range(smallest, max_size + 1):
+        sets = chain.from_iterable(combinations(range(n), size))
+        cells = max(1, ASSOCIATION_CELLS // size) * size
+        while (flat := np.fromiter(islice(sets, cells), np.int64)).size:
+            yield flat.reshape(-1, size)
+
+
+@lru_cache(maxsize=None)
+def _label_orders(size: int, ties: int) -> np.ndarray:
+    """``(orders, pairs)``: for each order of ``size`` label-sorted
+    positions that keeps them sorted (bit ``i`` of ``ties`` says positions
+    ``i`` and ``i + 1`` share a label), the position pair, as an index
+    into ``combinations(range(size), 2)``, that lands on each pair."""
+    pairs = list(combinations(range(size), 2))
+    index = {pair: j for j, pair in enumerate(pairs)}
+    cuts = [i + 1 for i in range(size - 1) if not ties >> i & 1]
+    runs = [range(a, b) for a, b in zip([0, *cuts], [*cuts, size])]
+    orders = [tuple(chain.from_iterable(parts)) for parts in product(*map(permutations, runs))]
+    table = np.array(
+        [[index[min(o[a], o[b]), max(o[a], o[b])] for a, b in pairs] for o in orders],
+        dtype=np.intp,
+    ).reshape(len(orders), len(pairs))
+    table.setflags(write=False)
+    return table
 
 
 def _canonical(
-    members: Tuple[int, ...], labels: List[int], label_of: Dict
-) -> Tuple[Tuple[int, ...], int]:
-    """(smallest encoding of the subgraph ``members`` induce over all
-    vertex orders, how many orders reach it).
+    sets: np.ndarray, labels: np.ndarray, pair_code: Callable[..., np.ndarray], bits: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(encodings, automorphisms)`` of the subgraphs that rows of
+    ``sets`` induce: each one's sorted labels then its smallest pair-code
+    sequence over the vertex orders that sort its labels, and how many of
+    those orders reach it.
 
-    Only orders that sort the vertex labels can reach the smallest
-    encoding, so just those are tried: permutations within each group of
-    equal labels.
+    Only orders that permute equal labels are tried, for the sets of one
+    tie pattern at a time and in slices of at most :data:`ASSOCIATION_CELLS`
+    (set, order, pair) cells.  A pair-code sequence is packed ``bits`` per
+    code into words, which compare in turn.
     """
-    pairs = list(combinations(range(len(members)), 2))
-    local = [labels[v] for v in members]
-    code: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for a, b in pairs:
-        u, v = members[a], members[b]
-        label = label_of.get((u, v) if u < v else (v, u))
-        code[a, b] = code[b, a] = (0, 0) if label is None else (1, label)
-    groups: Dict[int, List[int]] = {}
-    for i in sorted(range(len(local)), key=local.__getitem__):
-        groups.setdefault(local[i], []).append(i)
-    best, reach = None, 0
-    for parts in product(*(permutations(group) for group in groups.values())):
-        order = tuple(chain.from_iterable(parts))
-        encoding = [code[order[a], order[b]] for a, b in pairs]
-        if best is None or encoding < best:
-            best, reach = encoding, 1
-        elif encoding == best:
-            reach += 1
-    return (*sorted(local), *chain.from_iterable(best)), reach
+    count, size = sets.shape
+    rows = np.arange(count)[:, None]
+    local = labels[sets]
+    order = np.argsort(local, axis=1, kind="stable")
+    local, sets = local[rows, order], sets[rows, order]
+    first, second = np.array([*combinations(range(size), 2)], dtype=np.intp).reshape(-1, 2).T
+    best = pair_code(sets[:, first], sets[:, second])
+    automorphisms = np.ones(count, dtype=np.int64)
+    pattern = (local[:, 1:] == local[:, :-1]) @ (1 << np.arange(size - 1))
+    per_word = 63 // bits
+    # sets whose labels are all distinct (pattern 0) keep their one order
+    tied = np.flatnonzero(np.bincount(pattern))
+    for ties in tied[tied > 0].tolist():
+        moves = _label_orders(size, ties)
+        chosen = np.flatnonzero(pattern == ties)
+        step = max(1, ASSOCIATION_CELLS // moves.size)
+        for lo in range(0, chosen.size, step):
+            part = chosen[lo : lo + step]
+            codes = best[part][:, moves]
+            reach = np.ones(codes.shape[:2], dtype=bool)
+            for column in range(0, first.size, per_word):
+                columns = codes[:, :, column : column + per_word]
+                word = columns @ (1 << bits * np.arange(columns.shape[2] - 1, -1, -1))
+                low = np.where(reach, word, np.iinfo(np.int64).max).min(axis=1)
+                reach &= word == low[:, None]
+            automorphisms[part] = reach.sum(axis=1)
+            best[part] = codes[np.arange(part.size), reach.argmax(axis=1)]
+    return np.column_stack((local, best)), automorphisms
+
+
+def _tally(
+    encodings: np.ndarray, counts: np.ndarray, automorphisms: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of ``encodings`` in ascending order, the sum of
+    ``counts`` over each one's repeats, and the ``automorphisms`` of its
+    first."""
+    order = np.lexsort(encodings.T[::-1])
+    first = np.flatnonzero(_first_of_runs(encodings[order]))
+    counts = np.add.reduceat(counts[order], first)
+    first = order[first]
+    return encodings[first], counts, automorphisms[first]
 
 
 def _class_counts(
     g: Graph, max_size: int, connected_only: bool, smallest: int = 1
-) -> Dict[Tuple[int, ...], List[int]]:
-    """``{encoding: [count, automorphisms]}`` over the induced subgraphs on
-    ``smallest``..``max_size`` vertices (connected ones only with
-    ``connected_only``); unlabeled graphs read as label 0 throughout."""
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(encodings, counts, automorphisms)`` of the classes of induced
+    subgraphs on ``smallest``..``max_size`` vertices (connected ones only
+    with ``connected_only``), one row per class in ascending order, for
+    each size that has any; unlabeled graphs read as label 0 throughout.
+
+    An encoding is the sorted vertex labels, then ``0, 0`` for an absent
+    pair or ``1, label`` for an edge, over the position pairs in
+    ``combinations`` order, smallest over the vertex orders that sort the
+    labels.  The counter codes a pair 0 for no edge and 1 + the edge
+    label's rank, which keeps that order.
+    """
     if max_size < 1:
         raise ParameterError(f"max_size must be >= 1, got {max_size}")
-    labels = g.vertex_label_array().tolist()
-    label_of = g.edge_label_map
+    n = g.n
+    labels = g.vertex_label_array()
+    edge_labels, ranks = np.unique(g.edge_label_array(), return_inverse=True)
+    # a key above every pair's closes the edge table, with code 0
+    keys = np.append(g.edges @ [n, 1], n * n)
+    table = np.append(ranks + 1, 0)
+
+    def pair_code(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        pair = np.minimum(u, v) * n + np.maximum(u, v)
+        at = np.searchsorted(keys, pair)
+        return np.where(keys[at] == pair, table[at], 0)
+
     if connected_only:
-        sets = _connected_sets(g, max_size)
+        chunks = _connected_sets(g, max_size)
     else:
-        sizes = range(smallest, max_size + 1)
-        sets = chain.from_iterable(combinations(range(g.n), k) for k in sizes)
-    classes: Dict[Tuple[int, ...], List[int]] = {}
-    for members in sets:
-        if len(members) < smallest:
-            continue
-        encoding, automorphisms = _canonical(members, labels, label_of)
-        classes.setdefault(encoding, [0, automorphisms])[0] += 1
+        chunks = _subsets(n, smallest, max_size)
+    bits = max(1, edge_labels.size.bit_length())
+    tallies: Dict[int, list] = {}
+    for sets in chunks:
+        size = sets.shape[1]
+        if size >= smallest and len(sets):
+            encodings, automorphisms = _canonical(sets, labels, pair_code, bits)
+            ones = np.ones(len(sets), dtype=np.int64)
+            tallies.setdefault(size, []).append(_tally(encodings, ones, automorphisms))
+    classes = []
+    for size, parts in sorted(tallies.items()):
+        merged = parts[0] if len(parts) == 1 else _tally(*map(np.concatenate, zip(*parts)))
+        encodings, counts, automorphisms = merged
+        # codes back to (0, 0) and (1, label) per pair
+        codes = encodings[:, size:]
+        written = np.empty((len(codes), size + 2 * codes.shape[1]), dtype=np.int64)
+        written[:, :size] = encodings[:, :size]
+        written[:, size::2] = codes > 0
+        written[:, size + 1 :: 2] = np.append(0, edge_labels)[codes]
+        classes.append((written, counts, automorphisms))
     return classes
 
 
@@ -146,7 +291,8 @@ def canonical_string(sub: Graph) -> str:
         raise ContractError(f"canonical form is defined for 3 vertices, got {sub.n}")
     if sub.m < 2:
         raise ContractError("canonical form is defined for connected graphs")
-    (canon,) = _class_counts(sub, 3, True, smallest=3)
+    ((encoding,), _, _), = _class_counts(sub, 3, True, smallest=3)
+    canon = encoding.tolist()
     vertex_part = ",".join(map(str, canon[:3]))
     edge_part = ",".join(
         f"{canon[3 + 2 * i]}:{canon[4 + 2 * i]}" for i in range(3)
@@ -160,8 +306,11 @@ def graphlet_features(g: Graph) -> Dict[tuple, int]:
     Unlabeled graphs behave as uniformly labeled; the triangle count and
     path count of e.g. the complete graph K4 come out as 4 and 0.
     """
-    classes = _class_counts(g, 3, True, smallest=3)
-    return {(TAG_GRAPHLET, *canon): c for canon, (c, _) in classes.items()}
+    entries = {}
+    for encodings, counts, _ in _class_counts(g, 3, True, smallest=3):
+        keys = np.column_stack((np.full(len(counts), TAG_GRAPHLET), encodings))
+        entries.update(zip(map(tuple, keys.tolist()), counts.tolist()))
+    return entries
 
 
 def matching_features(
@@ -177,23 +326,13 @@ def matching_features(
     and unit size weights.
     """
     entries = {}
-    for canon, (count, automorphisms) in _class_counts(
-        g, max_size, connected_only
-    ).items():
-        for copy in range(automorphisms):
-            entries[(TAG_GRAPHLET, *canon, copy)] = count
+    for encodings, counts, automorphisms in _class_counts(g, max_size, connected_only):
+        # class i as keys (TAG_GRAPHLET, *encoding i, copy), copy < |Aut|
+        of = np.repeat(np.arange(len(counts)), automorphisms)
+        copy = np.arange(of.size) - (np.cumsum(automorphisms) - automorphisms)[of]
+        keys = np.column_stack((np.full(of.size, TAG_GRAPHLET), encodings[of], copy))
+        entries.update(zip(map(tuple, keys.tolist()), counts[of].tolist()))
     return entries
-
-
-#: Budget on the cells of implicit subgraph matching: the vertex-kernel
-#: grid of ``g`` against a group of partners, the association graph of
-#: ``g`` against one block of them (the sum of its partners' squares, as
-#: pairs of different partners are not stored) and the candidate cells of
-#: one extension chunk (the sum of its cliques' windows).  It keeps a
-#: row's peak memory flat however long the row is and however many
-#: cliques a size has; a partner, or a clique, that alone exceeds it
-#: forms a group, block or chunk of its own.
-ASSOCIATION_CELLS = 1 << 15
 
 
 def _squares(
@@ -279,14 +418,14 @@ def _joining(
     return joins
 
 
-def _chunk_size(lo: np.ndarray, hi: np.ndarray) -> int:
+def _chunk_size(cells: np.ndarray, first: int) -> int:
     """How many leading cliques one extension chunk takes: the most whose
-    windows, ``hi - lo`` candidates each, sum to at most
-    :data:`ASSOCIATION_CELLS` cells, and at least one.  Every window holds
-    a candidate, so no chunk takes more cliques than the budget."""
-    head = slice(0, ASSOCIATION_CELLS)
-    cells = np.cumsum(hi[head] - lo[head])
-    return max(1, int(np.searchsorted(cells, ASSOCIATION_CELLS, "right")))
+    windows sum to at most :data:`ASSOCIATION_CELLS` cells, and at least
+    one.  ``cells`` is the running total of the pending windows, kept
+    with them since they were grown, and ``first`` the first one's width,
+    so the cut is one search."""
+    budget = cells[0] - first + ASSOCIATION_CELLS
+    return max(1, int(np.searchsorted(cells, budget, "right")))
 
 
 def _clique_sums(
@@ -320,22 +459,23 @@ def _clique_sums(
     if not top:
         return sums
     np.add.at(sums[0], partner, vertex_weights)
-    # a stack of (cliques, products, pool, lo, hi), each clique's window
-    # being pool[lo:hi] and holding a candidate: the last chunk grown is
-    # the first grown on.  A vertex's window is its partner's later vertices.
+    # a stack of (cliques, products, pool, lo, hi, cells), each clique's
+    # window being pool[lo:hi] and holding a candidate, and cells the
+    # running total of the windows: the last chunk grown is the first
+    # grown on.  A vertex's window is its partner's later vertices.
     vertices = np.arange(vertex_weights.size)
     keep = vertices + 1 < stop_of
-    pending = [
-        (vertices[keep, None], vertex_weights[keep], vertices, vertices[keep] + 1, stop_of[keep])
-    ]
+    lo, hi = vertices[keep] + 1, stop_of[keep]
+    pending = [(vertices[keep, None], vertex_weights[keep], vertices, lo, hi, np.cumsum(hi - lo))]
     while top > 1 and pending:
-        cliques, products, pool, lo, hi = pending.pop()
+        cliques, products, pool, lo, hi, cells = pending.pop()
         if not lo.size:
             continue
-        chunk = _chunk_size(lo, hi)
+        chunk = _chunk_size(cells, hi[0] - lo[0])
         if lo.size > chunk:
+            rest = slice(chunk, None)
             pending.append(
-                (cliques[chunk:], products[chunk:], pool, lo[chunk:], hi[chunk:])
+                (cliques[rest], products[rest], pool, lo[rest], hi[rest], cells[rest])
             )
         parents = cliques[:chunk]
         size = parents.shape[1] + 1
@@ -360,8 +500,9 @@ def _clique_sums(
             lo = np.arange(1, nxt.size + 1)
             hi = np.cumsum(np.bincount(parent, minlength=chunk)).take(parent)
             keep = lo < hi
+            lo, hi = lo[keep], hi[keep]
             grown = np.column_stack((parents.take(parent[keep], axis=0), nxt[keep]))
-            pending.append((grown, extended[keep], nxt, lo[keep], hi[keep]))
+            pending.append((grown, extended[keep], nxt, lo, hi, np.cumsum(hi - lo)))
     return sums
 
 

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import chain, combinations, permutations, product
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from gkern.errors import ParameterError
+from gkern.graphs import Graph
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +444,86 @@ def _connected_through(vertices: List[int], edges: List[Tuple[int, int]]) -> boo
                 reached.update((u, v))
                 changed = True
     return all(v in reached for v in vertices)
+
+
+# ---------------------------------------------------------------------------
+# induced-subgraph classes, by permutation search in plain Python: the
+# reference for the array counter in gkern.subgraphs
+
+def _connected_sets(g: Graph, max_size: int) -> Iterator[Tuple[int, ...]]:
+    """Each vertex set of 1..``max_size`` vertices inducing a connected
+    subgraph, once, grown from its smallest vertex."""
+    adj = g.adj
+
+    def visit(members, extension, closed, root):
+        yield members
+        if len(members) == max_size:
+            return
+        while extension:
+            w = extension.pop()
+            fresh = [u for u in adj[w] if u > root and u not in closed]
+            yield from visit(
+                (*members, w), extension + fresh, closed.union(fresh), root
+            )
+
+    for v in range(g.n):
+        above = [u for u in adj[v] if u > v]
+        yield from visit((v,), above, {v, *above}, v)
+
+
+def _canonical(
+    members: Tuple[int, ...], labels: List[int], label_of: Dict
+) -> Tuple[Tuple[int, ...], int]:
+    """(smallest encoding of the subgraph ``members`` induce over all
+    vertex orders, how many orders reach it).
+
+    Only orders that sort the vertex labels can reach the smallest
+    encoding, so just those are tried: permutations within each group of
+    equal labels.
+    """
+    pairs = list(combinations(range(len(members)), 2))
+    local = [labels[v] for v in members]
+    code: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for a, b in pairs:
+        u, v = members[a], members[b]
+        label = label_of.get((u, v) if u < v else (v, u))
+        code[a, b] = code[b, a] = (0, 0) if label is None else (1, label)
+    groups: Dict[int, List[int]] = {}
+    for i in sorted(range(len(local)), key=local.__getitem__):
+        groups.setdefault(local[i], []).append(i)
+    best, reach = None, 0
+    for parts in product(*(permutations(group) for group in groups.values())):
+        order = tuple(chain.from_iterable(parts))
+        encoding = [code[order[a], order[b]] for a, b in pairs]
+        if best is None or encoding < best:
+            best, reach = encoding, 1
+        elif encoding == best:
+            reach += 1
+    return (*sorted(local), *chain.from_iterable(best)), reach
+
+
+def _class_counts(
+    g: Graph, max_size: int, connected_only: bool, smallest: int = 1
+) -> Dict[Tuple[int, ...], List[int]]:
+    """``{encoding: [count, automorphisms]}`` over the induced subgraphs on
+    ``smallest``..``max_size`` vertices (connected ones only with
+    ``connected_only``); unlabeled graphs read as label 0 throughout."""
+    if max_size < 1:
+        raise ParameterError(f"max_size must be >= 1, got {max_size}")
+    labels = g.vertex_label_array().tolist()
+    label_of = g.edge_label_map
+    if connected_only:
+        sets = _connected_sets(g, max_size)
+    else:
+        sizes = range(smallest, max_size + 1)
+        sets = chain.from_iterable(combinations(range(g.n), k) for k in sizes)
+    classes: Dict[Tuple[int, ...], List[int]] = {}
+    for members in sets:
+        if len(members) < smallest:
+            continue
+        encoding, automorphisms = _canonical(members, labels, label_of)
+        classes.setdefault(encoding, [0, automorphisms])[0] += 1
+    return classes
 
 
 # ---------------------------------------------------------------------------

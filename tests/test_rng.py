@@ -21,6 +21,17 @@ class TestStream:
         assert a == b
         assert SplitMix64(43).next_u64() != a[0]
 
+    def test_array_draws_are_the_scalar_draws_in_stream_order(self):
+        # seeds whose state additions and mixer products wrap past 2**64
+        for seed in (0, 1, 2**64 - 1, 0xDEADBEEFCAFEF00D):
+            scalar, array = SplitMix64(seed), SplitMix64(seed)
+            expected = [scalar.uniform() for _ in range(1000)]
+            drawn = [*array.uniforms(0).tolist(), *array.uniforms(1).tolist()]
+            drawn += array.uniforms(999).tolist()
+            assert drawn == expected
+            # the stream carries on where the array left it
+            assert array.next_u64() == scalar.next_u64()
+
     def test_seed_is_reduced_modulo_64_bits(self):
         assert SplitMix64(2**64 + 7).next_u64() == SplitMix64(7).next_u64()
 

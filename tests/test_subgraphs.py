@@ -3,11 +3,12 @@
 import itertools
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gkern.subgraphs as subgraphs
@@ -30,6 +31,7 @@ from gkern import (
 from gkern.bench import kernel_plan
 from gkern.features import TAG_GRAPHLET
 from gkern.gram import gram_implicit
+import oracles
 from conftest import graphs, make_random_graph
 from oracles import (
     dirac_fn,
@@ -144,6 +146,92 @@ class TestGraphletFeatures:
         # (1, label) for an edge, over the position pairs (0,1), (0,2), (1,2)
         path = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 2], edge_labels=[5, 7])
         assert graphlet_features(path) == {(TAG_GRAPHLET, 0, 1, 2, 1, 5, 0, 0, 1, 7): 1}
+
+
+@st.composite
+def relabeled_graphs(draw) -> Graph:
+    """``graphs()`` with vertex labels shifted down to negatives and, on
+    some graphs, one edge label per edge drawn from a wide range."""
+    g = draw(graphs(max_n=6))
+    shift = draw(st.integers(-3, 0))
+    edge_labels = g.edge_labels
+    if g.m and draw(st.booleans()):
+        wide = st.integers(-(2**40), 2**40)
+        edge_labels = draw(st.lists(wide, min_size=g.m, max_size=g.m))
+    return Graph(g.n, g.edges, g.vertex_labels + shift, edge_labels)
+
+
+def _as_dict(classes):
+    """The array counter's classes as the permutation search writes them."""
+    return {
+        tuple(encoding): [count, automorphisms]
+        for rows, counts, auts in classes
+        for encoding, count, automorphisms in zip(rows.tolist(), counts.tolist(), auts.tolist())
+    }
+
+
+class TestClassCounter:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        relabeled_graphs(),
+        st.integers(1, 5),
+        st.booleans(),
+        st.integers(1, 5),
+        st.sampled_from(BUDGETS),
+    )
+    @example(Graph(0), 5, True, 1, BUDGETS[-1])
+    @example(Graph(0), 5, False, 1, BUDGETS[-1])
+    @example(Graph(6), 5, False, 2, 1)  # edgeless
+    @example(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), 5, True, 1, 1)  # one label
+    def test_equals_the_permutation_search(self, g, max_size, connected, smallest, budget):
+        expected = oracles._class_counts(g, max_size, connected, smallest)
+        with mock.patch.object(subgraphs, "ASSOCIATION_CELLS", budget):
+            assert _as_dict(subgraphs._class_counts(g, max_size, connected, smallest)) == expected
+
+    def test_many_edge_labels_split_the_packed_words(self):
+        # 66 distinct edge labels take 7 bits a code, so the 10 pair codes
+        # of a 5-vertex set span two words
+        rng = random.Random(139)
+        k12 = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+        g = Graph(12, k12, [rng.randrange(2) for _ in range(12)], rng.sample(range(-99, 99), 66))
+        for connected in (False, True):
+            expected = oracles._class_counts(g, 5, connected, 4)
+            assert _as_dict(subgraphs._class_counts(g, 5, connected, 4)) == expected
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_vertex_ids_past_the_packed_key_range(self, budget, monkeypatch):
+        # 6300**5 > 2**63, so grown 5-sets are sorted column by column, as
+        # no packed key fits them
+        rng = random.Random(151)
+        top = [(u, v) for u in range(6290, 6300) for v in range(u + 1, 6300)]
+        edges = [pair for pair in top if rng.random() < 0.5]
+        g = Graph(6300, edges, [rng.randrange(2) for _ in range(6300)])
+        expected = oracles._class_counts(g, 5, True)
+        monkeypatch.setattr(subgraphs, "ASSOCIATION_CELLS", budget)
+        assert _as_dict(subgraphs._class_counts(g, 5, True)) == expected
+
+    @pytest.mark.parametrize("budget", [1 << 13, subgraphs.ASSOCIATION_CELLS])
+    def test_dense_size_five_map_stays_within_the_budget(self, budget, monkeypatch):
+        # one label and p 0.6 on 18 vertices: every connected 5-set tries
+        # all 120 vertex orders of its 10 pairs, which as one array of
+        # int64 codes would take over 60 MiB; runs of roots and slices of
+        # sets hold a small part of that
+        rng = random.Random(149)
+        edges = [(u, v) for u in range(18) for v in range(u + 1, 18) if rng.random() < 0.6]
+        g = Graph(18, edges)
+        ((_, counts, _),) = subgraphs._class_counts(g, 5, True, 5)
+        fives = int(counts.sum())
+        assert fives * 120 * 10 * 8 > 60 * 2**20
+        expected = matching_features(g, max_size=5, connected_only=True)
+        monkeypatch.setattr(subgraphs, "ASSOCIATION_CELLS", budget)
+        tracemalloc.start()
+        try:
+            vec = matching_features(g, max_size=5, connected_only=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+        assert vec == expected
 
 
 class TestMatchingFeatures:
@@ -529,11 +617,13 @@ class TestSubgraphMatchingRow:
         rows -= np.repeat(starts, sizes)
         for budget in (1, 7, 40, 120, 10**6):
             monkeypatch.setattr(subgraphs, "ASSOCIATION_CELLS", budget)
+            # the running total of every window, cut from each skip on
+            total = np.cumsum(hi - lo)
             for skip in range(0, len(cliques), 5):
                 rest = slice(skip, None)
                 windows = np.cumsum(hi[rest] - lo[rest])
                 fits = [c for c, cells in enumerate(windows.tolist(), 1) if cells <= budget]
-                chunk = subgraphs._chunk_size(lo[rest], hi[rest])
+                chunk = subgraphs._chunk_size(total[rest], hi[skip] - lo[skip])
                 assert chunk == max(fits, default=1)
                 taken = slice(skip, skip + chunk)
                 parent, nxt = subgraphs._candidates(
