@@ -70,6 +70,8 @@ class Graph:
         "edge_labels",
         "vertex_attributes",
         "adj",
+        "arcs",
+        "arc_starts",
         "_edge_label_map",
         "_labeled_adj",
     )
@@ -123,11 +125,14 @@ class Graph:
             )
         self.vertex_labels, self.vertex_attributes = vl, attrs
 
-        # neighbors as Python ints: the BFS, ESU and WL loops index lists with them
-        arcs = np.sort(np.concatenate((key, hi * self.n + lo)))  # u * n + v, ascending
-        nbrs = (arcs % self.n).tolist()
-        ends = np.searchsorted(arcs, np.arange(1, self.n + 1) * self.n).tolist()
-        self.adj = tuple(tuple(nbrs[a:b]) for a, b in zip([0] + ends, ends))
+        # both orientations of each edge as keys u * n + v, ascending, and
+        # where each vertex's run starts: a CSR whose neighbors are arcs % n
+        self.arcs = np.sort(np.concatenate((key, hi * self.n + lo)))
+        self.arc_starts = np.searchsorted(self.arcs, np.arange(self.n + 1) * self.n)
+        # neighbors as Python ints: the BFS and WL loops index lists with them
+        nbrs = (self.arcs % self.n).tolist()
+        ends = self.arc_starts.tolist()
+        self.adj = tuple(tuple(nbrs[a:b]) for a, b in zip(ends, ends[1:]))
 
         self._edge_label_map = None
         self._labeled_adj = None

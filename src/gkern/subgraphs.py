@@ -1,16 +1,16 @@
 """Kernels built from small subgraphs.
 
 One numpy counter underlies the explicit maps.  It lists the vertex sets
-of 1..``max_size`` vertices as int arrays, a chunk of one size at a time:
-every subset, or only those inducing a connected subgraph, grown a size
-at a time from the edges by the neighbours of their members above their
-smallest vertex, with repeats dropped by a packed key.  It keys each
-induced subgraph by its smallest encoding over the vertex orders that
-sort its labels (sorted vertex labels, then for each position pair
-``(0, 0)`` if absent or ``(1, label)`` if an edge), trying the orders for
-all sets of one tie pattern at once, and counts the sets per key with one
-sort.  The number of vertex orders reaching the smallest encoding is the
-class's automorphism count |Aut(P)|.
+of 1..``max_size`` vertices as int arrays, a chunk of one size at a
+time: every subset, or only those inducing a connected subgraph, grown a
+size at a time from the edges by the neighbours of their members above
+their smallest vertex, each set from one parent only, so none repeats.
+It keys each induced subgraph by its smallest encoding over the vertex
+orders that sort its labels (sorted vertex labels, then for each
+position pair ``(0, 0)`` if absent or ``(1, label)`` if an edge), trying
+the orders for all sets of one tie pattern at once, and counts the sets
+per key with one sort.  The number of vertex orders reaching the
+smallest encoding is the class's automorphism count |Aut(P)|.
 
 :func:`graphlet_features` is the counter's connected 3-vertex slice:
 triangles and 2-edge paths with their vertex and edge labels, so the dot
@@ -64,81 +64,80 @@ from .walks import _disjoint_union, _partner_runs
 
 
 #: Budget on the cells one step of this module holds.  The counter: the
-#: candidate cells of one run of roots grown a size (see
+#: candidate cells of one chunk of sets grown a size (see
 #: :func:`_connected_sets`), the cells of one chunk of vertex subsets and
-#: the (set, vertex order, pair) cells of one slice of canonical forms.
-#: Implicit subgraph matching: the vertex-kernel grid of ``g`` against a
-#: group of partners, the association graph of ``g`` against one block of
-#: them (the sum of its partners' squares, as pairs of different partners
-#: are not stored) and the candidate cells of one extension chunk (the sum
-#: of its cliques' windows).  It keeps peak memory flat however many sets
-#: a graph has, however long a row is and however many cliques a size has;
-#: a root, set, partner or clique that alone exceeds it forms a run, slice,
-#: group, block or chunk of its own.
+#: the (set, vertex order, pair) cells of one slice of canonical forms;
+#: beyond these it holds the classes counted so far.  Implicit subgraph
+#: matching: the vertex-kernel grid of ``g`` against a group of partners,
+#: the association graph of ``g`` against one block of them (the sum of
+#: its partners' squares, as pairs of different partners are not stored)
+#: and the candidate cells of one extension chunk (the sum of its cliques'
+#: windows).  It keeps peak memory flat however many sets a graph has,
+#: however long a row is and however many cliques a size has; a set,
+#: partner or clique that alone exceeds it forms a chunk, slice, group or
+#: block of its own.
 ASSOCIATION_CELLS = 1 << 15
 
 
 def _connected_sets(g: Graph, max_size: int) -> Iterator[np.ndarray]:
     """Every vertex set of 1..``max_size`` vertices inducing a connected
-    subgraph, once, as rows of ascending vertex ids in chunks of one size.
+    subgraph, once, in chunks of one size, as rows that start with their
+    smallest vertex (the root) and end with their *tip*: the largest of
+    their vertices farthest from the root within the set.
 
-    Sizes 1 and 2 are the vertices and the edges.  A larger chunk grows a
-    run of rows one size down, whose roots (smallest members) are
-    consecutive, by every neighbour of a member that lies above the root
-    and outside the set, then sorts each row and drops repeats by a packed
-    key.  A connected set keeps a non-cut vertex besides its root, so
-    removing it leaves a connected set with the same root, and every set
-    is reached.  A run holds the most roots whose candidate cells fit
-    :data:`ASSOCIATION_CELLS` (one root that alone exceeds it forms a run),
-    and runs grow depth first, so one run per size is held at a time.
+    Sizes 1 and 2 are the vertices and the edges.  A larger set grows from
+    one parent only, itself less its tip.  No other vertex's shortest path
+    to the root passes the tip, so the parent is connected, has the same
+    root and gives every other vertex its distance.  Rows carry their
+    members' distances, and a parent's neighbour above its root is kept,
+    once however many members it touches, iff it is the grown set's tip:
+    its distance (one more than its nearest adjacent member's) exceeds the
+    parent tip's, or equals it and the neighbour lies above the parent's
+    tip, which no member of the parent does.  Sets need no deduplication,
+    so a chunk may end at any row: it grows the most rows whose candidate
+    cells fit :data:`ASSOCIATION_CELLS` (at least one), and chunks grow
+    depth first, so one per size is held at a time.
     """
     n = g.n
-    arcs = np.sort(np.concatenate((g.edges @ [n, 1], g.edges @ [1, n])))
-    nbrs = arcs % max(n, 1)
-    starts = np.searchsorted(arcs, np.arange(n + 1) * n)
+    starts = g.arc_starts
+    nbrs = g.arcs % max(n, 1)
     degree = np.diff(starts)
     yield np.arange(n)[:, None]
-    if max_size > 1:
+    if max_size > 1 and g.m:
         yield g.edges
-    pending = [g.edges] if max_size > 2 else []
+    pending = [(g.edges, np.tile([0, 1], (g.m, 1)))] if max_size > 2 and g.m else []
     while pending:
-        rows = pending.pop()
+        rows, depth = pending.pop()
         size = rows.shape[1] + 1
-        cells = np.cumsum(degree[rows].sum(axis=1)) * size
-        cut = int(np.searchsorted(cells, ASSOCIATION_CELLS, "right"))
-        if cut < len(rows):
-            # back to the first row of the root the budget cuts through,
-            # or past the first root when the cut falls within it
-            roots = rows[:, 0]
-            cut = int(np.searchsorted(roots, roots[cut]))
-            cut = cut or int(np.searchsorted(roots, roots[0], "right"))
-        if cut < len(rows):
-            pending.append(rows[cut:])
-        rows = rows[:cut]
         counts = degree[rows]
-        flat = counts.ravel()
-        at = np.repeat(starts[rows.ravel()] - (np.cumsum(flat) - flat), flat)
-        at += np.arange(at.size)
-        grown = nbrs[at]
-        base = np.repeat(rows, counts.sum(axis=1), axis=0)
-        keep = (grown > base[:, 0]) & (base != grown[:, None]).all(axis=1)
-        grown = np.column_stack((base[keep], grown[keep]))
-        grown.sort(axis=1)
-        if n**size <= 1 << 63:  # one packed key per row, if it fits
-            grown = grown[np.argsort(grown @ n ** np.arange(size - 1, -1, -1))]
-        else:
-            grown = grown[np.lexsort(grown.T[::-1])]
-        grown = grown[_first_of_runs(grown)]
-        yield grown
-        if size < max_size and len(grown):
-            pending.append(grown)
-
-
-def _first_of_runs(rows: np.ndarray) -> np.ndarray:
-    """Which rows of a sorted 2-d array differ from the row before."""
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return fresh
+        cells = np.cumsum(counts.sum(axis=1)) * size
+        cut = max(1, int(np.searchsorted(cells, ASSOCIATION_CELLS, "right")))
+        if cut < len(rows):
+            pending.append((rows[cut:], depth[cut:]))
+        rows, depth, counts = rows[:cut], depth[:cut], counts[:cut].ravel()
+        # one candidate per member and neighbour above the root, grouped
+        # by row and neighbour: a group's members are the neighbour's own
+        # (never none, as every member above the root neighbours another)
+        at = np.repeat(starts[rows.ravel()] - (np.cumsum(counts) - counts), counts)
+        new = nbrs[at + np.arange(at.size)]
+        member = np.repeat(np.arange(counts.size), counts)
+        row = member // (size - 1)
+        keep = new > rows[row, 0]
+        key = row[keep] * n + new[keep]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+        near = np.minimum.reduceat(depth.ravel()[member[keep][order]], first) + 1
+        row, new = np.divmod(key[first], n)
+        # a row's tip is its last vertex
+        base, dist = rows[row], depth[row]
+        far, top = dist[:, -1], base[:, -1]
+        keep = (near > far) | ((near == far) & (new > top))
+        grown = np.column_stack((base[keep], new[keep]))
+        if len(grown):
+            yield grown
+            if size < max_size:
+                pending.append((grown, np.column_stack((dist[keep], near[keep]))))
 
 
 def _subsets(n: int, smallest: int, max_size: int) -> Iterator[np.ndarray]:
@@ -221,7 +220,10 @@ def _tally(
     ``counts`` over each one's repeats, and the ``automorphisms`` of its
     first."""
     order = np.lexsort(encodings.T[::-1])
-    first = np.flatnonzero(_first_of_runs(encodings[order]))
+    ranked = encodings[order]
+    fresh = np.ones(len(ranked), dtype=bool)
+    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = np.flatnonzero(fresh)
     counts = np.add.reduceat(counts[order], first)
     first = order[first]
     return encodings[first], counts, automorphisms[first]
@@ -266,7 +268,12 @@ def _class_counts(
         if size >= smallest and len(sets):
             encodings, automorphisms = _canonical(sets, labels, pair_code, bits)
             ones = np.ones(len(sets), dtype=np.int64)
-            tallies.setdefault(size, []).append(_tally(encodings, ones, automorphisms))
+            parts = tallies.setdefault(size, [])
+            parts.append(_tally(encodings, ones, automorphisms))
+            # merged once the later parts outgrow the first, so a size's
+            # parts hold at most about twice its classes and one chunk's
+            if sum(len(part[1]) for part in parts[1:]) > len(parts[0][1]):
+                parts[:] = [_tally(*map(np.concatenate, zip(*parts)))]
     classes = []
     for size, parts in sorted(tallies.items()):
         merged = parts[0] if len(parts) == 1 else _tally(*map(np.concatenate, zip(*parts)))

@@ -199,9 +199,9 @@ class TestClassCounter:
             assert _as_dict(subgraphs._class_counts(g, 5, connected, 4)) == expected
 
     @pytest.mark.parametrize("budget", BUDGETS)
-    def test_vertex_ids_past_the_packed_key_range(self, budget, monkeypatch):
-        # 6300**5 > 2**63, so grown 5-sets are sorted column by column, as
-        # no packed key fits them
+    def test_sparse_graph_with_high_vertex_ids(self, budget, monkeypatch):
+        # 6,290 isolated vertices below ten joined at p 0.5, so every set
+        # roots above 6,289 and candidates group by row * 6300 + neighbour
         rng = random.Random(151)
         top = [(u, v) for u in range(6290, 6300) for v in range(u + 1, 6300)]
         edges = [pair for pair in top if rng.random() < 0.5]
@@ -212,16 +212,17 @@ class TestClassCounter:
 
     @pytest.mark.parametrize("budget", [1 << 13, subgraphs.ASSOCIATION_CELLS])
     def test_dense_size_five_map_stays_within_the_budget(self, budget, monkeypatch):
-        # one label and p 0.6 on 18 vertices: every connected 5-set tries
-        # all 120 vertex orders of its 10 pairs, which as one array of
-        # int64 codes would take over 60 MiB; runs of roots and slices of
-        # sets hold a small part of that
+        # one label and p 0.6 on 24 vertices: vertex 0 alone roots 8,436
+        # connected 5-sets, whose 42,180 cells exceed either budget, and
+        # every 5-set tries all 120 vertex orders of its 10 pairs; chunks
+        # of sets and slices of orders hold a small part of that
         rng = random.Random(149)
-        edges = [(u, v) for u in range(18) for v in range(u + 1, 18) if rng.random() < 0.6]
-        g = Graph(18, edges)
-        ((_, counts, _),) = subgraphs._class_counts(g, 5, True, 5)
-        fives = int(counts.sum())
-        assert fives * 120 * 10 * 8 > 60 * 2**20
+        edges = [(u, v) for u in range(24) for v in range(u + 1, 24) if rng.random() < 0.6]
+        g = Graph(24, edges)
+        fives = [sets for sets in subgraphs._connected_sets(g, 5) if sets.shape[1] == 5]
+        rooted = sum(int((sets[:, 0] == 0).sum()) for sets in fives)
+        assert rooted * 5 > subgraphs.ASSOCIATION_CELLS
+        assert sum(map(len, fives)) * 120 * 10 * 8 > 200 * 2**20
         expected = matching_features(g, max_size=5, connected_only=True)
         monkeypatch.setattr(subgraphs, "ASSOCIATION_CELLS", budget)
         tracemalloc.start()
@@ -230,7 +231,7 @@ class TestClassCounter:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20
+        assert peak < 4 * 2**20
         assert vec == expected
 
 
