@@ -7,24 +7,27 @@ structure: a sparse feature vector, a plain ``dict`` mapping keys to
 non-zero weights.  A key is a tuple that starts with an integer tag
 naming its namespace.  This demo takes dot products of hand-built
 vectors, then follows two composition rules through the maps that
-realize them (a sum of walk kernels, a product of base kernels along
-shortest paths), and finally turns an arbitrary binary-valued kernel
-into one-hot vectors whose dot product reproduces it exactly.
+realize them (a sum of walk kernels, and the product of a vertex weight
+kernel with a label kernel summed over vertex pairs), and finally maps
+attribute rows to one-hot class vectors whose dot product reproduces
+the Dirac kernel on attributes exactly.
 """
 
 from gkern import (
+    Dataset,
     EdgeKernelSpec,
     Graph,
     VertexKernelSpec,
-    binary_feature_map,
+    attribute_class_features,
     dot,
+    graph_invariant_weight_maps,
     label_features,
     max_walk_kernel_implicit,
-    sp_features_approx,
-    sp_features_explicit,
     walk_features_explicit,
+    wv_features_explicit,
+    wv_kernel_implicit,
 )
-from gkern.features import TAG_LABEL
+from gkern.features import TAG_LABEL, TAG_PAIR
 
 # ---------------------------------------------------------------------
 # 1. Vectors are dictionaries; the dot product sums the shared keys,
@@ -67,34 +70,43 @@ print(f"\nmaxwalk(l={length}): dot of merged maps = {merged}, "
 assert merged == sum(per_length) == implicit
 
 # ---------------------------------------------------------------------
-# 3. Product kernel = paired keys.  sp_features_approx keys each
-#    reachable pair (u, w) by (TAG_PAIR, key(u), (TAG_PAIR, key(d), key(w)))
-#    with the product of the three weights, and sums over the pairs.
-#    With one-hot label maps it reproduces the direct shortest-path
-#    count vector in every dot product.
+# 3. Product kernel = paired keys.  The graph-invariant kernel multiplies
+#    a weight kernel k_W (shared refinement colours) with a vertex kernel
+#    k_V (here Dirac on labels).  wv_features_explicit keys each vertex
+#    by (TAG_PAIR, weight key, label key), with the product of the two
+#    weights: the map of k_W * k_V.  Summing those over the vertices
+#    realizes the sum of k_W * k_V over all vertex pairs.
 # ---------------------------------------------------------------------
-assembled = sp_features_approx(g, label_features)
-print("\nsp_features_approx(g, label_features): first key",
-      min(assembled), "->", assembled[min(assembled)])
-direct = dot(sp_features_explicit(g), sp_features_explicit(h))
-assert dot(assembled, sp_features_approx(h, label_features)) == direct
-print("its dots equal the direct shortest-path map's:", direct)
+weights = graph_invariant_weight_maps(Dataset("gh", [g, h]), 1)
+paired = wv_features_explicit(g, weights, label_features)
+print("\nwv_features_explicit(g): paired keys (weight key x label key)")
+for key in sorted(paired):
+    tag, weight_key, label_key = key
+    assert tag == TAG_PAIR
+    print(f"  {weight_key} x {label_key} -> {paired[key]}")
+explicit = dot(paired, wv_features_explicit(h, weights, label_features))
+implicit = wv_kernel_implicit(g, h, weights, VertexKernelSpec("dirac"))
+print(f"dot of the paired maps = {explicit}, implicit sum over vertex pairs {implicit:g}")
+assert explicit == implicit
 
 # ---------------------------------------------------------------------
-# 4. Any binary-valued kernel is a partial equivalence relation in
-#    disguise (if it is a kernel at all).  binary_feature_map numbers
-#    the classes and hands back one-hot vectors; the dot product then
-#    *is* the kernel.  Here: two integers match when they have the same
-#    last digit.
+# 4. A binary-valued vertex kernel is an equivalence relation in
+#    disguise.  attribute_class_features numbers the distinct attribute
+#    rows of a dataset by first occurrence and maps each vertex to the
+#    one-hot vector of its row's class; the dot product then *is* the
+#    Dirac kernel on attribute rows.
 # ---------------------------------------------------------------------
-items = [13, 7, 23, 101, 17, 3]
-same_last_digit = lambda a, b: 1.0 if a % 10 == b % 10 else 0.0
-vectors = binary_feature_map(items, same_last_digit)
-print("\nlast-digit classes:")
-for item, vec in zip(items, vectors):
-    print(f"  {item:4d} -> {vec}")
-for i, a in enumerate(items):
-    for j, b in enumerate(items):
-        assert dot(vectors[i], vectors[j]) == same_last_digit(a, b)
-print("dot(vectors[i], vectors[j]) reproduces the kernel on all",
-      len(items) ** 2, "pairs")
+a = Graph(3, [(0, 1), (1, 2)], vertex_attributes=[[0.5, 1.0], [2.0, 0.0], [0.5, 1.0]])
+b = Graph(2, [(0, 1)], vertex_attributes=[[2.0, 0.0], [1.5, 1.5]])
+classes = attribute_class_features(Dataset("ab", [a, b]))
+print("\nattribute classes:")
+for name, graph in (("a", a), ("b", b)):
+    for vertex in range(graph.n):
+        row = graph.vertex_attributes[vertex].tolist()
+        print(f"  {name}[{vertex}] {row} -> {classes(graph, vertex)}")
+dirac_rows = VertexKernelSpec("dirac-attributes").matrix(a, b)
+for u in range(a.n):
+    for w in range(b.n):
+        assert dot(classes(a, u), classes(b, w)) == dirac_rows[u, w]
+print("class dots reproduce the dirac-attributes kernel on all",
+      a.n * b.n, "vertex pairs")

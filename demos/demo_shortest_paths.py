@@ -1,6 +1,6 @@
 """
-Shortest-path kernels and their budgeted approximation
-======================================================
+Shortest-path kernels, implicit and explicit
+============================================
 
 The shortest-path kernel compares two graphs by the multiset of
 (source label, target label, distance) triples over all ordered vertex
@@ -9,17 +9,12 @@ graph into its shortest-path closure (complete over reachable pairs,
 edges labeled by distance) and compare single edges.
 
 This demo transforms a small graph, computes the kernel with both
-schemes, inspects the explicit features, and shows the budget-guarded
-approximate feature map that assembles the same triples from factor
-maps.
+schemes, and inspects the explicit features.
 """
 
 from gkern import (
     Graph,
-    ResourceBudgetError,
     dot,
-    label_features,
-    sp_features_approx,
     sp_features_explicit,
     sp_kernel_implicit,
     sp_transform,
@@ -55,19 +50,3 @@ assert implicit == explicit
 print("\ntriples of the 5-path:")
 for (_, source, target, distance), count in sp_features_explicit(path).items():
     print(f"  labels {source}->{target} at distance {distance}: {count:g}")
-
-# ---------------------------------------------------------------------
-# 4. The approximate map assembles the same triples from factor maps —
-#    here label one-hots (label_features) times distance one-hots —
-#    under an entry budget.  With exact factors and a generous budget
-#    it reproduces the exact kernel; a tiny budget raises instead of
-#    silently truncating.
-# ---------------------------------------------------------------------
-approx = sp_features_approx(path, label_features, max_entries=1000)
-assert dot(approx, approx) == dot(sp_features_explicit(path),
-                                  sp_features_explicit(path))
-print("\nbudgeted map with max_entries=1000 matches the exact features")
-try:
-    sp_features_approx(path, label_features, max_entries=3)
-except ResourceBudgetError as err:
-    print(f"max_entries=3 -> ResourceBudgetError: {err}")

@@ -28,7 +28,6 @@ from .errors import (
     DatasetLoadError,
     GKError,
     GramError,
-    InvalidKernelError,
     MultiplicityOverflowError,
     ParameterError,
     ResourceBudgetError,
@@ -59,18 +58,11 @@ from .kernels import (
     BinningGrid,
     EdgeKernelSpec,
     VertexKernelSpec,
-    binary_feature_map,
     binning_features,
-    brownian_bridge,
-    dirac,
-    hat_kernel,
-    rbf_kernel,
     sample_binning_grid,
 )
 from .rng import SplitMix64
 from .shortest_paths import (
-    dirac_length_features,
-    sp_features_approx,
     sp_features_explicit,
     sp_kernel_implicit,
     sp_transform,
@@ -119,7 +111,6 @@ __all__ = [
     "GramMatrix",
     "Graph",
     "INF_DISTANCE",
-    "InvalidKernelError",
     "MultiplicityOverflowError",
     "ParameterError",
     "ResourceBudgetError",
@@ -129,14 +120,10 @@ __all__ = [
     "WeightedProductGraph",
     "all_pairs_shortest_paths",
     "attribute_class_features",
-    "binary_feature_map",
     "binned_attribute_features",
     "binning_features",
-    "brownian_bridge",
     "build_wdpg",
     "canonical_string",
-    "dirac",
-    "dirac_length_features",
     "dot",
     "export_gram",
     "generate_synthetic_alphabet",
@@ -146,7 +133,6 @@ __all__ = [
     "graph_invariant_weight_maps",
     "graphhopper_weight_maps",
     "graphlet_features",
-    "hat_kernel",
     "label_features",
     "load_gram_csv",
     "load_tu_dataset",
@@ -154,10 +140,8 @@ __all__ = [
     "max_walk_kernel_implicit",
     "min_eigenvalue_estimate",
     "normalize",
-    "rbf_kernel",
     "sample_binning_grid",
     "scale_attributes",
-    "sp_features_approx",
     "sp_features_explicit",
     "sp_kernel_implicit",
     "sp_transform",

@@ -71,8 +71,8 @@ LABEL_KERNELS = ("walk", "maxwalk", "sp", "graphlet", "subgraph-matching")
 REGIMES = ("implicit", "explicit")
 
 # the keys of a sweep row, in CSV column order
-_COLUMNS = ("axis", "value", "size", "implicit_seconds", "explicit_seconds", "winner",
-            "max_rel_discrepancy")
+_COLUMNS = ("axis", "value", "size", "implicit_seconds", "explicit_seconds",
+            "implicit_iqr_seconds", "explicit_iqr_seconds", "winner", "max_rel_discrepancy")
 
 
 @dataclass
@@ -256,13 +256,19 @@ def max_relative_discrepancy(a: np.ndarray, b: np.ndarray) -> float:
 
 def _median_time(
     build: Callable[[], GramMatrix], reps: int
-) -> Tuple[float, GramMatrix]:
+) -> Tuple[float, float, GramMatrix]:
+    """Median wall time of ``reps`` builds, the distance between their
+    quartiles (0.0 for one rep), and the last Gram."""
     times = []
     for _ in range(reps):
         start = time.perf_counter()
         gram = build()
         times.append(time.perf_counter() - start)
-    return statistics.median(times), gram
+    spread = 0.0
+    if reps > 1:
+        low, _, high = statistics.quantiles(times, n=4, method="inclusive")
+        spread = high - low
+    return statistics.median(times), spread, gram
 
 
 @dataclass
@@ -350,8 +356,10 @@ def sweep(
     full-scale ones with ``full_scale``.  ``length``, ``p_vertex``,
     ``mean_vertices`` and ``edge_prob`` replace a fixed keyword of the row;
     one the row does not fix is a ParameterError.  Both builders of a
-    cell's plan are timed as the median of ``reps`` runs; a row's
-    discrepancy is 0.0 wherever the kernel is exact on both schemes.
+    cell's plan are timed as the median of ``reps`` runs, with the
+    distance between the runs' quartiles beside it, so a winner can be
+    read against the spread; a row's discrepancy is 0.0 wherever the
+    kernel is exact on both schemes.
     """
     if axis not in AXES:
         raise ParameterError(f"unknown sweep axis {axis!r} (expected one of {tuple(AXES)})")
@@ -387,12 +395,13 @@ def sweep(
         for size in sizes:
             plan = kernel_plan(row.kernel, drawn.subset(size), **plan_kw)
             builds = [plan.builder(regime) for regime in REGIMES]
-            (implicit_seconds, gram_i), (explicit_seconds, gram_e) = [
+            (implicit_seconds, implicit_iqr, gram_i), (explicit_seconds, explicit_iqr, gram_e) = [
                 _median_time(build, reps) for build in builds
             ]
             winner = "implicit" if implicit_seconds < explicit_seconds else "explicit"
             discrepancy = max_relative_discrepancy(gram_i.values, gram_e.values)
-            cells = (axis, value, size, implicit_seconds, explicit_seconds, winner, discrepancy)
+            cells = (axis, value, size, implicit_seconds, explicit_seconds, implicit_iqr,
+                     explicit_iqr, winner, discrepancy)
             rows.append(dict(zip(_COLUMNS, cells)))
             if progress:
                 progress(

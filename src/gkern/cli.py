@@ -33,7 +33,6 @@ from .errors import (
     DatasetLoadError,
     GKError,
     GramError,
-    InvalidKernelError,
     MultiplicityOverflowError,
     ParameterError,
     ResourceBudgetError,
@@ -51,7 +50,7 @@ _RESOURCE_EXIT = 4
 # exit code per error kind: usage, data, resource limits
 _EXIT_CODES = (
     (ParameterError, 2),
-    ((DatasetLoadError, ContractError, InvalidKernelError), 3),
+    ((DatasetLoadError, ContractError), 3),
     ((ResourceBudgetError, MultiplicityOverflowError), _RESOURCE_EXIT),
 )
 

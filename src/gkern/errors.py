@@ -32,12 +32,6 @@ class DatasetFormatError(DatasetLoadError):
     """
 
 
-class InvalidKernelError(GKError):
-    """A kernel declared binary-valued turned out not to induce a partial
-    equivalence relation on the supplied items (symmetry or transitivity
-    violation)."""
-
-
 class MultiplicityOverflowError(GKError):
     """A count left the range in which exact integer arithmetic is
     guaranteed (shortest-path multiplicities past int64, walk-kernel

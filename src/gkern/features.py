@@ -22,11 +22,12 @@ them, since no map composes generically:
 * sum kernel, concatenated maps — the maxwalk plan of
   :func:`gkern.bench.kernel_plan` merges the walk maps of lengths
   0..l, whose keys ``(TAG_WALK, l, ...)`` already carry the length;
-* product kernel, paired keys — :func:`gkern.shortest_paths.sp_features_approx`
-  keys a path by ``(TAG_PAIR, ku, (TAG_PAIR, kl, kv))`` with weight
-  ``wu * (wl * wv)``;
-* R-convolution, summed part maps — :func:`gkern.weighted.wv_features_explicit`
-  adds up w(v) x phi(v) over the vertices.
+* product kernel, paired keys — :func:`gkern.weighted.wv_features_explicit`
+  keys a vertex's weight key ``kw`` and attribute key ``kv`` as
+  ``(TAG_PAIR, kw, kv)`` with weight ``ww * wv``, the map of
+  k_W(u, v) * k_V(u, v);
+* R-convolution, summed part maps — the same map adds up those
+  w(v) x phi(v) over the vertices.
 
 No map stores a zero weight.  :func:`dot` adds the products of the
 shared keys in ascending key order, so its result does not depend on
@@ -39,14 +40,12 @@ from typing import Dict
 
 # Key namespaces.
 TAG_LABEL = 1      # one-hot on a discrete annotation value
-TAG_CLASS = 2      # equivalence class of a binary kernel
 TAG_BIN = 3        # randomized grid cell of a continuous attribute
 TAG_WALK = 4       # label sequence of a fixed-length walk
 TAG_SP = 5         # (source label, target label, distance) triple
 TAG_GRAPHLET = 6   # canonical form of a small induced subgraph
 TAG_WL = 7         # refinement color at a given iteration
 TAG_GH = 8         # (position, path length) cell of a path-count table
-TAG_LEN = 9        # one-hot on a path length
 TAG_PAIR = 11      # (left, right): a key of a tensor product
 
 

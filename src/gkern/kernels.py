@@ -4,73 +4,26 @@ Walk, shortest-path and weighted-vertex graph kernels are all assembled
 from small kernels that compare single annotations: discrete labels, real
 attribute vectors, or path lengths.  This module provides
 
-* the scalar functions (:func:`dirac`, :func:`hat_kernel`,
-  :func:`rbf_kernel`, :func:`brownian_bridge`),
 * :class:`VertexKernelSpec` / :class:`EdgeKernelSpec` — parameterized
-  kernel choices that also expose vectorized evaluation and an equality
-  key per element (two elements with different keys compare as 0), which
-  the product-graph construction joins on,
+  kernel choices, evaluated only in bulk (all vertex pairs of two graphs,
+  or two arrays of edge annotations), each with an equality key per
+  element (two elements with different keys compare as 0) that the
+  product-graph construction joins on, and
 * randomized binning grids, whose collision feature map approximates the
-  hat kernel (:func:`sample_binning_grid`, :func:`binning_features`), and
-* :func:`binary_feature_map`, the exact finite-dimensional feature map
-  that any binary-valued kernel admits via its equivalence classes.
+  hat kernel (:func:`sample_binning_grid`, :func:`binning_features`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContractError, InvalidKernelError, ParameterError
-from .features import TAG_BIN, TAG_CLASS, dot
+from .errors import ContractError, ParameterError
+from .features import TAG_BIN
 from .graphs import INF_DISTANCE, Graph
 from .rng import SplitMix64
-
-# ---------------------------------------------------------------------------
-# Scalar base kernels
-# ---------------------------------------------------------------------------
-
-
-def dirac(x, y) -> int:
-    """1 if the two values compare equal, else 0."""
-    return 1 if x == y else 0
-
-
-def hat_kernel(x, y, delta: float) -> float:
-    """Product of per-dimension triangular bumps with support radius
-    ``delta``: prod_i max(0, 1 - |x_i - y_i| / delta)."""
-    if delta <= 0:
-        raise ParameterError(f"hat kernel needs delta > 0, got {delta}")
-    a = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    terms = 1.0 - np.abs(a - b) / delta
-    if (terms <= 0).any():
-        return 0.0
-    return float(np.prod(terms))
-
-
-def rbf_kernel(x, y, sigma: float) -> float:
-    """Gaussian kernel exp(-||x - y||^2 / (2 sigma^2))."""
-    if sigma <= 0:
-        raise ParameterError(f"rbf kernel needs sigma > 0, got {sigma}")
-    a = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    return float(np.exp(-float(np.dot(a - b, a - b)) / (2.0 * sigma * sigma)))
-
-
-def brownian_bridge(d, d2, c: float = 3.0) -> float:
-    """Triangular kernel on path lengths: max(0, c - |d - d2|).
-
-    Unreachable-pair sentinels compare as 0 against everything.
-    """
-    if c <= 0:
-        raise ParameterError(f"brownian bridge needs c > 0, got {c}")
-    if d == INF_DISTANCE or d2 == INF_DISTANCE:
-        return 0.0
-    return max(0.0, c - abs(int(d) - int(d2)))
-
 
 # ---------------------------------------------------------------------------
 # Randomized binning
@@ -186,26 +139,6 @@ class VertexKernelSpec:
             return f"binned(P={self.grid.num_grids},delta={self.grid.delta:g})"
         return self.kind
 
-    def value(self, g: Graph, u: int, h: Graph, v: int) -> float:
-        """Kernel between vertex ``u`` of ``g`` and vertex ``v`` of ``h``."""
-        if self.kind == "dirac":
-            return dirac(
-                int(g.vertex_label_array()[u]), int(h.vertex_label_array()[v])
-            )
-        if self.kind == "dirac-attributes":
-            return dirac(
-                tuple(_attributes_of(g)[u].tolist()),
-                tuple(_attributes_of(h)[v].tolist()),
-            )
-        if self.kind == "hat":
-            return hat_kernel(_attributes_of(g)[u], _attributes_of(h)[v], self.delta)
-        if self.kind == "rbf":
-            return rbf_kernel(_attributes_of(g)[u], _attributes_of(h)[v], self.sigma)
-        return dot(
-            binning_features(_attributes_of(g)[u], self.grid),
-            binning_features(_attributes_of(h)[v], self.grid),
-        )
-
     def support(
         self, g: Graph, h: Graph
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -306,18 +239,6 @@ class EdgeKernelSpec:
             return f"table[{entries}]"
         return self.kind
 
-    def value(self, label_g: int, label_h: int) -> float:
-        if self.kind == "dirac":
-            return dirac(label_g, label_h)
-        if self.kind == "uniform":
-            return 1
-        if self.kind == "table":
-            for a, b, w in self.table:
-                if (label_g, label_h) in ((a, b), (b, a)):
-                    return w
-            return dirac(label_g, label_h)
-        return brownian_bridge(label_g, label_h, self.c)
-
     @property
     def unit(self) -> bool:
         """Whether the kernel is 1 wherever the :meth:`keys` agree (the
@@ -354,71 +275,3 @@ class EdgeKernelSpec:
         reachable = (dg != float(INF_DISTANCE)) & (dh != float(INF_DISTANCE))
         return values * reachable
 
-
-# ---------------------------------------------------------------------------
-# Feature maps of binary kernels
-# ---------------------------------------------------------------------------
-
-
-def binary_feature_map(
-    items: Sequence,
-    kernel: Callable,
-    tag: int = TAG_CLASS,
-) -> List[Dict[tuple, int]]:
-    """One-hot feature vectors realizing a binary-valued kernel exactly.
-
-    A kernel that only takes values 0 and 1 is positive semidefinite iff
-    ``k(x, y) = 1`` is a partial equivalence relation; its feature map
-    sends each item to the indicator of its equivalence class, and items
-    with ``k(x, x) = 0`` to the zero vector.  Classes are numbered by
-    first occurrence in ``items``.
-
-    Each item is compared against one representative per known class;
-    inconsistencies that surface this way (a value outside {0, 1},
-    asymmetry against a representative, an item matching two classes, or
-    a self-incompatible item matching anything) raise
-    :class:`InvalidKernelError`.
-    """
-
-    def _binary(value, x, y):
-        if value not in (0, 1):
-            raise InvalidKernelError(
-                f"kernel is not binary-valued: k({x!r}, {y!r}) = {value!r}"
-            )
-        return int(value)
-
-    representatives: List[Tuple[object, int]] = []
-    vectors: List[Dict[tuple, int]] = []
-    for x in items:
-        self_value = _binary(kernel(x, x), x, x)
-        matches = []
-        for rep, class_id in representatives:
-            forward = _binary(kernel(x, rep), x, rep)
-            backward = _binary(kernel(rep, x), rep, x)
-            if forward != backward:
-                raise InvalidKernelError(
-                    f"kernel is asymmetric on ({x!r}, {rep!r}):"
-                    f" {forward} vs {backward}"
-                )
-            if forward:
-                matches.append(class_id)
-        if self_value == 0:
-            if matches:
-                raise InvalidKernelError(
-                    f"item {x!r} has k(x, x) = 0 but matches class"
-                    f" {matches[0]}; relation is not a partial equivalence"
-                )
-            vectors.append({})
-            continue
-        if len(matches) > 1:
-            raise InvalidKernelError(
-                f"item {x!r} matches classes {matches}; relation is not"
-                f" transitive"
-            )
-        if matches:
-            class_id = matches[0]
-        else:
-            class_id = len(representatives)
-            representatives.append((x, class_id))
-        vectors.append({(tag, class_id): 1})
-    return vectors

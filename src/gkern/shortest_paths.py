@@ -15,18 +15,16 @@ With Dirac base kernels the explicit map is a count vector over
 (source label, target label, distance) triples (:func:`sp_features_explicit`,
 counting both orientations of each pair, so e.g. the 3-vertex path with
 uniform labels maps to {(0,0,1): 4, (0,0,2): 2} and has self-kernel 20).
-For other factorizable choices, :func:`sp_features_approx` assembles the
-map from per-vertex and per-length feature maps.
+Other base kernels have only the implicit scheme here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from .errors import ParameterError, ResourceBudgetError
-from .features import TAG_LEN, TAG_PAIR, TAG_SP
+from .features import TAG_SP
 from .graphs import Graph, all_pairs_shortest_paths, INF_DISTANCE
 from .kernels import EdgeKernelSpec, VertexKernelSpec
 from .walks import explicit_labels, walk_kernel_implicit
@@ -83,58 +81,3 @@ def sp_features_explicit(g: Graph) -> Dict[tuple, int]:
             key = (TAG_SP, lu, labels[v], int(row[v]))
             counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def dirac_length_features(distance: int) -> Dict[tuple, int]:
-    """One-hot feature map of the Dirac kernel on path lengths."""
-    return {(TAG_LEN, int(distance)): 1}
-
-
-def sp_features_approx(
-    g: Graph,
-    vertex_features: Callable[[Graph, int], Dict[tuple, float]],
-    length_features: Callable[[int], Dict[tuple, float]] = dirac_length_features,
-    max_entries: Optional[int] = 10_000_000,
-) -> Dict[tuple, float]:
-    """Shortest-path feature map assembled from factor feature maps.
-
-    Each ordered reachable pair (u, v) contributes the tensor product
-    ``phi_V(u) x (phi_len(d(u,v)) x phi_V(v))``: weight ``wu * (wl * wv)``
-    on key ``(TAG_PAIR, ku, (TAG_PAIR, kl, kv))``, zero products skipped.
-    The sum over pairs, with exact cancellations dropped, is the feature
-    map of the shortest-path kernel whose factors have those maps (e.g.
-    binning maps for continuous attributes).  ``max_entries`` bounds
-    the accumulated entry count; exceeding it raises
-    :class:`ResourceBudgetError` rather than exhausting memory.
-    """
-    if max_entries is not None and max_entries < 1:
-        raise ParameterError(f"max_entries must be positive, got {max_entries}")
-    dist = all_pairs_shortest_paths(g).dist
-    vertex_maps = [vertex_features(g, v).items() for v in range(g.n)]
-    length_maps: dict = {}
-    total: dict = {}
-    for u in range(g.n):
-        row = dist[u]
-        for v in range(g.n):
-            if u == v or row[v] == INF_DISTANCE:
-                continue
-            d = int(row[v])
-            if d not in length_maps:
-                length_maps[d] = length_features(d).items()
-            for ku, wu in vertex_maps[u]:
-                for kl, wl in length_maps[d]:
-                    for kv, wv in vertex_maps[v]:
-                        weight = wu * (wl * wv)
-                        if weight == 0:
-                            continue
-                        key = (TAG_PAIR, ku, (TAG_PAIR, kl, kv))
-                        accumulated = total.get(key, 0) + weight
-                        if accumulated == 0:
-                            del total[key]
-                        else:
-                            total[key] = accumulated
-            if max_entries is not None and len(total) > max_entries:
-                raise ResourceBudgetError(
-                    f"shortest-path feature map exceeded {max_entries} entries"
-                )
-    return total

@@ -15,7 +15,7 @@ from itertools import chain, combinations, permutations, product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from gkern.errors import ParameterError
-from gkern.graphs import Graph
+from gkern.graphs import INF_DISTANCE, Graph
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +65,66 @@ def uniform_fn(x, y) -> int:
 def brownian_bridge_fn(a, b, c: float = 3.0) -> float:
     """Triangular kernel on finite path lengths."""
     return max(0.0, c - abs(a - b))
+
+
+def hat_fn(x, y, delta: float) -> float:
+    """prod_i max(0, 1 - |x_i - y_i| / delta)."""
+    value = 1.0
+    for a, b in zip(x, y):
+        value *= max(0.0, 1.0 - abs(a - b) / delta)
+    return value
+
+
+def rbf_fn(x, y, sigma: float) -> float:
+    """exp(-||x - y||^2 / (2 sigma^2))."""
+    return math.exp(-sum((a - b) ** 2 for a, b in zip(x, y)) / (2.0 * sigma * sigma))
+
+
+def binned_fn(x, y, shifts, delta: float) -> float:
+    """Fraction of the shifted grids of pitch ``delta`` that put ``x`` and
+    ``y`` in one cell: cell_i = floor((x_i + shift_i) / delta)."""
+
+    def cell(point, shift):
+        return [math.floor((a + s) / delta) for a, s in zip(point, shift)]
+
+    return sum(cell(x, shift) == cell(y, shift) for shift in shifts) / len(shifts)
+
+
+# the base kernels of the kernel specs, one evaluator per kind, read from
+# the spec's parameters and the graphs' raw arrays (a partner union too)
+
+def _attribute_row(g, u: int) -> Tuple[float, ...]:
+    return tuple(float(x) for x in g.vertex_attributes[u])
+
+
+def vertex_kernel_fn(spec) -> Callable:
+    """``k(g, u, h, v)`` for a ``VertexKernelSpec``."""
+    if spec.kind == "dirac":
+        return lambda g, u, h, v: dirac_fn(vertex_label_list(g)[u], vertex_label_list(h)[v])
+    attributes = {
+        "dirac-attributes": dirac_fn,
+        "hat": lambda x, y: hat_fn(x, y, spec.delta),
+        "rbf": lambda x, y: rbf_fn(x, y, spec.sigma),
+        "binned": lambda x, y: binned_fn(x, y, spec.grid.shifts.tolist(), spec.grid.delta),
+    }[spec.kind]
+    return lambda g, u, h, v: attributes(_attribute_row(g, u), _attribute_row(h, v))
+
+
+def edge_kernel_fn(spec) -> Callable[[int, int], float]:
+    """``k(a, b)`` on two edge annotations for an ``EdgeKernelSpec``; the
+    bridge compares unreachable-pair sentinels as 0."""
+    if spec.kind == "dirac":
+        return dirac_fn
+    if spec.kind == "uniform":
+        return uniform_fn
+    if spec.kind == "brownian-bridge":
+        return lambda a, b: (
+            0.0 if INF_DISTANCE in (a, b) else brownian_bridge_fn(a, b, spec.c)
+        )
+    exceptions = {}
+    for a, b, w in spec.table:
+        exceptions[a, b] = exceptions[b, a] = w
+    return lambda a, b: exceptions.get((a, b), dirac_fn(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ measure, the axis table's recorded calls, rows, CSV output."""
 
 import functools
 import inspect
+import types
 
 import numpy as np
 import pytest
@@ -93,7 +94,25 @@ class TestSweepRows:
             faster = min(row["implicit_seconds"], row["explicit_seconds"])
             chosen = row[f"{row['winner']}_seconds"]
             assert chosen == faster
+            # one rep has no spread
+            assert row["implicit_iqr_seconds"] == row["explicit_iqr_seconds"] == 0.0
             assert row["max_rel_discrepancy"] < 1e-10
+
+    def test_rows_carry_the_quartile_distance_of_their_reps(self, monkeypatch):
+        # a clock whose builds take 1, 2, 3, 10 s (implicit) and then
+        # 4, 4, 4, 4 s (explicit): the inclusive quartiles of the first
+        # are 1.75 and 4.75, and the medians name the winner as before
+        durations = iter([1, 2, 3, 10, 4, 4, 4, 4])
+        readings = iter(
+            reading for d in durations for reading in (0.0, float(d))
+        )
+        monkeypatch.setattr(
+            gkern.bench, "time", types.SimpleNamespace(perf_counter=lambda: next(readings))
+        )
+        (row,) = sweep("length", sizes=(3,), grid=(1,), reps=4, seed=5)
+        assert row["implicit_seconds"] == 2.5 and row["implicit_iqr_seconds"] == 3.0
+        assert row["explicit_seconds"] == 4.0 and row["explicit_iqr_seconds"] == 0.0
+        assert row["winner"] == "implicit"
 
     def test_alphabet_axis_runs_small(self):
         rows = sweep(

@@ -276,6 +276,8 @@ class TestSweep:
             "size",
             "implicit_seconds",
             "explicit_seconds",
+            "implicit_iqr_seconds",
+            "explicit_iqr_seconds",
             "winner",
             "max_rel_discrepancy",
         ]
@@ -284,6 +286,9 @@ class TestSweep:
             cells = dict(zip(header, line.split(",")))
             assert cells["axis"] == "pv"
             assert cells["winner"] in ("implicit", "explicit")
+            # one rep has no spread
+            assert float(cells["implicit_iqr_seconds"]) == 0.0
+            assert float(cells["explicit_iqr_seconds"]) == 0.0
             assert float(cells["max_rel_discrepancy"]) < 1e-10
 
     def test_progress_lines_unless_quiet(self, tmp_path, capsys):

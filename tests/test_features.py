@@ -8,23 +8,18 @@ import pytest
 from gkern import (
     Dataset,
     Graph,
-    INF_DISTANCE,
-    all_pairs_shortest_paths,
+    VertexKernelSpec,
     attribute_class_features,
-    binary_feature_map,
     binned_attribute_features,
-    dirac,
-    dirac_length_features,
     dot,
     graph_invariant_weight_maps,
     label_features,
     sample_binning_grid,
-    sp_features_approx,
     walk_features_explicit,
     wv_features_explicit,
 )
 from gkern import bench
-from gkern.features import TAG_LABEL, TAG_LEN, TAG_PAIR, TAG_WALK
+from gkern.features import TAG_LABEL, TAG_PAIR, TAG_WL
 from conftest import make_random_graph
 
 
@@ -63,15 +58,21 @@ class TestKeys:
         g = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 0])
         parts = [set(walk_features_explicit(g, l)) for l in range(4)]
         assert sum(len(p) for p in parts) == len(set().union(*parts))
-        # sp_features_approx nests pairs to the right: (a, (b, c)) is not
-        # ((a, b), c), and paired keys of swapped ends differ
-        path = Graph(2, [(0, 1)], vertex_labels=[0, 1])
-        (key_01, key_10) = sorted(sp_features_approx(path, label_features))
-        assert key_01 == (TAG_PAIR, A, (TAG_PAIR, (TAG_LEN, 1), B))
-        assert key_10 == (TAG_PAIR, B, (TAG_PAIR, (TAG_LEN, 1), A))
-        assert (TAG_PAIR, (TAG_PAIR, A, (TAG_LEN, 1)), B) != key_01
+        # wv_features_explicit pairs the weight key with the label key, in
+        # that order, so swapped parts give another key
+        path = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 0])
+        weight_map = graph_invariant_weight_maps(Dataset("t", [path]), 1)
+        pairs = sorted(wv_features_explicit(path, weight_map, label_features))
+        ends, middle = (TAG_WL, 1, 0), (TAG_WL, 1, 1)
+        assert pairs == [
+            (TAG_PAIR, (TAG_WL, 0, 0), A),
+            (TAG_PAIR, (TAG_WL, 0, 0), B),
+            (TAG_PAIR, ends, A),
+            (TAG_PAIR, middle, B),
+        ]
+        assert (TAG_PAIR, A, ends) not in pairs and (TAG_PAIR, ends, B) not in pairs
         # plain and pair keys compare, so a mix of them sorts
-        mixed = [*parts[2], key_01, (TAG_LABEL, 7), key_10]
+        mixed = [*parts[2], pairs[0], (TAG_LABEL, 7), pairs[-1]]
         assert [key[0] for key in sorted(mixed)] == sorted(key[0] for key in mixed)
 
 
@@ -79,26 +80,49 @@ class TestFeatureVector:
     """Every map returns a plain dict of key -> non-zero weight."""
 
     def test_zero_entries_are_pruned(self):
-        # a zero vertex weight, a zero product and an exact cancellation
-        # leave no entry behind
-        path = Graph(2, [(0, 1)], vertex_labels=[0, 1])
-        zero_at_1 = lambda g, v: {A: 1} if v == 0 else {A: 0, B: 2}
-        assert sp_features_approx(path, zero_at_1) == {
-            (TAG_PAIR, A, (TAG_PAIR, (TAG_LEN, 1), B)): 2,
-            (TAG_PAIR, B, (TAG_PAIR, (TAG_LEN, 1), A)): 2,
-        }
-        assert sp_features_approx(path, zero_at_1, lambda d: {(TAG_LEN, d): 0}) == {}
-        vectors = binary_feature_map([1, 0], lambda x, y: int(x == y and x > 0))
-        assert list(vectors[0].values()) == [1] and vectors[1] == {}
+        # the zero cells of the weight rows leave no entry behind: each
+        # vertex adds one entry per non-zero weight and attribute key
+        rng = random.Random(19)
+        graphs = [make_random_graph(rng, max_n=6, labels=2) for _ in range(4)]
+        weight_map = graph_invariant_weight_maps(Dataset("t", graphs), 2)
+        for g in graphs:
+            vector = wv_features_explicit(g, weight_map, label_features)
+            assert type(vector) is dict and 0 not in vector.values()
+            _, w = weight_map.matrix(g)
+            assert sum(vector.values()) == int(w.sum())
 
     def test_one_hot(self):
         g = Graph(2, [(0, 1)], vertex_labels=[3, 5], vertex_attributes=[[0.5], [0.5]])
         ds = Dataset("t", [g])
         assert label_features(g, 1) == {(TAG_LABEL, 5): 1}
-        assert dirac_length_features(4) == {(TAG_LEN, 4): 1}
         by_row = attribute_class_features(ds)
         assert by_row(g, 0) == by_row(g, 1) == {(TAG_LABEL, 0): 1}
-        assert [type(v) for v in binary_feature_map([2, 2], dirac)] == [dict, dict]
+        assert type(by_row(g, 0)) is dict
+
+
+class TestAttributeClasses:
+    """The exact class map of the Dirac kernel on attribute rows."""
+
+    def test_classes_numbered_by_first_occurrence(self):
+        rows = [5, 9, 5, 2, 9, 5]
+        g = Graph(4, [(0, 1)], vertex_attributes=[[x] for x in rows[:4]])
+        h = Graph(2, [], vertex_attributes=[[x] for x in rows[4:]])
+        by_row = attribute_class_features(Dataset("t", [g, h]))
+        vectors = [by_row(g, v) for v in range(g.n)] + [by_row(h, v) for v in range(h.n)]
+        assert vectors == [{(TAG_LABEL, c): 1} for c in [0, 1, 0, 2, 1, 0]]
+
+    def test_class_dots_reproduce_dirac_attributes(self):
+        rng = random.Random(13)
+        spec = VertexKernelSpec("dirac-attributes")
+        for _ in range(20):
+            graphs = [
+                make_random_graph(rng, max_n=6, min_n=1, attribute_dim=2, attribute_levels=2)
+                for _ in range(2)
+            ]
+            by_row = attribute_class_features(Dataset("t", graphs))
+            g, h = graphs
+            dots = [[dot(by_row(g, u), by_row(h, v)) for v in range(h.n)] for u in range(g.n)]
+            assert dots == spec.matrix(g, h).tolist()
 
 
 class TestDot:
@@ -169,32 +193,6 @@ class TestCombinators:
         for count in ("stored_features", "distinct_features"):
             assert maxwalk.timings[count] == sum(w.timings[count] for w in walks)
 
-    def test_tensor_product_multiplies_dots(self):
-        # sp_features_approx pairs keys: a dot of its maps is the sum over
-        # path pairs of the products of the factor dots
-        rng = random.Random(29)
-        grid = sample_binning_grid(2, 1.0, 4, seed=5)
-        vertex_map = binned_attribute_features(grid)
-        for _ in range(6):
-            g, h = (make_random_graph(rng, max_n=5, attribute_dim=2) for _ in range(2))
-            paths = [_reachable_factor_maps(x, vertex_map) for x in (g, h)]
-            pairwise = sum(
-                dot(a[0], b[0]) * dot(a[1], b[1]) * dot(a[2], b[2])
-                for a in paths[0]
-                for b in paths[1]
-            )
-            assembled = dot(sp_features_approx(g, vertex_map), sp_features_approx(h, vertex_map))
-            assert assembled == pytest.approx(pairwise, rel=1e-12, abs=1e-12)
-
-    def test_set_sum_merges_and_cancels(self):
-        # the sum over paths merges equal keys and drops exact cancellations:
-        # on the path l1 - c - l2 the four distance-1 paths cancel
-        path = Graph(3, [(0, 1), (1, 2)])
-        signs = {0: {A: 1}, 1: {A: 1}, 2: {A: -1}}
-        assert sp_features_approx(path, lambda g, v: signs[v]) == {
-            (TAG_PAIR, A, (TAG_PAIR, (TAG_LEN, 2), A)): -2
-        }
-
     def test_set_sum_models_cross_product_kernel(self):
         # wv_features_explicit sums w(v) x phi(v) over the vertices: its dot
         # is the sum over vertex pairs of the weight dot times the phi dot
@@ -223,13 +221,3 @@ class TestCombinators:
                 )
                 assert explicit == pytest.approx(pairwise, rel=1e-12, abs=1e-12)
 
-
-def _reachable_factor_maps(g, vertex_map):
-    """(phi(u), phi_len(d(u, v)), phi(v)) for each ordered reachable pair."""
-    dist = all_pairs_shortest_paths(g).dist
-    return [
-        (vertex_map(g, u), dirac_length_features(int(dist[u][v])), vertex_map(g, v))
-        for u in range(g.n)
-        for v in range(g.n)
-        if u != v and dist[u][v] != INF_DISTANCE
-    ]

@@ -1,4 +1,4 @@
-"""Base kernels, binning grids, and binary-kernel feature maps."""
+"""Base kernels through the kernel specs, and binning grids."""
 
 import math
 import random
@@ -12,88 +12,111 @@ from gkern import (
     EdgeKernelSpec,
     Graph,
     INF_DISTANCE,
-    InvalidKernelError,
     ParameterError,
     VertexKernelSpec,
-    binary_feature_map,
     binning_features,
-    brownian_bridge,
-    dirac,
     dot,
-    hat_kernel,
-    rbf_kernel,
     sample_binning_grid,
 )
-from gkern.features import TAG_CLASS
 from conftest import make_random_graph
+from oracles import edge_kernel_fn, hat_fn, vertex_kernel_fn
+
+
+def _points(*rows):
+    """An edgeless graph with one vertex per attribute row."""
+    return Graph(len(rows), [], vertex_attributes=[list(row) for row in rows])
+
+
+def _vertex_value(spec, x, y):
+    """The vertex kernel between attribute rows ``x`` and ``y``."""
+    return spec.matrix(_points(x), _points(y))[0, 0]
+
+
+def _edge_value(spec, a, b):
+    """The edge kernel between annotations ``a`` and ``b``."""
+    return spec.elementwise(np.array([a]), np.array([b]))[0]
 
 
 class TestScalarKernels:
+    """Frozen values of each base kernel, through the specs' bulk forms."""
+
     def test_dirac(self):
-        assert dirac(3, 3) == 1
-        assert dirac(3, 4) == 0
-        assert dirac((1.0, 2.0), (1.0, 2.0)) == 1
-        assert dirac((1.0, 2.0), (1.0, 2.5)) == 0
+        labels = VertexKernelSpec("dirac")
+        g, h = Graph(1, [], vertex_labels=[3]), Graph(2, [], vertex_labels=[3, 4])
+        assert labels.matrix(g, h).tolist() == [[1.0, 0.0]]
+        rows = VertexKernelSpec("dirac-attributes")
+        assert _vertex_value(rows, (1.0, 2.0), (1.0, 2.0)) == 1
+        assert _vertex_value(rows, (1.0, 2.0), (1.0, 2.5)) == 0
 
     def test_hat_frozen_values(self):
-        assert hat_kernel([0.0], [0.0], 1.0) == 1.0
-        assert hat_kernel([0.0], [0.5], 1.0) == 0.5
+        hat = VertexKernelSpec("hat", delta=1.0)
+        assert _vertex_value(hat, [0.0], [0.0]) == 1.0
+        assert _vertex_value(hat, [0.0], [0.5]) == 0.5
         # per-dimension terms multiply
-        assert hat_kernel([0.0, 0.0], [0.5, 0.25], 1.0) == 0.5 * 0.75
+        assert _vertex_value(hat, [0.0, 0.0], [0.5, 0.25]) == 0.5 * 0.75
         # support boundary is closed out: |x - y| == delta gives 0
-        assert hat_kernel([0.0], [1.0], 1.0) == 0.0
-        assert hat_kernel([0.0], [3.7], 1.0) == 0.0
+        assert _vertex_value(hat, [0.0], [1.0]) == 0.0
+        assert _vertex_value(hat, [0.0], [3.7]) == 0.0
         # one dead dimension kills the product
-        assert hat_kernel([0.0, 0.0], [0.1, 2.0], 1.0) == 0.0
+        assert _vertex_value(hat, [0.0, 0.0], [0.1, 2.0]) == 0.0
 
     def test_hat_scales_with_delta(self):
-        assert hat_kernel([0.0], [0.5], 2.0) == 0.75
-        assert math.isclose(hat_kernel([1.0], [1.3], 0.6), 0.5)
+        assert _vertex_value(VertexKernelSpec("hat", delta=2.0), [0.0], [0.5]) == 0.75
+        assert math.isclose(
+            _vertex_value(VertexKernelSpec("hat", delta=0.6), [1.0], [1.3]), 0.5
+        )
 
     def test_hat_rejects_bad_delta(self):
         with pytest.raises(ParameterError):
-            hat_kernel([0.0], [0.0], 0.0)
+            VertexKernelSpec("hat", delta=0.0)
         with pytest.raises(ParameterError):
-            hat_kernel([0.0], [0.0], -1.0)
+            VertexKernelSpec("hat", delta=-1.0)
 
     def test_rbf_frozen_values(self):
-        assert rbf_kernel([1.0, 2.0], [1.0, 2.0], 1.0) == 1.0
-        assert math.isclose(rbf_kernel([0.0], [1.0], 1.0), math.exp(-0.5))
-        assert math.isclose(rbf_kernel([0.0, 0.0], [3.0, 4.0], 5.0), math.exp(-0.5))
+        assert _vertex_value(VertexKernelSpec("rbf", sigma=1.0), [1.0, 2.0], [1.0, 2.0]) == 1.0
+        assert math.isclose(
+            _vertex_value(VertexKernelSpec("rbf", sigma=1.0), [0.0], [1.0]), math.exp(-0.5)
+        )
+        assert math.isclose(
+            _vertex_value(VertexKernelSpec("rbf", sigma=5.0), [0.0, 0.0], [3.0, 4.0]),
+            math.exp(-0.5),
+        )
 
     def test_rbf_symmetric_and_positive(self):
         rng = random.Random(5)
         for _ in range(50):
             x = [rng.uniform(-2, 2) for _ in range(3)]
             y = [rng.uniform(-2, 2) for _ in range(3)]
-            sigma = rng.uniform(0.3, 2.0)
-            v = rbf_kernel(x, y, sigma)
+            spec = VertexKernelSpec("rbf", sigma=rng.uniform(0.3, 2.0))
+            v = _vertex_value(spec, x, y)
             assert 0.0 < v <= 1.0
-            assert v == rbf_kernel(y, x, sigma)
+            assert v == _vertex_value(spec, y, x)
 
     def test_rbf_rejects_bad_sigma(self):
         with pytest.raises(ParameterError):
-            rbf_kernel([0.0], [0.0], 0.0)
+            VertexKernelSpec("rbf", sigma=0.0)
         with pytest.raises(ParameterError):
-            rbf_kernel([0.0], [0.0], -2.0)
+            VertexKernelSpec("rbf", sigma=-2.0)
 
     def test_brownian_bridge_values(self):
-        assert brownian_bridge(4, 4, 3.0) == 3.0
-        assert brownian_bridge(2, 4, 3.0) == 1.0
-        assert brownian_bridge(4, 2, 3.0) == 1.0
-        assert brownian_bridge(1, 5, 3.0) == 0.0
-        assert brownian_bridge(1, 4, 3.0) == 0.0
+        bridge = EdgeKernelSpec("brownian-bridge", c=3.0)
+        assert _edge_value(bridge, 4, 4) == 3.0
+        assert _edge_value(bridge, 2, 4) == 1.0
+        assert _edge_value(bridge, 4, 2) == 1.0
+        assert _edge_value(bridge, 1, 5) == 0.0
+        assert _edge_value(bridge, 1, 4) == 0.0
 
     def test_brownian_bridge_unreachable_sentinel(self):
-        assert brownian_bridge(INF_DISTANCE, 2, 3.0) == 0.0
-        assert brownian_bridge(2, INF_DISTANCE, 3.0) == 0.0
-        assert brownian_bridge(INF_DISTANCE, INF_DISTANCE, 3.0) == 0.0
+        bridge = EdgeKernelSpec("brownian-bridge", c=3.0)
+        assert _edge_value(bridge, INF_DISTANCE, 2) == 0.0
+        assert _edge_value(bridge, 2, INF_DISTANCE) == 0.0
+        assert _edge_value(bridge, INF_DISTANCE, INF_DISTANCE) == 0.0
 
     def test_brownian_bridge_rejects_bad_c(self):
         with pytest.raises(ParameterError):
-            brownian_bridge(1, 2, 0.0)
+            EdgeKernelSpec("brownian-bridge", c=0.0)
         with pytest.raises(ParameterError):
-            brownian_bridge(1, 2, -3.0)
+            EdgeKernelSpec("brownian-bridge", c=-3.0)
 
 
 class TestVertexKernelSpec:
@@ -123,14 +146,13 @@ class TestVertexKernelSpec:
         g = Graph(3, [(0, 1)])
         h = Graph(2, [])
         spec = VertexKernelSpec("dirac")
-        assert spec.value(g, 0, h, 1) == 1.0
         assert (spec.matrix(g, h) == 1.0).all()
 
     def test_attribute_kinds_require_attributes(self):
         g = Graph(2, [(0, 1)], vertex_labels=[0, 1])
         spec = VertexKernelSpec("hat", delta=1.0)
         with pytest.raises(ContractError):
-            spec.value(g, 0, g, 1)
+            spec.support(g, g)
         with pytest.raises(ContractError):
             spec.matrix(g, g)
 
@@ -152,9 +174,10 @@ class TestVertexKernelSpec:
             for spec in self._specs():
                 full = spec.matrix(g, h)
                 assert full.shape == (g.n, h.n)
+                value = vertex_kernel_fn(spec)
                 for u in range(g.n):
                     for v in range(h.n):
-                        single = spec.value(g, u, h, v)
+                        single = value(g, u, h, v)
                         assert full[u, v] == pytest.approx(single, rel=1e-12, abs=1e-15)
 
     def test_support_is_the_positive_part_of_matrix(self):
@@ -214,25 +237,25 @@ class TestEdgeKernelSpec:
         EdgeKernelSpec("table", table=((1, 2, 0.5), (2, 1, 0.5)))
 
     def test_scalar_values(self):
-        assert EdgeKernelSpec("dirac").value(3, 3) == 1
-        assert EdgeKernelSpec("dirac").value(3, 4) == 0
-        assert EdgeKernelSpec("uniform").value(3, 4) == 1
+        assert _edge_value(EdgeKernelSpec("dirac"), 3, 3) == 1
+        assert _edge_value(EdgeKernelSpec("dirac"), 3, 4) == 0
+        assert _edge_value(EdgeKernelSpec("uniform"), 3, 4) == 1
         bridge = EdgeKernelSpec("brownian-bridge", c=3.0)
-        assert bridge.value(2, 4) == 1.0
-        assert bridge.value(2, 2) == 3.0
+        assert _edge_value(bridge, 2, 4) == 1.0
+        assert _edge_value(bridge, 2, 2) == 3.0
 
     def test_table_is_dirac_plus_exceptions(self):
         half = EdgeKernelSpec("table", table=((1, 2, 0.5),))
-        assert half.value(1, 2) == 0.5
-        assert half.value(2, 1) == 0.5
-        assert half.value(1, 1) == 1
-        assert half.value(2, 2) == 1
-        assert half.value(1, 3) == 0
-        assert half.value(3, 3) == 1
+        assert _edge_value(half, 1, 2) == 0.5
+        assert _edge_value(half, 2, 1) == 0.5
+        assert _edge_value(half, 1, 1) == 1
+        assert _edge_value(half, 2, 2) == 1
+        assert _edge_value(half, 1, 3) == 0
+        assert _edge_value(half, 3, 3) == 1
         # an exception may also override the diagonal
         off = EdgeKernelSpec("table", table=((4, 4, 0.0),))
-        assert off.value(4, 4) == 0.0
-        assert off.value(5, 5) == 1
+        assert _edge_value(off, 4, 4) == 0.0
+        assert _edge_value(off, 5, 5) == 1
 
     def _specs(self):
         return [
@@ -250,9 +273,10 @@ class TestEdgeKernelSpec:
             for spec in self._specs():
                 full = spec.elementwise(np.array(lg)[:, None], np.array(lh)[None, :])
                 assert full.shape == (len(lg), len(lh))
+                value = edge_kernel_fn(spec)
                 for i, a in enumerate(lg):
                     for j, b in enumerate(lh):
-                        assert full[i, j] == spec.value(a, b)
+                        assert full[i, j] == value(a, b)
 
     def test_elementwise_agrees_with_value(self):
         rng = random.Random(19)
@@ -263,8 +287,9 @@ class TestEdgeKernelSpec:
             for spec in self._specs():
                 flat = spec.elementwise(np.array(lg), np.array(lh))
                 assert flat.shape == (n,)
+                value = edge_kernel_fn(spec)
                 for i in range(n):
-                    assert flat[i] == spec.value(lg[i], lh[i])
+                    assert flat[i] == value(lg[i], lh[i])
 
     def test_keys_bound_the_positive_part_of_matrix(self):
         # the product build joins edges on their keys and evaluates only
@@ -358,7 +383,7 @@ class TestBinning:
         # equals the hat kernel; average over many independent grids.
         x, y = [0.3, 1.1], [0.65, 0.9]
         delta = 1.0
-        expected = hat_kernel(x, y, delta)
+        expected = hat_fn(x, y, delta)
         trials, hits = 3000, 0
         pts = np.array([x, y])
         for seed in range(trials):
@@ -368,67 +393,3 @@ class TestBinning:
         rate = hits / trials
         sigma = math.sqrt(expected * (1 - expected) / trials)
         assert abs(rate - expected) < 5 * sigma
-
-
-class TestBinaryFeatureMap:
-    def test_dirac_classes_numbered_by_first_occurrence(self):
-        items = [5, 9, 5, 2, 9, 5]
-        vectors = binary_feature_map(items, dirac)
-        keys = [next(iter(v)) for v in vectors]
-        assert keys == [(TAG_CLASS, c) for c in [0, 1, 0, 2, 1, 0]]
-        assert all(v[k] == 1 for v, k in zip(vectors, keys))
-
-    def test_feature_map_reproduces_kernel(self):
-        rng = random.Random(13)
-        for trial in range(20):
-            items = [rng.randrange(5) for _ in range(rng.randint(1, 12))]
-            vectors = binary_feature_map(items, dirac)
-            assert all(type(v) is dict and 0 not in v.values() for v in vectors)
-            for i, x in enumerate(items):
-                for j, y in enumerate(items):
-                    assert dot(vectors[i], vectors[j]) == dirac(x, y)
-
-    def test_self_incompatible_items_get_zero_vector(self):
-        def positive_dirac(x, y):
-            return 1 if x == y and x > 0 else 0
-
-        vectors = binary_feature_map([1, 0, 1, -2], positive_dirac)
-        assert len(vectors[0]) == 1 and len(vectors[2]) == 1
-        assert vectors[1] == {} and vectors[3] == {}
-        assert dot(vectors[0], vectors[2]) == 1
-
-    def test_custom_tag_separates_feature_families(self):
-        a = binary_feature_map([1], dirac, tag=TAG_CLASS)[0]
-        b = binary_feature_map([1], dirac, tag=TAG_CLASS + 1)[0]
-        assert dot(a, b) == 0
-
-    def test_rejects_non_binary_values(self):
-        with pytest.raises(InvalidKernelError, match="not binary"):
-            binary_feature_map([1, 2], lambda x, y: 0.5)
-
-    def test_rejects_asymmetry(self):
-        def skewed(x, y):
-            if (x, y) == (2, 1):
-                return 1
-            return dirac(x, y) if (x, y) != (1, 2) else 0
-
-        with pytest.raises(InvalidKernelError, match="asymmetric"):
-            binary_feature_map([1, 2], skewed)
-
-    def test_rejects_non_transitive_relation(self):
-        def chain(x, y):
-            if x == y:
-                return 1
-            return 1 if {x, y} in ({1, 3}, {2, 3}) else 0
-
-        with pytest.raises(InvalidKernelError, match="transitive"):
-            binary_feature_map([1, 2, 3], chain)
-
-    def test_rejects_match_without_self_match(self):
-        def leaky(x, y):
-            if x == y:
-                return 0 if x == 3 else 1
-            return 1 if {x, y} == {1, 3} else 0
-
-        with pytest.raises(InvalidKernelError, match="partial equivalence"):
-            binary_feature_map([1, 3], leaky)

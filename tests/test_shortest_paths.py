@@ -9,15 +9,9 @@ from gkern import (
     EdgeKernelSpec,
     Graph,
     INF_DISTANCE,
-    ParameterError,
-    ResourceBudgetError,
     VertexKernelSpec,
     all_pairs_shortest_paths,
-    binned_attribute_features,
-    dirac_length_features,
     dot,
-    sample_binning_grid,
-    sp_features_approx,
     sp_features_explicit,
     sp_kernel_implicit,
     sp_transform,
@@ -147,50 +141,3 @@ class TestExplicitFeatures:
         g = Graph(2, [(0, 1)], vertex_attributes=[[0.5], [0.25]])
         with pytest.raises(ContractError, match="implicit"):
             sp_features_explicit(g)
-
-
-class TestApproxFeatures:
-    def test_label_one_hots_reproduce_explicit_map(self):
-        # assembling from one-hot label maps must agree with the direct
-        # count vector in every dot product
-        rng = random.Random(103)
-        for trial in range(10):
-            g = make_random_graph(rng, max_n=6, labels=2)
-            h = make_random_graph(rng, max_n=6, labels=2)
-            direct = dot(sp_features_explicit(g), sp_features_explicit(h))
-            assembled = dot(
-                sp_features_approx(g, _one_hot_label),
-                sp_features_approx(h, _one_hot_label),
-            )
-            assert assembled == direct
-
-    def test_maps_are_dicts_without_zero_weights(self):
-        rng = random.Random(107)
-        grid = sample_binning_grid(2, 1.0, 5, seed=2)
-        binned = binned_attribute_features(grid)
-        for trial in range(6):
-            g = make_random_graph(rng, max_n=6, labels=2, attribute_dim=2)
-            for vertex_map in (_one_hot_label, binned):
-                vec = sp_features_approx(g, vertex_map)
-                assert type(vec) is dict and 0 not in vec.values()
-
-    def test_dirac_length_features_are_one_hot(self):
-        a, b = dirac_length_features(3), dirac_length_features(4)
-        assert len(a) == 1 and dot(a, a) == 1 and dot(a, b) == 0
-
-    def test_budget_is_enforced(self):
-        g = Graph(6, [(i, i + 1) for i in range(5)], vertex_labels=list(range(6)))
-        with pytest.raises(ResourceBudgetError):
-            sp_features_approx(g, _one_hot_label, max_entries=3)
-
-    def test_rejects_non_positive_budget(self):
-        g = Graph(2, [(0, 1)])
-        with pytest.raises(ParameterError):
-            sp_features_approx(g, _one_hot_label, max_entries=0)
-
-
-def _one_hot_label(g: Graph, v: int):
-    from gkern.features import TAG_LABEL
-
-    label = int(g.vertex_labels[v]) if g.vertex_labels is not None else 0
-    return {(TAG_LABEL, label): 1}

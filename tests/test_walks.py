@@ -31,11 +31,13 @@ from gkern.features import TAG_WALK
 from conftest import graphs, make_random_graph
 from oracles import (
     dirac_fn,
+    edge_kernel_fn,
     oracle_product_graph,
     oracle_total_walks,
     oracle_walk_kernel,
     oracle_walk_label_counts,
     uniform_fn,
+    vertex_kernel_fn,
 )
 
 DIRAC = VertexKernelSpec("dirac")
@@ -169,7 +171,9 @@ class TestProductGraphOracle:
             h = partners[0] if len(partners) == 1 else walks._disjoint_union(partners)
             for vk in self.VERTEX_KERNELS:
                 for ek in self.EDGE_KERNELS:
-                    vertices, edges = oracle_product_graph(g, h, vk.value, ek.value)
+                    vertices, edges = oracle_product_graph(
+                        g, h, vertex_kernel_fn(vk), edge_kernel_fn(ek)
+                    )
                     pg = build_wdpg(g, h, vk, ek)
                     pairs = [tuple(p) for p in pg.pairs.tolist()]
                     assert pairs == sorted(vertices)

@@ -36,6 +36,7 @@ from oracles import (
     oracle_color_histogram_kernel,
     oracle_hopper_tables,
     oracle_vertex_weight,
+    vertex_kernel_fn,
 )
 
 DIRAC = VertexKernelSpec("dirac")
@@ -167,6 +168,7 @@ class TestWeightedKernels:
     def test_implicit_matches_naive_double_sum(self):
         rng = random.Random(151)
         ds = self._attributed_dataset(rng)
+        same_row = vertex_kernel_fn(DIRAC_ATTR)
         for wm in (
             graph_invariant_weight_maps(ds, 2),
             graphhopper_weight_maps(ds),
@@ -175,7 +177,7 @@ class TestWeightedKernels:
                 for h in ds.graphs:
                     naive = sum(
                         oracle_vertex_weight(wm, g, u, h, v)
-                        * DIRAC_ATTR.value(g, u, h, v)
+                        * same_row(g, u, h, v)
                         for u in range(g.n)
                         for v in range(h.n)
                     )
