@@ -23,9 +23,9 @@ them, since no map composes generically:
   :func:`gkern.bench.kernel_plan` merges the walk maps of lengths
   0..l, whose keys ``(TAG_WALK, l, ...)`` already carry the length;
 * product kernel, paired keys — :func:`gkern.weighted.wv_features_explicit`
-  keys a vertex's weight key ``kw`` and attribute key ``kv`` as
-  ``(TAG_PAIR, kw, kv)`` with weight ``ww * wv``, the map of
-  k_W(u, v) * k_V(u, v);
+  pairs each weight key of a vertex with each of its attribute keys as
+  ``(TAG_PAIR, weight key, attribute key)``, weighted by the product of
+  the two weights: the map of k_W(u, v) * k_V(u, v);
 * R-convolution, summed part maps — the same map adds up those
   w(v) x phi(v) over the vertices.
 

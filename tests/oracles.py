@@ -3,8 +3,8 @@
 Everything here is written straight from the definitions — explicit walk
 enumeration, Floyd–Warshall, quadruple loops, subset enumeration — with no
 shared code paths with the package (library graphs are used as read-only
-containers for n / edges / labels only).  Slow on purpose; meant for tiny
-graphs.
+containers for n / edges / labels / attributes only, and kernel specs for
+their parameters only).  Slow on purpose; meant for tiny graphs.
 """
 
 from __future__ import annotations

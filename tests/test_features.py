@@ -80,8 +80,8 @@ class TestFeatureVector:
     """Every map returns a plain dict of key -> non-zero weight."""
 
     def test_zero_entries_are_pruned(self):
-        # the zero cells of the weight rows leave no entry behind: each
-        # vertex adds one entry per non-zero weight and attribute key
+        # the zero cells of the weight rows leave no entry behind, and the
+        # rest carry all of the rows' weight
         rng = random.Random(19)
         graphs = [make_random_graph(rng, max_n=6, labels=2) for _ in range(4)]
         weight_map = graph_invariant_weight_maps(Dataset("t", graphs), 2)
