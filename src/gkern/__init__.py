@@ -1,11 +1,11 @@
 """Graph kernels computed two ways.
 
-Every kernel in this package can be evaluated *implicitly* — one pair of
-graphs at a time, by walking a weighted product structure — and, where a
-finite feature map exists, *explicitly* — by building one sparse count
-vector per graph and taking dot products.  Both schemes compute the same
-function; which one is faster depends on the data, and :mod:`gkern.bench`
-measures exactly where the crossover sits.
+Every kernel in this package can be evaluated *implicitly* — a Gram row
+at a time, over a product of one graph with the union of its partners —
+and, where a finite feature map exists, *explicitly* — by building one
+sparse count vector per graph and taking dot products.  Both schemes
+compute the same function; which one is faster depends on the data, and
+:mod:`gkern.bench` measures exactly where the crossover sits.
 
 Quick start::
 

@@ -1,8 +1,8 @@
 """Gram matrices over datasets: assembly, normalization, diagnostics, export.
 
 Two assembly routes mirror the two computation schemes.
-:func:`gram_implicit` calls a row kernel on the upper triangle, one row
-per call, and mirrors it; its cost is all in the kernel evaluations.
+:func:`gram_implicit` calls a row kernel on slices of one union of the
+graphs, a row of the upper triangle per call; its cost is all in those calls.
 :func:`gram_explicit` first materializes one sparse feature vector per
 graph, interning its keys into dataset-wide columns, then computes the
 whole matrix as one product X·Xᵀ of the graphs-by-features matrix, in
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ContractError, GKError, GramError, ParameterError
 from .errors import MultiplicityOverflowError
-from .graphs import Dataset, Graph
+from .graphs import Dataset, DisjointUnion, Graph
 
 #: float64 holds every integer below this bound exactly.
 EXACT_LIMIT = 2**53
@@ -75,23 +75,23 @@ def gram_implicit(
     """Fill the Gram matrix row by row of its upper triangle.
 
     ``kernel(g, hs)`` is a row kernel, called once per graph ``i`` with
-    ``hs = ds[i:]``; it returns one value per partner (as
+    ``hs = union[i:]``, ``union`` the :class:`~gkern.graphs.DisjointUnion`
+    of ``ds`` built once per call.  It returns one value per partner (as
     :func:`gkern.walks.walk_kernel_row`,
     :func:`gkern.subgraphs.subgraph_matching_row` and
-    :func:`gkern.weighted.wv_kernel_row` do), and a row of any other shape
-    fails with :class:`ContractError`.  An exception during an evaluation
-    aborts the computation with the failing pair's indices attached; a
-    failed row is re-evaluated pair by pair to find that pair.
+    :func:`gkern.weighted.wv_kernel_row` do); a row of any other shape
+    fails with :class:`ContractError`.  A row whose evaluation raises is
+    re-evaluated pair by pair, and the error names its failing pair.
     """
     n = len(ds)
-    graphs = ds.graphs
     values = np.zeros((n, n), dtype=np.float64)
     start = time.perf_counter()
+    union = DisjointUnion(ds.graphs)
     for i in range(n):
         try:
-            row = np.asarray(kernel(graphs[i], graphs[i:]), dtype=np.float64)
+            row = np.asarray(kernel(union[i], union[i:]), dtype=np.float64)
         except GKError as exc:
-            j, cause = _failing_pair(kernel, graphs, i, exc)
+            j, cause = _failing_pair(kernel, union, i, exc)
             raise GramError(
                 f"{kernel_name}: pair ({i}, {j}) failed: {cause}"
             ) from cause
@@ -110,11 +110,11 @@ def gram_implicit(
     )
 
 
-def _failing_pair(kernel, graphs, i, exc):
+def _failing_pair(kernel, union, i, exc):
     """The first partner ``j >= i`` whose pair with ``i`` fails alone."""
-    for j in range(i, len(graphs)):
+    for j in range(i, len(union)):
         try:
-            kernel(graphs[i], graphs[j : j + 1])
+            kernel(union[i], union[j : j + 1])
         except GKError as single:
             return j, single
     return i, exc

@@ -6,6 +6,10 @@ annotations are integer vertex labels, integer labels on undirected edges,
 and real-valued vertex attribute rows.  Instances are treated as immutable
 after construction; transformations return new objects.
 
+:class:`DisjointUnion` lays graphs side by side as one, the layout every
+implicit row kernel reads: a Gram builds one and slices it per row, and
+:func:`partner_runs` cuts a row into blocks.
+
 Datasets bundle graphs with integer class labels and lend themselves to the
 benchmark collection layout used by the TU graph-learning archives
 (``<name>_A.txt`` plus indicator/label/attribute side files), which
@@ -28,7 +32,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from .errors import (
     MultiplicityOverflowError,
     ParameterError,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, poisson_limit
 
 #: Sentinel for "no path" in distance matrices.
 INF_DISTANCE = np.iinfo(np.int64).max
@@ -195,6 +199,94 @@ class Graph:
         if self.vertex_attributes is not None:
             parts.append(f"attributes[{self.vertex_attributes.shape[1]}]")
         return f"Graph({', '.join(parts)})"
+
+
+class DisjointUnion(Sequence[Graph]):
+    """Partner graphs side by side as one graph: a Gram row's layout.
+
+    As a sequence it holds the original graphs; as a graph, what product
+    builds and vertex kernels read, partner ``j`` holding the vertices and
+    edges from ``vertex_offsets[j]`` and ``edge_offsets[j]`` on, and
+    ``owner[v]`` the partner of vertex ``v``.  A slice ``u[a:b]``, the
+    union of partners ``a..b-1``, is views of ``u``'s arrays with ids and
+    offsets rebased.  Vertex attributes are there when there are partners
+    and each has them; a kernel needing them fails on a union without, and
+    a Gram finds the failing pair by evaluating it alone.
+    """
+
+    #: a product join a row kernel attaches to a slice (see gkern.walks)
+    join = None
+
+    def __init__(self, graphs: Sequence[Graph]):
+        self.graphs = tuple(graphs)
+        sizes = np.array([h.n for h in self.graphs], dtype=np.int64)
+        counts = np.array([h.m for h in self.graphs], dtype=np.int64)
+        self.vertex_offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.edge_offsets = np.concatenate(([0], np.cumsum(counts)))
+        self.n = int(self.vertex_offsets[-1])
+        stack = lambda parts, empty: np.concatenate([empty, *parts])
+        none = np.zeros((0, 2), dtype=np.int64)
+        self.edges = stack((h.edges for h in self.graphs), none)
+        self.edges += np.repeat(self.vertex_offsets[:-1], counts)[:, None]
+        self.vertex_labels = stack((h.vertex_label_array() for h in self.graphs), none[:, 0])
+        self.edge_labels = stack((h.edge_label_array() for h in self.graphs), none[:, 0])
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)
+        rows = [h.vertex_attributes for h in self.graphs]
+        self._missing = np.cumsum([0] + [a is None for a in rows])
+        widths = {a.shape[1] for a in rows if a is not None}
+        # zero rows stand in for a partner without attributes; no slice shows them
+        rows = (np.zeros((h.n, *widths)) if a is None else a for h, a in zip(self.graphs, rows))
+        self._rows = np.concatenate([*rows]) if len(widths) == 1 else None
+
+    @classmethod
+    def of(cls, hs: Sequence[Graph]) -> "DisjointUnion":
+        """``hs`` itself if it is a union, else the union of its graphs."""
+        return hs if isinstance(hs, cls) else cls(hs)
+
+    def __len__(self) -> int:
+        return len(self.graphs)
+
+    def __getitem__(self, index):
+        if not isinstance(index, slice):
+            return self.graphs[index]
+        a, b, step = index.indices(len(self))
+        if step != 1:
+            raise ContractError(f"a union slices in steps of 1, got {step}")
+        b = max(a, b)
+        (v0, v1), (e0, e1) = self.vertex_offsets[[a, b]], self.edge_offsets[[a, b]]
+        union = DisjointUnion.__new__(DisjointUnion)
+        union.graphs, union.n = self.graphs[a:b], int(v1 - v0)
+        union.vertex_offsets = self.vertex_offsets[a : b + 1] - v0
+        union.edge_offsets = self.edge_offsets[a : b + 1] - e0
+        union.edges, union.edge_labels = self.edges[e0:e1] - v0, self.edge_labels[e0:e1]
+        union.owner, union.vertex_labels = self.owner[v0:v1] - a, self.vertex_labels[v0:v1]
+        union._rows = None if self._rows is None else self._rows[v0:v1]
+        union._missing = self._missing[a : b + 1]
+        return union
+
+    # read as a graph reads its own
+    m, vertex_label_array = Graph.m, Graph.vertex_label_array
+    edge_label_array = Graph.edge_label_array
+
+    @property
+    def vertex_attributes(self) -> Optional[np.ndarray]:
+        whole = len(self) and self._rows is not None and self._missing[0] == self._missing[-1]
+        return self._rows if whole else None
+
+
+def partner_runs(
+    count: int, cells: Callable[[int, int], int], budget: int
+) -> Iterator[Tuple[int, int]]:
+    """Consecutive ``(start, stop)`` ranges of ``count`` partners whose
+    ``cells(start, stop)`` stay within ``budget``; a partner that alone
+    exceeds it forms a range of its own."""
+    start = 0
+    for j in range(1, count):
+        if cells(start, j + 1) > budget:
+            yield start, j
+            start = j
+    if count:
+        yield start, count
 
 
 @dataclass
@@ -589,20 +681,16 @@ def write_tu_dataset(ds: Dataset, path: str) -> str:
     base = os.path.join(path, ds.name)
     os.makedirs(base, exist_ok=True)
     graphs = ds.graphs
-    sizes = [g.n for g in graphs]
-    first = np.cumsum([1] + sizes)  # 1-based id of each graph's first vertex
-    edges = np.vstack(
-        [np.zeros((0, 2), dtype=np.int64)] + [g.edges + f for g, f in zip(graphs, first)]
-    )
+    union = DisjointUnion(graphs)  # file ids are its vertex ids + 1
     rows = {
-        "A": [line for u, v in edges.tolist() for line in (f"{u}, {v}", f"{v}, {u}")],
-        "graph_indicator": np.repeat(np.arange(1, len(graphs) + 1), sizes),
+        "A": [line for u, v in (union.edges + 1).tolist() for line in (f"{u}, {v}", f"{v}, {u}")],
+        "graph_indicator": union.owner + 1,
         "graph_labels": ds.class_labels,
     }
     if ds.has_vertex_labels:
-        rows["node_labels"] = np.concatenate([g.vertex_label_array() for g in graphs])
+        rows["node_labels"] = union.vertex_labels
     if ds.has_edge_labels:
-        rows["edge_labels"] = np.repeat(np.concatenate([g.edge_label_array() for g in graphs]), 2)
+        rows["edge_labels"] = np.repeat(union.edge_labels, 2)
     if graphs and all(g.vertex_attributes is not None for g in graphs):
         rows["node_attributes"] = [
             ",".join(f"{x:.17g}" for x in row)
@@ -651,6 +739,7 @@ def generate_synthetic_labeled(
         raise ParameterError(f"edge_prob must be in [0, 1], got {edge_prob}")
     if count < 0:
         raise ParameterError(f"count must be non-negative, got {count}")
+    poisson_limit(mean_vertices)  # a bad mean fails before any draw
     stream = SplitMix64(seed)
     graphs = []
     for _ in range(count):
@@ -693,6 +782,7 @@ def generate_synthetic_alphabet(
         raise ParameterError(f"edge_prob must be in [0, 1], got {edge_prob}")
     if count < 0:
         raise ParameterError(f"count must be non-negative, got {count}")
+    poisson_limit(mean_vertices)  # a bad mean fails before any draw
     stream = SplitMix64(seed)
     graphs = []
     for _ in range(count):

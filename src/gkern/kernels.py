@@ -15,6 +15,7 @@ attribute vectors, or path lengths.  This module provides
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -64,14 +65,19 @@ class BinningGrid:
         ).astype(np.int64)
 
 
+def _finite_positive(value: float) -> bool:
+    """Whether a kernel parameter is finite and positive (a NaN is not)."""
+    return 0 < value < math.inf
+
+
 def sample_binning_grid(
     dim: int, delta: float, num_grids: int, seed: int
 ) -> BinningGrid:
     """Draw grid shifts uniformly from [0, delta), row-major in (grid, dim)."""
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
-    if delta <= 0:
-        raise ParameterError(f"delta must be > 0, got {delta}")
+    if not _finite_positive(delta):
+        raise ParameterError(f"delta must be finite and > 0, got {delta}")
     if num_grids < 1:
         raise ParameterError(f"num_grids must be >= 1, got {num_grids}")
     stream = SplitMix64(seed)
@@ -123,9 +129,12 @@ class VertexKernelSpec:
     def __post_init__(self):
         if self.kind not in ("dirac", "dirac-attributes", "hat", "rbf", "binned"):
             raise ParameterError(f"unknown vertex kernel kind {self.kind!r}")
-        if self.kind == "hat" and (self.delta is None or self.delta <= 0):
+        for name, value in (("delta", self.delta), ("sigma", self.sigma)):
+            if value is not None and not _finite_positive(value):
+                raise ParameterError(f"vertex kernel {name} must be finite and > 0, got {value}")
+        if self.kind == "hat" and self.delta is None:
             raise ParameterError("hat vertex kernel needs delta > 0")
-        if self.kind == "rbf" and (self.sigma is None or self.sigma <= 0):
+        if self.kind == "rbf" and self.sigma is None:
             raise ParameterError("rbf vertex kernel needs sigma > 0")
         if self.kind == "binned" and self.grid is None:
             raise ParameterError("binned vertex kernel needs a BinningGrid")
@@ -211,8 +220,8 @@ class EdgeKernelSpec:
     def __post_init__(self):
         if self.kind not in ("dirac", "uniform", "brownian-bridge", "table"):
             raise ParameterError(f"unknown edge kernel kind {self.kind!r}")
-        if self.kind == "brownian-bridge" and self.c <= 0:
-            raise ParameterError("brownian-bridge edge kernel needs c > 0")
+        if not _finite_positive(self.c):
+            raise ParameterError(f"edge kernel c must be finite and > 0, got {self.c}")
         if self.kind == "table":
             if not self.table:
                 raise ParameterError("table edge kernel needs (a, b, weight) entries")

@@ -13,7 +13,8 @@ the few samplers we need on top of it:
 * ``uniform()``: the top 53 bits of the next word, scaled by 2**-53;
   ``uniforms(count)`` draws the next ``count`` of them as one array.
 * ``poisson(mean)``: Knuth's inversion by sequential search (multiply
-  uniforms until the product drops below exp(-mean)).
+  uniforms until the product drops below exp(-mean)), for a mean whose
+  exp(-mean) is a normal float (:func:`poisson_limit`).
 * ``randint(n)``: ``floor(uniform() * n)``.  The rounding bias is below
   2**-40 for every ``n`` used here and the rule is trivial to port.
 
@@ -24,6 +25,7 @@ implementation of SplitMix64 reproduces the data exactly.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -78,12 +80,28 @@ class SplitMix64:
 
     def poisson(self, mean: float) -> int:
         """Poisson sample via inversion by sequential search."""
-        if mean <= 0:
-            raise ParameterError(f"poisson mean must be positive, got {mean}")
-        limit = math.exp(-mean)
+        limit = poisson_limit(mean)
         k = 0
         prod = self.uniform()
         while prod > limit:
             k += 1
             prod *= self.uniform()
         return k
+
+
+def poisson_limit(mean: float) -> float:
+    """``exp(-mean)``, where :meth:`SplitMix64.poisson` stops multiplying.
+
+    The search needs a positive mean whose ``exp(-mean)`` is a normal
+    float (a mean up to about 708): past that it underflows and the
+    sample stops early, and a NaN mean never stops a resampling loop.
+    Any other mean raises :class:`ParameterError`.
+    """
+    if not 0 < mean < math.inf:
+        raise ParameterError(f"poisson mean must be positive and finite, got {mean}")
+    limit = math.exp(-mean)
+    if limit < sys.float_info.min:
+        raise ParameterError(
+            f"poisson mean {mean} is too large: exp(-mean) = {limit:.3g} is not a normal float"
+        )
+    return limit

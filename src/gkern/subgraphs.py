@@ -58,9 +58,8 @@ import numpy as np
 from .errors import ContractError, MultiplicityOverflowError, ParameterError
 from .features import TAG_GRAPHLET
 from .gram import EXACT_LIMIT
-from .graphs import Graph
+from .graphs import DisjointUnion, Graph, partner_runs
 from .kernels import EdgeKernelSpec, VertexKernelSpec
-from .walks import _disjoint_union, _partner_runs
 
 
 #: Budget on the cells one step of this module holds.  The counter: the
@@ -562,24 +561,23 @@ def _association(
 
 def _level_sums(
     g: Graph,
-    hs: Sequence[Graph],
+    union: DisjointUnion,
     vertex_kernel: VertexKernelSpec,
     edge_kernel: EdgeKernelSpec,
     factors: List[float],
     connected_only: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(sums, unit)``: the ``(len(factors), len(hs))`` clique sums of
+    """``(sums, unit)``: the ``(len(factors), len(union))`` clique sums of
     ``g`` against each partner by size, and which partners have only
     weight-1 vertices and allowed connections (see
     :func:`subgraph_matching_row`)."""
-    union = _disjoint_union(hs)
     keep, values = vertex_kernel.support(g, union)
     us, vs = np.nonzero(keep)
     by_partner = np.argsort(union.owner[vs], kind="stable")
     us, vs = us[by_partner], vs[by_partner]
     vertex_weights = np.ones(us.size) if values is None else values[us, vs]
     owner = union.owner[vs]
-    orders = np.bincount(owner, minlength=len(hs))
+    orders = np.bincount(owner, minlength=len(union))
     pair_ends = list(accumulate(orders.tolist(), initial=0))
     # a block stores only its partners' squares
     squares = list(accumulate((orders * orders).tolist(), initial=0))
@@ -587,10 +585,10 @@ def _level_sums(
         _squares(g.n, g.edges, g.edge_label_array(), us, np.zeros(g.n, dtype=np.int64)),
         _squares(union.n, union.edges, union.edge_label_array(), vs, union.owner),
     )
-    sums = np.zeros((len(factors), len(hs)), dtype=np.float64)
-    unit = np.ones(len(hs), dtype=bool)
+    sums = np.zeros((len(factors), len(union)), dtype=np.float64)
+    unit = np.ones(len(union), dtype=bool)
     cells = lambda a, b: squares[b] - squares[a]
-    for start, stop in _partner_runs(len(hs), cells, ASSOCIATION_CELLS):
+    for start, stop in partner_runs(len(union), cells, ASSOCIATION_CELLS):
         lo, hi = pair_ends[start], pair_ends[stop]
         if lo == hi:
             continue
@@ -637,7 +635,8 @@ def subgraph_matching_row(
 ) -> np.ndarray:
     """Subgraph matching kernels of ``g`` against every partner in ``hs``.
 
-    One association graph per block of partners: its vertices are the
+    One association graph per block of partners, a slice of ``hs`` as a
+    :class:`~gkern.graphs.DisjointUnion`: its vertices are the
     pairs (u in g, v in a partner) with positive vertex kernel, partner
     by partner and in (u, v) order within each, so a partner's pairs keep
     their one-partner order.  Two pairs of one partner are "allowed" in
@@ -664,12 +663,13 @@ def subgraph_matching_row(
     weight_of = size_weights if size_weights is not None else (lambda k: 1.0)
     factors = [weight_of(k) for k in range(1, max_size + 1)]
     integral_factors = all(float(f).is_integer() for f in factors)
+    hs = DisjointUnion.of(hs)
     out = np.zeros(len(hs), dtype=np.float64)
     # the vertex-kernel grid of g against a group of partners stays within
     # the budget too; association blocks subdivide each group
-    vertices = list(accumulate((h.n for h in hs), initial=0))
+    vertices = hs.vertex_offsets.tolist()
     grid = lambda a, b: g.n * (vertices[b] - vertices[a])
-    for first, last in _partner_runs(len(hs), grid, ASSOCIATION_CELLS):
+    for first, last in partner_runs(len(hs), grid, ASSOCIATION_CELLS):
         sums, unit = _level_sums(
             g, hs[first:last], vertex_kernel, edge_kernel, factors, connected_only
         )

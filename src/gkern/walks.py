@@ -37,11 +37,12 @@ neighbours and its edges in their one-partner order, so the per-vertex
 sums add the same terms in the same relative order as a one-partner
 call, and each partner's total sums the same vertices in the same order.
 This removes the fixed per-pair cost (a build and a recursion setup per
-pair), which dominates on small product graphs.  The row's union and its
-join keys are made once; :data:`BLOCK_CELLS` then bounds each block's
-vertex index and its matched edge pairs, counted from the keys before
-anything is gathered, so memory stays flat however long the row is, and
-sparse matches (many labels) let a whole row share a few builds.
+pair), which dominates on small product graphs.  A row's partners form a
+:class:`~gkern.graphs.DisjointUnion`, keyed once; a block is a slice with
+its share of the keys, and :data:`BLOCK_CELLS` bounds its vertex index
+and matched edge pairs (counted from the keys before anything is
+gathered), so memory stays flat however long the row is, and sparse
+matches (many labels) let a whole row share a few builds.
 
 *Explicit scheme* — :func:`walk_features_explicit`: for Dirac base kernels
 on discrete annotations, a walk contributes through its label sequence
@@ -65,7 +66,7 @@ total at the longest length it feeds: checking each final total against
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,7 +78,7 @@ from .errors import (
 )
 from .features import TAG_WALK
 from .gram import EXACT_LIMIT
-from .graphs import Graph
+from .graphs import DisjointUnion, Graph, partner_runs
 from .kernels import EdgeKernelSpec, VertexKernelSpec
 
 
@@ -258,108 +259,15 @@ def _join(
 BLOCK_CELLS = 8192
 
 
-@dataclass
-class _DisjointUnion:
-    """Partner graphs side by side, vertex ids offset in partner order.
-
-    Carries what :func:`build_wdpg` and the vertex kernels read from a
-    graph, so a block's product is built by the same code as a single
-    pair's.  ``owner[v]`` is the index of the partner that union vertex
-    ``v`` came from; partner ``j`` holds the vertices and edges from
-    ``vertex_offsets[j]`` and ``edge_offsets[j]`` up to the next offsets.
-    ``join``, when set, is :func:`_join` of a row's ``g`` against these
-    partners, made once for the whole row and restricted per block.
-    """
-
-    n: int
-    edges: np.ndarray
-    vertex_labels: np.ndarray
-    edge_labels: np.ndarray
-    vertex_attributes: Optional[np.ndarray]
-    owner: np.ndarray
-    vertex_offsets: np.ndarray
-    edge_offsets: np.ndarray
-    join: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-
-    @property
-    def m(self) -> int:
-        return int(self.edges.shape[0])
-
-    def vertex_label_array(self) -> np.ndarray:
-        return self.vertex_labels
-
-    def edge_label_array(self) -> np.ndarray:
-        return self.edge_labels
-
-    def partners(self, start: int, stop: int) -> "_DisjointUnion":
-        """The union of partners ``start..stop-1``, with their share of
-        this union's join."""
-        v0, v1 = self.vertex_offsets[start], self.vertex_offsets[stop]
-        e0, e1 = self.edge_offsets[start], self.edge_offsets[stop]
-        attributes = self.vertex_attributes
-        queries, keys, order = self.join
-        inside = (order >= e0) & (order < e1)
-        return _DisjointUnion(
-            int(v1 - v0),
-            self.edges[e0:e1] - v0,
-            self.vertex_labels[v0:v1],
-            self.edge_labels[e0:e1],
-            None if attributes is None else attributes[v0:v1],
-            self.owner[v0:v1] - start,
-            self.vertex_offsets[start : stop + 1] - v0,
-            self.edge_offsets[start : stop + 1] - e0,
-            (queries, keys[inside], order[inside] - e0),
-        )
-
-
-def _disjoint_union(hs: Sequence[Graph]) -> _DisjointUnion:
-    sizes = np.array([h.n for h in hs], dtype=np.int64)
-    edge_counts = np.array([h.m for h in hs], dtype=np.int64)
-    vertex_offsets = np.concatenate(([0], np.cumsum(sizes)))
-    edge_offsets = np.concatenate(([0], np.cumsum(edge_counts)))
-    edges = np.concatenate([h.edges for h in hs]) + np.repeat(
-        vertex_offsets[:-1], edge_counts
-    )[:, None]
-    attributes = [h.vertex_attributes for h in hs]
-    # without every partner's attributes, a kernel that needs them fails on
-    # the union, and the Gram finds the failing pair by evaluating it alone
-    attributes = None if any(a is None for a in attributes) else np.concatenate(attributes)
-    return _DisjointUnion(
-        int(sizes.sum()),
-        edges,
-        np.concatenate([h.vertex_label_array() for h in hs]),
-        np.concatenate([h.edge_label_array() for h in hs]),
-        attributes,
-        np.repeat(np.arange(len(hs), dtype=np.int64), sizes),
-        vertex_offsets,
-        edge_offsets,
-    )
-
-
-def _partner_runs(
-    count: int, cells: Callable[[int, int], int], budget: int
-) -> Iterator[Tuple[int, int]]:
-    """Consecutive ``(start, stop)`` ranges of ``count`` partners whose
-    ``cells(start, stop)`` stay within ``budget``; a partner that alone
-    exceeds it forms a range of its own."""
-    start = 0
-    for j in range(1, count):
-        if cells(start, j + 1) > budget:
-            yield start, j
-            start = j
-    if count:
-        yield start, count
-
-
-def _matched_pairs(union: _DisjointUnion) -> np.ndarray:
+def _matched_pairs(union: DisjointUnion, join: tuple) -> np.ndarray:
     """Matched (g-edge, union-edge) pairs per orientation, ``(2, k + 1)``
-    prefix sums over the union's ``k`` partners, from its join.
+    prefix sums over the union's ``k`` partners, from their ``join``.
 
     Counted before anything is gathered: each union edge matches as many
     g-edges as share its key.  With unit kernels every matched pair is a
     product edge, so the two totals sum to the product's edge count.
     """
-    queries, keys, order = union.join
+    queries, keys, order = join
     matched = np.zeros((2, union.m + 1), dtype=np.int64)
     for query, prefix in zip(queries, matched):
         # +1 over each g-edge's range of sorted union edges
@@ -370,19 +278,23 @@ def _matched_pairs(union: _DisjointUnion) -> np.ndarray:
     return matched[:, union.edge_offsets]
 
 
-def _blocks(g: Graph, union: _DisjointUnion) -> Iterator[Tuple[int, int]]:
-    """Consecutive ``(start, stop)`` partner ranges within :data:`BLOCK_CELLS`."""
+def _blocks(
+    g: Graph, union: DisjointUnion, join: tuple
+) -> Iterator[Tuple[int, int, DisjointUnion]]:
+    """Consecutive partner ranges ``(start, stop)`` within :data:`BLOCK_CELLS`,
+    each with its slice of ``union`` keyed by its share of ``join``, which
+    :func:`build_wdpg` reads instead of joining anew."""
+    queries, keys, order = join
     vertices = union.vertex_offsets.tolist()
-    forwards, backwards = _matched_pairs(union).tolist()
-    return _partner_runs(
-        len(vertices) - 1,
-        lambda a, b: max(
-            g.n * (vertices[b] - vertices[a]),
-            forwards[b] - forwards[a],
-            backwards[b] - backwards[a],
-        ),
-        BLOCK_CELLS,
-    )
+    forwards, backwards = _matched_pairs(union, join).tolist()
+    cells = lambda a, b: max(g.n * (vertices[b] - vertices[a]), forwards[b] - forwards[a],
+                             backwards[b] - backwards[a])
+    for start, stop in partner_runs(len(union), cells, BLOCK_CELLS):
+        e0, e1 = union.edge_offsets[start], union.edge_offsets[stop]
+        inside = (order >= e0) & (order < e1)
+        block = union[start:stop]
+        block.join = (queries, keys[inside], order[inside] - e0)
+        yield start, stop, block
 
 
 def _walk_totals(
@@ -432,8 +344,9 @@ def walk_kernel_row(
 
     Returns one value per partner, or with ``all_rounds`` one row of the
     per-length values ``0..length`` per partner (the terms of the max-walk
-    kernel).  Partners are grouped into blocks within :data:`BLOCK_CELLS`;
-    each block costs one product build and one recursion.
+    kernel).  Partners are grouped into blocks, slices of ``hs`` as a
+    :class:`~gkern.graphs.DisjointUnion`, within :data:`BLOCK_CELLS`; each
+    block costs one product build and one recursion.
 
     With weight-1 kernels the values are walk counts.  Should a partner's
     total (summed over the returned lengths) reach 2**53, float64 would no
@@ -442,13 +355,11 @@ def walk_kernel_row(
     """
     if length < 0:
         raise ParameterError(f"walk length must be >= 0, got {length}")
+    hs = DisjointUnion.of(hs)
     out = np.empty((len(hs), length + 1 if all_rounds else 1), dtype=np.float64)
     if not len(hs):
         return out if all_rounds else out[:, 0]
-    union = _disjoint_union(hs)
-    union.join = _join(g, union, vertex_kernel, edge_kernel)
-    for start, stop in _blocks(g, union):
-        block = union.partners(start, stop)
+    for start, stop, block in _blocks(g, hs, _join(g, hs, vertex_kernel, edge_kernel)):
         pg = build_wdpg(g, block, vertex_kernel, edge_kernel)
         totals, counting = _walk_totals(
             pg, block.owner[pg.pairs[:, 1]], stop - start, length, all_rounds

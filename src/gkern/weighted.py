@@ -37,7 +37,8 @@ from . import walks
 from .errors import ContractError, MultiplicityOverflowError
 from .features import TAG_GH, TAG_LABEL, TAG_PAIR, TAG_WL
 from .gram import EXACT_LIMIT
-from .graphs import INF_DISTANCE, Dataset, DistanceMatrix, Graph, all_pairs_shortest_paths
+from .graphs import INF_DISTANCE, Dataset, DisjointUnion, DistanceMatrix, Graph
+from .graphs import all_pairs_shortest_paths, partner_runs
 from .kernels import BinningGrid, VertexKernelSpec, binning_features
 from .wl import wl_refine_dataset
 
@@ -169,33 +170,33 @@ def wv_kernel_row(
 ) -> np.ndarray:
     """Weighted vertex kernels of ``g`` against each partner in ``hs``.
 
-    Partners go in blocks whose ``g.n * H.n`` vertex pairs stay within
-    :data:`gkern.walks.BLOCK_CELLS`.  A block stacks its partners' W on
-    ``g``'s columns (columns ``g`` lacks add nothing); one weight product
-    times one vertex-kernel matrix against the block's disjoint union,
-    summed per partner, gives its values.  With a Dirac vertex kernel the
-    totals are exact integers below 2**53, and a partner whose total
-    reaches 2**53 raises :class:`MultiplicityOverflowError` naming it.
+    Partners go in blocks, slices of ``hs`` as a :class:`DisjointUnion`
+    whose ``g.n * H.n`` vertex pairs stay within :data:`walks.BLOCK_CELLS`.
+    A block stacks its partners' W on ``g``'s columns (columns ``g`` lacks
+    add nothing); one weight product times one vertex-kernel matrix
+    against the block, summed per partner, gives its values.  With a Dirac
+    vertex kernel the totals are exact integers below 2**53, and a partner
+    whose total reaches 2**53 is named by a :class:`MultiplicityOverflowError`.
     """
+    hs = DisjointUnion.of(hs)
     out = np.zeros(len(hs), dtype=np.float64)
     counting = vertex_kernel.kind in ("dirac", "dirac-attributes")
     columns_g, wg = weight_map.matrix(g)
     padded = np.append(columns_g, -1)  # searchsorted past the end: no column
-    offsets = np.cumsum([0] + [h.n for h in hs])
-    cells = lambda a, b: g.n * int(offsets[b] - offsets[a])
-    for start, stop in walks._partner_runs(len(hs), cells, walks.BLOCK_CELLS):
-        rows = offsets[start : stop + 1] - offsets[start]
-        wh = np.zeros((rows[-1], len(columns_g)), dtype=np.int64)
-        for h, row in zip(hs[start:stop], rows.tolist()):
+    vertices = hs.vertex_offsets.tolist()
+    cells = lambda a, b: g.n * (vertices[b] - vertices[a])
+    for start, stop in partner_runs(len(hs), cells, walks.BLOCK_CELLS):
+        block = hs[start:stop]
+        wh = np.zeros((block.n, len(columns_g)), dtype=np.int64)
+        for h, row in zip(block, block.vertex_offsets.tolist()):
             columns_h, w = weight_map.matrix(h)
             at = np.searchsorted(columns_g, columns_h)
             shared = padded[at] == columns_h
             wh[row : row + h.n, at[shared]] = w[:, shared]
-        union = walks._disjoint_union(hs[start:stop])
         # einsum keeps these small products off BLAS's threads (as gram does)
         weights = np.einsum("ik,jk->ij", wg, wh, dtype=np.float64)
-        per_vertex = (weights * vertex_kernel.matrix(g, union)).sum(axis=0)
-        totals = np.bincount(union.owner, weights=per_vertex, minlength=stop - start)
+        per_vertex = (weights * vertex_kernel.matrix(g, block)).sum(axis=0)
+        totals = np.bincount(block.owner, weights=per_vertex, minlength=stop - start)
         worst = int(np.argmax(totals))
         if counting and totals[worst] >= EXACT_LIMIT:
             raise MultiplicityOverflowError(

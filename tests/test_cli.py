@@ -207,6 +207,13 @@ class TestStats:
         assert "edge labels +" in line
         assert "attributes -" in line
 
+    @pytest.mark.parametrize("spec", ["count=0,mean=nan", "count=1,mean=1e4"])
+    def test_a_mean_poisson_cannot_sample_is_a_usage_error(self, spec, capsys):
+        # with one graph to draw, a NaN mean made the generator resample forever
+        code = main(["stats", "--data", f"labeled:{spec}"])
+        assert code == 2
+        assert "poisson mean" in capsys.readouterr().err
+
     def test_missing_dataset_is_a_data_error(self, capsys):
         code = main(["stats", "--data", "tu:/nonexistent/dir:NOPE"])
         assert code == 3

@@ -18,6 +18,7 @@ from gkern import (
     VertexKernelSpec,
     dot,
     export_gram,
+    generate_synthetic_alphabet,
     gram_explicit,
     gram_implicit,
     load_gram_csv,
@@ -27,8 +28,9 @@ from gkern import (
     walk_kernel_implicit,
     walk_kernel_row,
 )
-from gkern import bench, gram as gram_module, walks
+from gkern import bench, gram as gram_module, subgraphs, walks
 from gkern.features import TAG_LABEL
+from gkern.graphs import DisjointUnion
 from conftest import graphs, make_random_graph
 
 DIRAC = VertexKernelSpec("dirac")
@@ -99,9 +101,9 @@ class TestAssembly:
             for _ in range(16)
         ]
         ds = Dataset("big", graphs)
-        union = walks._disjoint_union(graphs)
-        union.join = walks._join(graphs[0], union, DIRAC, DIRAC_EDGE)
-        assert len(list(walks._blocks(graphs[0], union))) > 1
+        union = DisjointUnion(graphs)
+        join = walks._join(graphs[0], union, DIRAC, DIRAC_EDGE)
+        assert len(list(walks._blocks(graphs[0], union, join))) > 1
         rows = gram_implicit(
             ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 3)
         )
@@ -114,6 +116,25 @@ class TestAssembly:
         assert np.array_equal(rows.values, pairs.values)
         explicit = gram_explicit(ds, lambda g: walk_features_explicit(g, 3))
         assert np.array_equal(rows.values, explicit.values)
+
+    @pytest.mark.parametrize("kernel", ["walk", "sp", "graph-invariant", "subgraph-matching"])
+    def test_one_union_per_gram(self, kernel, monkeypatch):
+        # every row is a slice of the dataset's union; no row kernel builds
+        # its own, per row or per block
+        ds = generate_synthetic_alphabet(7, mean_vertices=6, edge_prob=0.4, alphabet_size=2, seed=3)
+        plan = bench.kernel_plan(kernel, ds, length=3, connected_only=True)
+        built = []
+        real = DisjointUnion.__init__
+        monkeypatch.setattr(
+            DisjointUnion, "__init__", lambda self, gs: built.append(len(gs)) or real(self, gs)
+        )
+        # blocks of one partner each
+        monkeypatch.setattr(walks, "BLOCK_CELLS", 1)
+        monkeypatch.setattr(subgraphs, "ASSOCIATION_CELLS", 1)
+        implicit = plan.implicit()
+        assert built == [len(ds)]
+        monkeypatch.undo()
+        assert implicit.values.tobytes() == plan.explicit().values.tobytes()
 
     def test_batched_row_failures_name_the_pair(self):
         ds = Dataset("t", [Graph(2, [(0, 1)]), Graph(2), Graph(3), Graph(2)])

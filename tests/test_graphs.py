@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gkern import (
     scale_attributes,
     write_tu_dataset,
 )
+from gkern.graphs import DisjointUnion
 from conftest import make_random_graph
 from oracles import oracle_apsp, oracle_graph, oracle_shortest_path_counts
 
@@ -233,6 +235,74 @@ class TestGraph:
             assert g.edge_labels.tolist() == want_labels
         assert g.adj == want_adj and type(g.adj) is tuple
         assert all(type(a) is tuple and all(type(x) is int for x in a) for a in g.adj)
+
+
+def _union_arrays(union):
+    return {
+        "edges": union.edges,
+        "vertex_labels": union.vertex_label_array(),
+        "edge_labels": union.edge_label_array(),
+        "owner": union.owner,
+        "vertex_offsets": union.vertex_offsets,
+        "edge_offsets": union.edge_offsets,
+    }
+
+
+class TestDisjointUnion:
+    def test_slices_equal_the_unions_of_their_partners(self):
+        rng = random.Random(331)
+        for _ in range(40):
+            partners = [
+                rng.choice(
+                    [
+                        lambda: make_random_graph(rng, max_n=6, attribute_dim=2),
+                        lambda: make_random_graph(rng, max_n=6),  # no attributes
+                        lambda: make_random_graph(rng, max_n=6, edge_prob=0.0, labels=None),
+                        lambda: Graph(0, vertex_attributes=np.zeros((0, 2))),
+                        lambda: Graph(0),
+                    ]
+                )()
+                for _ in range(rng.randint(0, 6))
+            ]
+            union = DisjointUnion(partners)
+            count = len(partners)
+            for a in range(count + 1):
+                for b in range(a, count + 1):  # a == b: an empty slice
+                    for got in (union[a:b], union[:][a:b], union[a:][: b - a]):
+                        want = DisjointUnion(partners[a:b])
+                        assert (got.n, got.m, len(got)) == (want.n, want.m, b - a)
+                        assert all(x is y for x, y in zip(got, partners[a:b]))
+                        got_arrays, want_arrays = _union_arrays(got), _union_arrays(want)
+                        for name, array in want_arrays.items():
+                            assert got_arrays[name].dtype == array.dtype, name
+                            assert got_arrays[name].shape == array.shape, name
+                            assert got_arrays[name].tobytes() == array.tobytes(), name
+                        rows, wanted = got.vertex_attributes, want.vertex_attributes
+                        assert (rows is None) == (wanted is None)
+                        if rows is not None:
+                            assert rows.tobytes() == wanted.tobytes()
+                        has = [h.vertex_attributes is not None for h in partners[a:b]]
+                        assert (rows is not None) == (bool(has) and all(has))
+
+    def test_a_sequence_of_the_original_graphs(self, path3, triangle):
+        union = DisjointUnion([path3, triangle, path3])
+        assert isinstance(union, Sequence) and len(union) == 3
+        assert union[1] is triangle and union[-1] is path3
+        assert [g is h for g, h in zip(union, [path3, triangle, path3])] == [True] * 3
+        assert union[5:1].n == 0 and len(union[5:1]) == 0
+        assert DisjointUnion.of(union) is union
+        assert list(DisjointUnion.of([triangle])) == [triangle]
+        with pytest.raises(ContractError, match="steps of 1"):
+            union[::2]
+
+    def test_layout_of_three_partners(self, path3, triangle):
+        union = DisjointUnion([triangle, Graph(0), path3])
+        assert union.edges.tolist() == [[0, 1], [0, 2], [1, 2], [3, 4], [4, 5]]
+        assert union.owner.tolist() == [0, 0, 0, 2, 2, 2]
+        assert union.vertex_offsets.tolist() == [0, 3, 3, 6]
+        assert union.edge_offsets.tolist() == [0, 3, 3, 5]
+        assert union[1:].edges.tolist() == [[0, 1], [1, 2]]
+        assert union[1:].owner.tolist() == [1, 1, 1]
 
 
 class TestShortestPaths:
@@ -505,3 +575,10 @@ class TestGenerators:
             generate_synthetic_labeled(3, p_vertex=1.5, seed=0)
         with pytest.raises(ParameterError):
             generate_synthetic_alphabet(3, alphabet_size=0, seed=0)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, 1e4, 0.0])
+    def test_a_mean_poisson_cannot_sample_fails_before_any_draw(self, mean):
+        # checked as edge_prob is, so even a dataset of no graphs fails
+        for generate in (generate_synthetic_labeled, generate_synthetic_alphabet):
+            with pytest.raises(ParameterError, match="poisson mean"):
+                generate(0, mean_vertices=mean, seed=0)

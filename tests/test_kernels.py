@@ -117,6 +117,11 @@ class TestScalarKernels:
             EdgeKernelSpec("brownian-bridge", c=0.0)
         with pytest.raises(ParameterError):
             EdgeKernelSpec("brownian-bridge", c=-3.0)
+        # a NaN c made every value NaN; no kind takes one
+        for kind in ("brownian-bridge", "dirac"):
+            for c in (math.nan, math.inf):
+                with pytest.raises(ParameterError, match="c must be finite"):
+                    EdgeKernelSpec(kind, c=c)
 
 
 class TestVertexKernelSpec:
@@ -133,6 +138,16 @@ class TestVertexKernelSpec:
             VertexKernelSpec("rbf", sigma=-1.0)
         with pytest.raises(ParameterError):
             VertexKernelSpec("binned")
+        # a NaN sigma made every rbf value NaN, a NaN delta every hat value
+        # 0; no kind takes one
+        grid = sample_binning_grid(1, 0.5, 2, seed=0)
+        for value in (math.nan, math.inf, -math.inf):
+            for kind in ("hat", "binned"):
+                with pytest.raises(ParameterError, match="delta must be finite"):
+                    VertexKernelSpec(kind, delta=value, sigma=1.0, grid=grid)
+            for kind in ("rbf", "dirac"):
+                with pytest.raises(ParameterError, match="sigma must be finite"):
+                    VertexKernelSpec(kind, delta=1.0, sigma=value)
 
     def test_describe_mentions_parameters(self):
         assert VertexKernelSpec("dirac").describe() == "dirac"
@@ -325,6 +340,10 @@ class TestBinning:
             sample_binning_grid(1, 0.0, 4, seed=0)
         with pytest.raises(ParameterError):
             sample_binning_grid(1, 1.0, 0, seed=0)
+        # a NaN pitch put every point in one cell, so the binned kernel read 1
+        for delta in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="delta must be finite"):
+                sample_binning_grid(1, delta, 4, seed=0)
 
     def test_sampler_shape_range_determinism(self):
         grid = sample_binning_grid(3, 0.8, 5, seed=42)

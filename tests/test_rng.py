@@ -2,7 +2,9 @@
 
 import math
 
-from gkern import SplitMix64
+import pytest
+
+from gkern import ParameterError, SplitMix64
 
 
 class TestStream:
@@ -69,3 +71,20 @@ class TestStream:
         stream = SplitMix64(5)
         draws = [stream.poisson(0.1) for _ in range(200)]
         assert 0 in draws and all(d >= 0 for d in draws)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, 1e4, 709.0, 0.0, -1.0])
+    def test_poisson_rejects_a_mean_it_cannot_sample(self, mean):
+        # NaN returned 0 forever (a resampling loop never ended), and past
+        # ~708 exp(-mean) underflowed, so 1e4 drew about 720
+        stream = SplitMix64(6)
+        with pytest.raises(ParameterError, match="poisson mean"):
+            stream.poisson(mean)
+
+    def test_poisson_samples_up_to_the_largest_mean_it_accepts(self):
+        # exp(-708) is still a normal float, so 708 samples by the plain search
+        reference, k = SplitMix64(7), 0
+        prod = reference.uniform()
+        while prod > math.exp(-708.0):
+            k += 1
+            prod *= reference.uniform()
+        assert SplitMix64(7).poisson(708.0) == k

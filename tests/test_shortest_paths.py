@@ -19,6 +19,7 @@ from gkern import (
 )
 from gkern import walks
 from gkern.features import TAG_SP
+from gkern.graphs import DisjointUnion
 from conftest import make_random_graph
 from oracles import brownian_bridge_fn, oracle_sp_kernel
 
@@ -90,9 +91,9 @@ class TestImplicitKernel:
         graphs = [make_random_graph(rng, max_n=8, min_n=3, labels=3) for _ in range(9)]
         transforms = [sp_transform(g) for g in graphs]
         g, hs = transforms[0], transforms
-        union = walks._disjoint_union(hs)
-        union.join = walks._join(g, union, DIRAC, bridge)
-        assert list(walks._blocks(g, union)) == [(0, len(hs))]
+        union = DisjointUnion(hs)
+        join = walks._join(g, union, DIRAC, bridge)
+        assert [(a, b) for a, b, _ in walks._blocks(g, union, join)] == [(0, len(hs))]
         row = walk_kernel_row(g, hs, DIRAC, bridge, 1)
         pairs = [sp_kernel_implicit(graphs[0], h, DIRAC, bridge) for h in graphs]
         assert row.tolist() == pairs

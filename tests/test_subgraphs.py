@@ -31,6 +31,7 @@ from gkern import (
 from gkern.bench import kernel_plan
 from gkern.features import TAG_GRAPHLET
 from gkern.gram import gram_implicit
+from gkern.graphs import partner_runs
 import oracles
 from conftest import graphs, make_random_graph
 from oracles import (
@@ -521,7 +522,7 @@ class TestSubgraphMatchingRow:
         # block stores the sum of its partners' squares
         squares = [0, 4, 4, 13, 14]
         cells = lambda a, b: squares[b] - squares[a]
-        runs = subgraphs._partner_runs(4, cells, subgraphs.ASSOCIATION_CELLS)
+        runs = partner_runs(4, cells, subgraphs.ASSOCIATION_CELLS)
         assert list(runs) == [(0, 1), (1, 2), (2, 3), (3, 4)]
         for case, expected in zip(cases, wide):
             narrow = subgraph_matching_row(*case)

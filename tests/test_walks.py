@@ -27,6 +27,7 @@ from gkern import (
     walk_kernel_row,
 )
 from gkern import walks
+from gkern.graphs import DisjointUnion
 from gkern.features import TAG_WALK
 from conftest import graphs, make_random_graph
 from oracles import (
@@ -168,7 +169,7 @@ class TestProductGraphOracle:
 
     def test_build_equals_oracle(self):
         for g, partners in self._cases():
-            h = partners[0] if len(partners) == 1 else walks._disjoint_union(partners)
+            h = partners[0] if len(partners) == 1 else DisjointUnion(partners)
             for vk in self.VERTEX_KERNELS:
                 for ek in self.EDGE_KERNELS:
                     vertices, edges = oracle_product_graph(
@@ -188,25 +189,33 @@ class TestProductGraphOracle:
                     assert len(built) == pg.num_edges
                     assert built == edges, (vk.describe(), ek.describe())
 
-    def test_row_keys_build_the_same_product_and_predict_its_edges(self):
+    def test_row_keys_build_the_same_product_and_predict_its_edges(self, monkeypatch):
         for g, partners in self._cases():
             count = len(partners)
             for vk in self.VERTEX_KERNELS:
                 for ek in self.EDGE_KERNELS:
                     # keyed once for the whole row, as walk_kernel_row does
-                    union = walks._disjoint_union(partners)
+                    union = DisjointUnion(partners)
                     pg = build_wdpg(g, union, vk, ek)
-                    union.join = walks._join(g, union, vk, ek)
-                    # a block of the row, the whole row or all but its first partner
-                    for start in {0, min(1, count - 1)}:
-                        row = build_wdpg(g, union.partners(start, count), vk, ek)
-                        alone = walks._disjoint_union(partners[start:])
-                        expected = build_wdpg(g, alone, vk, ek)
-                        for name in ("pairs", "vertex_weights", "edge_u", "edge_v",
-                                     "edge_weights"):
-                            got, want = getattr(row, name), getattr(expected, name)
-                            assert got.tobytes() == want.tobytes()
-                    matched = walks._matched_pairs(union)
+                    join = walks._join(g, union, vk, ek)
+                    # the row's blocks, then blocks of one partner each
+                    for budget in (walks.BLOCK_CELLS, 1):
+                        monkeypatch.setattr(walks, "BLOCK_CELLS", budget)
+                        blocks = list(walks._blocks(g, union, join))
+                        monkeypatch.undo()
+                        # the blocks tile the row
+                        assert [b[0] for b in blocks] + [count] == [0] + [b[1] for b in blocks]
+                        if budget == 1:
+                            assert len(blocks) == count
+                        for start, stop, block in blocks:
+                            row = build_wdpg(g, block, vk, ek)
+                            alone = DisjointUnion(partners[start:stop])
+                            expected = build_wdpg(g, alone, vk, ek)
+                            for name in ("pairs", "vertex_weights", "edge_u", "edge_v",
+                                         "edge_weights"):
+                                got, want = getattr(row, name), getattr(expected, name)
+                                assert got.tobytes() == want.tobytes()
+                    matched = walks._matched_pairs(union, join)
                     per_partner = np.diff(matched, axis=1).sum(axis=0)
                     owner = union.owner[pg.pairs[pg.edge_u, 1]]
                     edges = np.bincount(owner, minlength=count)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gkern import (
     ContractError,
     Dataset,
+    EdgeKernelSpec,
     Graph,
     GramError,
     MultiplicityOverflowError,
@@ -23,6 +24,8 @@ from gkern import (
     graphhopper_weight_maps,
     label_features,
     sample_binning_grid,
+    subgraph_matching_row,
+    walk_kernel_row,
     wl_refine_dataset,
     wv_features_explicit,
     wv_kernel_implicit,
@@ -394,13 +397,20 @@ class TestWeightedRows:
             gram_implicit(ds, row)
         assert isinstance(info.value.__cause__, MultiplicityOverflowError)
 
-    def test_partner_without_attributes_fails_its_pair(self):
+    @pytest.mark.parametrize("kernel", ["graph-invariant", "walk", "subgraph-matching"])
+    def test_partner_without_attributes_fails_its_pair(self, kernel):
+        # a union slice carries attributes only when each of its partners
+        # does, so the row fails and the lone pair (0, 0) does not
         rng = random.Random(229)
         a, c = (make_random_graph(rng, max_n=5, attribute_dim=2) for _ in range(2))
         bare = make_random_graph(rng, max_n=5)
         ds = Dataset("t", [a, bare, c])
         wm = graph_invariant_weight_maps(ds, 1)
-        row = lambda g, hs: wv_kernel_row(g, hs, wm, DIRAC_ATTR)
+        row = {
+            "graph-invariant": lambda g, hs: wv_kernel_row(g, hs, wm, DIRAC_ATTR),
+            "walk": lambda g, hs: walk_kernel_row(g, hs, DIRAC_ATTR, EdgeKernelSpec("dirac"), 2),
+            "subgraph-matching": lambda g, hs: subgraph_matching_row(g, hs, DIRAC_ATTR),
+        }[kernel]
         with pytest.raises(GramError, match=r"pair \(0, 1\) failed") as info:
             gram_implicit(ds, row)
         assert isinstance(info.value.__cause__, ContractError)
