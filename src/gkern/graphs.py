@@ -73,11 +73,9 @@ class Graph:
         "vertex_labels",
         "edge_labels",
         "vertex_attributes",
-        "adj",
-        "arcs",
+        "neighbors",
         "arc_starts",
-        "_edge_label_map",
-        "_labeled_adj",
+        "arc_edges",
     )
 
     def __init__(
@@ -114,7 +112,8 @@ class Graph:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ContractError(f"edge ({u}, {v}) out of range for n={self.n}")
             raise ContractError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
-        self.edges = np.column_stack((lo[order], hi[order]))
+        lo, hi = lo[order], hi[order]
+        self.edges = np.column_stack((lo, hi))
         self.edge_labels = None if labels is None else labels[order]
 
         vl = None if vertex_labels is None else np.asarray(vertex_labels, dtype=np.int64)
@@ -129,17 +128,14 @@ class Graph:
             )
         self.vertex_labels, self.vertex_attributes = vl, attrs
 
-        # both orientations of each edge as keys u * n + v, ascending, and
-        # where each vertex's run starts: a CSR whose neighbors are arcs % n
-        self.arcs = np.sort(np.concatenate((key, hi * self.n + lo)))
-        self.arc_starts = np.searchsorted(self.arcs, np.arange(self.n + 1) * self.n)
-        # neighbors as Python ints: the BFS and WL loops index lists with them
-        nbrs = (self.arcs % self.n).tolist()
-        ends = self.arc_starts.tolist()
-        self.adj = tuple(tuple(nbrs[a:b]) for a, b in zip(ends, ends[1:]))
-
-        self._edge_label_map = None
-        self._labeled_adj = None
+        # the CSR: both orientations of each edge, ascending by (tail, head);
+        # vertex u's arcs run from arc_starts[u] to arc_starts[u + 1], and arc
+        # i reaches neighbors[i] along edge arc_edges[i]
+        arcs = np.argsort(np.concatenate((ranked, hi * self.n + lo)))
+        self.neighbors = np.concatenate((hi, lo))[arcs]
+        self.arc_edges = arcs % max(self.m, 1)
+        degree = np.bincount(np.concatenate((lo, hi)), minlength=self.n)
+        self.arc_starts = np.concatenate(([0], np.cumsum(degree)))
 
     # -- basic accessors -----------------------------------------------------
 
@@ -166,29 +162,11 @@ class Graph:
             return np.zeros(self.m, dtype=np.int64)
         return self.edge_labels
 
-    @property
-    def edge_label_map(self) -> Dict[Tuple[int, int], int]:
-        """Mapping from ordered pair ``(min(u,v), max(u,v))`` to edge label
-        (see :meth:`edge_label_array`)."""
-        if self._edge_label_map is None:
-            self._edge_label_map = dict(
-                zip(
-                    map(tuple, self.edges.tolist()),
-                    self.edge_label_array().tolist(),
-                )
-            )
-        return self._edge_label_map
-
-    def labeled_adjacency(self) -> List[List[Tuple[int, int]]]:
-        """Per-vertex list of ``(neighbor, edge label)`` pairs, neighbor
-        ascending; edge label 0 substitutes when the graph has none."""
-        if self._labeled_adj is None:
-            label_of = self.edge_label_map
-            self._labeled_adj = [
-                [(v, label_of[(u, v) if u < v else (v, u)]) for v in nbrs]
-                for u, nbrs in enumerate(self.adj)
-            ]
-        return self._labeled_adj
+    def neighbor_lists(self) -> List[List[int]]:
+        """Each vertex's neighbors, ascending, read off the CSR as lists of
+        Python ints, which loops index lists with; built on every call."""
+        nbrs, ends = self.neighbors.tolist(), self.arc_starts.tolist()
+        return [nbrs[a:b] for a, b in zip(ends, ends[1:])]
 
     def __repr__(self) -> str:
         parts = [f"n={self.n}", f"m={self.m}"]
@@ -317,7 +295,7 @@ def all_pairs_shortest_paths(g: Graph, with_counts: bool = False) -> DistanceMat
     n = g.n
     dist = np.full((n, n), INF_DISTANCE, dtype=np.int64)
     counts = np.zeros((n, n), dtype=np.int64) if with_counts else None
-    adj = [list(a) for a in g.adj]
+    adj = g.neighbor_lists()
     for s in range(n):
         d = [-1] * n
         c = [0] * n
@@ -675,27 +653,40 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
 def write_tu_dataset(ds: Dataset, path: str) -> str:
     """Write ``ds`` in the benchmark-collection layout under ``path/name``.
 
-    Every undirected edge is emitted in both orientations.  Returns the
-    dataset directory.
+    Every undirected edge is emitted in both orientations.  Label files are
+    written when any graph has labels; an unlabeled graph reads as label 0
+    there.  One attribute file holds rows of one width for every vertex, so
+    graphs with vertices that differ in whether they carry attributes, or
+    in their width, raise :class:`ContractError` before any file is
+    written.  Returns the dataset directory.
     """
+    graphs = ds.graphs
+    populated = [(i, g.vertex_attributes) for i, g in enumerate(graphs) if g.n]
+    kinds = [
+        "no vertex attributes" if a is None else f"attributes of width {a.shape[1]}"
+        for _, a in populated
+    ]
+    for (i, _), kind in zip(populated, kinds):
+        if kind != kinds[0]:
+            raise ContractError(
+                f"graph {i} of {ds.name!r} has {kind} but graph {populated[0][0]} has "
+                f"{kinds[0]}; one attribute file holds one width for every vertex"
+            )
     base = os.path.join(path, ds.name)
     os.makedirs(base, exist_ok=True)
-    graphs = ds.graphs
     union = DisjointUnion(graphs)  # file ids are its vertex ids + 1
     rows = {
         "A": [line for u, v in (union.edges + 1).tolist() for line in (f"{u}, {v}", f"{v}, {u}")],
         "graph_indicator": union.owner + 1,
         "graph_labels": ds.class_labels,
     }
-    if ds.has_vertex_labels:
+    if any(g.vertex_labels is not None for g in graphs):
         rows["node_labels"] = union.vertex_labels
-    if ds.has_edge_labels:
+    if any(g.edge_labels is not None for g in graphs):
         rows["edge_labels"] = np.repeat(union.edge_labels, 2)
-    if graphs and all(g.vertex_attributes is not None for g in graphs):
+    if populated and populated[0][1] is not None:
         rows["node_attributes"] = [
-            ",".join(f"{x:.17g}" for x in row)
-            for g in graphs
-            for row in g.vertex_attributes.tolist()
+            ",".join(f"{x:.17g}" for x in row) for _, a in populated for row in a.tolist()
         ]
     for suffix, lines in rows.items():
         if isinstance(lines, np.ndarray):

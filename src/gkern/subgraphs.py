@@ -99,7 +99,6 @@ def _connected_sets(g: Graph, max_size: int) -> Iterator[np.ndarray]:
     """
     n = g.n
     starts = g.arc_starts
-    nbrs = g.arcs % max(n, 1)
     degree = np.diff(starts)
     yield np.arange(n)[:, None]
     if max_size > 1 and g.m:
@@ -118,7 +117,7 @@ def _connected_sets(g: Graph, max_size: int) -> Iterator[np.ndarray]:
         # by row and neighbour: a group's members are the neighbour's own
         # (never none, as every member above the root neighbours another)
         at = np.repeat(starts[rows.ravel()] - (np.cumsum(counts) - counts), counts)
-        new = nbrs[at + np.arange(at.size)]
+        new = g.neighbors[at + np.arange(at.size)]
         member = np.repeat(np.arange(counts.size), counts)
         row = member // (size - 1)
         keep = new > rows[row, 0]

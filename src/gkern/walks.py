@@ -458,7 +458,10 @@ def walk_features_explicit(g: Graph, length: int) -> Dict[tuple, int]:
     labels = explicit_labels(g, "walk")
     per_vertex: List[dict] = [{(labels[v],): 1} for v in range(g.n)]
     if length and g.n:
-        ladj = g.labeled_adjacency()
+        # (neighbour, edge label) per arc of the CSR, one list per vertex
+        arcs = list(zip(g.neighbors.tolist(), g.edge_label_array()[g.arc_edges].tolist()))
+        ends = g.arc_starts.tolist()
+        ladj = [arcs[a:b] for a, b in zip(ends, ends[1:])]
         for step in range(1, length + 1):
             nxt: List[dict] = [{} for _ in range(g.n)]
             stored = 0

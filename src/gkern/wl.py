@@ -57,7 +57,7 @@ def wl_refine_dataset(
     """Run ``iterations`` rounds of color refinement over ``ds``.
 
     ``init="labels"`` seeds iteration 0 with a dense re-coding of the
-    vertex labels (unlabeled graphs all get one color); ``init="uniform"``
+    vertex labels (an unlabeled graph reads as label 0); ``init="uniform"``
     ignores labels and starts from a single color, so the refinement sees
     pure structure.
     """
@@ -66,28 +66,21 @@ def wl_refine_dataset(
     if init not in ("labels", "uniform"):
         raise ParameterError(f"init must be 'labels' or 'uniform', got {init!r}")
 
-    initial: List[np.ndarray] = []
-    if init == "uniform" or not ds.has_vertex_labels:
-        num_initial = 1 if any(g.n for g in ds.graphs) else 0
-        for g in ds.graphs:
-            initial.append(np.zeros(g.n, dtype=np.int64))
-    else:
-        labels = [[int(x) for x in g.vertex_labels] if g.n else [] for g in ds.graphs]
-        recode = _ascending_codes(x for row in labels for x in row)
-        for row in labels:
-            initial.append(np.array([recode[x] for x in row], dtype=np.int64))
-        num_initial = len(recode)
+    labels = [
+        g.vertex_label_array().tolist() if init == "labels" else [0] * g.n for g in ds.graphs
+    ]
+    recode = _ascending_codes(x for row in labels for x in row)
+    current = [np.array([recode[x] for x in row], dtype=np.int64) for row in labels]
+    per_graph: List[List[np.ndarray]] = [[c] for c in current]
+    counts = [len(recode)]
 
-    per_graph: List[List[np.ndarray]] = [[c] for c in initial]
-    counts = [num_initial]
-
-    current = initial
+    adjacency = [g.neighbor_lists() for g in ds.graphs]
     for _ in range(iterations):
         signatures: List[List[Tuple]] = []
-        for g, colors in zip(ds.graphs, current):
+        for adj, colors in zip(adjacency, current):
             lst = colors.tolist()
             signatures.append(
-                [(lst[v], tuple(sorted(lst[w] for w in g.adj[v]))) for v in range(g.n)]
+                [(c, tuple(sorted(lst[w] for w in nbrs))) for c, nbrs in zip(lst, adj)]
             )
         table = _ascending_codes(sig for row in signatures for sig in row)
         refined = [

@@ -513,7 +513,7 @@ def _connected_through(vertices: List[int], edges: List[Tuple[int, int]]) -> boo
 def _connected_sets(g: Graph, max_size: int) -> Iterator[Tuple[int, ...]]:
     """Each vertex set of 1..``max_size`` vertices inducing a connected
     subgraph, once, grown from its smallest vertex."""
-    adj = g.adj
+    adj = adjacency_lists(g)
 
     def visit(members, extension, closed, root):
         yield members
@@ -570,8 +570,8 @@ def _class_counts(
     ``connected_only``); unlabeled graphs read as label 0 throughout."""
     if max_size < 1:
         raise ParameterError(f"max_size must be >= 1, got {max_size}")
-    labels = g.vertex_label_array().tolist()
-    label_of = g.edge_label_map
+    labels = vertex_label_list(g)
+    label_of = edge_label_dict(g)
     if connected_only:
         sets = _connected_sets(g, max_size)
     else:
@@ -617,11 +617,10 @@ def oracle_vertex_weight(weight_map, g, u: int, h, v: int) -> int:
 
 
 def oracle_graph(n: int, edges, edge_labels=None):
-    """Normalized ``(edges, edge labels, adjacency)`` of an edge list, in
-    plain Python: ``(min, max)`` pairs sorted ascending, labels carried
-    along, neighbor tuples ascending.  The first bad edge in input order
-    raises ``ValueError``: a self-loop, then an id out of range, then a
-    repeat of an earlier edge."""
+    """Normalized ``(edges, edge labels)`` of an edge list, in plain
+    Python: ``(min, max)`` pairs sorted ascending, labels carried along.
+    The first bad edge in input order raises ``ValueError``: a self-loop,
+    then an id out of range, then a repeat of an earlier edge."""
     seen = set()
     keys = []
     for u, v in edges:
@@ -637,8 +636,4 @@ def oracle_graph(n: int, edges, edge_labels=None):
         keys.append(key)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     labels = None if edge_labels is None else [int(edge_labels[i]) for i in order]
-    neighbors: List[List[int]] = [[] for _ in range(n)]
-    for u, v in keys:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    return [list(keys[i]) for i in order], labels, tuple(tuple(sorted(a)) for a in neighbors)
+    return [list(keys[i]) for i in order], labels

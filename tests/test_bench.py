@@ -4,6 +4,7 @@ measure, the axis table's recorded calls, rows, CSV output."""
 import functools
 import inspect
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ class TestSweepRows:
         rows = sweep("length", sizes=(4,), grid=(2,), reps=1, seed=7)
         path = str(tmp_path / "rows.csv")
         assert write_sweep_csv(rows, path) == path
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0].startswith("axis,value,size,")
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "length"

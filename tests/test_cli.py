@@ -1,6 +1,7 @@
 """Command line interface: argument handling, outputs, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,10 +58,10 @@ class TestCompute:
         explicit = load_gram_csv(f"{out}.explicit.csv")
         assert (implicit == explicit).all()
         assert implicit.shape == (6, 6)
-        timing = json.loads(open(f"{out}.implicit.timing.json").read())
+        timing = json.loads(Path(f"{out}.implicit.timing.json").read_text())
         assert timing["scheme"] == "implicit"
         assert timing["seconds_total"] == timing["seconds_pairs"] >= 0
-        assert float(open(f"{out}.discrepancy.txt").read()) == 0.0
+        assert float(Path(f"{out}.discrepancy.txt").read_text()) == 0.0
 
     def test_maxwalk_regimes_agree(self, tmp_path, capsys):
         out = str(tmp_path / "maxwalk")
@@ -107,7 +108,7 @@ class TestCompute:
             ]
         )
         assert code == 0
-        lines = open(f"{out}.svm").read().splitlines()
+        lines = Path(f"{out}.svm").read_text().splitlines()
         assert len(lines) == 6
         assert lines[0].split()[1] == "0:1"
 
@@ -169,7 +170,7 @@ class TestCompute:
         )
         assert code == 0
         assert "max relative discrepancy between schemes: 0.000e+00" in capsys.readouterr().out
-        assert open(f"{out}.implicit.csv").read() == open(f"{out}.explicit.csv").read()
+        assert Path(f"{out}.implicit.csv").read_text() == Path(f"{out}.explicit.csv").read_text()
 
     def test_explicit_subgraph_matching_stops_at_size_five(self, capsys):
         code = main(
@@ -275,7 +276,7 @@ class TestSweep:
             ]
         )
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         header = lines[0].split(",")
         assert header == [
             "axis",
@@ -416,7 +417,7 @@ def test_every_kernel_and_regime(kernel, regime, tmp_path, capsys):
     assert code == 0
     if regime == "both":
         # Dirac defaults: the two schemes export the same text
-        assert open(f"{out}.implicit.csv").read() == open(f"{out}.explicit.csv").read()
+        assert Path(f"{out}.implicit.csv").read_text() == Path(f"{out}.explicit.csv").read_text()
     else:
         assert load_gram_csv(f"{out}.csv").shape == (4, 4)
 
@@ -500,9 +501,9 @@ def test_empty_dataset_writes_empty_grams(tmp_path):
     code = main(["compute", "--data", "labeled:count=0", "--kernel", "walk", "--out", out])
     assert code == 0
     for scheme in ("implicit", "explicit"):
-        assert open(f"{out}.{scheme}.csv").read() == ""
+        assert Path(f"{out}.{scheme}.csv").read_text() == ""
         assert load_gram_csv(f"{out}.{scheme}.csv").size == 0
-    assert float(open(f"{out}.discrepancy.txt").read()) == 0.0
+    assert float(Path(f"{out}.discrepancy.txt").read_text()) == 0.0
 
 
 def test_explicit_timing_json_counts_distinct_features(tmp_path):
@@ -512,7 +513,7 @@ def test_explicit_timing_json_counts_distinct_features(tmp_path):
          "--regime", "explicit", "--out", out]
     )
     assert code == 0
-    timing = json.loads(open(f"{out}.timing.json").read())
+    timing = json.loads(Path(f"{out}.timing.json").read_text())
     assert 0 < timing["distinct_features"] <= timing["stored_features"]
     assert timing["seconds_total"] == pytest.approx(
         timing["seconds_feature_maps"] + timing["seconds_dot"], abs=2e-6

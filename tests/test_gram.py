@@ -1,6 +1,7 @@
 """Gram matrix assembly, normalization, eigenvalue probe, and export."""
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,7 +276,7 @@ class TestExport:
         gram = _gram_of(values, class_labels=[1, -1])
         path = str(tmp_path / "gram.svm")
         export_gram(gram, "svm-precomputed", path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "1 0:1 1:2 2:1"
         assert lines[1] == "-1 0:2 1:1 2:3"
 

@@ -24,9 +24,16 @@ from gkern import (
     scale_attributes,
     write_tu_dataset,
 )
+from gkern.bench import kernel_plan
 from gkern.graphs import DisjointUnion
 from conftest import make_random_graph
-from oracles import oracle_apsp, oracle_graph, oracle_shortest_path_counts
+from oracles import (
+    adjacency_lists,
+    edge_label_dict,
+    oracle_apsp,
+    oracle_graph,
+    oracle_shortest_path_counts,
+)
 
 
 # One defect per TU directory, on top of the valid two-vertex graph that
@@ -170,13 +177,14 @@ class TestGraph:
     def test_edge_labels_follow_normalization(self):
         g = Graph(3, [(2, 1), (0, 1)], edge_labels=[7, 9])
         # (2,1) normalizes to (1,2) and sorts after (0,1)
-        assert g.edge_label_map == {(0, 1): 9, (1, 2): 7}
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert g.edge_label_array().tolist() == [9, 7]
 
     def test_unlabeled_reads_as_label_zero(self):
         bare = Graph(3, [(2, 1), (0, 1)])
         assert bare.vertex_label_array().tolist() == [0, 0, 0]
+        assert bare.edges.tolist() == [[0, 1], [1, 2]]
         assert bare.edge_label_array().tolist() == [0, 0]
-        assert bare.edge_label_map == {(0, 1): 0, (1, 2): 0}
         tagged = Graph(3, [(2, 1), (0, 1)], vertex_labels=[4, 5, 6], edge_labels=[7, 9])
         assert tagged.vertex_label_array().tolist() == [4, 5, 6]
         assert tagged.edge_label_array().tolist() == [9, 7]
@@ -219,7 +227,7 @@ class TestGraph:
         if data.draw(st.booleans()):
             edges = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
         try:
-            want_edges, want_labels, want_adj = oracle_graph(n, edges, labels)
+            want_edges, want_labels = oracle_graph(n, edges, labels)
         except ValueError as exc:
             with pytest.raises(ContractError) as got:
                 Graph(n, edges, edge_labels=labels)
@@ -233,8 +241,37 @@ class TestGraph:
         else:
             assert g.edge_labels.dtype == np.int64
             assert g.edge_labels.tolist() == want_labels
-        assert g.adj == want_adj and type(g.adj) is tuple
-        assert all(type(a) is tuple and all(type(x) is int for x in a) for a in g.adj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_csr_matches_the_oracle_adjacency(self, data):
+        # edges in shuffled order and orientation, labeled or not; n = 0 and
+        # isolated vertices come up
+        n = data.draw(st.integers(0, 7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        edges = [
+            (v, u) if data.draw(st.booleans()) else (u, v)
+            for u, v in data.draw(st.permutations(chosen))
+        ]
+        labels = data.draw(
+            st.none() | st.lists(st.integers(0, 3), min_size=len(edges), max_size=len(edges))
+        )
+        g = Graph(n, edges, edge_labels=labels)
+        want, label_of = adjacency_lists(g), edge_label_dict(g)
+        given_labels = labels or [0] * len(edges)
+        assert label_of == {
+            **{(u, v): x for (u, v), x in zip(edges, given_labels)},
+            **{(v, u): x for (u, v), x in zip(edges, given_labels)},
+        }
+        starts = g.arc_starts.tolist()
+        assert starts[0] == 0 and len(starts) == n + 1 and starts[-1] == 2 * len(edges)
+        arc_labels = g.edge_label_array()[g.arc_edges]
+        for u, (a, b) in enumerate(zip(starts, starts[1:])):
+            assert g.neighbors[a:b].tolist() == want[u]
+            assert arc_labels[a:b].tolist() == [label_of[u, v] for v in want[u]]
+        assert g.neighbor_lists() == want
+        assert all(type(v) is int for nbrs in g.neighbor_lists() for v in nbrs)
 
 
 def _union_arrays(union):
@@ -420,6 +457,42 @@ class TestDiskFormat:
             else:
                 assert back.edge_labels.tolist() == g.edge_labels.tolist()
             assert np.allclose(back.vertex_attributes, g.vertex_attributes)
+
+    def test_labels_of_some_graphs_survive_the_round_trip(self, tmp_path):
+        labeled = Graph(3, [(0, 1), (1, 2)], vertex_labels=[1, 2, 1], edge_labels=[4, 5])
+        ds = Dataset("L", [labeled, Graph(2, [(0, 1)])])
+        loaded = self._round_trip(tmp_path, ds)
+        for g, back in zip(ds.graphs, loaded.graphs):
+            assert back.vertex_label_array().tolist() == g.vertex_label_array().tolist()
+            assert back.edge_label_array().tolist() == g.edge_label_array().tolist()
+        walk = lambda d: kernel_plan("walk", d).grams(("explicit",))[0].values
+        assert walk(ds).tolist() == [[12, 0], [0, 4]]
+        assert np.array_equal(walk(loaded), walk(ds))
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            (Graph(1, vertex_attributes=[[0.5, 1.0]]), "graph 1 of 'B' has attributes of width 2 "
+             "but graph 0 has attributes of width 1"),
+            (Graph(1), "graph 1 of 'B' has no vertex attributes but graph 0 has attributes "
+             "of width 1"),
+        ],
+        ids=["width", "presence"],
+    )
+    def test_attributes_the_layout_cannot_hold_fail_before_writing(
+        self, tmp_path, second, message
+    ):
+        ds = Dataset("B", [Graph(1, vertex_attributes=[[0.5]]), second])
+        with pytest.raises(ContractError) as raised:
+            write_tu_dataset(ds, str(tmp_path))
+        assert str(raised.value).startswith(message)
+        assert not (tmp_path / "B").exists()
+
+    def test_a_graph_without_vertices_needs_no_attribute_rows(self, tmp_path):
+        rows = [[0.5], [0.25]]
+        ds = Dataset("E", [Graph(0), Graph(2, [(0, 1)], vertex_attributes=rows)])
+        loaded = self._round_trip(tmp_path, ds)
+        assert loaded[1].vertex_attributes.tolist() == rows
 
     def test_missing_mandatory_file(self, tmp_path):
         with pytest.raises(DatasetLoadError, match="_A.txt"):

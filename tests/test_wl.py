@@ -6,6 +6,7 @@ import pytest
 
 from gkern import Dataset, Graph, ParameterError, wl_refine_dataset
 from conftest import make_random_graph
+from oracles import adjacency_lists
 
 
 def partition_of(colors):
@@ -37,6 +38,20 @@ class TestFrozenCases:
         uniform = wl_refine_dataset(ds, 0, init="uniform")
         assert uniform.colors_per_iteration == [1]
         assert len(set(uniform.at(0, 0).tolist())) == 1
+
+    def test_an_unlabeled_graph_reads_as_label_zero(self):
+        # a bare graph beside a labeled one keeps the labeled one's colors
+        labeled = Graph(3, [(0, 1), (1, 2)], vertex_labels=[1, 2, 1])
+        assert wl_refine_dataset(Dataset("t", [labeled]), 0).at(0, 0).tolist() == [0, 1, 0]
+        mixed = wl_refine_dataset(Dataset("t", [labeled, Graph(2, [(0, 1)])]), 1)
+        assert mixed.at(0, 0).tolist() == [1, 2, 1] and mixed.at(1, 0).tolist() == [0, 0]
+        assert mixed.colors_per_iteration == [3, 3]
+        # as the same graph labeled 0 does
+        zeros = Graph(2, [(0, 1)], vertex_labels=[0, 0])
+        zero = wl_refine_dataset(Dataset("t", [labeled, zeros]), 1)
+        for i in range(2):
+            for g_idx in range(2):
+                assert mixed.at(g_idx, i).tolist() == zero.at(g_idx, i).tolist()
 
     def test_cycle_is_stable_under_uniform_init(self):
         ds = Dataset("t", [Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])])
@@ -95,11 +110,8 @@ class TestInvariants:
                 for g_idx, graph in enumerate((g, h)):
                     colors = assignment.at(g_idx, i).tolist()
                     nxt = assignment.at(g_idx, i + 1).tolist()
-                    for v in range(graph.n):
-                        signature = (
-                            colors[v],
-                            tuple(sorted(colors[w] for w in graph.adj[v])),
-                        )
+                    for v, nbrs in enumerate(adjacency_lists(graph)):
+                        signature = (colors[v], tuple(sorted(colors[w] for w in nbrs)))
                         if signature in seen:
                             assert seen[signature] == nxt[v]
                         else:
@@ -116,8 +128,8 @@ class TestInvariants:
             for i in range(2):
                 meanings.append([
                     [
-                        (colors[v], tuple(sorted(colors[w] for w in g.adj[v])))
-                        for v in range(g.n)
+                        (colors[v], tuple(sorted(colors[w] for w in nbrs)))
+                        for v, nbrs in enumerate(adjacency_lists(g))
                     ]
                     for g_idx, g in enumerate(graphs)
                     for colors in [assignment.at(g_idx, i).tolist()]
