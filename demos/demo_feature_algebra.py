@@ -8,9 +8,10 @@ non-zero weights.  A key is a tuple that starts with an integer tag
 naming its namespace.  This demo takes dot products of hand-built
 vectors, then follows two composition rules through the maps that
 realize them (a sum of walk kernels, and the product of a vertex weight
-kernel with a label kernel summed over vertex pairs), and finally maps
-attribute rows to one-hot class vectors whose dot product reproduces
-the Dirac kernel on attributes exactly.
+kernel with a label kernel summed over vertex pairs), comparing each
+map's Gram matrix with the implicit one, and finally maps attribute rows
+to one-hot class vectors whose dot product reproduces the Dirac kernel
+on attributes exactly.
 """
 
 from gkern import (
@@ -19,29 +20,33 @@ from gkern import (
     Graph,
     VertexKernelSpec,
     attribute_class_features,
-    dot,
     graph_invariant_weight_maps,
+    gram_explicit,
+    gram_implicit,
     label_features,
-    max_walk_kernel_implicit,
     walk_features_explicit,
+    walk_kernel_implicit,
     wv_features_explicit,
     wv_kernel_implicit,
 )
 from gkern.features import TAG_LABEL, TAG_PAIR
 
 # ---------------------------------------------------------------------
-# 1. Vectors are dictionaries; the dot product sums the shared keys,
-#    in ascending key order, so it never depends on how a dict was built.
+# 1. Vectors are dictionaries; the dot product sums over the shared keys.
+#    gram_explicit takes all of a dataset's dot products at once.
 # ---------------------------------------------------------------------
 u = {(TAG_LABEL, 0): 2.0, (TAG_LABEL, 1): 1.0}
 v = {(TAG_LABEL, 2): 5.0, (TAG_LABEL, 1): 3.0}
+shared = u.keys() & v.keys()
+uv = sum(u[key] * v[key] for key in shared)
 print("u =", u)
 print("v =", v)
-print("dot(u, v) =", dot(u, v), "(only the shared key contributes: 1*3)")
-assert dot(u, v) == dot(v, u) == 3.0
+print("u . v =", uv, f"(only the shared key {sorted(shared)} contributes: 1*3)")
+assert uv == 3.0
 
 g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], vertex_labels=[0, 1, 0, 1])
 h = Graph(4, [(0, 1), (1, 2), (2, 3)], vertex_labels=[1, 0, 1, 0])
+ds = Dataset("gh", [g, h])
 
 # ---------------------------------------------------------------------
 # 2. Sum kernel = concatenated maps.  The maxwalk kernel sums the walk
@@ -59,15 +64,20 @@ def maxwalk_features(graph):
     }
 
 
-merged = dot(maxwalk_features(g), maxwalk_features(h))
-per_length = [dot(walk_features_explicit(g, l), walk_features_explicit(h, l))
+merged = gram_explicit(ds, maxwalk_features).values
+per_length = [gram_explicit(ds, lambda x, l=l: walk_features_explicit(x, l)).values
               for l in range(length + 1)]
-implicit = max_walk_kernel_implicit(
-    g, h, VertexKernelSpec("dirac"), EdgeKernelSpec("dirac"), length
-)
-print(f"\nmaxwalk(l={length}): dot of merged maps = {merged}, "
-      f"per-length dots {per_length}, implicit {implicit:g}")
-assert merged == sum(per_length) == implicit
+# implicitly, one pass over the product graphs gives every length's term
+implicit = gram_implicit(
+    ds,
+    lambda x, partners: walk_kernel_implicit(
+        x, partners, VertexKernelSpec("dirac"), EdgeKernelSpec("dirac"), length,
+        all_rounds=True,
+    ).sum(axis=1),
+).values
+print(f"\nmaxwalk(l={length}) of (g, h): dot of merged maps = {merged[0, 1]:g}, "
+      f"per-length dots {[int(p[0, 1]) for p in per_length]}, implicit {implicit[0, 1]:g}")
+assert (merged == sum(per_length)).all() and (merged == implicit).all()
 
 # ---------------------------------------------------------------------
 # 3. Product kernel = paired keys.  The graph-invariant kernel multiplies
@@ -77,17 +87,20 @@ assert merged == sum(per_length) == implicit
 #    weights: the map of k_W * k_V.  Summing those over the vertices
 #    realizes the sum of k_W * k_V over all vertex pairs.
 # ---------------------------------------------------------------------
-weights = graph_invariant_weight_maps(Dataset("gh", [g, h]), 1)
+weights = graph_invariant_weight_maps(ds, 1)
 paired = wv_features_explicit(g, weights, label_features)
 print("\nwv_features_explicit(g): paired keys (weight key x label key)")
 for key in sorted(paired):
     tag, weight_key, label_key = key
     assert tag == TAG_PAIR
     print(f"  {weight_key} x {label_key} -> {paired[key]}")
-explicit = dot(paired, wv_features_explicit(h, weights, label_features))
-implicit = wv_kernel_implicit(g, h, weights, VertexKernelSpec("dirac"))
-print(f"dot of the paired maps = {explicit}, implicit sum over vertex pairs {implicit:g}")
-assert explicit == implicit
+explicit = gram_explicit(ds, lambda x: wv_features_explicit(x, weights, label_features))
+implicit = gram_implicit(
+    ds, lambda x, partners: wv_kernel_implicit(x, partners, weights, VertexKernelSpec("dirac"))
+)
+print(f"dot of the paired maps of (g, h) = {explicit.values[0, 1]:g}, "
+      f"implicit sum over vertex pairs {implicit.values[0, 1]:g}")
+assert (explicit.values == implicit.values).all()
 
 # ---------------------------------------------------------------------
 # 4. A binary-valued vertex kernel is an equivalence relation in
@@ -107,6 +120,7 @@ for name, graph in (("a", a), ("b", b)):
 dirac_rows = VertexKernelSpec("dirac-attributes").matrix(a, b)
 for u in range(a.n):
     for w in range(b.n):
-        assert dot(classes(a, u), classes(b, w)) == dirac_rows[u, w]
+        cu, cw = classes(a, u), classes(b, w)
+        assert sum(cu[key] * cw[key] for key in cu.keys() & cw.keys()) == dirac_rows[u, w]
 print("class dots reproduce the dirac-attributes kernel on all",
       a.n * b.n, "vertex pairs")

@@ -25,7 +25,7 @@ from gkern import (
     min_eigenvalue_estimate,
     normalize,
     walk_features_explicit,
-    walk_kernel_row,
+    walk_kernel_implicit,
 )
 
 # ---------------------------------------------------------------------
@@ -40,7 +40,7 @@ print(f"dataset {ds.name}: {len(ds)} graphs")
 # ---------------------------------------------------------------------
 dirac_v, dirac_e = VertexKernelSpec("dirac"), EdgeKernelSpec("dirac")
 implicit = gram_implicit(
-    ds, lambda g, hs: walk_kernel_row(g, hs, dirac_v, dirac_e, 4),
+    ds, lambda g, hs: walk_kernel_implicit(g, hs, dirac_v, dirac_e, 4),
     "walk(l=4)/implicit",
 )
 explicit = gram_explicit(

@@ -8,16 +8,20 @@ pairs.  It is a walk kernel of length 1 in disguise: transform each
 graph into its shortest-path closure (complete over reachable pairs,
 edges labeled by distance) and compare single edges.
 
-This demo transforms a small graph, computes the kernel with both
-schemes, and inspects the explicit features.
+This demo transforms a small graph, computes the kernel's Gram matrix
+with both schemes, and inspects the explicit features.
 """
 
 from gkern import (
+    Dataset,
+    EdgeKernelSpec,
     Graph,
-    dot,
+    VertexKernelSpec,
+    gram_explicit,
+    gram_implicit,
     sp_features_explicit,
-    sp_kernel_implicit,
     sp_transform,
+    walk_kernel_implicit,
 )
 
 # A labeled 5-cycle and a labeled 5-path.
@@ -35,13 +39,19 @@ print(f"5-cycle: {cycle.m} edges -> closure with "
       f"{closure.m} distance-labeled edges")
 
 # ---------------------------------------------------------------------
-# 2. Both schemes agree.
+# 2. Both schemes agree: implicitly, the length-1 walk kernel on the
+#    closures, a Gram row per call; explicitly, the triple counts.
 # ---------------------------------------------------------------------
-implicit = sp_kernel_implicit(cycle, path)
-explicit = dot(sp_features_explicit(cycle), sp_features_explicit(path))
-print(f"shortest-path kernel(cycle, path) = {implicit:g} "
-      f"(explicit {explicit:g})")
-assert implicit == explicit
+ds = Dataset("cycle-and-path", [cycle, path])
+closures = Dataset(ds.name, [sp_transform(x) for x in ds.graphs])
+dirac_v, dirac_len = VertexKernelSpec("dirac"), EdgeKernelSpec("dirac")
+implicit = gram_implicit(
+    closures, lambda x, partners: walk_kernel_implicit(x, partners, dirac_v, dirac_len, 1)
+)
+explicit = gram_explicit(ds, sp_features_explicit)
+print(f"shortest-path kernel(cycle, path) = {implicit.values[0, 1]:g} "
+      f"(explicit {explicit.values[0, 1]:g})")
+assert (implicit.values == explicit.values).all()
 
 # ---------------------------------------------------------------------
 # 3. The explicit features are readable: (label_u, label_v, distance)

@@ -21,12 +21,14 @@ from collections import Counter
 from itertools import permutations
 
 from gkern import (
+    Dataset,
     EdgeKernelSpec,
     Graph,
     VertexKernelSpec,
     canonical_string,
-    dot,
     graphlet_features,
+    gram_explicit,
+    gram_implicit,
     matching_features,
     subgraph_matching_kernel,
 )
@@ -36,6 +38,7 @@ g = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)],
           vertex_labels=[0, 0, 1, 0, 1])
 h = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)],
           vertex_labels=[0, 1, 0, 1, 0])
+ds = Dataset("g-and-h", [g, h])
 dirac_v = VertexKernelSpec("dirac")
 dirac_e = EdgeKernelSpec("dirac")
 
@@ -46,32 +49,36 @@ for name, graph in (("g", g), ("h", h)):
     vec = graphlet_features(graph)
     print(f"connected 3-vertex subgraphs of {name}: "
           f"{len(vec)} classes, total {sum(vec.values()):g}")
-print("graphlet kernel =", dot(graphlet_features(g), graphlet_features(h)))
+print(f"graphlet kernel = {gram_explicit(ds, graphlet_features).values[0, 1]:g}")
 
 # ---------------------------------------------------------------------
 # 2. The matching kernel with Dirac kernels is a dot product: every
 #    class P of induced subgraphs, counted c_P times, weighted by its
 #    automorphism count (a path on labels (a, b, a) can be flipped; a
 #    triangle with equal labels has six symmetries).  matching_features
-#    emits each class once per automorphism, with weight c_P.
+#    emits each class once per automorphism, with weight c_P.  The
+#    implicit kernel takes a graph and a sequence of partners: one Gram
+#    row per call.
 # ---------------------------------------------------------------------
 for connected in (False, True):
-    implicit = subgraph_matching_kernel(
-        g, h, dirac_v, dirac_e, max_size=3, connected_only=connected
-    )
-    explicit = dot(matching_features(g, 3, connected),
-                   matching_features(h, 3, connected))
+    implicit = gram_implicit(
+        ds,
+        lambda x, partners: subgraph_matching_kernel(
+            x, partners, dirac_v, dirac_e, max_size=3, connected_only=connected
+        ),
+    ).values
+    explicit = gram_explicit(ds, lambda x: matching_features(x, 3, connected)).values
     print(f"matching kernel, sizes 1..3, connected_only={connected}: "
-          f"clique sum {implicit:g} = feature dot {explicit:g}")
-    assert implicit == explicit
+          f"clique sum {implicit[0, 1]:g} = feature dot {explicit[0, 1]:g}")
+    assert (implicit == explicit).all()
 
 # The size-3 connected stratum alone, checked from scratch below.
 matching = subgraph_matching_kernel(
-    g, h, dirac_v, dirac_e,
+    g, [h], dirac_v, dirac_e,
     max_size=3,
     size_weights=lambda k: 1.0 if k == 3 else 0.0,
     connected_only=True,
-)
+)[0]
 print(f"matching kernel (exact size 3, connected) = {matching:g}")
 
 
@@ -132,11 +139,11 @@ g2 = Graph(g.n, [tuple(e) for e in g.edges],
 h2 = Graph(h.n, [tuple(e) for e in h.edges],
            vertex_labels=[int(x) for x in h.vertex_labels],
            edge_labels=[1, 0, 1, 0, 0, 1])
-hard = subgraph_matching_kernel(g2, h2, dirac_v, dirac_e, max_size=3)
+hard = subgraph_matching_kernel(g2, [h2], dirac_v, dirac_e, max_size=3)[0]
 soft = subgraph_matching_kernel(
-    g2, h2, dirac_v, EdgeKernelSpec("table", table=((0, 1, 0.5),)),
+    g2, [h2], dirac_v, EdgeKernelSpec("table", table=((0, 1, 0.5),)),
     max_size=3,
-)
+)[0]
 print(f"\nsizes 1..3 with bond types — Dirac edges: {hard:g}, "
       f"half-weight on mismatched types: {soft:g}")
 assert soft > hard

@@ -16,18 +16,20 @@ walk in each graph.  It can be computed two ways:
   walk label sequence, then take one dot product; cost driven by how
   many distinct sequences exist.
 
-Both return the same number.  This demo runs both on a pair of small
-labeled graphs, decodes a few of the explicit features into readable
-label sequences, and finishes with the variant that sums all lengths
-up to a maximum with per-length coefficients.
+Both return the same numbers.  This demo runs both on a dataset of two
+small labeled graphs, as ``gkern compute`` does (the implicit kernel
+takes one graph and a sequence of partners and returns a Gram row),
+decodes a few of the explicit features into readable label sequences,
+and finishes with all lengths up to a maximum from one pass.
 """
 
 from gkern import (
+    Dataset,
     EdgeKernelSpec,
     Graph,
     VertexKernelSpec,
-    dot,
-    max_walk_kernel_implicit,
+    gram_explicit,
+    gram_implicit,
     walk_features_explicit,
     walk_kernel_implicit,
 )
@@ -41,15 +43,17 @@ dirac_v = VertexKernelSpec("dirac")
 dirac_e = EdgeKernelSpec("dirac")
 
 # ---------------------------------------------------------------------
-# 1. Same number from both schemes, at every length.
+# 1. Same Gram matrix from both schemes, at every length.
 # ---------------------------------------------------------------------
-print("length  implicit  explicit")
+ds = Dataset("triangle-and-path", [g, h])
+print("length  implicit  explicit  (the (g, h) entry)")
 for length in range(6):
-    implicit = walk_kernel_implicit(g, h, dirac_v, dirac_e, length)
-    explicit = dot(walk_features_explicit(g, length),
-                   walk_features_explicit(h, length))
-    print(f"{length:6d}  {implicit:8g}  {explicit:8g}")
-    assert implicit == explicit
+    implicit = gram_implicit(
+        ds, lambda x, partners: walk_kernel_implicit(x, partners, dirac_v, dirac_e, length)
+    )
+    explicit = gram_explicit(ds, lambda x: walk_features_explicit(x, length))
+    print(f"{length:6d}  {implicit.values[0, 1]:8g}  {explicit.values[0, 1]:8g}")
+    assert (implicit.values == explicit.values).all()
 
 # ---------------------------------------------------------------------
 # 2. What the explicit features actually are: counts of alternating
@@ -62,18 +66,16 @@ for key, count in walk_features_explicit(g, 2).items():
     print(f"  sequence {sequence} (length {length}): {count:g} walk(s)")
 
 # ---------------------------------------------------------------------
-# 3. Summing lengths 0..L with coefficients: one pass over the product
-#    graph, same value as the per-length sum.
+# 3. Every length 0..L from one pass over the product graph
+#    (all_rounds), the same values as one call per length; weighting and
+#    summing them gives the max-walk kernel.
 # ---------------------------------------------------------------------
+terms = walk_kernel_implicit(g, [h], dirac_v, dirac_e, 3, all_rounds=True)[0]
+per_length = [walk_kernel_implicit(g, [h], dirac_v, dirac_e, l)[0] for l in range(4)]
+assert terms.tolist() == per_length
 coefficients = [1.0, 0.5, 0.25, 0.125]
-combined = max_walk_kernel_implicit(g, h, dirac_v, dirac_e, 3, coefficients)
-by_parts = sum(
-    c * walk_kernel_implicit(g, h, dirac_v, dirac_e, length)
-    for length, c in enumerate(coefficients)
-)
-print(f"\nlengths 0..3 with geometric coefficients: {combined:g}"
-      f" (per-length sum {by_parts:g})")
-assert combined == by_parts
+combined = sum(c * t for c, t in zip(coefficients, terms.tolist()))
+print(f"\nlengths 0..3: {terms.tolist()}; with geometric coefficients {combined:g}")
 
 # ---------------------------------------------------------------------
 # 4. A non-Dirac edge kernel: bonds of type 0 and 1 count half when
@@ -83,5 +85,5 @@ assert combined == by_parts
 # ---------------------------------------------------------------------
 soft_edges = EdgeKernelSpec("table", table=((0, 1, 0.5),))
 print("soft edge kernel, length 2:",
-      walk_kernel_implicit(g, h, dirac_v, soft_edges, 2),
-      "(Dirac gave", walk_kernel_implicit(g, h, dirac_v, dirac_e, 2), ")")
+      walk_kernel_implicit(g, [h], dirac_v, soft_edges, 2)[0],
+      "(Dirac gave", walk_kernel_implicit(g, [h], dirac_v, dirac_e, 2)[0], ")")

@@ -9,17 +9,18 @@ compute the same function; which one is faster depends on the data, and
 
 Quick start::
 
-    from gkern import generate_synthetic_labeled, walk_kernel_implicit
-    from gkern import walk_features_explicit, dot
+    from gkern import generate_synthetic_labeled, gram_explicit, gram_implicit
+    from gkern import walk_features_explicit, walk_kernel_implicit
     from gkern.kernels import VertexKernelSpec, EdgeKernelSpec
 
     ds = generate_synthetic_labeled(10, seed=1)
-    g, h = ds.graphs[0], ds.graphs[1]
-    implicit = walk_kernel_implicit(
-        g, h, VertexKernelSpec("dirac"), EdgeKernelSpec("uniform"), length=4
+    dirac_v, dirac_e = VertexKernelSpec("dirac"), EdgeKernelSpec("dirac")
+    # one Gram row per call: g against the partners hs
+    implicit = gram_implicit(
+        ds, lambda g, hs: walk_kernel_implicit(g, hs, dirac_v, dirac_e, length=4)
     )
-    explicit = dot(walk_features_explicit(g, 4), walk_features_explicit(h, 4))
-    assert implicit == explicit
+    explicit = gram_explicit(ds, lambda g: walk_features_explicit(g, 4))
+    assert (implicit.values == explicit.values).all()
 """
 
 from .errors import (
@@ -32,7 +33,6 @@ from .errors import (
     ParameterError,
     ResourceBudgetError,
 )
-from .features import dot
 from .gram import (
     GramMatrix,
     export_gram,
@@ -64,7 +64,6 @@ from .kernels import (
 from .rng import SplitMix64
 from .shortest_paths import (
     sp_features_explicit,
-    sp_kernel_implicit,
     sp_transform,
 )
 from .subgraphs import (
@@ -72,15 +71,12 @@ from .subgraphs import (
     graphlet_features,
     matching_features,
     subgraph_matching_kernel,
-    subgraph_matching_row,
 )
 from .walks import (
     WeightedProductGraph,
     build_wdpg,
-    max_walk_kernel_implicit,
     walk_features_explicit,
     walk_kernel_implicit,
-    walk_kernel_row,
 )
 from .weighted import (
     WeightFeatureMap,
@@ -91,7 +87,6 @@ from .weighted import (
     label_features,
     wv_features_explicit,
     wv_kernel_implicit,
-    wv_kernel_row,
 )
 from .wl import ColorAssignment, wl_refine_dataset
 
@@ -124,7 +119,6 @@ __all__ = [
     "binning_features",
     "build_wdpg",
     "canonical_string",
-    "dot",
     "export_gram",
     "generate_synthetic_alphabet",
     "generate_synthetic_labeled",
@@ -137,22 +131,17 @@ __all__ = [
     "load_gram_csv",
     "load_tu_dataset",
     "matching_features",
-    "max_walk_kernel_implicit",
     "min_eigenvalue_estimate",
     "normalize",
     "sample_binning_grid",
     "scale_attributes",
     "sp_features_explicit",
-    "sp_kernel_implicit",
     "sp_transform",
     "subgraph_matching_kernel",
-    "subgraph_matching_row",
     "walk_features_explicit",
     "walk_kernel_implicit",
-    "walk_kernel_row",
     "wl_refine_dataset",
     "write_tu_dataset",
     "wv_features_explicit",
     "wv_kernel_implicit",
-    "wv_kernel_row",
 ]

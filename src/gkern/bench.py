@@ -43,8 +43,8 @@ from .graphs import (
 )
 from .kernels import EdgeKernelSpec, VertexKernelSpec, sample_binning_grid
 from .shortest_paths import sp_features_explicit, sp_transform
-from .subgraphs import graphlet_features, matching_features, subgraph_matching_row
-from .walks import walk_features_explicit, walk_kernel_row
+from .subgraphs import graphlet_features, matching_features, subgraph_matching_kernel
+from .walks import walk_features_explicit, walk_kernel_implicit
 from .weighted import (
     attribute_class_features,
     binned_attribute_features,
@@ -52,7 +52,7 @@ from .weighted import (
     graphhopper_weight_maps,
     label_features,
     wv_features_explicit,
-    wv_kernel_row,
+    wv_kernel_implicit,
 )
 
 KERNELS = (
@@ -147,10 +147,10 @@ def kernel_plan(
     if kernel in ("walk", "maxwalk"):
         name = f"{kernel}(l={length})"
         if kernel == "walk":
-            row = lambda g, hs: walk_kernel_row(g, hs, dirac, edges, length)
+            row = lambda g, hs: walk_kernel_implicit(g, hs, dirac, edges, length)
             features = lambda g: walk_features_explicit(g, length)
         else:
-            row = lambda g, hs: walk_kernel_row(
+            row = lambda g, hs: walk_kernel_implicit(
                 g, hs, dirac, edges, length, all_rounds=True
             ).sum(axis=1)
             # the sum kernel's map: keys (TAG_WALK, l, ...) carry the length
@@ -172,8 +172,8 @@ def kernel_plan(
                 ds.name, [sp_transform(g) for g in ds.graphs], ds.class_labels
             )
             # the shortest-path kernel is the length-1 walk kernel on the
-            # transforms (see sp_kernel_implicit)
-            row = lambda g, hs: walk_kernel_row(g, hs, dirac, lk, 1)
+            # transforms (see gkern.shortest_paths)
+            row = lambda g, hs: walk_kernel_implicit(g, hs, dirac, lk, 1)
             return gram_implicit(transformed, row, f"sp({lk.describe()})/implicit")
 
         explicit = lambda: gram_explicit(ds, sp_features_explicit, "sp/explicit")
@@ -194,7 +194,7 @@ def kernel_plan(
 
     if kernel == "subgraph-matching":
         name = f"subgraph-matching(max={max_size})"
-        row = lambda g, hs: subgraph_matching_row(
+        row = lambda g, hs: subgraph_matching_kernel(
             g, hs, dirac, edges, max_size, connected_only=connected_only
         )
         implicit = lambda: gram_implicit(ds, row, f"{name}/implicit")
@@ -225,7 +225,7 @@ def kernel_plan(
         else graphhopper_weight_maps(ds)
     )
     name = f"{kernel}[{vk.describe()}]"
-    row = lambda g, hs: wv_kernel_row(g, hs, weight_map, vk)
+    row = lambda g, hs: wv_kernel_implicit(g, hs, weight_map, vk)
     implicit = lambda: gram_implicit(ds, row, f"{name}/implicit")
 
     def explicit() -> GramMatrix:

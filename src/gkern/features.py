@@ -29,14 +29,11 @@ them, since no map composes generically:
 * R-convolution, summed part maps — the same map adds up those
   w(v) x phi(v) over the vertices.
 
-No map stores a zero weight.  :func:`dot` adds the products of the
-shared keys in ascending key order, so its result does not depend on
-the order in which either dict was built.
+No map stores a zero weight.  :func:`gkern.gram.gram_explicit` takes
+the dot products of a dataset's maps, all at once.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 # Key namespaces.
 TAG_LABEL = 1      # one-hot on a discrete annotation value
@@ -48,11 +45,3 @@ TAG_WL = 7         # refinement color at a given iteration
 TAG_GH = 8         # (position, path length) cell of a path-count table
 TAG_PAIR = 11      # (left, right): a key of a tensor product
 
-
-def dot(u: Dict[tuple, float], v: Dict[tuple, float]) -> float:
-    """Sparse inner product, summed over the shared keys in ascending
-    order; integer weights give an exact integer."""
-    total = 0
-    for key in sorted(u.keys() & v.keys()):
-        total += u[key] * v[key]
-    return total

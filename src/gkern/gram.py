@@ -1,8 +1,12 @@
 """Gram matrices over datasets: assembly, normalization, diagnostics, export.
 
 Two assembly routes mirror the two computation schemes.
-:func:`gram_implicit` calls a row kernel on slices of one union of the
-graphs, a row of the upper triangle per call; its cost is all in those calls.
+:func:`gram_implicit` calls an implicit kernel function
+(:func:`gkern.walks.walk_kernel_implicit`,
+:func:`gkern.weighted.wv_kernel_implicit` or
+:func:`gkern.subgraphs.subgraph_matching_kernel`, each taking one graph
+and a sequence of partners) on slices of one union of the graphs, a row
+of the upper triangle per call; its cost is all in those calls.
 :func:`gram_explicit` first materializes one sparse feature vector per
 graph, interning its keys into dataset-wide columns, then computes the
 whole matrix as one product X·Xᵀ of the graphs-by-features matrix, in
@@ -77,9 +81,9 @@ def gram_implicit(
     ``kernel(g, hs)`` is a row kernel, called once per graph ``i`` with
     ``hs = union[i:]``, ``union`` the :class:`~gkern.graphs.DisjointUnion`
     of ``ds`` built once per call.  It returns one value per partner (as
-    :func:`gkern.walks.walk_kernel_row`,
-    :func:`gkern.subgraphs.subgraph_matching_row` and
-    :func:`gkern.weighted.wv_kernel_row` do); a row of any other shape
+    :func:`gkern.walks.walk_kernel_implicit`,
+    :func:`gkern.subgraphs.subgraph_matching_kernel` and
+    :func:`gkern.weighted.wv_kernel_implicit` do); a row of any other shape
     fails with :class:`ContractError`.  A row whose evaluation raises is
     re-evaluated pair by pair, and the error names its failing pair.
     """

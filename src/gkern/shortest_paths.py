@@ -8,8 +8,9 @@ graph and every ordered pair (w, z) of the other, the product
 with unreachable pairs contributing nothing.  Computationally this is a
 length-1 walk kernel on the *shortest-path transform* — the graph on the
 same vertices whose edges connect every reachable pair and carry the hop
-distance as their annotation — which is how :func:`sp_kernel_implicit`
-evaluates it.
+distance as their annotation.  So the implicit scheme is
+:func:`gkern.walks.walk_kernel_implicit` with length 1 on the transforms,
+the length kernel as its edge kernel, a Gram row per call.
 
 With Dirac base kernels the explicit map is a count vector over
 (source label, target label, distance) triples (:func:`sp_features_explicit`,
@@ -26,8 +27,6 @@ import numpy as np
 
 from .features import TAG_SP
 from .graphs import Graph, all_pairs_shortest_paths, INF_DISTANCE
-from .kernels import EdgeKernelSpec, VertexKernelSpec
-from .walks import explicit_labels, walk_kernel_implicit
 
 
 def sp_transform(g: Graph) -> Graph:
@@ -50,18 +49,6 @@ def sp_transform(g: Graph) -> Graph:
     )
 
 
-def sp_kernel_implicit(
-    g: Graph,
-    h: Graph,
-    vertex_kernel: VertexKernelSpec = VertexKernelSpec("dirac"),
-    length_kernel: EdgeKernelSpec = EdgeKernelSpec("dirac"),
-) -> float:
-    """Shortest-path kernel as the length-1 walk kernel on transforms."""
-    return walk_kernel_implicit(
-        sp_transform(g), sp_transform(h), vertex_kernel, length_kernel, length=1
-    )
-
-
 def sp_features_explicit(g: Graph) -> Dict[tuple, int]:
     """Count vector over (source label, target label, distance) triples.
 
@@ -69,7 +56,7 @@ def sp_features_explicit(g: Graph) -> Dict[tuple, int]:
     once; the dot product of two such vectors equals the shortest-path
     kernel with Dirac vertex and length kernels.
     """
-    labels = explicit_labels(g, "shortest-path")
+    labels = g.vertex_label_array().tolist()
     dist = all_pairs_shortest_paths(g).dist
     counts: dict = {}
     for u in range(g.n):

@@ -26,12 +26,13 @@ kernel is Σ_P |Aut(P)|·c_P(G)·c_P(H) over the classes P the counter keys;
 :func:`matching_features` is that explicit feature map.
 
 The implicit side runs a Gram row at a time
-(:func:`subgraph_matching_row`; the one-pair kernel is its one-partner
-case).  ``g`` is paired with the disjoint union of a block of partners,
-and pairs of different partners are never connected, so the association
-graph of the union is the disjoint union of the per-partner ones; it is
-stored as such, one flat square of connections per partner, and nothing
-between partners is built or read.  Its cliques are enumerated in numpy,
+(:func:`subgraph_matching_kernel` takes ``g`` and a sequence of
+partners; one pair is the one-partner case).  ``g`` is paired with the
+disjoint union of a block of partners, and pairs of different partners
+are never connected, so the association graph of the union is the
+disjoint union of the per-partner ones; it is stored as such, one flat
+square of connections per partner, and nothing between partners is
+built or read.  Its cliques are enumerated in numpy,
 a chunk of one size at a time: a chunk is one int array of ascending
 member indices, and each clique grows by the candidates in its window.
 A one-vertex clique's window is the later vertices of its partner; a
@@ -569,7 +570,7 @@ def _level_sums(
     """``(sums, unit)``: the ``(len(factors), len(union))`` clique sums of
     ``g`` against each partner by size, and which partners have only
     weight-1 vertices and allowed connections (see
-    :func:`subgraph_matching_row`)."""
+    :func:`subgraph_matching_kernel`)."""
     keep, values = vertex_kernel.support(g, union)
     us, vs = np.nonzero(keep)
     by_partner = np.argsort(union.owner[vs], kind="stable")
@@ -623,7 +624,7 @@ def _level_sums(
     return sums, unit
 
 
-def subgraph_matching_row(
+def subgraph_matching_kernel(
     g: Graph,
     hs: Sequence[Graph],
     vertex_kernel: VertexKernelSpec = VertexKernelSpec("dirac"),
@@ -649,7 +650,10 @@ def subgraph_matching_row(
     of one size at a time, contributes ``size_weights(size)`` times the
     product of its vertex weights and of the weights of all its internal
     connections; ``connected_only`` keeps only cliques whose structural
-    connections connect them.
+    connections connect them.  With ``size_weights=lambda k: 1 /
+    math.factorial(k)`` the Dirac/uniform value counts each unordered
+    common subgraph selection once.  ``max_size`` beyond the association
+    graph order is harmless.
 
     When a partner's cliques all contribute integers (all its vertex and
     allowed connection weights 1, and integer size factors), float64
@@ -686,33 +690,3 @@ def subgraph_matching_row(
                     f"where float64 stops counting exactly"
                 )
     return out
-
-
-def subgraph_matching_kernel(
-    g: Graph,
-    h: Graph,
-    vertex_kernel: VertexKernelSpec = VertexKernelSpec("dirac"),
-    edge_kernel: EdgeKernelSpec = EdgeKernelSpec("dirac"),
-    max_size: int = 3,
-    size_weights: Optional[Callable[[int], float]] = None,
-    connected_only: bool = False,
-) -> float:
-    """Sum over common-subgraph mappings of their kernel value.
-
-    Each mapping of up to ``max_size`` vertices is a clique of the
-    association graph of compatible vertex pairs, enumerated a chunk of
-    one size at a time; it contributes ``size_weights(size)`` times the
-    product of its vertex weights and of the weights of all its internal
-    connections.
-    ``connected_only`` keeps only mappings whose shared edges connect the
-    mapped vertices.  With ``size_weights=lambda k: 1 / math.factorial(k)``
-    the Dirac/uniform value counts each unordered common subgraph
-    selection once.  ``max_size`` beyond the association graph order is
-    harmless.  This is the one-partner case of
-    :func:`subgraph_matching_row`, whose 2**53 check it shares.
-    """
-    return float(
-        subgraph_matching_row(
-            g, [h], vertex_kernel, edge_kernel, max_size, size_weights, connected_only
-        )[0]
-    )

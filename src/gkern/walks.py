@@ -4,8 +4,9 @@ The kernel between graphs G and H sums, over all pairs of equal-length
 walks (one from each graph), the product of vertex-kernel values along the
 walk positions and edge-kernel values along the steps.
 
-*Implicit scheme* — :func:`walk_kernel_implicit`: build the weighted
-direct product graph (one vertex per compatible vertex pair, one edge per
+*Implicit scheme* — :func:`walk_kernel_implicit`, ``g`` against a
+sequence of partners, one value per partner: build the weighted direct
+product graph (one vertex per compatible vertex pair, one edge per
 compatible edge pair) and count walk pairs over it.  With ``w`` its vertex
 weights and ``A`` its weighted adjacency, both symmetric, the walks meet
 in the middle: with ``r_0 = w``, ``f_a = A r_{a-1}`` and ``r_a = w * f_a``,
@@ -26,12 +27,12 @@ already a product edge of weight 1, so nothing else is read.  Constant
 keys match everything, so the non-Dirac kinds fall back to the dense
 enumeration through the same code.
 
-*Row scheme* — :func:`walk_kernel_row`: the product of ``g`` with a
-disjoint union ``h_1 + ... + h_k`` is the disjoint union of the products
-``g x h_j``, since no product vertex or edge pairs ``g`` with two partners
-at once.  So a Gram row is evaluated a block of partners at a time: one
-product build and one recursion over the union, then one bincount over
-each product vertex's partner reads off the per-partner totals.  The
+*A Gram row per call*: the product of ``g`` with a disjoint union
+``h_1 + ... + h_k`` is the disjoint union of the products ``g x h_j``,
+since no product vertex or edge pairs ``g`` with two partners at once.
+So a Gram row is evaluated a block of partners at a time: one product
+build and one recursion over the union, then one bincount over each
+product vertex's partner reads off the per-partner totals.  The
 values are the pairwise ones: every product vertex keeps its pair's
 neighbours and its edges in their one-partner order, so the per-vertex
 sums add the same terms in the same relative order as a one-partner
@@ -90,14 +91,16 @@ class WeightedProductGraph:
     (u, v) order; ``vertex_weights[x]`` is the vertex-kernel value.  Edges
     are stored once per unordered pair as parallel arrays; an edge exists
     where both factor edges exist and the edge kernel is positive, and its
-    weight is that kernel value.
+    weight is that kernel value.  ``vertex_weights`` and ``edge_weights``
+    are ``None`` when every weight is 1 (as with Dirac kernels), so a
+    unit product stores no weights and its walk totals count walks.
     """
 
-    pairs: np.ndarray            # (N, 2) int64
-    vertex_weights: np.ndarray   # (N,) float64
-    edge_u: np.ndarray           # (M,) int64, indices into pairs
-    edge_v: np.ndarray           # (M,) int64
-    edge_weights: np.ndarray     # (M,) float64
+    pairs: np.ndarray                      # (N, 2) int64
+    vertex_weights: Optional[np.ndarray]   # (N,) float64, or None: all 1
+    edge_u: np.ndarray                     # (M,) int64, indices into pairs
+    edge_v: np.ndarray                     # (M,) int64
+    edge_weights: Optional[np.ndarray]     # (M,) float64, or None: all 1
 
     @property
     def num_vertices(self) -> int:
@@ -134,13 +137,11 @@ def build_wdpg(
     count = flat.size
     pairs = np.empty((count, 2), dtype=np.int64)
     np.divmod(flat, h.n, out=(pairs[:, 0], pairs[:, 1]))
-    vertex_weights = np.ones(count) if values is None else values.ravel()[flat]
+    vertex_weights = None if values is None else _unless_unit(values.ravel()[flat])
 
     empty = np.zeros(0, dtype=np.int64)
     if count == 0 or g.m == 0 or h.m == 0:
-        return WeightedProductGraph(
-            pairs, vertex_weights, empty, empty, np.zeros(0, dtype=np.float64)
-        )
+        return WeightedProductGraph(pairs, vertex_weights, empty, empty, None)
 
     index = np.full((g.n, h.n), -1, dtype=np.int64)
     index[keep] = np.arange(count, dtype=np.int64)
@@ -187,14 +188,18 @@ def build_wdpg(
             chunks_w.append(weights[valid])
         chunks_u.append(side_a[valid])
         chunks_v.append(side_b[valid])
-    edge_u = np.concatenate(chunks_u)
     return WeightedProductGraph(
         pairs,
         vertex_weights,
-        edge_u,
+        np.concatenate(chunks_u),
         np.concatenate(chunks_v),
-        np.concatenate(chunks_w) if chunks_w else np.ones(edge_u.size),
+        _unless_unit(np.concatenate(chunks_w)) if chunks_w else None,
     )
+
+
+def _unless_unit(weights: np.ndarray) -> Optional[np.ndarray]:
+    """``weights``, or ``None`` when every one is 1."""
+    return None if bool((weights == 1.0).all()) else weights
 
 
 def _codes(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -310,14 +315,14 @@ def _walk_totals(
     weighted adjacency, each spread over the unordered edges in two
     bincounts (``u`` collects ``r[v]``, ``v`` collects ``r[u]``), then one
     bincount of ``r * f`` by ``partner`` per kept length.  Also returns
-    whether every weight was 1, i.e. whether the totals count walks; then
-    no factor, product or partial sum exceeds the last total, so the
-    caller's 2**53 check on the totals guards every float64 sum.
+    whether every weight was 1 (the product stores none), i.e. whether
+    the totals count walks; then no factor, product or partial sum exceeds
+    the last total, so the caller's 2**53 check on the totals guards every
+    float64 sum.
     """
-    w = pg.vertex_weights
-    unit_vertices = bool((w == 1.0).all())
-    ew = None if bool((pg.edge_weights == 1.0).all()) else pg.edge_weights
-    u, v, n = pg.edge_u, pg.edge_v, pg.num_vertices
+    ew, u, v, n = pg.edge_weights, pg.edge_u, pg.edge_v, pg.num_vertices
+    unit_vertices = pg.vertex_weights is None
+    w = np.ones(n) if unit_vertices else pg.vertex_weights
 
     def spread(r: np.ndarray) -> np.ndarray:
         at_u, at_v = (r.take(v), r.take(u)) if ew is None else (ew * r.take(v), ew * r.take(u))
@@ -332,7 +337,7 @@ def _walk_totals(
     return np.stack(totals, axis=1), unit_vertices and ew is None
 
 
-def walk_kernel_row(
+def walk_kernel_implicit(
     g: Graph,
     hs: Sequence[Graph],
     vertex_kernel: VertexKernelSpec,
@@ -344,9 +349,12 @@ def walk_kernel_row(
 
     Returns one value per partner, or with ``all_rounds`` one row of the
     per-length values ``0..length`` per partner (the terms of the max-walk
-    kernel).  Partners are grouped into blocks, slices of ``hs`` as a
-    :class:`~gkern.graphs.DisjointUnion`, within :data:`BLOCK_CELLS`; each
-    block costs one product build and one recursion.
+    kernel); one pair's value is ``walk_kernel_implicit(g, [h], ...)[0]``.
+    ``length = 0`` compares single vertices: the value is the sum of all
+    positive vertex-kernel values.  Partners are grouped into blocks,
+    slices of ``hs`` as a :class:`~gkern.graphs.DisjointUnion`, within
+    :data:`BLOCK_CELLS`; each block costs one product build and one
+    recursion.
 
     With weight-1 kernels the values are walk counts.  Should a partner's
     total (summed over the returned lengths) reach 2**53, float64 would no
@@ -377,65 +385,6 @@ def walk_kernel_row(
     return out if all_rounds else out[:, 0]
 
 
-def walk_kernel_implicit(
-    g: Graph,
-    h: Graph,
-    vertex_kernel: VertexKernelSpec,
-    edge_kernel: EdgeKernelSpec,
-    length: int,
-) -> float:
-    """Walk kernel for one fixed length, via the product-graph recursion.
-
-    ``length = 0`` compares single vertices: the value is the sum of all
-    positive vertex-kernel values.  This is the one-partner case of
-    :func:`walk_kernel_row`.
-    """
-    return float(walk_kernel_row(g, [h], vertex_kernel, edge_kernel, length)[0])
-
-
-def max_walk_kernel_implicit(
-    g: Graph,
-    h: Graph,
-    vertex_kernel: VertexKernelSpec,
-    edge_kernel: EdgeKernelSpec,
-    length: int,
-    coefficients: Optional[Sequence[float]] = None,
-) -> float:
-    """Sum of per-length walk kernels up to ``length``, one recursion pass.
-
-    ``coefficients[i]`` weights the length-``i`` term (all 1 by default).
-    """
-    if length < 0:
-        raise ParameterError(f"walk length must be >= 0, got {length}")
-    if coefficients is None:
-        coefficients = [1.0] * (length + 1)
-    if len(coefficients) != length + 1:
-        raise ParameterError(
-            f"need {length + 1} coefficients for length {length}, "
-            f"got {len(coefficients)}"
-        )
-    sums = walk_kernel_row(
-        g, [h], vertex_kernel, edge_kernel, length, all_rounds=True
-    )[0].tolist()
-    return float(sum(c * s for c, s in zip(coefficients, sums)))
-
-
-def explicit_labels(g: Graph, features: str) -> List[int]:
-    """Vertex labels for an explicit Dirac feature map, as Python ints.
-
-    An unlabeled graph reads as label 0 everywhere, but a graph that
-    carries continuous attributes instead of labels has nothing discrete
-    to count, so ``features`` (the map's name) fails with
-    :class:`ContractError`.
-    """
-    if g.vertex_labels is None and g.vertex_attributes is not None:
-        raise ContractError(
-            f"explicit {features} features need discrete vertex labels; this "
-            f"graph carries only continuous attributes — use the implicit scheme"
-        )
-    return g.vertex_label_array().tolist()
-
-
 #: Most (vertex, label sequence) entries one round of
 #: :func:`walk_features_explicit` may store across a graph's vertices.  The
 #: per-vertex maps grow with the number of distinct labelled walks, which
@@ -455,7 +404,7 @@ def walk_features_explicit(g: Graph, length: int) -> Dict[tuple, int]:
     """
     if length < 0:
         raise ParameterError(f"walk length must be >= 0, got {length}")
-    labels = explicit_labels(g, "walk")
+    labels = g.vertex_label_array().tolist()
     per_vertex: List[dict] = [{(labels[v],): 1} for v in range(g.n)]
     if length and g.n:
         # (neighbour, edge label) per arc of the CSR, one list per vertex

@@ -19,8 +19,8 @@ per graph, row v = w(v), over weight columns shared by the dataset:
   including the single-vertex path v -> v), so <w(v), w(v')> is the
   Frobenius inner product of the two tables.
 
-Both schemes read W_G.  The implicit scheme (:func:`wv_kernel_row`, a
-Gram row per call) sums (W_G W_H^T) * k_V(G, H) entrywise; the explicit
+Both schemes read W_G.  The implicit scheme (:func:`wv_kernel_implicit`,
+a Gram row per call) sums (W_G W_H^T) * k_V(G, H) entrywise; the explicit
 scheme (:func:`wv_features_explicit`) uses that the whole kernel factors as
 the dot of per-graph sums of tensor products w(v) x phi_V(v), given a
 feature map phi_V for k_V (exact one-hots for discrete comparisons,
@@ -162,13 +162,14 @@ def graphhopper_weight_maps(ds: Dataset) -> WeightFeatureMap:
     return WeightFeatureMap("graphhopper", keys, per_graph)
 
 
-def wv_kernel_row(
+def wv_kernel_implicit(
     g: Graph,
     hs: Sequence[Graph],
     weight_map: WeightFeatureMap,
     vertex_kernel: VertexKernelSpec,
 ) -> np.ndarray:
-    """Weighted vertex kernels of ``g`` against each partner in ``hs``.
+    """Weighted vertex kernels of ``g`` against each partner in ``hs``;
+    one pair's value is ``wv_kernel_implicit(g, [h], ...)[0]``.
 
     Partners go in blocks, slices of ``hs`` as a :class:`DisjointUnion`
     whose ``g.n * H.n`` vertex pairs stay within :data:`walks.BLOCK_CELLS`.
@@ -205,16 +206,6 @@ def wv_kernel_row(
             )
         out[start:stop] = totals
     return out
-
-
-def wv_kernel_implicit(
-    g: Graph,
-    h: Graph,
-    weight_map: WeightFeatureMap,
-    vertex_kernel: VertexKernelSpec,
-) -> float:
-    """The one-partner case of :func:`wv_kernel_row`."""
-    return float(wv_kernel_row(g, [h], weight_map, vertex_kernel)[0])
 
 
 def wv_features_explicit(

@@ -128,6 +128,18 @@ def edge_kernel_fn(spec) -> Callable[[int, int], float]:
 
 
 # ---------------------------------------------------------------------------
+# sparse feature vectors
+
+def dot(u: Dict[tuple, float], v: Dict[tuple, float]) -> float:
+    """Sparse inner product of two feature dicts, summed over the shared
+    keys in ascending order; integer weights give an exact integer."""
+    total = 0
+    for key in sorted(u.keys() & v.keys()):
+        total += u[key] * v[key]
+    return total
+
+
+# ---------------------------------------------------------------------------
 # walks
 
 def enumerate_walks(g, length: int) -> List[Tuple[int, ...]]:

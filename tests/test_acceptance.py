@@ -21,7 +21,6 @@ from gkern import (
     VertexKernelSpec,
     attribute_class_features,
     binned_attribute_features,
-    dot,
     gram_explicit,
     gram_implicit,
     graph_invariant_weight_maps,
@@ -31,18 +30,18 @@ from gkern import (
     min_eigenvalue_estimate,
     sample_binning_grid,
     sp_features_explicit,
-    sp_kernel_implicit,
+    sp_transform,
     subgraph_matching_kernel,
     walk_features_explicit,
     walk_kernel_implicit,
-    walk_kernel_row,
     wv_features_explicit,
-    wv_kernel_row,
+    wv_kernel_implicit,
 )
 from gkern.bench import AXES, max_relative_discrepancy, sweep
 from conftest import make_random_graph
 from oracles import (
     dirac_fn,
+    dot,
     oracle_graphlet_kernel,
     oracle_sp_kernel,
     oracle_subgraph_matching,
@@ -98,7 +97,7 @@ def _walk_equivalence_grams():
     for length in range(9):
         implicit = gram_implicit(
             ds,
-            lambda g, hs, l=length: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, l),
+            lambda g, hs, l=length: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, l),
             f"walk(l={length})/implicit",
         )
         explicit = gram_explicit(
@@ -134,7 +133,7 @@ def _walk_oracle_data():
             for i, g in enumerate(graphs):
                 for j in range(i, 10):
                     h = graphs[j]
-                    got = walk_kernel_implicit(g, h, DIRAC, spec, length)
+                    got = walk_kernel_implicit(g, [h], DIRAC, spec, length)[0]
                     expected = oracle_walk_kernel(g, h, length, edge_kernel=fn)
                     scale = max(1.0, abs(expected))
                     worst = max(worst, abs(got - expected) / scale)
@@ -168,7 +167,7 @@ def _factorization_data():
         values = np.zeros((20, 20))
         for i, g in enumerate(graphs):
             for j in range(i, 20):
-                got = walk_kernel_implicit(g, graphs[j], DIRAC, UNIFORM_EDGE, length)
+                got = walk_kernel_implicit(g, [graphs[j]], DIRAC, UNIFORM_EDGE, length)[0]
                 expected = float(counts[(i, length)] * counts[(j, length)])
                 if got != expected:
                     mismatches += 1
@@ -185,8 +184,11 @@ def _sp_equivalence_grams():
         "sp-equivalence",
         [make_random_graph(rng, max_n=12, labels=3) for _ in range(30)],
     )
+    transformed = Dataset(ds.name, [sp_transform(g) for g in ds.graphs])
     implicit = gram_implicit(
-        ds, lambda g, hs: [sp_kernel_implicit(g, h) for h in hs], "sp/implicit"
+        transformed,
+        lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 1),
+        "sp/implicit",
     )
     explicit = gram_explicit(ds, sp_features_explicit, "sp/explicit")
     return implicit, explicit
@@ -219,13 +221,13 @@ def _subgraph_data():
             h = graphs[j]
             got_matching = subgraph_matching_kernel(
                 g,
-                h,
+                [h],
                 DIRAC,
                 DIRAC_EDGE,
                 max_size=3,
                 size_weights=exact_three,
                 connected_only=True,
-            )
+            )[0]
             expected_matching = float(
                 sum(
                     cnt * class_counts[j].get(cls, 0) * automorphisms[cls]
@@ -263,7 +265,7 @@ def _weighted_grams():
     ):
         implicit = gram_implicit(
             ds,
-            lambda g, hs, w=wm: wv_kernel_row(g, hs, w, DIRAC_ATTR),
+            lambda g, hs, w=wm: wv_kernel_implicit(g, hs, w, DIRAC_ATTR),
             f"{name}/implicit",
         )
         explicit = gram_explicit(
@@ -334,7 +336,9 @@ def test_criterion_04_shortest_path_equivalence():
     implicit, explicit = _sp_equivalence_grams()
     exact = (implicit.values == explicit.values).all()
     p3 = Graph(3, [(0, 1), (1, 2)])
-    fixture = sp_kernel_implicit(p3, p3)
+    fixture = walk_kernel_implicit(
+        sp_transform(p3), [sp_transform(p3)], DIRAC, DIRAC_EDGE, 1
+    )[0]
     exact = bool(exact) and fixture == 20.0
     elapsed = _budget(4, "shortest-path scheme equivalence", started, 30)
     _report(
@@ -398,7 +402,7 @@ def test_criterion_07_binning_convergence():
     wm = graphhopper_weight_maps(ds)
     exact = gram_implicit(
         ds,
-        lambda g, hs: wv_kernel_row(g, hs, wm, VertexKernelSpec("hat", delta=delta)),
+        lambda g, hs: wv_kernel_implicit(g, hs, wm, VertexKernelSpec("hat", delta=delta)),
         "hat/implicit",
     ).values
 

@@ -30,6 +30,7 @@ from gkern.bench import (
 )
 from gkern.cli import main
 from conftest import graphs
+from oracles import oracle_graphlet_kernel
 
 
 class TestKernelPlanSchemes:
@@ -61,6 +62,47 @@ class TestKernelPlanSchemes:
                 ("implicit", "explicit")
             )
             assert implicit.values[0, 1] == explicit.values[0, 1] == value, kernel
+
+    def test_attribute_only_graphs_read_as_label_zero_in_both_schemes(self):
+        # continuous attributes and no labels: every Dirac map, like every
+        # implicit scheme, reads the graph as unlabeled (label 0)
+        g = Graph(3, [(0, 1), (1, 2)], vertex_attributes=[[0.5], [1.0], [0.2]])
+        ds = Dataset("attributes", [g])
+        for kernel in ("walk", "sp", "subgraph-matching"):
+            implicit, explicit = kernel_plan(kernel, ds, length=2).grams(
+                ("implicit", "explicit")
+            )
+            assert implicit.values.tobytes() == explicit.values.tobytes(), kernel
+        # graphlet counts have no implicit scheme; the oracle stands in
+        graphlet = kernel_plan("graphlet", ds).builder("explicit")()
+        assert graphlet.values[0, 0] == oracle_graphlet_kernel(g, g) == 1
+
+    @pytest.mark.parametrize(
+        "kernel, traced",
+        [
+            ("walk", "walk_kernel_implicit"),
+            ("maxwalk", "walk_kernel_implicit"),
+            ("sp", "walk_kernel_implicit"),
+            ("subgraph-matching", "subgraph_matching_kernel"),
+            ("graph-invariant", "wv_kernel_implicit"),
+            ("graphhopper", "wv_kernel_implicit"),
+        ],
+    )
+    def test_implicit_builders_call_the_public_kernel(self, monkeypatch, kernel, traced):
+        # a tracer times a layer by replacing its public function on every
+        # gkern module, so each plan must call that function by its name
+        public = getattr(gkern.bench, traced)
+        assert public is getattr(gkern, traced)
+        partners = []
+
+        def recorder(g, hs, *args, **kwargs):
+            partners.append(len(hs))
+            return public(g, hs, *args, **kwargs)
+
+        monkeypatch.setattr(gkern.bench, traced, recorder)
+        ds = Dataset("p3", [Graph(3, [(0, 1), (1, 2)]), Graph(2, [(0, 1)])])
+        kernel_plan(kernel, ds, length=2).builder("implicit")()
+        assert partners == [2, 1]
 
 
 class TestDiscrepancy:

@@ -11,7 +11,6 @@ from gkern import (
     VertexKernelSpec,
     attribute_class_features,
     binned_attribute_features,
-    dot,
     graph_invariant_weight_maps,
     label_features,
     sample_binning_grid,
@@ -21,6 +20,7 @@ from gkern import (
 from gkern import bench
 from gkern.features import TAG_LABEL, TAG_PAIR, TAG_WL
 from conftest import make_random_graph
+from oracles import dot
 
 
 def random_vector(rng: random.Random, universe: int = 12, max_nnz: int = 6) -> dict:

@@ -17,7 +17,6 @@ from gkern import (
     MultiplicityOverflowError,
     ParameterError,
     VertexKernelSpec,
-    dot,
     export_gram,
     generate_synthetic_alphabet,
     gram_explicit,
@@ -27,12 +26,12 @@ from gkern import (
     normalize,
     walk_features_explicit,
     walk_kernel_implicit,
-    walk_kernel_row,
 )
 from gkern import bench, gram as gram_module, subgraphs, walks
 from gkern.features import TAG_LABEL
 from gkern.graphs import DisjointUnion
 from conftest import graphs, make_random_graph
+from oracles import dot
 
 DIRAC = VertexKernelSpec("dirac")
 DIRAC_EDGE = EdgeKernelSpec("dirac")
@@ -51,7 +50,7 @@ class TestAssembly:
         rng = random.Random(179)
         ds = _walk_dataset(rng)
         implicit = gram_implicit(
-            ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 3)
+            ds, lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 3)
         )
         explicit = gram_explicit(ds, lambda g: walk_features_explicit(g, 3))
         assert (implicit.values == explicit.values).all()  # integer-exact
@@ -62,7 +61,7 @@ class TestAssembly:
         rng = random.Random(181)
         ds = _walk_dataset(rng, count=3)
         implicit = gram_implicit(
-            ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 2)
+            ds, lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 2)
         )
         assert implicit.timings["scheme"] == "implicit"
         assert implicit.timings["seconds_total"] >= 0
@@ -106,12 +105,12 @@ class TestAssembly:
         join = walks._join(graphs[0], union, DIRAC, DIRAC_EDGE)
         assert len(list(walks._blocks(graphs[0], union, join))) > 1
         rows = gram_implicit(
-            ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 3)
+            ds, lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 3)
         )
         pairs = gram_implicit(
             ds,
             lambda g, hs: [
-                walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, 3) for h in hs
+                walk_kernel_implicit(g, [h], DIRAC, DIRAC_EDGE, 3)[0] for h in hs
             ],
         )
         assert np.array_equal(rows.values, pairs.values)
@@ -152,7 +151,7 @@ class TestAssembly:
         ds = Dataset("t", [Graph(1), k20, Graph(1)])
         with pytest.raises(GramError, match=r"pair \(1, 1\)") as caught:
             gram_implicit(
-                ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 6)
+                ds, lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 6)
             )
         assert isinstance(caught.value.__cause__, MultiplicityOverflowError)
 
@@ -197,7 +196,7 @@ class TestNormalize:
         rng = random.Random(193)
         ds = _walk_dataset(rng)
         gram = gram_implicit(
-            ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 2)
+            ds, lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 2)
         )
         unit = normalize(gram)
         diag = np.diag(gram.values)
@@ -243,7 +242,7 @@ class TestMinEigenvalue:
         rng = random.Random(199)
         ds = _walk_dataset(rng)
         gram = gram_implicit(
-            ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 3)
+            ds, lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 3)
         )
         assert min_eigenvalue_estimate(gram.values) >= -1e-8
 
@@ -264,7 +263,7 @@ class TestExport:
         rng = random.Random(211)
         ds = _walk_dataset(rng, count=4)
         gram = gram_implicit(
-            ds, lambda g, hs: walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, 2)
+            ds, lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 2)
         )
         path = str(tmp_path / "gram.csv")
         assert export_gram(gram, "csv", path) == path

@@ -15,11 +15,10 @@ from gkern import (
     ParameterError,
     VertexKernelSpec,
     binning_features,
-    dot,
     sample_binning_grid,
 )
 from conftest import make_random_graph
-from oracles import edge_kernel_fn, hat_fn, vertex_kernel_fn
+from oracles import dot, edge_kernel_fn, hat_fn, vertex_kernel_fn
 
 
 def _points(*rows):

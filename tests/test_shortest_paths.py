@@ -5,26 +5,29 @@ import random
 import pytest
 
 from gkern import (
-    ContractError,
     EdgeKernelSpec,
     Graph,
     INF_DISTANCE,
     VertexKernelSpec,
     all_pairs_shortest_paths,
-    dot,
     sp_features_explicit,
-    sp_kernel_implicit,
     sp_transform,
-    walk_kernel_row,
+    walk_kernel_implicit,
 )
 from gkern import walks
 from gkern.features import TAG_SP
 from gkern.graphs import DisjointUnion
 from conftest import make_random_graph
-from oracles import brownian_bridge_fn, oracle_sp_kernel
+from oracles import brownian_bridge_fn, dot, oracle_sp_kernel
 
 DIRAC = VertexKernelSpec("dirac")
 DIRAC_LEN = EdgeKernelSpec("dirac")
+
+
+def sp_kernel(g, h, length_kernel=DIRAC_LEN):
+    """One pair's shortest-path kernel: the length-1 walk kernel on the
+    transforms, as the sp plan computes it a row at a time."""
+    return walk_kernel_implicit(sp_transform(g), [sp_transform(h)], DIRAC, length_kernel, 1)[0]
 
 
 class TestTransform:
@@ -59,7 +62,7 @@ class TestTransform:
 class TestImplicitKernel:
     def test_uniform_path_self_kernel(self):
         p3 = Graph(3, [(0, 1), (1, 2)])
-        assert sp_kernel_implicit(p3, p3) == 20.0
+        assert sp_kernel(p3, p3) == 20.0
 
     def test_matches_oracle_on_labeled_graphs(self):
         rng = random.Random(83)
@@ -67,7 +70,7 @@ class TestImplicitKernel:
             g = make_random_graph(rng, max_n=6, labels=2)
             h = make_random_graph(rng, max_n=6, labels=2)
             expected = oracle_sp_kernel(g, h)
-            assert sp_kernel_implicit(g, h) == pytest.approx(
+            assert sp_kernel(g, h) == pytest.approx(
                 expected, rel=1e-10, abs=1e-12
             )
 
@@ -80,7 +83,7 @@ class TestImplicitKernel:
             expected = oracle_sp_kernel(
                 g, h, length_kernel=lambda a, b: brownian_bridge_fn(a, b, 3.0)
             )
-            got = sp_kernel_implicit(g, h, DIRAC, bridge)
+            got = sp_kernel(g, h, bridge)
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_bridge_row_in_one_block_equals_one_partner_calls(self):
@@ -94,8 +97,8 @@ class TestImplicitKernel:
         union = DisjointUnion(hs)
         join = walks._join(g, union, DIRAC, bridge)
         assert [(a, b) for a, b, _ in walks._blocks(g, union, join)] == [(0, len(hs))]
-        row = walk_kernel_row(g, hs, DIRAC, bridge, 1)
-        pairs = [sp_kernel_implicit(graphs[0], h, DIRAC, bridge) for h in graphs]
+        row = walk_kernel_implicit(g, hs, DIRAC, bridge, 1)
+        pairs = [sp_kernel(graphs[0], h, bridge) for h in graphs]
         assert row.tolist() == pairs
         assert row.tolist() == pytest.approx(
             [
@@ -120,7 +123,7 @@ class TestExplicitFeatures:
         for trial in range(15):
             g = make_random_graph(rng, max_n=7, labels=3)
             h = make_random_graph(rng, max_n=7, labels=3)
-            implicit = sp_kernel_implicit(g, h)
+            implicit = sp_kernel(g, h)
             explicit = dot(sp_features_explicit(g), sp_features_explicit(h))
             assert implicit == explicit  # integer-exact
 
@@ -137,8 +140,3 @@ class TestExplicitFeatures:
                 if u != v and dm.dist[u][v] != INF_DISTANCE
             )
             assert sum(vec.values()) == reachable
-
-    def test_attributes_only_graph_is_rejected(self):
-        g = Graph(2, [(0, 1)], vertex_attributes=[[0.5], [0.25]])
-        with pytest.raises(ContractError, match="implicit"):
-            sp_features_explicit(g)

@@ -22,11 +22,9 @@ from gkern import (
     ParameterError,
     VertexKernelSpec,
     canonical_string,
-    dot,
     graphlet_features,
     matching_features,
     subgraph_matching_kernel,
-    subgraph_matching_row,
 )
 from gkern.bench import kernel_plan
 from gkern.features import TAG_GRAPHLET
@@ -36,6 +34,7 @@ import oracles
 from conftest import graphs, make_random_graph
 from oracles import (
     dirac_fn,
+    dot,
     oracle_graphlet_kernel,
     oracle_subgraph_matching,
     oracle_triple_automorphisms,
@@ -243,7 +242,7 @@ class TestMatchingFeatures:
         vec = matching_features(triangle, max_size=3)
         assert sorted(vec.values()) == [1] * 6 + [3] * 3
         assert dot(vec, vec) == 9 * 1 + 9 * 2 + 1 * 6
-        assert dot(vec, vec) == subgraph_matching_kernel(triangle, triangle)
+        assert dot(vec, vec) == subgraph_matching_kernel(triangle, [triangle])[0]
 
     def test_connected_only_drops_disconnected_sets(self, disconnected):
         everything = matching_features(disconnected, max_size=2)
@@ -276,7 +275,7 @@ class TestSubgraphMatching:
     def test_single_edge_pair_frozen_value(self):
         # 4 single-pair mappings + 2 two-pair mappings = 6
         e = Graph(2, [(0, 1)])
-        assert subgraph_matching_kernel(e, e, max_size=2) == 6.0
+        assert subgraph_matching_kernel(e, [e], max_size=2)[0] == 6.0
 
     def test_matches_oracle_across_options(self):
         rng = random.Random(127)
@@ -295,7 +294,7 @@ class TestSubgraphMatching:
                         )
                         got = subgraph_matching_kernel(
                             g,
-                            h,
+                            [h],
                             DIRAC,
                             DIRAC_EDGE,
                             max_size=max_size,
@@ -303,7 +302,7 @@ class TestSubgraphMatching:
                                 (lambda k: 1 / math.factorial(k)) if normalize else None
                             ),
                             connected_only=connected,
-                        )
+                        )[0]
                         assert got == pytest.approx(
                             expected, rel=1e-10, abs=1e-12
                         ), (trial, max_size, connected, normalize)
@@ -313,14 +312,14 @@ class TestSubgraphMatching:
         for trial in range(6):
             g = make_random_graph(rng, max_n=5, labels=2)
             h = make_random_graph(rng, max_n=5, labels=2)
-            total = subgraph_matching_kernel(g, h, max_size=3)
+            total = subgraph_matching_kernel(g, [h], max_size=3)[0]
             by_stratum = sum(
                 subgraph_matching_kernel(
                     g,
-                    h,
+                    [h],
                     max_size=3,
                     size_weights=lambda k, want=k_want: 1.0 if k == want else 0.0,
-                )
+                )[0]
                 for k_want in (1, 2, 3)
             )
             assert by_stratum == pytest.approx(total, rel=1e-12)
@@ -334,13 +333,13 @@ class TestSubgraphMatching:
             h = make_random_graph(rng, max_n=6, labels=2, edge_label_count=2)
             got = subgraph_matching_kernel(
                 g,
-                h,
+                [h],
                 DIRAC,
                 DIRAC_EDGE,
                 max_size=3,
                 size_weights=lambda k: 1.0 if k == 3 else 0.0,
                 connected_only=True,
-            )
+            )[0]
             cg = oracle_triple_class_counts(g)
             ch = oracle_triple_class_counts(h)
             reps = {**oracle_triple_class_reps(h), **oracle_triple_class_reps(g)}
@@ -359,35 +358,35 @@ class TestSubgraphMatching:
         h = Graph(2, [(0, 1)], edge_labels=[1])
         half = EdgeKernelSpec("table", table=((0, 1, 0.5),))
         # 4 singleton mappings + 2 pair mappings of weight 1/2
-        got = subgraph_matching_kernel(g, h, DIRAC, half, max_size=2)
+        got = subgraph_matching_kernel(g, [h], DIRAC, half, max_size=2)[0]
         assert got == 5.0
         # with Dirac edges those two mappings are filtered out entirely
-        assert subgraph_matching_kernel(g, h, DIRAC, DIRAC_EDGE, max_size=2) == 4.0
+        assert subgraph_matching_kernel(g, [h], DIRAC, DIRAC_EDGE, max_size=2)[0] == 4.0
 
     def test_max_size_beyond_order_is_harmless(self):
         e = Graph(2, [(0, 1)])
-        assert subgraph_matching_kernel(e, e, max_size=2) == (
-            subgraph_matching_kernel(e, e, max_size=12)
+        assert subgraph_matching_kernel(e, [e], max_size=2)[0] == (
+            subgraph_matching_kernel(e, [e], max_size=12)[0]
         )
 
     def test_rejects_bad_max_size(self):
         e = Graph(2, [(0, 1)])
         with pytest.raises(ParameterError):
-            subgraph_matching_kernel(e, e, max_size=0)
+            subgraph_matching_kernel(e, [e], max_size=0)
 
     def test_integer_totals_reaching_2_53_raise(self):
         one = Graph(1)
         with pytest.raises(MultiplicityOverflowError, match="2\\*\\*53"):
-            subgraph_matching_kernel(one, one, max_size=1, size_weights=lambda k: 2.0**53)
+            subgraph_matching_kernel(one, [one], max_size=1, size_weights=lambda k: 2.0**53)
         below = subgraph_matching_kernel(
-            one, one, max_size=1, size_weights=lambda k: 2.0**53 - 1
-        )
+            one, [one], max_size=1, size_weights=lambda k: 2.0**53 - 1
+        )[0]
         assert below == 2**53 - 1
 
     def test_no_compatible_pairs(self):
         g = Graph(2, [(0, 1)], vertex_labels=[0, 0])
         h = Graph(2, [(0, 1)], vertex_labels=[1, 1])
-        assert subgraph_matching_kernel(g, h, max_size=3) == 0.0
+        assert subgraph_matching_kernel(g, [h], max_size=3)[0] == 0.0
 
 
 def _inverse_factorial(k):
@@ -410,11 +409,11 @@ class TestSubgraphMatchingRow:
     ):
         edges = HALF_EDGE if half else DIRAC_EDGE
         weights = _inverse_factorial if normalize else None
-        wide = subgraph_matching_row(g, hs, DIRAC, edges, max_size, weights, connected)
+        wide = subgraph_matching_kernel(g, hs, DIRAC, edges, max_size, weights, connected)
         with mock.patch.object(subgraphs, "ASSOCIATION_CELLS", budget):
-            row = subgraph_matching_row(g, hs, DIRAC, edges, max_size, weights, connected)
+            row = subgraph_matching_kernel(g, hs, DIRAC, edges, max_size, weights, connected)
             pairs = [
-                subgraph_matching_kernel(g, h, DIRAC, edges, max_size, weights, connected)
+                subgraph_matching_kernel(g, [h], DIRAC, edges, max_size, weights, connected)[0]
                 for h in hs
             ]
         assert row.tobytes() == wide.tobytes() == np.array(pairs).tobytes()
@@ -442,7 +441,7 @@ class TestSubgraphMatchingRow:
             Graph(4, [], vertex_labels=[3, 3, 3, 3]),  # no edges, no compatible pair
         ]
         for connected in (False, True):
-            row = subgraph_matching_row(labeled, hs, max_size=3, connected_only=connected)
+            row = subgraph_matching_kernel(labeled, hs, max_size=3, connected_only=connected)
             expected = [
                 oracle_subgraph_matching(labeled, h, 3, connected_only=connected)
                 for h in hs
@@ -451,10 +450,10 @@ class TestSubgraphMatchingRow:
         assert row[0] == row[2] == row[4] == 0.0
         # no edges on either side: every mapping pairs non-edges
         edgeless = Graph(3, [])
-        assert subgraph_matching_row(edgeless, [Graph(2, [])], max_size=2).tolist() == [
+        assert subgraph_matching_kernel(edgeless, [Graph(2, [])], max_size=2).tolist() == [
             3 * 2 + 3 * 2
         ]
-        assert subgraph_matching_row(triangle, []).shape == (0,)
+        assert subgraph_matching_kernel(triangle, []).shape == (0,)
 
     def test_connected_mapping_grown_from_an_unconnected_pair(self):
         # paths whose middle vertex comes last: the mapping {0->0, 1->1,
@@ -463,7 +462,7 @@ class TestSubgraphMatchingRow:
         g = Graph(3, [(0, 2), (1, 2)], edge_labels=[0, 1])
         h = Graph(3, [(0, 2), (1, 2)], edge_labels=[1, 1])
         for edges, fn in ((DIRAC_EDGE, dirac_fn), (HALF_EDGE, half_fn)):
-            got = subgraph_matching_kernel(g, h, DIRAC, edges, 3, connected_only=True)
+            got = subgraph_matching_kernel(g, [h], DIRAC, edges, 3, connected_only=True)[0]
             assert got == oracle_subgraph_matching(
                 g, h, 3, edge_kernel=fn, connected_only=True
             ), edges.kind
@@ -479,7 +478,7 @@ class TestSubgraphMatchingRow:
         # h: pairs 0.75 + 0.25 + 1, one mapping of both edges 0.75 * 1
         # path: pairs 0.5 + 1 + 1 + 0.5, mappings onto 1-0 and 2-1: 0.5 + 0.5
         for connected in (False, True):
-            row = subgraph_matching_row(g, [h, path], hat, DIRAC_EDGE, 2, None, connected)
+            row = subgraph_matching_kernel(g, [h, path], hat, DIRAC_EDGE, 2, None, connected)
             assert row.tolist() == [2.75, 4.0]
         rng = random.Random(7)
         attributed = dict(edge_prob=0.6, attribute_dim=2, attribute_levels=3)
@@ -487,9 +486,9 @@ class TestSubgraphMatchingRow:
         hs = [make_random_graph(rng, max_n=6, **attributed) for _ in range(5)]
         for kernel in (hat, VertexKernelSpec("rbf", sigma=0.7)):
             for connected in (False, True):
-                row = subgraph_matching_row(g, hs, kernel, HALF_EDGE, 3, None, connected)
+                row = subgraph_matching_kernel(g, hs, kernel, HALF_EDGE, 3, None, connected)
                 pairs = [
-                    subgraph_matching_kernel(g, h, kernel, HALF_EDGE, 3, None, connected)
+                    subgraph_matching_kernel(g, [h], kernel, HALF_EDGE, 3, None, connected)[0]
                     for h in hs
                 ]
                 assert row.tobytes() == np.array(pairs).tobytes(), (kernel.kind, connected)
@@ -516,7 +515,7 @@ class TestSubgraphMatchingRow:
         soft_hs = [make_random_graph(soft_rng, max_n=5, min_n=3, **soft) for _ in range(3)]
         rbf = VertexKernelSpec("rbf", sigma=0.5)
         cases += [(soft_g, soft_hs, rbf, HALF_EDGE, 3, None, c) for c in (False, True)]
-        wide = [subgraph_matching_row(*case) for case in cases]
+        wide = [subgraph_matching_kernel(*case) for case in cases]
         monkeypatch.setattr(subgraphs, "ASSOCIATION_CELLS", 1)
         # one partner per block, however small its association graph: a
         # block stores the sum of its partners' squares
@@ -525,13 +524,13 @@ class TestSubgraphMatchingRow:
         runs = partner_runs(4, cells, subgraphs.ASSOCIATION_CELLS)
         assert list(runs) == [(0, 1), (1, 2), (2, 3), (3, 4)]
         for case, expected in zip(cases, wide):
-            narrow = subgraph_matching_row(*case)
+            narrow = subgraph_matching_kernel(*case)
             assert narrow.tobytes() == expected.tobytes(), case[2:]
         oracle = [
             oracle_subgraph_matching(g, h, 3, edge_kernel=half_fn, connected_only=True)
             for h in hs
         ]
-        got = subgraph_matching_row(g, hs, DIRAC, HALF_EDGE, 3, None, True)
+        got = subgraph_matching_kernel(g, hs, DIRAC, HALF_EDGE, 3, None, True)
         assert got.tolist() == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("budget", BUDGETS)
@@ -576,7 +575,7 @@ class TestSubgraphMatchingRow:
         ]
         rbf = VertexKernelSpec("rbf", sigma=0.5)
         cases += [(soft_g, soft_hs, rbf, HALF_EDGE, 3, None, c) for c in (False, True)]
-        wide = [subgraph_matching_row(*case) for case in cases]
+        wide = [subgraph_matching_kernel(*case) for case in cases]
         assert (wide[-1] > 0).all()
         blocks = []
         clique_sums = subgraphs._clique_sums
@@ -590,8 +589,8 @@ class TestSubgraphMatchingRow:
         monkeypatch.setattr(subgraphs, "ASSOCIATION_CELLS", budget)
         for case, expected in zip(cases, wide):
             g_, hs_, *options = case
-            row = subgraph_matching_row(*case)
-            pairs = [subgraph_matching_kernel(g_, h, *options) for h in hs_]
+            row = subgraph_matching_kernel(*case)
+            pairs = [subgraph_matching_kernel(g_, [h], *options)[0] for h in hs_]
             assert row.tobytes() == expected.tobytes() == np.array(pairs).tobytes(), case[2:]
         # a block stores its partners' squares and nothing across them
         assert blocks and all(cells == squares for cells, squares in blocks)
@@ -644,14 +643,14 @@ class TestSubgraphMatchingRow:
         two = Graph(2, [], vertex_labels=[1, 1])
         huge = lambda k: 2.0**52
         # one vertex pair per mapping: 2**52 for (one, one), 2**53 for (one, two)
-        assert subgraph_matching_kernel(one, one, max_size=1, size_weights=huge) == 2**52
+        assert subgraph_matching_kernel(one, [one], max_size=1, size_weights=huge)[0] == 2**52
         for budget in (subgraphs.ASSOCIATION_CELLS, 1):
             monkeypatch.setattr(subgraphs, "ASSOCIATION_CELLS", budget)
             with pytest.raises(MultiplicityOverflowError, match="partner 1 "):
-                subgraph_matching_row(one, [one, two], max_size=1, size_weights=huge)
+                subgraph_matching_kernel(one, [one, two], max_size=1, size_weights=huge)
         monkeypatch.undo()
         ds = Dataset("h", [Graph(1, [], vertex_labels=[0]), one, two])
-        row = lambda g, hs: subgraph_matching_row(
+        row = lambda g, hs: subgraph_matching_kernel(
             g, hs, DIRAC, DIRAC_EDGE, 1, size_weights=huge
         )
         with pytest.raises(GramError, match=r"pair \(1, 2\) failed: .*2\*\*53"):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkern import (
-    ContractError,
     Dataset,
     EdgeKernelSpec,
     Graph,
@@ -18,13 +17,10 @@ from gkern import (
     ResourceBudgetError,
     VertexKernelSpec,
     build_wdpg,
-    dot,
     gram_explicit,
-    max_walk_kernel_implicit,
     sample_binning_grid,
     walk_features_explicit,
     walk_kernel_implicit,
-    walk_kernel_row,
 )
 from gkern import walks
 from gkern.graphs import DisjointUnion
@@ -32,6 +28,7 @@ from gkern.features import TAG_WALK
 from conftest import graphs, make_random_graph
 from oracles import (
     dirac_fn,
+    dot,
     edge_kernel_fn,
     oracle_product_graph,
     oracle_total_walks,
@@ -46,6 +43,11 @@ DIRAC_EDGE = EdgeKernelSpec("dirac")
 UNIFORM_EDGE = EdgeKernelSpec("uniform")
 
 
+def _weights(stored, count):
+    """A product's weights as a list; ``None`` stores ``count`` ones."""
+    return [1.0] * count if stored is None else stored.tolist()
+
+
 class TestProductGraph:
     def test_unlabeled_single_edges(self):
         # two single edges: 4 compatible pairs, 2 product edges
@@ -56,8 +58,8 @@ class TestProductGraph:
         assert pg.num_edges == 2
         edges = {tuple(sorted(e)) for e in zip(pg.edge_u.tolist(), pg.edge_v.tolist())}
         assert edges == {(0, 3), (1, 2)}
-        assert (pg.vertex_weights == 1.0).all()
-        assert (pg.edge_weights == 1.0).all()
+        # every weight is 1, so the product stores none
+        assert pg.vertex_weights is None and pg.edge_weights is None
 
     def test_vertex_labels_restrict_pairs(self):
         g = Graph(2, [(0, 1)], vertex_labels=[0, 1])
@@ -95,7 +97,9 @@ class TestProductGraph:
             fast = build_wdpg(g, h, DIRAC, DIRAC_EDGE)
             slow = build_wdpg(g, h, DIRAC, forced)
             assert fast.pairs.tolist() == slow.pairs.tolist()
-            assert (fast.vertex_weights == slow.vertex_weights).all()
+            assert fast.vertex_weights is None and slow.vertex_weights is None
+            # the table's weights all come out 1, so it stores none either
+            assert fast.edge_weights is None and slow.edge_weights is None
             fe = {tuple(sorted(e)) for e in zip(fast.edge_u.tolist(), fast.edge_v.tolist())}
             se = {tuple(sorted(e)) for e in zip(slow.edge_u.tolist(), slow.edge_v.tolist())}
             assert fe == se
@@ -112,7 +116,7 @@ class TestProductGraph:
         for edge_kernel in (DIRAC_EDGE, UNIFORM_EDGE):
             pg = build_wdpg(g, g, DIRAC, edge_kernel)
             assert pg.num_vertices == 5 and pg.num_edges == 4
-            assert (pg.vertex_weights == 1.0).all() and (pg.edge_weights == 1.0).all()
+            assert pg.vertex_weights is None and pg.edge_weights is None
 
 
 class TestProductGraphOracle:
@@ -179,12 +183,16 @@ class TestProductGraphOracle:
                     pairs = [tuple(p) for p in pg.pairs.tolist()]
                     assert pairs == sorted(vertices)
                     expected = [vertices[p] for p in pairs]
-                    assert pg.vertex_weights.tolist() == pytest.approx(expected, rel=1e-12)
+                    assert _weights(pg.vertex_weights, len(pairs)) == pytest.approx(
+                        expected, rel=1e-12
+                    )
+                    # no weights are stored only where all of them are 1
+                    assert (pg.vertex_weights is None) == all(w == 1 for w in expected)
+                    edge_weights = _weights(pg.edge_weights, pg.num_edges)
+                    assert (pg.edge_weights is None) == all(w == 1 for w in edge_weights)
                     built = {
                         frozenset((pairs[x], pairs[y])): w
-                        for x, y, w in zip(
-                            pg.edge_u.tolist(), pg.edge_v.tolist(), pg.edge_weights.tolist()
-                        )
+                        for x, y, w in zip(pg.edge_u.tolist(), pg.edge_v.tolist(), edge_weights)
                     }
                     assert len(built) == pg.num_edges
                     assert built == edges, (vk.describe(), ek.describe())
@@ -194,7 +202,7 @@ class TestProductGraphOracle:
             count = len(partners)
             for vk in self.VERTEX_KERNELS:
                 for ek in self.EDGE_KERNELS:
-                    # keyed once for the whole row, as walk_kernel_row does
+                    # keyed once for the whole row, as walk_kernel_implicit does
                     union = DisjointUnion(partners)
                     pg = build_wdpg(g, union, vk, ek)
                     join = walks._join(g, union, vk, ek)
@@ -214,7 +222,10 @@ class TestProductGraphOracle:
                             for name in ("pairs", "vertex_weights", "edge_u", "edge_v",
                                          "edge_weights"):
                                 got, want = getattr(row, name), getattr(expected, name)
-                                assert got.tobytes() == want.tobytes()
+                                if want is None:
+                                    assert got is None, name
+                                else:
+                                    assert got.tobytes() == want.tobytes()
                     matched = walks._matched_pairs(union, join)
                     per_partner = np.diff(matched, axis=1).sum(axis=0)
                     owner = union.owner[pg.pairs[pg.edge_u, 1]]
@@ -235,19 +246,21 @@ class TestProductGraphOracle:
                     expected, unit = [], True
                     for h in partners:
                         pg = build_wdpg(g, h, vk, ek)
-                        w = pg.vertex_weights
+                        w = np.array(_weights(pg.vertex_weights, pg.num_vertices))
                         a = np.zeros((pg.num_vertices, pg.num_vertices))
-                        a[pg.edge_u, pg.edge_v] = a[pg.edge_v, pg.edge_u] = pg.edge_weights
+                        a[pg.edge_u, pg.edge_v] = a[pg.edge_v, pg.edge_u] = _weights(
+                            pg.edge_weights, pg.num_edges
+                        )
                         r, totals = w, [w.sum()]
                         for _ in range(7):
                             r = w * (a @ r)
                             totals.append(r.sum())
                         expected.append(totals)
-                        unit &= bool((w == 1).all() and (pg.edge_weights == 1).all())
+                        unit &= pg.vertex_weights is None and pg.edge_weights is None
                     expected = np.array(expected)
                     for length in range(8):
-                        fixed = walk_kernel_row(g, partners, vk, ek, length)
-                        rounds = walk_kernel_row(g, partners, vk, ek, length, all_rounds=True)
+                        fixed = walk_kernel_implicit(g, partners, vk, ek, length)
+                        rounds = walk_kernel_implicit(g, partners, vk, ek, length, all_rounds=True)
                         for got, want in ((fixed, expected[:, length]),
                                           (rounds, expected[:, : length + 1])):
                             if unit:
@@ -262,19 +275,19 @@ class TestWalkKernelImplicit:
         # K3 has 3 * 2^l walks of length l; squared for the product:
         # l = 2 gives (3 * 4)^2 = 144
         k3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        assert walk_kernel_implicit(k3, k3, DIRAC, UNIFORM_EDGE, 2) == 144.0
+        assert walk_kernel_implicit(k3, [k3], DIRAC, UNIFORM_EDGE, 2)[0] == 144.0
 
     def test_length_zero_counts_compatible_pairs(self):
         g = Graph(3, [(0, 1)])
         h = Graph(4, [])
-        assert walk_kernel_implicit(g, h, DIRAC, UNIFORM_EDGE, 0) == 12.0
+        assert walk_kernel_implicit(g, [h], DIRAC, UNIFORM_EDGE, 0)[0] == 12.0
         lg = Graph(2, [], vertex_labels=[0, 1])
         lh = Graph(2, [], vertex_labels=[1, 1])
-        assert walk_kernel_implicit(lg, lh, DIRAC, UNIFORM_EDGE, 0) == 2.0
+        assert walk_kernel_implicit(lg, [lh], DIRAC, UNIFORM_EDGE, 0)[0] == 2.0
 
     def test_labeled_edge_pair(self):
         g = Graph(2, [(0, 1)], vertex_labels=[1, 2], edge_labels=[7])
-        assert walk_kernel_implicit(g, g, DIRAC, DIRAC_EDGE, 1) == 2.0
+        assert walk_kernel_implicit(g, [g], DIRAC, DIRAC_EDGE, 1)[0] == 2.0
 
     def test_unlabeled_factorizes_into_walk_counts(self):
         # with all weights 1 the product-graph recursion counts pairs of
@@ -287,7 +300,7 @@ class TestWalkKernelImplicit:
                 expected = float(
                     oracle_total_walks(g, length) * oracle_total_walks(h, length)
                 )
-                got = walk_kernel_implicit(g, h, DIRAC, UNIFORM_EDGE, length)
+                got = walk_kernel_implicit(g, [h], DIRAC, UNIFORM_EDGE, length)[0]
                 assert got == expected
 
     def test_matches_oracle_on_labeled_graphs(self):
@@ -297,7 +310,7 @@ class TestWalkKernelImplicit:
             h = make_random_graph(rng, max_n=5, labels=2, edge_label_count=2)
             for length in (0, 1, 2, 3):
                 expected = oracle_walk_kernel(g, h, length)
-                got = walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, length)
+                got = walk_kernel_implicit(g, [h], DIRAC, DIRAC_EDGE, length)[0]
                 assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_matches_oracle_with_table_edge_kernel(self):
@@ -316,7 +329,7 @@ class TestWalkKernelImplicit:
                 expected = oracle_walk_kernel(
                     g, h, length, edge_kernel=half_fn
                 )
-                got = walk_kernel_implicit(g, h, DIRAC, half, length)
+                got = walk_kernel_implicit(g, [h], DIRAC, half, length)[0]
                 assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_matches_oracle_with_uniform_edges(self):
@@ -328,13 +341,13 @@ class TestWalkKernelImplicit:
                 expected = oracle_walk_kernel(
                     g, h, length, edge_kernel=uniform_fn
                 )
-                got = walk_kernel_implicit(g, h, DIRAC, UNIFORM_EDGE, length)
+                got = walk_kernel_implicit(g, [h], DIRAC, UNIFORM_EDGE, length)[0]
                 assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_rejects_negative_length(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(ParameterError):
-            walk_kernel_implicit(g, g, DIRAC, UNIFORM_EDGE, -1)
+            walk_kernel_implicit(g, [g], DIRAC, UNIFORM_EDGE, -1)
 
 
 class TestWalkFeaturesExplicit:
@@ -369,7 +382,7 @@ class TestWalkFeaturesExplicit:
             g = make_random_graph(rng, max_n=7, labels=3, edge_label_count=2)
             h = make_random_graph(rng, max_n=7, labels=3, edge_label_count=2)
             for length in (0, 1, 2, 4):
-                implicit = walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, length)
+                implicit = walk_kernel_implicit(g, [h], DIRAC, DIRAC_EDGE, length)[0]
                 explicit = dot(
                     walk_features_explicit(g, length),
                     walk_features_explicit(h, length),
@@ -380,11 +393,6 @@ class TestWalkFeaturesExplicit:
         bare = Graph(2, [(0, 1)], vertex_labels=[1, 2])
         tagged = Graph(2, [(0, 1)], vertex_labels=[1, 2], edge_labels=[0])
         assert walk_features_explicit(bare, 2) == walk_features_explicit(tagged, 2)
-
-    def test_attributes_only_graph_is_rejected(self):
-        g = Graph(2, [(0, 1)], vertex_attributes=[[0.5], [0.25]])
-        with pytest.raises(ContractError, match="implicit"):
-            walk_features_explicit(g, 2)
 
     def test_rejects_negative_length(self):
         with pytest.raises(ParameterError):
@@ -410,28 +418,11 @@ class TestMaxWalkKernel:
         for trial in range(10):
             g = make_random_graph(rng, max_n=6, labels=2)
             h = make_random_graph(rng, max_n=6, labels=2)
-            total = max_walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, 4)
+            total = walk_kernel_implicit(g, [h], DIRAC, DIRAC_EDGE, 4, all_rounds=True)[0].sum()
             by_parts = sum(
-                walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, i) for i in range(5)
+                walk_kernel_implicit(g, [h], DIRAC, DIRAC_EDGE, i)[0] for i in range(5)
             )
             assert total == by_parts
-
-    def test_coefficients_weight_each_length(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        coeffs = [1.0, 0.5, 0.25]
-        expected = sum(
-            c * walk_kernel_implicit(g, g, DIRAC, UNIFORM_EDGE, i)
-            for i, c in enumerate(coeffs)
-        )
-        got = max_walk_kernel_implicit(
-            g, g, DIRAC, UNIFORM_EDGE, 2, coefficients=coeffs
-        )
-        assert got == expected
-        # zero coefficients select a single stratum
-        only2 = max_walk_kernel_implicit(
-            g, g, DIRAC, UNIFORM_EDGE, 2, coefficients=[0.0, 0.0, 1.0]
-        )
-        assert only2 == walk_kernel_implicit(g, g, DIRAC, UNIFORM_EDGE, 2)
 
     def test_explicit_scheme_via_per_length_features(self):
         # summing per-length feature dots reproduces the one-pass kernel
@@ -439,7 +430,7 @@ class TestMaxWalkKernel:
         for trial in range(8):
             g = make_random_graph(rng, max_n=6, labels=2, edge_label_count=2)
             h = make_random_graph(rng, max_n=6, labels=2, edge_label_count=2)
-            implicit = max_walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, 3)
+            implicit = walk_kernel_implicit(g, [h], DIRAC, DIRAC_EDGE, 3, all_rounds=True)[0].sum()
             explicit = sum(
                 dot(
                     walk_features_explicit(g, i),
@@ -452,33 +443,29 @@ class TestMaxWalkKernel:
     def test_validates_arguments(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(ParameterError):
-            max_walk_kernel_implicit(g, g, DIRAC, UNIFORM_EDGE, -1)
-        with pytest.raises(ParameterError):
-            max_walk_kernel_implicit(
-                g, g, DIRAC, UNIFORM_EDGE, 2, coefficients=[1.0, 1.0]
-            )
+            walk_kernel_implicit(g, [g], DIRAC, UNIFORM_EDGE, -1, all_rounds=True)
 
 
 class TestDisconnectedAndEmpty:
     def test_empty_factor_graph(self):
         g = Graph(0, [])
         h = Graph(3, [(0, 1), (1, 2)])
-        assert walk_kernel_implicit(g, h, DIRAC, UNIFORM_EDGE, 3) == 0.0
+        assert walk_kernel_implicit(g, [h], DIRAC, UNIFORM_EDGE, 3)[0] == 0.0
         assert walk_features_explicit(g, 3) == {}
 
     def test_no_shared_labels(self):
         g = Graph(2, [(0, 1)], vertex_labels=[0, 0])
         h = Graph(2, [(0, 1)], vertex_labels=[1, 1])
-        assert walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, 1) == 0.0
+        assert walk_kernel_implicit(g, [h], DIRAC, DIRAC_EDGE, 1)[0] == 0.0
         assert dot(
             walk_features_explicit(g, 1), walk_features_explicit(h, 1)
         ) == 0.0
 
     def test_walks_die_out_in_edgeless_graph(self):
         g = Graph(3, [])
-        assert walk_kernel_implicit(g, g, DIRAC, UNIFORM_EDGE, 0) == 9.0
-        assert walk_kernel_implicit(g, g, DIRAC, UNIFORM_EDGE, 1) == 0.0
-        assert walk_kernel_implicit(g, g, DIRAC, UNIFORM_EDGE, 5) == 0.0
+        assert walk_kernel_implicit(g, [g], DIRAC, UNIFORM_EDGE, 0)[0] == 9.0
+        assert walk_kernel_implicit(g, [g], DIRAC, UNIFORM_EDGE, 1)[0] == 0.0
+        assert walk_kernel_implicit(g, [g], DIRAC, UNIFORM_EDGE, 5)[0] == 0.0
 
 
 def _vertex_sequences(counts):
@@ -499,8 +486,8 @@ class TestWalkKernelRow:
     )
     def test_row_equals_pairs_and_oracle(self, g, hs, length, uniform_edges):
         edge_kernel = UNIFORM_EDGE if uniform_edges else DIRAC_EDGE
-        row = walk_kernel_row(g, hs, DIRAC, edge_kernel, length)
-        pairs = [walk_kernel_implicit(g, h, DIRAC, edge_kernel, length) for h in hs]
+        row = walk_kernel_implicit(g, hs, DIRAC, edge_kernel, length)
+        pairs = [walk_kernel_implicit(g, [h], DIRAC, edge_kernel, length)[0] for h in hs]
         assert row.tolist() == pairs  # bit for bit
         # walk pairs matched through their label sequences (vertex labels
         # only under the uniform edge kernel); past length 3 the double sum
@@ -522,13 +509,12 @@ class TestWalkKernelRow:
     @settings(max_examples=30, deadline=None)
     @given(g=graphs(), hs=st.lists(graphs(), max_size=4), length=st.integers(0, 5))
     def test_all_rounds_are_the_max_walk_terms(self, g, hs, length):
-        rounds = walk_kernel_row(g, hs, DIRAC, DIRAC_EDGE, length, all_rounds=True)
+        rounds = walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, length, all_rounds=True)
         assert rounds.shape == (len(hs), length + 1)
         for h, terms in zip(hs, rounds.tolist()):
             assert terms == [
-                walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, i) for i in range(length + 1)
+                walk_kernel_implicit(g, [h], DIRAC, DIRAC_EDGE, i)[0] for i in range(length + 1)
             ]
-            assert sum(terms) == max_walk_kernel_implicit(g, h, DIRAC, DIRAC_EDGE, length)
 
     def test_weighted_kernels_batch_bit_for_bit(self):
         # non-integer edge weights: the row keeps each pair's summation order
@@ -536,26 +522,26 @@ class TestWalkKernelRow:
         rng = random.Random(83)
         g = make_random_graph(rng, max_n=7, labels=2, edge_label_count=2)
         hs = [make_random_graph(rng, max_n=7, labels=2, edge_label_count=2) for _ in range(8)]
-        row = walk_kernel_row(g, hs, DIRAC, half, 4)
-        assert row.tolist() == [walk_kernel_implicit(g, h, DIRAC, half, 4) for h in hs]
+        row = walk_kernel_implicit(g, hs, DIRAC, half, 4)
+        assert row.tolist() == [walk_kernel_implicit(g, [h], DIRAC, half, 4)[0] for h in hs]
 
     def test_empty_row_and_negative_length(self):
         g = Graph(2, [(0, 1)])
-        assert walk_kernel_row(g, [], DIRAC, UNIFORM_EDGE, 3).shape == (0,)
+        assert walk_kernel_implicit(g, [], DIRAC, UNIFORM_EDGE, 3).shape == (0,)
         with pytest.raises(ParameterError):
-            walk_kernel_row(g, [g], DIRAC, UNIFORM_EDGE, -1)
+            walk_kernel_implicit(g, [g], DIRAC, UNIFORM_EDGE, -1)
 
     def test_totals_past_2_53_raise(self):
         # K20 has 20 * 19**6 ~ 9.4e8 walks of length 6, so its self-kernel
         # is ~8.8e17, beyond the exact float64 integers
         k20 = Graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20)])
         with pytest.raises(MultiplicityOverflowError, match="partner 1"):
-            walk_kernel_row(k20, [Graph(1, []), k20], DIRAC, UNIFORM_EDGE, 6)
+            walk_kernel_implicit(k20, [Graph(1, []), k20], DIRAC, UNIFORM_EDGE, 6)
         with pytest.raises(MultiplicityOverflowError):
-            walk_kernel_implicit(k20, k20, DIRAC, UNIFORM_EDGE, 6)
+            walk_kernel_implicit(k20, [k20], DIRAC, UNIFORM_EDGE, 6)
         with pytest.raises(MultiplicityOverflowError):
-            max_walk_kernel_implicit(k20, k20, DIRAC, UNIFORM_EDGE, 6)
+            walk_kernel_implicit(k20, [k20], DIRAC, UNIFORM_EDGE, 6, all_rounds=True)
         # one step shorter the count (~2.5e15) is still exact, at every length
-        assert walk_kernel_implicit(k20, k20, DIRAC, UNIFORM_EDGE, 5) == (20 * 19**5) ** 2
-        rounds = walk_kernel_row(k20, [k20], DIRAC, UNIFORM_EDGE, 5, all_rounds=True)
+        assert walk_kernel_implicit(k20, [k20], DIRAC, UNIFORM_EDGE, 5)[0] == (20 * 19**5) ** 2
+        rounds = walk_kernel_implicit(k20, [k20], DIRAC, UNIFORM_EDGE, 5, all_rounds=True)
         assert rounds[0].tolist() == [(20 * 19**i) ** 2 for i in range(6)]

@@ -17,25 +17,24 @@ from gkern import (
     VertexKernelSpec,
     attribute_class_features,
     binned_attribute_features,
-    dot,
     gram_explicit,
     gram_implicit,
     graph_invariant_weight_maps,
     graphhopper_weight_maps,
     label_features,
     sample_binning_grid,
-    subgraph_matching_row,
-    walk_kernel_row,
+    subgraph_matching_kernel,
+    walk_kernel_implicit,
     wl_refine_dataset,
     wv_features_explicit,
     wv_kernel_implicit,
-    wv_kernel_row,
 )
 from gkern import walks
 from gkern.features import TAG_GH
 from gkern.weighted import WeightFeatureMap
 from conftest import graphs, make_random_graph
 from oracles import (
+    dot,
     oracle_color_histogram_kernel,
     oracle_hopper_tables,
     oracle_vertex_weight,
@@ -184,7 +183,7 @@ class TestWeightedKernels:
                         for u in range(g.n)
                         for v in range(h.n)
                     )
-                    got = wv_kernel_implicit(g, h, wm, DIRAC_ATTR)
+                    got = wv_kernel_implicit(g, [h], wm, DIRAC_ATTR)[0]
                     assert got == pytest.approx(naive, rel=1e-12, abs=1e-12)
 
     def test_refinement_weights_give_trajectory_histogram_kernel(self):
@@ -222,7 +221,7 @@ class TestWeightedKernels:
             vectors = [wv_features_explicit(g, wm, class_map) for g in ds.graphs]
             for i, g in enumerate(ds.graphs):
                 for j, h in enumerate(ds.graphs):
-                    implicit = wv_kernel_implicit(g, h, wm, DIRAC_ATTR)
+                    implicit = wv_kernel_implicit(g, [h], wm, DIRAC_ATTR)[0]
                     explicit = dot(vectors[i], vectors[j])
                     assert explicit == pytest.approx(
                         implicit, rel=1e-9, abs=1e-12
@@ -236,7 +235,7 @@ class TestWeightedKernels:
         vectors = [wv_features_explicit(g, wm, label_features) for g in ds.graphs]
         for i, g in enumerate(ds.graphs):
             for j, h in enumerate(ds.graphs):
-                implicit = wv_kernel_implicit(g, h, wm, DIRAC)
+                implicit = wv_kernel_implicit(g, [h], wm, DIRAC)[0]
                 assert dot(vectors[i], vectors[j]) == pytest.approx(
                     implicit, rel=1e-12, abs=1e-12
                 )
@@ -253,7 +252,7 @@ class TestWeightedKernels:
         wm = graphhopper_weight_maps(ds)
         for g in ds.graphs:
             for h in ds.graphs:
-                implicit = wv_kernel_implicit(g, h, wm, binned)
+                implicit = wv_kernel_implicit(g, [h], wm, binned)[0]
                 explicit = dot(
                     wv_features_explicit(g, wm, feature_map),
                     wv_features_explicit(h, wm, feature_map),
@@ -281,15 +280,15 @@ class TestWeightedKernels:
 def test_dirac_total_reaching_2_53_raises():
     g, h = Graph(1, []), Graph(1, [])
     # <w, w> = 2**52 is exact, 2**54 is not
-    assert wv_kernel_implicit(g, h, constructed((g, h), 2**26), DIRAC) == 2**52
+    assert wv_kernel_implicit(g, [h], constructed((g, h), 2**26), DIRAC)[0] == 2**52
     with pytest.raises(MultiplicityOverflowError, match="2\\*\\*53"):
-        wv_kernel_implicit(g, h, constructed((g, h), 2**27), DIRAC)
+        wv_kernel_implicit(g, [h], constructed((g, h), 2**27), DIRAC)
     # a non-Dirac vertex kernel makes no exactness claim
     grid = sample_binning_grid(1, 1.0, 4, seed=2)
     a = Graph(1, [], vertex_attributes=[[0.5]])
     b = Graph(1, [], vertex_attributes=[[0.5]])
     binned = constructed((a, b), 2**27)
-    assert wv_kernel_implicit(a, b, binned, VertexKernelSpec("binned", grid=grid)) == 2**54
+    assert wv_kernel_implicit(a, [b], binned, VertexKernelSpec("binned", grid=grid))[0] == 2**54
 
 
 def test_explicit_self_dot_reaching_2_53_fails_its_pair():
@@ -354,9 +353,9 @@ class TestWeightedRows:
     def test_row_equals_one_partner_calls(self, g, hs):
         for wm in weight_maps(Dataset("t", [g, *hs])):
             for vk in ROW_KERNELS:
-                row = wv_kernel_row(g, hs, wm, vk)
+                row = wv_kernel_implicit(g, hs, wm, vk)
                 assert row.shape == (len(hs),)
-                singles = [wv_kernel_implicit(g, h, wm, vk) for h in hs]
+                singles = [wv_kernel_implicit(g, [h], wm, vk)[0] for h in hs]
                 assert row.tolist() == singles
                 reference = np.array([pair_reference(g, h, wm, vk) for h in hs])
                 if vk.kind in ("hat", "rbf"):
@@ -374,12 +373,12 @@ class TestWeightedRows:
         g = hs[0]
         for wm in weight_maps(Dataset("t", hs)):
             for vk in ROW_KERNELS:
-                whole = wv_kernel_row(g, hs, wm, vk)
+                whole = wv_kernel_implicit(g, hs, wm, vk)
                 monkeypatch.setattr(walks, "BLOCK_CELLS", 1)
-                split = wv_kernel_row(g, hs, wm, vk)
+                split = wv_kernel_implicit(g, hs, wm, vk)
                 monkeypatch.undo()
                 assert split.tolist() == whole.tolist()
-                assert whole.tolist() == [wv_kernel_implicit(g, h, wm, vk) for h in hs]
+                assert whole.tolist() == [wv_kernel_implicit(g, [h], wm, vk)[0] for h in hs]
 
     def test_dirac_total_reaching_2_53_names_its_partner(self, monkeypatch):
         one, two = Graph(1, []), Graph(2, [])
@@ -388,10 +387,10 @@ class TestWeightedRows:
         for budget in (walks.BLOCK_CELLS, 1):
             monkeypatch.setattr(walks, "BLOCK_CELLS", budget)
             with pytest.raises(MultiplicityOverflowError, match="partner 1 "):
-                wv_kernel_row(one, [one, two, one], wm, DIRAC)
+                wv_kernel_implicit(one, [one, two, one], wm, DIRAC)
         monkeypatch.undo()
         ds = Dataset("t", [one, one, two, one])
-        row = lambda g, hs: wv_kernel_row(g, hs, wm, DIRAC)
+        row = lambda g, hs: wv_kernel_implicit(g, hs, wm, DIRAC)
         overflow = r"pair \(0, 2\) failed: .*2\*\*53"
         with pytest.raises(GramError, match=overflow) as info:
             gram_implicit(ds, row)
@@ -407,9 +406,11 @@ class TestWeightedRows:
         ds = Dataset("t", [a, bare, c])
         wm = graph_invariant_weight_maps(ds, 1)
         row = {
-            "graph-invariant": lambda g, hs: wv_kernel_row(g, hs, wm, DIRAC_ATTR),
-            "walk": lambda g, hs: walk_kernel_row(g, hs, DIRAC_ATTR, EdgeKernelSpec("dirac"), 2),
-            "subgraph-matching": lambda g, hs: subgraph_matching_row(g, hs, DIRAC_ATTR),
+            "graph-invariant": lambda g, hs: wv_kernel_implicit(g, hs, wm, DIRAC_ATTR),
+            "walk": lambda g, hs: walk_kernel_implicit(
+                g, hs, DIRAC_ATTR, EdgeKernelSpec("dirac"), 2
+            ),
+            "subgraph-matching": lambda g, hs: subgraph_matching_kernel(g, hs, DIRAC_ATTR),
         }[kernel]
         with pytest.raises(GramError, match=r"pair \(0, 1\) failed") as info:
             gram_implicit(ds, row)
