@@ -63,7 +63,7 @@ class TestKernelPlanSchemes:
             )
             assert implicit.values[0, 1] == explicit.values[0, 1] == value, kernel
 
-    def test_attribute_only_graphs_read_as_label_zero_in_both_schemes(self):
+    def test_attribute_only_graphs_read_as_label_zero(self):
         # continuous attributes and no labels: every Dirac map, like every
         # implicit scheme, reads the graph as unlabeled (label 0)
         g = Graph(3, [(0, 1), (1, 2)], vertex_attributes=[[0.5], [1.0], [0.2]])

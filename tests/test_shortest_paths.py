@@ -127,6 +127,14 @@ class TestExplicitFeatures:
             explicit = dot(sp_features_explicit(g), sp_features_explicit(h))
             assert implicit == explicit  # integer-exact
 
+    def test_attributes_only_graph_reads_as_label_zero(self):
+        # continuous attributes carry no Dirac label: the map counts the
+        # paths of the bare graph, as the implicit scheme does
+        g = Graph(3, [(0, 1), (1, 2)], vertex_attributes=[[0.5], [1.0], [0.2]])
+        vec = sp_features_explicit(g)
+        assert vec == sp_features_explicit(Graph(3, [(0, 1), (1, 2)]))
+        assert dot(vec, vec) == sp_kernel(g, g) == 20
+
     def test_counts_every_ordered_reachable_pair(self):
         rng = random.Random(101)
         for trial in range(10):

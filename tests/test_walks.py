@@ -394,6 +394,15 @@ class TestWalkFeaturesExplicit:
         tagged = Graph(2, [(0, 1)], vertex_labels=[1, 2], edge_labels=[0])
         assert walk_features_explicit(bare, 2) == walk_features_explicit(tagged, 2)
 
+    def test_attributes_only_graph_reads_as_label_zero(self):
+        # continuous attributes carry no Dirac label: the map counts the
+        # walks of the bare graph, as the implicit scheme does
+        g = Graph(3, [(0, 1), (1, 2)], vertex_attributes=[[0.5], [1.0], [0.2]])
+        bare = Graph(3, [(0, 1), (1, 2)])
+        vec = walk_features_explicit(g, 2)
+        assert vec == walk_features_explicit(bare, 2)
+        assert dot(vec, vec) == walk_kernel_implicit(g, [g], DIRAC, DIRAC_EDGE, 2)[0]
+
     def test_rejects_negative_length(self):
         with pytest.raises(ParameterError):
             walk_features_explicit(Graph(1, []), -2)
