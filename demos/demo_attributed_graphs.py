@@ -25,8 +25,6 @@ from gkern import (
     Dataset,
     Graph,
     VertexKernelSpec,
-    attribute_class_features,
-    binned_attribute_features,
     graph_invariant_weight_maps,
     gram_explicit,
     gram_implicit,
@@ -54,12 +52,12 @@ refinement = graph_invariant_weight_maps(ds, 2)   # refinement colors, h=2
 hopper = graphhopper_weight_maps(ds)              # shortest-path positions
 
 # ---------------------------------------------------------------------
-# 2. Exact attribute comparison: Dirac on attribute rows.  The explicit
-#    scheme uses one-hot vectors over the distinct rows of the dataset;
-#    the two schemes' Gram matrices agree.
+# 2. Exact attribute comparison: Dirac on attribute rows.  Both schemes
+#    take the vertex kernel's spec; the explicit one keys each vertex by
+#    its attribute row (the spec's own feature map), a one-hot vector
+#    over the distinct rows, and the two schemes' Gram matrices agree.
 # ---------------------------------------------------------------------
 dirac_rows = VertexKernelSpec("dirac-attributes")
-one_hot_rows = attribute_class_features(ds)
 
 
 def implicit_gram(wm, vertex_kernel):
@@ -69,13 +67,13 @@ def implicit_gram(wm, vertex_kernel):
     ).values
 
 
-def explicit_gram(wm, vertex_features):
-    return gram_explicit(ds, lambda x: wv_features_explicit(x, wm, vertex_features)).values
+def explicit_gram(wm, vertex_kernel):
+    return gram_explicit(ds, lambda x: wv_features_explicit(x, wm, vertex_kernel)).values
 
 
 for name, wm in (("refinement", refinement), ("path positions", hopper)):
     implicit = implicit_gram(wm, dirac_rows)
-    explicit = explicit_gram(wm, one_hot_rows)
+    explicit = explicit_gram(wm, dirac_rows)
     print(f"{name:15s}: (g0, g1) implicit {implicit[0, 1]:10.4f}  "
           f"explicit {explicit[0, 1]:10.4f}")
     assert abs(implicit - explicit).max() <= 1e-9 * max(1.0, abs(implicit).max())
@@ -93,5 +91,5 @@ print(f"\nhat-kernel value of (g0, g1) (implicit, exact): {exact:.4f}")
 print("P (grids)  binned estimate  |error|")
 for num_grids in (1, 4, 16, 64, 256):
     grid = sample_binning_grid(1, delta, num_grids, seed=100 + num_grids)
-    estimate = explicit_gram(hopper, binned_attribute_features(grid))[0, 1]
+    estimate = explicit_gram(hopper, VertexKernelSpec("binned", grid=grid))[0, 1]
     print(f"{num_grids:9d}  {estimate:15.4f}  {abs(estimate - exact):7.4f}")

@@ -4,14 +4,14 @@ Sparse feature vectors and the kernels they realize
 
 Every explicit computation scheme in this library rests on one data
 structure: a sparse feature vector, a plain ``dict`` mapping keys to
-non-zero weights.  A key is a tuple that starts with an integer tag
-naming its namespace.  This demo takes dot products of hand-built
-vectors, then follows two composition rules through the maps that
-realize them (a sum of walk kernels, and the product of a vertex weight
-kernel with a label kernel summed over vertex pairs), comparing each
-map's Gram matrix with the implicit one, and finally maps attribute rows
-to one-hot class vectors whose dot product reproduces the Dirac kernel
-on attributes exactly.
+non-zero weights.  A key is a plain tuple; one Gram matrix compares the
+vectors of one map only, so keys carry no namespace.  This demo takes
+dot products of hand-built vectors, then follows two composition rules
+through the maps that realize them (a sum of walk kernels, and the
+product of a vertex weight kernel with a label kernel summed over vertex
+pairs), comparing each map's Gram matrix with the implicit one, and
+finally keys vertices by their attribute rows, so that the dot product
+reproduces the Dirac kernel on attributes exactly.
 """
 
 from gkern import (
@@ -19,24 +19,21 @@ from gkern import (
     EdgeKernelSpec,
     Graph,
     VertexKernelSpec,
-    attribute_class_features,
     graph_invariant_weight_maps,
     gram_explicit,
     gram_implicit,
-    label_features,
     walk_features_explicit,
     walk_kernel_implicit,
     wv_features_explicit,
     wv_kernel_implicit,
 )
-from gkern.features import TAG_LABEL, TAG_PAIR
 
 # ---------------------------------------------------------------------
 # 1. Vectors are dictionaries; the dot product sums over the shared keys.
 #    gram_explicit takes all of a dataset's dot products at once.
 # ---------------------------------------------------------------------
-u = {(TAG_LABEL, 0): 2.0, (TAG_LABEL, 1): 1.0}
-v = {(TAG_LABEL, 2): 5.0, (TAG_LABEL, 1): 3.0}
+u = {(0,): 2.0, (1,): 1.0}
+v = {(2,): 5.0, (1,): 3.0}
 shared = u.keys() & v.keys()
 uv = sum(u[key] * v[key] for key in shared)
 print("u =", u)
@@ -51,7 +48,7 @@ ds = Dataset("gh", [g, h])
 # ---------------------------------------------------------------------
 # 2. Sum kernel = concatenated maps.  The maxwalk kernel sums the walk
 #    kernels of lengths 0..l; its map merges the per-length maps, whose
-#    keys (TAG_WALK, length, labels...) never collide across lengths.
+#    keys (length, labels...) never collide across lengths.
 # ---------------------------------------------------------------------
 length = 3
 
@@ -82,21 +79,21 @@ assert (merged == sum(per_length)).all() and (merged == implicit).all()
 # ---------------------------------------------------------------------
 # 3. Product kernel = paired keys.  The graph-invariant kernel multiplies
 #    a weight kernel k_W (shared refinement colours) with a vertex kernel
-#    k_V (here Dirac on labels).  wv_features_explicit keys each vertex
-#    by (TAG_PAIR, weight key, label key), with the product of the two
-#    weights: the map of k_W * k_V.  Summing those over the vertices
-#    realizes the sum of k_W * k_V over all vertex pairs.
+#    k_V (here Dirac on labels, whose own map keys a vertex (label,)).
+#    wv_features_explicit keys each vertex by (weight column, label),
+#    with the product of the two weights: the map of k_W * k_V.  Summing
+#    those over the vertices realizes the sum of k_W * k_V over all
+#    vertex pairs.
 # ---------------------------------------------------------------------
 weights = graph_invariant_weight_maps(ds, 1)
-paired = wv_features_explicit(g, weights, label_features)
-print("\nwv_features_explicit(g): paired keys (weight key x label key)")
-for key in sorted(paired):
-    tag, weight_key, label_key = key
-    assert tag == TAG_PAIR
-    print(f"  {weight_key} x {label_key} -> {paired[key]}")
-explicit = gram_explicit(ds, lambda x: wv_features_explicit(x, weights, label_features))
+dirac = VertexKernelSpec("dirac")
+paired = wv_features_explicit(g, weights, dirac)
+print("\nwv_features_explicit(g): paired keys (weight column, label)")
+for (column, label), weight in sorted(paired.items()):
+    print(f"  column {column} x label {label} -> {weight}")
+explicit = gram_explicit(ds, lambda x: wv_features_explicit(x, weights, dirac))
 implicit = gram_implicit(
-    ds, lambda x, partners: wv_kernel_implicit(x, partners, weights, VertexKernelSpec("dirac"))
+    ds, lambda x, partners: wv_kernel_implicit(x, partners, weights, dirac)
 )
 print(f"dot of the paired maps of (g, h) = {explicit.values[0, 1]:g}, "
       f"implicit sum over vertex pairs {implicit.values[0, 1]:g}")
@@ -104,23 +101,22 @@ assert (explicit.values == implicit.values).all()
 
 # ---------------------------------------------------------------------
 # 4. A binary-valued vertex kernel is an equivalence relation in
-#    disguise.  attribute_class_features numbers the distinct attribute
-#    rows of a dataset by first occurrence and maps each vertex to the
-#    one-hot vector of its row's class; the dot product then *is* the
-#    Dirac kernel on attribute rows.
+#    disguise.  The dirac-attributes kernel's own map keys each vertex by
+#    its attribute row, with weight 1: a one-hot vector over the rows, so
+#    the dot product *is* the Dirac kernel on attribute rows.  Graph
+#    rejects nan, which equals no row, not even its own.
 # ---------------------------------------------------------------------
 a = Graph(3, [(0, 1), (1, 2)], vertex_attributes=[[0.5, 1.0], [2.0, 0.0], [0.5, 1.0]])
 b = Graph(2, [(0, 1)], vertex_attributes=[[2.0, 0.0], [1.5, 1.5]])
-classes = attribute_class_features(Dataset("ab", [a, b]))
-print("\nattribute classes:")
-for name, graph in (("a", a), ("b", b)):
-    for vertex in range(graph.n):
-        row = graph.vertex_attributes[vertex].tolist()
-        print(f"  {name}[{vertex}] {row} -> {classes(graph, vertex)}")
-dirac_rows = VertexKernelSpec("dirac-attributes").matrix(a, b)
-for u in range(a.n):
-    for w in range(b.n):
-        cu, cw = classes(a, u), classes(b, w)
-        assert sum(cu[key] * cw[key] for key in cu.keys() & cw.keys()) == dirac_rows[u, w]
-print("class dots reproduce the dirac-attributes kernel on all",
+rows = VertexKernelSpec("dirac-attributes")
+(keys_a, weight), (keys_b, _) = rows.features(a), rows.features(b)
+print("\nattribute-row keys, weight", weight)
+for name, keys in (("a", keys_a), ("b", keys_b)):
+    for vertex, vertex_keys in enumerate(keys):
+        print(f"  {name}[{vertex}] -> {vertex_keys}")
+dirac_rows = rows.matrix(a, b)
+for u, ku in enumerate(keys_a):
+    for w, kw in enumerate(keys_b):
+        assert weight * weight * len(set(ku) & set(kw)) == dirac_rows[u, w]
+print("row-key dots reproduce the dirac-attributes kernel on all",
       a.n * b.n, "vertex pairs")

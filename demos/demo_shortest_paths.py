@@ -58,5 +58,5 @@ assert (implicit.values == explicit.values).all()
 #    counts over ordered pairs.
 # ---------------------------------------------------------------------
 print("\ntriples of the 5-path:")
-for (_, source, target, distance), count in sp_features_explicit(path).items():
+for (source, target, distance), count in sp_features_explicit(path).items():
     print(f"  labels {source}->{target} at distance {distance}: {count:g}")

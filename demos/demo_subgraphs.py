@@ -25,7 +25,6 @@ from gkern import (
     EdgeKernelSpec,
     Graph,
     VertexKernelSpec,
-    canonical_string,
     graphlet_features,
     gram_explicit,
     gram_implicit,
@@ -101,7 +100,8 @@ def triple_classes(graph):
                     vertex_labels=[int(graph.vertex_labels[v])
                                    for v in (a, b, c)],
                 )
-                cls = canonical_string(sub)
+                # the one graphlet key of sub is its canonical form
+                (cls,) = graphlet_features(sub)
                 counts[cls] += 1
                 reps.setdefault(cls, sub)
     return counts, reps

@@ -57,13 +57,12 @@ for length in range(6):
 
 # ---------------------------------------------------------------------
 # 2. What the explicit features actually are: counts of alternating
-#    vertex/edge label sequences.  A key is the walk tag, the walk
-#    length, then alternating vertex and edge labels.
+#    vertex/edge label sequences.  A key is the walk length, then
+#    alternating vertex and edge labels.
 # ---------------------------------------------------------------------
 print("\nlength-2 walk features of the triangle:")
-for key, count in walk_features_explicit(g, 2).items():
-    length, sequence = key[1], key[2:]
-    print(f"  sequence {sequence} (length {length}): {count:g} walk(s)")
+for (length, *sequence), count in walk_features_explicit(g, 2).items():
+    print(f"  sequence {tuple(sequence)} (length {length}): {count:g} walk(s)")
 
 # ---------------------------------------------------------------------
 # 3. Every length 0..L from one pass over the product graph

@@ -58,7 +58,6 @@ from .kernels import (
     BinningGrid,
     EdgeKernelSpec,
     VertexKernelSpec,
-    binning_features,
     sample_binning_grid,
 )
 from .rng import SplitMix64
@@ -67,7 +66,6 @@ from .shortest_paths import (
     sp_transform,
 )
 from .subgraphs import (
-    canonical_string,
     graphlet_features,
     matching_features,
     subgraph_matching_kernel,
@@ -80,11 +78,8 @@ from .walks import (
 )
 from .weighted import (
     WeightFeatureMap,
-    attribute_class_features,
-    binned_attribute_features,
     graph_invariant_weight_maps,
     graphhopper_weight_maps,
-    label_features,
     wv_features_explicit,
     wv_kernel_implicit,
 )
@@ -114,11 +109,7 @@ __all__ = [
     "WeightFeatureMap",
     "WeightedProductGraph",
     "all_pairs_shortest_paths",
-    "attribute_class_features",
-    "binned_attribute_features",
-    "binning_features",
     "build_wdpg",
-    "canonical_string",
     "export_gram",
     "generate_synthetic_alphabet",
     "generate_synthetic_labeled",
@@ -127,7 +118,6 @@ __all__ = [
     "graph_invariant_weight_maps",
     "graphhopper_weight_maps",
     "graphlet_features",
-    "label_features",
     "load_gram_csv",
     "load_tu_dataset",
     "matching_features",

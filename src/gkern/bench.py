@@ -46,11 +46,8 @@ from .shortest_paths import sp_features_explicit, sp_transform
 from .subgraphs import graphlet_features, matching_features, subgraph_matching_kernel
 from .walks import walk_features_explicit, walk_kernel_implicit
 from .weighted import (
-    attribute_class_features,
-    binned_attribute_features,
     graph_invariant_weight_maps,
     graphhopper_weight_maps,
-    label_features,
     wv_features_explicit,
     wv_kernel_implicit,
 )
@@ -153,7 +150,8 @@ def kernel_plan(
             row = lambda g, hs: walk_kernel_implicit(
                 g, hs, dirac, edges, length, all_rounds=True
             ).sum(axis=1)
-            # the sum kernel's map: keys (TAG_WALK, l, ...) carry the length
+            # the sum kernel's map concatenates its parts' maps: walk keys
+            # (l, *labels) lead with the length, so the parts share no key
             features = lambda g: {
                 key: count
                 for l in range(length + 1)
@@ -227,20 +225,9 @@ def kernel_plan(
     name = f"{kernel}[{vk.describe()}]"
     row = lambda g, hs: wv_kernel_implicit(g, hs, weight_map, vk)
     implicit = lambda: gram_implicit(ds, row, f"{name}/implicit")
-
-    def explicit() -> GramMatrix:
-        if vk.kind == "dirac":
-            vertex_features = label_features
-        elif vk.kind == "binned":
-            vertex_features = binned_attribute_features(grid)
-        else:
-            vertex_features = attribute_class_features(ds)
-        return gram_explicit(
-            ds,
-            lambda g: wv_features_explicit(g, weight_map, vertex_features),
-            f"{name}/explicit",
-        )
-
+    explicit = lambda: gram_explicit(
+        ds, lambda g: wv_features_explicit(g, weight_map, vk), f"{name}/explicit"
+    )
     if vk.kind in ("hat", "rbf"):
         explicit = (
             f"the {vk.kind} vertex kernel has no exact finite feature map; "

@@ -126,6 +126,11 @@ class Graph:
             raise ContractError(
                 f"vertex attributes have shape {attrs.shape}, expected ({self.n}, d)"
             )
+        if attrs is not None and not np.isfinite(attrs).all():
+            # a nan row equals no row, not even itself, and binning a
+            # non-finite value has no cell
+            v = int(np.argwhere(~np.isfinite(attrs))[0, 0])
+            raise ContractError(f"vertex {v} has a non-finite attribute: {attrs[v].tolist()}")
         self.vertex_labels, self.vertex_attributes = vl, attrs
 
         # the CSR: both orientations of each edge, ascending by (tail, head);
@@ -425,11 +430,16 @@ def scale_attributes(ds: Dataset) -> Dataset:
     stacked = np.vstack([g.vertex_attributes for g in ds.graphs if g.n])
     lo = stacked.min(axis=0)
     hi = stacked.max(axis=0)
-    span = hi - lo
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    # finite extremes can span past float64 (-1e308 to 1e308): such a
+    # dimension is halved first; a factor 1.0 leaves the others bit for bit
+    factor = np.where(np.isinf(span), 0.5, 1.0)
+    lo, span = lo * factor, hi * factor - lo * factor
     safe = np.where(span > 0, span, 1.0)
     graphs = []
     for g in ds.graphs:
-        attrs = (g.vertex_attributes - lo) / safe
+        attrs = (g.vertex_attributes * factor - lo) / safe
         attrs[:, span == 0] = 0.0
         clone = Graph.__new__(Graph)
         for slot in Graph.__slots__:
@@ -488,7 +498,7 @@ def _column(
         raise DatasetFormatError(f"{filename}: {len(lines)} {unit}")
     rows = [line.split(",") for line in lines] if dtype == np.float64 else lines
     try:
-        return np.array(rows, dtype=dtype)
+        values = np.array(rows, dtype=dtype)
     except (ValueError, OverflowError):
         width = None
         for i, (text, row) in enumerate(zip(lines, rows)):
@@ -503,6 +513,10 @@ def _column(
                     f"{_at(filename, i)}: expected {width} values, got {values.size}"
                 ) from None
         raise
+    if dtype == np.float64 and not np.isfinite(values).all():
+        i = int(np.argwhere(~np.isfinite(values))[0, 0])
+        raise DatasetFormatError(f"{_at(filename, i)}: non-finite attribute in {lines[i]!r}")
+    return values
 
 
 def _edge_pairs(filename: str) -> Tuple[List[str], np.ndarray]:
@@ -554,8 +568,9 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
     defects raise :class:`DatasetFormatError`:
 
     * a graph id, class label, vertex label or edge label that is not an
-      integer; an attribute row that is not comma-separated reals, or
-      whose width differs from the first row's;
+      integer; an attribute row that is not comma-separated reals, whose
+      width differs from the first row's, or that holds a non-finite
+      value (``nan``, ``inf``);
     * a graph id below 1;
     * a side file with the wrong line count: class labels against graphs,
       edge labels against edge lines, vertex labels and attribute rows

@@ -8,21 +8,22 @@ attribute vectors, or path lengths.  This module provides
   kernel choices, evaluated only in bulk (all vertex pairs of two graphs,
   or two arrays of edge annotations), each with an equality key per
   element (two elements with different keys compare as 0) that the
-  product-graph construction joins on, and
+  product-graph construction joins on; a vertex kernel with a finite
+  feature map also gives each vertex's features
+  (:meth:`VertexKernelSpec.features`), and
 * randomized binning grids, whose collision feature map approximates the
-  hat kernel (:func:`sample_binning_grid`, :func:`binning_features`).
+  hat kernel (:func:`sample_binning_grid`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .features import TAG_BIN
 from .graphs import INF_DISTANCE, Graph
 from .rng import SplitMix64
 
@@ -86,17 +87,6 @@ def sample_binning_grid(
         dtype=np.float64,
     )
     return BinningGrid(delta, shifts)
-
-
-def binning_features(x, grid: BinningGrid) -> Dict[tuple, float]:
-    """Feature map of one point: its cell in each grid, weight 1/sqrt(P).
-
-    Keys from different grids never coincide (the grid index is part of
-    the key), so the vector always has exactly ``P`` entries.
-    """
-    cells = grid.bin_indices(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
-    weight = 1.0 / grid.num_grids**0.5
-    return {(TAG_BIN, p, *cells[p].tolist()): weight for p in range(grid.num_grids)}
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +169,26 @@ class VertexKernelSpec:
         if self.kind == "dirac":
             return g.vertex_label_array()
         return np.zeros(g.n, dtype=np.int64)
+
+    def features(self, g: Graph) -> Tuple[List[List[tuple]], Union[int, float]]:
+        """The feature map of the kernel on the vertices of ``g``: each
+        vertex's keys, and the one weight that every key carries.
+
+        ``dirac`` gives ``(label,)`` and ``dirac-attributes`` the attribute
+        row as a tuple, each with the Python ``int`` weight 1, so integer
+        weights stay exact; ``binned`` gives ``(p, *cell)`` for the cell of
+        each of the ``P`` grids, weight 1/sqrt(P).  The hat and rbf kernels
+        have no finite feature map: ParameterError.
+        """
+        if self.kind == "dirac":
+            return [[(label,)] for label in g.vertex_label_array().tolist()], 1
+        if self.kind == "dirac-attributes":
+            return [[tuple(row)] for row in _attributes_of(g).tolist()], 1
+        if self.kind != "binned":
+            raise ParameterError(f"the {self.kind} vertex kernel has no exact finite feature map")
+        cells = self.grid.bin_indices(_attributes_of(g)).tolist()  # (n, P, dim)
+        keys = [[(p, *cell) for p, cell in enumerate(vertex)] for vertex in cells]
+        return keys, 1.0 / self.grid.num_grids**0.5
 
     def matrix(self, g: Graph, h: Graph) -> np.ndarray:
         """All-pairs kernel values, shape (g.n, h.n)."""

@@ -25,7 +25,6 @@ from typing import Dict
 
 import numpy as np
 
-from .features import TAG_SP
 from .graphs import Graph, all_pairs_shortest_paths, INF_DISTANCE
 
 
@@ -65,6 +64,6 @@ def sp_features_explicit(g: Graph) -> Dict[tuple, int]:
         for v in range(g.n):
             if u == v or row[v] == INF_DISTANCE:
                 continue
-            key = (TAG_SP, lu, labels[v], int(row[v]))
+            key = (lu, labels[v], int(row[v]))
             counts[key] = counts.get(key, 0) + 1
     return counts

@@ -56,8 +56,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ContractError, MultiplicityOverflowError, ParameterError
-from .features import TAG_GRAPHLET
+from .errors import MultiplicityOverflowError, ParameterError
 from .gram import EXACT_LIMIT
 from .graphs import DisjointUnion, Graph, partner_runs
 from .kernels import EdgeKernelSpec, VertexKernelSpec
@@ -287,35 +286,18 @@ def _class_counts(
     return classes
 
 
-def canonical_string(sub: Graph) -> str:
-    """Canonical text form of a connected 3-vertex graph.
-
-    Two such graphs get the same string iff they are isomorphic respecting
-    vertex and edge labels.
-    """
-    if sub.n != 3:
-        raise ContractError(f"canonical form is defined for 3 vertices, got {sub.n}")
-    if sub.m < 2:
-        raise ContractError("canonical form is defined for connected graphs")
-    ((encoding,), _, _), = _class_counts(sub, 3, True, smallest=3)
-    canon = encoding.tolist()
-    vertex_part = ",".join(map(str, canon[:3]))
-    edge_part = ",".join(
-        f"{canon[3 + 2 * i]}:{canon[4 + 2 * i]}" for i in range(3)
-    )
-    return f"{vertex_part}|{edge_part}"
-
-
 def graphlet_features(g: Graph) -> Dict[tuple, int]:
     """Counts of connected induced 3-vertex subgraphs by canonical form.
 
-    Unlabeled graphs behave as uniformly labeled; the triangle count and
-    path count of e.g. the complete graph K4 come out as 4 and 0.
+    A class's key is its encoding (see :func:`_class_counts`): two
+    subgraphs share a key iff they are isomorphic respecting vertex and
+    edge labels.  Unlabeled graphs behave as uniformly labeled; the
+    triangle count and path count of e.g. the complete graph K4 come out
+    as 4 and 0.
     """
     entries = {}
     for encodings, counts, _ in _class_counts(g, 3, True, smallest=3):
-        keys = np.column_stack((np.full(len(counts), TAG_GRAPHLET), encodings))
-        entries.update(zip(map(tuple, keys.tolist()), counts.tolist()))
+        entries.update(zip(map(tuple, encodings.tolist()), counts.tolist()))
     return entries
 
 
@@ -333,10 +315,10 @@ def matching_features(
     """
     entries = {}
     for encodings, counts, automorphisms in _class_counts(g, max_size, connected_only):
-        # class i as keys (TAG_GRAPHLET, *encoding i, copy), copy < |Aut|
+        # class i as keys (*encoding i, copy), copy < |Aut|
         of = np.repeat(np.arange(len(counts)), automorphisms)
         copy = np.arange(of.size) - (np.cumsum(automorphisms) - automorphisms)[of]
-        keys = np.column_stack((np.full(of.size, TAG_GRAPHLET), encodings[of], copy))
+        keys = np.column_stack((encodings[of], copy))
         entries.update(zip(map(tuple, keys.tolist()), counts[of].tolist()))
     return entries
 

@@ -77,7 +77,6 @@ from .errors import (
     ParameterError,
     ResourceBudgetError,
 )
-from .features import TAG_WALK
 from .gram import EXACT_LIMIT
 from .graphs import DisjointUnion, Graph, partner_runs
 from .kernels import EdgeKernelSpec, VertexKernelSpec
@@ -433,4 +432,4 @@ def walk_features_explicit(g: Graph, length: int) -> Dict[tuple, int]:
     for bucket in per_vertex:
         for seq, count in bucket.items():
             total[seq] = total.get(seq, 0) + count
-    return {(TAG_WALK, length, *seq): c for seq, c in total.items()}
+    return {(length, *seq): c for seq, c in total.items()}

@@ -20,26 +20,33 @@ per graph, row v = w(v), over weight columns shared by the dataset:
   Frobenius inner product of the two tables.
 
 Both schemes read W_G.  The implicit scheme (:func:`wv_kernel_implicit`,
-a Gram row per call) sums (W_G W_H^T) * k_V(G, H) entrywise; the explicit
-scheme (:func:`wv_features_explicit`) uses that the whole kernel factors as
-the dot of per-graph sums of tensor products w(v) x phi_V(v), given a
-feature map phi_V for k_V (exact one-hots for discrete comparisons,
-binning maps as an approximation for hat kernels).
+a Gram row per call) sums (W_G W_H^T) * k_V(G, H) entrywise.  The
+explicit scheme (:func:`wv_features_explicit`) composes the feature maps
+of the two base kernels:
+
+* product kernel, paired keys — k_W(v, v') * k_V(v, v') is the dot of the
+  tensor products w(v) x phi_V(v), whose keys pair a weight column with a
+  key of phi_V as ``(column, *vertex key)`` and whose weights multiply;
+* R-convolution, summed part maps — the kernel sums those products over
+  the vertex pairs, so the map sums w(v) x phi_V(v) over the vertices.
+
+phi_V is the vertex kernel's own map, :meth:`VertexKernelSpec.features`:
+exact one-hots for the Dirac kinds, binning maps as an approximation of
+the hat kernel.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from . import walks
 from .errors import ContractError, MultiplicityOverflowError
-from .features import TAG_GH, TAG_LABEL, TAG_PAIR, TAG_WL
 from .gram import EXACT_LIMIT
 from .graphs import INF_DISTANCE, Dataset, DisjointUnion, DistanceMatrix, Graph
 from .graphs import all_pairs_shortest_paths, partner_runs
-from .kernels import BinningGrid, VertexKernelSpec, binning_features
+from .kernels import VertexKernelSpec
 from .wl import wl_refine_dataset
 
 # Multiplicities above this bound could make the table accumulation leave
@@ -50,18 +57,16 @@ _COUNT_LIMIT = 1 << 26
 class WeightFeatureMap:
     """Per-vertex weight vectors for every graph of one dataset.
 
-    Weight columns are numbered dataset wide; ``keys[c]`` is column ``c``'s
-    feature key in explicit feature vectors.  ``per_graph`` maps ``id(g)`` to
-    ``(g, columns, W)``: the ascending columns ``g`` uses and the int64
+    Weight columns are numbered dataset wide.  ``per_graph`` maps ``id(g)``
+    to ``(g, columns, W)``: the ascending columns ``g`` uses and the int64
     ``(g.n, len(columns))`` matrix whose row ``v`` is w(v) over them.
 
     Graphs are identified by object identity; asking for a graph that was
     not part of the construction is an error.
     """
 
-    def __init__(self, kind: str, keys: Dict[int, tuple], per_graph: Dict[int, tuple]):
+    def __init__(self, kind: str, per_graph: Dict[int, tuple]):
         self.kind = kind
-        self.keys = keys
         self._per_graph = per_graph
 
     def matrix(self, g: Graph) -> Tuple[np.ndarray, np.ndarray]:
@@ -93,17 +98,12 @@ def graph_invariant_weight_maps(ds: Dataset, iterations: int) -> WeightFeatureMa
     assignment = wl_refine_dataset(ds, iterations, init="uniform")
     counts = assignment.colors_per_iteration
     offsets = np.cumsum([0, *counts[:-1]])
-    keys = {
-        int(offsets[i]) + c: (TAG_WL, i, c)
-        for i, count in enumerate(counts)
-        for c in range(count)
-    }
     per_graph: Dict[int, tuple] = {}
     for g, strata in zip(ds.graphs, assignment.colors):
         column = (np.stack(strata, axis=1) + offsets).ravel()
         vertex = np.repeat(np.arange(g.n), iterations + 1)
         per_graph[id(g)] = (g, *_weight_matrix(g.n, vertex, column, 1))
-    return WeightFeatureMap(f"graph-invariant(h={iterations})", keys, per_graph)
+    return WeightFeatureMap(f"graph-invariant(h={iterations})", per_graph)
 
 
 def _hopper_tables(
@@ -157,9 +157,7 @@ def graphhopper_weight_maps(ds: Dataset) -> WeightFeatureMap:
         id(g): (g, *_hopper_tables(dm, delta, f"graph {gi} of {ds.name!r}"))
         for gi, (g, dm) in enumerate(zip(ds.graphs, distances))
     }
-    used = set().union(*(entry[1].tolist() for entry in per_graph.values()))
-    keys = {c: (TAG_GH, c // delta + 1, c % delta + 1) for c in used}
-    return WeightFeatureMap("graphhopper", keys, per_graph)
+    return WeightFeatureMap("graphhopper", per_graph)
 
 
 def wv_kernel_implicit(
@@ -209,73 +207,25 @@ def wv_kernel_implicit(
 
 
 def wv_features_explicit(
-    g: Graph,
-    weight_map: WeightFeatureMap,
-    vertex_features: Callable[[Graph, int], Dict[tuple, float]],
+    g: Graph, weight_map: WeightFeatureMap, vertex_kernel: VertexKernelSpec
 ) -> Dict[tuple, float]:
-    """Feature map of the weighted vertex kernel: sum over vertices of
-    w(v) x phi_V(v), from the rows of W_g in vertex order.  Exact when
-    phi_V realizes k_V exactly; with binning maps it realizes the binned
-    approximation instead.  Integer weights stay Python ints, which
-    :func:`gkern.gram.gram_explicit` guards at 2**53.
+    """Feature map of the weighted vertex kernel: the sum over vertices of
+    w(v) x phi_V(v), keyed ``(weight column, *vertex key)``, with phi_V
+    the vertex kernel's :meth:`~VertexKernelSpec.features`.  Exact for the
+    Dirac kinds, where the weights stay Python ints, which
+    :func:`gkern.gram.gram_explicit` guards at 2**53; the binned kind
+    gives the binned approximation of the hat kernel, and the hat and rbf
+    kinds have no map (ParameterError).
     """
     columns, w = weight_map.matrix(g)
-    keys = [weight_map.keys[c] for c in columns.tolist()]
+    columns = columns.tolist()
+    phis, phi_weight = vertex_kernel.features(g)
     entries: Dict[tuple, float] = {}
-    for v, row in enumerate(w.tolist()):
-        phi = vertex_features(g, v).items()
-        for key, weight in zip(keys, row):
+    for phi, row in zip(phis, w.tolist()):
+        for column, weight in zip(columns, row):
             if weight:
-                for phi_key, phi_weight in phi:
-                    pair = (TAG_PAIR, key, phi_key)
-                    entries[pair] = entries.get(pair, 0) + weight * phi_weight
+                weight *= phi_weight
+                for key in phi:
+                    pair = (column, *key)
+                    entries[pair] = entries.get(pair, 0) + weight
     return entries
-
-
-# -- ready-made per-vertex attribute feature maps ---------------------------
-
-
-def label_features(g: Graph, v: int) -> Dict[tuple, int]:
-    """One-hot on the discrete vertex label (pseudo-label 0 if none)."""
-    return {(TAG_LABEL, int(g.vertex_label_array()[v])): 1}
-
-
-def attribute_class_features(ds: Dataset) -> Callable[[Graph, int], Dict[tuple, int]]:
-    """Exact one-hot map over the distinct attribute rows of a dataset.
-
-    The returned map realizes the Dirac kernel on attribute rows exactly;
-    classes are numbered by first occurrence.
-    """
-    classes: Dict[tuple, int] = {}
-    for g in ds.graphs:
-        if g.vertex_attributes is None:
-            raise ContractError(f"dataset {ds.name!r} has graphs without attributes")
-        for row in g.vertex_attributes:
-            key = tuple(row.tolist())
-            if key not in classes:
-                classes[key] = len(classes)
-
-    def _features(g: Graph, v: int) -> Dict[tuple, int]:
-        key = tuple(g.vertex_attributes[v].tolist())
-        try:
-            class_id = classes[key]
-        except KeyError:
-            raise ContractError(
-                "attribute row not seen when the class map was built"
-            ) from None
-        return {(TAG_LABEL, class_id): 1}
-
-    return _features
-
-
-def binned_attribute_features(
-    grid: BinningGrid,
-) -> Callable[[Graph, int], Dict[tuple, float]]:
-    """Binning feature map on vertex attributes for a fixed grid."""
-
-    def _features(g: Graph, v: int) -> Dict[tuple, float]:
-        if g.vertex_attributes is None:
-            raise ContractError("graph has no vertex attributes")
-        return binning_features(g.vertex_attributes[v], grid)
-
-    return _features

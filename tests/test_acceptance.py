@@ -19,8 +19,6 @@ from gkern import (
     EdgeKernelSpec,
     Graph,
     VertexKernelSpec,
-    attribute_class_features,
-    binned_attribute_features,
     gram_explicit,
     gram_implicit,
     graph_invariant_weight_maps,
@@ -257,7 +255,6 @@ def _weighted_grams():
             for _ in range(20)
         ],
     )
-    class_map = attribute_class_features(ds)
     out = []
     for name, wm in (
         ("refinement-h3", graph_invariant_weight_maps(ds, 3)),
@@ -270,7 +267,7 @@ def _weighted_grams():
         )
         explicit = gram_explicit(
             ds,
-            lambda g, w=wm: wv_features_explicit(g, w, class_map),
+            lambda g, w=wm: wv_features_explicit(g, w, DIRAC_ATTR),
             f"{name}/explicit",
         )
         out.append((name, implicit, explicit))
@@ -413,7 +410,7 @@ def test_criterion_07_binning_convergence():
         grid = sample_binning_grid(1, delta, num_grids, seed=1000 + num_grids)
         approx = gram_explicit(
             ds,
-            lambda g, b=binned_attribute_features(grid): wv_features_explicit(
+            lambda g, b=VertexKernelSpec("binned", grid=grid): wv_features_explicit(
                 g, wm, b
             ),
             f"binned(P={num_grids})/explicit",

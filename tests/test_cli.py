@@ -9,7 +9,6 @@ import pytest
 import gkern.bench
 from gkern import load_gram_csv, load_tu_dataset
 from gkern.bench import KERNELS, kernel_plan
-from gkern.features import TAG_GRAPHLET
 from gkern.cli import load_data_spec, main
 
 
@@ -545,7 +544,7 @@ def test_generate_rejects_a_flag_its_generator_lacks(tmp_path, capsys):
 @pytest.mark.parametrize("regime", ("explicit",))
 def test_graphlet_dots_past_2_53_fail_their_pair(regime, monkeypatch, capsys):
     # one class counted 2**27 times: its self-dot is 2**54
-    heavy = {(TAG_GRAPHLET, 0): 2**27}
+    heavy = {(0,): 2**27}
     monkeypatch.setattr(gkern.bench, "graphlet_features", lambda g: heavy)
     code = main(["compute", "--data", DATA, "--kernel", "graphlet", "--regime", regime])
     assert code == 4

@@ -1,32 +1,33 @@
-"""Sparse feature vectors as dicts, their dot product, and the kernel
-composition rules realized by the maps that use them."""
+"""Sparse feature vectors as dicts, their dot product, the vertex kernels'
+feature maps, and the kernel composition rules realized by the maps that
+use them."""
 
 import random
 
+import numpy as np
 import pytest
 
 from gkern import (
     Dataset,
     Graph,
+    ParameterError,
     VertexKernelSpec,
-    attribute_class_features,
-    binned_attribute_features,
     graph_invariant_weight_maps,
-    label_features,
     sample_binning_grid,
     walk_features_explicit,
     wv_features_explicit,
 )
 from gkern import bench
-from gkern.features import TAG_LABEL, TAG_PAIR, TAG_WL
 from conftest import make_random_graph
 from oracles import dot
+
+DIRAC = VertexKernelSpec("dirac")
 
 
 def random_vector(rng: random.Random, universe: int = 12, max_nnz: int = 6) -> dict:
     entries = {}
     for _ in range(rng.randint(0, max_nnz)):
-        key = (TAG_LABEL, rng.randrange(universe))
+        key = (rng.randrange(universe),)
         entries[key] = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4, 5])
     return entries
 
@@ -40,40 +41,26 @@ def merged(vectors) -> dict:
     return {key: weight for key, weight in total.items() if weight != 0}
 
 
-A, B = (TAG_LABEL, 0), (TAG_LABEL, 1)
-
-
 class TestKeys:
-    def test_keys_injective_across_tags_and_payloads(self):
-        seen = set()
-        for tag in (1, 2, 3):
-            for payload in [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (11,), (1, 1)]:
-                key = (tag, *payload)
-                assert key not in seen
-                seen.add(key)
-
     def test_part_and_pair_keys_do_not_collide(self):
         # the walk maps of different lengths, the parts of maxwalk's sum,
         # share no key
         g = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 0])
         parts = [set(walk_features_explicit(g, l)) for l in range(4)]
         assert sum(len(p) for p in parts) == len(set().union(*parts))
-        # wv_features_explicit pairs the weight key with the label key, in
-        # that order, so swapped parts give another key
+        # wv_features_explicit keys a vertex by its weight column, then its
+        # label: on a path, column 0 is stratum 0 (every vertex), columns 1
+        # and 2 the ends and the middle of stratum 1
         path = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 0])
         weight_map = graph_invariant_weight_maps(Dataset("t", [path]), 1)
-        pairs = sorted(wv_features_explicit(path, weight_map, label_features))
-        ends, middle = (TAG_WL, 1, 0), (TAG_WL, 1, 1)
-        assert pairs == [
-            (TAG_PAIR, (TAG_WL, 0, 0), A),
-            (TAG_PAIR, (TAG_WL, 0, 0), B),
-            (TAG_PAIR, ends, A),
-            (TAG_PAIR, middle, B),
-        ]
-        assert (TAG_PAIR, A, ends) not in pairs and (TAG_PAIR, ends, B) not in pairs
-        # plain and pair keys compare, so a mix of them sorts
-        mixed = [*parts[2], pairs[0], (TAG_LABEL, 7), pairs[-1]]
-        assert [key[0] for key in sorted(mixed)] == sorted(key[0] for key in mixed)
+        pairs = sorted(wv_features_explicit(path, weight_map, DIRAC))
+        assert pairs == [(0, 0), (0, 1), (1, 0), (2, 1)]
+        # the weight column leads: swapped, the middle's key would read
+        # (1, 2); and no end (column 1) carries label 1
+        assert (1, 2) not in pairs and (1, 1) not in pairs
+        # keys of any two maps compare (sorted raises TypeError otherwise)
+        mixed = [*parts[2], *pairs, (7,)]
+        assert sorted(mixed)[-1] == (7,)
 
 
 class TestFeatureVector:
@@ -86,43 +73,52 @@ class TestFeatureVector:
         graphs = [make_random_graph(rng, max_n=6, labels=2) for _ in range(4)]
         weight_map = graph_invariant_weight_maps(Dataset("t", graphs), 2)
         for g in graphs:
-            vector = wv_features_explicit(g, weight_map, label_features)
+            vector = wv_features_explicit(g, weight_map, DIRAC)
             assert type(vector) is dict and 0 not in vector.values()
             _, w = weight_map.matrix(g)
             assert sum(vector.values()) == int(w.sum())
 
-    def test_one_hot(self):
-        g = Graph(2, [(0, 1)], vertex_labels=[3, 5], vertex_attributes=[[0.5], [0.5]])
-        ds = Dataset("t", [g])
-        assert label_features(g, 1) == {(TAG_LABEL, 5): 1}
-        by_row = attribute_class_features(ds)
-        assert by_row(g, 0) == by_row(g, 1) == {(TAG_LABEL, 0): 1}
-        assert type(by_row(g, 0)) is dict
+
+VERTEX_KERNELS = {
+    "dirac": VertexKernelSpec("dirac"),
+    "dirac-attributes": VertexKernelSpec("dirac-attributes"),
+    # P = 3 is no power of four, so the binned dots round
+    "binned": VertexKernelSpec("binned", grid=sample_binning_grid(2, 0.7, 3, seed=11)),
+    "hat": VertexKernelSpec("hat", delta=0.75),
+    "rbf": VertexKernelSpec("rbf", sigma=0.5),
+}
 
 
-class TestAttributeClasses:
-    """The exact class map of the Dirac kernel on attribute rows."""
-
-    def test_classes_numbered_by_first_occurrence(self):
-        rows = [5, 9, 5, 2, 9, 5]
-        g = Graph(4, [(0, 1)], vertex_attributes=[[x] for x in rows[:4]])
-        h = Graph(2, [], vertex_attributes=[[x] for x in rows[4:]])
-        by_row = attribute_class_features(Dataset("t", [g, h]))
-        vectors = [by_row(g, v) for v in range(g.n)] + [by_row(h, v) for v in range(h.n)]
-        assert vectors == [{(TAG_LABEL, c): 1} for c in [0, 1, 0, 2, 1, 0]]
-
-    def test_class_dots_reproduce_dirac_attributes(self):
-        rng = random.Random(13)
-        spec = VertexKernelSpec("dirac-attributes")
-        for _ in range(20):
-            graphs = [
-                make_random_graph(rng, max_n=6, min_n=1, attribute_dim=2, attribute_levels=2)
-                for _ in range(2)
+@pytest.mark.parametrize("kind", VERTEX_KERNELS)
+def test_vertex_features_realize_the_kernel_matrix(kind):
+    # the dots of two vertices' features are the kernel's value on them;
+    # coarse attribute levels make equal rows (what dirac-attributes
+    # counts) and shared cells common
+    spec = VERTEX_KERNELS[kind]
+    rng = random.Random(13)
+    graphs = [
+        make_random_graph(rng, max_n=6, min_n=1, labels=3, attribute_dim=2, attribute_levels=3)
+        for _ in range(40)
+    ]
+    if kind in ("hat", "rbf"):
+        with pytest.raises(ParameterError, match="no exact finite feature map"):
+            spec.features(graphs[0])
+        return
+    for g, h in zip(graphs[::2], graphs[1::2]):
+        (keys_g, weight), (keys_h, same) = spec.features(g), spec.features(h)
+        assert weight == same and len(keys_g) == g.n and len(keys_h) == h.n
+        dots = np.array(
+            [
+                [dot(dict.fromkeys(u, weight), dict.fromkeys(v, weight)) for v in keys_h]
+                for u in keys_g
             ]
-            by_row = attribute_class_features(Dataset("t", graphs))
-            g, h = graphs
-            dots = [[dot(by_row(g, u), by_row(h, v)) for v in range(h.n)] for u in range(g.n)]
-            assert dots == spec.matrix(g, h).tolist()
+        )
+        if kind == "binned":
+            assert np.abs(dots - spec.matrix(g, h)).max() <= 1e-12
+        else:
+            # one int-weighted key per vertex: the dots are the matrix, exactly
+            assert type(weight) is int and all(len(u) == 1 for u in keys_g)
+            assert dots.tolist() == spec.matrix(g, h).tolist()
 
 
 class TestDot:
@@ -142,7 +138,7 @@ class TestDot:
         rng = random.Random(11)
         for _ in range(50):
             u, v = (
-                {(TAG_LABEL, k): rng.uniform(-1, 1) for k in rng.sample(range(40), 25)}
+                {(k,): rng.uniform(-1, 1) for k in rng.sample(range(40), 25)}
                 for _ in range(2)
             )
             u_keys, v_keys = list(u), list(v)
@@ -197,17 +193,16 @@ class TestCombinators:
         # wv_features_explicit sums w(v) x phi(v) over the vertices: its dot
         # is the sum over vertex pairs of the weight dot times the phi dot
         rng = random.Random(31)
-        grid = sample_binning_grid(2, 1.0, 4, seed=7)
-        vertex_map = binned_attribute_features(grid)
+        binned = VertexKernelSpec("binned", grid=sample_binning_grid(2, 1.0, 4, seed=7))
         graphs = [make_random_graph(rng, max_n=6, attribute_dim=2) for _ in range(4)]
         weight_map = graph_invariant_weight_maps(Dataset("t", graphs), 2)
 
         def parts(g):
             columns, w = weight_map.matrix(g)
-            keys = [weight_map.keys[c] for c in columns.tolist()]
+            keys, weight = binned.features(g)
             return [
-                ({k: x for k, x in zip(keys, row) if x}, vertex_map(g, v))
-                for v, row in enumerate(w.tolist())
+                ({c: x for c, x in zip(columns.tolist(), row) if x}, dict.fromkeys(phi, weight))
+                for row, phi in zip(w.tolist(), keys)
             ]
 
         for g in graphs:
@@ -216,8 +211,7 @@ class TestCombinators:
                     dot(wv, wu) * dot(pv, pu) for wv, pv in parts(g) for wu, pu in parts(h)
                 )
                 explicit = dot(
-                    wv_features_explicit(g, weight_map, vertex_map),
-                    wv_features_explicit(h, weight_map, vertex_map),
+                    wv_features_explicit(g, weight_map, binned),
+                    wv_features_explicit(h, weight_map, binned),
                 )
                 assert explicit == pytest.approx(pairwise, rel=1e-12, abs=1e-12)
-

@@ -28,7 +28,6 @@ from gkern import (
     walk_kernel_implicit,
 )
 from gkern import bench, gram as gram_module, subgraphs, walks
-from gkern.features import TAG_LABEL
 from gkern.graphs import DisjointUnion
 from conftest import graphs, make_random_graph
 from oracles import dot
@@ -178,7 +177,7 @@ class TestAssembly:
         gram = gram_explicit(ds, lambda g: walk_features_explicit(g, 5))
         assert gram.values[1, 1] == (20 * 19**5) ** 2
         # float dots make no exactness claim
-        big = gram_explicit(ds, lambda g: {(TAG_LABEL, 0): 1e10})
+        big = gram_explicit(ds, lambda g: {(0,): 1e10})
         assert (big.values == 1e20).all()
 
     def test_explicit_dot_agrees_with_feature_dot(self):
@@ -403,7 +402,7 @@ class TestExplicitProduct:
     def test_features_spanning_several_column_blocks(self):
         n = 3
         count = 2 * (gram_module.BLOCK_CELLS // n) + 5
-        keys = [(TAG_LABEL, k) for k in range(count)]
+        keys = [(k,) for k in range(count)]
         vectors = [
             {key: (i + j) % 4 for j, key in enumerate(keys) if (i + j) % 3}
             for i in range(n)
@@ -419,7 +418,7 @@ class TestExplicitProduct:
     def test_exactness_guard_checks_integer_pairs_in_row_major_order(self):
         # float vectors make no claim; the first all-integer pair past 2**53
         # in row-major order of the upper triangle is the one named
-        key = (TAG_LABEL, 0)
+        key = (0,)
         vectors = [{key: 1e10}, {key: 2**27}, {key: 2**26}]
         ds = Dataset("t", [Graph(1) for _ in vectors])
         by_graph = {id(g): v for g, v in zip(ds.graphs, vectors)}

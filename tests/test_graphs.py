@@ -166,6 +166,17 @@ LOADER_DEFECTS = [
         DatasetFormatError,
         "{root}/X/X_node_labels.txt:4: not an integer: '2.5'",
     ),
+    # the first non-finite attribute value, before any graph is built
+    (
+        {"node_attributes": "0.5,1\n\n0.25,nan\n"},
+        DatasetFormatError,
+        "{root}/X/X_node_attributes.txt:3: non-finite attribute in '0.25,nan'",
+    ),
+    (
+        {"node_attributes": "inf,1\n-1e400,2\n"},
+        DatasetFormatError,
+        "{root}/X/X_node_attributes.txt:1: non-finite attribute in 'inf,1'",
+    ),
 ]
 
 
@@ -205,6 +216,12 @@ class TestGraph:
     def test_empty_graph_allowed(self):
         g = Graph(0, [])
         assert g.n == 0 and g.m == 0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_attributes(self, value):
+        # nan equals no row, not even its own, so row-keyed maps would break
+        with pytest.raises(ContractError, match="vertex 1 has a non-finite attribute"):
+            Graph(2, [(0, 1)], vertex_attributes=[[0.5, 1.0], [0.25, value]])
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -419,6 +436,17 @@ class TestScaleAttributes:
         scaled = scale_attributes(Dataset("d", [a, b]))
         assert scaled[0].vertex_attributes.tolist() == [[0.0, 0.0], [1.0, 0.0]]
         assert scaled[1].vertex_attributes.tolist() == [[0.5, 0.0]]
+
+    def test_a_span_past_float64_still_scales(self):
+        # 1e308 - (-1e308) overflows; the rows still map to finite, distinct
+        # values, so the attribute-Dirac schemes agree on them
+        a = Graph(3, [(0, 1)], vertex_attributes=[[1e308, 1.0], [-1e308, 3.0], [0.0, 2.0]])
+        ds = Dataset("d", [a])
+        assert scale_attributes(ds)[0].vertex_attributes.tolist() == [
+            [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]
+        ]
+        plan = kernel_plan("graph-invariant", ds, vertex_kernel="dirac-attributes")
+        assert plan.implicit().values.tolist() == plan.explicit().values.tolist() == [[12.0]]
 
     def test_structure_is_shared_not_copied(self):
         a = Graph(2, [(0, 1)], vertex_attributes=[[0.0], [2.0]])

@@ -14,7 +14,6 @@ from gkern import (
     INF_DISTANCE,
     ParameterError,
     VertexKernelSpec,
-    binning_features,
     sample_binning_grid,
 )
 from conftest import make_random_graph
@@ -29,6 +28,12 @@ def _points(*rows):
 def _vertex_value(spec, x, y):
     """The vertex kernel between attribute rows ``x`` and ``y``."""
     return spec.matrix(_points(x), _points(y))[0, 0]
+
+
+def _binned_features(x, grid):
+    """The binned vertex kernel's feature vector of attribute row ``x``."""
+    (keys,), weight = VertexKernelSpec("binned", grid=grid).features(_points(x))
+    return dict.fromkeys(keys, weight)
 
 
 def _edge_value(spec, a, b):
@@ -169,6 +174,8 @@ class TestVertexKernelSpec:
             spec.support(g, g)
         with pytest.raises(ContractError):
             spec.matrix(g, g)
+        with pytest.raises(ContractError):
+            VertexKernelSpec("dirac-attributes").features(g)
 
     def _specs(self):
         grid = sample_binning_grid(2, 1.2, 4, seed=9)
@@ -370,8 +377,7 @@ class TestBinning:
     def test_features_have_exactly_p_entries_of_weight_inverse_sqrt_p(self):
         for P in (1, 3, 4, 16):
             grid = sample_binning_grid(2, 1.3, P, seed=P)
-            vec = binning_features([0.4, -1.2], grid)
-            assert type(vec) is dict
+            vec = _binned_features([0.4, -1.2], grid)
             assert len(vec) == P
             weight = 1.0 / math.sqrt(P)
             assert all(w == weight for w in vec.values())
@@ -388,13 +394,13 @@ class TestBinning:
                 (bx[p] == by[p]).all() for p in range(grid.num_grids)
             )
             # P = 16 is a power of four, so 1/sqrt(P) squares exactly
-            assert dot(binning_features(x, grid), binning_features(y, grid)) == (
+            assert dot(_binned_features(x, grid), _binned_features(y, grid)) == (
                 collisions / 16.0
             )
 
     def test_far_points_never_collide(self):
         grid = sample_binning_grid(1, 1.0, 32, seed=3)
-        assert dot(binning_features([0.0], grid), binning_features([1.5], grid)) == 0.0
+        assert dot(_binned_features([0.0], grid), _binned_features([1.5], grid)) == 0.0
 
     def test_collision_probability_approximates_hat(self):
         # The chance that one shifted grid puts both points in one cell

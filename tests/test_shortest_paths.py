@@ -15,7 +15,6 @@ from gkern import (
     walk_kernel_implicit,
 )
 from gkern import walks
-from gkern.features import TAG_SP
 from gkern.graphs import DisjointUnion
 from conftest import make_random_graph
 from oracles import brownian_bridge_fn, dot, oracle_sp_kernel
@@ -115,7 +114,7 @@ class TestExplicitFeatures:
     def test_uniform_path_feature_counts(self):
         p3 = Graph(3, [(0, 1), (1, 2)])
         vec = sp_features_explicit(p3)
-        assert vec == {(TAG_SP, 0, 0, 1): 4, (TAG_SP, 0, 0, 2): 2}
+        assert vec == {(0, 0, 1): 4, (0, 0, 2): 2}
         assert dot(vec, vec) == 20
 
     def test_dot_equals_implicit_kernel_exactly(self):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import gkern.subgraphs as subgraphs
 from gkern import (
-    ContractError,
     Dataset,
     EdgeKernelSpec,
     Graph,
@@ -21,13 +20,11 @@ from gkern import (
     MultiplicityOverflowError,
     ParameterError,
     VertexKernelSpec,
-    canonical_string,
     graphlet_features,
     matching_features,
     subgraph_matching_kernel,
 )
 from gkern.bench import kernel_plan
-from gkern.features import TAG_GRAPHLET
 from gkern.gram import gram_implicit
 from gkern.graphs import partner_runs
 import oracles
@@ -70,7 +67,13 @@ def _relabeled(sub: Graph, order) -> Graph:
     return Graph(3, edges, vertex_labels=vl, edge_labels=el)
 
 
-class TestCanonicalString:
+def _graphlet_key(sub: Graph) -> tuple:
+    """The one graphlet key of a connected 3-vertex graph: its canonical form."""
+    (key,) = graphlet_features(sub)
+    return key
+
+
+class TestCanonicalForm:
     def test_invariant_under_all_relabelings(self):
         rng = random.Random(107)
         for trial in range(30):
@@ -79,29 +82,23 @@ class TestCanonicalString:
             )
             if base.m < 2:
                 continue
-            reference = canonical_string(base)
+            reference = _graphlet_key(base)
             for order in itertools.permutations(range(3)):
-                assert canonical_string(_relabeled(base, order)) == reference
+                assert _graphlet_key(_relabeled(base, order)) == reference
 
     def test_distinguishes_non_isomorphic_triples(self):
         triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
         path = Graph(3, [(0, 1), (1, 2)])
-        assert canonical_string(triangle) != canonical_string(path)
+        assert _graphlet_key(triangle) != _graphlet_key(path)
         labeled = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 0])
         other = Graph(3, [(0, 1), (1, 2)], vertex_labels=[1, 0, 0])
-        assert canonical_string(labeled) != canonical_string(other)
+        assert _graphlet_key(labeled) != _graphlet_key(other)
 
     def test_path_center_matters_not_vertex_order(self):
         # both are paths with center label 1 and arm labels 0, 2
         a = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 2])
         b = Graph(3, [(0, 2), (1, 2)], vertex_labels=[2, 0, 1])
-        assert canonical_string(a) == canonical_string(b)
-
-    def test_rejects_wrong_inputs(self):
-        with pytest.raises(ContractError):
-            canonical_string(Graph(4, [(0, 1), (1, 2), (2, 3)]))
-        with pytest.raises(ContractError):
-            canonical_string(Graph(3, [(0, 1)]))
+        assert _graphlet_key(a) == _graphlet_key(b)
 
 
 class TestGraphletFeatures:
@@ -145,7 +142,7 @@ class TestGraphletFeatures:
         # sorted vertex labels, then (0, 0) for an absent pair and
         # (1, label) for an edge, over the position pairs (0,1), (0,2), (1,2)
         path = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 2], edge_labels=[5, 7])
-        assert graphlet_features(path) == {(TAG_GRAPHLET, 0, 1, 2, 1, 5, 0, 0, 1, 7): 1}
+        assert graphlet_features(path) == {(0, 1, 2, 1, 5, 0, 0, 1, 7): 1}
 
 
 @st.composite

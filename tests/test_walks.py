@@ -24,7 +24,6 @@ from gkern import (
 )
 from gkern import walks
 from gkern.graphs import DisjointUnion
-from gkern.features import TAG_WALK
 from conftest import graphs, make_random_graph
 from oracles import (
     dirac_fn,
@@ -354,7 +353,7 @@ class TestWalkFeaturesExplicit:
     def test_single_edge_counts(self):
         g = Graph(2, [(0, 1)], vertex_labels=[1, 2], edge_labels=[7])
         vec = walk_features_explicit(g, 1)
-        assert vec == {(TAG_WALK, 1, 1, 7, 2): 1, (TAG_WALK, 1, 2, 7, 1): 1}
+        assert vec == {(1, 1, 7, 2): 1, (1, 2, 7, 1): 1}
         assert dot(vec, vec) == 2
 
     def test_counts_match_oracle(self):
@@ -364,8 +363,7 @@ class TestWalkFeaturesExplicit:
             for length in (0, 1, 2, 3):
                 vec = walk_features_explicit(g, length)
                 decoded = {}
-                for (tag, walk_length, *labels), count in vec.items():
-                    assert tag == TAG_WALK
+                for (walk_length, *labels), count in vec.items():
                     assert walk_length == length
                     decoded[tuple(labels)] = count
                 assert decoded == oracle_walk_label_counts(g, length)

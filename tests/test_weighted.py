@@ -15,13 +15,10 @@ from gkern import (
     GramError,
     MultiplicityOverflowError,
     VertexKernelSpec,
-    attribute_class_features,
-    binned_attribute_features,
     gram_explicit,
     gram_implicit,
     graph_invariant_weight_maps,
     graphhopper_weight_maps,
-    label_features,
     sample_binning_grid,
     subgraph_matching_kernel,
     walk_kernel_implicit,
@@ -30,7 +27,6 @@ from gkern import (
     wv_kernel_implicit,
 )
 from gkern import walks
-from gkern.features import TAG_GH
 from gkern.weighted import WeightFeatureMap
 from conftest import graphs, make_random_graph
 from oracles import (
@@ -45,21 +41,26 @@ DIRAC = VertexKernelSpec("dirac")
 DIRAC_ATTR = VertexKernelSpec("dirac-attributes")
 
 
-def decoded_rows(wm, g):
-    """Per vertex of ``g``: its weight row as {key payload: weight}."""
+def decoded_rows(wm, g, side):
+    """Per vertex of ``g``: its path-count weight row as {(i, j): weight},
+    1-based cells of a table with ``side`` columns."""
     columns, w = wm.matrix(g)
-    keys = [wm.keys[c] for c in columns.tolist()]
-    return [
-        {key[1:]: x for key, x in zip(keys, row) if x}
-        for row in w.tolist()
-    ]
+    cells = [(c // side + 1, c % side + 1) for c in columns.tolist()]
+    return [{cell: x for cell, x in zip(cells, row) if x} for row in w.tolist()]
+
+
+def table_side(graphs):
+    """The side of the path-count tables: the most vertices on a shortest
+    path of any of ``graphs``, by the oracle's tables."""
+    return max(
+        (j for g in graphs for row in oracle_hopper_tables(g) for _, j in row), default=0
+    )
 
 
 def constructed(graphs, weight):
     """A one-column weight map giving every vertex of ``graphs`` ``weight``."""
     return WeightFeatureMap(
         "constructed",
-        {0: (TAG_GH, 1, 1)},
         {
             id(x): (x, np.array([0]), np.full((x.n, 1), weight, dtype=np.int64))
             for x in graphs
@@ -118,9 +119,7 @@ class TestGraphHopperWeights:
         ds = Dataset("t", [e])
         wm = graphhopper_weight_maps(ds)
         # trivial path, start of 0->1, end of 1->0
-        assert decoded_rows(wm, e)[0] == {(1, 1): 1, (1, 2): 1, (2, 2): 1}
-        columns, _ = wm.matrix(e)
-        assert all(wm.keys[c][0] == TAG_GH for c in columns.tolist())
+        assert decoded_rows(wm, e, 2)[0] == {(1, 1): 1, (1, 2): 1, (2, 2): 1}
         # self weight: 1 + 1 + 1 = 3
         assert oracle_vertex_weight(wm, e, 0, e, 0) == 3.0
 
@@ -130,7 +129,7 @@ class TestGraphHopperWeights:
             g = make_random_graph(rng, max_n=7)
             ds = Dataset("t", [g])
             wm = graphhopper_weight_maps(ds)
-            assert decoded_rows(wm, g) == oracle_hopper_tables(g)
+            assert decoded_rows(wm, g, table_side([g])) == oracle_hopper_tables(g)
 
     def test_table_side_is_the_dataset_longest_shortest_path(self):
         path3 = Graph(3, [(0, 1), (1, 2)])
@@ -139,10 +138,10 @@ class TestGraphHopperWeights:
         split = Graph(3, [(0, 1)])
         graphs = [triangle, Graph(0, []), split, path3]
         wm = graphhopper_weight_maps(Dataset("t", graphs))
-        assert max(key[2] for key in wm.keys.values()) == 3
+        assert table_side(graphs) == 3
         # columns of the shorter graphs' tables are laid out on that side
         for g in graphs:
-            assert decoded_rows(wm, g) == oracle_hopper_tables(g)
+            assert decoded_rows(wm, g, 3) == oracle_hopper_tables(g)
 
     def test_tables_shared_across_dataset(self):
         # one weight map covers several graphs with comparable keys
@@ -213,12 +212,11 @@ class TestWeightedKernels:
     def test_explicit_matches_implicit_with_exact_feature_maps(self):
         rng = random.Random(163)
         ds = self._attributed_dataset(rng, count=5)
-        class_map = attribute_class_features(ds)
         for wm in (
             graph_invariant_weight_maps(ds, 3),
             graphhopper_weight_maps(ds),
         ):
-            vectors = [wv_features_explicit(g, wm, class_map) for g in ds.graphs]
+            vectors = [wv_features_explicit(g, wm, DIRAC_ATTR) for g in ds.graphs]
             for i, g in enumerate(ds.graphs):
                 for j, h in enumerate(ds.graphs):
                     implicit = wv_kernel_implicit(g, [h], wm, DIRAC_ATTR)[0]
@@ -232,7 +230,7 @@ class TestWeightedKernels:
         graphs = [make_random_graph(rng, max_n=6, labels=2) for _ in range(4)]
         ds = Dataset("t", graphs)
         wm = graph_invariant_weight_maps(ds, 2)
-        vectors = [wv_features_explicit(g, wm, label_features) for g in ds.graphs]
+        vectors = [wv_features_explicit(g, wm, DIRAC) for g in ds.graphs]
         for i, g in enumerate(ds.graphs):
             for j, h in enumerate(ds.graphs):
                 implicit = wv_kernel_implicit(g, [h], wm, DIRAC)[0]
@@ -248,33 +246,22 @@ class TestWeightedKernels:
         ds = self._attributed_dataset(rng, count=4, max_n=5)
         grid = sample_binning_grid(2, 1.0, 4, seed=5)
         binned = VertexKernelSpec("binned", grid=grid)
-        feature_map = binned_attribute_features(grid)
         wm = graphhopper_weight_maps(ds)
         for g in ds.graphs:
             for h in ds.graphs:
                 implicit = wv_kernel_implicit(g, [h], wm, binned)[0]
                 explicit = dot(
-                    wv_features_explicit(g, wm, feature_map),
-                    wv_features_explicit(h, wm, feature_map),
+                    wv_features_explicit(g, wm, binned),
+                    wv_features_explicit(h, wm, binned),
                 )
                 assert explicit == pytest.approx(implicit, rel=1e-12, abs=1e-12)
 
-    def test_attribute_class_map_requires_known_rows(self):
-        a = Graph(2, [(0, 1)], vertex_attributes=[[0.0], [1.0]])
-        ds = Dataset("t", [a])
-        class_map = attribute_class_features(ds)
-        stranger = Graph(1, [], vertex_attributes=[[0.5]])
-        with pytest.raises(ContractError):
-            class_map(stranger, 0)
-        missing = Dataset("t", [Graph(1, [])])
-        with pytest.raises(ContractError):
-            attribute_class_features(missing)
-
     def test_binned_features_require_attributes(self):
         grid = sample_binning_grid(1, 1.0, 4, seed=2)
-        feature_map = binned_attribute_features(grid)
+        g = Graph(1, [])
+        wm = graphhopper_weight_maps(Dataset("t", [g]))
         with pytest.raises(ContractError):
-            feature_map(Graph(1, []), 0)
+            wv_features_explicit(g, wm, VertexKernelSpec("binned", grid=grid))
 
 
 def test_dirac_total_reaching_2_53_raises():
@@ -297,10 +284,10 @@ def test_explicit_self_dot_reaching_2_53_fails_its_pair():
 
     def gram(weight):
         wm = constructed([g], weight)
-        return gram_explicit(ds, lambda x: wv_features_explicit(x, wm, label_features))
+        return gram_explicit(ds, lambda x: wv_features_explicit(x, wm, DIRAC))
 
     # the weights reach the Gram as Python ints, so the integer guard holds
-    vector = wv_features_explicit(g, constructed([g], 2**27), label_features)
+    vector = wv_features_explicit(g, constructed([g], 2**27), DIRAC)
     assert [type(w) for w in vector.values()] == [int]
     assert gram(2**26).values[0, 0] == 2**52
     with pytest.raises(GramError, match=r"pair \(0, 0\) failed") as info:
