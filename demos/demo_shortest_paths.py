@@ -58,5 +58,8 @@ assert (implicit.values == explicit.values).all()
 #    counts over ordered pairs.
 # ---------------------------------------------------------------------
 print("\ntriples of the 5-path:")
-for (source, target, distance), count in sp_features_explicit(path).items():
+triples = sp_features_explicit(path)
+for (source, target, distance), count in triples.items():
     print(f"  labels {source}->{target} at distance {distance}: {count:g}")
+# one triple per ordered pair of distinct vertices, all reachable: 5 x 4
+assert sum(triples.values()) == 20

@@ -61,8 +61,13 @@ for length in range(6):
 #    alternating vertex and edge labels.
 # ---------------------------------------------------------------------
 print("\nlength-2 walk features of the triangle:")
-for (length, *sequence), count in walk_features_explicit(g, 2).items():
+features = walk_features_explicit(g, 2)
+for (length, *sequence), count in features.items():
+    # vertex, edge, vertex, edge, vertex
+    assert length == 2 and len(sequence) == 5
     print(f"  sequence {tuple(sequence)} (length {length}): {count:g} walk(s)")
+# each of the 3 vertices starts 2 x 2 walks of length 2
+assert sum(features.values()) == 12
 
 # ---------------------------------------------------------------------
 # 3. Every length 0..L from one pass over the product graph

@@ -62,9 +62,6 @@ KERNELS = (
     "graphhopper",
 )
 
-# the kernels that compare vertex labels only, with the dirac kernel
-LABEL_KERNELS = ("walk", "maxwalk", "sp", "graphlet", "subgraph-matching")
-
 REGIMES = ("implicit", "explicit")
 
 # the keys of a sweep row, in CSV column order
@@ -117,38 +114,43 @@ def kernel_plan(
     """The plan of one of :data:`KERNELS` on ``ds``.
 
     The keyword parameters are exactly the flags of ``gkern compute``
-    (``seed`` draws the binning grid).  Discrete labels are compared with
-    Dirac kernels, and an unlabeled graph reads as label 0 throughout.
-    Per-dataset preparation that both schemes share (attribute scaling,
-    weight maps) runs here; the rest runs when a builder is called.
-    Only graph-invariant and graphhopper take a ``vertex_kernel`` other
-    than ``dirac``; the other kernels give both schemes the reason.
-    A walk ``length`` below 0 or a ``max_size`` below 1 is rejected here,
-    before any Gram is built.
+    (``seed`` draws the binning grid).  Every kernel compares vertices
+    with the one ``vertex_kernel``, and edges with the Dirac kernel.
+    ``dirac`` reads labels (an unlabeled graph reads as label 0), the
+    other kinds attributes scaled to [0, 1] over ``ds``, which the
+    explicit label maps (all but graph-invariant's and graphhopper's)
+    cannot read.  Gram names end in ``[<vertex kernel>]`` unless it is
+    ``dirac``.  Per-dataset preparation that both schemes share runs
+    here, the rest when a builder is called.  A walk ``length`` below 0
+    or a ``max_size`` below 1 is rejected here, before any Gram is built.
     """
     if length < 0:
         raise ParameterError(f"walk length must be >= 0, got {length}")
     if max_size < 1:
         raise ParameterError(f"max_size must be >= 1, got {max_size}")
-    if vertex_kernel != "dirac" and kernel in LABEL_KERNELS:
-        reason = (
-            f"{kernel} compares vertex labels with the dirac kernel only; "
-            f"--vertex-kernel {vertex_kernel} applies to graph-invariant and graphhopper"
-        )
-        return KernelPlan(reason, reason)
+    if kernel not in KERNELS:
+        raise ParameterError(f"unknown kernel {kernel!r} (expected one of {KERNELS})")
+    grid = None
+    if vertex_kernel == "binned":
+        if ds.attribute_dim is None:
+            raise ContractError("binned vertex kernel needs vertex attributes")
+        grid = sample_binning_grid(ds.attribute_dim, delta, binning, seed)
+    vk = VertexKernelSpec(vertex_kernel, delta=delta, sigma=sigma, grid=grid)
+    tag = "" if vk.kind == "dirac" else f"[{vk.describe()}]"
+    if tag and ds.attribute_dim is not None:
+        ds = scale_attributes(ds)
     # Kernel functions are looked up by name when a builder runs, never
     # stored at import, so replacing a module attribute (as a tracer does)
     # reaches every call.
-    dirac = VertexKernelSpec("dirac")
     edges = EdgeKernelSpec("dirac")
     if kernel in ("walk", "maxwalk"):
-        name = f"{kernel}(l={length})"
+        name = f"{kernel}(l={length}){tag}"
         if kernel == "walk":
-            row = lambda g, hs: walk_kernel_implicit(g, hs, dirac, edges, length)
+            row = lambda g, hs: walk_kernel_implicit(g, hs, vk, edges, length)
             features = lambda g: walk_features_explicit(g, length)
         else:
             row = lambda g, hs: walk_kernel_implicit(
-                g, hs, dirac, edges, length, all_rounds=True
+                g, hs, vk, edges, length, all_rounds=True
             ).sum(axis=1)
             # the sum kernel's map concatenates its parts' maps: walk keys
             # (l, *labels) lead with the length, so the parts share no key
@@ -157,12 +159,9 @@ def kernel_plan(
                 for l in range(length + 1)
                 for key, count in walk_features_explicit(g, l).items()
             }
-        return KernelPlan(
-            lambda: gram_implicit(ds, row, f"{name}/implicit"),
-            lambda: gram_explicit(ds, features, f"{name}/explicit"),
-        )
-
-    if kernel == "sp":
+        implicit = lambda: gram_implicit(ds, row, f"{name}/implicit")
+        explicit = lambda: gram_explicit(ds, features, f"{name}/explicit")
+    elif kernel == "sp":
         lk = EdgeKernelSpec(length_kernel, c=bridge_c)
 
         def implicit() -> GramMatrix:
@@ -171,8 +170,8 @@ def kernel_plan(
             )
             # the shortest-path kernel is the length-1 walk kernel on the
             # transforms (see gkern.shortest_paths)
-            row = lambda g, hs: walk_kernel_implicit(g, hs, dirac, lk, 1)
-            return gram_implicit(transformed, row, f"sp({lk.describe()})/implicit")
+            row = lambda g, hs: walk_kernel_implicit(g, hs, vk, lk, 1)
+            return gram_implicit(transformed, row, f"sp({lk.describe()}){tag}/implicit")
 
         explicit = lambda: gram_explicit(ds, sp_features_explicit, "sp/explicit")
         if length_kernel != "dirac":
@@ -180,20 +179,17 @@ def kernel_plan(
                 "explicit shortest-path features require the dirac length "
                 "kernel; brownian-bridge is implicit-only"
             )
-        return KernelPlan(implicit, explicit)
-
-    if kernel == "graphlet":
-        return KernelPlan(
+    elif kernel == "graphlet":
+        implicit = (
             "graphlet counts have no implicit scheme; their implicit "
             "counterpart is subgraph matching (--kernel subgraph-matching "
-            "--connected-only)",
-            lambda: gram_explicit(ds, graphlet_features, "graphlet(3)/explicit"),
+            "--connected-only)"
         )
-
-    if kernel == "subgraph-matching":
-        name = f"subgraph-matching(max={max_size})"
+        explicit = lambda: gram_explicit(ds, graphlet_features, "graphlet(3)/explicit")
+    elif kernel == "subgraph-matching":
+        name = f"subgraph-matching(max={max_size}){tag}"
         row = lambda g, hs: subgraph_matching_kernel(
-            g, hs, dirac, edges, max_size, connected_only=connected_only
+            g, hs, vk, edges, max_size, connected_only=connected_only
         )
         implicit = lambda: gram_implicit(ds, row, f"{name}/implicit")
         explicit = lambda: gram_explicit(
@@ -204,34 +200,30 @@ def kernel_plan(
         if max_size > 5:
             # the class counter tries up to max_size! vertex orders per subgraph
             explicit = f"explicit subgraph matching stops at max_size 5, got {max_size}"
+    else:
+        # weighted vertex kernels
+        weight_map = (
+            graph_invariant_weight_maps(ds, wl_iters)
+            if kernel == "graph-invariant"
+            else graphhopper_weight_maps(ds)
+        )
+        name = f"{kernel}{tag}"
+        row = lambda g, hs: wv_kernel_implicit(g, hs, weight_map, vk)
+        implicit = lambda: gram_implicit(ds, row, f"{name}/implicit")
+        explicit = lambda: gram_explicit(
+            ds, lambda g: wv_features_explicit(g, weight_map, vk), f"{name}/explicit"
+        )
+        if vk.kind in ("hat", "rbf"):
+            explicit = (
+                f"the {vk.kind} vertex kernel has no exact finite feature map; "
+                f"use --vertex-kernel binned for the explicit scheme"
+            )
         return KernelPlan(implicit, explicit)
-
-    if kernel not in ("graph-invariant", "graphhopper"):
-        raise ParameterError(f"unknown kernel {kernel!r} (expected one of {KERNELS})")
-    # weighted vertex kernels
-    grid = None
-    if vertex_kernel == "binned":
-        if ds.attribute_dim is None:
-            raise ContractError("binned vertex kernel needs vertex attributes")
-        grid = sample_binning_grid(ds.attribute_dim, delta, binning, seed)
-    vk = VertexKernelSpec(vertex_kernel, delta=delta, sigma=sigma, grid=grid)
-    if ds.attribute_dim is not None:
-        ds = scale_attributes(ds)
-    weight_map = (
-        graph_invariant_weight_maps(ds, wl_iters)
-        if kernel == "graph-invariant"
-        else graphhopper_weight_maps(ds)
-    )
-    name = f"{kernel}[{vk.describe()}]"
-    row = lambda g, hs: wv_kernel_implicit(g, hs, weight_map, vk)
-    implicit = lambda: gram_implicit(ds, row, f"{name}/implicit")
-    explicit = lambda: gram_explicit(
-        ds, lambda g: wv_features_explicit(g, weight_map, vk), f"{name}/explicit"
-    )
-    if vk.kind in ("hat", "rbf"):
+    if tag:
+        # the explicit maps above count vertex labels
         explicit = (
-            f"the {vk.kind} vertex kernel has no exact finite feature map; "
-            f"use --vertex-kernel binned for the explicit scheme"
+            f"explicit {kernel} features count vertex labels; "
+            f"--vertex-kernel {vertex_kernel} has no explicit {kernel} map"
         )
     return KernelPlan(implicit, explicit)
 

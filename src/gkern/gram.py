@@ -294,14 +294,18 @@ def normalize(gram: GramMatrix) -> GramMatrix:
 def min_eigenvalue_estimate(matrix: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix, by dense ``eigvalsh``.
 
-    The matrix must be square, non-empty and symmetric up to a relative
-    1e-12; a 1x1 matrix returns its entry exactly.
+    The matrix must be square, non-empty, finite and symmetric up to a
+    relative 1e-12; a 1x1 matrix returns its entry exactly.
     """
     k = np.asarray(matrix, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ParameterError(f"need a square matrix, got shape {k.shape}")
     if k.shape[0] == 0:
         raise ParameterError("need a non-empty matrix")
+    bad = np.argwhere(~np.isfinite(k))
+    if len(bad):
+        i, j = bad[0]
+        raise ParameterError(f"entry ({i}, {j}) is {k[i, j]}, not finite")
     if not np.allclose(k, k.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(k).max()))):
         raise ParameterError("matrix is not symmetric")
     if k.shape[0] == 1:
@@ -336,11 +340,11 @@ def export_gram(gram: GramMatrix, fmt: str, path: str) -> str:
 
 
 def load_gram_csv(path: str) -> np.ndarray:
-    """Read back a CSV written by :func:`export_gram`."""
+    """Read back a CSV written by :func:`export_gram` (empty: 0 graphs)."""
     rows = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if line:
                 rows.append([float(tok) for tok in line.split(",")])
-    return np.array(rows, dtype=np.float64)
+    return np.array(rows, dtype=np.float64) if rows else np.zeros((0, 0))

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import gkern.bench
-from gkern import load_gram_csv, load_tu_dataset
+from gkern import (
+    Dataset,
+    Graph,
+    generate_synthetic_alphabet,
+    load_gram_csv,
+    load_tu_dataset,
+    write_tu_dataset,
+)
 from gkern.bench import KERNELS, kernel_plan
 from gkern.cli import load_data_spec, main
 
@@ -421,22 +428,53 @@ def test_every_kernel_and_regime(kernel, regime, tmp_path, capsys):
         assert load_gram_csv(f"{out}.csv").shape == (4, 4)
 
 
+@pytest.fixture(scope="module")
+def attributed(tmp_path_factory):
+    """A small TU set whose vertices carry labels and integer attribute rows."""
+    ds = generate_synthetic_alphabet(6, alphabet_size=4, mean_vertices=6.0, seed=3)
+    graphs = [
+        Graph(g.n, g.edges, g.vertex_labels, g.edge_labels,
+              np.column_stack((g.vertex_label_array() % 2, np.diff(g.arc_starts))))
+        for g in ds.graphs
+    ]
+    path = tmp_path_factory.mktemp("attributed")
+    write_tu_dataset(Dataset("ATTR", graphs, ds.class_labels), str(path))
+    return f"tu:{path}:ATTR"
+
+
 @pytest.mark.parametrize("vertex_kernel", ("dirac-attributes", "hat", "rbf", "binned"))
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_a_vertex_kernel_no_scheme_reads_is_rejected(kernel, vertex_kernel, capsys):
-    # graph-invariant and graphhopper honour the flag; the label kernels
-    # would silently compute their dirac values, so they refuse it
-    code = main(["compute", "--data", TINY, "--kernel", kernel,
-                 "--vertex-kernel", vertex_kernel, "--regime", "implicit"])
-    err = capsys.readouterr().err
-    if kernel not in gkern.bench.LABEL_KERNELS:
-        assert "dirac kernel only" not in err
-        return
-    assert code == 2
-    assert f"{kernel} compares vertex labels with the dirac kernel only" in err
-    assert f"--vertex-kernel {vertex_kernel}" in err
-    plan = kernel_plan(kernel, load_data_spec(TINY, seed=0), vertex_kernel=vertex_kernel)
-    assert isinstance(plan.explicit, str) and plan.implicit == plan.explicit
+def test_a_vertex_kernel_no_scheme_reads_is_rejected(
+    kernel, vertex_kernel, attributed, tmp_path, capsys
+):
+    # every implicit scheme reads the vertex kernel; a scheme that cannot
+    # (the explicit label maps, graphlet's missing implicit scheme, the
+    # weighted maps under hat and rbf) exits 2 and names the flag
+    def compute(vertex_kernel, regime):
+        out = tmp_path / f"{vertex_kernel}-{regime}"
+        code = main(["compute", "--data", attributed, "--kernel", kernel,
+                     "--vertex-kernel", vertex_kernel, "--regime", regime, "--out", str(out)])
+        err = capsys.readouterr().err
+        return code, err, Path(f"{out}.csv").read_text() if code == 0 else None
+
+    (implicit_code, _, implicit), (explicit_code, err, _) = [
+        compute(vertex_kernel, regime) for regime in ("implicit", "explicit")
+    ]
+    if kernel == "graphlet":
+        assert (implicit_code, explicit_code) == (2, 2)
+    elif kernel in ("graph-invariant", "graphhopper"):
+        assert implicit_code == 0
+        finite_map = vertex_kernel not in ("hat", "rbf")
+        assert explicit_code == (0 if finite_map else 2)
+        assert finite_map or f"the {vertex_kernel} vertex kernel has no exact finite" in err
+    else:
+        assert implicit_code == 0
+        dirac = compute("dirac", "implicit")[2]
+        assert vertex_kernel == "dirac-attributes" or implicit != dirac
+        # the explicit label maps count labels, whatever the flag says
+        assert explicit_code == 2
+        assert f"explicit {kernel} features" in err
+        assert f"--vertex-kernel {vertex_kernel}" in err
 
 
 def test_missing_scheme_is_rejected_before_any_gram(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 """Gram matrix assembly, normalization, eigenvalue probe, and export."""
 
 import random
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +258,22 @@ class TestMinEigenvalue:
         with pytest.raises(ParameterError):
             min_eigenvalue_estimate(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "matrix, entry",
+        [
+            ([[np.inf, 0.0], [0.0, 1.0]], "(0, 0) is inf"),
+            ([[np.nan]], "(0, 0) is nan"),
+            ([[1.0, np.nan], [np.nan, 1.0]], "(0, 1) is nan"),
+            ([[1.0, 2.0], [2.0, -np.inf]], "(1, 1) is -inf"),
+        ],
+    )
+    def test_rejects_the_first_non_finite_entry(self, matrix, entry):
+        # neither a RuntimeWarning from the symmetry check nor a NaN result
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=re.escape(entry)):
+                min_eigenvalue_estimate(np.array(matrix))
+
 
 class TestExport:
     def test_csv_round_trip(self, tmp_path):
@@ -268,6 +286,12 @@ class TestExport:
         assert export_gram(gram, "csv", path) == path
         back = load_gram_csv(path)
         assert (back == gram.values).all()
+
+    def test_csv_round_trip_of_no_graphs(self, tmp_path):
+        gram = gram_implicit(Dataset("empty", []), lambda g, hs: [])
+        path = export_gram(gram, "csv", str(tmp_path / "gram.csv"))
+        assert Path(path).read_text() == ""
+        assert load_gram_csv(path).shape == (0, 0)
 
     def test_svm_precomputed_layout(self, tmp_path):
         values = np.array([[2.0, 1.0], [1.0, 3.0]])
