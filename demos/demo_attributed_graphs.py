@@ -29,6 +29,7 @@ from gkern import (
     gram_explicit,
     gram_implicit,
     graphhopper_weight_maps,
+    per_graph,
     sample_binning_grid,
     wv_features_explicit,
     wv_kernel_implicit,
@@ -68,7 +69,7 @@ def implicit_gram(wm, vertex_kernel):
 
 
 def explicit_gram(wm, vertex_kernel):
-    return gram_explicit(ds, lambda x: wv_features_explicit(x, wm, vertex_kernel)).values
+    return gram_explicit(ds, per_graph(lambda x: wv_features_explicit(x, wm, vertex_kernel))).values
 
 
 for name, wm in (("refinement", refinement), ("path positions", hopper)):

@@ -22,6 +22,7 @@ from gkern import (
     graph_invariant_weight_maps,
     gram_explicit,
     gram_implicit,
+    per_graph,
     walk_features_explicit,
     walk_kernel_implicit,
     wv_features_explicit,
@@ -30,7 +31,8 @@ from gkern import (
 
 # ---------------------------------------------------------------------
 # 1. Vectors are dictionaries; the dot product sums over the shared keys.
-#    gram_explicit takes all of a dataset's dot products at once.
+#    gram_explicit takes all of a dataset's dot products at once, from
+#    a dataset map; per_graph makes one of a per-graph dict map.
 # ---------------------------------------------------------------------
 u = {(0,): 2.0, (1,): 1.0}
 v = {(2,): 5.0, (1,): 3.0}
@@ -61,8 +63,8 @@ def maxwalk_features(graph):
     }
 
 
-merged = gram_explicit(ds, maxwalk_features).values
-per_length = [gram_explicit(ds, lambda x, l=l: walk_features_explicit(x, l)).values
+merged = gram_explicit(ds, per_graph(maxwalk_features)).values
+per_length = [gram_explicit(ds, per_graph(lambda x, l=l: walk_features_explicit(x, l))).values
               for l in range(length + 1)]
 # implicitly, one pass over the product graphs gives every length's term
 implicit = gram_implicit(
@@ -91,7 +93,7 @@ paired = wv_features_explicit(g, weights, dirac)
 print("\nwv_features_explicit(g): paired keys (weight column, label)")
 for (column, label), weight in sorted(paired.items()):
     print(f"  column {column} x label {label} -> {weight}")
-explicit = gram_explicit(ds, lambda x: wv_features_explicit(x, weights, dirac))
+explicit = gram_explicit(ds, per_graph(lambda x: wv_features_explicit(x, weights, dirac)))
 implicit = gram_implicit(
     ds, lambda x, partners: wv_kernel_implicit(x, partners, weights, dirac)
 )

@@ -24,6 +24,7 @@ from gkern import (
     load_gram_csv,
     min_eigenvalue_estimate,
     normalize,
+    per_graph,
     walk_features_explicit,
     walk_kernel_implicit,
 )
@@ -44,7 +45,7 @@ implicit = gram_implicit(
     "walk(l=4)/implicit",
 )
 explicit = gram_explicit(
-    ds, lambda g: walk_features_explicit(g, 4), "walk(l=4)/explicit",
+    ds, per_graph(lambda g: walk_features_explicit(g, 4)), "walk(l=4)/explicit",
 )
 assert (implicit.values == explicit.values).all()
 print("schemes agree entrywise;", implicit.timing_block())

@@ -58,7 +58,7 @@ assert (implicit.values == explicit.values).all()
 #    counts over ordered pairs.
 # ---------------------------------------------------------------------
 print("\ntriples of the 5-path:")
-triples = sp_features_explicit(path)
+triples = sp_features_explicit([path]).vector(0)
 for (source, target, distance), count in triples.items():
     print(f"  labels {source}->{target} at distance {distance}: {count:g}")
 # one triple per ordered pair of distinct vertices, all reachable: 5 x 4

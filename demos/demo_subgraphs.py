@@ -44,8 +44,11 @@ dirac_e = EdgeKernelSpec("dirac")
 # ---------------------------------------------------------------------
 # 1. Graphlet vectors: canonical class -> count.
 # ---------------------------------------------------------------------
-for name, graph in (("g", g), ("h", h)):
-    vec = graphlet_features(graph)
+# graphlet_features is a dataset map: one pass over both graphs gives
+# their count vectors as the rows of one feature matrix
+vectors = graphlet_features([g, h])
+for i, name in enumerate(("g", "h")):
+    vec = vectors.vector(i)
     print(f"connected 3-vertex subgraphs of {name}: "
           f"{len(vec)} classes, total {sum(vec.values()):g}")
 print(f"graphlet kernel = {gram_explicit(ds, graphlet_features).values[0, 1]:g}")
@@ -66,7 +69,7 @@ for connected in (False, True):
             x, partners, dirac_v, dirac_e, max_size=3, connected_only=connected
         ),
     ).values
-    explicit = gram_explicit(ds, lambda x: matching_features(x, 3, connected)).values
+    explicit = gram_explicit(ds, lambda u: matching_features(u, 3, connected)).values
     print(f"matching kernel, sizes 1..3, connected_only={connected}: "
           f"clique sum {implicit[0, 1]:g} = feature dot {explicit[0, 1]:g}")
     assert (implicit == explicit).all()
@@ -101,7 +104,7 @@ def triple_classes(graph):
                                    for v in (a, b, c)],
                 )
                 # the one graphlet key of sub is its canonical form
-                (cls,) = graphlet_features(sub)
+                (cls,) = graphlet_features([sub]).vector(0)
                 counts[cls] += 1
                 reps.setdefault(cls, sub)
     return counts, reps

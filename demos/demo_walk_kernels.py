@@ -30,6 +30,7 @@ from gkern import (
     VertexKernelSpec,
     gram_explicit,
     gram_implicit,
+    per_graph,
     walk_features_explicit,
     walk_kernel_implicit,
 )
@@ -51,7 +52,7 @@ for length in range(6):
     implicit = gram_implicit(
         ds, lambda x, partners: walk_kernel_implicit(x, partners, dirac_v, dirac_e, length)
     )
-    explicit = gram_explicit(ds, lambda x: walk_features_explicit(x, length))
+    explicit = gram_explicit(ds, per_graph(lambda x: walk_features_explicit(x, length)))
     print(f"{length:6d}  {implicit.values[0, 1]:8g}  {explicit.values[0, 1]:8g}")
     assert (implicit.values == explicit.values).all()
 

@@ -2,14 +2,14 @@
 
 Every kernel in this package can be evaluated *implicitly* — a Gram row
 at a time, over a product of one graph with the union of its partners —
-and, where a finite feature map exists, *explicitly* — by building one
-sparse count vector per graph and taking dot products.  Both schemes
+and, where a finite feature map exists, *explicitly* — by building the
+dataset's sparse feature matrix and taking dot products.  Both schemes
 compute the same function; which one is faster depends on the data, and
 :mod:`gkern.bench` measures exactly where the crossover sits.
 
 Quick start::
 
-    from gkern import generate_synthetic_labeled, gram_explicit, gram_implicit
+    from gkern import generate_synthetic_labeled, gram_explicit, gram_implicit, per_graph
     from gkern import walk_features_explicit, walk_kernel_implicit
     from gkern.kernels import VertexKernelSpec, EdgeKernelSpec
 
@@ -19,7 +19,8 @@ Quick start::
     implicit = gram_implicit(
         ds, lambda g, hs: walk_kernel_implicit(g, hs, dirac_v, dirac_e, length=4)
     )
-    explicit = gram_explicit(ds, lambda g: walk_features_explicit(g, 4))
+    # one dataset map: per_graph interns each graph's feature dict
+    explicit = gram_explicit(ds, per_graph(lambda g: walk_features_explicit(g, 4)))
     assert (implicit.values == explicit.values).all()
 """
 
@@ -34,6 +35,7 @@ from .errors import (
     ResourceBudgetError,
 )
 from .gram import (
+    FeatureMatrix,
     GramMatrix,
     export_gram,
     gram_explicit,
@@ -41,6 +43,7 @@ from .gram import (
     load_gram_csv,
     min_eigenvalue_estimate,
     normalize,
+    per_graph,
 )
 from .graphs import (
     Dataset,
@@ -96,6 +99,7 @@ __all__ = [
     "DatasetLoadError",
     "DistanceMatrix",
     "EdgeKernelSpec",
+    "FeatureMatrix",
     "GKError",
     "GramError",
     "GramMatrix",
@@ -123,6 +127,7 @@ __all__ = [
     "matching_features",
     "min_eigenvalue_estimate",
     "normalize",
+    "per_graph",
     "sample_binning_grid",
     "scale_attributes",
     "sp_features_explicit",

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .gram import GramMatrix, gram_explicit, gram_implicit
+from .gram import GramMatrix, gram_explicit, gram_implicit, per_graph
 from .graphs import (
     Dataset,
     generate_synthetic_alphabet,
@@ -160,7 +160,7 @@ def kernel_plan(
                 for key, count in walk_features_explicit(g, l).items()
             }
         implicit = lambda: gram_implicit(ds, row, f"{name}/implicit")
-        explicit = lambda: gram_explicit(ds, features, f"{name}/explicit")
+        explicit = lambda: gram_explicit(ds, per_graph(features), f"{name}/explicit")
     elif kernel == "sp":
         lk = EdgeKernelSpec(length_kernel, c=bridge_c)
 
@@ -194,7 +194,7 @@ def kernel_plan(
         implicit = lambda: gram_implicit(ds, row, f"{name}/implicit")
         explicit = lambda: gram_explicit(
             ds,
-            lambda g: matching_features(g, max_size, connected_only),
+            lambda union: matching_features(union, max_size, connected_only),
             f"{name}/explicit",
         )
         if max_size > 5:
@@ -210,9 +210,8 @@ def kernel_plan(
         name = f"{kernel}{tag}"
         row = lambda g, hs: wv_kernel_implicit(g, hs, weight_map, vk)
         implicit = lambda: gram_implicit(ds, row, f"{name}/implicit")
-        explicit = lambda: gram_explicit(
-            ds, lambda g: wv_features_explicit(g, weight_map, vk), f"{name}/explicit"
-        )
+        features = per_graph(lambda g: wv_features_explicit(g, weight_map, vk))
+        explicit = lambda: gram_explicit(ds, features, f"{name}/explicit")
         if vk.kind in ("hat", "rbf"):
             explicit = (
                 f"the {vk.kind} vertex kernel has no exact finite feature map; "

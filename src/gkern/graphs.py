@@ -7,8 +7,8 @@ and real-valued vertex attribute rows.  Instances are treated as immutable
 after construction; transformations return new objects.
 
 :class:`DisjointUnion` lays graphs side by side as one, the layout every
-implicit row kernel reads: a Gram builds one and slices it per row, and
-:func:`partner_runs` cuts a row into blocks.
+implicit row kernel and every dataset map reads: a Gram builds one and
+slices it per row, and :func:`partner_runs` cuts a row into blocks.
 
 Datasets bundle graphs with integer class labels and lend themselves to the
 benchmark collection layout used by the TU graph-learning archives
@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -133,14 +134,7 @@ class Graph:
             raise ContractError(f"vertex {v} has a non-finite attribute: {attrs[v].tolist()}")
         self.vertex_labels, self.vertex_attributes = vl, attrs
 
-        # the CSR: both orientations of each edge, ascending by (tail, head);
-        # vertex u's arcs run from arc_starts[u] to arc_starts[u + 1], and arc
-        # i reaches neighbors[i] along edge arc_edges[i]
-        arcs = np.argsort(np.concatenate((ranked, hi * self.n + lo)))
-        self.neighbors = np.concatenate((hi, lo))[arcs]
-        self.arc_edges = arcs % max(self.m, 1)
-        degree = np.bincount(np.concatenate((lo, hi)), minlength=self.n)
-        self.arc_starts = np.concatenate(([0], np.cumsum(degree)))
+        self.neighbors, self.arc_starts, self.arc_edges = _csr(self.n, self.edges)
 
     # -- basic accessors -----------------------------------------------------
 
@@ -184,13 +178,26 @@ class Graph:
         return f"Graph({', '.join(parts)})"
 
 
+def _csr(n: int, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(neighbors, arc_starts, arc_edges)`` of ``n`` vertices and sorted
+    ``(u < v)`` edges: both orientations of each edge, ascending by (tail,
+    head); vertex u's arcs run from ``arc_starts[u]`` to ``arc_starts[u +
+    1]``, and arc i reaches ``neighbors[i]`` along edge ``arc_edges[i]``."""
+    lo, hi = edges[:, 0], edges[:, 1]
+    arcs = np.argsort(np.concatenate((lo * n + hi, hi * n + lo)))
+    neighbors = np.concatenate((hi, lo))[arcs]
+    degree = np.bincount(np.concatenate((lo, hi)), minlength=n)
+    return neighbors, np.concatenate(([0], np.cumsum(degree))), arcs % max(len(edges), 1)
+
+
 class DisjointUnion(Sequence[Graph]):
     """Partner graphs side by side as one graph: a Gram row's layout.
 
     As a sequence it holds the original graphs; as a graph, what product
-    builds and vertex kernels read, partner ``j`` holding the vertices and
-    edges from ``vertex_offsets[j]`` and ``edge_offsets[j]`` on, and
-    ``owner[v]`` the partner of vertex ``v``.  A slice ``u[a:b]``, the
+    builds, vertex kernels and the subgraph counter read (its CSR built on
+    first use), partner ``j`` holding the vertices and edges from
+    ``vertex_offsets[j]`` and ``edge_offsets[j]`` on, and ``owner[v]`` the
+    partner of vertex ``v``.  A slice ``u[a:b]``, the
     union of partners ``a..b-1``, is views of ``u``'s arrays with ids and
     offsets rebased.  Vertex attributes are there when there are partners
     and each has them; a kernel needing them fails on a union without, and
@@ -250,6 +257,15 @@ class DisjointUnion(Sequence[Graph]):
     # read as a graph reads its own
     m, vertex_label_array = Graph.m, Graph.vertex_label_array
     edge_label_array = Graph.edge_label_array
+
+    @cached_property
+    def _arcs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _csr(self.n, self.edges)
+
+    # the CSR a graph has
+    neighbors = property(lambda self: self._arcs[0])
+    arc_starts = property(lambda self: self._arcs[1])
+    arc_edges = property(lambda self: self._arcs[2])
 
     @property
     def vertex_attributes(self) -> Optional[np.ndarray]:

@@ -159,15 +159,20 @@ class VertexKernelSpec:
     @property
     def unit(self) -> bool:
         """Whether the kernel is 1 wherever the :meth:`keys` agree (the
-        ``dirac`` kind), so a key match alone gives the value."""
-        return self.kind == "dirac"
+        Dirac kinds), so a key match alone gives the value."""
+        return self.kind in ("dirac", "dirac-attributes")
 
     def keys(self, g: Graph) -> np.ndarray:
-        """Equality key per vertex of ``g``: the label for the ``dirac``
-        kind, a constant for every other kind.  The kernel is 0 between
-        vertices whose keys differ."""
+        """Equality key per vertex of ``g``, which numpy sorts and
+        searches: the label for the ``dirac`` kind, the attribute row's
+        bytes for ``dirac-attributes`` (``-0.0`` stored as ``0.0``, so the
+        keys agree exactly where the rows do), a constant for every other
+        kind.  The kernel is 0 between vertices whose keys differ."""
         if self.kind == "dirac":
             return g.vertex_label_array()
+        if self.kind == "dirac-attributes" and _attributes_of(g).shape[1]:
+            rows = np.ascontiguousarray(g.vertex_attributes + 0.0)
+            return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
         return np.zeros(g.n, dtype=np.int64)
 
     def features(self, g: Graph) -> Tuple[List[List[tuple]], Union[int, float]]:

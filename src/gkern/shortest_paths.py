@@ -14,18 +14,20 @@ the length kernel as its edge kernel, a Gram row per call.
 
 With Dirac base kernels the explicit map is a count vector over
 (source label, target label, distance) triples (:func:`sp_features_explicit`,
-counting both orientations of each pair, so e.g. the 3-vertex path with
-uniform labels maps to {(0,0,1): 4, (0,0,2): 2} and has self-kernel 20).
+a dataset map counting both orientations of each pair, so e.g. the
+3-vertex path with uniform labels maps to {(0,0,1): 4, (0,0,2): 2} and
+has self-kernel 20).
 Other base kernels have only the implicit scheme here.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, all_pairs_shortest_paths, INF_DISTANCE
+from .gram import FeatureMatrix, count_rows
+from .graphs import DisjointUnion, Graph, all_pairs_shortest_paths, INF_DISTANCE
 
 
 def sp_transform(g: Graph) -> Graph:
@@ -48,22 +50,24 @@ def sp_transform(g: Graph) -> Graph:
     )
 
 
-def sp_features_explicit(g: Graph) -> Dict[tuple, int]:
-    """Count vector over (source label, target label, distance) triples.
+def sp_features_explicit(graphs: Sequence[Graph]) -> FeatureMatrix:
+    """Count vectors over (source label, target label, distance) triples,
+    the dataset map of the shortest-path kernel with Dirac vertex and
+    length kernels.
 
-    Every ordered pair of distinct, mutually reachable vertices counts
-    once; the dot product of two such vectors equals the shortest-path
-    kernel with Dirac vertex and length kernels.
+    Every ordered pair of distinct, mutually reachable vertices of a graph
+    counts once; the dot product of two graphs' vectors equals their
+    kernel value.  One distance matrix per graph gives the rows
+    ``(source label, target label, hops)``, and one sort counts the rows
+    of all graphs (:func:`gkern.gram.count_rows`).
     """
-    labels = g.vertex_label_array().tolist()
-    dist = all_pairs_shortest_paths(g).dist
-    counts: dict = {}
-    for u in range(g.n):
-        row = dist[u]
-        lu = labels[u]
-        for v in range(g.n):
-            if u == v or row[v] == INF_DISTANCE:
-                continue
-            key = (lu, labels[v], int(row[v]))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    union = DisjointUnion.of(graphs)
+    labels = union.vertex_label_array()
+    rows, owners = [np.zeros((0, 3), np.int64)], [np.zeros(0, np.int64)]
+    for i, (g, first) in enumerate(zip(union, union.vertex_offsets.tolist())):
+        dist = all_pairs_shortest_paths(g).dist
+        np.fill_diagonal(dist, INF_DISTANCE)
+        u, v = np.nonzero(dist != INF_DISTANCE)
+        rows.append(np.column_stack((labels[first + u], labels[first + v], dist[u, v])))
+        owners.append(np.full(u.size, i))
+    return count_rows(len(union), [(np.concatenate(owners), np.concatenate(rows), None)])

@@ -12,9 +12,12 @@ the orders for all sets of one tie pattern at once, and counts the sets
 per key with one sort.  The number of vertex orders reaching the
 smallest encoding is the class's automorphism count |Aut(P)|.
 
-:func:`graphlet_features` is the counter's connected 3-vertex slice:
-triangles and 2-edge paths with their vertex and edge labels, so the dot
-product of two count vectors compares subgraph content.
+The counter runs once over a dataset's :class:`~gkern.graphs.DisjointUnion`
+and counts each set with its graph, so one sort per size counts every
+(class, graph).  :func:`graphlet_features` is its connected 3-vertex
+slice, a dataset map: triangles and 2-edge paths with their vertex and
+edge labels, so the dot product of two count vectors compares subgraph
+content.
 
 :func:`subgraph_matching_kernel` scores *mappings* between subgraphs
 instead of counting isomorphism classes: each common-subgraph isomorphism
@@ -23,7 +26,7 @@ compatible vertex pairs, and contributes the product of its vertex- and
 edge-kernel values, weighted by a function of its size.  With Dirac
 kernels a mapping is an isomorphism between induced subgraphs, so the
 kernel is Σ_P |Aut(P)|·c_P(G)·c_P(H) over the classes P the counter keys;
-:func:`matching_features` is that explicit feature map.
+:func:`matching_features` is that explicit dataset map.
 
 The implicit side runs a Gram row at a time
 (:func:`subgraph_matching_kernel` takes ``g`` and a sequence of
@@ -57,7 +60,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import MultiplicityOverflowError, ParameterError
-from .gram import EXACT_LIMIT
+from .gram import EXACT_LIMIT, FeatureMatrix, count_rows, tally_rows
 from .graphs import DisjointUnion, Graph, partner_runs
 from .kernels import EdgeKernelSpec, VertexKernelSpec
 
@@ -138,12 +141,17 @@ def _connected_sets(g: Graph, max_size: int) -> Iterator[np.ndarray]:
                 pending.append((grown, np.column_stack((dist[keep], near[keep]))))
 
 
-def _subsets(n: int, smallest: int, max_size: int) -> Iterator[np.ndarray]:
-    """Every set of ``smallest``..``max_size`` of ``n`` vertices, as rows
+def _subsets(
+    offsets: Sequence[int], smallest: int, max_size: int
+) -> Iterator[np.ndarray]:
+    """Every set of ``smallest``..``max_size`` vertices of one graph, the
+    graphs' vertices running from each of ``offsets`` to the next, as rows
     of ascending ids in chunks of one size and at most
     :data:`ASSOCIATION_CELLS` cells."""
+    bounds = list(zip(offsets[:-1], offsets[1:]))
     for size in range(smallest, max_size + 1):
-        sets = chain.from_iterable(combinations(range(n), size))
+        per_graph = (combinations(range(a, b), size) for a, b in bounds)
+        sets = chain.from_iterable(chain.from_iterable(per_graph))
         cells = max(1, ASSOCIATION_CELLS // size) * size
         while (flat := np.fromiter(islice(sets, cells), np.int64)).size:
             yield flat.reshape(-1, size)
@@ -215,39 +223,37 @@ def _tally(
     encodings: np.ndarray, counts: np.ndarray, automorphisms: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows of ``encodings`` in ascending order, the sum of
-    ``counts`` over each one's repeats, and the ``automorphisms`` of its
-    first."""
-    order = np.lexsort(encodings.T[::-1])
-    ranked = encodings[order]
-    fresh = np.ones(len(ranked), dtype=bool)
-    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    first = np.flatnonzero(fresh)
-    counts = np.add.reduceat(counts[order], first)
-    first = order[first]
+    ``counts`` over each one's repeats, and the ``automorphisms`` of one
+    of them."""
+    first, counts = tally_rows(encodings, counts)
     return encodings[first], counts, automorphisms[first]
 
 
 def _class_counts(
-    g: Graph, max_size: int, connected_only: bool, smallest: int = 1
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``(encodings, counts, automorphisms)`` of the classes of induced
-    subgraphs on ``smallest``..``max_size`` vertices (connected ones only
-    with ``connected_only``), one row per class in ascending order, for
+    graphs: Sequence[Graph], max_size: int, connected_only: bool, smallest: int = 1
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """``(graph, encodings, counts, automorphisms)`` of the classes of
+    induced subgraphs on ``smallest``..``max_size`` vertices (connected
+    ones only with ``connected_only``) in each of ``graphs``, one row per
+    graph and class that it has, ascending by class and then graph, for
     each size that has any; unlabeled graphs read as label 0 throughout.
 
-    An encoding is the sorted vertex labels, then ``0, 0`` for an absent
-    pair or ``1, label`` for an edge, over the position pairs in
-    ``combinations`` order, smallest over the vertex orders that sort the
-    labels.  The counter codes a pair 0 for no edge and 1 + the edge
-    label's rank, which keeps that order.
+    One pass over the graphs' :class:`~gkern.graphs.DisjointUnion` lists
+    the sets, none spanning two graphs, and each set's graph is counted
+    with its encoding.  An encoding is the sorted vertex labels, then
+    ``0, 0`` for an absent pair or ``1, label`` for an edge, over the
+    position pairs in ``combinations`` order, smallest over the vertex
+    orders that sort the labels.  The counter codes a pair 0 for no edge
+    and 1 + the edge label's rank, which keeps that order.
     """
     if max_size < 1:
         raise ParameterError(f"max_size must be >= 1, got {max_size}")
-    n = g.n
-    labels = g.vertex_label_array()
-    edge_labels, ranks = np.unique(g.edge_label_array(), return_inverse=True)
+    union = DisjointUnion.of(graphs)
+    n = union.n
+    labels = union.vertex_label_array()
+    edge_labels, ranks = np.unique(union.edge_label_array(), return_inverse=True)
     # a key above every pair's closes the edge table, with code 0
-    keys = np.append(g.edges @ [n, 1], n * n)
+    keys = np.append(union.edges @ [n, 1], n * n)
     table = np.append(ranks + 1, 0)
 
     def pair_code(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -256,38 +262,41 @@ def _class_counts(
         return np.where(keys[at] == pair, table[at], 0)
 
     if connected_only:
-        chunks = _connected_sets(g, max_size)
+        chunks = _connected_sets(union, max_size)
     else:
-        chunks = _subsets(n, smallest, max_size)
+        chunks = _subsets(union.vertex_offsets.tolist(), smallest, max_size)
     bits = max(1, edge_labels.size.bit_length())
     tallies: Dict[int, list] = {}
     for sets in chunks:
         size = sets.shape[1]
         if size >= smallest and len(sets):
             encodings, automorphisms = _canonical(sets, labels, pair_code, bits)
+            # each set's graph, last, so rows sort by class and then graph
+            rows = np.column_stack((encodings, union.owner[sets[:, 0]]))
             ones = np.ones(len(sets), dtype=np.int64)
             parts = tallies.setdefault(size, [])
-            parts.append(_tally(encodings, ones, automorphisms))
+            parts.append(_tally(rows, ones, automorphisms))
             # merged once the later parts outgrow the first, so a size's
-            # parts hold at most about twice its classes and one chunk's
+            # parts hold at most about twice its rows and one chunk's
             if sum(len(part[1]) for part in parts[1:]) > len(parts[0][1]):
                 parts[:] = [_tally(*map(np.concatenate, zip(*parts)))]
     classes = []
     for size, parts in sorted(tallies.items()):
         merged = parts[0] if len(parts) == 1 else _tally(*map(np.concatenate, zip(*parts)))
-        encodings, counts, automorphisms = merged
+        rows, counts, automorphisms = merged
         # codes back to (0, 0) and (1, label) per pair
-        codes = encodings[:, size:]
+        codes = rows[:, size:-1]
         written = np.empty((len(codes), size + 2 * codes.shape[1]), dtype=np.int64)
-        written[:, :size] = encodings[:, :size]
+        written[:, :size] = rows[:, :size]
         written[:, size::2] = codes > 0
         written[:, size + 1 :: 2] = np.append(0, edge_labels)[codes]
-        classes.append((written, counts, automorphisms))
+        classes.append((rows[:, -1], written, counts, automorphisms))
     return classes
 
 
-def graphlet_features(g: Graph) -> Dict[tuple, int]:
-    """Counts of connected induced 3-vertex subgraphs by canonical form.
+def graphlet_features(graphs: Sequence[Graph]) -> FeatureMatrix:
+    """Counts of connected induced 3-vertex subgraphs by canonical form,
+    the dataset map of the graphlet kernel.
 
     A class's key is its encoding (see :func:`_class_counts`): two
     subgraphs share a key iff they are isomorphic respecting vertex and
@@ -295,32 +304,34 @@ def graphlet_features(g: Graph) -> Dict[tuple, int]:
     triangle count and path count of e.g. the complete graph K4 come out
     as 4 and 0.
     """
-    entries = {}
-    for encodings, counts, _ in _class_counts(g, 3, True, smallest=3):
-        entries.update(zip(map(tuple, encodings.tolist()), counts.tolist()))
-    return entries
+    union = DisjointUnion.of(graphs)
+    classes = _class_counts(union, 3, True, smallest=3)
+    return count_rows(len(union), [(graph, keys, counts) for graph, keys, counts, _ in classes])
 
 
 def matching_features(
-    g: Graph, max_size: int = 3, connected_only: bool = False
-) -> Dict[tuple, int]:
-    """Explicit map of the Dirac subgraph matching kernel.
+    graphs: Sequence[Graph], max_size: int = 3, connected_only: bool = False
+) -> FeatureMatrix:
+    """Dataset map of the Dirac subgraph matching kernel.
 
     Each class P of induced subgraphs on 1..``max_size`` vertices
     (connected ones only with ``connected_only``) appears as |Aut(P)|
-    keys, each weighted by its count c_P, so the dot product of two
-    vectors is Σ_P |Aut(P)|·c_P(G)·c_P(H) in integers: the value of
-    :func:`subgraph_matching_kernel` with Dirac vertex and edge kernels
-    and unit size weights.
+    keys ``(*encoding, copy)``, each weighted by its count c_P, so the dot
+    product of two vectors is Σ_P |Aut(P)|·c_P(G)·c_P(H) in integers: the
+    value of :func:`subgraph_matching_kernel` with Dirac vertex and edge
+    kernels and unit size weights.  Columns run through the sizes in
+    turn.
     """
-    entries = {}
-    for encodings, counts, automorphisms in _class_counts(g, max_size, connected_only):
-        # class i as keys (*encoding i, copy), copy < |Aut|
+    union = DisjointUnion.of(graphs)
+    parts = []
+    for graph, encodings, counts, automorphisms in _class_counts(
+        union, max_size, connected_only
+    ):
+        # row i as keys (*encoding i, copy), copy < |Aut|
         of = np.repeat(np.arange(len(counts)), automorphisms)
         copy = np.arange(of.size) - (np.cumsum(automorphisms) - automorphisms)[of]
-        keys = np.column_stack((encodings[of], copy))
-        entries.update(zip(map(tuple, keys.tolist()), counts[of].tolist()))
-    return entries
+        parts.append((graph[of], np.column_stack((encodings[of], copy)), counts[of]))
+    return count_rows(len(union), parts)
 
 
 def _squares(

@@ -53,6 +53,11 @@ from .wl import wl_refine_dataset
 # the integer-exact range of float64; we stop instead of getting it wrong.
 _COUNT_LIMIT = 1 << 26
 
+#: Most (source, vertex, target) cells one slice of a graph's
+#: graphhopper triples holds, so peak memory stays flat however large the
+#: graph; a vertex whose n * n cells alone exceed it forms a slice alone.
+TRIPLE_CELLS = 1 << 15
+
 
 class WeightFeatureMap:
     """Per-vertex weight vectors for every graph of one dataset.
@@ -110,7 +115,14 @@ def _hopper_tables(
     dm: DistanceMatrix, delta: int, graph_name: str
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(columns, W)`` of one graph: cell (i, j) of M(v), 0-based, is
-    column ``i * delta + j`` of row ``v``."""
+    column ``i * delta + j`` of row ``v``.
+
+    Each (source s, vertex v, target t) with v on a shortest s-t path
+    adds #(s-v paths) * #(v-t paths) to cell (d(s, v), d(s, t)) of M(v).
+    The triples are found for a slice of vertices at a time, each slice's
+    (s, v, t) cells within :data:`TRIPLE_CELLS`, and one ``np.unique``
+    sums them into the tables.
+    """
     dist, counts, n = dm.dist, dm.counts, dm.n
     if counts.size and int(counts.max()) > _COUNT_LIMIT:
         raise MultiplicityOverflowError(
@@ -122,9 +134,12 @@ def _hopper_tables(
     # unreachable vertex
     d = np.where(finite, dist, n)
     counts_f = counts.astype(np.float64)
+    step = max(1, TRIPLE_CELLS // max(1, n * n))
     cells, multiplicities = [np.zeros(0, np.int64)], [np.zeros(0)]
-    for v in range(n):
-        s, t = np.nonzero(finite & (d[:, v, None] + d[v] == d))
+    for a in range(0, n, step):
+        on_path = d[:, a : a + step, None] + d[None, a : a + step, :] == d[:, None, :]
+        s, v, t = np.nonzero(on_path & finite[:, None, :])
+        v += a
         cells.append((v * delta + d[s, v]) * delta + d[s, t])
         multiplicities.append(counts_f[s, v] * counts_f[v, t])
     cell, at = np.unique(np.concatenate(cells), return_inverse=True)

@@ -67,6 +67,16 @@ def make_random_graph(
     )
 
 
+def diamond_chain(k: int) -> Graph:
+    """``k`` diamonds end to end: 2**k shortest paths join the first vertex
+    to the last."""
+    edges = []
+    for d in range(k):
+        a = 3 * d
+        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3)]
+    return Graph(3 * k + 1, edges)
+
+
 @st.composite
 def graphs(draw, max_n: int = 5) -> Graph:
     """Hypothesis strategy for small labelled graphs, degenerate ones

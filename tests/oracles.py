@@ -284,6 +284,21 @@ def oracle_shortest_path_counts(g) -> List[List[int]]:
     return counts
 
 
+def oracle_sp_features(g) -> Dict[Tuple[int, int, int], int]:
+    """(source label, target label, hops) -> count over ordered pairs of
+    distinct, mutually reachable vertices: the explicit shortest-path map,
+    one graph at a time."""
+    dist = oracle_apsp(g)
+    labels = vertex_label_list(g)
+    counts: Dict[Tuple[int, int, int], int] = {}
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v and dist[u][v] < math.inf:
+                key = (labels[u], labels[v], int(dist[u][v]))
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def oracle_sp_kernel(
     g,
     h,
@@ -596,6 +611,24 @@ def _class_counts(
         encoding, automorphisms = _canonical(members, labels, label_of)
         classes.setdefault(encoding, [0, automorphisms])[0] += 1
     return classes
+
+
+def oracle_graphlet_features(g) -> Dict[Tuple[int, ...], int]:
+    """Encoding -> count of the connected induced 3-vertex subgraphs: the
+    graphlet map, one graph at a time."""
+    return {key: count for key, (count, _) in _class_counts(g, 3, True, 3).items()}
+
+
+def oracle_matching_features(
+    g, max_size: int, connected_only: bool
+) -> Dict[Tuple[int, ...], int]:
+    """(*encoding, copy) -> count, ``copy`` below the class's automorphism
+    count: the Dirac subgraph matching map, one graph at a time."""
+    return {
+        (*key, copy): count
+        for key, (count, automorphisms) in _class_counts(g, max_size, connected_only).items()
+        for copy in range(automorphisms)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from gkern import (
     graphlet_features,
     load_tu_dataset,
     min_eigenvalue_estimate,
+    per_graph,
     sample_binning_grid,
     sp_features_explicit,
     sp_transform,
@@ -100,7 +101,7 @@ def _walk_equivalence_grams():
         )
         explicit = gram_explicit(
             ds,
-            lambda g, l=length: walk_features_explicit(g, l),
+            per_graph(lambda g, l=length: walk_features_explicit(g, l)),
             f"walk(l={length})/explicit",
         )
         per_length.append((length, implicit, explicit))
@@ -208,7 +209,8 @@ def _subgraph_data():
         cls: oracle_triple_automorphisms(labels, edges)
         for cls, (labels, edges) in reps.items()
     }
-    vectors = [graphlet_features(g) for g in graphs]
+    features = graphlet_features(graphs)
+    vectors = [features.vector(i) for i in range(len(graphs))]
     matching_mismatch = 0
     graphlet_mismatch = 0
     matching_gram = np.zeros((15, 15))
@@ -267,7 +269,7 @@ def _weighted_grams():
         )
         explicit = gram_explicit(
             ds,
-            lambda g, w=wm: wv_features_explicit(g, w, DIRAC_ATTR),
+            per_graph(lambda g, w=wm: wv_features_explicit(g, w, DIRAC_ATTR)),
             f"{name}/explicit",
         )
         out.append((name, implicit, explicit))
@@ -410,8 +412,10 @@ def test_criterion_07_binning_convergence():
         grid = sample_binning_grid(1, delta, num_grids, seed=1000 + num_grids)
         approx = gram_explicit(
             ds,
-            lambda g, b=VertexKernelSpec("binned", grid=grid): wv_features_explicit(
-                g, wm, b
+            per_graph(
+                lambda g, b=VertexKernelSpec("binned", grid=grid): wv_features_explicit(
+                    g, wm, b
+                )
             ),
             f"binned(P={num_grids})/explicit",
         ).values

@@ -583,7 +583,7 @@ def test_generate_rejects_a_flag_its_generator_lacks(tmp_path, capsys):
 def test_graphlet_dots_past_2_53_fail_their_pair(regime, monkeypatch, capsys):
     # one class counted 2**27 times: its self-dot is 2**54
     heavy = {(0,): 2**27}
-    monkeypatch.setattr(gkern.bench, "graphlet_features", lambda g: heavy)
+    monkeypatch.setattr(gkern.bench, "graphlet_features", gkern.per_graph(lambda g: heavy))
     code = main(["compute", "--data", DATA, "--kernel", "graphlet", "--regime", regime])
     assert code == 4
     err = capsys.readouterr().err

@@ -26,6 +26,7 @@ from gkern import (
     load_gram_csv,
     min_eigenvalue_estimate,
     normalize,
+    per_graph,
     walk_features_explicit,
     walk_kernel_implicit,
 )
@@ -53,7 +54,7 @@ class TestAssembly:
         implicit = gram_implicit(
             ds, lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 3)
         )
-        explicit = gram_explicit(ds, lambda g: walk_features_explicit(g, 3))
+        explicit = gram_explicit(ds, per_graph(lambda g: walk_features_explicit(g, 3)))
         assert (implicit.values == explicit.values).all()  # integer-exact
         assert implicit.values.shape == (6, 6)
         assert (implicit.values == implicit.values.T).all()
@@ -68,7 +69,7 @@ class TestAssembly:
         assert implicit.timings["seconds_total"] >= 0
         assert implicit.graph_ids == ["t[0]", "t[1]", "t[2]"]
         assert implicit.class_labels.tolist() == [0, 1, 0]
-        explicit = gram_explicit(ds, lambda g: walk_features_explicit(g, 2))
+        explicit = gram_explicit(ds, per_graph(lambda g: walk_features_explicit(g, 2)))
         assert explicit.timings["scheme"] == "explicit"
         assert explicit.timings["stored_features"] > 0
         assert explicit.timings["seconds_total"] == pytest.approx(
@@ -91,7 +92,7 @@ class TestAssembly:
             raise ParameterError("boom")
 
         with pytest.raises(GramError, match="graph 0"):
-            gram_explicit(ds, broken_features)
+            gram_explicit(ds, per_graph(broken_features))
 
     def test_batched_rows_split_mid_row(self):
         # graphs large enough that one row of partners spans several
@@ -115,7 +116,7 @@ class TestAssembly:
             ],
         )
         assert np.array_equal(rows.values, pairs.values)
-        explicit = gram_explicit(ds, lambda g: walk_features_explicit(g, 3))
+        explicit = gram_explicit(ds, per_graph(lambda g: walk_features_explicit(g, 3)))
         assert np.array_equal(rows.values, explicit.values)
 
     @pytest.mark.parametrize("kernel", ["walk", "sp", "graph-invariant", "subgraph-matching"])
@@ -173,20 +174,20 @@ class TestAssembly:
         k20 = Graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20)])
         ds = Dataset("t", [Graph(1), k20, Graph(1)])
         with pytest.raises(GramError, match=r"pair \(1, 1\)") as caught:
-            gram_explicit(ds, lambda g: walk_features_explicit(g, 6))
+            gram_explicit(ds, per_graph(lambda g: walk_features_explicit(g, 6)))
         assert isinstance(caught.value.__cause__, MultiplicityOverflowError)
         # one step shorter the dot (~2.5e15) is still exact
-        gram = gram_explicit(ds, lambda g: walk_features_explicit(g, 5))
+        gram = gram_explicit(ds, per_graph(lambda g: walk_features_explicit(g, 5)))
         assert gram.values[1, 1] == (20 * 19**5) ** 2
         # float dots make no exactness claim
-        big = gram_explicit(ds, lambda g: {(0,): 1e10})
+        big = gram_explicit(ds, per_graph(lambda g: {(0,): 1e10}))
         assert (big.values == 1e20).all()
 
     def test_explicit_dot_agrees_with_feature_dot(self):
         rng = random.Random(191)
         ds = _walk_dataset(rng, count=5)
         vectors = [walk_features_explicit(g, 2) for g in ds.graphs]
-        gram = gram_explicit(ds, lambda g: walk_features_explicit(g, 2))
+        gram = gram_explicit(ds, per_graph(lambda g: walk_features_explicit(g, 2)))
         for i in range(5):
             for j in range(5):
                 assert gram.values[i, j] == dot(vectors[i], vectors[j])
@@ -293,6 +294,15 @@ class TestExport:
         assert Path(path).read_text() == ""
         assert load_gram_csv(path).shape == (0, 0)
 
+    def test_csv_text_is_each_value_at_17_significant_digits(self, tmp_path):
+        edge = [0.1, -0.0, 2.0**53 - 1, 1e17, np.inf]
+        # each value in every row and column
+        values = np.array([edge[i:] + edge[:i] for i in range(5)])
+        path = export_gram(_gram_of(values), "csv", str(tmp_path / "gram.csv"))
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values)
+        assert Path(path).read_text() == expected
+        assert "-0," in expected and "9007199254740991" in expected and "inf" in expected
+
     def test_svm_precomputed_layout(self, tmp_path):
         values = np.array([[2.0, 1.0], [1.0, 3.0]])
         gram = _gram_of(values, class_labels=[1, -1])
@@ -333,9 +343,10 @@ EXPLICIT_KERNELS = (
 )
 
 
-def _pairwise_dots(ds, feature_fn):
+def _pairwise_dots(ds, feature_map):
     """The loop reference: one sparse ``dot`` per pair, as float64."""
-    vectors = [feature_fn(g) for g in ds.graphs]
+    features = feature_map(DisjointUnion(ds.graphs))
+    vectors = [features.vector(i) for i in range(len(ds))]
     n = len(vectors)
     return np.array(
         [[dot(a, b) for b in vectors] for a in vectors], dtype=np.float64
@@ -347,15 +358,15 @@ def _explicit_and_pairwise(plan):
     and that map."""
     seen = []
 
-    def capture(ds, feature_fn, kernel_name="explicit"):
-        seen.append((ds, feature_fn))
-        return gram_explicit(ds, feature_fn, kernel_name)
+    def capture(ds, feature_map, kernel_name="explicit"):
+        seen.append((ds, feature_map))
+        return gram_explicit(ds, feature_map, kernel_name)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bench, "gram_explicit", capture)
         gram = plan.explicit()
-    (ds, feature_fn), = seen
-    return gram, _pairwise_dots(ds, feature_fn), feature_fn
+    (ds, feature_map), = seen
+    return gram, _pairwise_dots(ds, feature_map), feature_map
 
 
 class TestExplicitProduct:
@@ -365,12 +376,13 @@ class TestExplicitProduct:
         ds = Dataset("h", members)
         keys = set()
         for kernel in EXPLICIT_KERNELS:
-            gram, reference, feature_fn = _explicit_and_pairwise(
+            gram, reference, feature_map = _explicit_and_pairwise(
                 bench.kernel_plan(kernel, ds, length=3, wl_iters=2)
             )
             assert gram.values.tobytes() == reference.tobytes(), kernel
-            for g in members:
-                vector = feature_fn(g)
+            features = feature_map(DisjointUnion(members))
+            for i in range(len(members)):
+                vector = features.vector(i)
                 # a plain dict, and no map stores a zero weight
                 assert type(vector) is dict, kernel
                 assert 0 not in vector.values(), kernel
@@ -408,18 +420,18 @@ class TestExplicitProduct:
 
     def test_degenerate_datasets(self):
         walks3 = lambda g: walk_features_explicit(g, 3)
-        empty = gram_explicit(Dataset("e", []), walks3)
+        empty = gram_explicit(Dataset("e", []), per_graph(walks3))
         assert empty.values.shape == (0, 0)
         assert empty.timings["stored_features"] == empty.timings["distinct_features"] == 0
         edge = Graph(2, [(0, 1)], vertex_labels=[0, 1])
-        one = gram_explicit(Dataset("o", [edge]), walks3)
+        one = gram_explicit(Dataset("o", [edge]), per_graph(walks3))
         assert one.values.tolist() == [[dot(walks3(edge), walks3(edge))]]
         # graphs without vertices map to empty vectors: zero rows and columns
         ds = Dataset("z", [Graph(0), edge, Graph(0)])
-        mixed = gram_explicit(ds, walks3)
-        assert mixed.values.tobytes() == _pairwise_dots(ds, walks3).tobytes()
+        mixed = gram_explicit(ds, per_graph(walks3))
+        assert mixed.values.tobytes() == _pairwise_dots(ds, per_graph(walks3)).tobytes()
         assert mixed.values[[0, 2]].sum() == 0 and mixed.values[:, [0, 2]].sum() == 0
-        nothing = gram_explicit(ds, lambda g: {})
+        nothing = gram_explicit(ds, per_graph(lambda g: {}))
         assert (nothing.values == 0).all() and nothing.values.shape == (3, 3)
         assert nothing.timings["distinct_features"] == 0
 
@@ -433,10 +445,31 @@ class TestExplicitProduct:
         ]
         ds = Dataset("wide", [Graph(1) for _ in range(n)])
         by_graph = {id(g): v for g, v in zip(ds.graphs, vectors)}
-        features = lambda g: by_graph[id(g)]
+        features = per_graph(lambda g: by_graph[id(g)])
         gram = gram_explicit(ds, features)
         assert gram.timings["distinct_features"] == count
         assert gram.timings["stored_features"] == sum(len(v) for v in vectors)
+        assert gram.values.tobytes() == _pairwise_dots(ds, features).tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 7, gram_module.BLOCK_CELLS])
+    def test_rare_integer_columns_summed_by_pairs_equal_pairwise_dots(self, budget, monkeypatch):
+        # 40 graphs: a column that at most 7 of them hold is summed by its
+        # pairs (7 * 7 * PAIR_COST < 40 * 40), the first three columns,
+        # which nearly all hold, in dense blocks; small budgets cut the
+        # pairs, and the blocks, into many chunks
+        rng = random.Random(421)
+        held = lambda k: rng.random() < (0.9 if k < 3 else 0.05)
+        vectors = [{(k,): rng.randrange(1, 9) for k in range(80) if held(k)} for _ in range(40)]
+        ds = Dataset("rare", [Graph(1) for _ in vectors])
+        by_graph = {id(g): v for g, v in zip(ds.graphs, vectors)}
+        features = per_graph(lambda g: by_graph[id(g)])
+        paired = []
+        real = gram_module._pair_sums
+        record = lambda values, cols, *rest: paired.append(cols.size) or real(values, cols, *rest)
+        monkeypatch.setattr(gram_module, "_pair_sums", record)
+        monkeypatch.setattr(gram_module, "BLOCK_CELLS", budget)
+        gram = gram_explicit(ds, features)
+        assert paired[0] > 0
         assert gram.values.tobytes() == _pairwise_dots(ds, features).tobytes()
 
     def test_exactness_guard_checks_integer_pairs_in_row_major_order(self):
@@ -447,10 +480,10 @@ class TestExplicitProduct:
         ds = Dataset("t", [Graph(1) for _ in vectors])
         by_graph = {id(g): v for g, v in zip(ds.graphs, vectors)}
         with pytest.raises(GramError, match=r"pair \(1, 1\)") as caught:
-            gram_explicit(ds, lambda g: by_graph[id(g)])
+            gram_explicit(ds, per_graph(lambda g: by_graph[id(g)]))
         assert isinstance(caught.value.__cause__, MultiplicityOverflowError)
         # an integer weight past float64's range fails its pair, not the cast
         huge = Dataset("h", [Graph(1), Graph(1)])
         with pytest.raises(GramError, match=r"pair \(0, 0\)") as caught:
-            gram_explicit(huge, lambda g: {key: 2**1100})
+            gram_explicit(huge, per_graph(lambda g: {key: 2**1100}))
         assert isinstance(caught.value.__cause__, MultiplicityOverflowError)

@@ -16,6 +16,7 @@ from gkern import (
     DatasetLoadError,
     Graph,
     INF_DISTANCE,
+    MultiplicityOverflowError,
     ParameterError,
     all_pairs_shortest_paths,
     generate_synthetic_alphabet,
@@ -26,7 +27,7 @@ from gkern import (
 )
 from gkern.bench import kernel_plan
 from gkern.graphs import DisjointUnion
-from conftest import make_random_graph
+from conftest import diamond_chain, make_random_graph
 from oracles import (
     adjacency_lists,
     edge_label_dict,
@@ -384,6 +385,15 @@ class TestShortestPaths:
             for i in range(g.n):
                 for j in range(g.n):
                     assert dm.counts[i][j] == expected[i][j], (i, j)
+
+    def test_path_counts_past_int64_raise(self):
+        # 63 diamonds give 2**63 paths end to end, one past int64, and 64
+        # give 2**64
+        assert all_pairs_shortest_paths(diamond_chain(62), with_counts=True).counts[0, -1] == 2**62
+        with pytest.raises(MultiplicityOverflowError, match="64-bit"):
+            all_pairs_shortest_paths(diamond_chain(63), with_counts=True)
+        with pytest.raises(MultiplicityOverflowError, match="64-bit"):
+            all_pairs_shortest_paths(diamond_chain(64), with_counts=True)
 
 
 class TestDataset:

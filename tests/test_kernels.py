@@ -15,6 +15,7 @@ from gkern import (
     ParameterError,
     VertexKernelSpec,
     sample_binning_grid,
+    walk_kernel_implicit,
 )
 from conftest import make_random_graph
 from oracles import dot, edge_kernel_fn, hat_fn, vertex_kernel_fn
@@ -211,7 +212,9 @@ class TestVertexKernelSpec:
                 full = spec.matrix(g, h)
                 assert keep.dtype == bool and (keep == (full > 0)).all()
                 # the product build joins vertices on their keys
-                same = np.equal.outer(spec.keys(g), spec.keys(h))
+                # (attribute rows key as raw bytes, which == compares but
+                # np.equal.outer does not take)
+                same = spec.keys(g)[:, None] == spec.keys(h)[None, :]
                 assert not (keep & ~same).any()
                 assert not spec.unit or (keep == same).all()
                 if values is None:
@@ -220,6 +223,24 @@ class TestVertexKernelSpec:
                     assert (full[keep] == 1.0).all()
                 else:
                     assert (values == full).all()
+
+    def test_attribute_rows_join_like_labels(self):
+        # rows key by value (-0.0 as 0.0), so walks on rows join as walks
+        # on the row codes do, and give the same value
+        spec = VertexKernelSpec("dirac-attributes")
+        rows = [[-0.0, 1.5], [0.0, 1.5], [0.0, -1.5], [2.0, 1.5]]
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], vertex_attributes=rows)
+        keys = spec.keys(g)
+        assert keys[0] == keys[1] and len(set(keys[1:].tolist())) == 3
+        assert spec.unit
+        h = Graph(3, [(0, 1), (1, 2)], vertex_attributes=[[0.0, -1.5], [-0.0, 1.5], [2.0, 1.5]])
+        coded_g = Graph(4, g.edges, vertex_labels=[0, 0, 1, 2])
+        coded_h = Graph(3, h.edges, vertex_labels=[1, 0, 2])
+        dirac = VertexKernelSpec("dirac")
+        edge = EdgeKernelSpec("dirac")
+        on_rows = walk_kernel_implicit(g, [h, g], spec, edge, 3)
+        on_codes = walk_kernel_implicit(coded_g, [coded_h, coded_g], dirac, edge, 3)
+        assert on_rows.tolist() == on_codes.tolist() and on_rows.all()
 
     def test_binned_matrix_is_collision_fraction(self):
         # With P = 4 grids the per-cell weight squared is exactly 1/4, so

@@ -113,7 +113,7 @@ class TestImplicitKernel:
 class TestExplicitFeatures:
     def test_uniform_path_feature_counts(self):
         p3 = Graph(3, [(0, 1), (1, 2)])
-        vec = sp_features_explicit(p3)
+        vec = sp_features_explicit([p3]).vector(0)
         assert vec == {(0, 0, 1): 4, (0, 0, 2): 2}
         assert dot(vec, vec) == 20
 
@@ -123,15 +123,16 @@ class TestExplicitFeatures:
             g = make_random_graph(rng, max_n=7, labels=3)
             h = make_random_graph(rng, max_n=7, labels=3)
             implicit = sp_kernel(g, h)
-            explicit = dot(sp_features_explicit(g), sp_features_explicit(h))
+            features = sp_features_explicit([g, h])
+            explicit = dot(features.vector(0), features.vector(1))
             assert implicit == explicit  # integer-exact
 
     def test_attributes_only_graph_reads_as_label_zero(self):
         # continuous attributes carry no Dirac label: the map counts the
         # paths of the bare graph, as the implicit scheme does
         g = Graph(3, [(0, 1), (1, 2)], vertex_attributes=[[0.5], [1.0], [0.2]])
-        vec = sp_features_explicit(g)
-        assert vec == sp_features_explicit(Graph(3, [(0, 1), (1, 2)]))
+        vec = sp_features_explicit([g]).vector(0)
+        assert vec == sp_features_explicit([Graph(3, [(0, 1), (1, 2)])]).vector(0)
         assert dot(vec, vec) == sp_kernel(g, g) == 20
 
     def test_counts_every_ordered_reachable_pair(self):
@@ -139,7 +140,7 @@ class TestExplicitFeatures:
         for trial in range(10):
             g = make_random_graph(rng, max_n=7, labels=2)
             dm = all_pairs_shortest_paths(g)
-            vec = sp_features_explicit(g)
+            vec = sp_features_explicit([g]).vector(0)
             reachable = sum(
                 1
                 for u in range(g.n)

@@ -18,6 +18,7 @@ from gkern import (
     VertexKernelSpec,
     build_wdpg,
     gram_explicit,
+    per_graph,
     sample_binning_grid,
     walk_features_explicit,
     walk_kernel_implicit,
@@ -415,7 +416,7 @@ class TestWalkFeaturesExplicit:
             walk_features_explicit(g, 2)
         ds = Dataset("d", [Graph(1), g])
         with pytest.raises(GramError, match="walk: graph 1 failed") as failed:
-            gram_explicit(ds, lambda h: walk_features_explicit(h, 2), "walk")
+            gram_explicit(ds, per_graph(lambda h: walk_features_explicit(h, 2)), "walk")
         assert isinstance(failed.value.__cause__, ResourceBudgetError)
 
 

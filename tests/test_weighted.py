@@ -19,6 +19,7 @@ from gkern import (
     gram_implicit,
     graph_invariant_weight_maps,
     graphhopper_weight_maps,
+    per_graph,
     sample_binning_grid,
     subgraph_matching_kernel,
     walk_kernel_implicit,
@@ -26,9 +27,9 @@ from gkern import (
     wv_features_explicit,
     wv_kernel_implicit,
 )
-from gkern import walks
+from gkern import walks, weighted
 from gkern.weighted import WeightFeatureMap
-from conftest import graphs, make_random_graph
+from conftest import diamond_chain, graphs, make_random_graph
 from oracles import (
     dot,
     oracle_color_histogram_kernel,
@@ -149,6 +150,23 @@ class TestGraphHopperWeights:
         b = Graph(2, [(0, 1)])
         wm = graphhopper_weight_maps(Dataset("t", [a, b]))
         assert oracle_vertex_weight(wm, a, 0, b, 0) == 3.0
+
+    @pytest.mark.parametrize("budget", [1, 50])
+    def test_tables_built_in_vertex_slices_match_oracle(self, budget, monkeypatch):
+        # a budget below n * n slices one vertex at a time, 50 a few
+        monkeypatch.setattr(weighted, "TRIPLE_CELLS", budget)
+        rng = random.Random(151)
+        graphs = [make_random_graph(rng, max_n=7) for _ in range(6)]
+        wm = graphhopper_weight_maps(Dataset("t", graphs))
+        for g in graphs:
+            assert decoded_rows(wm, g, table_side(graphs)) == oracle_hopper_tables(g)
+
+    def test_multiplicity_past_2_26_names_the_graph(self):
+        # 27 diamonds: 2**27 shortest paths end to end; 26 stay exact
+        chain = diamond_chain(26)
+        assert graphhopper_weight_maps(Dataset("chains", [chain])).matrix(chain)[1].max() >= 2**26
+        with pytest.raises(MultiplicityOverflowError, match=r"graph 1 of 'chains'.* 134217728"):
+            graphhopper_weight_maps(Dataset("chains", [Graph(2, [(0, 1)]), diamond_chain(27)]))
 
     def test_wrong_graph_is_rejected(self):
         a = Graph(2, [(0, 1)])
@@ -284,7 +302,7 @@ def test_explicit_self_dot_reaching_2_53_fails_its_pair():
 
     def gram(weight):
         wm = constructed([g], weight)
-        return gram_explicit(ds, lambda x: wv_features_explicit(x, wm, DIRAC))
+        return gram_explicit(ds, per_graph(lambda x: wv_features_explicit(x, wm, DIRAC)))
 
     # the weights reach the Gram as Python ints, so the integer guard holds
     vector = wv_features_explicit(g, constructed([g], 2**27), DIRAC)
