@@ -50,21 +50,16 @@ ds = Dataset("gh", [g, h])
 # ---------------------------------------------------------------------
 # 2. Sum kernel = concatenated maps.  The maxwalk kernel sums the walk
 #    kernels of lengths 0..l; its map merges the per-length maps, whose
-#    keys (length, labels...) never collide across lengths.
+#    keys (length, labels...) never collide across lengths.  The walk map
+#    builds every length in one pass over the dataset (all_rounds).
 # ---------------------------------------------------------------------
 length = 3
+maxwalk = walk_features_explicit(ds.graphs, length, all_rounds=True)
+parts = [walk_features_explicit(ds.graphs, l) for l in range(length + 1)]
+assert maxwalk.vector(0) == {k: c for part in parts for k, c in part.vector(0).items()}
 
-
-def maxwalk_features(graph):
-    return {
-        key: count
-        for l in range(length + 1)
-        for key, count in walk_features_explicit(graph, l).items()
-    }
-
-
-merged = gram_explicit(ds, per_graph(maxwalk_features)).values
-per_length = [gram_explicit(ds, per_graph(lambda x, l=l: walk_features_explicit(x, l))).values
+merged = gram_explicit(ds, lambda union: walk_features_explicit(union, length, True)).values
+per_length = [gram_explicit(ds, lambda union, l=l: walk_features_explicit(union, l)).values
               for l in range(length + 1)]
 # implicitly, one pass over the product graphs gives every length's term
 implicit = gram_implicit(

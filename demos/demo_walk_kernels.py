@@ -30,7 +30,6 @@ from gkern import (
     VertexKernelSpec,
     gram_explicit,
     gram_implicit,
-    per_graph,
     walk_features_explicit,
     walk_kernel_implicit,
 )
@@ -52,17 +51,18 @@ for length in range(6):
     implicit = gram_implicit(
         ds, lambda x, partners: walk_kernel_implicit(x, partners, dirac_v, dirac_e, length)
     )
-    explicit = gram_explicit(ds, per_graph(lambda x: walk_features_explicit(x, length)))
+    explicit = gram_explicit(ds, lambda union: walk_features_explicit(union, length))
     print(f"{length:6d}  {implicit.values[0, 1]:8g}  {explicit.values[0, 1]:8g}")
     assert (implicit.values == explicit.values).all()
 
 # ---------------------------------------------------------------------
 # 2. What the explicit features actually are: counts of alternating
 #    vertex/edge label sequences.  A key is the walk length, then
-#    alternating vertex and edge labels.
+#    alternating vertex and edge labels.  The map takes a dataset; one
+#    graph's vector is its row, read back as a dict.
 # ---------------------------------------------------------------------
 print("\nlength-2 walk features of the triangle:")
-features = walk_features_explicit(g, 2)
+features = walk_features_explicit([g], 2).vector(0)
 for (length, *sequence), count in features.items():
     # vertex, edge, vertex, edge, vertex
     assert length == 2 and len(sequence) == 5
@@ -78,6 +78,11 @@ assert sum(features.values()) == 12
 terms = walk_kernel_implicit(g, [h], dirac_v, dirac_e, 3, all_rounds=True)[0]
 per_length = [walk_kernel_implicit(g, [h], dirac_v, dirac_e, l)[0] for l in range(4)]
 assert terms.tolist() == per_length
+# the explicit map does the same: its keys lead with their length
+rounds = walk_features_explicit([g, h], 3, all_rounds=True)
+mine, theirs = rounds.vector(0), rounds.vector(1)
+by_length = [sum(c * theirs.get(k, 0) for k, c in mine.items() if k[0] == l) for l in range(4)]
+assert by_length == per_length
 coefficients = [1.0, 0.5, 0.25, 0.125]
 combined = sum(c * t for c, t in zip(coefficients, terms.tolist()))
 print(f"\nlengths 0..3: {terms.tolist()}; with geometric coefficients {combined:g}")

@@ -9,7 +9,7 @@ compute the same function; which one is faster depends on the data, and
 
 Quick start::
 
-    from gkern import generate_synthetic_labeled, gram_explicit, gram_implicit, per_graph
+    from gkern import generate_synthetic_labeled, gram_explicit, gram_implicit
     from gkern import walk_features_explicit, walk_kernel_implicit
     from gkern.kernels import VertexKernelSpec, EdgeKernelSpec
 
@@ -19,9 +19,11 @@ Quick start::
     implicit = gram_implicit(
         ds, lambda g, hs: walk_kernel_implicit(g, hs, dirac_v, dirac_e, length=4)
     )
-    # one dataset map: per_graph interns each graph's feature dict
-    explicit = gram_explicit(ds, per_graph(lambda g: walk_features_explicit(g, 4)))
+    # one dataset map: every graph's walk vector from one pass over the union
+    explicit = gram_explicit(ds, lambda union: walk_features_explicit(union, 4))
     assert (implicit.values == explicit.values).all()
+    # one graph's vector, as a dict of (length, *labels) -> count
+    assert sum(walk_features_explicit(ds.graphs, 4).vector(0).values()) > 0
 """
 
 from .errors import (

@@ -5,11 +5,12 @@ computed: its :class:`KernelPlan` holds an implicit and an explicit Gram
 builder, or, for a scheme the kernel lacks, the reason why.
 
 :data:`AXES` is the one table of phase-transition axes (vertex-label
-diversity, walk length, label-alphabet size, subgraph size).  A row names
-the generator that draws the axis's datasets, the kernel it times, the
-keyword its grid values set, its fixed generator and plan keywords, and
-its desk-scale and full-scale sizes and grids; the full-scale ones follow
-the published protocol and can take hours in pure Python.
+diversity, walk length, label-alphabet size for subgraph matching and for
+walks, subgraph size).  A row names the generator that draws the axis's
+datasets, the kernel it times, the keyword its grid values set, its fixed
+generator and plan keywords, and its desk-scale and full-scale sizes and
+grids; the full-scale ones follow the published protocol and can take
+hours in pure Python.
 
 :func:`sweep`, the one sweep driver, walks a row's grid and the
 dataset-size axis, computes the plan's two Grams per cell, and records the
@@ -147,20 +148,15 @@ def kernel_plan(
         name = f"{kernel}(l={length}){tag}"
         if kernel == "walk":
             row = lambda g, hs: walk_kernel_implicit(g, hs, vk, edges, length)
-            features = lambda g: walk_features_explicit(g, length)
         else:
             row = lambda g, hs: walk_kernel_implicit(
                 g, hs, vk, edges, length, all_rounds=True
             ).sum(axis=1)
-            # the sum kernel's map concatenates its parts' maps: walk keys
-            # (l, *labels) lead with the length, so the parts share no key
-            features = lambda g: {
-                key: count
-                for l in range(length + 1)
-                for key, count in walk_features_explicit(g, l).items()
-            }
+        # the max-walk map holds every length's map: walk keys (l, *labels)
+        # lead with the length, so the lengths share no key
+        features = lambda union: walk_features_explicit(union, length, kernel == "maxwalk")
         implicit = lambda: gram_implicit(ds, row, f"{name}/implicit")
-        explicit = lambda: gram_explicit(ds, per_graph(features), f"{name}/explicit")
+        explicit = lambda: gram_explicit(ds, features, f"{name}/explicit")
     elif kernel == "sp":
         lk = EdgeKernelSpec(length_kernel, c=bridge_c)
 
@@ -300,6 +296,17 @@ AXES = {
               "edge_prob": 0.3},
         full={"sizes": (100, 200, 300), "grid": (1, 2, 3, 4, 5, 10, 15, 20, 30, 45, 65),
               "mean_vertices": 60.0, "edge_prob": 0.5},
+    ),
+    # label-alphabet size on the walk kernel: vertex and edge labels share
+    # the alphabet, so the explicit space grows as size**(2 * length + 1)
+    # while the product graphs shrink; unlike pv, diversity grows with
+    # every step of the grid
+    "walk-alphabet": Axis(
+        "alphabet", "walk", "alphabet_size",
+        dataset={"mean_vertices": 15.0, "edge_prob": 0.3},
+        plan={"length": 4},
+        desk={"sizes": (20, 40), "grid": (1, 2, 4, 8, 16)},
+        full={"sizes": (100, 200, 300), "grid": (1, 2, 3, 4, 5, 10, 15, 20, 30, 45, 65)},
     ),
     # subgraph size, subgraph matching (connected) on a 20-letter alphabet:
     # the explicit classes multiply with the size, the implicit cliques

@@ -9,12 +9,12 @@ and a sequence of partners) on slices of one union of the graphs, a row
 of the upper triangle per call; its cost is all in those calls.
 :func:`gram_explicit` first calls a *dataset map* once on that union,
 which returns the dataset's sparse graphs-by-features matrix as a
-:class:`FeatureMatrix` (the shortest-path and subgraph-class maps count
-their keys in one pass over the union, and :func:`per_graph` interns the
-keys of a per-graph dict map), then computes the whole Gram as one
-product X·Xᵀ, in dense column blocks; the timing breakdown keeps the two
-phases separate because their balance is exactly what distinguishes the
-schemes.
+:class:`FeatureMatrix` (the walk, shortest-path and subgraph-class maps
+count their keys in one pass over the union, and :func:`per_graph`
+interns the keys of a per-graph dict map), then computes the whole Gram
+as one product X·Xᵀ, in dense column blocks; the timing breakdown keeps
+the two phases separate because their balance is exactly what
+distinguishes the schemes.
 
 Values are deterministic functions of the inputs — evaluation order never
 changes a result, only the wall-clock numbers in ``timings``.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -172,6 +172,15 @@ class FeatureMatrix:
     integral: np.ndarray
     keys: Sequence[tuple]
 
+    def __len__(self) -> int:
+        """The stored entries: read as one vector of the whole dataset,
+        the matrix has as many as its graphs' dicts hold together."""
+        return len(self.column)
+
+    def __iter__(self) -> Iterator[tuple]:
+        """The column keys, as a dict iterates its keys."""
+        return iter(self.keys)
+
     def vector(self, i: int) -> Dict[tuple, Union[int, float]]:
         """Graph ``i``'s features as a dict of key -> weight, the weights
         Python ints when ``integral[i]``."""
@@ -181,15 +190,11 @@ class FeatureMatrix:
         return {self.keys[c]: w for c, w in zip(self.column[at].tolist(), weights)}
 
 
-def row_order(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """An order (not a stable one) that sorts the rows of equal-length
-    int64 ``columns`` ascending, compared column by column.
-
-    Consecutive columns are packed into one int64 word while their value
-    spans multiply to below 2**63, so words compare as their columns do;
-    one word (the usual case for a few small labels) sorts with one
-    ``argsort``, several with one ``lexsort``.
-    """
+def _words(columns: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Equal-length int64 ``columns`` packed into as few int64 words as
+    keep their order: consecutive columns share a word while their value
+    spans multiply to below 2**63, so rows compare, word by word, as
+    their columns do."""
     words, word, room = [], np.zeros(len(columns[0]), np.int64), 1
     for column in columns:
         low = int(column.min(initial=0))
@@ -201,17 +206,39 @@ def row_order(columns: Sequence[np.ndarray]) -> np.ndarray:
             # a column too wide to shift compares as it is
             word, room = (column - low, span) if span < 2**63 else (column, 2**63)
     words.append(word)
-    return np.argsort(word) if len(words) == 1 else np.lexsort(words[::-1])
+    return words
 
 
-def tally_rows(rows: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(first, sums)``: for each distinct row of the 2-D int array
-    ``rows``, in ascending order, the index of one of its repeats and the
-    sum of ``counts`` over them, found with one sort (:func:`row_order`)."""
-    order = row_order(rows.T)
-    ranked = rows[order]
-    fresh = np.ones(len(ranked), dtype=bool)
-    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+def _sort(words: List[np.ndarray]) -> np.ndarray:
+    # one word (the usual case for a few small labels) sorts with one
+    # argsort, several with one lexsort
+    return np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
+
+
+def row_order(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """An order (not a stable one) that sorts the rows of equal-length
+    int64 ``columns`` ascending, compared column by column (see
+    :func:`_words`)."""
+    return _sort(_words(columns))
+
+
+def tally_rows(
+    columns: Sequence[np.ndarray], counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first, sums)``: for each distinct row of the equal-length int64
+    ``columns``, in ascending order, the index of one of its repeats and
+    the sum of ``counts`` over them.
+
+    One sort of the packed words (:func:`_words`) finds them; only the
+    words and ``counts`` are gathered in that order, never the rows.
+    """
+    words = _words(columns)
+    order = _sort(words)
+    fresh = np.zeros(len(order), dtype=bool)
+    fresh[:1] = True
+    for word in words:
+        ranked = word[order]
+        fresh[1:] |= ranked[1:] != ranked[:-1]
     first = np.flatnonzero(fresh)
     return order[first], np.add.reduceat(counts[order], first)
 
@@ -232,8 +259,7 @@ def count_rows(
     blocks: List[np.ndarray] = []
     for graph, keys, counts in parts:
         ones = np.ones(len(keys), dtype=np.int64)
-        rows = np.column_stack((keys, graph))
-        first, weight = tally_rows(rows, ones if counts is None else counts)
+        first, weight = tally_rows([*keys.T, graph], ones if counts is None else counts)
         keys, graph = keys[first], graph[first]
         fresh = np.ones(len(keys), dtype=bool)
         fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
@@ -248,7 +274,8 @@ def per_graph(
     feature_fn: Callable[[Graph], Dict[tuple, float]]
 ) -> Callable[[DisjointUnion], FeatureMatrix]:
     """The dataset map of a per-graph map ``feature_fn``, which gives each
-    graph's vector as a dict of key -> weight.
+    graph's vector as a dict of key -> weight (the weighted-vertex maps,
+    whose weights may be floats, and hand-built vectors).
 
     Its keys are interned into one numbering for the dataset, then
     renumbered in ascending key order, so the columns (and any float sums
@@ -294,7 +321,8 @@ def gram_explicit(
 
     ``feature_map`` is called once with the :class:`~gkern.graphs.DisjointUnion`
     of ``ds`` and returns its :class:`FeatureMatrix`
-    (:func:`gkern.shortest_paths.sp_features_explicit`,
+    (:func:`gkern.walks.walk_features_explicit`,
+    :func:`gkern.shortest_paths.sp_features_explicit`,
     :func:`gkern.subgraphs.graphlet_features` and
     :func:`gkern.subgraphs.matching_features` build theirs in one pass
     over the union; :func:`per_graph` turns a per-graph dict map into

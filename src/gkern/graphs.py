@@ -314,7 +314,7 @@ def all_pairs_shortest_paths(g: Graph, with_counts: bool = False) -> DistanceMat
     :class:`MultiplicityOverflowError` rather than wrapping around.
     """
     n = g.n
-    dist = np.full((n, n), INF_DISTANCE, dtype=np.int64)
+    dist = np.empty((n, n), dtype=np.int64)
     counts = np.zeros((n, n), dtype=np.int64) if with_counts else None
     adj = g.neighbor_lists()
     for s in range(n):
@@ -334,10 +334,7 @@ def all_pairs_shortest_paths(g: Graph, with_counts: bool = False) -> DistanceMat
                     queue.append(v)
                 elif d[v] == du1:
                     c[v] += cu
-        row = dist[s]
-        for v in range(n):
-            if d[v] >= 0:
-                row[v] = d[v]
+        dist[s] = d
         if with_counts:
             if max(c) > _INT64_MAX:
                 raise MultiplicityOverflowError(
@@ -345,6 +342,8 @@ def all_pairs_shortest_paths(g: Graph, with_counts: bool = False) -> DistanceMat
                     f"64-bit range"
                 )
             counts[s] = c
+    # the BFS marks unreached vertices -1
+    dist[dist < 0] = INF_DISTANCE
     return DistanceMatrix(dist, counts)
 
 

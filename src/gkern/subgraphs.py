@@ -225,7 +225,7 @@ def _tally(
     """The distinct rows of ``encodings`` in ascending order, the sum of
     ``counts`` over each one's repeats, and the ``automorphisms`` of one
     of them."""
-    first, counts = tally_rows(encodings, counts)
+    first, counts = tally_rows(encodings.T, counts)
     return encodings[first], counts, automorphisms[first]
 
 

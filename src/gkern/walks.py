@@ -48,13 +48,22 @@ matches (many labels) let a whole row share a few builds.
 *Explicit scheme* — :func:`walk_features_explicit`: for Dirac base kernels
 on discrete annotations, a walk contributes through its label sequence
 (vertex and edge labels, alternating) only, so each graph maps to a sparse
-count vector over sequences, built by a backward dynamic program that
-keeps one map per vertex and extends walks one step per round.  Kernel
-values are then plain sparse dot products.
+count vector over sequences, and kernel values are plain sparse dot
+products.  The map is a dataset map (see :mod:`gkern.gram`): a backward
+dynamic program over the dataset's union whose states are (vertex,
+sequence, count) arrays.  Each round joins every arc ``u -> v`` with the
+states at ``v`` and merges the candidates with one sort; sequences are
+interned per round over the whole dataset as words packing (first vertex
+label, first edge label, previous round's sequence), the way WL numbers
+its colours, and the keys are rebuilt from those tables at the end.  With
+``all_rounds`` one pass gives every length, the max-walk kernel's map.
 
 Both schemes stay in exact integer arithmetic for Dirac kernels (the
-recursion sums float64 integers, exact below 2**53; the feature counts are
-Python ints), which is what makes their equality testable bit for bit.
+recursion and the walk map's counts are float64 integers, exact below
+2**53), which is what makes their equality testable bit for bit.  The walk
+map's counts only add, so one that passes 2**53 stays past it where an
+int64 would wrap; a graph's weight saturates at 2**53, and its pairs fail
+the explicit Gram's guard.
 With weight-1 kernels ``r_a(x)`` and ``f_a(x)`` count the length-``a``
 walks ending at ``x``, and ``r_a(x) * f_b(x)`` the length-``(a + b)`` walks
 through ``x`` at step ``a``.  Walks counted at a vertex with an edge extend
@@ -67,17 +76,18 @@ total at the longest length it feeds: checking each final total against
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
     ContractError,
+    GramError,
     MultiplicityOverflowError,
     ParameterError,
     ResourceBudgetError,
 )
-from .gram import EXACT_LIMIT
+from .gram import EXACT_LIMIT, FeatureMatrix, KeyRows, row_order, tally_rows
 from .graphs import DisjointUnion, Graph, partner_runs
 from .kernels import EdgeKernelSpec, VertexKernelSpec
 
@@ -384,52 +394,250 @@ def walk_kernel_implicit(
     return out if all_rounds else out[:, 0]
 
 
-#: Most (vertex, label sequence) entries one round of
-#: :func:`walk_features_explicit` may store across a graph's vertices.  The
-#: per-vertex maps grow with the number of distinct labelled walks, which
-#: on dense edge-labelled graphs is exponential in the length.
+#: Most (vertex, label sequence) states one round of
+#: :func:`walk_features_explicit` may store for one graph.  They grow with
+#: the number of distinct labelled walks, which on dense edge-labelled
+#: graphs is exponential in the length.
 WALK_MAP_ENTRIES = 2**20
 
+#: Budget on the (vertex, sequence) states that a run of consecutive
+#: graphs holds in one round of :func:`walk_features_explicit`, the joined
+#: candidates before they merge included.  Graphs share a run while an
+#: upper bound on their states stays within it (a graph past it alone
+#: forms a run of its own), and a round joins a run's arcs a vertex range
+#: at a time within it, so memory stays flat however many graphs there are.
+WALK_RUN_STATES = 2**17
 
-def walk_features_explicit(g: Graph, length: int) -> Dict[tuple, int]:
-    """Count vector over walk label sequences of one fixed length.
+
+class _Exceeded(Exception):
+    """Graph ``graph`` of a dataset failed the walk map with ``cause``."""
+
+    def __init__(self, graph: int, cause: ResourceBudgetError):
+        super().__init__(graph, cause)
+        self.graph, self.cause = graph, cause
+
+
+class _Sequences:
+    """One round's label sequences over a dataset, numbered as runs first
+    hold them.  Sequence ``s`` is a word, the previous round's sequence
+    times the number of first steps plus its first step (first vertex
+    label, first edge label); ``words`` holds them in number order."""
+
+    def __init__(self) -> None:
+        self.sorted = np.zeros(0, np.int64)  # the words, ascending
+        self.ids = np.zeros(0, np.int64)  # their sequence numbers
+        self.words: List[np.ndarray] = []
+
+    def intern(self, words: np.ndarray) -> np.ndarray:
+        """The sequence number of each word, numbering those not yet held."""
+        distinct, inverse = np.unique(words, return_inverse=True)
+        ids = _rank(self.sorted, distinct)
+        new = ids < 0
+        ids[~new] = self.ids[ids[~new]]
+        ids[new] = np.arange(int(new.sum())) + self.ids.size
+        place = np.searchsorted(self.sorted, distinct[new])
+        self.sorted = np.insert(self.sorted, place, distinct[new])
+        self.ids = np.insert(self.ids, place, ids[new])
+        self.words.append(distinct[new])
+        return ids[inverse]
+
+
+class _WalkMap:
+    """The dataset-wide side of :func:`walk_features_explicit`: the union's
+    arcs with their first steps, and one :class:`_Sequences` per round."""
+
+    def __init__(self, union: DisjointUnion, length: int):
+        self.union, self.length = union, length
+        self.vocab, self.ranks = np.unique(union.vertex_label_array(), return_inverse=True)
+        self.edge_vocab, edge_ranks = np.unique(union.edge_label_array(), return_inverse=True)
+        self.labels = max(self.edge_vocab.size, 1)
+        self.steps = self.vocab.size * self.labels
+        # arc a runs from source[a] to neighbors[a], its first step step[a]
+        self.source = np.repeat(np.arange(union.n), np.diff(union.arc_starts))
+        self.step = self.ranks[self.source] * self.labels + edge_ranks[union.arc_edges]
+        self.tables = [_Sequences() for _ in range(length + 1)]
+        self.cells = self._cells()
+
+    def _cells(self) -> np.ndarray:
+        """Per graph, an upper bound on its states and joined candidates in
+        any round.
+
+        A vertex starts at most as many length-``r`` sequences as its
+        neighbours start of length ``r - 1`` together, which is also its
+        count of candidates, and at most ``steps ** r``, one per choice of
+        (vertex label, edge label) at each step.  Uniform labels keep
+        that at 1, so such a dataset forms one run.
+        """
+        union, count = self.union, len(self.union)
+        bound = np.ones(union.n)
+        cells = np.bincount(union.owner, minlength=count).astype(np.float64)
+        for r in range(1, self.length + 1):
+            joined = np.bincount(self.source, bound[union.neighbors], union.n)
+            np.maximum(cells, np.bincount(union.owner, joined, count), out=cells)
+            bound = np.minimum(joined, float(self.steps) ** r)
+        return cells
+
+    def run(self, start: int, stop: int, kept: Sequence[int]) -> List[tuple]:
+        """``(graph, round, sequence, count)`` tallies of graphs
+        ``start..stop-1``, one per kept round, ascending by graph and
+        sequence."""
+        union = self.union
+        v0, v1 = union.vertex_offsets[[start, stop]].tolist()
+        a0, a1 = union.arc_starts[[v0, v1]].tolist()
+        arcs = (
+            union.arc_starts[v0 : v1 + 1] - a0,
+            self.source[a0:a1] - v0,
+            union.neighbors[a0:a1] - v0,
+            self.step[a0:a1],
+        )
+        graph = union.owner[v0:v1]
+        states = np.arange(v1 - v0), self.ranks[v0:v1], np.ones(v1 - v0)
+        tallies = []
+        for r in range(self.length + 1):
+            if r:
+                states = self._round(r, states, arcs, graph - start, start)
+            if r in kept:
+                vertex, sequence, count = states
+                first, sums = tally_rows((graph[vertex], sequence), count)
+                np.minimum(sums, EXACT_LIMIT, out=sums)
+                owners = graph[vertex[first]].astype(np.int32)
+                tallies.append((owners, r, sequence[first].astype(np.int32), sums))
+        return tallies
+
+    def _round(
+        self, r: int, states: tuple, arcs: tuple, graph: np.ndarray, start: int
+    ) -> tuple:
+        """Round ``r``'s states of a run from round ``r - 1``'s: each arc
+        ``u -> v`` joined with the states at ``v``, merged by ``u`` and
+        word, a vertex range of at most :data:`WALK_RUN_STATES` candidates
+        at a time.  ``graph`` holds each vertex's graph within the run,
+        whose first graph is the dataset's ``start``."""
+        vertex, sequence, count = states
+        starts, near, far, step = arcs
+        previous = self.tables[r - 1].ids.size if r > 1 else self.vocab.size
+        if previous * self.steps >= 2**63:
+            raise ContractError(f"walk sequences of length {r} overflow an int64 word")
+        held = np.bincount(vertex, minlength=starts.size - 1)
+        first_state = np.cumsum(held) - held
+        take = held[far]
+        # candidates before each vertex's arcs
+        before = np.concatenate(([0], np.cumsum(take)))[starts]
+        stored = np.zeros(int(graph[-1]) + 1 if graph.size else 0, dtype=np.int64)
+        parts = [(vertex[:0], sequence[:0], count[:0])]
+        lo = 0
+        while lo < starts.size - 1:
+            hi = int(np.searchsorted(before, before[lo] + WALK_RUN_STATES, "right")) - 1
+            hi = max(lo + 1, hi)
+            a, b = starts[lo], starts[hi]
+            joined = take[a:b]
+            arc = np.repeat(np.arange(a, b), joined)
+            # candidate j of arc k reads state first_state[far[k]] + j
+            at = np.arange(arc.size) + np.repeat(
+                first_state[far[a:b]] - np.cumsum(joined) + joined, joined
+            )
+            tails, words = near[arc], sequence[at] * self.steps + step[arc]
+            first, sums = tally_rows((tails, words), count[at])
+            tails = tails[first]
+            stored += np.bincount(graph[tails], minlength=stored.size)
+            over = np.flatnonzero(stored > WALK_MAP_ENTRIES)
+            if over.size:
+                raise _Exceeded(start + int(over[0]), ResourceBudgetError(
+                    f"walk feature map of length {r} exceeded "
+                    f"{WALK_MAP_ENTRIES} stored (vertex, sequence) entries"
+                ))
+            parts.append((tails, self.tables[r].intern(words[first]), sums))
+            lo = hi
+        return tuple(map(np.concatenate, zip(*parts)))
+
+    def keys(self, kept: Sequence[int]) -> List[np.ndarray]:
+        """Each kept round's label sequences as rows ``(*labels)`` in
+        sequence-number order, rebuilt from the words of every round."""
+        rows = [self.vocab[:, None]]
+        for r in range(1, max(kept) + 1):
+            words = np.concatenate([np.zeros(0, np.int64), *self.tables[r].words])
+            previous, step = np.divmod(words, self.steps)
+            label, edge_label = np.divmod(step, self.labels)
+            rows.append(np.column_stack(
+                (self.vocab[label], self.edge_vocab[edge_label], rows[-1][previous])
+            ))
+        return [rows[r] for r in kept]
+
+
+def walk_features_explicit(
+    graphs: Sequence[Graph], length: int, all_rounds: bool = False
+) -> FeatureMatrix:
+    """Count vectors over walk label sequences, the dataset map of the
+    walk kernel with Dirac vertex and edge kernels.
 
     A walk (v_0, e_1, v_1, ..., v_len) is keyed by its alternating label
-    sequence prefixed with the length, so different lengths never collide.
-    Unlabeled edges contribute a shared pseudo-label 0.  The dot product
-    of two such vectors equals the implicit walk kernel with Dirac vertex
-    and edge kernels.  A round whose maps grow past
-    :data:`WALK_MAP_ENTRIES` entries raises :class:`ResourceBudgetError`.
+    sequence prefixed with the length, ``(length, l(v_0), l(e_1), ...)``,
+    so different lengths never collide; unlabeled edges read as label 0.
+    The dot product of two graphs' vectors equals their walk kernel.
+    With ``all_rounds`` the map holds every length ``0..length``: the
+    max-walk kernel's map, which concatenates its terms' maps.  One
+    graph's vector is ``walk_features_explicit([g], length).vector(0)``.
+
+    Round ``r``'s states are (vertex, sequence, count) arrays: how many
+    length-``r`` walks from the vertex carry the sequence.  A round joins
+    every arc ``(u -> v, edge label)`` with the states at ``v`` and merges
+    the candidates by (u, first step, sequence at v) with one sort.
+    Sequences are numbered per round across the dataset, and the kept
+    rounds' tables give the keys at the end; columns ascend by key.
+    Graphs go through the rounds in runs of consecutive graphs within
+    :data:`WALK_RUN_STATES`.
+
+    Counts are float64 sums of integers, exact below 2**53 and never
+    below it once past it; a graph's weight saturates at 2**53, which
+    keeps its pairs failing :func:`~gkern.gram.gram_explicit`'s
+    exactness guard.  A graph whose
+    states in one round exceed :data:`WALK_MAP_ENTRIES` fails with a
+    :class:`GramError` whose cause, a :class:`ResourceBudgetError`, names
+    the length; the first such graph is named, whatever the runs.
     """
     if length < 0:
         raise ParameterError(f"walk length must be >= 0, got {length}")
-    labels = g.vertex_label_array().tolist()
-    per_vertex: List[dict] = [{(labels[v],): 1} for v in range(g.n)]
-    if length and g.n:
-        # (neighbour, edge label) per arc of the CSR, one list per vertex
-        arcs = list(zip(g.neighbors.tolist(), g.edge_label_array()[g.arc_edges].tolist()))
-        ends = g.arc_starts.tolist()
-        ladj = [arcs[a:b] for a, b in zip(ends, ends[1:])]
-        for step in range(1, length + 1):
-            nxt: List[dict] = [{} for _ in range(g.n)]
-            stored = 0
-            for u in range(g.n):
-                lu = labels[u]
-                bucket = nxt[u]
-                for v, edge_label in ladj[u]:
-                    prefix = (lu, edge_label)
-                    for seq, count in per_vertex[v].items():
-                        key = prefix + seq
-                        bucket[key] = bucket.get(key, 0) + count
-                stored += len(bucket)
-                if stored > WALK_MAP_ENTRIES:
-                    raise ResourceBudgetError(
-                        f"walk feature map of length {step} exceeded "
-                        f"{WALK_MAP_ENTRIES} stored (vertex, sequence) entries"
-                    )
-            per_vertex = nxt  # previous round's maps are released here
-    total: dict = {}
-    for bucket in per_vertex:
-        for seq, count in bucket.items():
-            total[seq] = total.get(seq, 0) + count
-    return {(length, *seq): c for seq, c in total.items()}
+    union = DisjointUnion.of(graphs)
+    kept = range(length + 1) if all_rounds else (length,)
+    walks = _WalkMap(union, length)
+    prefix = np.concatenate(([0.0], np.cumsum(walks.cells))).tolist()
+    tallies: List[tuple] = []
+    for start, stop in partner_runs(
+        len(union), lambda a, b: prefix[b] - prefix[a], WALK_RUN_STATES
+    ):
+        try:
+            tallies += walks.run(start, stop, kept)
+        except _Exceeded as failed:
+            # a graph before it may fail at a later round; as when graphs
+            # are mapped one by one, the first failing graph is named
+            while failed.graph > start:
+                try:
+                    walks.run(start, failed.graph, kept)
+                    break
+                except _Exceeded as earlier:
+                    failed = earlier
+            raise GramError(f"graph {failed.graph} failed: {failed.cause}") from failed.cause
+    # column of each kept round's sequence: its key's rank among all keys
+    blocks, columns = [], {}
+    for r, rows in zip(kept, walks.keys(kept)):
+        order = row_order(rows.T)
+        columns[r] = np.empty(len(rows), np.int32)
+        columns[r][order] = np.arange(len(rows)) + sum(map(len, blocks))
+        blocks.append(np.column_stack((np.full(len(rows), r), rows[order])))
+    # a counting sort by column: runs come in graph order and tally by
+    # graph, so each run's entries go after those already in their columns
+    for k, (graph, r, sequence, weight) in enumerate(tallies):
+        tallies[k] = (graph, columns[r][sequence], weight)
+    held = np.bincount(
+        np.concatenate([np.zeros(0, np.int32), *(column for _, column, _ in tallies)]),
+        minlength=sum(map(len, blocks)),
+    )
+    free = np.cumsum(held) - held  # each column's next free entry
+    size = int(held.sum())
+    graph, column, weight = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
+    for part_graph, part_column, part_weight in tallies:
+        order = np.argsort(part_column, kind="stable")
+        into = part_column[order]
+        at = free[into] + np.arange(into.size) - np.searchsorted(into, into)
+        graph[at], column[at], weight[at] = part_graph[order], into, part_weight[order]
+        np.add.at(free, into, 1)
+    return FeatureMatrix(graph, column, weight, np.ones(len(union), dtype=bool), KeyRows(blocks))

@@ -242,6 +242,33 @@ def oracle_total_walks(g, length: int) -> int:
     return sum(vec)
 
 
+def oracle_walk_features(g, length: int) -> Dict[Tuple[int, ...], int]:
+    """One graph's walk vector ``{(length, *labels): count}`` by a backward
+    dynamic program over per-vertex dicts of Python ints: a vertex's
+    length-``r`` sequences are its label and each edge's label put before
+    its neighbour's length-``r - 1`` sequences.  Polynomial, unlike
+    :func:`oracle_walk_label_counts`, so it reaches lengths and counts
+    that enumerating walks cannot."""
+    labels = vertex_label_list(g)
+    elabels = edge_label_dict(g)
+    adj = adjacency_lists(g)
+    per_vertex: List[Dict[tuple, int]] = [{(labels[v],): 1} for v in range(g.n)]
+    for _ in range(length):
+        extended: List[Dict[tuple, int]] = [{} for _ in range(g.n)]
+        for u in range(g.n):
+            for v in adj[u]:
+                prefix = (labels[u], elabels[(u, v)])
+                for seq, count in per_vertex[v].items():
+                    key = prefix + seq
+                    extended[u][key] = extended[u].get(key, 0) + count
+        per_vertex = extended
+    total: Dict[tuple, int] = {}
+    for bucket in per_vertex:
+        for seq, count in bucket.items():
+            total[(length, *seq)] = total.get((length, *seq), 0) + count
+    return total
+
+
 # ---------------------------------------------------------------------------
 # shortest paths
 

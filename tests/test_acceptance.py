@@ -101,7 +101,7 @@ def _walk_equivalence_grams():
         )
         explicit = gram_explicit(
             ds,
-            per_graph(lambda g, l=length: walk_features_explicit(g, l)),
+            lambda union, l=length: walk_features_explicit(union, l),
             f"walk(l={length})/explicit",
         )
         per_length.append((length, implicit, explicit))

@@ -210,6 +210,14 @@ PINNED = {
                      {"mean_vertices": 60.0, "edge_prob": 0.5}),
         },
     ),
+    "walk-alphabet": (
+        "alphabet", True, "alphabet_size", "walk", {"length": 4},
+        {
+            "desk": ((20, 40), (1, 2, 4, 8, 16), {"mean_vertices": 15.0, "edge_prob": 0.3}),
+            "full": ((100, 200, 300), (1, 2, 3, 4, 5, 10, 15, 20, 30, 45, 65),
+                     {"mean_vertices": 15.0, "edge_prob": 0.3}),
+        },
+    ),
     "size": (
         "alphabet", False, "max_size", "subgraph-matching", {"connected_only": True},
         {

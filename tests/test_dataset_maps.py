@@ -14,11 +14,17 @@ from gkern import (
     matching_features,
     per_graph,
     sp_features_explicit,
+    walk_features_explicit,
 )
 from gkern.gram import row_order
 from gkern.graphs import DisjointUnion
 from conftest import graphs
-from oracles import oracle_graphlet_features, oracle_matching_features, oracle_sp_features
+from oracles import (
+    oracle_graphlet_features,
+    oracle_matching_features,
+    oracle_sp_features,
+    oracle_walk_features,
+)
 
 # (name, dataset map, per-graph oracle)
 MAPS = [
@@ -32,6 +38,13 @@ MAPS = [
     )
     for size in (3, 5)
     for connected in (False, True)
+] + [
+    ("walk(3)", lambda u: walk_features_explicit(u, 3), lambda g: oracle_walk_features(g, 3)),
+    (
+        "maxwalk(3)",
+        lambda u: walk_features_explicit(u, 3, all_rounds=True),
+        lambda g: {k: c for l in range(4) for k, c in oracle_walk_features(g, l).items()},
+    ),
 ]
 
 DEGENERATE = [Graph(0), Graph(1, vertex_labels=[2]), Graph(4), Graph(5, [(0, 1), (2, 3)])]

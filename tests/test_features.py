@@ -46,8 +46,10 @@ class TestKeys:
         # the walk maps of different lengths, the parts of maxwalk's sum,
         # share no key
         g = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 0])
-        parts = [set(walk_features_explicit(g, l)) for l in range(4)]
+        parts = [set(walk_features_explicit([g], l).keys) for l in range(4)]
         assert sum(len(p) for p in parts) == len(set().union(*parts))
+        # the one-pass max-walk map holds exactly their keys
+        assert set(walk_features_explicit([g], 3, all_rounds=True).keys) == set().union(*parts)
         # wv_features_explicit keys a vertex by its weight column, then its
         # label: on a path, column 0 is stratum 0 (every vertex), columns 1
         # and 2 the ends and the middle of stratum 1

@@ -33,7 +33,7 @@ from gkern import (
 from gkern import bench, gram as gram_module, subgraphs, walks
 from gkern.graphs import DisjointUnion
 from conftest import graphs, make_random_graph
-from oracles import dot
+from oracles import dot, oracle_walk_features
 
 DIRAC = VertexKernelSpec("dirac")
 DIRAC_EDGE = EdgeKernelSpec("dirac")
@@ -54,7 +54,7 @@ class TestAssembly:
         implicit = gram_implicit(
             ds, lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 3)
         )
-        explicit = gram_explicit(ds, per_graph(lambda g: walk_features_explicit(g, 3)))
+        explicit = gram_explicit(ds, lambda u: walk_features_explicit(u, 3))
         assert (implicit.values == explicit.values).all()  # integer-exact
         assert implicit.values.shape == (6, 6)
         assert (implicit.values == implicit.values.T).all()
@@ -69,7 +69,7 @@ class TestAssembly:
         assert implicit.timings["seconds_total"] >= 0
         assert implicit.graph_ids == ["t[0]", "t[1]", "t[2]"]
         assert implicit.class_labels.tolist() == [0, 1, 0]
-        explicit = gram_explicit(ds, per_graph(lambda g: walk_features_explicit(g, 2)))
+        explicit = gram_explicit(ds, lambda u: walk_features_explicit(u, 2))
         assert explicit.timings["scheme"] == "explicit"
         assert explicit.timings["stored_features"] > 0
         assert explicit.timings["seconds_total"] == pytest.approx(
@@ -116,7 +116,7 @@ class TestAssembly:
             ],
         )
         assert np.array_equal(rows.values, pairs.values)
-        explicit = gram_explicit(ds, per_graph(lambda g: walk_features_explicit(g, 3)))
+        explicit = gram_explicit(ds, lambda u: walk_features_explicit(u, 3))
         assert np.array_equal(rows.values, explicit.values)
 
     @pytest.mark.parametrize("kernel", ["walk", "sp", "graph-invariant", "subgraph-matching"])
@@ -174,10 +174,10 @@ class TestAssembly:
         k20 = Graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20)])
         ds = Dataset("t", [Graph(1), k20, Graph(1)])
         with pytest.raises(GramError, match=r"pair \(1, 1\)") as caught:
-            gram_explicit(ds, per_graph(lambda g: walk_features_explicit(g, 6)))
+            gram_explicit(ds, lambda u: walk_features_explicit(u, 6))
         assert isinstance(caught.value.__cause__, MultiplicityOverflowError)
         # one step shorter the dot (~2.5e15) is still exact
-        gram = gram_explicit(ds, per_graph(lambda g: walk_features_explicit(g, 5)))
+        gram = gram_explicit(ds, lambda u: walk_features_explicit(u, 5))
         assert gram.values[1, 1] == (20 * 19**5) ** 2
         # float dots make no exactness claim
         big = gram_explicit(ds, per_graph(lambda g: {(0,): 1e10}))
@@ -186,8 +186,8 @@ class TestAssembly:
     def test_explicit_dot_agrees_with_feature_dot(self):
         rng = random.Random(191)
         ds = _walk_dataset(rng, count=5)
-        vectors = [walk_features_explicit(g, 2) for g in ds.graphs]
-        gram = gram_explicit(ds, per_graph(lambda g: walk_features_explicit(g, 2)))
+        vectors = [oracle_walk_features(g, 2) for g in ds.graphs]
+        gram = gram_explicit(ds, lambda u: walk_features_explicit(u, 2))
         for i in range(5):
             for j in range(5):
                 assert gram.values[i, j] == dot(vectors[i], vectors[j])
@@ -419,17 +419,18 @@ class TestExplicitProduct:
             assert backward.tobytes() == forward[::-1, ::-1].tobytes(), kernel
 
     def test_degenerate_datasets(self):
-        walks3 = lambda g: walk_features_explicit(g, 3)
-        empty = gram_explicit(Dataset("e", []), per_graph(walks3))
+        walks3 = lambda u: walk_features_explicit(u, 3)
+        empty = gram_explicit(Dataset("e", []), walks3)
         assert empty.values.shape == (0, 0)
         assert empty.timings["stored_features"] == empty.timings["distinct_features"] == 0
         edge = Graph(2, [(0, 1)], vertex_labels=[0, 1])
-        one = gram_explicit(Dataset("o", [edge]), per_graph(walks3))
-        assert one.values.tolist() == [[dot(walks3(edge), walks3(edge))]]
+        one = gram_explicit(Dataset("o", [edge]), walks3)
+        vector = oracle_walk_features(edge, 3)
+        assert one.values.tolist() == [[dot(vector, vector)]]
         # graphs without vertices map to empty vectors: zero rows and columns
         ds = Dataset("z", [Graph(0), edge, Graph(0)])
-        mixed = gram_explicit(ds, per_graph(walks3))
-        assert mixed.values.tobytes() == _pairwise_dots(ds, per_graph(walks3)).tobytes()
+        mixed = gram_explicit(ds, walks3)
+        assert mixed.values.tobytes() == _pairwise_dots(ds, walks3).tobytes()
         assert mixed.values[[0, 2]].sum() == 0 and mixed.values[:, [0, 2]].sum() == 0
         nothing = gram_explicit(ds, per_graph(lambda g: {}))
         assert (nothing.values == 0).all() and nothing.values.shape == (3, 3)

@@ -32,6 +32,7 @@ from oracles import (
     edge_kernel_fn,
     oracle_product_graph,
     oracle_total_walks,
+    oracle_walk_features,
     oracle_walk_kernel,
     oracle_walk_label_counts,
     uniform_fn,
@@ -350,10 +351,19 @@ class TestWalkKernelImplicit:
             walk_kernel_implicit(g, [g], DIRAC, UNIFORM_EDGE, -1)
 
 
+def _vector(g, length):
+    """One graph's walk vector, read off the dataset map."""
+    return walk_features_explicit([g], length).vector(0)
+
+
+def _walk_map(length, all_rounds=False):
+    return lambda union: walk_features_explicit(union, length, all_rounds)
+
+
 class TestWalkFeaturesExplicit:
     def test_single_edge_counts(self):
         g = Graph(2, [(0, 1)], vertex_labels=[1, 2], edge_labels=[7])
-        vec = walk_features_explicit(g, 1)
+        vec = _vector(g, 1)
         assert vec == {(1, 1, 7, 2): 1, (1, 2, 7, 1): 1}
         assert dot(vec, vec) == 2
 
@@ -362,7 +372,7 @@ class TestWalkFeaturesExplicit:
         for trial in range(12):
             g = make_random_graph(rng, max_n=6, labels=2, edge_label_count=2)
             for length in (0, 1, 2, 3):
-                vec = walk_features_explicit(g, length)
+                vec = _vector(g, length)
                 decoded = {}
                 for (walk_length, *labels), count in vec.items():
                     assert walk_length == length
@@ -371,8 +381,8 @@ class TestWalkFeaturesExplicit:
 
     def test_lengths_never_collide(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        v1 = walk_features_explicit(g, 1)
-        v2 = walk_features_explicit(g, 2)
+        v1 = _vector(g, 1)
+        v2 = _vector(g, 2)
         assert dot(v1, v2) == 0
 
     def test_dot_equals_implicit_kernel_exactly(self):
@@ -382,42 +392,113 @@ class TestWalkFeaturesExplicit:
             h = make_random_graph(rng, max_n=7, labels=3, edge_label_count=2)
             for length in (0, 1, 2, 4):
                 implicit = walk_kernel_implicit(g, [h], DIRAC, DIRAC_EDGE, length)[0]
-                explicit = dot(
-                    walk_features_explicit(g, length),
-                    walk_features_explicit(h, length),
-                )
+                features = walk_features_explicit([g, h], length)
+                explicit = dot(features.vector(0), features.vector(1))
                 assert implicit == explicit  # integer-exact
 
     def test_unlabeled_edges_share_pseudo_label(self):
         bare = Graph(2, [(0, 1)], vertex_labels=[1, 2])
         tagged = Graph(2, [(0, 1)], vertex_labels=[1, 2], edge_labels=[0])
-        assert walk_features_explicit(bare, 2) == walk_features_explicit(tagged, 2)
+        assert _vector(bare, 2) == _vector(tagged, 2)
 
     def test_attributes_only_graph_reads_as_label_zero(self):
         # continuous attributes carry no Dirac label: the map counts the
         # walks of the bare graph, as the implicit scheme does
         g = Graph(3, [(0, 1), (1, 2)], vertex_attributes=[[0.5], [1.0], [0.2]])
         bare = Graph(3, [(0, 1), (1, 2)])
-        vec = walk_features_explicit(g, 2)
-        assert vec == walk_features_explicit(bare, 2)
+        vec = _vector(g, 2)
+        assert vec == _vector(bare, 2)
         assert dot(vec, vec) == walk_kernel_implicit(g, [g], DIRAC, DIRAC_EDGE, 2)[0]
 
     def test_rejects_negative_length(self):
         with pytest.raises(ParameterError):
-            walk_features_explicit(Graph(1, []), -2)
+            walk_features_explicit([Graph(1, [])], -2)
 
     def test_a_round_past_the_entry_budget_fails_its_graph(self, monkeypatch):
         # the labelled path 0-1-2 stores 4 (vertex, sequence) entries in
         # round 1 and 6 in round 2
         g = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 2])
         monkeypatch.setattr(walks, "WALK_MAP_ENTRIES", 4)
-        assert len(walk_features_explicit(g, 1)) == 4
-        with pytest.raises(ResourceBudgetError, match="length 2 exceeded 4 stored"):
-            walk_features_explicit(g, 2)
+        assert len(_vector(g, 1)) == 4
+        with pytest.raises(GramError, match="graph 0 failed: .* length 2 exceeded 4 stored"):
+            walk_features_explicit([g], 2)
         ds = Dataset("d", [Graph(1), g])
         with pytest.raises(GramError, match="walk: graph 1 failed") as failed:
-            gram_explicit(ds, per_graph(lambda h: walk_features_explicit(h, 2)), "walk")
+            gram_explicit(ds, _walk_map(2), "walk")
         assert isinstance(failed.value.__cause__, ResourceBudgetError)
+
+    @pytest.mark.parametrize("budget", (1, 2**20))
+    def test_the_first_failing_graph_is_named_whatever_the_runs(self, monkeypatch, budget):
+        # the path stores 3, 4, 6 and 8 entries in rounds 0-3, the star 5
+        # and 8 in rounds 0-1: mapped one by one, the path (graph 1) fails
+        # first, so it is named, at its own length, though the star fails
+        # in an earlier round
+        path = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 0], edge_labels=[5, 6])
+        star = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)], vertex_labels=[0, 1, 2, 3, 4])
+        monkeypatch.setattr(walks, "WALK_MAP_ENTRIES", 6)
+        monkeypatch.setattr(walks, "WALK_RUN_STATES", budget)
+        for all_rounds in (False, True):
+            with pytest.raises(GramError, match="graph 1 failed: .* length 3 exceeded") as failed:
+                walk_features_explicit([Graph(1), path, star], 3, all_rounds)
+            assert isinstance(failed.value.__cause__, ResourceBudgetError)
+
+    def test_counts_saturate_instead_of_wrapping(self):
+        # K20 has 20 * 19**16 ~ 5.8e21 walks of length 16, past int64: the
+        # count stops at 2**53, so the Gram fails on its exactness guard
+        k20 = Graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20)])
+        features = walk_features_explicit([k20], 16)
+        assert features.weight.tolist() == [2.0**53]
+        with pytest.raises(GramError, match=r"pair \(0, 0\) failed: .*2\*\*53") as failed:
+            gram_explicit(Dataset("k", [k20]), _walk_map(16), "walk")
+        assert isinstance(failed.value.__cause__, MultiplicityOverflowError)
+
+
+@st.composite
+def walk_datasets(draw):
+    """Datasets of small graphs, each kept as drawn (empty and edgeless ones
+    included), unlabelled, attribute-only, or with its vertex and edge
+    labels moved to near 10**12."""
+    members = []
+    for g in draw(st.lists(graphs(), max_size=5)):
+        kind = draw(st.sampled_from(("labels", "unlabelled", "attributes", "large")))
+        labels, edge_labels, attributes = g.vertex_labels, g.edge_labels, None
+        if kind != "labels":
+            labels = None
+        if kind == "attributes":
+            attributes = np.full((g.n, 1), 0.5)
+        if kind == "large":
+            labels = g.vertex_label_array() + 10**12 - 2
+            edge_labels = g.edge_label_array() + 10**12
+        members.append(Graph(g.n, g.edges, labels, edge_labels, attributes))
+    return members
+
+
+class TestWalkMapAgainstOracle:
+    @pytest.mark.parametrize("budget", (1, 2**20))
+    @settings(max_examples=40, deadline=None)
+    @given(members=walk_datasets(), length=st.integers(0, 5))
+    def test_grams_and_vectors_equal_the_oracle(self, budget, members, length):
+        # runs of one graph (every vertex range alone) and of the whole
+        # dataset give the oracle's walk and max-walk Grams byte for byte
+        ds = Dataset("w", members)
+        oracle = {
+            False: lambda g: oracle_walk_features(g, length),
+            True: lambda g: {
+                key: count
+                for l in range(length + 1)
+                for key, count in oracle_walk_features(g, l).items()
+            },
+        }
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(walks, "WALK_RUN_STATES", budget)
+            for all_rounds, vector in oracle.items():
+                gram = gram_explicit(ds, _walk_map(length, all_rounds)).values
+                expected = gram_explicit(ds, per_graph(vector)).values
+                assert gram.tobytes() == expected.tobytes()
+                features = walk_features_explicit(members, length, all_rounds)
+                assert [features.vector(i) for i in range(len(members))] == [
+                    vector(g) for g in members
+                ]
 
 
 class TestMaxWalkKernel:
@@ -439,14 +520,11 @@ class TestMaxWalkKernel:
             g = make_random_graph(rng, max_n=6, labels=2, edge_label_count=2)
             h = make_random_graph(rng, max_n=6, labels=2, edge_label_count=2)
             implicit = walk_kernel_implicit(g, [h], DIRAC, DIRAC_EDGE, 3, all_rounds=True)[0].sum()
-            explicit = sum(
-                dot(
-                    walk_features_explicit(g, i),
-                    walk_features_explicit(h, i),
-                )
-                for i in range(4)
-            )
+            explicit = sum(dot(_vector(g, i), _vector(h, i)) for i in range(4))
             assert implicit == explicit
+            # the one-pass map holds every length's vector
+            rounds = walk_features_explicit([g, h], 3, all_rounds=True)
+            assert dot(rounds.vector(0), rounds.vector(1)) == implicit
 
     def test_validates_arguments(self):
         g = Graph(2, [(0, 1)])
@@ -459,15 +537,13 @@ class TestDisconnectedAndEmpty:
         g = Graph(0, [])
         h = Graph(3, [(0, 1), (1, 2)])
         assert walk_kernel_implicit(g, [h], DIRAC, UNIFORM_EDGE, 3)[0] == 0.0
-        assert walk_features_explicit(g, 3) == {}
+        assert _vector(g, 3) == {}
 
     def test_no_shared_labels(self):
         g = Graph(2, [(0, 1)], vertex_labels=[0, 0])
         h = Graph(2, [(0, 1)], vertex_labels=[1, 1])
         assert walk_kernel_implicit(g, [h], DIRAC, DIRAC_EDGE, 1)[0] == 0.0
-        assert dot(
-            walk_features_explicit(g, 1), walk_features_explicit(h, 1)
-        ) == 0.0
+        assert dot(_vector(g, 1), _vector(h, 1)) == 0.0
 
     def test_walks_die_out_in_edgeless_graph(self):
         g = Graph(3, [])
@@ -511,8 +587,9 @@ class TestWalkKernelRow:
             edge_fn = uniform_fn if uniform_edges else dirac_fn
             assert pairs == [oracle_walk_kernel(g, h, length, edge_kernel=edge_fn) for h in hs]
         if not uniform_edges:
-            features = walk_features_explicit(g, length)
-            assert pairs == [dot(features, walk_features_explicit(h, length)) for h in hs]
+            features = walk_features_explicit([g, *hs], length)
+            vectors = [features.vector(i) for i in range(len(hs) + 1)]
+            assert pairs == [dot(vectors[0], vector) for vector in vectors[1:]]
 
     @settings(max_examples=30, deadline=None)
     @given(g=graphs(), hs=st.lists(graphs(), max_size=4), length=st.integers(0, 5))
