@@ -6,7 +6,10 @@ Two assembly routes mirror the two computation schemes.
 :func:`gkern.weighted.wv_kernel_implicit` or
 :func:`gkern.subgraphs.subgraph_matching_kernel`, each taking one graph
 and a sequence of partners) on slices of one union of the graphs, a row
-of the upper triangle per call; its cost is all in those calls.
+of the upper triangle per call; its cost is all in those calls.  It may
+also be given a whole-Gram evaluation equal to the rows
+(:func:`gkern.walks.walk_gram_implicit` for unit walk kernels), and then
+calls the rows only if that raises.
 :func:`gram_explicit` first calls a *dataset map* once on that union,
 which returns the dataset's sparse graphs-by-features matrix as a
 :class:`FeatureMatrix` (the walk, shortest-path and subgraph-class maps
@@ -85,6 +88,7 @@ def gram_implicit(
     ds: Dataset,
     kernel: Callable[[Graph, Sequence[Graph]], Sequence[float]],
     kernel_name: str = "implicit",
+    whole: Optional[Callable[[DisjointUnion], np.ndarray]] = None,
 ) -> GramMatrix:
     """Fill the Gram matrix row by row of its upper triangle.
 
@@ -96,24 +100,40 @@ def gram_implicit(
     :func:`gkern.weighted.wv_kernel_implicit` do); a row of any other shape
     fails with :class:`ContractError`.  A row whose evaluation raises is
     re-evaluated pair by pair, and the error names its failing pair.
+
+    ``whole(union)``, when given, returns the whole ``(n, n)`` matrix at
+    once, equal bit for bit to the rows (as
+    :func:`gkern.walks.walk_gram_implicit` is for unit walk kernels), and
+    the rows are only evaluated if it raises, so that the error names its
+    pair.
     """
     n = len(ds)
-    values = np.zeros((n, n), dtype=np.float64)
     start = time.perf_counter()
     union = DisjointUnion(ds.graphs)
-    for i in range(n):
+    values = None
+    if whole is not None:
         try:
-            row = np.asarray(kernel(union[i], union[i:]), dtype=np.float64)
-        except GKError as exc:
-            j, cause = _failing_pair(kernel, union, i, exc)
-            raise GramError(
-                f"{kernel_name}: pair ({i}, {j}) failed: {cause}"
-            ) from cause
-        if row.shape != (n - i,):
-            cause = ContractError(f"row shape {row.shape} for {n - i} partners")
-            raise GramError(f"{kernel_name}: row {i} failed: {cause}") from cause
-        values[i, i:] = row
-        values[i:, i] = row
+            values = np.asarray(whole(union), dtype=np.float64)
+        except GKError:
+            pass
+        if values is not None and values.shape != (n, n):
+            cause = ContractError(f"Gram shape {values.shape} for {n} graphs")
+            raise GramError(f"{kernel_name}: failed: {cause}") from cause
+    if values is None:
+        values = np.zeros((n, n), dtype=np.float64)
+        for i in range(n):
+            try:
+                row = np.asarray(kernel(union[i], union[i:]), dtype=np.float64)
+            except GKError as exc:
+                j, cause = _failing_pair(kernel, union, i, exc)
+                raise GramError(
+                    f"{kernel_name}: pair ({i}, {j}) failed: {cause}"
+                ) from cause
+            if row.shape != (n - i,):
+                cause = ContractError(f"row shape {row.shape} for {n - i} partners")
+                raise GramError(f"{kernel_name}: row {i} failed: {cause}") from cause
+            values[i, i:] = row
+            values[i:, i] = row
     elapsed = time.perf_counter() - start
     return GramMatrix(
         values,

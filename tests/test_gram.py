@@ -28,6 +28,7 @@ from gkern import (
     normalize,
     per_graph,
     walk_features_explicit,
+    walk_gram_implicit,
     walk_kernel_implicit,
 )
 from gkern import bench, gram as gram_module, subgraphs, walks
@@ -93,6 +94,26 @@ class TestAssembly:
 
         with pytest.raises(GramError, match="graph 0"):
             gram_explicit(ds, per_graph(broken_features))
+
+    def test_a_whole_gram_replaces_the_rows_unless_it_raises(self):
+        ds = Dataset("t", [Graph(2, [(0, 1)]), Graph(3, [(0, 1), (1, 2)])])
+        rows = []
+        row = lambda g, hs: rows.append(len(hs)) or walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 2)
+        expected = gram_implicit(ds, row).values
+        assert rows == [2, 1]
+        rows.clear()
+        whole = lambda union: walk_gram_implicit(union, DIRAC, DIRAC_EDGE, 2)
+        assert gram_implicit(ds, row, whole=whole).values.tobytes() == expected.tobytes()
+        assert rows == []
+
+        def broken(union):
+            raise ParameterError("boom")
+
+        assert gram_implicit(ds, row, whole=broken).values.tobytes() == expected.tobytes()
+        assert rows == [2, 1]
+        with pytest.raises(GramError, match=r"shape \(2,\) for 2 graphs") as failed:
+            gram_implicit(ds, row, whole=lambda union: np.zeros(2))
+        assert isinstance(failed.value.__cause__, ContractError)
 
     def test_batched_rows_split_mid_row(self):
         # graphs large enough that one row of partners spans several
