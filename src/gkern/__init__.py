@@ -79,7 +79,6 @@ from .walks import (
     WeightedProductGraph,
     build_wdpg,
     walk_features_explicit,
-    walk_gram_implicit,
     walk_kernel_implicit,
 )
 from .weighted import (
@@ -137,7 +136,6 @@ __all__ = [
     "sp_transform",
     "subgraph_matching_kernel",
     "walk_features_explicit",
-    "walk_gram_implicit",
     "walk_kernel_implicit",
     "wl_refine_dataset",
     "write_tu_dataset",

@@ -45,7 +45,7 @@ from .graphs import (
 from .kernels import EdgeKernelSpec, VertexKernelSpec, sample_binning_grid
 from .shortest_paths import sp_features_explicit, sp_transform
 from .subgraphs import graphlet_features, matching_features, subgraph_matching_kernel
-from .walks import walk_features_explicit, walk_gram_implicit, walk_kernel_implicit
+from .walks import GRAM_ROWS, walk_features_explicit, walk_kernel_implicit
 from .weighted import (
     graph_invariant_weight_maps,
     graphhopper_weight_maps,
@@ -148,19 +148,14 @@ def kernel_plan(
         name = f"{kernel}(l={length}){tag}"
         if kernel == "walk":
             row = lambda g, hs: walk_kernel_implicit(g, hs, vk, edges, length)
-            whole = lambda union: walk_gram_implicit(union, vk, edges, length)
         else:
             row = lambda g, hs: walk_kernel_implicit(
                 g, hs, vk, edges, length, all_rounds=True
-            ).sum(axis=1)
-            whole = lambda union: walk_gram_implicit(
-                union, vk, edges, length, all_rounds=True
-            ).sum(axis=2)
+            ).sum(axis=-1)
         # the max-walk map holds every length's map: walk keys (l, *labels)
         # lead with the length, so the lengths share no key
         features = lambda union: walk_features_explicit(union, length, kernel == "maxwalk")
-        # unit kernels count walk pairs, so the whole Gram equals the rows
-        implicit = lambda: gram_implicit(ds, row, f"{name}/implicit", whole if vk.unit else None)
+        implicit = lambda: gram_implicit(ds, row, f"{name}/implicit", GRAM_ROWS)
         explicit = lambda: gram_explicit(ds, features, f"{name}/explicit")
     elif kernel == "sp":
         lk = EdgeKernelSpec(length_kernel, c=bridge_c)
@@ -172,7 +167,9 @@ def kernel_plan(
             # the shortest-path kernel is the length-1 walk kernel on the
             # transforms (see gkern.shortest_paths)
             row = lambda g, hs: walk_kernel_implicit(g, hs, vk, lk, 1)
-            return gram_implicit(transformed, row, f"sp({lk.describe()}){tag}/implicit")
+            return gram_implicit(
+                transformed, row, f"sp({lk.describe()}){tag}/implicit", GRAM_ROWS
+            )
 
         explicit = lambda: gram_explicit(ds, sp_features_explicit, "sp/explicit")
         if length_kernel != "dirac":

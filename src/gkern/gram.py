@@ -6,10 +6,8 @@ Two assembly routes mirror the two computation schemes.
 :func:`gkern.weighted.wv_kernel_implicit` or
 :func:`gkern.subgraphs.subgraph_matching_kernel`, each taking one graph
 and a sequence of partners) on slices of one union of the graphs, a row
-of the upper triangle per call; its cost is all in those calls.  It may
-also be given a whole-Gram evaluation equal to the rows
-(:func:`gkern.walks.walk_gram_implicit` for unit walk kernels), and then
-calls the rows only if that raises.
+of the upper triangle per call (or a run of rows, for a kernel that takes
+one); its cost is all in those calls.
 :func:`gram_explicit` first calls a *dataset map* once on that union,
 which returns the dataset's sparse graphs-by-features matrix as a
 :class:`FeatureMatrix` (the walk, shortest-path and subgraph-class maps
@@ -88,7 +86,7 @@ def gram_implicit(
     ds: Dataset,
     kernel: Callable[[Graph, Sequence[Graph]], Sequence[float]],
     kernel_name: str = "implicit",
-    whole: Optional[Callable[[DisjointUnion], np.ndarray]] = None,
+    rows: int = 1,
 ) -> GramMatrix:
     """Fill the Gram matrix row by row of its upper triangle.
 
@@ -101,39 +99,35 @@ def gram_implicit(
     fails with :class:`ContractError`.  A row whose evaluation raises is
     re-evaluated pair by pair, and the error names its failing pair.
 
-    ``whole(union)``, when given, returns the whole ``(n, n)`` matrix at
-    once, equal bit for bit to the rows (as
-    :func:`gkern.walks.walk_gram_implicit` is for unit walk kernels), and
-    the rows are only evaluated if it raises, so that the error names its
-    pair.
+    With ``rows`` above 1 the kernel takes runs of up to ``rows`` rows,
+    ``kernel(union[i:i + rows], union[i:])``, and returns one row of
+    values per graph of the run, each against all of ``union[i:]`` (as
+    :func:`gkern.walks.walk_kernel_implicit` does for a union of rows);
+    row ``i + x`` keeps the values from its own graph on.
     """
+    if rows < 1:
+        raise ParameterError(f"rows must be >= 1, got {rows}")
     n = len(ds)
+    values = np.zeros((n, n), dtype=np.float64)
     start = time.perf_counter()
     union = DisjointUnion(ds.graphs)
-    values = None
-    if whole is not None:
+    for i in range(0, n, rows):
+        run = union[i] if rows == 1 else union[i : i + rows]
+        count = 1 if rows == 1 else len(run)
         try:
-            values = np.asarray(whole(union), dtype=np.float64)
-        except GKError:
-            pass
-        if values is not None and values.shape != (n, n):
-            cause = ContractError(f"Gram shape {values.shape} for {n} graphs")
-            raise GramError(f"{kernel_name}: failed: {cause}") from cause
-    if values is None:
-        values = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            try:
-                row = np.asarray(kernel(union[i], union[i:]), dtype=np.float64)
-            except GKError as exc:
-                j, cause = _failing_pair(kernel, union, i, exc)
-                raise GramError(
-                    f"{kernel_name}: pair ({i}, {j}) failed: {cause}"
-                ) from cause
-            if row.shape != (n - i,):
-                cause = ContractError(f"row shape {row.shape} for {n - i} partners")
-                raise GramError(f"{kernel_name}: row {i} failed: {cause}") from cause
-            values[i, i:] = row
-            values[i:, i] = row
+            block = np.asarray(kernel(run, union[i:]), dtype=np.float64)
+        except GKError as exc:
+            i, j, cause = _failing_pair(kernel, union, range(i, i + count), exc)
+            raise GramError(
+                f"{kernel_name}: pair ({i}, {j}) failed: {cause}"
+            ) from cause
+        if block.shape != ((n - i,) if rows == 1 else (count, n - i)):
+            what = f"row {i}" if rows == 1 else f"rows {i}..{i + count - 1}"
+            cause = ContractError(f"row shape {block.shape} for {n - i} partners")
+            raise GramError(f"{kernel_name}: {what} failed: {cause}") from cause
+        for x, row in enumerate(block.reshape(count, n - i)):
+            values[i + x, i + x :] = row[x:]
+            values[i + x :, i + x] = row[x:]
     elapsed = time.perf_counter() - start
     return GramMatrix(
         values,
@@ -144,14 +138,16 @@ def gram_implicit(
     )
 
 
-def _failing_pair(kernel, union, i, exc):
-    """The first partner ``j >= i`` whose pair with ``i`` fails alone."""
-    for j in range(i, len(union)):
-        try:
-            kernel(union[i], union[j : j + 1])
-        except GKError as single:
-            return j, single
-    return i, exc
+def _failing_pair(kernel, union, rows, exc):
+    """The first pair ``(i, j)``, ``i`` in ``rows`` and ``j >= i``, that
+    fails alone."""
+    for i in rows:
+        for j in range(i, len(union)):
+            try:
+                kernel(union[i], union[j : j + 1])
+            except GKError as single:
+                return i, j, single
+    return rows[0], rows[0], exc
 
 
 class KeyRows(Sequence[tuple]):

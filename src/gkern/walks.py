@@ -23,9 +23,10 @@ different keys compare as 0), and the build joins the two graphs' edges
 on (vertex key, edge key, vertex key): a sort and ``searchsorted``, so it
 touches only the matching edge pairs, and the vertex keep-mask and edge
 values are applied to those alone.  With Dirac kernels a key match is
-already a product edge of weight 1, so nothing else is read.  Constant
-keys match everything, so the non-Dirac kinds fall back to the dense
-enumeration through the same code.
+already a product edge of weight 1, so nothing else is read, and the
+product vertices are numbered from the keys as well, without a dense
+index over all vertex pairs.  Constant keys match everything, so the
+non-Dirac kinds fall back to the dense enumeration through the same code.
 
 *A Gram row per call*: the product of ``g`` with a disjoint union
 ``h_1 + ... + h_k`` is the disjoint union of the products ``g x h_j``,
@@ -40,21 +41,14 @@ call, and each partner's total sums the same vertices in the same order.
 This removes the fixed per-pair cost (a build and a recursion setup per
 pair), which dominates on small product graphs.  A row's partners form a
 :class:`~gkern.graphs.DisjointUnion`, keyed once; a block is a slice with
-its share of the keys, and :data:`BLOCK_CELLS` bounds its vertex index
+its share of the keys, and :data:`BLOCK_CELLS` bounds its vertex pairs
 and matched edge pairs (counted from the keys before anything is
 gathered), so memory stays flat however long the row is, and sparse
-matches (many labels) let a whole row share a few builds.
-
-*A whole Gram per call* — :func:`walk_gram_implicit`, for unit kernels
-(the Dirac kinds), whose values count walk pairs: the same products,
-built a run of rows at a time, row ``i`` against graphs ``j >= i``.
-With the dataset's vertices sorted by key, the partners of a vertex in
-a range of graphs are one range of that order, so a product vertex is
-numbered without the ``(g.n, H.n)`` index a row build fills, which on
-diverse labels is mostly empty; the edge pairs come from one range of
-the edges sorted by key per edge and direction, and the recursion runs
-over both directions of each product edge at once (:func:`_count_walks`,
-exact in any order since every sum is an integer below 2**53).
+matches (many labels) let a whole row share a few builds.  The same
+holds with ``g`` itself a union of several graphs, a run of Gram rows:
+the product of a run with a block is the union of its rows' products,
+so a Gram takes :data:`GRAM_ROWS` rows per call and shares the join and
+the builds among them.
 
 *Explicit scheme* — :func:`walk_features_explicit`: for Dirac base kernels
 on discrete annotations, a walk contributes through its label sequence
@@ -87,7 +81,7 @@ total at the longest length it feeds: checking each final total against
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -140,7 +134,11 @@ def build_wdpg(
     """Construct the weighted direct product of ``g`` and ``h``.
 
     Product vertices are the pairs the vertex kernel keeps (positive
-    value), in lexicographic order, numbered through one (u, v) index.
+    value), in lexicographic order.  A unit (Dirac) kernel keeps the
+    pairs with equal keys, numbered from ``h``'s vertices sorted by key
+    (see :func:`_key_pairs`), so no ``(g.n, h.n)`` array is filled where
+    few pairs match; any other kernel's keep-mask is numbered through one
+    (u, v) index.
     Every unordered product edge arises from exactly one (g-edge, h-edge,
     orientation) combination, found by a join on the kernels' equality
     keys (see :func:`_join`): ``h``'s edges are sorted by key, and
@@ -152,19 +150,24 @@ def build_wdpg(
     kernel) the candidates form one dense block, read off like the full
     cross product.
     """
-    keep, values = vertex_kernel.support(g, h)
-    flat = np.flatnonzero(keep)
-    count = flat.size
-    pairs = np.empty((count, 2), dtype=np.int64)
-    np.divmod(flat, h.n, out=(pairs[:, 0], pairs[:, 1]))
-    vertex_weights = None if values is None else _unless_unit(values.ravel()[flat])
+    if vertex_kernel.unit:
+        pairs, offset, within = _key_pairs(g, h, vertex_kernel)
+        vertex_weights = None
+        index = lambda us, vs: offset[us] + within[vs]
+    else:
+        keep, values = vertex_kernel.support(g, h)
+        flat = np.flatnonzero(keep)
+        pairs = np.empty((flat.size, 2), dtype=np.int64)
+        np.divmod(flat, h.n, out=(pairs[:, 0], pairs[:, 1]))
+        vertex_weights = _unless_unit(values.ravel()[flat])
+        numbers = np.full((g.n, h.n), -1, dtype=np.int64)
+        numbers[keep] = np.arange(flat.size, dtype=np.int64)
+        index = lambda us, vs: numbers[us, vs]
 
     empty = np.zeros(0, dtype=np.int64)
-    if count == 0 or g.m == 0 or h.m == 0:
+    if len(pairs) == 0 or g.m == 0 or h.m == 0:
         return WeightedProductGraph(pairs, vertex_weights, empty, empty, None)
 
-    index = np.full((g.n, h.n), -1, dtype=np.int64)
-    index[keep] = np.arange(count, dtype=np.int64)
     queries, keys, order = getattr(h, "join", None) or _join(
         g, h, vertex_kernel, edge_kernel
     )
@@ -187,16 +190,16 @@ def build_wdpg(
             lo = np.searchsorted(keys, query[0], "left")
             hi = np.searchsorted(keys, query[0], "right")
             rows, cols = np.arange(g.m)[:, None], np.arange(lo, hi)
-            side_a = index[l0].take(l1[cols], axis=1)
-            side_b = index[r0].take(r1[cols], axis=1)
+            side_a = index(l0[:, None], l1[cols])
+            side_b = index(r0[:, None], r1[cols])
         else:
             # each g-edge's range of sorted h-edges, the ranges end to end
             lo = np.searchsorted(keys, query, "left")
             counts = np.searchsorted(keys, query, "right") - lo
             rows = np.repeat(np.arange(g.m), counts)
-            cols = np.arange(rows.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-            side_a = index[l0[rows], l1[cols]]
-            side_b = index[r0[rows], r1[cols]]
+            cols = _ranges(lo, counts)
+            side_a = index(l0[rows], l1[cols])
+            side_b = index(r0[rows], r1[cols])
         if unit:
             chunks_u.append(side_a.ravel())
             chunks_v.append(side_b.ravel())
@@ -220,6 +223,39 @@ def build_wdpg(
 def _unless_unit(weights: np.ndarray) -> Optional[np.ndarray]:
     """``weights``, or ``None`` when every one is 1."""
     return None if bool((weights == 1.0).all()) else weights
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[k] .. starts[k] + counts[k] - 1``, end to end."""
+    out = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    out += np.arange(out.size)
+    return out
+
+
+def _key_pairs(
+    g: Graph, h: Graph, vertex_kernel: VertexKernelSpec
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(pairs, offset, within)``: the vertex pairs of ``g`` and ``h``
+    with equal keys, in lexicographic order, and their numbering.
+
+    With ``h``'s vertices sorted stably by key, a ``g`` vertex's partners
+    are one range of that order, ``v`` ascending; the pair ``(u, v)`` is
+    number ``offset[u] + within[v]``, ``within[v]`` being ``v``'s place
+    among the ``h`` vertices sharing its key.  The numbers hold for equal
+    keys only, which is all a unit kernel's product edges join.
+    """
+    keys_h = vertex_kernel.keys(h)
+    order = np.argsort(keys_h, kind="stable")
+    ranked = keys_h[order]
+    keys_g = vertex_kernel.keys(g)
+    lo = np.searchsorted(ranked, keys_g, "left")
+    width = np.searchsorted(ranked, keys_g, "right") - lo
+    within = np.empty(h.n, dtype=np.int64)
+    within[order] = np.arange(h.n) - np.searchsorted(ranked, ranked, "left")
+    pairs = np.empty((int(width.sum()), 2), dtype=np.int64)
+    pairs[:, 0] = np.repeat(np.arange(g.n), width)
+    pairs[:, 1] = order[_ranges(lo, width)]
+    return pairs, np.cumsum(width) - width, within
 
 
 def _codes(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -276,10 +312,11 @@ def _join(
 
 
 #: Budget on the cells one batched product build allocates for ``g``
-#: against the union ``H`` of a block of partners: the ``g.n * H.n``
-#: vertex index, and per orientation the (g-edge, H-edge) pairs whose
-#: join keys match, which is ``g.m * H.m`` when every key agrees.  It
-#: keeps a row's peak memory flat however long the row is; a partner
+#: against the union ``H`` of a block of partners: its vertex pairs (those
+#: with equal keys for a unit kernel, all ``g.n * H.n`` for any other)
+#: and ``H``'s vertices, and per orientation the (g-edge, H-edge) pairs
+#: whose join keys match, which is ``g.m * H.m`` when every key agrees.
+#: It keeps a row's peak memory flat however long the row is; a partner
 #: that alone exceeds it forms a block of its own.
 BLOCK_CELLS = 8192
 
@@ -303,16 +340,29 @@ def _matched_pairs(union: DisjointUnion, join: tuple) -> np.ndarray:
     return matched[:, union.edge_offsets]
 
 
+def _vertex_cells(g: Graph, union: DisjointUnion, vertex_kernel: VertexKernelSpec) -> np.ndarray:
+    """Vertex cells :func:`build_wdpg` fills for ``g`` against each of the
+    union's ``k`` partners, as ``k + 1`` prefix sums: each union vertex
+    counts itself and its pairs, with the ``g`` vertices sharing its key
+    for a unit kernel, with all of them for any other."""
+    if vertex_kernel.unit:
+        ranked, keys = np.sort(vertex_kernel.keys(g)), vertex_kernel.keys(union)
+        per_vertex = np.searchsorted(ranked, keys, "right") - np.searchsorted(ranked, keys, "left")
+    else:
+        per_vertex = np.full(union.n, g.n, dtype=np.int64)
+    return np.concatenate(([0], np.cumsum(per_vertex + 1)))[union.vertex_offsets]
+
+
 def _blocks(
-    g: Graph, union: DisjointUnion, join: tuple
+    g: Graph, union: DisjointUnion, vertex_kernel: VertexKernelSpec, join: tuple
 ) -> Iterator[Tuple[int, int, DisjointUnion]]:
     """Consecutive partner ranges ``(start, stop)`` within :data:`BLOCK_CELLS`,
     each with its slice of ``union`` keyed by its share of ``join``, which
     :func:`build_wdpg` reads instead of joining anew."""
     queries, keys, order = join
-    vertices = union.vertex_offsets.tolist()
+    vertices = _vertex_cells(g, union, vertex_kernel).tolist()
     forwards, backwards = _matched_pairs(union, join).tolist()
-    cells = lambda a, b: max(g.n * (vertices[b] - vertices[a]), forwards[b] - forwards[a],
+    cells = lambda a, b: max(vertices[b] - vertices[a], forwards[b] - forwards[a],
                              backwards[b] - backwards[a])
     for start, stop in partner_runs(len(union), cells, BLOCK_CELLS):
         e0, e1 = union.edge_offsets[start], union.edge_offsets[stop]
@@ -338,14 +388,11 @@ def _walk_totals(
     whether every weight was 1 (the product stores none), i.e. whether
     the totals count walks; then no factor, product or partial sum exceeds
     the last total, so the caller's 2**53 check on the totals guards every
-    float64 sum, and :func:`_count_walks` does the counting.
+    float64 sum.
     """
     ew, u, v, n = pg.edge_weights, pg.edge_u, pg.edge_v, pg.num_vertices
-    if pg.vertex_weights is None and ew is None:
-        # the arcs' tails are read from the second spread on
-        heads, tails = np.concatenate((u, v)), np.concatenate((v, u)) if length > 2 else None
-        return _count_walks(n, heads, tails, partner, count, length, all_rounds), True
-    w = np.ones(n) if pg.vertex_weights is None else pg.vertex_weights
+    unit_vertices = pg.vertex_weights is None
+    w = np.ones(n) if unit_vertices else pg.vertex_weights
 
     def spread(r: np.ndarray) -> np.ndarray:
         at_u, at_v = (r.take(v), r.take(u)) if ew is None else (ew * r.take(v), ew * r.take(u))
@@ -354,49 +401,14 @@ def _walk_totals(
     r, f = [w], [None]
     for _ in range((length + 1) // 2):
         f.append(spread(r[-1]))
-        r.append(w * f[-1])
+        r.append(f[-1] if unit_vertices else w * f[-1])
     kept = range(length + 1) if all_rounds else (length,)
     totals = [np.bincount(partner, r[i // 2] * f[(i + 1) // 2] if i else w, count) for i in kept]
-    return np.stack(totals, axis=1), False
-
-
-def _count_walks(
-    n: int,
-    heads: np.ndarray,
-    tails: Optional[np.ndarray],
-    partner: np.ndarray,
-    count: int,
-    length: int,
-    all_rounds: bool,
-) -> np.ndarray:
-    """:func:`_walk_totals` with every weight 1, over the ``n`` vertices
-    and the arcs ``tails[k] -> heads[k]`` (each edge once each way;
-    ``tails`` may be ``None`` for ``length`` 2 or less).
-
-    Then ``r_a = f_a`` counts the length-``a`` walks ending at a vertex,
-    ``r_1`` is its number of arcs, and each further spread is one bincount
-    over the arcs: integer sums, exact in any order below 2**53.
-    """
-    r = [np.ones(n)]
-    if length:
-        r.append(np.bincount(heads, None, n).astype(np.float64))
-    for _ in range(1, (length + 1) // 2):
-        r.append(np.bincount(heads, r[-1].take(tails), n))
-    kept = range(length + 1) if all_rounds else (length,)
-    totals = [np.bincount(partner, r[i // 2] * r[(i + 1) // 2] if i else r[0], count) for i in kept]
-    return np.stack(totals, axis=1)
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges ``starts[k] .. starts[k] + counts[k] - 1``, end to end."""
-    ends = np.cumsum(counts)
-    out = np.repeat(starts - ends + counts, counts)
-    out += np.arange(out.size)
-    return out
+    return np.stack(totals, axis=1), unit_vertices and ew is None
 
 
 def walk_kernel_implicit(
-    g: Graph,
+    g: Union[Graph, DisjointUnion],
     hs: Sequence[Graph],
     vertex_kernel: VertexKernelSpec,
     edge_kernel: EdgeKernelSpec,
@@ -414,7 +426,13 @@ def walk_kernel_implicit(
     :data:`BLOCK_CELLS`; each block costs one product build and one
     recursion.
 
-    With weight-1 kernels the values are walk counts.  Should a partner's
+    ``g`` may also be a :class:`~gkern.graphs.DisjointUnion` of several
+    graphs, a run of Gram rows: a block's product is then that of the
+    run with the partners, and the values come one row per graph of the
+    run (``out[x]`` is ``walk_kernel_implicit(g[x], hs, ...)``), so a
+    run shares one join and one build per block.
+
+    With weight-1 kernels the values are walk counts.  Should a pair's
     total (summed over the returned lengths) reach 2**53, float64 would no
     longer have counted it exactly, and :class:`MultiplicityOverflowError`
     names that partner.
@@ -422,177 +440,40 @@ def walk_kernel_implicit(
     if length < 0:
         raise ParameterError(f"walk length must be >= 0, got {length}")
     hs = DisjointUnion.of(hs)
-    out = np.empty((len(hs), length + 1 if all_rounds else 1), dtype=np.float64)
-    if not len(hs):
-        return out if all_rounds else out[:, 0]
-    for start, stop, block in _blocks(g, hs, _join(g, hs, vertex_kernel, edge_kernel)):
-        pg = build_wdpg(g, block, vertex_kernel, edge_kernel)
-        totals, counting = _walk_totals(
-            pg, block.owner[pg.pairs[:, 1]], stop - start, length, all_rounds
-        )
-        if counting:
-            mass = totals.sum(axis=1)
-            worst = int(np.argmax(mass))
-            if mass[worst] >= EXACT_LIMIT:
-                raise MultiplicityOverflowError(
-                    f"walk kernel against partner {start + worst} counts "
-                    f"{mass[worst]:.4g} walks, past 2**53, where float64 "
-                    f"stops being exact"
-                )
-        out[start:stop] = totals
-    return out if all_rounds else out[:, 0]
+    run = isinstance(g, DisjointUnion)
+    rows, row_of = (len(g), g.owner) if run else (1, np.zeros(g.n, dtype=np.int64))
+    out = np.empty((rows, len(hs), length + 1 if all_rounds else 1), dtype=np.float64)
+    if rows and len(hs):
+        join = _join(g, hs, vertex_kernel, edge_kernel)
+        for start, stop, block in _blocks(g, hs, vertex_kernel, join):
+            pg = build_wdpg(g, block, vertex_kernel, edge_kernel)
+            width = stop - start
+            pair = row_of[pg.pairs[:, 0]] * width + block.owner[pg.pairs[:, 1]]
+            totals, counting = _walk_totals(pg, pair, rows * width, length, all_rounds)
+            if counting:
+                mass = totals.sum(axis=1)
+                worst = int(np.argmax(mass))
+                if mass[worst] >= EXACT_LIMIT:
+                    row, partner = divmod(worst, width)
+                    raise MultiplicityOverflowError(
+                        f"walk kernel {f'of row {row} ' if run else ''}against "
+                        f"partner {start + partner} counts {mass[worst]:.4g} "
+                        f"walks, past 2**53, where float64 stops being exact"
+                    )
+            out[:, start:stop] = totals.reshape(rows, width, -1)
+    out = out if all_rounds else out[..., 0]
+    return out if run else out[0]
 
 
-#: Budgets on one block of :func:`walk_gram_implicit`: its product
-#: vertices, and its matched edge pairs per orientation.  They keep a
-#: block's arrays near 1 MB, so memory stays flat however large the
-#: dataset is: on 150 graphs of 20 vertices at pv 0.0 (l 7) the Gram peaks
-#: where the row builds do, and larger blocks ran no faster there (2-vCPU
+#: Gram rows one :func:`walk_kernel_implicit` call evaluates in a Gram
+#: (the ``rows`` of :func:`gkern.gram.gram_implicit`), as the walk,
+#: max-walk and shortest-path plans build theirs.  A run shares its join
+#: and its product builds, which on small products are mostly fixed cost;
+#: it also evaluates the pairs below the diagonal within the run, a share
+#: of about ``rows / n`` more of the work.  On 150 graphs of 20 vertices
+#: (l 7, one label and three) 8 rows ran faster than 1, 16 or 32 (2-vCPU
 #: Xeon, numpy 2.4).
-GRAM_BLOCK_VERTICES = 2**13
-GRAM_BLOCK_PAIRS = 2**12
-
-
-def walk_gram_implicit(
-    graphs: Sequence[Graph],
-    vertex_kernel: VertexKernelSpec,
-    edge_kernel: EdgeKernelSpec,
-    length: int,
-    all_rounds: bool = False,
-) -> np.ndarray:
-    """Every pair's walk kernel over a dataset, for unit kernels.
-
-    Returns the symmetric ``(n, n)`` matrix of values, or with
-    ``all_rounds`` the ``(n, n, length + 1)`` per-length values; entry
-    ``(i, j)`` equals ``walk_kernel_implicit(graphs[i], [graphs[j]], ...)``.
-    Where :func:`walk_kernel_implicit` builds one product per row (a
-    block of partners at a time), this builds the products of a run of
-    rows at once, each row ``i`` against its partners ``j >= i``.  With
-    the union's vertices sorted by (key, vertex), the partners of vertex
-    ``u`` in a range of graphs are one range of that order, so a product
-    vertex is numbered by ``u``'s offset plus its partner's place in the
-    order, with no ``(g.n, H.n)`` index; likewise an edge, read both ways,
-    meets one range of the union's edges sorted by (key, edge).  Runs of
-    rows are cut within :data:`GRAM_BLOCK_VERTICES` and
-    :data:`GRAM_BLOCK_PAIRS` (a row past them alone is cut into ranges of
-    partners within them), and each block costs one recursion.
-
-    Only unit kernels (``vertex_kernel.unit`` and ``edge_kernel.unit``)
-    are taken: their values count walk pairs, exact integers below 2**53,
-    so summing a pair's terms in another order than a row call changes no
-    bit.  A pair whose total (over the returned lengths) reaches 2**53
-    raises :class:`MultiplicityOverflowError`, and keys too many to pack
-    into an int64 raise :class:`ContractError`; a Gram then falls back to
-    its rows (see :func:`gkern.gram.gram_implicit`), which name the pair.
-    """
-    if length < 0:
-        raise ParameterError(f"walk length must be >= 0, got {length}")
-    if not (vertex_kernel.unit and edge_kernel.unit):
-        raise ContractError(
-            f"walk_gram_implicit takes unit kernels, got {vertex_kernel.describe()} "
-            f"and {edge_kernel.describe()}"
-        )
-    union = DisjointUnion.of(graphs)
-    count, n, m = len(union), max(union.n, 1), max(union.m, 1)
-    vertex_code = _codes(vertex_kernel.keys(union))[1]
-    edge_vocab, edge_code = _codes(edge_kernel.keys(union.edge_label_array()))
-    nv, ne = int(vertex_code.max(initial=0)) + 1, edge_vocab.size
-    if nv * nv * ne * m >= 2**63:
-        raise ContractError(
-            f"{nv} vertex keys and {ne} edge keys on {m} edges overflow an int64 join key"
-        )
-    vo, eo, owner = union.vertex_offsets, union.edge_offsets, union.owner
-    # the union's vertices sorted by (key, vertex): vertex u meets graph
-    # j's vertices of its key from by_key[vertex_at(u, j)] on
-    by_key = np.sort(vertex_code * n + np.arange(union.n))
-    place = np.empty(union.n, dtype=np.int64)
-    place[by_key % n] = np.arange(union.n)
-    vertex_at = lambda u, j: np.searchsorted(by_key, vertex_code[u] * n + vo[j])
-    # the union's edges sorted by (key, edge): edge (near, far) meets graph
-    # j's edges (x, y) of its key from edge_keys[edge_at(key, e, j)] on, and
-    # (near, x) - (far, y) is a product edge
-    a, b = union.edges[:, 0], union.edges[:, 1]
-    join = lambda p, q: ((vertex_code[p] * ne + edge_code) * nv + vertex_code[q]) * m
-    edge_keys = np.sort(join(a, b) + np.arange(union.m))
-    x_place, y_place = place[union.edges[edge_keys % m]].T
-    owner_by_key = owner[by_key % n]
-    sides = [(a, b, join(a, b)), (b, a, join(b, a))]
-    edge_at = lambda key, e, j: np.searchsorted(edge_keys, key[e] + eo[j])
-
-    # cells of each row against all its partners, as prefix sums over rows
-    us, es = np.arange(union.n), np.arange(union.m)
-    prefix = lambda sizes, bounds: np.concatenate(([0], np.cumsum(sizes)))[bounds].tolist()
-    run_cells = [prefix(vertex_at(us, count) - vertex_at(us, owner), vo)]
-    run_cells += [prefix(edge_at(key, es, count) - edge_at(key, es, owner[a]), eo)
-                  for _, _, key in sides]
-
-    def row_cells(i: int) -> List[list]:
-        """Row ``i``'s cells against graphs ``i .. j - 1``, for each ``j``."""
-        js = np.arange(i, count + 1)[None, :]
-        us, es = np.arange(vo[i], vo[i + 1])[:, None], np.arange(eo[i], eo[i + 1])[:, None]
-        cells = [vertex_at(us, js).sum(axis=0)]
-        cells += [edge_at(key, es, js).sum(axis=0) for _, _, key in sides]
-        return [(c - c[0]).tolist() for c in cells]
-
-    def blocks() -> Iterator[Tuple[int, int, int, int]]:
-        """Rows ``start .. stop - 1``, row ``i`` against graphs ``max(i,
-        first) .. last - 1``, as ``(start, stop, first, last)``."""
-        # a block's share of its budgets, which stays within 1
-        share = lambda cells: lambda i, j: max(
-            (cells[0][j] - cells[0][i]) / GRAM_BLOCK_VERTICES,
-            *((pairs[j] - pairs[i]) / GRAM_BLOCK_PAIRS for pairs in cells[1:]),
-        )
-        for start, stop in partner_runs(count, share(run_cells), 1):
-            if stop - start > 1 or share(run_cells)(start, stop) <= 1:
-                yield start, stop, start, count
-                continue
-            for first, last in partner_runs(count - start, share(row_cells(start)), 1):
-                yield start, stop, start + first, start + last
-
-    rounds = length + 1 if all_rounds else 1
-    out = np.zeros((count, count, rounds), dtype=np.float64)
-    for start, stop, first, last in blocks():
-        # u pairs with the vertices at by_key[lo[u]:lo[u] + sizes[u]], and
-        # product vertex offset[u] + place[v] is the pair (u, v)
-        us = np.arange(vo[start], vo[stop])
-        lo = vertex_at(us, np.maximum(owner[us], first))
-        sizes = vertex_at(us, last) - lo
-        offset = np.cumsum(sizes) - sizes - lo
-        width = last - first
-        pair = np.repeat((owner[us] - start) * width - first, sizes)
-        pair += owner_by_key[_ranges(lo, sizes)]
-        # edge (near, far) meets the edges at edge_keys[lo:lo + counts]
-        es = np.arange(eo[start], eo[stop])
-        since = np.maximum(owner[a[es]], first)
-        matched = []
-        for near, far, key in sides:
-            lo = edge_at(key, es, since)
-            matched.append((near[es] - vo[start], far[es] - vo[start], lo,
-                            edge_at(key, es, last) - lo))
-        # each product edge once each way: arcs[1][k] -> arcs[0][k]
-        total = sum(int(counts.sum()) for *_, counts in matched)
-        arcs, at = np.empty((2, 2 * total), dtype=np.int64), 0
-        for near, far, lo, counts in matched:
-            picked, until = _ranges(lo, counts), at + int(counts.sum())
-            ends = (np.repeat(offset[near], counts) + x_place[picked],
-                    np.repeat(offset[far], counts) + y_place[picked])
-            arcs[0, at:until], arcs[1, at:until] = ends
-            arcs[1, total + at:total + until], arcs[0, total + at:total + until] = ends
-            at = until
-        totals = _count_walks(pair.size, arcs[0], arcs[1], pair, (stop - start) * width,
-                              length, all_rounds)
-        mass = totals.sum(axis=1)
-        worst = int(np.argmax(mass))
-        if mass[worst] >= EXACT_LIMIT:
-            i, j = divmod(worst, width)
-            raise MultiplicityOverflowError(
-                f"walk kernel of graph {start + i} against graph {first + j} counts "
-                f"{mass[worst]:.4g} walks, past 2**53, where float64 stops being exact"
-            )
-        out[start:stop, first:last] = totals.reshape(stop - start, width, rounds)
-    # the lower triangle mirrors the upper one
-    out = np.where(np.tri(count, k=-1, dtype=bool)[:, :, None], out.transpose(1, 0, 2), out)
-    return out if all_rounds else out[:, :, 0]
+GRAM_ROWS = 8
 
 
 #: Most (vertex, label sequence) states one round of

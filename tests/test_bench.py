@@ -29,6 +29,7 @@ from gkern.bench import (
     write_sweep_csv,
 )
 from gkern.cli import main
+from gkern.graphs import DisjointUnion
 from conftest import graphs
 from oracles import oracle_graphlet_kernel
 
@@ -80,8 +81,8 @@ class TestKernelPlanSchemes:
     @pytest.mark.parametrize(
         "kernel, traced",
         [
-            ("walk", "walk_gram_implicit"),
-            ("maxwalk", "walk_gram_implicit"),
+            ("walk", "walk_kernel_implicit"),
+            ("maxwalk", "walk_kernel_implicit"),
             ("sp", "walk_kernel_implicit"),
             ("subgraph-matching", "subgraph_matching_kernel"),
             ("graph-invariant", "wv_kernel_implicit"),
@@ -90,21 +91,22 @@ class TestKernelPlanSchemes:
     )
     def test_implicit_builders_call_the_public_kernel(self, monkeypatch, kernel, traced):
         # a tracer times a layer by replacing its public function on every
-        # gkern module, so each plan must call that function by its name:
-        # a row kernel once per row, the whole-Gram walk once on the union
+        # gkern module, so each plan must call that function by its name
         public = getattr(gkern.bench, traced)
         assert public is getattr(gkern, traced)
-        whole = traced == "walk_gram_implicit"
-        partners = []
+        calls = []
 
-        def recorder(*args, **kwargs):
-            partners.append(len(args[0] if whole else args[1]))
-            return public(*args, **kwargs)
+        def recorder(g, hs, *args, **kwargs):
+            calls.append((len(g) if isinstance(g, DisjointUnion) else 1, len(hs)))
+            return public(g, hs, *args, **kwargs)
 
         monkeypatch.setattr(gkern.bench, traced, recorder)
         ds = Dataset("p3", [Graph(3, [(0, 1), (1, 2)]), Graph(2, [(0, 1)])])
         kernel_plan(kernel, ds, length=2).builder("implicit")()
-        assert partners == ([2] if whole else [2, 1])
+        # the walk-kernel plans take both rows in one run (walks.GRAM_ROWS),
+        # the others a call per row
+        runs = kernel in ("walk", "maxwalk", "sp")
+        assert calls == ([(2, 2)] if runs else [(1, 2), (1, 1)])
 
 
 class TestDiscrepancy:

@@ -28,7 +28,6 @@ from gkern import (
     normalize,
     per_graph,
     walk_features_explicit,
-    walk_gram_implicit,
     walk_kernel_implicit,
 )
 from gkern import bench, gram as gram_module, subgraphs, walks
@@ -95,38 +94,18 @@ class TestAssembly:
         with pytest.raises(GramError, match="graph 0"):
             gram_explicit(ds, per_graph(broken_features))
 
-    def test_a_whole_gram_replaces_the_rows_unless_it_raises(self):
-        ds = Dataset("t", [Graph(2, [(0, 1)]), Graph(3, [(0, 1), (1, 2)])])
-        rows = []
-        row = lambda g, hs: rows.append(len(hs)) or walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 2)
-        expected = gram_implicit(ds, row).values
-        assert rows == [2, 1]
-        rows.clear()
-        whole = lambda union: walk_gram_implicit(union, DIRAC, DIRAC_EDGE, 2)
-        assert gram_implicit(ds, row, whole=whole).values.tobytes() == expected.tobytes()
-        assert rows == []
-
-        def broken(union):
-            raise ParameterError("boom")
-
-        assert gram_implicit(ds, row, whole=broken).values.tobytes() == expected.tobytes()
-        assert rows == [2, 1]
-        with pytest.raises(GramError, match=r"shape \(2,\) for 2 graphs") as failed:
-            gram_implicit(ds, row, whole=lambda union: np.zeros(2))
-        assert isinstance(failed.value.__cause__, ContractError)
-
     def test_batched_rows_split_mid_row(self):
-        # graphs large enough that one row of partners spans several
-        # blocks of the product-build budget
+        # graphs large enough and many enough that one row of partners
+        # spans several blocks of the product-build budget
         rng = random.Random(183)
         graphs = [
             make_random_graph(rng, min_n=20, max_n=35, edge_prob=0.15, labels=2)
-            for _ in range(16)
+            for _ in range(32)
         ]
         ds = Dataset("big", graphs)
         union = DisjointUnion(graphs)
         join = walks._join(graphs[0], union, DIRAC, DIRAC_EDGE)
-        assert len(list(walks._blocks(graphs[0], union, join))) > 1
+        assert len(list(walks._blocks(graphs[0], union, DIRAC, join))) > 1
         rows = gram_implicit(
             ds, lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 3)
         )
@@ -137,6 +116,10 @@ class TestAssembly:
             ],
         )
         assert np.array_equal(rows.values, pairs.values)
+        runs = gram_implicit(
+            ds, lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 3), rows=8
+        )
+        assert np.array_equal(runs.values, pairs.values)
         explicit = gram_explicit(ds, lambda u: walk_features_explicit(u, 3))
         assert np.array_equal(rows.values, explicit.values)
 
@@ -188,6 +171,27 @@ class TestAssembly:
         short = lambda g, hs: [1.0] * (len(hs) - (g.n == 2))
         with pytest.raises(GramError, match=r"row 1 failed") as caught:
             gram_implicit(ds, short)
+        assert isinstance(caught.value.__cause__, ContractError)
+
+    def test_runs_of_rows_fill_the_same_matrix_and_name_their_pair(self):
+        rng = random.Random(29)
+        ds = Dataset("t", [make_random_graph(rng, max_n=7, labels=2) for _ in range(7)])
+        row = lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 4)
+        one = gram_implicit(ds, row)
+        for rows in (2, 3, 7, 50):
+            assert gram_implicit(ds, row, rows=rows).values.tobytes() == one.values.tobytes()
+        with pytest.raises(ParameterError, match="rows"):
+            gram_implicit(ds, row, rows=0)
+        # the failing pair of a run is found pair by pair, from its first row
+        k20 = Graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20)])
+        ds = Dataset("t", [Graph(1), Graph(2, [(0, 1)]), k20, Graph(1)])
+        run = lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, DIRAC_EDGE, 6)
+        with pytest.raises(GramError, match=r"pair \(2, 2\)") as caught:
+            gram_implicit(ds, run, rows=3)
+        assert isinstance(caught.value.__cause__, MultiplicityOverflowError)
+        # a run owes one row of values per graph
+        with pytest.raises(GramError, match=r"rows 0\.\.1 failed") as caught:
+            gram_implicit(ds, lambda g, hs: [1.0] * len(hs), rows=2)
         assert isinstance(caught.value.__cause__, ContractError)
 
     def test_explicit_integer_dots_past_2_53_name_the_pair(self):

@@ -95,7 +95,7 @@ class TestImplicitKernel:
         g, hs = transforms[0], transforms
         union = DisjointUnion(hs)
         join = walks._join(g, union, DIRAC, bridge)
-        assert [(a, b) for a, b, _ in walks._blocks(g, union, join)] == [(0, len(hs))]
+        assert [(a, b) for a, b, _ in walks._blocks(g, union, DIRAC, join)] == [(0, len(hs))]
         row = walk_kernel_implicit(g, hs, DIRAC, bridge, 1)
         pairs = [sp_kernel(graphs[0], h, bridge) for h in graphs]
         assert row.tolist() == pairs

@@ -16,14 +16,11 @@ from gkern import (
     ParameterError,
     ResourceBudgetError,
     VertexKernelSpec,
-    ContractError,
     build_wdpg,
     gram_explicit,
     per_graph,
     sample_binning_grid,
-    gram_implicit,
     walk_features_explicit,
-    walk_gram_implicit,
     walk_kernel_implicit,
 )
 from gkern import walks
@@ -213,7 +210,7 @@ class TestProductGraphOracle:
                     # the row's blocks, then blocks of one partner each
                     for budget in (walks.BLOCK_CELLS, 1):
                         monkeypatch.setattr(walks, "BLOCK_CELLS", budget)
-                        blocks = list(walks._blocks(g, union, join))
+                        blocks = list(walks._blocks(g, union, vk, join))
                         monkeypatch.undo()
                         # the blocks tile the row
                         assert [b[0] for b in blocks] + [count] == [0] + [b[1] for b in blocks]
@@ -619,6 +616,41 @@ class TestWalkKernelRow:
         with pytest.raises(ParameterError):
             walk_kernel_implicit(g, [g], DIRAC, UNIFORM_EDGE, -1)
 
+    def test_runs_of_rows_equal_their_rows_bit_for_bit(self, monkeypatch):
+        # every vertex kind x edge kind, weighted ones included: a run's
+        # product keeps each pair's summation order
+        cases = TestProductGraphOracle()._cases()
+        for first in range(0, len(cases), 5):
+            rows = [g for g, _ in cases[first : first + 5]]
+            hs = [h for _, partners in cases[first : first + 5] for h in partners]
+            for vk in TestProductGraphOracle.VERTEX_KERNELS:
+                for ek in TestProductGraphOracle.EDGE_KERNELS:
+                    for budget in (walks.BLOCK_CELLS, 1):
+                        monkeypatch.setattr(walks, "BLOCK_CELLS", budget)
+                        run = walk_kernel_implicit(DisjointUnion(rows), hs, vk, ek, 3, True)
+                        monkeypatch.undo()
+                        alone = [walk_kernel_implicit(g, hs, vk, ek, 3, True) for g in rows]
+                        assert run.shape == (len(rows), len(hs), 4)
+                        assert run.tobytes() == np.stack(alone).tobytes()
+                    last = walk_kernel_implicit(DisjointUnion(rows), hs, vk, ek, 3)
+                    assert last.tobytes() == np.ascontiguousarray(run[:, :, 3]).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=walk_datasets(), hs=walk_datasets(), length=st.integers(0, 5),
+           uniform_edges=st.booleans())
+    def test_runs_of_rows_on_degenerate_datasets(self, rows, hs, length, uniform_edges):
+        edge_kernel = UNIFORM_EDGE if uniform_edges else DIRAC_EDGE
+        run = walk_kernel_implicit(DisjointUnion(rows), hs, DIRAC, edge_kernel, length)
+        assert run.shape == (len(rows), len(hs))
+        for g, values in zip(rows, run):
+            assert values.tolist() == walk_kernel_implicit(g, hs, DIRAC, edge_kernel, length).tolist()
+
+    def test_a_run_past_2_53_names_its_row_and_partner(self):
+        k20 = Graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20)])
+        run = DisjointUnion([Graph(1), k20])
+        with pytest.raises(MultiplicityOverflowError, match="of row 1 against partner 1"):
+            walk_kernel_implicit(run, [Graph(1), k20], DIRAC, UNIFORM_EDGE, 6)
+
     def test_totals_past_2_53_raise(self):
         # K20 has 20 * 19**6 ~ 9.4e8 walks of length 6, so its self-kernel
         # is ~8.8e17, beyond the exact float64 integers
@@ -633,77 +665,3 @@ class TestWalkKernelRow:
         assert walk_kernel_implicit(k20, [k20], DIRAC, UNIFORM_EDGE, 5)[0] == (20 * 19**5) ** 2
         rounds = walk_kernel_implicit(k20, [k20], DIRAC, UNIFORM_EDGE, 5, all_rounds=True)
         assert rounds[0].tolist() == [(20 * 19**i) ** 2 for i in range(6)]
-
-
-def _row_grams(members, edge_kernel, length):
-    """The walk Gram of ``members`` row by row, per length ``0..length``."""
-    out = np.zeros((len(members), len(members), length + 1))
-    for i, g in enumerate(members):
-        row = walk_kernel_implicit(g, members[i:], DIRAC, edge_kernel, length, all_rounds=True)
-        out[i, i:], out[i:, i] = row, row
-    return out
-
-
-class TestWalkGramImplicit:
-    @pytest.mark.parametrize("budget", (1, None))
-    @settings(max_examples=40, deadline=None)
-    @given(members=walk_datasets(), length=st.integers(0, 5), uniform_edges=st.booleans())
-    def test_equals_the_rows_bit_for_bit(self, budget, members, length, uniform_edges):
-        # budget 1: every block is one row against one partner, so rows are
-        # cut into partner ranges; the default budgets run rows together
-        edge_kernel = UNIFORM_EDGE if uniform_edges else DIRAC_EDGE
-        expected = _row_grams(members, edge_kernel, length)
-        with pytest.MonkeyPatch.context() as patch:
-            if budget:
-                patch.setattr(walks, "GRAM_BLOCK_VERTICES", budget)
-                patch.setattr(walks, "GRAM_BLOCK_PAIRS", budget)
-            rounds = walk_gram_implicit(members, DIRAC, edge_kernel, length, all_rounds=True)
-            last = walk_gram_implicit(members, DIRAC, edge_kernel, length)
-        assert rounds.tobytes() == expected.tobytes()
-        assert last.tobytes() == np.ascontiguousarray(expected[:, :, -1]).tobytes()
-
-    def test_attribute_rows_pair_like_labels(self):
-        # dirac-attributes is a unit kernel: equal rows pair as labels do
-        rng = random.Random(191)
-        members = []
-        for _ in range(6):
-            g = make_random_graph(rng, min_n=2, max_n=8, labels=3, edge_label_count=2)
-            rows = np.stack([g.vertex_label_array() * 0.5, -np.ones(g.n)], axis=1)
-            members.append(Graph(g.n, g.edges, None, g.edge_labels, rows))
-        rows_kernel = VertexKernelSpec("dirac-attributes")
-        labelled = [Graph(g.n, g.edges, (2 * g.vertex_attributes[:, 0]).astype(int), g.edge_labels)
-                    for g in members]
-        got = walk_gram_implicit(members, rows_kernel, DIRAC_EDGE, 4)
-        assert got.tobytes() == np.ascontiguousarray(
-            _row_grams(labelled, DIRAC_EDGE, 4)[:, :, -1]
-        ).tobytes()
-
-    def test_overflow_names_the_same_pair_as_the_rows(self):
-        # K20's self-kernel at length 6 is ~8.8e17: the whole Gram stops on
-        # the guard, and the Gram evaluated row by row names the pair
-        k20 = Graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20)])
-        members = [Graph(1), k20]
-        with pytest.raises(MultiplicityOverflowError, match="graph 1 against graph 1"):
-            walk_gram_implicit(members, DIRAC, UNIFORM_EDGE, 6)
-        row = lambda g, hs: walk_kernel_implicit(g, hs, DIRAC, UNIFORM_EDGE, 6)
-        whole = lambda union: walk_gram_implicit(union, DIRAC, UNIFORM_EDGE, 6)
-        failures = []
-        for kw in ({}, {"whole": whole}):
-            with pytest.raises(GramError, match=r"pair \(1, 1\) failed") as failed:
-                gram_implicit(Dataset("k", members), row, "walk", **kw)
-            assert isinstance(failed.value.__cause__, MultiplicityOverflowError)
-            failures.append(str(failed.value))
-        assert failures[0] == failures[1]
-
-    def test_rejects_weighted_kernels_and_negative_length(self):
-        g = Graph(2, [(0, 1)])
-        with pytest.raises(ContractError, match="unit kernels"):
-            walk_gram_implicit([g], VertexKernelSpec("hat", delta=1.0), DIRAC_EDGE, 2)
-        with pytest.raises(ContractError, match="unit kernels"):
-            walk_gram_implicit([g], DIRAC, EdgeKernelSpec("brownian-bridge", c=3.0), 2)
-        with pytest.raises(ParameterError):
-            walk_gram_implicit([g], DIRAC, DIRAC_EDGE, -1)
-
-    def test_empty_dataset(self):
-        assert walk_gram_implicit([], DIRAC, DIRAC_EDGE, 3).shape == (0, 0)
-        assert walk_gram_implicit([], DIRAC, DIRAC_EDGE, 3, all_rounds=True).shape == (0, 0, 4)
