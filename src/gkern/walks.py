@@ -394,13 +394,16 @@ def _walk_totals(
     unit_vertices = pg.vertex_weights is None
     w = np.ones(n) if unit_vertices else pg.vertex_weights
 
-    def spread(r: np.ndarray) -> np.ndarray:
+    def spread(r: Optional[np.ndarray]) -> np.ndarray:
+        if r is None:
+            # r all ones: the weighted degrees, ew * 1 being ew exactly
+            return (np.bincount(u, ew, n) + np.bincount(v, ew, n)).astype(np.float64, copy=False)
         at_u, at_v = (r.take(v), r.take(u)) if ew is None else (ew * r.take(v), ew * r.take(u))
         return np.bincount(u, at_u, n) + np.bincount(v, at_v, n)
 
     r, f = [w], [None]
-    for _ in range((length + 1) // 2):
-        f.append(spread(r[-1]))
+    for a in range((length + 1) // 2):
+        f.append(spread(None if a == 0 and unit_vertices else r[-1]))
         r.append(f[-1] if unit_vertices else w * f[-1])
     kept = range(length + 1) if all_rounds else (length,)
     totals = [np.bincount(partner, r[i // 2] * f[(i + 1) // 2] if i else w, count) for i in kept]
