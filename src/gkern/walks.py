@@ -318,7 +318,7 @@ def _join(
 #: whose join keys match, which is ``g.m * H.m`` when every key agrees.
 #: It keeps a row's peak memory flat however long the row is; a partner
 #: that alone exceeds it forms a block of its own.
-BLOCK_CELLS = 8192
+BLOCK_CELLS = 16384
 
 
 def _matched_pairs(union: DisjointUnion, join: tuple) -> np.ndarray:
