@@ -384,30 +384,41 @@ def _walk_totals(
     The module docstring's recursion: ``ceil(length/2)`` products by the
     weighted adjacency, each spread over the unordered edges in two
     bincounts (``u`` collects ``r[v]``, ``v`` collects ``r[u]``), then one
-    bincount of ``r * f`` by ``partner`` per kept length.  Also returns
-    whether every weight was 1 (the product stores none), i.e. whether
-    the totals count walks; then no factor, product or partial sum exceeds
-    the last total, so the caller's 2**53 check on the totals guards every
-    float64 sum.
+    bincount of ``r * f`` by ``partner`` per kept length.  Lengths
+    ``2a - 1`` and ``2a`` meet at step ``a`` (``r_{a-1} * f_a`` and
+    ``r_a * f_a``), so each is tallied as its step is reached and only
+    one step's vectors are held.  Also returns whether every weight was 1
+    (the product stores none), i.e. whether the totals count walks; then
+    no factor, product or partial sum exceeds the last total, so the
+    caller's 2**53 check on the totals guards every float64 sum.
     """
     ew, u, v, n = pg.edge_weights, pg.edge_u, pg.edge_v, pg.num_vertices
     unit_vertices = pg.vertex_weights is None
-    w = np.ones(n) if unit_vertices else pg.vertex_weights
+    # unit vertex weights are left implicit: r_0 = None stands for all ones
+    w = None if unit_vertices else pg.vertex_weights
 
     def spread(r: Optional[np.ndarray]) -> np.ndarray:
         if r is None:
             # r all ones: the weighted degrees, ew * 1 being ew exactly
             return (np.bincount(u, ew, n) + np.bincount(v, ew, n)).astype(np.float64, copy=False)
-        at_u, at_v = (r.take(v), r.take(u)) if ew is None else (ew * r.take(v), ew * r.take(u))
-        return np.bincount(u, at_u, n) + np.bincount(v, at_v, n)
+        f = np.bincount(u, r.take(v) if ew is None else ew * r.take(v), n)
+        f += np.bincount(v, r.take(u) if ew is None else ew * r.take(u), n)
+        return f
 
-    r, f = [w], [None]
-    for a in range((length + 1) // 2):
-        f.append(spread(None if a == 0 and unit_vertices else r[-1]))
-        r.append(f[-1] if unit_vertices else w * f[-1])
     kept = range(length + 1) if all_rounds else (length,)
-    totals = [np.bincount(partner, r[i // 2] * f[(i + 1) // 2] if i else w, count) for i in kept]
-    return np.stack(totals, axis=1), unit_vertices and ew is None
+    totals = np.empty((count, len(kept)))
+    column = {i: c for c, i in enumerate(kept)}
+    if 0 in column:
+        totals[:, column[0]] = np.bincount(partner, w, count)
+    r = w
+    for a in range(1, (length + 1) // 2 + 1):
+        f = spread(r)
+        if 2 * a - 1 in column:
+            totals[:, column[2 * a - 1]] = np.bincount(partner, f if r is None else r * f, count)
+        r = f if unit_vertices else w * f
+        if 2 * a in column:
+            totals[:, column[2 * a]] = np.bincount(partner, r * f, count)
+    return totals, unit_vertices and ew is None
 
 
 def walk_kernel_implicit(
@@ -464,6 +475,8 @@ def walk_kernel_implicit(
                         f"walks, past 2**53, where float64 stops being exact"
                     )
             out[:, start:stop] = totals.reshape(rows, width, -1)
+            # so one block's product at a time is held, not two
+            del pg, pair
     out = out if all_rounds else out[..., 0]
     return out if run else out[0]
 
