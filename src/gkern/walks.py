@@ -314,10 +314,11 @@ def _join(
 #: Budget on the cells one batched product build allocates for ``g``
 #: against the union ``H`` of a block of partners: its vertex pairs (those
 #: with equal keys for a unit kernel, all ``g.n * H.n`` for any other)
-#: and ``H``'s vertices, and per orientation the (g-edge, H-edge) pairs
-#: whose join keys match, which is ``g.m * H.m`` when every key agrees.
-#: It keeps a row's peak memory flat however long the row is; a partner
-#: that alone exceeds it forms a block of its own.
+#: and ``H``'s vertices, and the (g-edge, H-edge) pairs whose join keys
+#: match in either orientation (a unit product's edges), which is
+#: ``2 * g.m * H.m`` when every key agrees.  It keeps a row's peak memory
+#: flat however long the row is; a partner that alone exceeds it forms a
+#: block of its own.
 BLOCK_CELLS = 16384
 
 
@@ -361,9 +362,8 @@ def _blocks(
     :func:`build_wdpg` reads instead of joining anew."""
     queries, keys, order = join
     vertices = _vertex_cells(g, union, vertex_kernel).tolist()
-    forwards, backwards = _matched_pairs(union, join).tolist()
-    cells = lambda a, b: max(vertices[b] - vertices[a], forwards[b] - forwards[a],
-                             backwards[b] - backwards[a])
+    edges = _matched_pairs(union, join).sum(axis=0).tolist()
+    cells = lambda a, b: max(vertices[b] - vertices[a], edges[b] - edges[a])
     for start, stop in partner_runs(len(union), cells, BLOCK_CELLS):
         e0, e1 = union.edge_offsets[start], union.edge_offsets[stop]
         inside = (order >= e0) & (order < e1)

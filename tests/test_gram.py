@@ -100,7 +100,7 @@ class TestAssembly:
         rng = random.Random(183)
         graphs = [
             make_random_graph(rng, min_n=20, max_n=35, edge_prob=0.15, labels=2)
-            for _ in range(64)
+            for _ in range(32)
         ]
         ds = Dataset("big", graphs)
         union = DisjointUnion(graphs)
