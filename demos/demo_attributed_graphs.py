@@ -29,7 +29,6 @@ from gkern import (
     gram_explicit,
     gram_implicit,
     graphhopper_weight_maps,
-    per_graph,
     sample_binning_grid,
     wv_features_explicit,
     wv_kernel_implicit,
@@ -54,9 +53,10 @@ hopper = graphhopper_weight_maps(ds)              # shortest-path positions
 
 # ---------------------------------------------------------------------
 # 2. Exact attribute comparison: Dirac on attribute rows.  Both schemes
-#    take the vertex kernel's spec; the explicit one keys each vertex by
-#    its attribute row (the spec's own feature map), a one-hot vector
-#    over the distinct rows, and the two schemes' Gram matrices agree.
+#    take the vertex kernel's spec; the explicit one, a dataset map, keys
+#    each vertex by the rank of its attribute row among the dataset's
+#    distinct rows (the spec's own feature map), a one-hot vector over
+#    those rows, and the two schemes' Gram matrices agree.
 # ---------------------------------------------------------------------
 dirac_rows = VertexKernelSpec("dirac-attributes")
 
@@ -69,7 +69,8 @@ def implicit_gram(wm, vertex_kernel):
 
 
 def explicit_gram(wm, vertex_kernel):
-    return gram_explicit(ds, per_graph(lambda x: wv_features_explicit(x, wm, vertex_kernel))).values
+    """One dataset map: every graph's vector from one pass over the union."""
+    return gram_explicit(ds, lambda union: wv_features_explicit(union, wm, vertex_kernel)).values
 
 
 for name, wm in (("refinement", refinement), ("path positions", hopper)):

@@ -45,7 +45,6 @@ from .gram import (
     load_gram_csv,
     min_eigenvalue_estimate,
     normalize,
-    per_graph,
 )
 from .graphs import (
     Dataset,
@@ -129,7 +128,6 @@ __all__ = [
     "matching_features",
     "min_eigenvalue_estimate",
     "normalize",
-    "per_graph",
     "sample_binning_grid",
     "scale_attributes",
     "sp_features_explicit",

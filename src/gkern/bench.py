@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .gram import GramMatrix, gram_explicit, gram_implicit, per_graph
+from .gram import GramMatrix, gram_explicit, gram_implicit
 from .graphs import (
     Dataset,
     generate_synthetic_alphabet,
@@ -208,7 +208,7 @@ def kernel_plan(
         name = f"{kernel}{tag}"
         row = lambda g, hs: wv_kernel_implicit(g, hs, weight_map, vk)
         implicit = lambda: gram_implicit(ds, row, f"{name}/implicit")
-        features = per_graph(lambda g: wv_features_explicit(g, weight_map, vk))
+        features = lambda union: wv_features_explicit(union, weight_map, vk)
         explicit = lambda: gram_explicit(ds, features, f"{name}/explicit")
         if vk.kind in ("hat", "rbf"):
             explicit = (

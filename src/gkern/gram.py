@@ -10,12 +10,10 @@ of the upper triangle per call (or a run of rows, for a kernel that takes
 one); its cost is all in those calls.
 :func:`gram_explicit` first calls a *dataset map* once on that union,
 which returns the dataset's sparse graphs-by-features matrix as a
-:class:`FeatureMatrix` (the walk, shortest-path and subgraph-class maps
-count their keys in one pass over the union, and :func:`per_graph`
-interns the keys of a per-graph dict map), then computes the whole Gram
-as one product X·Xᵀ, in dense column blocks; the timing breakdown keeps
-the two phases separate because their balance is exactly what
-distinguishes the schemes.
+:class:`FeatureMatrix` (every map counts its keys in one pass over the
+union), then computes the whole Gram as one product X·Xᵀ, in dense
+column blocks; the timing breakdown keeps the two phases separate
+because their balance is exactly what distinguishes the schemes.
 
 Values are deterministic functions of the inputs — evaluation order never
 changes a result, only the wall-clock numbers in ``timings``.
@@ -286,48 +284,6 @@ def count_rows(
     return FeatureMatrix(graph, column, weight, np.ones(graphs, dtype=bool), KeyRows(blocks))
 
 
-def per_graph(
-    feature_fn: Callable[[Graph], Dict[tuple, float]]
-) -> Callable[[DisjointUnion], FeatureMatrix]:
-    """The dataset map of a per-graph map ``feature_fn``, which gives each
-    graph's vector as a dict of key -> weight (the weighted-vertex maps,
-    whose weights may be floats, and hand-built vectors).
-
-    Its keys are interned into one numbering for the dataset, then
-    renumbered in ascending key order, so the columns (and any float sums
-    over them) never depend on the order in which graphs bring keys in.
-    A graph's weights are integral when each is a non-negative Python
-    ``int``.  A failing graph is named by a :class:`GramError` whose
-    cause is its error.
-    """
-
-    def feature_map(union: DisjointUnion) -> FeatureMatrix:
-        columns: Dict[tuple, int] = {}
-        row_cols: List[np.ndarray] = [np.zeros(0, np.int32)]
-        row_weights: List[np.ndarray] = [np.zeros(0)]
-        integral = np.zeros(len(union), dtype=bool)
-        for i, g in enumerate(union):
-            try:
-                vector = feature_fn(g)
-            except GKError as exc:
-                raise GramError(f"graph {i} failed: {exc}") from exc
-            cols, weights, integral[i] = _intern(vector, columns)
-            row_cols.append(cols)
-            row_weights.append(weights)
-        counts = [len(cols) for cols in row_cols[1:]]
-        keys, ranks = _ascending_keys(columns)
-        column = ranks[np.concatenate(row_cols)]
-        row_cols.clear()
-        order = np.argsort(column, kind="stable")
-        column = column[order]
-        weight = np.concatenate(row_weights)[order]
-        row_weights.clear()
-        graph = np.repeat(np.arange(len(union), dtype=np.int32), counts)[order]
-        return FeatureMatrix(graph, column, weight, integral, keys)
-
-    return feature_map
-
-
 def gram_explicit(
     ds: Dataset,
     feature_map: Callable[[DisjointUnion], FeatureMatrix],
@@ -339,11 +295,11 @@ def gram_explicit(
     of ``ds`` and returns its :class:`FeatureMatrix`
     (:func:`gkern.walks.walk_features_explicit`,
     :func:`gkern.shortest_paths.sp_features_explicit`,
+    :func:`gkern.weighted.wv_features_explicit`,
     :func:`gkern.subgraphs.graphlet_features` and
     :func:`gkern.subgraphs.matching_features` build theirs in one pass
-    over the union; :func:`per_graph` turns a per-graph dict map into
-    one).  The Gram is X·Xᵀ, summed over column blocks of at most
-    :data:`BLOCK_CELLS` dense cells, columns in ascending order.
+    over the union).  The Gram is X·Xᵀ, summed over column blocks of at
+    most :data:`BLOCK_CELLS` dense cells, columns in ascending order.
 
     The timing breakdown reports the feature-map phase (the map's call)
     and the dot phase (the product) separately, plus the stored and the
@@ -387,43 +343,6 @@ def gram_explicit(
             "distinct_features": len(features.keys),
         },
     )
-
-
-def _intern(
-    entries: Dict[tuple, float], columns: Dict[tuple, int]
-) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """One vector as (column ids, float64 weights, whether exact-integral).
-
-    Keys not yet in ``columns`` get the next free ids.  A vector is
-    exact-integral when every weight is a non-negative Python ``int``.
-    """
-    count = len(entries)
-    # one lookup per key: a tuple hashes its items anew on every lookup
-    cols = np.fromiter(
-        (columns.setdefault(key, len(columns)) for key in entries), np.int32, count
-    )
-    weights = entries.values()
-    integral = all(type(w) is int for w in weights)
-    try:
-        array = np.fromiter(weights, np.float64, count)
-    except OverflowError:
-        # an integer past float64's range; 2**53 keeps its pairs failing
-        array = np.fromiter(
-            (min(w, EXACT_LIMIT) if type(w) is int else w for w in weights),
-            np.float64,
-            count,
-        )
-    return cols, array, integral and not (array < 0).any()
-
-
-def _ascending_keys(columns: Dict[tuple, int]) -> Tuple[List[tuple], np.ndarray]:
-    """The keys of ``columns`` in ascending order, and ``ranks[c]``: the
-    position of column ``c``'s key among them."""
-    keys = list(columns)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ranks = np.empty(len(keys), dtype=np.int32)
-    ranks[order] = np.arange(len(keys))
-    return [keys[c] for c in order], ranks
 
 
 def _blocked_product(features: FeatureMatrix, n: int) -> np.ndarray:

@@ -236,6 +236,9 @@ class DisjointUnion(Sequence[Graph]):
     def __len__(self) -> int:
         return len(self.graphs)
 
+    def __iter__(self) -> Iterator[Graph]:
+        return iter(self.graphs)
+
     def __getitem__(self, index):
         if not isinstance(index, slice):
             return self.graphs[index]

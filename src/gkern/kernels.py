@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -175,25 +175,30 @@ class VertexKernelSpec:
             return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
         return np.zeros(g.n, dtype=np.int64)
 
-    def features(self, g: Graph) -> Tuple[List[List[tuple]], Union[int, float]]:
-        """The feature map of the kernel on the vertices of ``g``: each
-        vertex's keys, and the one weight that every key carries.
+    def features(self, g: Graph) -> Tuple[np.ndarray, Union[int, float]]:
+        """The feature map of the kernel on the vertices of ``g``: an int64
+        ``(g.n, k, width)`` array of each vertex's ``k`` keys, and the one
+        weight that every key carries.
 
-        ``dirac`` gives ``(label,)`` and ``dirac-attributes`` the attribute
-        row as a tuple, each with the Python ``int`` weight 1, so integer
-        weights stay exact; ``binned`` gives ``(p, *cell)`` for the cell of
-        each of the ``P`` grids, weight 1/sqrt(P).  The hat and rbf kernels
-        have no finite feature map: ParameterError.
+        ``dirac`` gives the label and ``dirac-attributes`` the rank of the
+        attribute row among the distinct rows of ``g``, ascending as
+        ``np.unique(axis=0)`` orders them, each with the Python ``int``
+        weight 1, so integer weights stay exact; ``binned`` gives
+        ``(p, *cell)`` for the cell of each of the ``P`` grids, weight
+        1/sqrt(P).  The hat and rbf kernels have no finite feature map:
+        ParameterError.
         """
         if self.kind == "dirac":
-            return [[(label,)] for label in g.vertex_label_array().tolist()], 1
+            return g.vertex_label_array().reshape(g.n, 1, 1), 1
         if self.kind == "dirac-attributes":
-            return [[tuple(row)] for row in _attributes_of(g).tolist()], 1
+            _, rank = np.unique(_attributes_of(g), axis=0, return_inverse=True)
+            return rank.astype(np.int64).reshape(g.n, 1, 1), 1
         if self.kind != "binned":
             raise ParameterError(f"the {self.kind} vertex kernel has no exact finite feature map")
-        cells = self.grid.bin_indices(_attributes_of(g)).tolist()  # (n, P, dim)
-        keys = [[(p, *cell) for p, cell in enumerate(vertex)] for vertex in cells]
-        return keys, 1.0 / self.grid.num_grids**0.5
+        num_grids = self.grid.num_grids
+        cells = self.grid.bin_indices(_attributes_of(g))  # (n, P, dim)
+        grids = np.broadcast_to(np.arange(num_grids)[:, None], (g.n, num_grids, 1))
+        return np.concatenate((grids, cells), axis=2), 1.0 / num_grids**0.5
 
     def matrix(self, g: Graph, h: Graph) -> np.ndarray:
         """All-pairs kernel values, shape (g.n, h.n)."""

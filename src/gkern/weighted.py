@@ -6,8 +6,9 @@ factors through per-vertex weight vectors:
 
     K(G, H) = sum over (v in G, v' in H) of <w(v), w(v')> * k_V(v, v').
 
-A :class:`WeightFeatureMap` stores the vectors as one integer matrix W_G
-per graph, row v = w(v), over weight columns shared by the dataset:
+A :class:`WeightFeatureMap` stores the vectors of a whole dataset as one
+integer table of ``(vertex, column, weight)`` rows over the vertices of
+its union, weight columns shared by the dataset:
 
 * :func:`graph_invariant_weight_maps` — w(v) stacks one-hot indicators of
   the vertex's color refinement colors (on plain structure, uniform start)
@@ -19,10 +20,11 @@ per graph, row v = w(v), over weight columns shared by the dataset:
   including the single-vertex path v -> v), so <w(v), w(v')> is the
   Frobenius inner product of the two tables.
 
-Both schemes read W_G.  The implicit scheme (:func:`wv_kernel_implicit`,
-a Gram row per call) sums (W_G W_H^T) * k_V(G, H) entrywise.  The
-explicit scheme (:func:`wv_features_explicit`) composes the feature maps
-of the two base kernels:
+Both schemes read the table.  The implicit scheme
+(:func:`wv_kernel_implicit`, a Gram row per call) fills the matrices W_G
+and W_H, row v = w(v), and sums (W_G W_H^T) * k_V(G, H) entrywise.  The
+explicit scheme (:func:`wv_features_explicit`, a dataset map) composes
+the feature maps of the two base kernels:
 
 * product kernel, paired keys — k_W(v, v') * k_V(v, v') is the dot of the
   tensor products w(v) x phi_V(v), whose keys pair a weight column with a
@@ -32,18 +34,19 @@ of the two base kernels:
 
 phi_V is the vertex kernel's own map, :meth:`VertexKernelSpec.features`:
 exact one-hots for the Dirac kinds, binning maps as an approximation of
-the hat kernel.
+the hat kernel.  The map pairs each table row with its vertex's keys and
+counts the ``(column, *vertex key)`` rows of every graph in one pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from . import walks
-from .errors import ContractError, MultiplicityOverflowError
-from .gram import EXACT_LIMIT
+from .errors import ContractError, GKError, GramError, MultiplicityOverflowError
+from .gram import EXACT_LIMIT, FeatureMatrix, count_rows
 from .graphs import INF_DISTANCE, Dataset, DisjointUnion, DistanceMatrix, Graph
 from .graphs import all_pairs_shortest_paths, partner_runs
 from .kernels import VertexKernelSpec
@@ -60,36 +63,47 @@ TRIPLE_CELLS = 1 << 15
 
 
 class WeightFeatureMap:
-    """Per-vertex weight vectors for every graph of one dataset.
+    """Per-vertex weight vectors for every graph of one dataset, as one
+    table.
 
-    Weight columns are numbered dataset wide.  ``per_graph`` maps ``id(g)``
-    to ``(g, columns, W)``: the ascending columns ``g`` uses and the int64
-    ``(g.n, len(columns))`` matrix whose row ``v`` is w(v) over them.
+    ``table`` holds an int64 row ``(vertex, column, weight)`` for each
+    nonzero entry of w(v), vertices numbered as in the
+    :class:`~gkern.graphs.DisjointUnion` of the graphs, sorted by vertex
+    and then by column.  Weight columns are numbered dataset wide, from 0
+    to ``columns - 1``; :meth:`rows` reads any graphs' rows.
 
-    Graphs are identified by object identity; asking for a graph that was
-    not part of the construction is an error.
+    Graphs are identified by object identity (the map holds its graphs, so
+    no other graph shares an id with one of them); asking for a graph that
+    was not part of the construction is a :class:`ContractError`.
     """
 
-    def __init__(self, kind: str, per_graph: Dict[int, tuple]):
-        self.kind = kind
-        self._per_graph = per_graph
+    def __init__(self, kind: str, graphs: Sequence[Graph], table: np.ndarray):
+        self.kind, self.table = kind, table
+        self._graphs = tuple(graphs)
+        self._index = {id(g): i for i, g in enumerate(self._graphs)}
+        self.columns = int(table[:, 1].max(initial=-1)) + 1
+        self._vertices = np.cumsum([0] + [g.n for g in self._graphs], dtype=np.int64)
+        # graph i's rows run from entries[i] to entries[i + 1]
+        self._entries = np.searchsorted(table[:, 0], self._vertices)
 
-    def matrix(self, g: Graph) -> Tuple[np.ndarray, np.ndarray]:
-        """``(columns, W)`` of ``g``."""
-        entry = self._per_graph.get(id(g))
-        if entry is None or entry[0] is not g:
-            raise ContractError(
-                f"graph {g!r} is not covered by this {self.kind} weight map"
-            )
-        return entry[1], entry[2]
-
-
-def _weight_matrix(n: int, vertex, column, weight) -> Tuple[np.ndarray, np.ndarray]:
-    """``(columns, W)`` from distinct (vertex, column) cells and their weights."""
-    columns = np.unique(column)
-    w = np.zeros((n, len(columns)), dtype=np.int64)
-    w[vertex, np.searchsorted(columns, column)] = weight
-    return columns, w
+    def rows(self, graphs: Sequence[Graph]) -> np.ndarray:
+        """The table's rows of ``graphs``, in their order, with vertices
+        numbered as in the union of ``graphs``."""
+        at = np.fromiter((self._index.get(id(g), -1) for g in graphs), np.int64, len(graphs))
+        if (at < 0).any():
+            missing = graphs[int(np.argmax(at < 0))]
+            raise ContractError(f"graph {missing!r} is not covered by this {self.kind} weight map")
+        if len(at) and (np.diff(at) == 1).all():
+            # a run of the map's graphs, as a Gram row's partners are
+            rows = self.table[self._entries[at[0]] : self._entries[at[-1] + 1]].copy()
+            rows[:, 0] -= self._vertices[at[0]]
+            return rows
+        lo, counts = self._entries[at], self._entries[at + 1] - self._entries[at]
+        starts = np.cumsum(counts) - counts
+        rows = np.take(self.table, np.arange(counts.sum()) + np.repeat(lo - starts, counts), 0)
+        sizes = self._vertices[at + 1] - self._vertices[at]
+        rows[:, 0] -= np.repeat(self._vertices[at] - (np.cumsum(sizes) - sizes), counts)
+        return rows
 
 
 def graph_invariant_weight_maps(ds: Dataset, iterations: int) -> WeightFeatureMap:
@@ -103,19 +117,16 @@ def graph_invariant_weight_maps(ds: Dataset, iterations: int) -> WeightFeatureMa
     assignment = wl_refine_dataset(ds, iterations, init="uniform")
     counts = assignment.colors_per_iteration
     offsets = np.cumsum([0, *counts[:-1]])
-    per_graph: Dict[int, tuple] = {}
-    for g, strata in zip(ds.graphs, assignment.colors):
-        column = (np.stack(strata, axis=1) + offsets).ravel()
-        vertex = np.repeat(np.arange(g.n), iterations + 1)
-        per_graph[id(g)] = (g, *_weight_matrix(g.n, vertex, column, 1))
-    return WeightFeatureMap(f"graph-invariant(h={iterations})", per_graph)
+    none = np.zeros((0, iterations + 1), dtype=np.int64)
+    column = np.concatenate([none, *map(np.column_stack, assignment.colors)]) + offsets
+    vertex = np.repeat(np.arange(len(column)), iterations + 1)
+    table = np.column_stack((vertex, column.ravel(), np.ones_like(vertex)))
+    return WeightFeatureMap(f"graph-invariant(h={iterations})", ds.graphs, table)
 
 
-def _hopper_tables(
-    dm: DistanceMatrix, delta: int, graph_name: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(columns, W)`` of one graph: cell (i, j) of M(v), 0-based, is
-    column ``i * delta + j`` of row ``v``.
+def _hopper_tables(dm: DistanceMatrix, delta: int, graph_name: str) -> np.ndarray:
+    """The ``(vertex, column, weight)`` rows of one graph: cell (i, j) of
+    M(v), 0-based, is column ``i * delta + j`` of vertex ``v``.
 
     Each (source s, vertex v, target t) with v on a shortest s-t path
     adds #(s-v paths) * #(v-t paths) to cell (d(s, v), d(s, t)) of M(v).
@@ -149,8 +160,7 @@ def _hopper_tables(
             f"{graph_name}: path-count table entry left the "
             f"integer-exact float64 range"
         )
-    vertex, column = np.divmod(cell, delta * delta)
-    return _weight_matrix(n, vertex, column, table.astype(np.int64))
+    return np.column_stack((*np.divmod(cell, delta * delta), table.astype(np.int64)))
 
 
 def graphhopper_weight_maps(ds: Dataset) -> WeightFeatureMap:
@@ -168,11 +178,14 @@ def graphhopper_weight_maps(ds: Dataset) -> WeightFeatureMap:
         (int(dm.dist[dm.dist != INF_DISTANCE].max()) + 1 for dm in distances if dm.n),
         default=0,
     )
-    per_graph = {
-        id(g): (g, *_hopper_tables(dm, delta, f"graph {gi} of {ds.name!r}"))
-        for gi, (g, dm) in enumerate(zip(ds.graphs, distances))
-    }
-    return WeightFeatureMap("graphhopper", per_graph)
+    first = np.cumsum([0] + [dm.n for dm in distances])
+    # each graph's rows, its vertices renumbered from its first in the union
+    tables = [
+        _hopper_tables(dm, delta, f"graph {gi} of {ds.name!r}") + [v, 0, 0]
+        for gi, (dm, v) in enumerate(zip(distances, first))
+    ]
+    table = np.concatenate([np.zeros((0, 3), dtype=np.int64), *tables])
+    return WeightFeatureMap("graphhopper", ds.graphs, table)
 
 
 def wv_kernel_implicit(
@@ -186,27 +199,35 @@ def wv_kernel_implicit(
 
     Partners go in blocks, slices of ``hs`` as a :class:`DisjointUnion`
     whose ``g.n * H.n`` vertex pairs stay within :data:`walks.BLOCK_CELLS`.
-    A block stacks its partners' W on ``g``'s columns (columns ``g`` lacks
-    add nothing); one weight product times one vertex-kernel matrix
-    against the block, summed per partner, gives its values.  With a Dirac
+    The partners' table rows are gathered once per call, each placed on
+    ``g``'s columns by one lookup, and one scatter fills a block's W_H;
+    one weight product times one vertex-kernel matrix against the block,
+    summed per partner, gives its values.  With a Dirac
     vertex kernel the totals are exact integers below 2**53, and a partner
     whose total reaches 2**53 is named by a :class:`MultiplicityOverflowError`.
     """
     hs = DisjointUnion.of(hs)
     out = np.zeros(len(hs), dtype=np.float64)
     counting = vertex_kernel.kind in ("dirac", "dirac-attributes")
-    columns_g, wg = weight_map.matrix(g)
-    padded = np.append(columns_g, -1)  # searchsorted past the end: no column
+    vertex, column, weight = weight_map.rows([g]).T
+    columns_g = np.unique(column)
+    # each column's place among g's; the columns g lacks share a spare
+    # last one, whose zeros in W_G make them add nothing
+    place = np.full(weight_map.columns, len(columns_g))
+    place[columns_g] = np.arange(len(columns_g))
+    wg = np.zeros((g.n, len(columns_g) + 1), dtype=np.int64)
+    wg[vertex, place[column]] = weight
+    vertex, column, weight = weight_map.rows(hs).T
+    at = place[column]
+    # partner j's rows run from bounds[j] to bounds[j + 1]
+    bounds = np.searchsorted(vertex, hs.vertex_offsets).tolist()
     vertices = hs.vertex_offsets.tolist()
     cells = lambda a, b: g.n * (vertices[b] - vertices[a])
     for start, stop in partner_runs(len(hs), cells, walks.BLOCK_CELLS):
         block = hs[start:stop]
-        wh = np.zeros((block.n, len(columns_g)), dtype=np.int64)
-        for h, row in zip(block, block.vertex_offsets.tolist()):
-            columns_h, w = weight_map.matrix(h)
-            at = np.searchsorted(columns_g, columns_h)
-            shared = padded[at] == columns_h
-            wh[row : row + h.n, at[shared]] = w[:, shared]
+        part = slice(bounds[start], bounds[stop])
+        wh = np.zeros((block.n, len(columns_g) + 1), dtype=np.int64)
+        wh[vertex[part] - vertices[start], at[part]] = weight[part]
         # einsum keeps these small products off BLAS's threads (as gram does)
         weights = np.einsum("ik,jk->ij", wg, wh, dtype=np.float64)
         per_vertex = (weights * vertex_kernel.matrix(g, block)).sum(axis=0)
@@ -222,25 +243,43 @@ def wv_kernel_implicit(
 
 
 def wv_features_explicit(
-    g: Graph, weight_map: WeightFeatureMap, vertex_kernel: VertexKernelSpec
-) -> Dict[tuple, float]:
-    """Feature map of the weighted vertex kernel: the sum over vertices of
-    w(v) x phi_V(v), keyed ``(weight column, *vertex key)``, with phi_V
-    the vertex kernel's :meth:`~VertexKernelSpec.features`.  Exact for the
-    Dirac kinds, where the weights stay Python ints, which
-    :func:`gkern.gram.gram_explicit` guards at 2**53; the binned kind
-    gives the binned approximation of the hat kernel, and the hat and rbf
-    kinds have no map (ParameterError).
+    graphs: Sequence[Graph], weight_map: WeightFeatureMap, vertex_kernel: VertexKernelSpec
+) -> FeatureMatrix:
+    """The dataset map of the weighted vertex kernel: each graph's sum
+    over its vertices of w(v) x phi_V(v), keyed ``(weight column, *vertex
+    key)``, with phi_V the vertex kernel's
+    :meth:`~VertexKernelSpec.features` on the union of ``graphs``.
+
+    Each table row of ``weight_map`` pairs with its vertex's keys, and
+    :func:`~gkern.gram.count_rows` sums the rows' integer weights per
+    graph and key.  The sums are float64: exact below 2**53 and never
+    below it once past it, so no sum wraps and a weight past 2**53 keeps
+    its pairs failing :func:`~gkern.gram.gram_explicit`'s exactness guard.
+    Exact for the Dirac kinds; the binned kind scales the sums by
+    1/sqrt(P) and gives the binned approximation of the hat kernel, its
+    graphs non-integral.  The hat and rbf kinds have no map.  A graph the
+    vertex kernel's map fails on alone, as one without attributes, fails
+    with a :class:`GramError` that names it.
     """
-    columns, w = weight_map.matrix(g)
-    columns = columns.tolist()
-    phis, phi_weight = vertex_kernel.features(g)
-    entries: Dict[tuple, float] = {}
-    for phi, row in zip(phis, w.tolist()):
-        for column, weight in zip(columns, row):
-            if weight:
-                weight *= phi_weight
-                for key in phi:
-                    pair = (column, *key)
-                    entries[pair] = entries.get(pair, 0) + weight
-    return entries
+    union = DisjointUnion.of(graphs)
+    if not len(union):
+        return count_rows(0, [])
+    vertex, column, weight = weight_map.rows(union).T
+    try:
+        keys, scale = vertex_kernel.features(union)
+    except GKError:
+        # the first graph that fails alone is named
+        for i, g in enumerate(union):
+            try:
+                vertex_kernel.features(g)
+            except GKError as exc:
+                raise GramError(f"graph {i} failed: {exc}") from exc
+        raise
+    k, width = keys.shape[1:]
+    rows = np.concatenate((np.repeat(column, k)[:, None], keys[vertex].reshape(-1, width)), axis=1)
+    counts = np.repeat(weight, k).astype(np.float64)
+    features = count_rows(len(union), [(np.repeat(union.owner[vertex], k), rows, counts)])
+    if vertex_kernel.kind == "binned":
+        features.weight *= scale
+        features.integral[:] = False
+    return features

@@ -3,8 +3,10 @@
 Everything here is written straight from the definitions — explicit walk
 enumeration, Floyd–Warshall, quadruple loops, subset enumeration — with no
 shared code paths with the package (library graphs are used as read-only
-containers for n / edges / labels / attributes only, and kernel specs for
-their parameters only).  Slow on purpose; meant for tiny graphs.
+containers for n / edges / labels / attributes only, kernel specs for
+their parameters only, weight maps for their table rows only, and
+``FeatureMatrix`` as the container a dataset map returns).  Slow on
+purpose; meant for tiny graphs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import math
 from itertools import chain, combinations, permutations, product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from gkern.errors import ParameterError
+import numpy as np
+
+from gkern.errors import GKError, GramError, ParameterError
+from gkern.gram import FeatureMatrix
 from gkern.graphs import INF_DISTANCE, Graph
 
 
@@ -137,6 +142,39 @@ def dot(u: Dict[tuple, float], v: Dict[tuple, float]) -> float:
     for key in sorted(u.keys() & v.keys()):
         total += u[key] * v[key]
     return total
+
+
+def per_graph(feature_fn: Callable) -> Callable:
+    """The dataset map of a per-graph map ``feature_fn``, which gives a
+    graph's vector as a dict of key -> weight.
+
+    Columns number the keys in ascending order.  A graph is integral when
+    each of its weights is a non-negative Python ``int``; an ``int`` past
+    2**53 enters the matrix as 2**53, so its pairs still fail the
+    exactness guard.  A failing graph is named by a ``GramError`` whose
+    cause is its error.
+    """
+
+    def feature_map(union) -> FeatureMatrix:
+        vectors = []
+        for i, g in enumerate(union):
+            try:
+                vectors.append(feature_fn(g))
+            except GKError as exc:
+                raise GramError(f"graph {i} failed: {exc}") from exc
+        keys = sorted(set().union(*vectors))
+        column = {key: c for c, key in enumerate(keys)}
+        cells = sorted((column[k], i, w) for i, v in enumerate(vectors) for k, w in v.items())
+        columns, graph, weight = zip(*cells) if cells else ((), (), ())
+        return FeatureMatrix(
+            np.array(graph, dtype=np.int64),
+            np.array(columns, dtype=np.int64),
+            np.array([min(w, 2**53) if type(w) is int else w for w in weight], dtype=np.float64),
+            np.array([all(type(w) is int and w >= 0 for w in v.values()) for v in vectors], bool),
+            keys,
+        )
+
+    return feature_map
 
 
 # ---------------------------------------------------------------------------
@@ -675,13 +713,50 @@ def oracle_color_histogram_kernel(
 # ---------------------------------------------------------------------------
 # weighted vertex kernels
 
+def weight_rows(weight_map, g) -> List[Dict[int, int]]:
+    """Per vertex of ``g``: its weight vector w(v) as {column: weight},
+    read from the table rows of ``weight_map``."""
+    rows: List[Dict[int, int]] = [{} for _ in range(g.n)]
+    for v, column, weight in weight_map.rows([g]).tolist():
+        rows[v][column] = weight
+    return rows
+
+
 def oracle_vertex_weight(weight_map, g, u: int, h, v: int) -> int:
     """k_W between vertex ``u`` of ``g`` and vertex ``v`` of ``h``: the dot
-    of their weight rows, matched column by column from ``matrix()``."""
-    columns_g, wg = weight_map.matrix(g)
-    columns_h, wh = weight_map.matrix(h)
-    row_h = dict(zip(columns_h.tolist(), wh[v].tolist()))
-    return sum(x * row_h.get(c, 0) for c, x in zip(columns_g.tolist(), wg[u].tolist()))
+    of their weight vectors, matched column by column."""
+    row_h = weight_rows(weight_map, h)[v]
+    return sum(x * row_h.get(c, 0) for c, x in weight_rows(weight_map, g)[u].items())
+
+
+def oracle_vertex_keys(spec, g) -> Tuple[List[List[tuple]], float]:
+    """The vertex kernel's feature map on the vertices of ``g``: each
+    vertex's keys, and the one weight every key carries.  ``dirac`` keys
+    a vertex by ``(label,)``, ``dirac-attributes`` by its attribute row,
+    ``binned`` by ``(p, *cell)`` in each of the P grids, weight
+    1/sqrt(P)."""
+    if spec.kind == "dirac":
+        return [[(label,)] for label in vertex_label_list(g)], 1
+    rows = [_attribute_row(g, u) for u in range(g.n)]
+    if spec.kind == "dirac-attributes":
+        return [[row] for row in rows], 1
+    shifts, delta = spec.grid.shifts.tolist(), spec.grid.delta
+    cell = lambda row, shift: tuple(math.floor((a + s) / delta) for a, s in zip(row, shift))
+    keys = [[(p, *cell(row, shift)) for p, shift in enumerate(shifts)] for row in rows]
+    return keys, 1 / math.sqrt(len(shifts))
+
+
+def oracle_wv_features(g, weight_map, spec) -> Dict[tuple, float]:
+    """The weighted vertex kernel's vector of ``g``: the sum over its
+    vertices of w(v) x phi_V(v), keyed ``(weight column, *vertex key)``."""
+    keys, scale = oracle_vertex_keys(spec, g)
+    entries: Dict[tuple, float] = {}
+    for vertex, row in zip(keys, weight_rows(weight_map, g)):
+        for column, weight in row.items():
+            for key in vertex:
+                pair = (column, *key)
+                entries[pair] = entries.get(pair, 0) + weight * scale
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from gkern import (
     graphlet_features,
     load_tu_dataset,
     min_eigenvalue_estimate,
-    per_graph,
     sample_binning_grid,
     sp_features_explicit,
     sp_transform,
@@ -269,7 +268,7 @@ def _weighted_grams():
         )
         explicit = gram_explicit(
             ds,
-            per_graph(lambda g, w=wm: wv_features_explicit(g, w, DIRAC_ATTR)),
+            lambda union, w=wm: wv_features_explicit(union, w, DIRAC_ATTR),
             f"{name}/explicit",
         )
         out.append((name, implicit, explicit))
@@ -412,10 +411,8 @@ def test_criterion_07_binning_convergence():
         grid = sample_binning_grid(1, delta, num_grids, seed=1000 + num_grids)
         approx = gram_explicit(
             ds,
-            per_graph(
-                lambda g, b=VertexKernelSpec("binned", grid=grid): wv_features_explicit(
-                    g, wm, b
-                )
+            lambda union, b=VertexKernelSpec("binned", grid=grid): wv_features_explicit(
+                union, wm, b
             ),
             f"binned(P={num_grids})/explicit",
         ).values

@@ -17,6 +17,7 @@ from gkern import (
 )
 from gkern.bench import KERNELS, kernel_plan
 from gkern.cli import load_data_spec, main
+from oracles import per_graph
 
 
 DATA = "labeled:count=6,mean=8,edge-prob=0.2,pv=0.5"
@@ -583,7 +584,7 @@ def test_generate_rejects_a_flag_its_generator_lacks(tmp_path, capsys):
 def test_graphlet_dots_past_2_53_fail_their_pair(regime, monkeypatch, capsys):
     # one class counted 2**27 times: its self-dot is 2**54
     heavy = {(0,): 2**27}
-    monkeypatch.setattr(gkern.bench, "graphlet_features", gkern.per_graph(lambda g: heavy))
+    monkeypatch.setattr(gkern.bench, "graphlet_features", per_graph(lambda g: heavy))
     code = main(["compute", "--data", DATA, "--kernel", "graphlet", "--regime", regime])
     assert code == 4
     err = capsys.readouterr().err

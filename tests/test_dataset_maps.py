@@ -9,12 +9,15 @@ from gkern import (
     Dataset,
     FeatureMatrix,
     Graph,
+    VertexKernelSpec,
+    graph_invariant_weight_maps,
+    graphhopper_weight_maps,
     graphlet_features,
     gram_explicit,
     matching_features,
-    per_graph,
     sp_features_explicit,
     walk_features_explicit,
+    wv_features_explicit,
 )
 from gkern.gram import row_order
 from gkern.graphs import DisjointUnion
@@ -24,27 +27,44 @@ from oracles import (
     oracle_matching_features,
     oracle_sp_features,
     oracle_walk_features,
+    oracle_wv_features,
+    per_graph,
 )
 
-# (name, dataset map, per-graph oracle)
+DIRAC = VertexKernelSpec("dirac")
+
+
+def weighted(weight_maps):
+    """The weighted vertex map under Dirac on labels, with its weight map
+    built over the dataset, and its per-graph oracle."""
+    over = lambda members: weight_maps(Dataset("w", list(members)))
+    return (
+        lambda u: wv_features_explicit(u, over(u), DIRAC),
+        lambda g, members: oracle_wv_features(g, over(members), DIRAC),
+    )
+
+
+# (name, dataset map, per-graph oracle of a graph and the dataset's members)
 MAPS = [
-    ("sp", sp_features_explicit, oracle_sp_features),
-    ("graphlet", graphlet_features, oracle_graphlet_features),
+    ("sp", sp_features_explicit, lambda g, _: oracle_sp_features(g)),
+    ("graphlet", graphlet_features, lambda g, _: oracle_graphlet_features(g)),
 ] + [
     (
         f"matching({size}, {connected})",
         lambda u, s=size, c=connected: matching_features(u, s, c),
-        lambda g, s=size, c=connected: oracle_matching_features(g, s, c),
+        lambda g, _, s=size, c=connected: oracle_matching_features(g, s, c),
     )
     for size in (3, 5)
     for connected in (False, True)
 ] + [
-    ("walk(3)", lambda u: walk_features_explicit(u, 3), lambda g: oracle_walk_features(g, 3)),
+    ("walk(3)", lambda u: walk_features_explicit(u, 3), lambda g, _: oracle_walk_features(g, 3)),
     (
         "maxwalk(3)",
         lambda u: walk_features_explicit(u, 3, all_rounds=True),
-        lambda g: {k: c for l in range(4) for k, c in oracle_walk_features(g, l).items()},
+        lambda g, _: {k: c for l in range(4) for k, c in oracle_walk_features(g, l).items()},
     ),
+    ("graph-invariant(2)", *weighted(lambda ds: graph_invariant_weight_maps(ds, 2))),
+    ("graphhopper", *weighted(graphhopper_weight_maps)),
 ]
 
 DEGENERATE = [Graph(0), Graph(1, vertex_labels=[2]), Graph(4), Graph(5, [(0, 1), (2, 3)])]
@@ -73,7 +93,7 @@ class TestDatasetMaps:
             assert shuffled.tobytes() == expected.tobytes(), name
             features = feature_map(DisjointUnion(members))
             for i, g in enumerate(members):
-                assert features.vector(i) == oracle(g), (name, i)
+                assert features.vector(i) == oracle(g, members), (name, i)
 
     def test_columns_index_the_ascending_key_table(self):
         members = [*DEGENERATE, Graph(3, [(0, 1), (1, 2)], [0, 1, 0], [4, 5])]

@@ -18,8 +18,9 @@ from gkern import (
     wv_features_explicit,
 )
 from gkern import bench
+from gkern.graphs import DisjointUnion
 from conftest import make_random_graph
-from oracles import dot
+from oracles import dot, weight_rows
 
 DIRAC = VertexKernelSpec("dirac")
 
@@ -55,7 +56,7 @@ class TestKeys:
         # and 2 the ends and the middle of stratum 1
         path = Graph(3, [(0, 1), (1, 2)], vertex_labels=[0, 1, 0])
         weight_map = graph_invariant_weight_maps(Dataset("t", [path]), 1)
-        pairs = sorted(wv_features_explicit(path, weight_map, DIRAC))
+        pairs = sorted(wv_features_explicit([path], weight_map, DIRAC))
         assert pairs == [(0, 0), (0, 1), (1, 0), (2, 1)]
         # the weight column leads: swapped, the middle's key would read
         # (1, 2); and no end (column 1) carries label 1
@@ -66,7 +67,8 @@ class TestKeys:
 
 
 class TestFeatureVector:
-    """Every map returns a plain dict of key -> non-zero weight."""
+    """Every map gives each graph's vector as a plain dict of key ->
+    non-zero weight."""
 
     def test_zero_entries_are_pruned(self):
         # the zero cells of the weight rows leave no entry behind, and the
@@ -74,11 +76,12 @@ class TestFeatureVector:
         rng = random.Random(19)
         graphs = [make_random_graph(rng, max_n=6, labels=2) for _ in range(4)]
         weight_map = graph_invariant_weight_maps(Dataset("t", graphs), 2)
-        for g in graphs:
-            vector = wv_features_explicit(g, weight_map, DIRAC)
+        features = wv_features_explicit(graphs, weight_map, DIRAC)
+        for i, g in enumerate(graphs):
+            vector = features.vector(i)
             assert type(vector) is dict and 0 not in vector.values()
-            _, w = weight_map.matrix(g)
-            assert sum(vector.values()) == int(w.sum())
+            weights = [w for row in weight_rows(weight_map, g) for w in row.values()]
+            assert sum(vector.values()) == sum(weights)
 
 
 VERTEX_KERNELS = {
@@ -107,14 +110,12 @@ def test_vertex_features_realize_the_kernel_matrix(kind):
             spec.features(graphs[0])
         return
     for g, h in zip(graphs[::2], graphs[1::2]):
-        (keys_g, weight), (keys_h, same) = spec.features(g), spec.features(h)
-        assert weight == same and len(keys_g) == g.n and len(keys_h) == h.n
-        dots = np.array(
-            [
-                [dot(dict.fromkeys(u, weight), dict.fromkeys(v, weight)) for v in keys_h]
-                for u in keys_g
-            ]
-        )
+        # one call on both graphs: dirac-attributes ranks the rows of its input
+        keys, weight = spec.features(DisjointUnion([g, h]))
+        assert keys.dtype == np.int64 and len(keys) == g.n + h.n
+        keys_g, keys_h = keys[: g.n].tolist(), keys[g.n :].tolist()
+        vector = lambda u: dict.fromkeys(map(tuple, u), weight)
+        dots = np.array([[dot(vector(u), vector(v)) for v in keys_h] for u in keys_g])
         if kind == "binned":
             assert np.abs(dots - spec.matrix(g, h)).max() <= 1e-12
         else:
@@ -200,20 +201,17 @@ class TestCombinators:
         weight_map = graph_invariant_weight_maps(Dataset("t", graphs), 2)
 
         def parts(g):
-            columns, w = weight_map.matrix(g)
             keys, weight = binned.features(g)
             return [
-                ({c: x for c, x in zip(columns.tolist(), row) if x}, dict.fromkeys(phi, weight))
-                for row, phi in zip(w.tolist(), keys)
+                (row, dict.fromkeys(map(tuple, phi), weight))
+                for row, phi in zip(weight_rows(weight_map, g), keys.tolist())
             ]
 
-        for g in graphs:
-            for h in graphs:
+        features = wv_features_explicit(graphs, weight_map, binned)
+        for i, g in enumerate(graphs):
+            for j, h in enumerate(graphs):
                 pairwise = sum(
                     dot(wv, wu) * dot(pv, pu) for wv, pv in parts(g) for wu, pu in parts(h)
                 )
-                explicit = dot(
-                    wv_features_explicit(g, weight_map, binned),
-                    wv_features_explicit(h, weight_map, binned),
-                )
+                explicit = dot(features.vector(i), features.vector(j))
                 assert explicit == pytest.approx(pairwise, rel=1e-12, abs=1e-12)

@@ -26,14 +26,13 @@ from gkern import (
     load_gram_csv,
     min_eigenvalue_estimate,
     normalize,
-    per_graph,
     walk_features_explicit,
     walk_kernel_implicit,
 )
 from gkern import bench, gram as gram_module, subgraphs, walks
 from gkern.graphs import DisjointUnion
 from conftest import graphs, make_random_graph
-from oracles import dot, oracle_walk_features
+from oracles import dot, oracle_walk_features, per_graph
 
 DIRAC = VertexKernelSpec("dirac")
 DIRAC_EDGE = EdgeKernelSpec("dirac")

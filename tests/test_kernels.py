@@ -34,7 +34,7 @@ def _vertex_value(spec, x, y):
 def _binned_features(x, grid):
     """The binned vertex kernel's feature vector of attribute row ``x``."""
     (keys,), weight = VertexKernelSpec("binned", grid=grid).features(_points(x))
-    return dict.fromkeys(keys, weight)
+    return dict.fromkeys(map(tuple, keys.tolist()), weight)
 
 
 def _edge_value(spec, a, b):

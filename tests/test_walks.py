@@ -18,7 +18,6 @@ from gkern import (
     VertexKernelSpec,
     build_wdpg,
     gram_explicit,
-    per_graph,
     sample_binning_grid,
     walk_features_explicit,
     walk_kernel_implicit,
@@ -35,6 +34,7 @@ from oracles import (
     oracle_walk_features,
     oracle_walk_kernel,
     oracle_walk_label_counts,
+    per_graph,
     uniform_fn,
     vertex_kernel_fn,
 )

@@ -19,7 +19,6 @@ from gkern import (
     gram_implicit,
     graph_invariant_weight_maps,
     graphhopper_weight_maps,
-    per_graph,
     sample_binning_grid,
     subgraph_matching_kernel,
     walk_kernel_implicit,
@@ -36,6 +35,7 @@ from oracles import (
     oracle_hopper_tables,
     oracle_vertex_weight,
     vertex_kernel_fn,
+    weight_rows,
 )
 
 DIRAC = VertexKernelSpec("dirac")
@@ -45,9 +45,9 @@ DIRAC_ATTR = VertexKernelSpec("dirac-attributes")
 def decoded_rows(wm, g, side):
     """Per vertex of ``g``: its path-count weight row as {(i, j): weight},
     1-based cells of a table with ``side`` columns."""
-    columns, w = wm.matrix(g)
-    cells = [(c // side + 1, c % side + 1) for c in columns.tolist()]
-    return [{cell: x for cell, x in zip(cells, row) if x} for row in w.tolist()]
+    return [
+        {(c // side + 1, c % side + 1): x for c, x in row.items()} for row in weight_rows(wm, g)
+    ]
 
 
 def table_side(graphs):
@@ -60,13 +60,9 @@ def table_side(graphs):
 
 def constructed(graphs, weight):
     """A one-column weight map giving every vertex of ``graphs`` ``weight``."""
-    return WeightFeatureMap(
-        "constructed",
-        {
-            id(x): (x, np.array([0]), np.full((x.n, 1), weight, dtype=np.int64))
-            for x in graphs
-        },
-    )
+    vertices = np.arange(sum(x.n for x in graphs))
+    table = np.column_stack((vertices, 0 * vertices, np.full_like(vertices, weight)))
+    return WeightFeatureMap("constructed", graphs, table)
 
 
 class TestGraphInvariantWeights:
@@ -164,7 +160,7 @@ class TestGraphHopperWeights:
     def test_multiplicity_past_2_26_names_the_graph(self):
         # 27 diamonds: 2**27 shortest paths end to end; 26 stay exact
         chain = diamond_chain(26)
-        assert graphhopper_weight_maps(Dataset("chains", [chain])).matrix(chain)[1].max() >= 2**26
+        assert graphhopper_weight_maps(Dataset("chains", [chain])).table[:, 2].max() >= 2**26
         with pytest.raises(MultiplicityOverflowError, match=r"graph 1 of 'chains'.* 134217728"):
             graphhopper_weight_maps(Dataset("chains", [Graph(2, [(0, 1)]), diamond_chain(27)]))
 
@@ -173,7 +169,11 @@ class TestGraphHopperWeights:
         wm = graphhopper_weight_maps(Dataset("t", [a]))
         clone = Graph(2, [(0, 1)])
         with pytest.raises(ContractError):
-            wm.matrix(clone)
+            wm.rows([clone])
+        with pytest.raises(ContractError, match="not covered"):
+            wv_kernel_implicit(a, [a, clone], wm, DIRAC)
+        with pytest.raises(ContractError, match="not covered"):
+            wv_features_explicit([clone], wm, DIRAC)
 
 
 class TestWeightedKernels:
@@ -234,7 +234,8 @@ class TestWeightedKernels:
             graph_invariant_weight_maps(ds, 3),
             graphhopper_weight_maps(ds),
         ):
-            vectors = [wv_features_explicit(g, wm, DIRAC_ATTR) for g in ds.graphs]
+            features = wv_features_explicit(ds.graphs, wm, DIRAC_ATTR)
+            vectors = [features.vector(i) for i in range(len(ds))]
             for i, g in enumerate(ds.graphs):
                 for j, h in enumerate(ds.graphs):
                     implicit = wv_kernel_implicit(g, [h], wm, DIRAC_ATTR)[0]
@@ -248,7 +249,8 @@ class TestWeightedKernels:
         graphs = [make_random_graph(rng, max_n=6, labels=2) for _ in range(4)]
         ds = Dataset("t", graphs)
         wm = graph_invariant_weight_maps(ds, 2)
-        vectors = [wv_features_explicit(g, wm, DIRAC) for g in ds.graphs]
+        features = wv_features_explicit(ds.graphs, wm, DIRAC)
+        vectors = [features.vector(i) for i in range(len(ds))]
         for i, g in enumerate(ds.graphs):
             for j, h in enumerate(ds.graphs):
                 implicit = wv_kernel_implicit(g, [h], wm, DIRAC)[0]
@@ -265,21 +267,33 @@ class TestWeightedKernels:
         grid = sample_binning_grid(2, 1.0, 4, seed=5)
         binned = VertexKernelSpec("binned", grid=grid)
         wm = graphhopper_weight_maps(ds)
-        for g in ds.graphs:
-            for h in ds.graphs:
+        features = wv_features_explicit(ds.graphs, wm, binned)
+        for i, g in enumerate(ds.graphs):
+            for j, h in enumerate(ds.graphs):
                 implicit = wv_kernel_implicit(g, [h], wm, binned)[0]
-                explicit = dot(
-                    wv_features_explicit(g, wm, binned),
-                    wv_features_explicit(h, wm, binned),
-                )
+                explicit = dot(features.vector(i), features.vector(j))
                 assert explicit == pytest.approx(implicit, rel=1e-12, abs=1e-12)
 
     def test_binned_features_require_attributes(self):
         grid = sample_binning_grid(1, 1.0, 4, seed=2)
         g = Graph(1, [])
         wm = graphhopper_weight_maps(Dataset("t", [g]))
-        with pytest.raises(ContractError):
-            wv_features_explicit(g, wm, VertexKernelSpec("binned", grid=grid))
+        with pytest.raises(GramError, match="graph 0 failed") as info:
+            wv_features_explicit([g], wm, VertexKernelSpec("binned", grid=grid))
+        assert isinstance(info.value.__cause__, ContractError)
+
+    @pytest.mark.parametrize("kind", ["dirac-attributes", "binned"])
+    def test_graph_without_attributes_fails_the_explicit_gram_by_name(self, kind):
+        rng = random.Random(181)
+        a, c = (make_random_graph(rng, max_n=5, attribute_dim=2) for _ in range(2))
+        ds = Dataset("t", [a, make_random_graph(rng, max_n=5), c])
+        grid = sample_binning_grid(2, 1.0, 4, seed=5)
+        vk = VertexKernelSpec(kind, grid=grid if kind == "binned" else None)
+        for wm in weight_maps(ds):
+            features = lambda union: wv_features_explicit(union, wm, vk)
+            with pytest.raises(GramError, match="graph 1 failed") as info:
+                gram_explicit(ds, features, "weighted")
+            assert isinstance(info.value.__cause__, ContractError)
 
 
 def test_dirac_total_reaching_2_53_raises():
@@ -297,20 +311,23 @@ def test_dirac_total_reaching_2_53_raises():
 
 
 def test_explicit_self_dot_reaching_2_53_fails_its_pair():
-    g = Graph(1, [])
-    ds = Dataset("t", [g])
-
-    def gram(weight):
+    def gram(g, weight):
         wm = constructed([g], weight)
-        return gram_explicit(ds, per_graph(lambda x: wv_features_explicit(x, wm, DIRAC)))
+        return gram_explicit(Dataset("t", [g]), lambda u: wv_features_explicit(u, wm, DIRAC))
 
-    # the weights reach the Gram as Python ints, so the integer guard holds
-    vector = wv_features_explicit(g, constructed([g], 2**27), DIRAC)
-    assert [type(w) for w in vector.values()] == [int]
-    assert gram(2**26).values[0, 0] == 2**52
-    with pytest.raises(GramError, match=r"pair \(0, 0\) failed") as info:
-        gram(2**27)
-    assert isinstance(info.value.__cause__, MultiplicityOverflowError)
+    # the weights are integral, so the integer guard holds
+    g = Graph(1, [])
+    features = wv_features_explicit([g], constructed([g], 2**27), DIRAC)
+    assert features.integral.tolist() == [True]
+    assert [type(w) for w in features.vector(0).values()] == [int]
+    assert gram(g, 2**26).values[0, 0] == 2**52
+    # vertices of weight 2**62 on one key sum past int64: two to 2**63,
+    # four to 2**64, which an int64 tally would wrap to 0, a weight that
+    # passes the guard
+    for weight, graph in ((2**27, g), (2**62, Graph(2, [])), (2**62, Graph(4, []))):
+        with pytest.raises(GramError, match=r"pair \(0, 0\) failed") as info:
+            gram(graph, weight)
+        assert isinstance(info.value.__cause__, MultiplicityOverflowError)
 
 
 @st.composite
@@ -332,9 +349,12 @@ def attributed_graphs(draw):
 
 def pair_reference(g, h, wm, vk):
     """One pair's kernel on the columns both graphs use, as one sum."""
-    (columns_g, wg), (columns_h, wh) = wm.matrix(g), wm.matrix(h)
-    _, at_g, at_h = np.intersect1d(columns_g, columns_h, return_indices=True)
-    weights = np.einsum("ik,jk->ij", wg[:, at_g], wh[:, at_h], dtype=np.float64)
+    rows_g, rows_h = weight_rows(wm, g), weight_rows(wm, h)
+    shared = sorted(set().union(*rows_g) & set().union(*rows_h))
+    dense = lambda rows: np.array(
+        [[row.get(c, 0) for c in shared] for row in rows], np.int64
+    ).reshape(len(rows), len(shared))
+    weights = np.einsum("ik,jk->ij", dense(rows_g), dense(rows_h), dtype=np.float64)
     return float(np.einsum("ij,ij->", weights, vk.matrix(g, h)))
 
 
@@ -353,6 +373,19 @@ def weight_maps(ds):
 
 
 class TestWeightedRows:
+    def test_table_rows_follow_the_graphs_asked_for(self):
+        # a run of the map's graphs reads one slice of the table; any other
+        # order, repeats included, gathers each graph's rows in turn
+        rng = random.Random(191)
+        graphs = [make_random_graph(rng, max_n=6) for _ in range(5)]
+        for wm in weight_maps(Dataset("t", graphs)):
+            for order in ((3, 0, 4, 4, 1), (1, 2, 3)):
+                asked = [graphs[i] for i in order]
+                # one graph's rows renumbered past the graphs before it
+                first = np.cumsum([0] + [g.n for g in asked])
+                parts = [wm.rows([g]) + [v, 0, 0] for g, v in zip(asked, first)]
+                assert wm.rows(asked).tolist() == np.concatenate(parts).tolist()
+
     @settings(max_examples=40, deadline=None)
     @given(g=attributed_graphs(), hs=st.lists(attributed_graphs(), max_size=4))
     def test_row_equals_one_partner_calls(self, g, hs):
