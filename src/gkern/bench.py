@@ -43,7 +43,7 @@ from .graphs import (
     scale_attributes,
 )
 from .kernels import EdgeKernelSpec, VertexKernelSpec, sample_binning_grid
-from .shortest_paths import sp_features_explicit, sp_transform
+from .shortest_paths import sp_features_explicit, sp_transforms
 from .subgraphs import graphlet_features, matching_features, subgraph_matching_kernel
 from .walks import GRAM_ROWS, walk_features_explicit, walk_kernel_implicit
 from .weighted import (
@@ -161,9 +161,7 @@ def kernel_plan(
         lk = EdgeKernelSpec(length_kernel, c=bridge_c)
 
         def implicit() -> GramMatrix:
-            transformed = Dataset(
-                ds.name, [sp_transform(g) for g in ds.graphs], ds.class_labels
-            )
+            transformed = Dataset(ds.name, sp_transforms(ds.graphs), ds.class_labels)
             # the shortest-path kernel is the length-1 walk kernel on the
             # transforms (see gkern.shortest_paths)
             row = lambda g, hs: walk_kernel_implicit(g, hs, vk, lk, 1)

@@ -30,7 +30,6 @@ permanently:
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -48,9 +47,6 @@ from .rng import SplitMix64, poisson_limit
 
 #: Sentinel for "no path" in distance matrices.
 INF_DISTANCE = np.iinfo(np.int64).max
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
 
 class Graph:
     """Simple undirected graph with optional discrete labels and attributes.
@@ -190,6 +186,48 @@ def _csr(n: int, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     return neighbors, np.concatenate(([0], np.cumsum(degree))), arcs % max(len(edges), 1)
 
 
+def graphs_from_union(
+    sizes: np.ndarray,
+    edges: np.ndarray,
+    edge_labels: Optional[np.ndarray],
+    vertex_labels: Sequence[Optional[np.ndarray]],
+    vertex_attributes: Sequence[Optional[np.ndarray]],
+) -> List[Graph]:
+    """Graphs laid side by side, built from their union's arrays without
+    the checks and sorts of :class:`Graph`'s constructor.
+
+    Graph ``i`` has ``sizes[i]`` vertices, numbered in the union from the
+    sum of the sizes before it.  ``edges`` are the union's ``(lo < hi)``
+    rows in union ids, ascending, so each graph's edges are consecutive
+    and in :class:`Graph` order; ``edge_labels`` align with them or are
+    ``None`` for every graph.  ``vertex_labels`` and ``vertex_attributes``
+    hold one entry per graph, an array or ``None``.  One :func:`_csr` call
+    covers the union; each graph's edges, neighbours and arc edges, in its
+    own ids, are slices of arrays shared by all the graphs.
+    """
+    first = np.concatenate(([0], np.cumsum(sizes)))
+    neighbors, arc_starts, arc_edges = _csr(int(first[-1]), edges)
+    first_edge = np.searchsorted(edges[:, 0], first)
+    first_arc = arc_starts[first]
+    arcs = np.diff(first_arc)
+    local = edges - np.repeat(first[:-1], np.diff(first_edge))[:, None]
+    neighbors = neighbors - np.repeat(first[:-1], arcs)
+    arc_edges = arc_edges - np.repeat(first_edge[:-1], arcs)
+    graphs = []
+    bounds = zip(
+        first.tolist(), first[1:].tolist(), first_edge.tolist(), first_edge[1:].tolist(),
+        first_arc.tolist(), first_arc[1:].tolist(), vertex_labels, vertex_attributes,
+    )
+    for v0, v1, e0, e1, a0, a1, labels, rows in bounds:
+        g = Graph.__new__(Graph)
+        g.n, g.edges, g.vertex_labels, g.vertex_attributes = v1 - v0, local[e0:e1], labels, rows
+        g.edge_labels = None if edge_labels is None else edge_labels[e0:e1]
+        g.neighbors, g.arc_edges = neighbors[a0:a1], arc_edges[a0:a1]
+        g.arc_starts = arc_starts[v0 : v1 + 1] - a0
+        graphs.append(g)
+    return graphs
+
+
 class DisjointUnion(Sequence[Graph]):
     """Partner graphs side by side as one graph: a Gram row's layout.
 
@@ -201,7 +239,9 @@ class DisjointUnion(Sequence[Graph]):
     union of partners ``a..b-1``, is views of ``u``'s arrays with ids and
     offsets rebased.  Vertex attributes are there when there are partners
     and each has them; a kernel needing them fails on a union without, and
-    a Gram finds the failing pair by evaluating it alone.
+    a Gram finds the failing pair by evaluating it alone.  Partners whose
+    attribute widths differ make reading them a :class:`ContractError`
+    that names the first partner whose width differs from the first's.
     """
 
     #: a product join a row kernel attaches to a slice (see gkern.walks)
@@ -222,11 +262,16 @@ class DisjointUnion(Sequence[Graph]):
         self.edge_labels = stack((h.edge_label_array() for h in self.graphs), none[:, 0])
         self.owner = np.repeat(np.arange(len(sizes)), sizes)
         rows = [h.vertex_attributes for h in self.graphs]
-        self._missing = np.cumsum([0] + [a is None for a in rows])
-        widths = {a.shape[1] for a in rows if a is not None}
-        # zero rows stand in for a partner without attributes; no slice shows them
-        rows = (np.zeros((h.n, *widths)) if a is None else a for h, a in zip(self.graphs, rows))
-        self._rows = np.concatenate([*rows]) if len(widths) == 1 else None
+        # each partner's attribute width, -1 for none; _first numbers the
+        # partners in errors as the union a slice was cut from does
+        self._widths = np.array([-1 if a is None else a.shape[1] for a in rows], dtype=np.int64)
+        self._first = 0
+        # every partner's rows zero-padded to the widest, zeros for a
+        # partner without attributes; no union shows the padding
+        self._rows = np.zeros((self.n, int(self._widths.max(initial=0))))
+        for a, v in zip(rows, self.vertex_offsets.tolist()):
+            if a is not None:
+                self._rows[v : v + len(a), : a.shape[1]] = a
 
     @classmethod
     def of(cls, hs: Sequence[Graph]) -> "DisjointUnion":
@@ -253,8 +298,8 @@ class DisjointUnion(Sequence[Graph]):
         union.edge_offsets = self.edge_offsets[a : b + 1] - e0
         union.edges, union.edge_labels = self.edges[e0:e1] - v0, self.edge_labels[e0:e1]
         union.owner, union.vertex_labels = self.owner[v0:v1] - a, self.vertex_labels[v0:v1]
-        union._rows = None if self._rows is None else self._rows[v0:v1]
-        union._missing = self._missing[a : b + 1]
+        union._rows, union._widths = self._rows[v0:v1], self._widths[a:b]
+        union._first = self._first + a
         return union
 
     # read as a graph reads its own
@@ -272,8 +317,17 @@ class DisjointUnion(Sequence[Graph]):
 
     @property
     def vertex_attributes(self) -> Optional[np.ndarray]:
-        whole = len(self) and self._rows is not None and self._missing[0] == self._missing[-1]
-        return self._rows if whole else None
+        widths = self._widths
+        if not len(widths) or (widths < 0).any():
+            return None
+        other = np.flatnonzero(widths != widths[0])
+        if len(other):
+            i = int(other[0])
+            raise ContractError(
+                f"graph {self._first + i} has attributes of width {widths[i]} but graph "
+                f"{self._first} has attributes of width {widths[0]}"
+            )
+        return self._rows[:, : widths[0]]
 
 
 def partner_runs(
@@ -309,45 +363,111 @@ class DistanceMatrix:
         return int(self.dist.shape[0])
 
 
-def all_pairs_shortest_paths(g: Graph, with_counts: bool = False) -> DistanceMatrix:
-    """Breadth-first all-pairs shortest paths, optionally with multiplicities.
+#: Most arcs one step of :func:`shortest_path_blocks` follows at once, so
+#: its memory stays flat however dense the graphs are; a state whose arcs
+#: alone exceed it is followed alone.
+BFS_ARCS = 1 << 14
 
-    Multiplicities are accumulated exactly (arbitrary-precision) and must
-    fit in a signed 64-bit integer; a count that does not raises
-    :class:`MultiplicityOverflowError` rather than wrapping around.
+
+def shortest_path_blocks(
+    graphs: Sequence[Graph], with_counts: bool = False
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """Hop distances, and optionally shortest-path counts, of every graph
+    of ``graphs``, as one flat array of per-graph ``n x n`` blocks.
+
+    Graph ``i``'s block runs from cell ``starts[i]`` to ``starts[i + 1]``,
+    row ``u`` and column ``v`` at ``starts[i] + u * n + v`` in its own ids;
+    returns ``(dist, counts, starts)``, ``counts`` ``None`` unless asked
+    for.  Distances are :data:`INF_DISTANCE` between vertices that do not
+    reach each other; counts are 0 there and 1 on the diagonal.
+
+    One level-synchronous breadth-first search runs from every vertex of
+    every graph at once, over the CSR of the graphs' union (laid out from
+    their own CSRs, so no union is sorted): a state is a (source, vertex)
+    pair, and each level follows the arcs of the last level's states, at
+    most :data:`BFS_ARCS` at a time, to the cells not reached before.
+    Counts are summed exactly in int64 (in 32-bit halves, so a sum cannot
+    wrap); one that passes 2**63 - 1 raises
+    :class:`MultiplicityOverflowError`, naming its source and graph.
     """
-    n = g.n
-    dist = np.empty((n, n), dtype=np.int64)
-    counts = np.zeros((n, n), dtype=np.int64) if with_counts else None
-    adj = g.neighbor_lists()
-    for s in range(n):
-        d = [-1] * n
-        c = [0] * n
-        d[s] = 0
-        c[s] = 1
-        queue = deque((s,))
-        while queue:
-            u = queue.popleft()
-            du1 = d[u] + 1
-            cu = c[u]
-            for v in adj[u]:
-                if d[v] < 0:
-                    d[v] = du1
-                    c[v] = cu
-                    queue.append(v)
-                elif d[v] == du1:
-                    c[v] += cu
-        dist[s] = d
+    sizes = np.fromiter((g.n for g in graphs), np.int64, len(graphs))
+    arcs = np.fromiter((len(g.neighbors) for g in graphs), np.int64, len(graphs))
+    offsets, arc_offsets = (np.concatenate(([0], np.cumsum(x))) for x in (sizes, arcs))
+    owner = np.repeat(np.arange(len(graphs)), sizes)
+    neighbors = np.concatenate([offsets[:0], *(g.neighbors for g in graphs)])
+    neighbors += np.repeat(offsets[:-1], arcs)
+    arc_starts = np.concatenate([offsets[:1], *(g.arc_starts[1:] for g in graphs)])
+    arc_starts[1:] += arc_offsets[owner]
+    starts = np.concatenate(([0], np.cumsum(sizes * sizes)))
+    first = offsets[owner]
+    dist = np.full(int(starts[-1]), -1, dtype=np.int64)
+    counts = np.zeros(len(dist), dtype=np.int64) if with_counts else None
+    # while a level sums, counts holds the sums of the low 32 bits, high
+    # the sums of the rest
+    high = np.zeros(len(dist), dtype=np.int64) if with_counts else None
+    # a state is its cell, the cell of (source s, vertex v) in union ids
+    # being row[s] + v, and its vertex
+    vertex = np.arange(len(owner))
+    cell = starts[:-1][owner] + (vertex - first) * sizes[owner] - first + vertex
+    dist[cell] = 0
+    if with_counts:
+        counts[cell] = 1
+    level = 0
+    while len(vertex):
+        level += 1
+        degree = arc_starts[vertex + 1] - arc_starts[vertex]
+        # the level's arcs in state order: state p's from before[p] on
+        before = np.cumsum(degree) - degree
+        cuts = np.searchsorted(before, np.arange(BFS_ARCS, int(before[-1]) + 1, BFS_ARCS))
+        row, paths = cell - vertex, counts[cell] if with_counts else None
+        reached = []
+        for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(vertex)]):
+            state = np.repeat(np.arange(a, b), degree[a:b])
+            arc = np.repeat(arc_starts[vertex[a:b]] - before[a:b], degree[a:b])
+            arc += np.arange(len(arc)) + (before[a] if a < b else 0)
+            head = neighbors[arc]
+            into = row[state] + head
+            new = np.flatnonzero(dist[into] < 0)
+            # one state per cell reached first: of the marks a cell takes,
+            # one survives
+            marks = -2 - np.arange(len(new))
+            dist[into[new]] = marks
+            new = new[dist[into[new]] == marks]
+            dist[into[new]] = level
+            reached.append((into[new], head[new]))
+            if with_counts:
+                # every arc into a cell of this level, this run's or an earlier's
+                arrived = dist[into] == level
+                into, state = into[arrived], state[arrived]
+                np.add.at(counts, into, paths[state] & 0xFFFFFFFF)
+                np.add.at(high, into, paths[state] >> 32)
+        cell = np.concatenate([cell[:0], *(c for c, _ in reached)])
+        vertex = np.concatenate([vertex[:0], *(v for _, v in reached)])
         if with_counts:
-            if max(c) > _INT64_MAX:
+            total = high[cell] + (counts[cell] >> 32)
+            if total.max(initial=0) >= 1 << 31:
+                c = int(cell[np.argmax(total >= 1 << 31)])
+                g = int(np.searchsorted(starts, c, side="right")) - 1
                 raise MultiplicityOverflowError(
-                    f"shortest-path multiplicity from vertex {s} exceeds "
-                    f"64-bit range"
+                    f"shortest-path multiplicity from vertex {(c - starts[g]) // sizes[g]} "
+                    f"of graph {g} exceeds 64-bit range"
                 )
-            counts[s] = c
-    # the BFS marks unreached vertices -1
+            counts[cell] = (total << 32) | (counts[cell] & 0xFFFFFFFF)
     dist[dist < 0] = INF_DISTANCE
-    return DistanceMatrix(dist, counts)
+    return dist, counts, starts
+
+
+def all_pairs_shortest_paths(g: Graph, with_counts: bool = False) -> DistanceMatrix:
+    """Breadth-first all-pairs shortest paths, optionally with multiplicities:
+    :func:`shortest_path_blocks` of ``g`` alone.
+
+    Multiplicities are exact and must fit in a signed 64-bit integer; a
+    count that does not raises :class:`MultiplicityOverflowError` rather
+    than wrapping around.
+    """
+    dist, counts, _ = shortest_path_blocks([g], with_counts)
+    shape = (g.n, g.n)
+    return DistanceMatrix(dist.reshape(shape), None if counts is None else counts.reshape(shape))
 
 
 class Dataset:
@@ -498,6 +618,56 @@ def _at(filename: str, i: int) -> str:
     return f"{filename}:{_line_number(filename, i)}"
 
 
+# byte classes of an integer side file: anything else, a blank within a
+# line (in the edge file a comma too), a line end, a digit and a minus
+_OTHER, _BLANK, _LINE_END, _DIGIT, _MINUS = range(5)
+_BYTES = np.full(256, _OTHER, dtype=np.int8)
+_BYTES[list(b" \t")], _BYTES[list(b"\n\r")] = _BLANK, _LINE_END
+_BYTES[list(b"0123456789")], _BYTES[ord("-")] = _DIGIT, _MINUS
+_EDGE_BYTES = _BYTES.copy()
+_EDGE_BYTES[ord(",")] = _BLANK
+
+
+def _clean_integers(filename: str, width: int) -> Optional[np.ndarray]:
+    """The ``(lines, width)`` int64 values of a side file whose non-blank
+    lines each hold ``width`` integers, read in one call; ``None`` for any
+    other file.
+
+    Only files made of integers of at most 18 digits, each with an
+    optional leading minus, blanks (spaces and tabs; in the edge file,
+    ``width`` 2, commas too) and line ends are read here.  Such a file
+    reads as the line-by-line readers read it: a lone ``\\r`` ends a line
+    there too, as text mode reads it, and 18 digits stay inside int64,
+    where ``np.fromstring`` would clamp a longer number without a word.
+    Every other file, defects and all, is left to those readers.
+    """
+    with open(filename, "rb") as fh:
+        data = fh.read()
+    kind = (_EDGE_BYTES if width == 2 else _BYTES)[np.frombuffer(data, np.uint8)]
+    if (kind == _OTHER).any():
+        return None
+    solid = np.concatenate(([False], kind >= _DIGIT, [False]))
+    bounds = np.flatnonzero(solid[1:] != solid[:-1])
+    starts, stops = bounds[0::2], bounds[1::2]
+    signed = kind[starts] == _MINUS
+    digits = stops - starts - signed
+    # the line of each integer: the count of line ends before it
+    line = np.searchsorted(np.flatnonzero(kind == _LINE_END), starts)
+    line = line.reshape(-1, width) if len(line) % width == 0 else None
+    if (
+        line is None
+        or signed.sum() != (kind == _MINUS).sum()
+        or not ((digits >= 1) & (digits <= 18)).all()
+        or not (line == line[:, :1]).all()
+        or not (np.diff(line[:, 0]) > 0).all()
+    ):
+        return None
+    if not len(starts):
+        return np.zeros((0, width), dtype=np.int64)
+    text = data.replace(b",", b" ") if width == 2 else data
+    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, width)
+
+
 def _column(
     filename: str, dtype=np.int64, count: Optional[int] = None, unit: str = ""
 ) -> Optional[np.ndarray]:
@@ -506,11 +676,17 @@ def _column(
 
     Each non-blank line is one value (one row).  With ``count``, the file
     must hold that many lines; ``unit`` names them in the error (``"labels
-    for 5 vertices"``).  All tokens convert in one call; only when that
-    fails does a pass line by line name the first bad ``file:line``.
+    for 5 vertices"``).  An integer file that :func:`_clean_integers`
+    reads, with the right count, is done; any other file's tokens convert
+    in one call, and only when that fails does a pass line by line name
+    the first bad ``file:line``.
     """
     if not os.path.isfile(filename):
         return None
+    if dtype == np.int64:
+        values = _clean_integers(filename, 1)
+        if values is not None and count in (None, len(values)):
+            return values[:, 0]
     lines = _read_lines(filename)
     if count is not None and len(lines) != count:
         raise DatasetFormatError(f"{filename}: {len(lines)} {unit}")
@@ -537,14 +713,18 @@ def _column(
     return values
 
 
-def _edge_pairs(filename: str) -> Tuple[List[str], np.ndarray]:
-    """The edge file's non-blank lines and its ``(lines, 2)`` int64 ids,
-    converted in one call; only on failure does a pass line by line name
-    the first line that is not two integers."""
+def _edge_pairs(filename: str) -> np.ndarray:
+    """The edge file's ``(lines, 2)`` int64 ids, one row per non-blank
+    line: read by :func:`_clean_integers`, or else converted in one call,
+    and only on failure does a pass line by line name the first line that
+    is not two integers."""
+    pairs = _clean_integers(filename, 2)
+    if pairs is not None:
+        return pairs
     lines = _read_lines(filename)
     rows = [line.replace(",", " ").split() for line in lines]
     try:
-        return lines, np.array(rows, dtype=np.int64).reshape(len(rows), 2)
+        return np.array(rows, dtype=np.int64).reshape(len(rows), 2)
     except (ValueError, OverflowError):
         for i, (text, row) in enumerate(zip(lines, rows)):
             if len(row) != 2:
@@ -602,6 +782,15 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
     physical lines, blank ones included (a side file's line count ignores
     blank lines).  The edge file is checked for syntax first, then for
     ids, then for mirrors.
+
+    Each integer file is read in one call when a byte scan finds it clean
+    (:func:`_clean_integers`); any other file, a defective one included,
+    goes through the line-by-line readers, which name its defect.  One
+    stable sort by graph id lays the graphs side by side, in the order of
+    their ids: a graph's vertices are its global ids in ascending order,
+    and its edges come from the ``u < v`` lines, sorted by (graph, lo, hi).
+    Every graph's arrays but its arc starts are slices of the dataset's
+    (:func:`graphs_from_union`).
     """
     base = _dataset_dir(path, name)
     keys = ("A", "graph_indicator", "graph_labels", "node_labels", "edge_labels",
@@ -620,8 +809,8 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
         files["graph_labels"], np.int64, num_graphs, f"class labels for {num_graphs} graphs"
     )
     a_file, l_file = files["A"], files["edge_labels"]
-    a_lines, pairs = _edge_pairs(a_file)
-    edge_labels = _column(l_file, np.int64, len(a_lines), f"labels for {len(a_lines)} edge lines")
+    pairs = _edge_pairs(a_file)
+    edge_labels = _column(l_file, np.int64, len(pairs), f"labels for {len(pairs)} edge lines")
 
     u, v = pairs[:, 0], pairs[:, 1]
     inside = (pairs >= 1).all(axis=1) & (pairs <= size).all(axis=1)
@@ -632,7 +821,10 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
     # graph of each end; ids out of range index the -1 appended at the end
     ends = np.append(graph_of, -1)[np.where(inside[:, None], pairs, 0) - 1]
     _first_defect(
-        (~inside, lambda i: f"{_at(a_file, i)}: vertex id out of range in {a_lines[i]!r}"),
+        (
+            ~inside,
+            lambda i: f"{_at(a_file, i)}: vertex id out of range in {_read_lines(a_file)[i]!r}",
+        ),
         (u == v, lambda i: f"{_at(a_file, i)}: self-loop at vertex {u[i]}"),
         (
             ends[:, 0] != ends[:, 1],
@@ -658,28 +850,28 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
     node_labels = _column(files["node_labels"], np.int64, size, f"labels for {size} vertices")
     attributes = _column(files["node_attributes"], np.float64, size, f"rows for {size} vertices")
 
-    def cut(values: Optional[np.ndarray], owner: np.ndarray) -> list:
-        """``values`` split into one piece per graph, in their order."""
+    # one sort lays the graphs side by side: a graph's global ids ascend,
+    # so their ranks in the union are its local ids in order
+    sizes = np.bincount(graph_of, minlength=num_graphs)
+    order = np.argsort(graph_of, kind="stable")
+    rank = np.empty(size, dtype=np.int64)
+    rank[order] = np.arange(size)
+    once = u < v  # one line per undirected edge
+    edges = rank[pairs[once] - 1]
+    by = np.argsort(edges[:, 0] * size + edges[:, 1])
+    first = np.concatenate(([0], np.cumsum(sizes))).tolist()
+
+    def parts(values: Optional[np.ndarray]) -> list:
+        """``values`` of each graph, in the union's vertex order."""
         if values is None:
             return [None] * num_graphs
-        bounds = np.cumsum(np.bincount(owner, minlength=num_graphs))[:-1]
-        return np.split(values[np.argsort(owner, kind="stable")], bounds)
+        values = values[order]
+        return [values[a:b] for a, b in zip(first, first[1:])]
 
-    once = u < v  # one line per undirected edge
-    edges = pairs[once] - 1
-    owner = graph_of[edges[:, 0]]
-    graphs = [
-        # a graph's global ids ascend, so their ranks are its local ids
-        Graph(len(ids), np.searchsorted(ids, e), vertex_labels=vl, edge_labels=el,
-              vertex_attributes=va)
-        for ids, e, el, vl, va in zip(
-            cut(np.arange(size), graph_of),
-            cut(edges, owner),
-            cut(None if edge_labels is None else edge_labels[once], owner),
-            cut(node_labels, graph_of),
-            cut(attributes, graph_of),
-        )
-    ]
+    graphs = graphs_from_union(
+        sizes, edges[by], None if edge_labels is None else edge_labels[once][by],
+        parts(node_labels), parts(attributes),
+    )
     return Dataset(name, graphs, class_labels)
 
 

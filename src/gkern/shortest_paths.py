@@ -22,12 +22,42 @@ Other base kernels have only the implicit scheme here.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .gram import FeatureMatrix, count_rows
-from .graphs import DisjointUnion, Graph, all_pairs_shortest_paths, INF_DISTANCE
+from .graphs import INF_DISTANCE, DisjointUnion, Graph, graphs_from_union, shortest_path_blocks
+
+
+def _reachable_pairs(graphs: Sequence[Graph]) -> Tuple[np.ndarray, ...]:
+    """``(graph, source, target, hops)`` of every ordered pair of distinct
+    vertices of one of ``graphs`` that reach each other, vertices numbered
+    as in the graphs' union, ascending by source and then target: the
+    finite cells off the diagonals of
+    :func:`~gkern.graphs.shortest_path_blocks`, found with one ``nonzero``."""
+    dist, _, starts = shortest_path_blocks(graphs)
+    cells = np.flatnonzero((dist != INF_DISTANCE) & (dist != 0))
+    graph = np.searchsorted(starts, cells, side="right") - 1
+    sizes = np.fromiter((g.n for g in graphs), np.int64, len(graphs))
+    source, target = np.divmod(cells - starts[graph], sizes[graph])
+    first = (np.cumsum(sizes) - sizes)[graph]
+    return graph, first + source, first + target, dist[cells]
+
+
+def sp_transforms(graphs: Sequence[Graph]) -> List[Graph]:
+    """The :func:`sp_transform` of each of ``graphs``, in one pass: one
+    breadth-first search over their union, and every transform's arrays
+    cut from the union's (:func:`~gkern.graphs.graphs_from_union`)."""
+    _, source, target, hops = _reachable_pairs(graphs)
+    once = source < target  # already in sorted edge order
+    return graphs_from_union(
+        np.fromiter((g.n for g in graphs), np.int64, len(graphs)),
+        np.column_stack((source[once], target[once])),
+        hops[once],
+        [g.vertex_labels for g in graphs],
+        [g.vertex_attributes for g in graphs],
+    )
 
 
 def sp_transform(g: Graph) -> Graph:
@@ -37,17 +67,7 @@ def sp_transform(g: Graph) -> Graph:
     distance are simply not connected (the length kernel treats them as
     incomparable anyway).
     """
-    dist = all_pairs_shortest_paths(g).dist
-    pairs = np.stack(np.triu_indices(g.n, k=1), axis=1)  # already in sorted edge order
-    hops = dist[pairs[:, 0], pairs[:, 1]]
-    reachable = hops != INF_DISTANCE
-    return Graph(
-        g.n,
-        pairs[reachable],
-        vertex_labels=g.vertex_labels,
-        edge_labels=hops[reachable],
-        vertex_attributes=g.vertex_attributes,
-    )
+    return sp_transforms([g])[0]
 
 
 def sp_features_explicit(graphs: Sequence[Graph]) -> FeatureMatrix:
@@ -57,17 +77,12 @@ def sp_features_explicit(graphs: Sequence[Graph]) -> FeatureMatrix:
 
     Every ordered pair of distinct, mutually reachable vertices of a graph
     counts once; the dot product of two graphs' vectors equals their
-    kernel value.  One distance matrix per graph gives the rows
-    ``(source label, target label, hops)``, and one sort counts the rows
-    of all graphs (:func:`gkern.gram.count_rows`).
+    kernel value.  One search over the union of ``graphs`` gives the rows
+    ``(source label, target label, hops)``, and one sort counts them
+    (:func:`gkern.gram.count_rows`).
     """
     union = DisjointUnion.of(graphs)
     labels = union.vertex_label_array()
-    rows, owners = [np.zeros((0, 3), np.int64)], [np.zeros(0, np.int64)]
-    for i, (g, first) in enumerate(zip(union, union.vertex_offsets.tolist())):
-        dist = all_pairs_shortest_paths(g).dist
-        np.fill_diagonal(dist, INF_DISTANCE)
-        u, v = np.nonzero(dist != INF_DISTANCE)
-        rows.append(np.column_stack((labels[first + u], labels[first + v], dist[u, v])))
-        owners.append(np.full(u.size, i))
-    return count_rows(len(union), [(np.concatenate(owners), np.concatenate(rows), None)])
+    graph, source, target, hops = _reachable_pairs(union)
+    rows = np.column_stack((labels[source], labels[target], hops))
+    return count_rows(len(union), [(graph, rows, None)])

@@ -48,7 +48,7 @@ from . import walks
 from .errors import ContractError, GKError, GramError, MultiplicityOverflowError
 from .gram import EXACT_LIMIT, FeatureMatrix, count_rows
 from .graphs import INF_DISTANCE, Dataset, DisjointUnion, DistanceMatrix, Graph
-from .graphs import all_pairs_shortest_paths, partner_runs
+from .graphs import partner_runs, shortest_path_blocks
 from .kernels import VertexKernelSpec
 from .wl import wl_refine_dataset
 
@@ -170,20 +170,18 @@ def graphhopper_weight_maps(ds: Dataset) -> WeightFeatureMap:
     The table is square with side ``delta``, the vertex count of the
     longest shortest path anywhere in the dataset, so vectors from
     different graphs share their key space.  The trivial path v -> v
-    contributes M(v)[1, 1] += 1.  One all-pairs shortest-path pass per
-    graph gives both ``delta`` and the tables.
+    contributes M(v)[1, 1] += 1.  One shortest-path search over the
+    dataset's union gives every graph's distances and path counts, so
+    both ``delta`` and the tables.
     """
-    distances = [all_pairs_shortest_paths(g, with_counts=True) for g in ds.graphs]
-    delta = max(
-        (int(dm.dist[dm.dist != INF_DISTANCE].max()) + 1 for dm in distances if dm.n),
-        default=0,
-    )
-    first = np.cumsum([0] + [dm.n for dm in distances])
-    # each graph's rows, its vertices renumbered from its first in the union
-    tables = [
-        _hopper_tables(dm, delta, f"graph {gi} of {ds.name!r}") + [v, 0, 0]
-        for gi, (dm, v) in enumerate(zip(distances, first))
-    ]
+    dist, counts, starts = shortest_path_blocks(ds.graphs, with_counts=True)
+    delta = int(dist[dist != INF_DISTANCE].max(initial=-1)) + 1
+    tables, first = [], 0
+    for gi, (g, a, b) in enumerate(zip(ds.graphs, starts.tolist(), starts[1:].tolist())):
+        dm = DistanceMatrix(dist[a:b].reshape(g.n, g.n), counts[a:b].reshape(g.n, g.n))
+        # the graph's rows, its vertices renumbered from its first in the union
+        tables.append(_hopper_tables(dm, delta, f"graph {gi} of {ds.name!r}") + [first, 0, 0])
+        first += g.n
     table = np.concatenate([np.zeros((0, 3), dtype=np.int64), *tables])
     return WeightFeatureMap("graphhopper", ds.graphs, table)
 

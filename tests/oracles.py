@@ -349,6 +349,27 @@ def oracle_shortest_path_counts(g) -> List[List[int]]:
     return counts
 
 
+def oracle_bfs(g) -> Tuple[List[List[float]], List[List[int]]]:
+    """A breadth-first search from each vertex: hop distances (math.inf
+    where unreached) and shortest-path counts (0 where unreached)."""
+    adj = adjacency_lists(g)
+    dist, counts = [], []
+    for s in range(g.n):
+        d, c = [math.inf] * g.n, [0] * g.n
+        d[s], c[s] = 0, 1
+        queue = [s]
+        for u in queue:  # grows while it is read
+            for w in adj[u]:
+                if d[w] == math.inf:
+                    d[w], c[w] = d[u] + 1, c[u]
+                    queue.append(w)
+                elif d[w] == d[u] + 1:
+                    c[w] += c[u]
+        dist.append(d)
+        counts.append(c)
+    return dist, counts
+
+
 def oracle_sp_features(g) -> Dict[Tuple[int, int, int], int]:
     """(source label, target label, hops) -> count over ordered pairs of
     distinct, mutually reachable vertices: the explicit shortest-path map,
@@ -784,3 +805,49 @@ def oracle_graph(n: int, edges, edge_labels=None):
     order = sorted(range(len(keys)), key=keys.__getitem__)
     labels = None if edge_labels is None else [int(edge_labels[i]) for i in order]
     return [list(keys[i]) for i in order], labels
+
+
+def oracle_load_tu(directory: str, name: str) -> Tuple[List[Graph], List[int]]:
+    """The graphs and class labels of a TU dataset in ``directory``, read
+    line by line in plain Python and built one graph at a time with
+    ``Graph(...)``: a graph's vertices are its global ids in ascending
+    order, and each edge comes from the line of its ``u < v`` orientation."""
+
+    def lines(key: str) -> Optional[List[str]]:
+        try:
+            with open(f"{directory}/{name}_{key}.txt", encoding="ascii") as fh:
+                text = fh.read()  # text mode: "\r\n" and "\r" end lines too
+        except FileNotFoundError:
+            return None
+        return [line.strip() for line in text.split("\n") if line.strip()]
+
+    indicator = [int(x) for x in lines("graph_indicator")]
+    classes = [int(x) for x in lines("graph_labels")]
+    arcs = [[int(x) for x in line.replace(",", " ").split()] for line in lines("A")]
+    arc_labels = lines("edge_labels")
+    vertex_labels = lines("node_labels")
+    rows = lines("node_attributes")
+    members: List[List[int]] = [[] for _ in classes]
+    for v, graph in enumerate(indicator):
+        members[graph - 1].append(v)
+    local = {v: i for vs in members for i, v in enumerate(vs)}
+    edges: List[list] = [[] for _ in classes]
+    labels: List[list] = [[] for _ in classes]
+    for i, (u, v) in enumerate(arcs):
+        if u < v:
+            edges[indicator[u - 1] - 1].append((local[u - 1], local[v - 1]))
+            labels[indicator[u - 1] - 1].append(None if arc_labels is None else int(arc_labels[i]))
+    width = len(rows[0].split(",")) if rows else 0
+    graphs = [
+        Graph(
+            len(vs),
+            es,
+            vertex_labels=None if vertex_labels is None else [int(vertex_labels[v]) for v in vs],
+            edge_labels=None if arc_labels is None else ls,
+            vertex_attributes=None if rows is None else np.array(
+                [[float(x) for x in rows[v].split(",")] for v in vs], dtype=np.float64
+            ).reshape(len(vs), width),
+        )
+        for vs, es, ls in zip(members, edges, labels)
+    ]
+    return graphs, classes

@@ -26,13 +26,16 @@ from gkern import (
     write_tu_dataset,
 )
 from gkern.bench import kernel_plan
-from gkern.graphs import DisjointUnion
-from conftest import diamond_chain, make_random_graph
+from gkern import graphs as graphs_module
+from gkern.graphs import DisjointUnion, shortest_path_blocks
+from conftest import diamond_chain, graphs, make_random_graph
 from oracles import (
     adjacency_lists,
     edge_label_dict,
     oracle_apsp,
+    oracle_bfs,
     oracle_graph,
+    oracle_load_tu,
     oracle_shortest_path_counts,
 )
 
@@ -81,6 +84,12 @@ LOADER_DEFECTS = [
         {"A": "1, 2\n2, x\n"},
         DatasetFormatError,
         "{root}/X/X_A.txt:2: non-integer vertex id in '2, x'",
+    ),
+    # a lone carriage return ends a line, as text mode reads it
+    (
+        {"A": "1, 2\n2\r1\n"},
+        DatasetFormatError,
+        "{root}/X/X_A.txt:2: expected 'u, v', got '2'",
     ),
     (
         {"A": "1, 2\n2, 1\n1, 3\n"},
@@ -177,6 +186,22 @@ LOADER_DEFECTS = [
         {"node_attributes": "inf,1\n-1e400,2\n"},
         DatasetFormatError,
         "{root}/X/X_node_attributes.txt:1: non-finite attribute in 'inf,1'",
+    ),
+    # labels past int64 are not integers
+    (
+        {"graph_labels": "99999999999999999999\n"},
+        DatasetFormatError,
+        "{root}/X/X_graph_labels.txt:1: not an integer: '99999999999999999999'",
+    ),
+    (
+        {"node_labels": "1\n99999999999999999999\n"},
+        DatasetFormatError,
+        "{root}/X/X_node_labels.txt:2: not an integer: '99999999999999999999'",
+    ),
+    (
+        {"edge_labels": "1\n99999999999999999999\n"},
+        DatasetFormatError,
+        "{root}/X/X_edge_labels.txt:2: not an integer: '99999999999999999999'",
     ),
 ]
 
@@ -359,6 +384,24 @@ class TestDisjointUnion:
         assert union[1:].edges.tolist() == [[0, 1], [1, 2]]
         assert union[1:].owner.tolist() == [1, 1, 1]
 
+    def test_partners_of_two_widths_name_the_first_that_differs(self):
+        one, two = ([[0.5] * w, [0.25] * w] for w in (1, 2))
+        partners = [Graph(2, [(0, 1)], vertex_attributes=rows) for rows in (one, two, one)]
+        union = DisjointUnion(partners)
+        with pytest.raises(ContractError) as raised:
+            union.vertex_attributes
+        assert str(raised.value) == (
+            "graph 1 has attributes of width 2 but graph 0 has attributes of width 1"
+        )
+        # a slice numbers its partners as the union it was cut from does
+        with pytest.raises(ContractError, match="^graph 2 has attributes of width 1 but graph 1 "):
+            union[1:].vertex_attributes
+        for i, rows in enumerate((one, two, one)):
+            assert union[i : i + 1].vertex_attributes.tolist() == rows
+        # what does not read attributes still reads the union
+        assert union.vertex_label_array().tolist() == [0] * 6 and union.m == 3
+        assert DisjointUnion([partners[1], Graph(1)]).vertex_attributes is None
+
 
 class TestShortestPaths:
     def test_matches_floyd_warshall_oracle(self):
@@ -385,6 +428,34 @@ class TestShortestPaths:
             for i in range(g.n):
                 for j in range(g.n):
                     assert dm.counts[i][j] == expected[i][j], (i, j)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(graphs(max_n=7), max_size=5),
+        st.integers(0, 5),
+        st.sampled_from([1, 5, graphs_module.BFS_ARCS]),
+    )
+    def test_blocks_match_a_plain_bfs(self, drawn, at, budget):
+        # no vertex, one vertex and two components ride along with the drawn
+        # graphs; budgets of 1 and 5 arcs cut each level into many runs
+        fixed = [Graph(0), Graph(1), Graph(5, [(0, 1), (2, 3)])]
+        gs = drawn[:at] + fixed + drawn[at:]
+        real = graphs_module.BFS_ARCS
+        graphs_module.BFS_ARCS = budget
+        try:
+            dist, counts, starts = shortest_path_blocks(gs, with_counts=True)
+            alone = shortest_path_blocks(gs)
+        finally:
+            graphs_module.BFS_ARCS = real
+        assert dist.dtype == counts.dtype == np.int64
+        assert starts.tolist() == np.cumsum([0] + [g.n * g.n for g in gs]).tolist()
+        assert alone[0].tobytes() == dist.tobytes() and alone[1] is None
+        for g, a in zip(gs, starts.tolist()):
+            want_dist, want_counts = oracle_bfs(g)
+            block = slice(a, a + g.n * g.n)
+            want = [INF_DISTANCE if d == math.inf else d for row in want_dist for d in row]
+            assert dist[block].tolist() == want
+            assert counts[block].tolist() == [c for row in want_counts for c in row]
 
     def test_path_counts_past_int64_raise(self):
         # 63 diamonds give 2**63 paths end to end, one past int64, and 64
@@ -622,6 +693,90 @@ class TestDiskFormat:
         with pytest.raises(error) as raised:
             load_tu_dataset(path, "X")
         assert str(raised.value) == message.format(root=tmp_path)
+
+    def _assert_loads_as_the_oracle(self, directory, name):
+        ds = load_tu_dataset(str(directory), name)
+        want, classes = oracle_load_tu(str(directory), name)
+        assert ds.class_labels.dtype == np.int64 and ds.class_labels.tolist() == classes
+        assert len(ds) == len(want)
+        for got, g in zip(ds.graphs, want):
+            assert type(got.n) is int and got.n == g.n
+            for slot in Graph.__slots__[1:]:
+                a, b = getattr(got, slot), getattr(g, slot)
+                assert (a is None) == (b is None), slot
+                if b is not None:
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape), slot
+                    assert a.tobytes() == b.tobytes(), slot
+        return ds
+
+    def test_a_hand_written_dataset_loads_as_the_oracle(self, tmp_path):
+        # graph ids interleave and graph 2 has no vertex; CRLF and LF line
+        # ends, tabs, blank lines and both separators
+        self._write(
+            tmp_path, "HAND",
+            A="1, 4\r\n\r\n4,1\r\n2\t5\n5 2\n  5 ,3 \n3\t,\t5\n",
+            graph_indicator="1\r\n3\r\n\t\r\n3\n1\n3\n",
+            graph_labels="0\n\n-7\n2\n",
+            node_labels="\t4\n-1 \n\n0\n9\n3\n",
+            edge_labels="6\n\n6\n\t1\n1\n0\n0\n",
+            node_attributes="0.5,1\r\n-0.0,2\r\n1e-3,3\n4,4\n5,5\n",
+        )
+        ds = self._assert_loads_as_the_oracle(tmp_path / "HAND", "HAND")
+        assert [g.n for g in ds] == [2, 0, 3]
+        assert [g.edges.tolist() for g in ds] == [[[0, 1]], [], [[0, 2], [1, 2]]]
+        assert ds[2].edge_labels.tolist() == [1, 0] and ds[1].edge_labels.tolist() == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_drawn_datasets_load_as_the_oracle(self, tmp_path_factory, data):
+        gs = data.draw(st.lists(graphs(max_n=5), max_size=5))
+        while gs and not gs[-1].n:
+            gs.pop()  # the last graph id is the largest in the indicator file
+        # each graph's vertices at drawn global ids, interleaved, in order
+        slots = data.draw(st.permutations([i for i, g in enumerate(gs) for _ in range(g.n)]))
+        ids = [[] for _ in gs]
+        for v, i in enumerate(slots, start=1):
+            ids[i].append(v)
+        lines = [
+            (ids[i][a], ids[i][b], label)
+            for i, g in enumerate(gs)
+            for (u, v), label in zip(g.edges.tolist(), g.edge_label_array().tolist())
+            for a, b in ((u, v), (v, u))
+        ]
+        lines = data.draw(st.permutations(lines))
+        width = data.draw(st.sampled_from([None, 1, 2]))
+        values = st.sampled_from([-0.0, 0.5, 1e-3, 3.0])
+        rows = {v: [data.draw(values) for _ in range(width or 0)] for v in range(1, len(slots) + 1)}
+        labels = {v: int(x) for i, g in enumerate(gs) for v, x in zip(ids[i], g.vertex_label_array())}
+        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        blank = st.sampled_from(["", " ", "\t"])
+
+        def text(items):
+            out = []
+            for item in items:
+                out += data.draw(st.lists(blank, max_size=1)) + [item]
+            return end.join(out) + end
+
+        separator = st.sampled_from([", ", ",", " ", "\t", " , "])
+        files = {
+            "A": text(f"{u}{data.draw(separator)}{v}" for u, v, _ in lines),
+            "graph_indicator": text(str(slot + 1) for slot in slots),
+            "graph_labels": text(str(i % 3 - 1) for i in range(len(gs))),
+        }
+        if data.draw(st.booleans()):
+            files["edge_labels"] = text(str(label) for _, _, label in lines)
+        if data.draw(st.booleans()):
+            files["node_labels"] = text(str(labels[v]) for v in range(1, len(slots) + 1))
+        if width:
+            files["node_attributes"] = text(
+                ",".join(repr(x) for x in rows[v]) for v in range(1, len(slots) + 1)
+            )
+        directory = tmp_path_factory.mktemp("drawn")
+        for key, content in files.items():
+            with open(directory / f"D_{key}.txt", "w", newline="") as fh:
+                fh.write(content)
+        ds = self._assert_loads_as_the_oracle(directory, "D")
+        assert [g.edges.tolist() for g in ds] == [g.edges.tolist() for g in gs]
 
 
 class TestGenerators:

@@ -282,6 +282,29 @@ class TestWeightedKernels:
             wv_features_explicit([g], wm, VertexKernelSpec("binned", grid=grid))
         assert isinstance(info.value.__cause__, ContractError)
 
+    def test_attribute_widths_that_differ_name_the_graph(self):
+        # widths 1 and 2 cannot stand side by side in one union: both Grams
+        # name graph 1, while label kernels on the same graphs still run
+        ds = Dataset("t", [Graph(2, [(0, 1)], vertex_attributes=[[0.5], [0.25]]),
+                           Graph(2, [(0, 1)], vertex_attributes=[[0.5, 1.0], [0.25, 1.0]])])
+        wm = graphhopper_weight_maps(ds)
+        message = "graph 1 has attributes of width 2 but graph 0 has attributes of width 1"
+        for vk, fails in ((DIRAC_ATTR, True), (DIRAC, False)):
+            builds = (
+                lambda: gram_implicit(ds, lambda g, hs: wv_kernel_implicit(g, hs, wm, vk)),
+                lambda: gram_explicit(ds, lambda union: wv_features_explicit(union, wm, vk)),
+            )
+            if fails:
+                for build in builds:
+                    with pytest.raises(GramError, match=message) as info:
+                        build()
+                    assert isinstance(info.value.__cause__, ContractError)
+                    assert str(info.value.__cause__) == message
+            else:
+                implicit, explicit = (build().values for build in builds)
+                assert implicit.tolist() == [[12.0, 12.0], [12.0, 12.0]]
+                assert implicit.tobytes() == explicit.tobytes()
+
     @pytest.mark.parametrize("kind", ["dirac-attributes", "binned"])
     def test_graph_without_attributes_fails_the_explicit_gram_by_name(self, kind):
         rng = random.Random(181)
